@@ -31,7 +31,6 @@ from .channels import (
 )
 from .dilation import (
     DilationResult,
-    MemoryLayout,
     dephasing_unitary,
     dilate_channel,
     dilate_instrument,

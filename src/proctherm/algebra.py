@@ -35,6 +35,8 @@ __all__ = [
     "dagger",
     "max_norm",
     "is_hermitian",
+    "expect_herm",
+    "energy_change",
     "reorder_factors",
     "embed_factors",
     "ptrace_factors",
@@ -70,6 +72,11 @@ def max_norm(mat: np.ndarray) -> float:
 
 def is_hermitian(mat: np.ndarray, tol: float = DEFAULT.hermitian) -> bool:
     return max_norm(mat - mat.conj().T) <= tol
+
+
+def expect_herm(h: np.ndarray, rho: np.ndarray) -> float:
+    """tr(h rho) for Hermitian h, in O(D^2): sum_ij conj(h_ij) rho_ij."""
+    return float(np.vdot(h, rho).real)
 
 
 def reorder_factors(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -110,6 +117,16 @@ def ptrace_factors(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) ->
         nfac -= 1
     d = int(np.prod([dims[i] for i in keep_sorted])) if keep_sorted else 1
     return t.reshape(d, d)
+
+
+def energy_change(before: np.ndarray, after: np.ndarray, dims: Sequence[int],
+                  terms: Iterable[tuple[np.ndarray, Sequence[int]]]) -> float:
+    """Sum of tr{op (rho_after - rho_before)} over Hermitian ``(op,
+    positions)`` terms, each evaluated on the marginal at its factor
+    positions (ascending, matching the factor order of ``op``)."""
+    delta = after - before
+    return sum((expect_herm(op, ptrace_factors(delta, dims, pos))
+                for op, pos in terms), 0.0)
 
 
 def expm_herm(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
@@ -313,7 +330,7 @@ class OperatorMatrix:
     def expectation(self, rho: "DensityOperator") -> float:
         """tr(op rho) for Hermitian op; embeds into the state's support."""
         op = self.embed(rho.op.support) if self.support != rho.op.support else self
-        return float(np.real(np.trace(op.mat @ rho.op.mat)))
+        return expect_herm(op.mat, rho.op.mat)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,6 @@ from .tolerances import DEFAULT
 
 __all__ = [
     "DilationResult",
-    "MemoryLayout",
     "dilate_channel",
     "dilate_instrument",
     "measurement_unitary",
@@ -222,9 +221,10 @@ def dephasing_unitary(d: int) -> np.ndarray:
     """Conditional-shift unitary on memory (x) dephaser, both of dimension d.
 
     U = sum_r |r><r| (x) shift_r.  With the dephaser maximally mixed,
-    tracing it out after conjugation leaves sum_r |r><r| rho |r><r|; with
-    degenerate register energies the unitary commutes with the bare
-    Hamiltonian, so the operation costs no energy.
+    tracing it out after conjugation leaves sum_r |r><r| rho |r><r|.  The
+    unitary commutes with H_M (x) 1 + 1 (x) c 1 for any memory Hamiltonian
+    H_M diagonal in the record basis and a degenerate dephaser, so the
+    operation costs no energy.
     """
     u = np.zeros((d * d, d * d), dtype=complex)
     for r in range(d):
@@ -240,40 +240,3 @@ def dephase(rho_mem: np.ndarray) -> np.ndarray:
     joint = np.kron(rho_mem, np.eye(d) / d)
     u = dephasing_unitary(d)
     return ptrace_factors(u @ joint @ dagger(u), [d, d], [0])
-
-
-@dataclass(frozen=True, eq=False)
-class MemoryLayout:
-    """Classical memory registers for a measurement schedule.
-
-    One informational register per step (dimension = outcome count, starts
-    in the first basis state) paired with a degenerate dephasing register of
-    the same dimension in the maximally mixed state.  ``level`` is the
-    common energy of the degenerate register states.
-    """
-
-    outcome_counts: tuple[int, ...]
-    level: float = 0.0
-
-    def __init__(self, outcome_counts: Sequence[int], level: float = 0.0):
-        counts = tuple(int(d) for d in outcome_counts)
-        if any(d < 1 for d in counts):
-            raise ValueError("outcome counts must be positive")
-        object.__setattr__(self, "outcome_counts", counts)
-        object.__setattr__(self, "level", float(level))
-
-    def register_dim(self, k: int) -> int:
-        return self.outcome_counts[k]
-
-    def idf_initial(self, k: int) -> np.ndarray:
-        d = self.outcome_counts[k]
-        rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-
-    def nidf_initial(self, k: int) -> np.ndarray:
-        d = self.outcome_counts[k]
-        return np.eye(d, dtype=complex) / d
-
-    def h_register(self, k: int) -> np.ndarray:
-        return self.level * np.eye(self.outcome_counts[k], dtype=complex)

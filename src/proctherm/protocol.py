@@ -130,9 +130,6 @@ class Protocol:
         return Protocol(overlay(self.base),
                         {p: overlay(s) for p, s in self.variants.items()})
 
-    def switch_times(self, prefix: Sequence[str] = ()) -> list[float]:
-        return [s.t0 for s in self.timeline(prefix)[1:]]
-
 
 def discretize_ramp(h0: np.ndarray, h1: np.ndarray, t0: float, t1: float,
                     n: int) -> list[Segment]:

@@ -32,7 +32,10 @@ from .algebra import (
     OperatorMatrix,
     dagger,
     embed_factors,
+    energy_change,
+    expect_herm,
     expm_herm,
+    is_hermitian,
     max_norm,
     ptrace_factors,
     unitary_log_generator,
@@ -44,6 +47,7 @@ from .dilation import (
     dilate_instrument,
     measurement_unitary,
 )
+from .protocol import Segment
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -68,13 +72,6 @@ class UnknownRecordError(KeyError):
 
 def ancilla_label(k: int) -> str:
     return f"A{k}"
-
-
-def _iter_static(segments, t_from: float, t_to: float):
-    for seg in segments:
-        a, b = max(seg.t0, t_from), min(seg.t1, t_to)
-        if b - a > 1e-13:
-            yield seg, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +168,9 @@ class AutonomousModel:
         """
         from .dilation import instrument_from_dilation
 
+        for arg, mat in (("h_bath", h_bath), ("v_coupling", v_coupling)):
+            if mat is not None and not is_hermitian(np.asarray(mat, dtype=complex)):
+                raise ValueError(f"{arg} is not Hermitian")
         factors = [("S", int(s_dim)), ("B", int(b_dim)), ("P", 1)]
         specs: list[StepSpec] = []
         instruments: list[Instrument] = []
@@ -229,6 +229,8 @@ class AutonomousModel:
                     u, anc, projs, s_dim, labels=labels))
             else:
                 raise ValueError(f"step {k}: needs 'instrument' or 'collision'")
+            if not is_hermitian(specs[-1].h_ancilla):
+                raise ValueError(f"step {k}: ancilla Hamiltonian is not Hermitian")
             factors.append((ancilla_label(k), specs[-1].ancilla_dim))
 
         registry = FactorRegistry(factors)
@@ -254,14 +256,13 @@ class AutonomousModel:
         if schedule.times and schedule.times[-1] > protocol.t_end + 1e-12:
             raise ValueError("an intervention is scheduled after the protocol ends")
         # a variant timeline may only deviate once its prefix is resolved
-        for prefix, segs in protocol.variants.items():
+        for prefix in protocol.variants:
             if len(prefix) > len(times):
                 raise ValueError(f"protocol variant {prefix} is longer than the "
                                  "intervention schedule")
             resolved = times[len(prefix) - 1]
-            base_segs = protocol.timeline(prefix[:-1])
             for seg, a, b in protocol.iter_segments(protocol.t_start, resolved, prefix):
-                for bseg, ba, bb in _iter_static(base_segs, a, b):
+                for bseg, ba, bb in protocol.iter_segments(a, b, prefix[:-1]):
                     if max_norm(seg.h_system - bseg.h_system) > 1e-12:
                         raise ValueError(
                             f"protocol variant {prefix} changes the drive at "
@@ -402,20 +403,18 @@ class BranchLedger:
 
 @dataclass(frozen=True, eq=False)
 class PrefixTrace:
-    """Per-parent-branch record of one intervention."""
+    """Per-parent-branch record of one intervention.
+
+    ``weight`` is the parent branch weight; the dicts are keyed by outcome
+    label: the outcome probability conditional on the parent, the
+    normalized ancilla state after readout, and the measurement work in the
+    ancilla-energy and knowledge-update conventions.
+    """
 
     labels: tuple[str, ...]
     weight: float
-    state_pre: np.ndarray
-    state_post_prep: np.ndarray
-    state_post_ctrl: np.ndarray
-    anc_pre: np.ndarray                      # ancilla state after control
-    sa_pre: np.ndarray                       # system+ancillas state after control
-    h_sys_at_meas: np.ndarray
     cond_probs: dict[str, float]
     anc_post: dict[str, np.ndarray]
-    sa_post: dict[str, np.ndarray]
-    w_ctrl_inc: float
     w_meas: dict[str, float]
     w_meas_alt: dict[str, float]
 
@@ -472,6 +471,12 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _propagate(space: _Space, mat: np.ndarray, seg: Segment, dt: float) -> np.ndarray:
+    """Conjugate ``mat`` by the exact propagator of one constant segment."""
+    u = expm_herm(space.full_hamiltonian(seg.h_system, seg.window), -1j * dt)
+    return _frozen(u @ mat @ dagger(u))
+
+
 class Simulator:
     """Drives a :class:`BranchLedger` through the scheduled interventions."""
 
@@ -495,64 +500,35 @@ class Simulator:
 
     # -- evolution ----------------------------------------------------------
 
-    def _advance_branch(self, br: Branch, t_from: float, t_to: float) -> Branch:
-        model = self.model
-        space = model.space(br.support)
-        state = br.state
-        weight = br.weight
-        w_s, w_c = br.w_sys, br.w_ctrl
-        h_app, win_app = br.h_sys_applied, br.window_applied
-        for seg, a, b in model.protocol.iter_segments(t_from, t_to, br.labels):
-            if weight > 0:
-                if seg.h_system is not h_app:
-                    rho_s = space.ptrace(state, ["S"])
-                    w_s += float(np.real(np.trace(
-                        (seg.h_system - h_app) @ rho_s))) / weight
-                if seg.window is not win_app and (seg.window or win_app):
-                    gain = 0.0
-                    if seg.window is not None:
-                        k, v = seg.window
-                        rho = space.ptrace(state, ["S", ancilla_label(k)])
-                        gain += float(np.real(np.trace(v @ rho)))
-                    if win_app is not None:
-                        k, v = win_app
-                        rho = space.ptrace(state, ["S", ancilla_label(k)])
-                        gain -= float(np.real(np.trace(v @ rho)))
-                    w_c += gain / weight
-            h_full = space.full_hamiltonian(seg.h_system, seg.window)
-            u = expm_herm(h_full, -1j * (b - a))
-            state = u @ state @ dagger(u)
-            h_app, win_app = seg.h_system, seg.window
-        return br.replace(state=_frozen(state), w_sys=w_s, w_ctrl=w_c,
-                          h_sys_applied=h_app, window_applied=win_app)
-
-    def _settle_branch(self, br: Branch, t: float) -> Branch:
-        """Account for a protocol switch landing exactly at time t."""
-        model = self.model
-        seg = model.protocol.segment_at(t, br.labels)
+    def _switch(self, br: Branch, seg: Segment) -> Branch:
+        """Apply ``seg``'s drive and window to a branch, booking the work of
+        the switch as the jump in each changed term's expectation."""
         if seg.h_system is br.h_sys_applied and seg.window is br.window_applied:
             return br
-        space = model.space(br.support)
+        space = self.model.space(br.support)
         weight = br.weight
         w_s, w_c = br.w_sys, br.w_ctrl
         if weight > 0:
             if seg.h_system is not br.h_sys_applied:
                 rho_s = space.ptrace(br.state, ["S"])
-                w_s += float(np.real(np.trace(
-                    (seg.h_system - br.h_sys_applied) @ rho_s))) / weight
+                w_s += expect_herm(seg.h_system - br.h_sys_applied, rho_s) / weight
             if seg.window is not br.window_applied:
                 gain = 0.0
-                if seg.window is not None:
-                    k, v = seg.window
-                    rho = space.ptrace(br.state, ["S", ancilla_label(k)])
-                    gain += float(np.real(np.trace(v @ rho)))
-                if br.window_applied is not None:
-                    k, v = br.window_applied
-                    rho = space.ptrace(br.state, ["S", ancilla_label(k)])
-                    gain -= float(np.real(np.trace(v @ rho)))
+                for window, sign in ((seg.window, 1.0), (br.window_applied, -1.0)):
+                    if window is not None:
+                        k, v = window
+                        rho = space.ptrace(br.state, ["S", ancilla_label(k)])
+                        gain += sign * expect_herm(v, rho)
                 w_c += gain / weight
         return br.replace(w_sys=w_s, w_ctrl=w_c, h_sys_applied=seg.h_system,
                           window_applied=seg.window)
+
+    def _advance_branch(self, br: Branch, t_from: float, t_to: float) -> Branch:
+        space = self.model.space(br.support)
+        for seg, a, b in self.model.protocol.iter_segments(t_from, t_to, br.labels):
+            br = self._switch(br, seg)
+            br = br.replace(state=_propagate(space, br.state, seg, b - a))
+        return br
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
         if t < ledger.time - 1e-12:
@@ -584,7 +560,6 @@ class Simulator:
         for rec, br in ledger.branches.items():
             hw = model.hardware(k, br.labels)
             weight = br.weight
-            state_pre = br.state
             # --- preparation: fresh ancilla joins at the end of the support
             support2 = br.support + (anc,)
             prepped = br.replace(state=_frozen(np.kron(br.state, hw.ancilla_state)),
@@ -594,28 +569,27 @@ class Simulator:
             if spec.window_width is None:
                 u = space.embed(hw.unitary, ["S", anc])
                 ctrl_state = u @ prepped.state @ dagger(u)
-                w_ctrl_inc = self._kick_work(space, br.h_sys_applied, spec,
-                                             prepped.state, ctrl_state, weight)
+                w_kick = self._kick_work(space, br.h_sys_applied, spec,
+                                         prepped.state, ctrl_state, weight)
                 ctrled = prepped.replace(state=_frozen(ctrl_state),
-                                         w_ctrl=prepped.w_ctrl + w_ctrl_inc)
+                                         w_ctrl=prepped.w_ctrl + w_kick)
             else:
                 ctrled = self._advance_branch(prepped, spec.time, t_meas)
-                ctrled = self._settle_branch(ctrled, t_meas)
-                w_ctrl_inc = ctrled.w_ctrl - prepped.w_ctrl
-            # --- readout marginals before conditioning
+                # a switch landing on the window's end is booked before readout
+                ctrled = self._switch(ctrled,
+                                      model.protocol.segment_at(t_meas, br.labels))
+            # --- readout energies before conditioning
             sa_labels = tuple(l for l in support2 if l != "B")
-            anc_pre = space.ptrace(ctrled.state, [anc]) / weight
-            sa_pre = space.ptrace(ctrled.state, sa_labels) / weight
+            rho_anc = space.ptrace(ctrled.state, [anc]) / weight
             h_sa = self._sa_hamiltonian(ctrled.h_sys_applied, sa_labels, k)
-            e_sa_pre = float(np.real(np.trace(h_sa @ sa_pre)))
-            e_anc_pre = float(np.real(np.trace(spec.h_ancilla @ anc_pre)))
+            e_sa_before = expect_herm(h_sa, space.ptrace(ctrled.state, sa_labels) / weight)
+            e_anc_before = expect_herm(spec.h_ancilla, rho_anc)
             if self.validate_dephasing:
                 cat_worst = max(cat_worst, self._dephasing_residual(
                     space, ctrled.state, hw, anc, weight))
             # --- conditioning on the recorded outcome
             cond_probs: dict[str, float] = {}
             anc_post: dict[str, np.ndarray] = {}
-            sa_post: dict[str, np.ndarray] = {}
             w_meas: dict[str, float] = {}
             w_meas_alt: dict[str, float] = {}
             for r, label in enumerate(hw.outcome_labels):
@@ -628,13 +602,11 @@ class Simulator:
                     anc_r = space.ptrace(child_state, [anc]) / p_child
                     sa_r = space.ptrace(child_state, sa_labels) / p_child
                 else:
-                    anc_r = np.zeros_like(anc_pre)
-                    sa_r = np.zeros_like(sa_pre)
+                    anc_r = np.zeros_like(rho_anc)
+                    sa_r = np.zeros_like(h_sa)
                 anc_post[label] = anc_r
-                sa_post[label] = sa_r
-                w_meas[label] = float(np.real(np.trace(
-                    spec.h_ancilla @ anc_r))) - e_anc_pre
-                w_meas_alt[label] = float(np.real(np.trace(h_sa @ sa_r))) - e_sa_pre
+                w_meas[label] = expect_herm(spec.h_ancilla, anc_r) - e_anc_before
+                w_meas_alt[label] = expect_herm(h_sa, sa_r) - e_sa_before
                 if p_child < self.prune:
                     pruned += p_child
                     continue
@@ -645,12 +617,8 @@ class Simulator:
                     w_meas_alt=ctrled.w_meas_alt + w_meas_alt[label])
                 new_branches[child.record] = child
             traces[rec] = PrefixTrace(
-                labels=br.labels, weight=weight, state_pre=state_pre,
-                state_post_prep=prepped.state, state_post_ctrl=ctrled.state,
-                anc_pre=anc_pre, sa_pre=sa_pre,
-                h_sys_at_meas=ctrled.h_sys_applied,
-                cond_probs=cond_probs, anc_post=anc_post, sa_post=sa_post,
-                w_ctrl_inc=w_ctrl_inc, w_meas=w_meas, w_meas_alt=w_meas_alt)
+                labels=br.labels, weight=weight, cond_probs=cond_probs,
+                anc_post=anc_post, w_meas=w_meas, w_meas_alt=w_meas_alt)
 
         if len(new_branches) > self.max_branches:
             raise RuntimeError(f"branch count {len(new_branches)} exceeds the "
@@ -668,16 +636,12 @@ class Simulator:
         """
         if weight <= 0:
             return 0.0
-        model = self.model
-        anc = ancilla_label(spec.index)
-        delta = 0.0
-        for op, labels in ((h_sys, ["S"]), (spec.h_ancilla, [anc]),
-                           (model.v_coupling, ["S", "B"])):
-            if op is None or max_norm(op) == 0:
-                continue
-            d_rho = space.ptrace(after, labels) - space.ptrace(before, labels)
-            delta += float(np.real(np.trace(op @ d_rho)))
-        return delta / weight
+        terms = [(op, [space.pos[l] for l in labels])
+                 for op, labels in ((h_sys, ["S"]),
+                                    (spec.h_ancilla, [ancilla_label(spec.index)]),
+                                    (self.model.v_coupling, ["S", "B"]))
+                 if op is not None and max_norm(op) > 0]
+        return energy_change(before, after, space.dims, terms) / weight
 
     def _sa_hamiltonian(self, h_sys: np.ndarray, sa_labels: tuple[str, ...],
                         k: int) -> np.ndarray:
@@ -780,11 +744,9 @@ def evolve_sb(model: AutonomousModel, state: DensityOperator, t_a: float,
     space = model.space(support)
     mat = state.mat
     for seg, a, b in model.protocol.iter_segments(t_a, t_b, prefix):
-        window = seg.window
-        if window is not None and ancilla_label(window[0]) not in support:
+        if seg.window is not None and ancilla_label(seg.window[0]) not in support:
             raise ValueError("state does not hold the ancilla coupled in this window")
-        u = expm_herm(space.full_hamiltonian(seg.h_system, window), -1j * (b - a))
-        mat = u @ mat @ dagger(u)
+        mat = _propagate(space, mat, seg, b - a)
     return DensityOperator(OperatorMatrix(model.registry, support, mat), state.weight)
 
 

@@ -45,7 +45,8 @@ import numpy as np
 from .algebra import (
     DensityOperator,
     OperatorMatrix,
-    embed_factors,
+    energy_change,
+    expect_herm,
     log_partition,
     logsumexp,
     max_norm,
@@ -53,7 +54,6 @@ from .algebra import (
     vn_entropy_mat,
 )
 from .simulate import (
-    AutonomousModel,
     Branch,
     RunResult,
     Snapshot,
@@ -71,9 +71,6 @@ __all__ = [
     "evaluate_run",
     "internal_energy",
     "entropy_and_free_energy",
-    "work_driving",
-    "heat",
-    "entropy_production",
     "work_measurement_canonical",
     "work_measurement_alternative",
     "tpm_work",
@@ -121,6 +118,23 @@ def _mean_force_core(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[int]
     return h_star, ln_z_star
 
 
+def _mean_force_arrays(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[int],
+                       h_bath: np.ndarray, beta: float, dbeta: float
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(H*, dH*/dbeta, ln Z*); the derivative is a central difference with
+    one Richardson refinement, steps ``dbeta`` and ``dbeta / 2``."""
+
+    def at(b):
+        return _mean_force_core(h_xb, dims, x_pos, log_partition(h_bath, b), b)
+
+    def central(h):
+        return (at(beta + h)[0] - at(beta - h)[0]) / (2 * h)
+
+    h_star, ln_z_star = at(beta)
+    dh = (4.0 * central(dbeta / 2) - central(dbeta)) / 3.0
+    return h_star, 0.5 * (dh + dh.conj().T), ln_z_star
+
+
 def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
                            beta: float, dbeta: float | None = None,
                            h_bath: np.ndarray | None = None) -> MeanForceData:
@@ -148,19 +162,8 @@ def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
     if dbeta <= 0 or dbeta >= beta:
         raise ValueError(f"derivative step {dbeta} must lie in (0, beta)")
 
-    def at(b):
-        return _mean_force_core(h_xb.mat, dims, x_pos, log_partition(h_bath, b), b)
-
-    h_star, ln_z_star = at(beta)
-
-    def central(h):
-        hp, _ = at(beta + h)
-        hm, _ = at(beta - h)
-        return (hp - hm) / (2 * h)
-
-    d1, d2 = central(dbeta), central(dbeta / 2)
-    dbeta_h = (4.0 * d2 - d1) / 3.0
-    dbeta_h = 0.5 * (dbeta_h + dbeta_h.conj().T)
+    h_star, dbeta_h, ln_z_star = _mean_force_arrays(h_xb.mat, dims, x_pos, h_bath,
+                                                    beta, dbeta)
     return MeanForceData(
         OperatorMatrix(reg, x_labels, h_star, hermitian=True),
         math.exp(ln_z_star), beta,
@@ -170,8 +173,7 @@ def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
 def internal_energy(rho: DensityOperator, mfd: MeanForceData) -> float:
     """tr{(H* + beta dH*/dbeta) rho}, marginalized onto the H* factors."""
     op = mfd.h_star.mat + mfd.beta * mfd.dbeta_h_star.mat
-    marginal = _marginal_onto(rho, mfd.h_star.support)
-    return float(np.real(np.trace(op @ marginal)))
+    return expect_herm(op, _marginal_onto(rho, mfd.h_star.support))
 
 
 def entropy_and_free_energy(p: float, rho_sa: DensityOperator,
@@ -189,9 +191,9 @@ def entropy_and_free_energy(p: float, rho_sa: DensityOperator,
     beta = mfd.beta
     s_vn = vn_entropy_mat(rho_sa.mat)
     marginal = _marginal_onto(rho_sa, mfd.h_star.support)
-    corr = float(np.real(np.trace(mfd.dbeta_h_star.mat @ marginal)))
+    corr = expect_herm(mfd.dbeta_h_star.mat, marginal)
     s = -math.log(p) + s_vn + beta ** 2 * corr
-    f = float(np.real(np.trace(mfd.h_star.mat @ marginal))) + extra_energy \
+    f = expect_herm(mfd.h_star.mat, marginal) + extra_energy \
         + (math.log(p) - s_vn) / beta
     return s, f
 
@@ -277,7 +279,7 @@ class ThermoEvaluator:
         # constants of the unentered ancillas, counted from the initial time
         self._e_anc0, self._s_anc0, self._lnz_anc = [], [], []
         for spec in self.model.steps:
-            self._e_anc0.append(float(np.real(np.trace(spec.h_ancilla @ spec.ancilla_state))))
+            self._e_anc0.append(expect_herm(spec.h_ancilla, spec.ancilla_state))
             self._s_anc0.append(vn_entropy_mat(spec.ancilla_state))
             self._lnz_anc.append(log_partition(spec.h_ancilla, self.beta))
         self._ref: tuple[float, float, float] | None = None
@@ -298,18 +300,8 @@ class ThermoEvaluator:
         else:
             dims = model.registry.dims(("S", "B"))
             h_b = model.h_bath if model.h_bath is not None else np.zeros((dims[1], dims[1]))
-            h_xb = embed_factors(h_sys, [0], dims) + embed_factors(h_b, [1], dims) \
-                + model.v_coupling
-            ln_z_b = log_partition(h_b, beta)
-
-            def at(b):
-                return _mean_force_core(h_xb, dims, [0], log_partition(h_b, b), b)
-
-            h_star, ln_z_star = at(beta)
-            d1 = (at(beta + self.dbeta)[0] - at(beta - self.dbeta)[0]) / (2 * self.dbeta)
-            d2 = (at(beta + self.dbeta / 2)[0] - at(beta - self.dbeta / 2)[0]) / self.dbeta
-            dh = (4.0 * d2 - d1) / 3.0
-            out = (h_star, 0.5 * (dh + dh.conj().T), ln_z_star)
+            out = _mean_force_arrays(model.schedule.h_sb(h_sys), dims, [0], h_b,
+                                     beta, self.dbeta)
         self._mf_cache[key] = out
         return out
 
@@ -334,10 +326,10 @@ class ThermoEvaluator:
             spec = model.steps[i]
             if max_norm(spec.h_ancilla) > 0:
                 rho_a = space.ptrace(br.state, [ancilla_label(i)]) / p
-                e_anc += float(np.real(np.trace(spec.h_ancilla @ rho_a)))
+                e_anc += expect_herm(spec.h_ancilla, rho_a)
         e_anc += sum(self._e_anc0[i] for i in pending)
-        corr = float(np.real(np.trace(dh @ rho_s)))
-        h_star_tr = float(np.real(np.trace(h_star @ rho_s)))
+        corr = expect_herm(dh, rho_s)
+        h_star_tr = expect_herm(h_star, rho_s)
         u = h_star_tr + self.beta * corr + e_anc
         s_vn = vn_entropy_mat(rho_sa) + sum(self._s_anc0[i] for i in pending)
         return p, u, s_vn, corr, e_anc, h_star_tr
@@ -360,7 +352,7 @@ class ThermoEvaluator:
         for br in snap.ledger.branches.values():
             space = model.space(br.support)
             h = space.full_hamiltonian(br.h_sys_applied, br.window_applied)
-            total += float(np.real(np.trace(h @ br.state)))
+            total += expect_herm(h, br.state)
             tw += br.weight
         pending = [i for i in range(model.n_steps)
                    if ancilla_label(i) not in model.support_after(snap.ledger.steps_done)]
@@ -387,9 +379,10 @@ class ThermoEvaluator:
 
     # -- ensemble ------------------------------------------------------------
 
-    def ensemble(self, snap: Snapshot) -> EnsembleThermo:
+    def ensemble(self, snap: Snapshot, rows: Sequence[BranchThermo]) -> EnsembleThermo:
+        """Ensemble aggregates of ``snap`` from its branch rows, as returned
+        by :meth:`branch_rows` for the same snapshot."""
         u0, s0, e0 = self._reference()
-        rows = self.branch_rows(snap)
         tw = sum(r.p for r in rows)
         u = sum(r.p * r.u for r in rows)
         s = sum(r.p * r.s for r in rows)
@@ -400,22 +393,25 @@ class ThermoEvaluator:
         ds = s - tw * s0
         q = du - w
         sigma_fl = ds - self.beta * q
+        e_bare = self._bare_energy(snap)
         sigma_re = None
         if self.model.gibbs_initial and not self.bare:
-            sigma_re = self._sigma_relent(snap)
-        w_budget = self._bare_energy(snap) - tw * e0
+            sigma_re = self._sigma_relent(snap, e_bare, f)
+        w_budget = e_bare - tw * e0
         return EnsembleThermo(
             time=snap.time, total_weight=tw, u=u, du=du, w=w, w_alt=w_alt,
             w_budget=w_budget, q=q, s=s, ds=ds, f=f,
             sigma_first_law=sigma_fl, sigma_rel_ent=sigma_re,
             pruned_mass=snap.ledger.pruned_mass)
 
-    def _sigma_relent(self, snap: Snapshot) -> float:
+    def _sigma_relent(self, snap: Snapshot, e_xb: float, f: float) -> float:
         """Entropy production as a difference of relative entropies.
 
-        Uses unitary invariance of the total entropy, the degeneracy of the
-        memory registers, and the block structure of the conditioned
-        Hamiltonian; every term reduces to branch-level data.
+        ``e_xb`` is the bare energy of the inclusive state and ``f`` the
+        ensemble free energy sum_r p f_r of ``snap``.  Uses unitary
+        invariance of the total entropy, the degeneracy of the memory
+        registers, and the block structure of the conditioned Hamiltonian;
+        every term reduces to branch-level data.
         """
         model, beta = self.model, self.beta
         m = snap.ledger.steps_done
@@ -439,19 +435,11 @@ class ThermoEvaluator:
         h_b = model.h_bath if model.h_bath is not None else np.zeros((dims[1], dims[1]))
         ln_z_b = log_partition(h_b, beta)
         # total-state relative entropy to the reference product state
-        e_xb = self._bare_energy(snap)
         s_tot0 = vn_entropy_mat(self.model.sb_init.mat) + sum(self._s_anc0)
         d_tot = beta * e_xb + ln_z_xb - s_tot0
-        # supersystem relative entropy to its mean-force Gibbs state
-        s_x = 0.0
-        e_star = 0.0
-        for br in snap.ledger.branches.values():
-            p, u, s_vn, corr, e_anc, h_star_tr = self._branch_pieces(snap, br)
-            if p <= 0:
-                continue
-            s_x += -p * math.log(p) + p * s_vn
-            e_star += p * (h_star_tr + e_anc)
-        d_x = -s_x + beta * e_star + (ln_z_xb - ln_z_b)
+        # supersystem relative entropy to its mean-force Gibbs state:
+        # sum_r p (ln p - S_vN) + beta sum_r p (h*_tr + e_anc) = beta F
+        d_x = beta * f + (ln_z_xb - ln_z_b)
         return d_tot - d_x
 
 
@@ -463,8 +451,8 @@ def evaluate_run(result: RunResult, dbeta: float | None = None) -> ThermoLedger:
     ensemble_rows = []
     for snap in result.snapshots:
         times.append(snap.time)
-        branch_rows[snap.time] = ev.branch_rows(snap)
-        ensemble_rows.append(ev.ensemble(snap))
+        rows = branch_rows[snap.time] = ev.branch_rows(snap)
+        ensemble_rows.append(ev.ensemble(snap, rows))
     return ThermoLedger(tuple(times), branch_rows, tuple(ensemble_rows),
                         control_caveat=result.control_caveat)
 
@@ -497,29 +485,6 @@ def work_measurement_alternative(trace: StepTrace, record: Sequence[str]) -> flo
     record = tuple(str(l) for l in record)
     tr = _prefix_trace(trace, record[:-1])
     return tr.w_meas_alt[record[-1]]
-
-
-def work_driving(branch: Branch) -> tuple[float, float]:
-    """Cumulative driving work of one branch: (system term, control term).
-
-    Both are exact switch-sums accrued by the simulator; with a
-    piecewise-constant protocol there is no quadrature error to speak of.
-    """
-    return branch.w_sys, branch.w_ctrl
-
-
-def heat(row: BranchThermo, alternative: bool = False) -> float:
-    """Heat of one branch row via the first law."""
-    return row.q_alt if alternative else row.q
-
-
-def entropy_production(row: EnsembleThermo) -> tuple[float, float | None]:
-    """(first-law form, relative-entropy form) of one ensemble row.
-
-    The second entry is None when no exact reference exists (bare
-    mean-force mode or a non-thermal initial system-bath state).
-    """
-    return row.sigma_first_law, row.sigma_rel_ent
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,11 +537,9 @@ def singular_control_work(state: DensityOperator, u_ctrl: OperatorMatrix,
             "the instantaneous form does not apply")
     u = u_ctrl.embed(state.support)
     after = u.mat @ state.mat @ u.mat.conj().T
-    total = 0.0
-    for op in (h_system, v_coupling, h_ancilla):
-        if op is None:
-            continue
-        big = op.embed(state.support)
-        total += float(np.real(np.trace(big.mat @ (after - state.mat))))
+    terms = [(op.mat, [state.support.index(l) for l in op.support])
+             for op in (h_system, v_coupling, h_ancilla) if op is not None]
+    dims = state.op.registry.dims(state.support)
+    total = energy_change(state.mat, after, dims, terms)
     weight = state.weight if state.weight > 0 else 1.0
     return total / weight

@@ -167,17 +167,26 @@ class TestAcceptance:
                    f"{n_checked} rows")
 
     def test_04_zero_cost_dephasing(self):
+        # non-degenerate register energies next to a degenerate dephaser; a
+        # multiple of the identity alone would let any unitary pass
         rng = np.random.default_rng(44)
-        worst = 0.0
+        worst, worst_comm, control = 0.0, 0.0, math.inf
         for d in (2, 3, 4):
             u = dephasing_unitary(d)
-            h = np.kron(0.7 * np.eye(d), np.eye(d)) + np.kron(np.eye(d), 0.7 * np.eye(d))
+            h_m = np.diag(np.cumsum(rng.uniform(0.1, 1.0, d)))
+            h = np.kron(h_m, np.eye(d)) + np.kron(np.eye(d), 0.7 * np.eye(d))
+            worst_comm = max(worst_comm, max_norm(u @ h - h @ u))
             for _ in range(100):
                 rho = random_density(rng, d * d)
                 cost = abs(np.trace(h @ (u @ rho @ dagger(u) - rho)))
                 worst = max(worst, float(cost.real))
+            # negative control: splitting the dephaser levels must cost energy
+            h_split = np.kron(np.eye(d), np.diag(0.5 * np.arange(d)))
+            control = min(control, max_norm(u @ h_split - h_split @ u))
         report(4, "memory dephasing costs exactly zero energy",
-               worst < 1e-12, f"worst {worst:.2e} over 300 states")
+               worst < 1e-12 and worst_comm == 0.0 and control >= 0.5,
+               f"worst {worst:.2e} over 300 states, commutator {worst_comm:.1e}, "
+               f"split-dephaser control {control:.2f}")
 
     def test_05_dilation_correctness(self):
         rng = np.random.default_rng(55)

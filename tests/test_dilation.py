@@ -5,7 +5,6 @@ import pytest
 
 from proctherm.channels import CPMap, Instrument
 from proctherm.dilation import (
-    MemoryLayout,
     apply_dilated,
     dephase,
     dephasing_unitary,
@@ -33,6 +32,12 @@ def operator_basis(d):
             e[i, j] = 1.0
             out.append(e)
     return out
+
+
+def register_hamiltonian(h_m, c):
+    """Memory Hamiltonian ``h_m`` next to a degenerate dephaser at energy c."""
+    d = h_m.shape[0]
+    return np.kron(h_m, np.eye(d)) + np.kron(np.eye(d), c * np.eye(d))
 
 
 def reconstruction_error(dr, cp_by_outcome):
@@ -240,17 +245,31 @@ class TestDephasing:
         np.testing.assert_allclose(dephase(rho), expected, atol=1e-13)
 
     def test_commutes_with_degenerate_energies(self):
+        # non-degenerate register, degenerate dephaser: the dephaser commutes
+        # exactly, an arbitrary unitary does not
+        rng = np.random.default_rng(54)
         for d in (2, 3, 4):
+            h = register_hamiltonian(np.diag(np.cumsum(rng.uniform(0.1, 1.0, d))), 1.3)
             u = dephasing_unitary(d)
-            h = 1.3 * np.eye(d * d)  # any multiple of the identity
             assert max_norm(u @ h - h @ u) == 0.0
+            v = random_unitary(rng, d * d)
+            assert max_norm(v @ h - h @ v) > 0.1
+
+    def test_non_degenerate_dephaser_costs_energy(self):
+        # negative control: with split dephaser levels the unitary no longer
+        # commutes, and a recorded outcome pays the splitting
+        u = dephasing_unitary(2)
+        h = np.kron(np.eye(2), np.diag([0.0, 0.5]))
+        assert max_norm(u @ h - h @ u) == pytest.approx(0.5, abs=1e-15)
+        rho = np.kron(P1, P0)   # register reads 1, dephaser in its ground state
+        cost = np.trace(h @ (u @ rho @ dagger(u) - rho)).real
+        assert cost == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_energy_cost(self):
         rng = np.random.default_rng(52)
-        layout = MemoryLayout([2, 3, 4], level=0.7)
-        for k, d in enumerate([2, 3, 4]):
+        for d in (2, 3, 4):
             u = dephasing_unitary(d)
-            h = np.kron(layout.h_register(k), np.eye(d)) + np.kron(np.eye(d), layout.h_register(k))
+            h = register_hamiltonian(np.diag(np.cumsum(rng.uniform(0.1, 1.0, d))), 0.7)
             for _ in range(30):
                 rho = random_density(rng, d * d)
                 cost = np.trace(h @ (u @ rho @ dagger(u) - rho))

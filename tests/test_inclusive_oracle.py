@@ -113,7 +113,8 @@ class TestThermodynamicReduction:
     def test_work_equals_global_energy_change(self, setup):
         model, result, rho, dims, _, energies = setup
         ev = ThermoEvaluator(result)
-        row = ev.ensemble(result.snapshots[-1])
+        snap = result.snapshots[-1]
+        row = ev.ensemble(snap, ev.branch_rows(snap))
         assert row.w == pytest.approx(energies["t1"] - energies["t0"], abs=1e-10)
 
     def test_internal_energy_matches_supersystem_form(self, setup):
@@ -134,7 +135,8 @@ class TestThermodynamicReduction:
         s_literal = vn_entropy_mat(rho_x) + model.beta ** 2 * float(
             np.real(np.trace(mfd.dbeta_h_star.mat @ rho_x)))
         ev = ThermoEvaluator(result)
-        row = ev.ensemble(result.snapshots[-1])
+        snap = result.snapshots[-1]
+        row = ev.ensemble(snap, ev.branch_rows(snap))
         assert row.u == pytest.approx(u_literal, abs=1e-8)
         assert row.s == pytest.approx(s_literal, abs=1e-8)
 
@@ -157,7 +159,8 @@ class TestThermodynamicReduction:
         d_x = relative_entropy_mat(rho_x, gibbs_mat(mfd.h_star.mat, model.beta)[0])
         sigma_literal = d_tot - d_x
         ev = ThermoEvaluator(result)
-        row = ev.ensemble(result.snapshots[-1])
+        snap = result.snapshots[-1]
+        row = ev.ensemble(snap, ev.branch_rows(snap))
         assert row.sigma_rel_ent == pytest.approx(sigma_literal, abs=1e-8)
         assert row.sigma_first_law == pytest.approx(sigma_literal, abs=1e-8)
         assert sigma_literal > 0

@@ -343,6 +343,20 @@ class TestValidationFeatures:
         with pytest.raises(ValueError):
             Simulator(model).run(report_times=[0.6])
 
+    @pytest.mark.parametrize("arg", ["h_bath", "v_coupling", "h_ancilla"])
+    def test_non_hermitian_hamiltonian_rejected(self, arg):
+        # eigh would read only one triangle while the energy bookkeeping
+        # reads the full matrix, so such input is refused up front
+        bad = {"h_bath": np.array([[0, 1], [0, 0.5]]),
+               "v_coupling": np.triu(np.ones((4, 4))),
+               "h_ancilla": np.array([[0, 1], [0, 0.5]])}[arg]
+        step = {"time": 0.5, "instrument": projective_z()}
+        if arg == "h_ancilla":
+            step["h_ancilla"] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            simple_model([step], h_bath=bad if arg == "h_bath" else None,
+                         v=bad if arg == "v_coupling" else None)
+
     def test_branch_limit_enforced(self):
         # a rotating drive repopulates both outcomes between measurements
         model = simple_model([{"time": 0.3, "instrument": projective_z()},

@@ -7,7 +7,10 @@ from proctherm.scenario import build_model, parse_scenario_dict
 from proctherm.simulate import Simulator
 from proctherm.thermo import evaluate_run
 from proctherm.tolerances import DEFAULT, Tolerances
+from proctherm import verify
 from proctherm.verify import run_verified, verify_model
+
+from oracles import random_unitary
 
 
 def scenario_dict():
@@ -73,6 +76,19 @@ class TestVerifySuite:
         names = {c.name for c in checks}
         assert "equivalence-states" not in names
         assert all(c.passed for c in checks)
+
+    def test_register_mixing_dephaser_fails_zero_cost(self, monkeypatch):
+        # a unitary that mixes the register records does not commute with
+        # the register energies, so the check must flag it
+        def mixing_unitary(d):
+            return random_unitary(np.random.default_rng(d), d * d)
+
+        model = build_model(parse_scenario_dict(scenario_dict()))
+        result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
+        monkeypatch.setattr(verify, "dephasing_unitary", mixing_unitary)
+        checks = verify_model(model, result, rng=np.random.default_rng(0))
+        failed = {c.name for c in checks if not c.passed}
+        assert failed == {"dephasing-zero-cost"}
 
 
 class TestTolerances:
