@@ -8,6 +8,7 @@ Validation errors carry the field path of the offending node.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -406,6 +407,16 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
                                 f"{t} outside [{t_start}, {t_end}]")
 
     options = dict(data.get("options") or {})
+    if "prune_threshold" in options:
+        raw_prune = options["prune_threshold"]
+        try:
+            prune = math.nan if isinstance(raw_prune, bool) else float(raw_prune)
+        except (TypeError, ValueError):
+            prune = math.nan
+        if not 0.0 <= prune < 1.0:
+            raise ScenarioError("options.prune_threshold",
+                                f"must be a number in [0, 1), got {raw_prune!r}")
+        options["prune_threshold"] = prune
     return Scenario(
         name=name, beta=beta, mean_force=mean_force, s_dim=s_dim, b_dim=b_dim,
         h_bath=h_bath, v_coupling=v_coupling,

@@ -10,12 +10,19 @@ outcome record; that representation is exact, and the pre-dephasing
 coherent register state is materialized only transiently when validation
 is switched on.
 
-Ancillas stay in the branch state after their step: later conditioning
-can still update them, and the joint system-ancilla state enters the
-thermodynamic bookkeeping.  Work from the driving accrues as exact
-switch-sums; the instantaneous control kick is booked from the energy
-change it causes, which requires the system-bath coupling term (flagged,
-since that is not operationally accessible).
+An ancilla enters its branch states at its step.  Once read out it couples
+to nothing again: a control window ends at or before its own readout, and
+later controls act on the system and their own ancilla.  So an outcome
+with a rank-1 projector |v><v| leaves the ancilla in the pure product
+factor |v><v|, and the child branch stores only <v|rho|v> on its parent's
+support plus the ancilla's constant energy <v|h_A|v> (zero entropy).  Every
+reported quantity is additive in such a factor, so this is exact.  An
+outcome with a rank > 1 projector keeps its ancilla in the branch state,
+where the joint system-ancilla state enters the thermodynamic bookkeeping.
+Work from the driving accrues as exact switch-sums; the instantaneous
+control kick is booked from the energy change it causes, which requires
+the system-bath coupling term (flagged, since that is not operationally
+accessible).
 """
 
 from __future__ import annotations
@@ -148,6 +155,7 @@ class AutonomousModel:
     def __post_init__(self):
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_dilations", {})
+        object.__setattr__(self, "_readouts", {})
 
     # -- assembly -----------------------------------------------------------
 
@@ -324,8 +332,35 @@ class AutonomousModel:
             self._dilations[key] = hw
         return hw
 
-    def support_after(self, n_entered: int) -> tuple[str, ...]:
-        return ("S", "B") + tuple(ancilla_label(i) for i in range(n_entered))
+    def readout_vectors(self, hw: DilationResult) -> tuple[np.ndarray | None, ...]:
+        """Per outcome of ``hw``, the unit vector v with projector |v><v|,
+        or None when the projector has rank > 1."""
+        out = self._readouts.get(id(hw))
+        if out is None:
+            out = tuple(_rank1_vector(p) for p in hw.projectors)
+            self._readouts[id(hw)] = out
+        return out
+
+
+def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
+    """v with proj = |v><v|, or None.
+
+    Synthesized projectors are exact 0/1 diagonals and are read exactly; a
+    declared projector counts as rank 1 when |v><v| reproduces it within
+    the instrument-reconstruction tolerance.
+    """
+    diag = np.diag(proj).real
+    if np.count_nonzero(proj) == np.count_nonzero(diag) and np.all((diag == 0) | (diag == 1)):
+        ones = np.flatnonzero(diag)
+        if len(ones) != 1:
+            return None
+        v = np.zeros(len(diag), dtype=complex)
+        v[ones[0]] = 1.0
+        return v
+    v = np.linalg.eigh(proj)[1][:, -1]
+    if max_norm(proj - np.outer(v, v.conj())) > DEFAULT.dilation_reconstruction:
+        return None
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +369,11 @@ class AutonomousModel:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """Unnormalized conditional state plus per-trajectory work tallies."""
+    """Unnormalized conditional state plus per-trajectory work tallies.
+
+    ``state`` holds the factors in ``support``; an ancilla factored out
+    after a rank-1 readout is pure and enters only through ``e_factored``.
+    """
 
     record: tuple[int, ...]
     labels: tuple[str, ...]
@@ -344,6 +383,7 @@ class Branch:
     w_ctrl: float = 0.0      # control-interaction work (window switches or kick)
     w_meas: float = 0.0      # measurement work, ancilla-energy convention
     w_meas_alt: float = 0.0  # measurement work, knowledge-update convention
+    e_factored: float = 0.0  # summed <h_A> of the ancillas factored out of state
     h_sys_applied: np.ndarray | None = None
     window_applied: tuple[int, np.ndarray] | None = None
 
@@ -471,6 +511,14 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _contract_last(state: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<v| state |v> over the last factor, of dimension ``len(v)``."""
+    a = len(v)
+    d = state.shape[0] // a
+    half = (state.reshape(d * a * d, a) @ v).reshape(d, a, d)
+    return np.einsum("a,iaj->ij", v.conj(), half)
+
+
 def _propagate(space: _Space, mat: np.ndarray, seg: Segment, dt: float) -> np.ndarray:
     """Conjugate ``mat`` by the exact propagator of one constant segment."""
     u = expm_herm(space.full_hamiltonian(seg.h_system, seg.window), -1j * dt)
@@ -578,10 +626,11 @@ class Simulator:
                 # a switch landing on the window's end is booked before readout
                 ctrled = self._switch(ctrled,
                                       model.protocol.segment_at(t_meas, br.labels))
-            # --- readout energies before conditioning
-            sa_labels = tuple(l for l in support2 if l != "B")
+            # --- readout energies before conditioning; the system+ancilla
+            # energy splits into the parent's factors and the new ancilla
+            sa_labels = tuple(l for l in br.support if l != "B")
             rho_anc = space.ptrace(ctrled.state, [anc]) / weight
-            h_sa = self._sa_hamiltonian(ctrled.h_sys_applied, sa_labels, k)
+            h_sa = self._sa_hamiltonian(ctrled.h_sys_applied, sa_labels)
             e_sa_before = expect_herm(h_sa, space.ptrace(ctrled.state, sa_labels) / weight)
             e_anc_before = expect_herm(spec.h_ancilla, rho_anc)
             if self.validate_dephasing:
@@ -592,27 +641,34 @@ class Simulator:
             anc_post: dict[str, np.ndarray] = {}
             w_meas: dict[str, float] = {}
             w_meas_alt: dict[str, float] = {}
-            for r, label in enumerate(hw.outcome_labels):
-                proj = space.embed(hw.projectors[r], [anc])
-                child_state = proj @ ctrled.state @ proj
+            for r, (label, v) in enumerate(zip(hw.outcome_labels,
+                                               model.readout_vectors(hw))):
+                if v is None:
+                    proj = space.embed(hw.projectors[r], [anc])
+                    child_state, child_support = proj @ ctrled.state @ proj, support2
+                else:
+                    child_state, child_support = _contract_last(ctrled.state, v), br.support
                 p_child = float(np.real(np.trace(child_state)))
-                p_cond = p_child / weight if weight > 0 else 0.0
-                cond_probs[label] = p_cond
+                cond_probs[label] = p_child / weight if weight > 0 else 0.0
                 if p_child > 0:
-                    anc_r = space.ptrace(child_state, [anc]) / p_child
-                    sa_r = space.ptrace(child_state, sa_labels) / p_child
+                    child_space = model.space(child_support)
+                    anc_r = np.outer(v, v.conj()) if v is not None else \
+                        child_space.ptrace(child_state, [anc]) / p_child
+                    sa_r = child_space.ptrace(child_state, sa_labels) / p_child
                 else:
                     anc_r = np.zeros_like(rho_anc)
                     sa_r = np.zeros_like(h_sa)
                 anc_post[label] = anc_r
-                w_meas[label] = expect_herm(spec.h_ancilla, anc_r) - e_anc_before
-                w_meas_alt[label] = expect_herm(h_sa, sa_r) - e_sa_before
-                if p_child < self.prune:
+                e_anc_r = expect_herm(spec.h_ancilla, anc_r)
+                w_meas[label] = e_anc_r - e_anc_before
+                w_meas_alt[label] = w_meas[label] + expect_herm(h_sa, sa_r) - e_sa_before
+                if p_child <= 0 or p_child < self.prune:
                     pruned += p_child
                     continue
                 child = ctrled.replace(
                     record=br.record + (r,), labels=br.labels + (label,),
-                    state=_frozen(child_state),
+                    state=_frozen(child_state), support=child_support,
+                    e_factored=ctrled.e_factored + (e_anc_r if v is not None else 0.0),
                     w_meas=ctrled.w_meas + w_meas[label],
                     w_meas_alt=ctrled.w_meas_alt + w_meas_alt[label])
                 new_branches[child.record] = child
@@ -643,16 +699,15 @@ class Simulator:
                  if op is not None and max_norm(op) > 0]
         return energy_change(before, after, space.dims, terms) / weight
 
-    def _sa_hamiltonian(self, h_sys: np.ndarray, sa_labels: tuple[str, ...],
-                        k: int) -> np.ndarray:
+    def _sa_hamiltonian(self, h_sys: np.ndarray, sa_labels: tuple[str, ...]) -> np.ndarray:
+        """System term plus the Hamiltonian of every ancilla in ``sa_labels``."""
         model = self.model
         dims = model.registry.dims(sa_labels)
         h = embed_factors(h_sys, [0], dims)
-        for i in range(k + 1):
-            label = ancilla_label(i)
-            if label in sa_labels and max_norm(model.steps[i].h_ancilla) > 0:
-                h = h + embed_factors(model.steps[i].h_ancilla,
-                                      [sa_labels.index(label)], dims)
+        for k, spec in enumerate(model.steps):
+            label = ancilla_label(k)
+            if label in sa_labels and max_norm(spec.h_ancilla) > 0:
+                h = h + embed_factors(spec.h_ancilla, [sa_labels.index(label)], dims)
         return h
 
     def _dephasing_residual(self, space: _Space, state: np.ndarray,

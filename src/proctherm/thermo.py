@@ -282,6 +282,12 @@ class ThermoEvaluator:
             self._e_anc0.append(expect_herm(spec.h_ancilla, spec.ancilla_state))
             self._s_anc0.append(vn_entropy_mat(spec.ancilla_state))
             self._lnz_anc.append(log_partition(spec.h_ancilla, self.beta))
+        h_b = self.model.h_bath
+        if h_b is None:
+            d_b = self.model.registry.dims(("B",))[0]
+            h_b = np.zeros((d_b, d_b))
+        self._h_b, self._lnz_b = h_b, log_partition(h_b, self.beta)
+        self._lnz_sb_cache: dict[bytes, float] = {}
         self._ref: tuple[float, float, float] | None = None
 
     # -- mean force ----------------------------------------------------------
@@ -298,9 +304,8 @@ class ThermoEvaluator:
             lnz = log_partition(h_sys, beta)
             out = (np.asarray(h_sys, dtype=complex), np.zeros_like(h_sys, dtype=complex), lnz)
         else:
-            dims = model.registry.dims(("S", "B"))
-            h_b = model.h_bath if model.h_bath is not None else np.zeros((dims[1], dims[1]))
-            out = _mean_force_arrays(model.schedule.h_sb(h_sys), dims, [0], h_b,
+            out = _mean_force_arrays(model.schedule.h_sb(h_sys),
+                                     model.registry.dims(("S", "B")), [0], self._h_b,
                                      beta, self.dbeta)
         self._mf_cache[key] = out
         return out
@@ -315,19 +320,18 @@ class ThermoEvaluator:
                                   "control windows")
         space = model.space(br.support)
         p = br.weight
-        entered = [i for i in range(model.n_steps) if ancilla_label(i) in br.support]
-        pending = [i for i in range(model.n_steps) if i not in entered]
+        pending = range(snap.ledger.steps_done, model.n_steps)
         rho_s = space.ptrace(br.state, ["S"]) / p
         sa_labels = tuple(l for l in br.support if l != "B")
         rho_sa = space.ptrace(br.state, sa_labels) / p
         h_star, dh, _ = self._mean_force(br.h_sys_applied)
+        # ancillas still in the state, then the factored-out and pending ones
         e_anc = 0.0
-        for i in entered:
-            spec = model.steps[i]
-            if max_norm(spec.h_ancilla) > 0:
+        for i, spec in enumerate(model.steps):
+            if ancilla_label(i) in br.support and max_norm(spec.h_ancilla) > 0:
                 rho_a = space.ptrace(br.state, [ancilla_label(i)]) / p
                 e_anc += expect_herm(spec.h_ancilla, rho_a)
-        e_anc += sum(self._e_anc0[i] for i in pending)
+        e_anc += br.e_factored + sum(self._e_anc0[i] for i in pending)
         corr = expect_herm(dh, rho_s)
         h_star_tr = expect_herm(h_star, rho_s)
         u = h_star_tr + self.beta * corr + e_anc
@@ -352,11 +356,9 @@ class ThermoEvaluator:
         for br in snap.ledger.branches.values():
             space = model.space(br.support)
             h = space.full_hamiltonian(br.h_sys_applied, br.window_applied)
-            total += expect_herm(h, br.state)
+            total += expect_herm(h, br.state) + br.weight * br.e_factored
             tw += br.weight
-        pending = [i for i in range(model.n_steps)
-                   if ancilla_label(i) not in model.support_after(snap.ledger.steps_done)]
-        total += tw * sum(self._e_anc0[i] for i in pending)
+        total += tw * sum(self._e_anc0[snap.ledger.steps_done:])
         return total
 
     def branch_rows(self, snap: Snapshot) -> tuple[BranchThermo, ...]:
@@ -411,36 +413,38 @@ class ThermoEvaluator:
         ensemble free energy sum_r p f_r of ``snap``.  Uses unitary
         invariance of the total entropy, the degeneracy of the memory
         registers, and the block structure of the conditioned Hamiltonian;
-        every term reduces to branch-level data.
+        every term reduces to branch-level data.  Within the block of record
+        r every ancilla term acts on its own factor, so exactly
+        ln Z_XB = logsumexp_r ln Z_SB(h_r) + sum_k ln Z_A(k): one
+        system-bath partition function per distinct drive value h_r,
+        whatever the branch states hold.
         """
         model, beta = self.model, self.beta
-        m = snap.ledger.steps_done
-        support = model.support_after(m)
-        space = model.space(support)
-        pending = [i for i in range(model.n_steps) if i >= m]
-        # ln Z of the conditioned supersystem+bath Hamiltonian: one block per
-        # resolved record, including pruned ones
-        spectra = []
-        for labels in self.model.schedule.records(m):
-            try:
-                br = snap.ledger.get(labels)
-                h_sys = br.h_sys_applied
-            except KeyError:
+        drives = {br.labels: br.h_sys_applied for br in snap.ledger.branches.values()}
+        # one block per resolved record, including pruned ones
+        ln_z_blocks = []
+        for labels in model.schedule.records(snap.ledger.steps_done):
+            h_sys = drives.get(labels)
+            if h_sys is None:
                 h_sys = model.protocol.segment_at(snap.time, labels).h_system
-            h_r = space.full_hamiltonian(h_sys, None)
-            spectra.append(np.linalg.eigvalsh(h_r))
-        ln_z_sba = logsumexp(-beta * np.concatenate(spectra))
-        ln_z_xb = ln_z_sba + sum(self._lnz_anc[i] for i in pending)
-        dims = model.registry.dims(("S", "B"))
-        h_b = model.h_bath if model.h_bath is not None else np.zeros((dims[1], dims[1]))
-        ln_z_b = log_partition(h_b, beta)
+            ln_z_blocks.append(self._ln_z_sb(h_sys))
+        ln_z_xb = logsumexp(np.array(ln_z_blocks)) + sum(self._lnz_anc)
         # total-state relative entropy to the reference product state
         s_tot0 = vn_entropy_mat(self.model.sb_init.mat) + sum(self._s_anc0)
         d_tot = beta * e_xb + ln_z_xb - s_tot0
         # supersystem relative entropy to its mean-force Gibbs state:
         # sum_r p (ln p - S_vN) + beta sum_r p (h*_tr + e_anc) = beta F
-        d_x = beta * f + (ln_z_xb - ln_z_b)
+        d_x = beta * f + (ln_z_xb - self._lnz_b)
         return d_tot - d_x
+
+    def _ln_z_sb(self, h_sys: np.ndarray) -> float:
+        """ln Z of the system-bath Hamiltonian for one drive value."""
+        key = h_sys.tobytes()
+        out = self._lnz_sb_cache.get(key)
+        if out is None:
+            out = log_partition(self.model.schedule.h_sb(h_sys), self.beta)
+            self._lnz_sb_cache[key] = out
+        return out
 
 
 def evaluate_run(result: RunResult, dbeta: float | None = None) -> ThermoLedger:

@@ -168,3 +168,10 @@ class TestInputErrors:
     def test_missing_scenario_file(self, capsys):
         assert run_cli("run", "--scenario", "/does/not/exist.yaml") == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_invalid_prune_threshold(self, tmp_path, capsys):
+        bad = tmp_path / "prune.yaml"
+        bad.write_text((SCENARIO_DIR / "driven_feedback.yaml").read_text()
+                       + "\noptions: {prune_threshold: -0.5}\n")
+        assert run_cli("run", "--scenario", str(bad)) == 2
+        assert "prune_threshold" in capsys.readouterr().err

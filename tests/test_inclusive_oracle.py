@@ -90,12 +90,16 @@ class TestRegisterStructure:
         assert max_norm(blocks[:, 1, :, 0]) < 1e-12
 
     def test_register_blocks_equal_ledger_branches(self, setup):
+        # the branch stores S (x) B; the finished ancilla is exactly the
+        # readout state P_r, a product factor
         model, result, rho, dims, _, _ = setup
+        hw = model.hardware(0, ())
         rho_sbai = ptrace_factors(rho, dims, [0, 1, 2, 3])
         blocks = rho_sbai.reshape(8, 2, 8, 2)
         for r, labels in enumerate([("1",), ("2",)]):
             branch = result.final.get(labels)
-            assert max_norm(blocks[:, r, :, r] - branch.state) < 1e-12
+            expected = np.kron(branch.state, hw.projectors[r])
+            assert max_norm(blocks[:, r, :, r] - expected) < 1e-12
             assert abs(np.trace(blocks[:, r, :, r]).real - branch.weight) < 1e-12
 
     def test_global_entropy_conserved(self, setup):

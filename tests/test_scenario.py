@@ -44,6 +44,17 @@ class TestParsing:
             system_hamiltonian=[[0, "1+2i"], ["1-2i", "0.5"]]))
         np.testing.assert_allclose(sc.segments[0][2][0, 1], 1 + 2j)
 
+    @pytest.mark.parametrize("value", [-1e-3, 1.0, 2, float("nan"), float("inf"),
+                                       "often", True, [0.1]])
+    def test_prune_threshold_validated(self, value):
+        with pytest.raises(ScenarioError, match="prune_threshold"):
+            parse_scenario_dict(minimal(options={"prune_threshold": value}))
+
+    @pytest.mark.parametrize("value, want", [(0, 0.0), (1e-12, 1e-12), ("1e-10", 1e-10)])
+    def test_prune_threshold_accepted(self, value, want):
+        sc = parse_scenario_dict(minimal(options={"prune_threshold": value}))
+        assert sc.options["prune_threshold"] == want
+
     def test_coupling_dimension_checked(self):
         with pytest.raises(ScenarioError, match="coupling"):
             parse_scenario_dict(minimal(coupling=[[0, 1], [1, 0]]))

@@ -5,6 +5,8 @@ state produced by the unitary inclusive model must match the direct
 intervention-sequence evaluation, record by record.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,23 @@ class TestBasics:
         result = Simulator(model).run()
         assert len(result.final.branches) == 1
         assert result.final.pruned_mass < 1e-14
+
+    def test_prune_zero_still_drops_zero_probability_children(self):
+        # a zero threshold keeps every possible record but no impossible one
+        from proctherm.thermo import evaluate_run
+        sb = np.kron(P0, np.eye(2) / 2)
+        model = simple_model([{"time": 0.5, "instrument": projective_z()},
+                              {"time": 1.0, "instrument": projective_z()}], sb_init=sb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = Simulator(model, prune=0.0).run(report_times=[0.7, 1.5])
+            ledger = evaluate_run(result)
+        for snap in list(result.snapshots) + [Snapshotish(result.final)]:
+            assert all(b.weight > 0 for b in snap.ledger.branches.values())
+        assert result.final.records() == [("1", "1")]
+        for rows in ledger.branch_rows.values():
+            assert [r.labels[-1:] for r in rows] == [("1",)]
+            assert all(np.isfinite([r.p, r.w_meas, r.w_meas_alt, r.s]).all() for r in rows)
 
 
 class TestEquivalence:

@@ -36,3 +36,6 @@ def test_tracer_counts_every_rebound_layer(tmp_path, capsys):
                  "thermo.log_partition_calls", "thermo.entropy_calls",
                  "dilation.calls"):
         assert metrics[name][0] > 0, name
+    # both readouts are rank 1, so finished ancillas leave the branch state,
+    # which stays on system (x) bath
+    assert metrics["simulate.dim_max"][0] == 4
