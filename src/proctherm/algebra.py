@@ -327,11 +327,6 @@ class OperatorMatrix:
         mat = embed_factors(self.mat, positions, [dims_by[l] for l in target])
         return OperatorMatrix(self.registry, target, mat)
 
-    def expectation(self, rho: "DensityOperator") -> float:
-        """tr(op rho) for Hermitian op; embeds into the state's support."""
-        op = self.embed(rho.op.support) if self.support != rho.op.support else self
-        return expect_herm(op.mat, rho.op.mat)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -377,11 +372,6 @@ class DensityOperator:
         if wmin < -psd_tol:
             raise ValueError(f"negative eigenvalue {wmin:.3e} beyond tolerance")
         return self
-
-    def normalized_mat(self) -> np.ndarray:
-        if self.weight <= 0:
-            raise ValueError("cannot normalize a zero-weight state")
-        return self.mat / self.weight
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ multi-time process on the system-bath space.
 An intervention sequence applied at scheduled times, interleaved with
 unitary system-bath evolution, maps to the final unnormalized system state;
 the probability of the outcome record is the trace of that state.  The
-evaluation here is the direct route; the autonomous reconstruction lives in
+evaluation here is the direct route, one pass over the record tree that
+shares every prefix; the autonomous reconstruction lives in
 :mod:`proctherm.simulate` and must agree with it branch by branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from .algebra import (
     embed_factors,
     expm_herm,
     max_norm,
+    ptrace_factors,
 )
-from .protocol import Protocol
+from .protocol import Protocol, Segment
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -247,70 +249,73 @@ class InterventionSchedule:
             h = h + self.v_coupling
         return h
 
-    def records(self, n_resolved: int):
-        """All outcome records of the first ``n_resolved`` steps."""
-        import itertools
 
-        alphabets = [self.alphabet(k) for k in range(n_resolved)]
-        return itertools.product(*alphabets) if alphabets else iter([()])
+def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
+          times: Iterable[float],
+          branches: Callable[[int, tuple[str, ...]], Sequence[tuple[str, CPMap]]]
+          ) -> dict[float, dict[tuple[str, ...], np.ndarray]]:
+    """System-bath matrix of every record at every time in ``times``.
 
-
-def _evolve_sb(schedule: InterventionSchedule, mat: np.ndarray,
-               t_from: float, t_to: float, prefix: Sequence[str]) -> np.ndarray:
-    for seg, a, b in schedule.protocol.iter_segments(t_from, t_to, prefix):
-        u = expm_herm(schedule.h_sb(seg.h_system), -1j * (b - a))
-        mat = u @ mat @ dagger(u)
-    return mat
-
-
-def _apply_sequence(schedule: InterventionSchedule, ops: Sequence[CPMap],
-                    record: Sequence[str], sb_init: DensityOperator,
-                    t: float) -> np.ndarray:
+    One pass over the record tree: each node is carried forward from the
+    last event under its own prefix's timeline, splits at intervention k
+    into one child per ``(label, map)`` of ``branches(k, prefix)``, and is
+    recorded at each report time.  An intervention at a report time acts
+    before the report.  Children follow their parent and label order, so
+    every report lists records in ``itertools.product`` order of the
+    alphabets.  Nodes share the propagator of each (segment, interval).
+    """
     reg = schedule.registry
-    dims = reg.dims(("S", "B"))
     if sb_init.support != reg.canonical(("S", "B")):
         raise ValueError("initial state must live on the system-bath factors")
-    applied = sum(1 for tk in schedule.times if tk <= t + 1e-12)
-    if len(ops) != applied:
-        raise ValueError(
-            f"record covers {len(ops)} interventions but {applied} are scheduled "
-            f"up to t={t}")
-    mat = sb_init.mat
-    t_cur = schedule.protocol.t_start
-    for k, cp in enumerate(ops):
-        mat = _evolve_sb(schedule, mat, t_cur, schedule.times[k], record[:k])
-        positions = [("S", "B").index(l) for l in cp.support]
-        mat = cp.apply_mat(mat, dims, positions)
-        t_cur = schedule.times[k]
-    return _evolve_sb(schedule, mat, t_cur, t, record)
+    dims = reg.dims(("S", "B"))
+    propagators: dict[tuple[Segment, float, float], np.ndarray] = {}
+
+    def evolve(mat, t_from, t_to, prefix):
+        for seg, a, b in schedule.protocol.iter_segments(t_from, t_to, prefix):
+            u = propagators.get((seg, a, b))
+            if u is None:
+                u = propagators[seg, a, b] = expm_herm(schedule.h_sb(seg.h_system),
+                                                       -1j * (b - a))
+            mat = u @ mat @ dagger(u)
+        return mat
+
+    nodes = {(): sb_init.mat}
+    t_cur, k = schedule.protocol.t_start, 0
+    out = {}
+    for t in sorted(set(times)):
+        while k < schedule.n_steps and schedule.times[k] <= t + 1e-12:
+            children = {}
+            for prefix, mat in nodes.items():
+                mat = evolve(mat, t_cur, schedule.times[k], prefix)
+                for label, cp in branches(k, prefix):
+                    positions = [("S", "B").index(l) for l in cp.support]
+                    children[prefix + (label,)] = cp.apply_mat(mat, dims, positions)
+            nodes, t_cur, k = children, schedule.times[k], k + 1
+        nodes = {prefix: evolve(mat, t_cur, t, prefix) for prefix, mat in nodes.items()}
+        out[t], t_cur = nodes, t
+    return out
 
 
 def evaluate_process_tensor(schedule: InterventionSchedule,
-                            record: Sequence[str],
-                            sb_init: DensityOperator,
-                            t: float) -> DensityOperator:
-    """Unnormalized conditional system state after the recorded outcomes.
+                            sb_init: DensityOperator, times: Iterable[float]
+                            ) -> dict[float, dict[tuple[str, ...], DensityOperator]]:
+    """Unnormalized conditional system state of every record at every time.
 
     Applies the outcome's CP map at each scheduled time (with feedback
     resolved from the record prefix) interleaved with the driven
-    system-bath unitary, then traces out the bath.  The trace of the result
-    is the record probability; summing over all records at fixed t gives a
-    normalized state.
+    system-bath unitary, then traces out the bath.  Returns
+    ``{t: {record: state}}``; the trace of a state is its record
+    probability, and summing over the records at fixed t gives a normalized
+    state.
     """
-    record = tuple(str(r) for r in record)
-    ops = []
-    for k, r in enumerate(record):
-        inst = schedule.instrument_at(k, record[:k])
-        if r not in inst.labels:
-            raise KeyError(f"unknown outcome {r!r} at step {k}; "
-                           f"alphabet {inst.labels}")
-        ops.append(inst.cp_map(r))
-    mat = _apply_sequence(schedule, ops, record, sb_init, t)
     reg = schedule.registry
-    from .algebra import ptrace_factors
-
-    sys_mat = ptrace_factors(mat, reg.dims(("S", "B")), [0])
-    return DensityOperator(OperatorMatrix(reg, ("S",), sys_mat))
+    dims = reg.dims(("S", "B"))
+    tree = _walk(schedule, sb_init, times,
+                 lambda k, prefix: schedule.instrument_at(k, prefix).outcomes)
+    return {t: {record: DensityOperator(OperatorMatrix(
+                    reg, ("S",), ptrace_factors(mat, dims, [0])))
+                for record, mat in nodes.items()}
+            for t, nodes in tree.items()}
 
 
 def multilinearity_check(schedule: InterventionSchedule,
@@ -325,15 +330,23 @@ def multilinearity_check(schedule: InterventionSchedule,
     """
     if len(ops_a) != len(ops_b):
         raise ValueError("operation lists must have equal length")
-    n = len(ops_a)
+    applied = sum(1 for tk in schedule.times if tk <= t + 1e-12)
+    if len(ops_a) != applied:
+        raise ValueError(
+            f"operation list covers {len(ops_a)} interventions but {applied} "
+            f"are scheduled up to t={t}")
+
+    def final(ops):
+        tree = _walk(schedule, sb_init, [t], lambda k, _: [("", ops[k])])
+        return tree[t][("",) * len(ops)]
+
     worst = 0.0
-    for k in range(n):
+    for k in range(len(ops_a)):
         mixed = list(ops_a)
         mixed[k] = mix_cp(ops_a[k], ops_b[k], alpha)
         swapped = list(ops_a)
         swapped[k] = ops_b[k]
-        lhs = _apply_sequence(schedule, mixed, ("",) * n, sb_init, t)
-        rhs = (alpha * _apply_sequence(schedule, list(ops_a), ("",) * n, sb_init, t)
-               + (1 - alpha) * _apply_sequence(schedule, swapped, ("",) * n, sb_init, t))
+        lhs = final(mixed)
+        rhs = alpha * final(ops_a) + (1 - alpha) * final(swapped)
         worst = max(worst, max_norm(lhs - rhs))
     return worst <= 1e-10, worst

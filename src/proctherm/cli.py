@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .channels import evaluate_process_tensor
 from .report import bundle_from_run
 from .scenario import ScenarioError, build_model, parse_scenario
 from .simulate import Simulator
@@ -81,19 +82,11 @@ def cmd_run(args) -> int:
     scenario, model, tol, prune = _load(args)
     caveat_flagged = False
     if args.mode == "process-tensor":
-        # direct route: enumerate records at each report time
-        from .channels import evaluate_process_tensor
-
-        rows = []
-        for t in scenario.report_times:
-            n = sum(1 for tk in model.schedule.times if tk <= t + 1e-12)
-            for labels in model.schedule.records(n):
-                out = evaluate_process_tensor(model.schedule, labels,
-                                              model.sb_init, t=t)
-                if out.weight < prune:
-                    continue
-                rows.append({"time": t, "record": "|".join(labels) or "-",
-                             "p": out.weight})
+        direct = evaluate_process_tensor(model.schedule, model.sb_init,
+                                         scenario.report_times)
+        rows = [{"time": t, "record": "|".join(labels) or "-", "p": out.weight}
+                for t in scenario.report_times
+                for labels, out in direct[t].items() if out.weight >= prune]
         doc = {"scenario": scenario.name, "mode": args.mode, "seed": args.seed,
                "scenario_checksum": scenario.checksum, "records": rows}
         text = json.dumps(doc, sort_keys=True, indent=2)

@@ -277,17 +277,14 @@ class ThermoEvaluator:
         self.dbeta = 1e-4 * self.beta if dbeta is None else float(dbeta)
         self._mf_cache: dict[bytes, tuple[np.ndarray, np.ndarray, float]] = {}
         # constants of the unentered ancillas, counted from the initial time
-        self._e_anc0, self._s_anc0, self._lnz_anc = [], [], []
-        for spec in self.model.steps:
-            self._e_anc0.append(expect_herm(spec.h_ancilla, spec.ancilla_state))
-            self._s_anc0.append(vn_entropy_mat(spec.ancilla_state))
-            self._lnz_anc.append(log_partition(spec.h_ancilla, self.beta))
+        self._e_anc0 = [expect_herm(spec.h_ancilla, spec.ancilla_state)
+                        for spec in self.model.steps]
+        self._s_anc0 = [vn_entropy_mat(spec.ancilla_state) for spec in self.model.steps]
         h_b = self.model.h_bath
         if h_b is None:
             d_b = self.model.registry.dims(("B",))[0]
             h_b = np.zeros((d_b, d_b))
         self._h_b, self._lnz_b = h_b, log_partition(h_b, self.beta)
-        self._lnz_sb_cache: dict[bytes, float] = {}
         self._ref: tuple[float, float, float] | None = None
 
     # -- mean force ----------------------------------------------------------
@@ -398,7 +395,7 @@ class ThermoEvaluator:
         e_bare = self._bare_energy(snap)
         sigma_re = None
         if self.model.gibbs_initial and not self.bare:
-            sigma_re = self._sigma_relent(snap, e_bare, f)
+            sigma_re = self._sigma_relent(e_bare, f)
         w_budget = e_bare - tw * e0
         return EnsembleThermo(
             time=snap.time, total_weight=tw, u=u, du=du, w=w, w_alt=w_alt,
@@ -406,45 +403,29 @@ class ThermoEvaluator:
             sigma_first_law=sigma_fl, sigma_rel_ent=sigma_re,
             pruned_mass=snap.ledger.pruned_mass)
 
-    def _sigma_relent(self, snap: Snapshot, e_xb: float, f: float) -> float:
+    def _sigma_relent(self, e_xb: float, f: float) -> float:
         """Entropy production as a difference of relative entropies.
 
         ``e_xb`` is the bare energy of the inclusive state and ``f`` the
-        ensemble free energy sum_r p f_r of ``snap``.  Uses unitary
-        invariance of the total entropy, the degeneracy of the memory
-        registers, and the block structure of the conditioned Hamiltonian;
-        every term reduces to branch-level data.  Within the block of record
-        r every ancilla term acts on its own factor, so exactly
-        ln Z_XB = logsumexp_r ln Z_SB(h_r) + sum_k ln Z_A(k): one
-        system-bath partition function per distinct drive value h_r,
-        whatever the branch states hold.
+        ensemble free energy sum_r p f_r of one snapshot.  Uses unitary
+        invariance of the total entropy and the degeneracy of the memory
+        registers; every term reduces to branch-level data.  Both relative
+        entropies are taken against Gibbs states of the same conditioned
+        Hamiltonian H_XB: the total one against exp(-beta H_XB) / Z_XB, the
+        supersystem one against its mean-force state with Z* = Z_XB / Z_B.
+        So ln Z_XB enters both with the same sign and cancels in the
+        difference, while ln Z_B, which only the mean-force normalization
+        carries, stays.
         """
-        model, beta = self.model, self.beta
-        drives = {br.labels: br.h_sys_applied for br in snap.ledger.branches.values()}
-        # one block per resolved record, including pruned ones
-        ln_z_blocks = []
-        for labels in model.schedule.records(snap.ledger.steps_done):
-            h_sys = drives.get(labels)
-            if h_sys is None:
-                h_sys = model.protocol.segment_at(snap.time, labels).h_system
-            ln_z_blocks.append(self._ln_z_sb(h_sys))
-        ln_z_xb = logsumexp(np.array(ln_z_blocks)) + sum(self._lnz_anc)
-        # total-state relative entropy to the reference product state
+        beta = self.beta
+        # total-state relative entropy to the reference product state,
+        # without its ln Z_XB
         s_tot0 = vn_entropy_mat(self.model.sb_init.mat) + sum(self._s_anc0)
-        d_tot = beta * e_xb + ln_z_xb - s_tot0
-        # supersystem relative entropy to its mean-force Gibbs state:
-        # sum_r p (ln p - S_vN) + beta sum_r p (h*_tr + e_anc) = beta F
-        d_x = beta * f + (ln_z_xb - self._lnz_b)
+        d_tot = beta * e_xb - s_tot0
+        # supersystem relative entropy to its mean-force Gibbs state, without
+        # its ln Z_XB: sum_r p (ln p - S_vN) + beta sum_r p (h*_tr + e_anc) = beta F
+        d_x = beta * f - self._lnz_b
         return d_tot - d_x
-
-    def _ln_z_sb(self, h_sys: np.ndarray) -> float:
-        """ln Z of the system-bath Hamiltonian for one drive value."""
-        key = h_sys.tobytes()
-        out = self._lnz_sb_cache.get(key)
-        if out is None:
-            out = log_partition(self.model.schedule.h_sb(h_sys), self.beta)
-            self._lnz_sb_cache[key] = out
-        return out
 
 
 def evaluate_run(result: RunResult, dbeta: float | None = None) -> ThermoLedger:

@@ -46,18 +46,19 @@ def _check(name: str, value: float, tol: float, note: str = "") -> CheckResult:
 
 def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
     """Per-snapshot, per-record deviation between the two evaluation routes."""
+    direct = evaluate_process_tensor(model.schedule, model.sb_init,
+                                     [snap.time for snap in result.snapshots])
     rows = []
     for snap in result.snapshots:
         for br in snap.ledger.branches.values():
-            direct = evaluate_process_tensor(model.schedule, br.labels,
-                                             model.sb_init, t=snap.time)
+            want = direct[snap.time][br.labels]
             dims = model.registry.dims(br.support)
             got = ptrace_factors(br.state, dims, [0])
             rows.append({
                 "time": snap.time,
                 "record": "|".join(br.labels) or "-",
-                "state_dev": max_norm(got - direct.mat),
-                "prob_dev": abs(br.weight - direct.weight)})
+                "state_dev": max_norm(got - want.mat),
+                "prob_dev": abs(br.weight - want.weight)})
     return rows
 
 

@@ -1,5 +1,7 @@
 """Tests for CP maps, instruments, and direct multi-time evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestProcessEvaluation:
         sched = flat_schedule([], [], h_sys=h_s, h_bath=h_b, v=v)
         h_sb = OperatorMatrix(reg, ("S", "B"), sched.h_sb(h_s))
         pi_sb, _ = gibbs_state(h_sb, beta=1.0)
-        out = evaluate_process_tensor(sched, (), pi_sb, t=2.5)
+        out = evaluate_process_tensor(sched, pi_sb, [2.5])[2.5][()]
         from proctherm.algebra import partial_trace
         np.testing.assert_allclose(out.mat, partial_trace(pi_sb, ["S"]).mat, atol=1e-11)
         assert out.weight == pytest.approx(1.0, abs=1e-11)
@@ -157,8 +159,8 @@ class TestProcessEvaluation:
         sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
         sched0 = flat_schedule([], [], h_sys=h_s, h_bath=h_b, v=v)
         sched1 = flat_schedule([1.0], [identity_instrument()], h_sys=h_s, h_bath=h_b, v=v)
-        bare = evaluate_process_tensor(sched0, (), sb, t=2.0)
-        with_id = evaluate_process_tensor(sched1, ("1",), sb, t=2.0)
+        bare = evaluate_process_tensor(sched0, sb, [2.0])[2.0][()]
+        with_id = evaluate_process_tensor(sched1, sb, [2.0])[2.0][("1",)]
         np.testing.assert_allclose(with_id.mat, bare.mat, atol=0)  # same matrix path
 
     def test_matches_kraus_sequence_oracle(self):
@@ -184,10 +186,11 @@ class TestProcessEvaluation:
                 out = expm_herm(sched.h_sb(seg.h_system), -1j * (b - a)) @ out
             return out
 
+        direct = evaluate_process_tensor(sched, sb, [2.0])[2.0]
         total = 0.0
         for ra, cpa in unsharp.outcomes:
             for rb, cpb in projective_z().outcomes:
-                got = evaluate_process_tensor(sched, (ra, rb), sb, t=2.0)
+                got = direct[(ra, rb)]
                 # oracle: enumerate Kraus sequences explicitly
                 expected = np.zeros((4, 4), dtype=complex)
                 u01, u12, u2f = u_sb(0.0, 0.5), u_sb(0.5, 1.2), u_sb(1.2, 2.0)
@@ -202,12 +205,11 @@ class TestProcessEvaluation:
                 total += got.weight
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_record_length_validated(self):
+    def test_non_system_bath_initial_state_rejected(self):
         sched = flat_schedule([0.5], [projective_z()])
+        rho_s = DensityOperator(OperatorMatrix(sched.registry, ("S",), np.eye(2) / 2))
         with pytest.raises(ValueError):
-            evaluate_process_tensor(sched, (), _gibbs_sb(sched), t=1.0)
-        with pytest.raises(KeyError):
-            evaluate_process_tensor(sched, ("9",), _gibbs_sb(sched), t=1.0)
+            evaluate_process_tensor(sched, rho_s, [1.0])
 
     def test_feedback_selects_instrument(self):
         # step 1 measures X if r0 = "1", Z otherwise; compare by hand
@@ -220,18 +222,77 @@ class TestProcessEvaluation:
                               feedback={1: {("1",): x_inst}})
         rho0 = random_density(rng, 4)
         sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
-        got = evaluate_process_tensor(sched, ("1", "1"), sb, t=1.5)
+        got = evaluate_process_tensor(sched, sb, [1.5])[1.5][("1", "1")]
         e0 = np.kron(P0, np.eye(2))
         eplus = np.kron(plus, np.eye(2))
         expected = eplus @ e0 @ rho0 @ e0 @ eplus   # zero Hamiltonian: no evolution
         expected_s = expected.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         np.testing.assert_allclose(got.mat, expected_s, atol=1e-12)
 
+    def test_record_tree_matches_kraus_sequence_oracle(self):
+        # feedback and a prefix-keyed drive; reports before an intervention,
+        # exactly at one, between two and after the last
+        rng = np.random.default_rng(24)
+        reg = sb_registry()
+        h0 = np.diag([0.0, 1.0])
+        h_b = np.diag([0.0, 0.8])
+        v = 0.25 * np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+        base = [Segment(0.0, 1.0, h0), Segment(1.0, 2.0, h0 + 0.3 * np.diag([1.0, -1.0]))]
+        variants = {("1",): [Segment(0.0, 0.7, h0), Segment(0.7, 2.0, random_hermitian(rng, 2))],
+                    ("2", "1"): [Segment(0.0, 2.0, random_hermitian(rng, 2))]}
+        proto = Protocol(base, variants)
+        kraus = random_kraus_channel(rng, 2, 3)
+        noisy = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+        x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
+        times = [0.4, 0.8, 1.4]
+        instruments = [noisy, projective_z(), noisy]
+        feedback = {1: {("1",): x_inst}, 2: {("2", "1"): x_inst, ("1",): projective_z()}}
+        sched = InterventionSchedule(reg, times, instruments, proto, feedback=feedback,
+                                     h_bath=h_b, v_coupling=v)
+        rho0 = random_density(rng, 4)
+        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
 
-def _gibbs_sb(sched, beta=1.0):
-    h = OperatorMatrix(sched.registry, ("S", "B"),
-                       sched.h_sb(sched.protocol.base[0].h_system))
-    return gibbs_state(h, beta)[0]
+        def u_sb(ta, tb, prefix):
+            from proctherm.algebra import expm_herm
+            out = np.eye(4, dtype=complex)
+            for seg, a, b in proto.iter_segments(ta, tb, prefix):
+                out = expm_herm(sched.h_sb(seg.h_system), -1j * (b - a)) @ out
+            return out
+
+        def instrument(k, prefix):
+            # the deepest declared feedback prefix wins, as written out here
+            table = feedback.get(k, {})
+            for cut in range(len(prefix), -1, -1):
+                if prefix[:cut] in table:
+                    return table[prefix[:cut]]
+            return instruments[k]
+
+        def oracle(record, t):
+            # enumerate Kraus sequences explicitly
+            terms, t_cur = [rho0], 0.0
+            for k, r in enumerate(record):
+                u = u_sb(t_cur, times[k], record[:k])
+                ops = [np.kron(kk, np.eye(2)) for kk in instrument(k, record[:k]).cp_map(r).kraus]
+                terms = [e @ u @ m @ u.conj().T @ e.conj().T for m in terms for e in ops]
+                t_cur = times[k]
+            u = u_sb(t_cur, t, record)
+            full = sum(u @ m @ u.conj().T for m in terms)
+            return full.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+
+        report = [0.2, 0.8, 1.1, 2.0]
+        tree = evaluate_process_tensor(sched, sb, report)
+        assert list(tree) == report
+        for t in report:
+            n = sum(1 for tk in times if tk <= t)
+            assert list(tree[t]) == list(itertools.product(*[("1", "2")] * n))
+            single = evaluate_process_tensor(sched, sb, [t])[t]
+            assert list(single) == list(tree[t])
+            for record, got in tree[t].items():
+                np.testing.assert_allclose(got.mat, oracle(record, t), atol=1e-11)
+                np.testing.assert_allclose(got.mat, single[record].mat, atol=1e-14)
+            assert sum(out.weight for out in tree[t].values()) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMultilinearity:
@@ -246,6 +307,13 @@ class TestMultilinearity:
         ops_b = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
         sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), random_density(rng, 4)))
         return sched, ops_a, ops_b, sb
+
+    def test_op_list_length_validated(self):
+        sched, ops_a, ops_b, sb = self._setup(32)
+        with pytest.raises(ValueError):
+            multilinearity_check(sched, ops_a, ops_b, 0.5, sb, t=0.7)
+        with pytest.raises(ValueError):
+            multilinearity_check(sched, ops_a[:1], ops_b[:1], 0.5, sb, t=1.5)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.37])
     def test_linearity_per_slot(self, alpha):

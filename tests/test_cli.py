@@ -1,11 +1,13 @@
 """Tests for the command-line interface and report bundles."""
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from proctherm.cli import main
+from proctherm.scenario import build_model, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -39,11 +41,12 @@ class TestVerifyCommand:
         assert "residual" in err
 
     def test_tolerance_override_can_force_failure(self, capsys):
-        # an absurdly tight equivalence tolerance flips the verdict
+        # a check passes iff value <= tol and every deviation is >= 0, so a
+        # negative tolerance fails even when the two routes agree exactly
         code = run_cli("verify", "--scenario",
                        str(SCENARIO_DIR / "driven_feedback.yaml"),
-                       "--tol-override", "equivalence_state=1e-30",
-                       "--tol-override", "equivalence_prob=1e-30")
+                       "--tol-override", "equivalence_state=-1",
+                       "--tol-override", "equivalence_prob=-1")
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -129,6 +132,14 @@ class TestRunCommand:
             probs[row["time"]] += row["p"]
         for t, total in probs.items():
             assert total == pytest.approx(1.0, abs=1e-10)
+        # rows come by report time, then in product order of the alphabets
+        scenario = parse_scenario(SCENARIO_DIR / "tpm_qutrit.yaml")
+        sched = build_model(scenario).schedule
+        expected = [(t, "|".join(rec) or "-") for t in scenario.report_times
+                    for rec in itertools.product(*[
+                        sched.alphabet(k) for k, tk in enumerate(sched.times) if tk <= t])]
+        assert [(row["time"], row["record"]) for row in doc["records"]] == expected
+        assert len(expected) == 3 + 3 + 9
 
 
 class TestEquivCommand:
