@@ -14,18 +14,13 @@ from .algebra import (
     FactorRegistry,
     OperatorMatrix,
     gibbs_state,
-    herm_exp,
     partial_trace,
-    relative_entropy,
     tensor,
-    von_neumann_entropy,
 )
 from .channels import (
     CPMap,
     Instrument,
     InterventionSchedule,
-    KrausChannel,
-    apply_cp,
     evaluate_process_tensor,
     multilinearity_check,
 )
@@ -45,8 +40,6 @@ from .simulate import (
     RunResult,
     Simulator,
     StepTrace,
-    apply_instantaneous_control,
-    evolve_sb,
 )
 from .thermo import (
     MeanForceData,

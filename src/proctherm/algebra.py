@@ -28,9 +28,6 @@ __all__ = [
     "DensityOperator",
     "tensor",
     "partial_trace",
-    "herm_exp",
-    "von_neumann_entropy",
-    "relative_entropy",
     "gibbs_state",
     "dagger",
     "max_norm",
@@ -245,12 +242,6 @@ class FactorRegistry:
                 return d
         raise KeyError(f"unknown factor label {label!r}")
 
-    def position(self, label: str) -> int:
-        for i, (l, _) in enumerate(self.factors):
-            if l == label:
-                return i
-        raise KeyError(f"unknown factor label {label!r}")
-
     def canonical(self, labels: Iterable[str]) -> tuple[str, ...]:
         """The given labels, reordered into registry order."""
         wanted = set(labels)
@@ -310,9 +301,6 @@ class OperatorMatrix:
 
     def is_hermitian(self, tol: float = DEFAULT.hermitian) -> bool:
         return is_hermitian(self.mat, tol)
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.registry, self.support, self.mat.conj().T)
 
     def embed(self, support: Iterable[str]) -> "OperatorMatrix":
         """Tensor with identities so the operator acts on ``support``."""
@@ -404,31 +392,6 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     positions = [rho.support.index(l) for l in keep]
     mat = ptrace_factors(rho.mat, reg.dims(rho.support), positions)
     return DensityOperator(OperatorMatrix(reg, keep, mat), rho.weight)
-
-
-def herm_exp(h: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
-    """exp(scale * h) for Hermitian h, computed spectrally.
-
-    For purely imaginary ``scale`` the result is unitary to machine
-    precision, which is how all time-evolution operators are built.
-    """
-    if not h.is_hermitian():
-        raise ValueError("herm_exp requires a Hermitian input")
-    return OperatorMatrix(h.registry, h.support, expm_herm(h.mat, scale))
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy -tr(rho ln rho) in nats of a normalized state."""
-    if abs(rho.weight - 1.0) > 1e-8:
-        raise ValueError("entropy expects a normalized state; normalize first")
-    return vn_entropy_mat(rho.mat)
-
-
-def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """tr{rho(ln rho - ln sigma)}; +inf when supports are incompatible."""
-    if rho.support != sigma.support:
-        raise ValueError("relative entropy requires matching supports")
-    return relative_entropy_mat(rho.mat, sigma.mat)
 
 
 def gibbs_state(h: OperatorMatrix, beta: float) -> tuple[DensityOperator, float]:

@@ -31,10 +31,8 @@ from .tolerances import DEFAULT
 
 __all__ = [
     "CPMap",
-    "KrausChannel",
     "Instrument",
     "InterventionSchedule",
-    "apply_cp",
     "evaluate_process_tensor",
     "multilinearity_check",
     "mix_cp",
@@ -76,10 +74,6 @@ class CPMap:
         vecs = [k.reshape(-1) for k in self.kraus]
         return sum(np.outer(v, v.conj()) for v in vecs)
 
-    def is_cp(self, tol: float = DEFAULT.choi_psd) -> bool:
-        # Kraus form is CP by construction; the Choi check guards corrupted input
-        return float(np.linalg.eigvalsh(self.choi())[0]) >= -tol
-
     def apply_mat(self, mat: np.ndarray, dims: Sequence[int],
                   positions: Sequence[int]) -> np.ndarray:
         """Apply to a matrix on a larger space; ``positions`` locate the
@@ -96,28 +90,6 @@ def mix_cp(a: CPMap, b: CPMap, alpha: float) -> CPMap:
     if a.support != b.support:
         raise ValueError("can only mix maps on the same support")
     return CPMap(a.support, a.scaled(alpha).kraus + b.scaled(1 - alpha).kraus)
-
-
-class KrausChannel(CPMap):
-    """Trace-preserving CP map; the validity check runs at construction."""
-
-    def __init__(self, support, kraus, tol: float = DEFAULT.kraus_tp):
-        super().__init__(support, kraus)
-        res = self.tp_residual()
-        if res > tol:
-            raise ValueError(f"Kraus completeness violated: residual {res:.3e}")
-
-
-def apply_cp(cp_map: CPMap, rho: DensityOperator) -> DensityOperator:
-    """rho -> sum_i K_i rho K_i', unnormalized; the trace is the weight."""
-    if not set(cp_map.support) <= set(rho.support):
-        raise ValueError(f"map support {cp_map.support} not within state "
-                         f"support {rho.support}")
-    reg = rho.op.registry
-    dims = reg.dims(rho.support)
-    positions = [rho.support.index(l) for l in reg.canonical(cp_map.support)]
-    out = cp_map.apply_mat(rho.mat, dims, positions)
-    return DensityOperator(OperatorMatrix(reg, rho.support, out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +122,6 @@ class Instrument:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.outcomes)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
 
     def cp_map(self, label: str) -> CPMap:
         for l, cp in self.outcomes:

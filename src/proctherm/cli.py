@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .channels import evaluate_process_tensor
+from .dilation import reconstruction_error
 from .report import bundle_from_run
 from .scenario import ScenarioError, build_model, parse_scenario
-from .simulate import Simulator
+from .simulate import Simulator, survives_prune
 from .thermo import evaluate_run
 from .tolerances import DEFAULT
-from .verify import equivalence_rows, run_verified, verify_model
+from .verify import equivalence_checks, run_verified, verify_model
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR = 0, 1, 2
 
@@ -80,13 +81,13 @@ def _load(args):
 
 def cmd_run(args) -> int:
     scenario, model, tol, prune = _load(args)
-    caveat_flagged = False
     if args.mode == "process-tensor":
         direct = evaluate_process_tensor(model.schedule, model.sb_init,
                                          scenario.report_times)
         rows = [{"time": t, "record": "|".join(labels) or "-", "p": out.weight}
                 for t in scenario.report_times
-                for labels, out in direct[t].items() if out.weight >= prune]
+                for labels, out in direct[t].items()
+                if survives_prune(out.weight, prune)]
         doc = {"scenario": scenario.name, "mode": args.mode, "seed": args.seed,
                "scenario_checksum": scenario.checksum, "records": rows}
         text = json.dumps(doc, sort_keys=True, indent=2)
@@ -100,27 +101,23 @@ def cmd_run(args) -> int:
     result = Simulator(model, prune=prune,
                        max_branches=args.max_branches).run(scenario.report_times)
     ledger = evaluate_run(result)
-    equivalence = None
-    status = EXIT_OK
+    equivalence, checks = None, []
     if args.mode == "both":
-        equivalence = equivalence_rows(model, result)
-        worst_s = max((r["state_dev"] for r in equivalence), default=0.0)
-        worst_p = max((r["prob_dev"] for r in equivalence), default=0.0)
-        if worst_s > tol.equivalence_state or worst_p > tol.equivalence_prob:
-            status = EXIT_CHECK_FAILED
+        equivalence, checks = equivalence_checks(model, result, tol)
     bundle = bundle_from_run(result, ledger, mode=args.mode, seed=args.seed,
                              checksum=scenario.checksum, tolerances=tol,
                              equivalence=equivalence)
-    if bundle.control_caveat:
-        caveat_flagged = True
     if args.out:
         for path in bundle.write(args.out):
             print(f"wrote {path}")
     else:
         print(bundle.to_json())
-    if caveat_flagged:
+    if bundle.control_caveat:
         print(f"note: {bundle.control_caveat}", file=sys.stderr)
-    return status
+    for c in checks:
+        if c.note:
+            print(f"note: {c.name} {c.note}", file=sys.stderr)
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -149,15 +146,14 @@ def cmd_verify(args) -> int:
 
 def cmd_equiv(args) -> int:
     scenario, model, tol, prune = _load(args)
-    if any(s.window_width is not None for s in model.steps):
+    result = Simulator(model, prune=prune,
+                       max_branches=args.max_branches).run(scenario.report_times)
+    rows, checks = equivalence_checks(model, result, tol)
+    if rows is None:
         print("error: equivalence is defined for instantaneous controls only",
               file=sys.stderr)
         return EXIT_INPUT_ERROR
-    result = Simulator(model, prune=prune,
-                       max_branches=args.max_branches).run(scenario.report_times)
-    rows = equivalence_rows(model, result)
-    worst_s = max((r["state_dev"] for r in rows), default=0.0)
-    worst_p = max((r["prob_dev"] for r in rows), default=0.0)
+    worst_s, worst_p = (c.value for c in checks)
     for r in rows:
         print(f"t={r['time']:<8g} record={r['record']:<16} "
               f"state_dev={r['state_dev']:.3e} prob_dev={r['prob_dev']:.3e}")
@@ -170,8 +166,7 @@ def cmd_equiv(args) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "equivalence.json").write_text(
             json.dumps(doc, sort_keys=True, indent=2), encoding="utf-8")
-    ok = worst_s <= tol.equivalence_state and worst_p <= tol.equivalence_prob
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
 def cmd_dilate(args) -> int:
@@ -182,23 +177,14 @@ def cmd_dilate(args) -> int:
         return EXIT_INPUT_ERROR
     hw = model.hardware(args.step, ())
     inst = model.schedule.instrument_at(args.step, ())
-    from .algebra import dagger, max_norm
-    from .dilation import apply_dilated
-
-    rec_err = 0.0
-    for r, (label, cp) in enumerate(inst.outcomes):
-        for i in range(hw.system_dim):
-            e = np.zeros((hw.system_dim, hw.system_dim), dtype=complex)
-            e[i, i] = 1.0
-            direct = sum(k @ e @ dagger(k) for k in cp.kraus)
-            rec_err = max(rec_err, max_norm(apply_dilated(hw, e, outcome=r) - direct))
+    rec_err = reconstruction_error(hw, inst)
     doc = {
         "scenario": scenario.name,
         "step": args.step,
         "ancilla_dim": hw.ancilla_dim,
         "outcome_labels": list(hw.outcome_labels),
         "unitarity_residual": hw.unitarity_residual(),
-        "reconstruction_error_diagonal_basis": rec_err,
+        "reconstruction_error": rec_err,
         "unitary": _complex_rows(hw.unitary),
         "projectors": [_complex_rows(p) for p in hw.projectors],
         "ancilla_state": _complex_rows(hw.ancilla_state),

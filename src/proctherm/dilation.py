@@ -30,6 +30,7 @@ __all__ = [
     "measurement_unitary",
     "dephasing_unitary",
     "apply_dilated",
+    "reconstruction_error",
     "instrument_from_dilation",
     "shift_matrix",
 ]
@@ -147,6 +148,25 @@ def apply_dilated(dr: DilationResult, rho_s: np.ndarray,
     return ptrace_factors(out, [dr.system_dim, dr.ancilla_dim], [0])
 
 
+def reconstruction_error(dr: DilationResult, inst: Instrument) -> float:
+    """Worst entrywise gap between the dilated and the Kraus action of each
+    outcome of ``inst``, over every matrix unit E_ij of the system.
+
+    The full operator basis matters: a dilation can act correctly on every
+    diagonal input and still get the coherences wrong.
+    """
+    d = dr.system_dim
+    worst = 0.0
+    for r, (_, cp) in enumerate(inst.outcomes):
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = 1.0
+                direct = sum(k @ e @ dagger(k) for k in cp.kraus)
+                worst = max(worst, max_norm(apply_dilated(dr, e, outcome=r) - direct))
+    return worst
+
+
 def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,
                              projectors: Sequence[np.ndarray],
                              system_dim: int,
@@ -233,10 +253,3 @@ def dephasing_unitary(d: int) -> np.ndarray:
         u += np.kron(ket, shift_matrix(d, r))
     return u
 
-
-def dephase(rho_mem: np.ndarray) -> np.ndarray:
-    """Reduced action of the dephasing unitary on the memory register."""
-    d = rho_mem.shape[0]
-    joint = np.kron(rho_mem, np.eye(d) / d)
-    u = dephasing_unitary(d)
-    return ptrace_factors(u @ joint @ dagger(u), [d, d], [0])

@@ -22,7 +22,7 @@ from .protocol import Protocol, Segment
 from .simulate import AutonomousModel
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_dict",
-           "build_model", "canonical_dict", "canonical_yaml"]
+           "build_model"]
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -56,13 +56,6 @@ def _parse_complex(value: Any, path: str) -> complex:
         except ValueError:
             raise ScenarioError(path, f"malformed complex literal {value!r}") from None
     raise ScenarioError(path, f"expected a number or 'a+bi' string, got {type(value).__name__}")
-
-
-def _format_complex(z: complex) -> Any:
-    if z.imag == 0.0:
-        return float(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def _pauli_string(ops: str, path: str) -> np.ndarray:
@@ -463,84 +456,3 @@ def build_model(scenario: Scenario) -> AutonomousModel:
     except ValueError as exc:
         raise ScenarioError(scenario.name, f"cannot assemble model: {exc}") from None
 
-
-# ---------------------------------------------------------------------------
-# canonical emission (round-trip support)
-# ---------------------------------------------------------------------------
-
-def _matrix_node(mat: np.ndarray) -> list:
-    return [[_format_complex(complex(v)) for v in row] for row in np.asarray(mat)]
-
-
-def canonical_dict(scenario: Scenario) -> dict:
-    """Scenario contents in a normalized plain-data form."""
-    out: dict[str, Any] = {
-        "name": scenario.name,
-        "beta": float(scenario.beta),
-        "mean_force": scenario.mean_force,
-        "system": {"dim": scenario.s_dim},
-    }
-    bath: dict[str, Any] = {"dim": scenario.b_dim}
-    if scenario.h_bath is not None:
-        bath["hamiltonian"] = _matrix_node(scenario.h_bath)
-    out["bath"] = bath
-    if scenario.v_coupling is not None:
-        out["coupling"] = _matrix_node(scenario.v_coupling)
-    out["time"] = {"start": scenario.segments[0][0], "end": scenario.segments[-1][1]}
-    out["protocol"] = [{"t0": t0, "t1": t1, "system": _matrix_node(h)}
-                       for t0, t1, h in scenario.segments]
-    steps = []
-    for st in scenario.steps:
-        node: dict[str, Any] = {"time": st["time"]}
-        if "instrument" in st:
-            node["instrument"] = {"outcomes": [
-                {"label": label, "kraus": [_matrix_node(k) for k in cp.kraus]}
-                for label, cp in st["instrument"].outcomes]}
-        else:
-            col = st["collision"]
-            node["collision"] = {
-                "ancilla": {"dim": col["ancilla_state"].shape[0],
-                            "state": {"matrix": _matrix_node(col["ancilla_state"])}},
-                "unitary": _matrix_node(col["unitary"]),
-            }
-            if col["projectors"] is not None:
-                node["collision"]["projectors"] = [_matrix_node(p)
-                                                   for p in col["projectors"]]
-            if col["labels"] is not None:
-                node["collision"]["labels"] = [str(l) for l in col["labels"]]
-        if "h_ancilla" in st:
-            node["ancilla_hamiltonian"] = _matrix_node(st["h_ancilla"])
-        if "window" in st:
-            node["window"] = {"width": st["window"]}
-        steps.append(node)
-    if steps:
-        out["steps"] = steps
-    feedback_nodes = []
-    prefixes = sorted(set(scenario.variants) | {p for table in scenario.feedback.values()
-                                                for p in table})
-    for prefix in prefixes:
-        node = {"prefix": list(prefix)}
-        insts = {str(k): {"outcomes": [
-            {"label": label, "kraus": [_matrix_node(m) for m in cp.kraus]}
-            for label, cp in table[prefix].outcomes]}
-            for k, table in scenario.feedback.items() if prefix in table}
-        if insts:
-            node["instruments"] = insts
-        if prefix in scenario.variants:
-            node["protocol"] = [{"t0": t0, "t1": t1, "system": _matrix_node(h)}
-                                for t0, t1, h in scenario.variants[prefix]]
-        feedback_nodes.append(node)
-    if feedback_nodes:
-        out["feedback"] = feedback_nodes
-    out["initial"] = {"sb": "gibbs"} if scenario.initial_gibbs else \
-        {"sb": {"matrix": _matrix_node(scenario.initial_sb)}}
-    out["report_times"] = [float(t) for t in scenario.report_times]
-    out["checks"] = {"second_law": scenario.second_law}
-    if scenario.options:
-        out["options"] = dict(scenario.options)
-    return out
-
-
-def canonical_yaml(scenario: Scenario) -> str:
-    return yaml.safe_dump(canonical_dict(scenario), sort_keys=False,
-                          default_flow_style=None)

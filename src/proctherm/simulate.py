@@ -66,15 +66,9 @@ __all__ = [
     "Simulator",
     "RunResult",
     "Snapshot",
-    "UnknownRecordError",
-    "evolve_sb",
-    "apply_instantaneous_control",
     "ancilla_label",
+    "survives_prune",
 ]
-
-
-class UnknownRecordError(KeyError):
-    """Raised when a record is absent from the ledger (pruned or invalid)."""
 
 
 def ancilla_label(k: int) -> str:
@@ -403,7 +397,7 @@ class Branch:
         return dataclasses.replace(self, **kw)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BranchLedger:
     """Outcome-keyed map of branches at one instant."""
 
@@ -414,31 +408,6 @@ class BranchLedger:
 
     def total_weight(self) -> float:
         return sum(b.weight for b in self.branches.values())
-
-    def records(self) -> list[tuple[str, ...]]:
-        return [b.labels for b in self.branches.values()]
-
-    def get(self, labels: Sequence[str]) -> Branch:
-        labels = tuple(str(l) for l in labels)
-        for b in self.branches.values():
-            if b.labels == labels:
-                return b
-        raise UnknownRecordError(
-            f"record {labels} not in ledger (zero-probability or pruned)")
-
-    def condition(self, labels: Sequence[str], registry: FactorRegistry
-                  ) -> tuple[DensityOperator, float]:
-        """Normalized conditional state and the record probability."""
-        b = self.get(labels)
-        p = b.weight
-        if p <= 0:
-            raise UnknownRecordError(f"record {tuple(labels)} has zero probability")
-        op = OperatorMatrix(registry, b.support, b.state / p)
-        return DensityOperator(op, 1.0), p
-
-    def copy(self) -> "BranchLedger":
-        return BranchLedger(self.time, dict(self.branches), self.pruned_mass,
-                            self.steps_done)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,7 +457,6 @@ class StepTrace:
 class Snapshot:
     time: float
     ledger: BranchLedger
-    initial: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,6 +472,12 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # simulator
 # ---------------------------------------------------------------------------
+
+def survives_prune(p: float, prune: float) -> bool:
+    """Whether a record of probability ``p`` is kept at threshold ``prune``;
+    a record of zero probability never is."""
+    return p > 0 and p >= prune
+
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
     mat = np.ascontiguousarray(mat)
@@ -662,7 +636,7 @@ class Simulator:
                 e_anc_r = expect_herm(spec.h_ancilla, anc_r)
                 w_meas[label] = e_anc_r - e_anc_before
                 w_meas_alt[label] = w_meas[label] + expect_herm(h_sa, sa_r) - e_sa_before
-                if p_child <= 0 or p_child < self.prune:
+                if not survives_prune(p_child, self.prune):
                     pruned += p_child
                     continue
                 child = ctrled.replace(
@@ -712,8 +686,8 @@ class Simulator:
 
     def _dephasing_residual(self, space: _Space, state: np.ndarray,
                             hw: DilationResult, anc: str, weight: float) -> float:
-        """Materialize the coherent register state, dephase it, and measure
-        how far it is from the branch split.
+        """Materialize the coherent register state, apply the dephasing
+        unitary, and measure how far the result is from the branch split.
 
         Before dephasing the register holds every cross term between
         outcomes; afterwards the off-diagonal register blocks must vanish
@@ -752,7 +726,7 @@ class Simulator:
     def run(self, report_times: Sequence[float] = ()) -> RunResult:
         model = self.model
         ledger = self.initial_ledger()
-        initial = Snapshot(ledger.time, ledger.copy(), initial=True)
+        initial = Snapshot(ledger.time, ledger)
         times = sorted(set(float(t) for t in report_times))
         for t in times:
             if t < model.protocol.t_start - 1e-12 or t > model.protocol.t_end + 1e-12:
@@ -774,41 +748,9 @@ class Simulator:
             if ledger.time > t + 1e-12:
                 raise ValueError(f"report time {t} falls inside a control window")
             ledger = self.advance(ledger, t)
-            snapshots.append(Snapshot(t, ledger.copy()))
+            snapshots.append(Snapshot(t, ledger))
         steps_until(model.protocol.t_end)
         caveat = model.has_sb_coupling() and any(
             s.window_width is None for s in model.steps)
         return RunResult(model, initial, tuple(snapshots), tuple(traces), ledger,
                          control_caveat=caveat)
-
-
-# ---------------------------------------------------------------------------
-# spec-shaped helpers
-# ---------------------------------------------------------------------------
-
-def evolve_sb(model: AutonomousModel, state: DensityOperator, t_a: float,
-              t_b: float, prefix: Sequence[str] = ()) -> DensityOperator:
-    """Unitary evolution of a supported state under the driven Hamiltonian.
-
-    Piecewise-constant segments are integrated exactly, one spectral
-    exponential per segment; no work bookkeeping happens here.
-    """
-    if t_b < t_a - 1e-12:
-        raise ValueError(f"reversed interval ({t_a}, {t_b})")
-    support = state.support
-    space = model.space(support)
-    mat = state.mat
-    for seg, a, b in model.protocol.iter_segments(t_a, t_b, prefix):
-        if seg.window is not None and ancilla_label(seg.window[0]) not in support:
-            raise ValueError("state does not hold the ancilla coupled in this window")
-        mat = _propagate(space, mat, seg, b - a)
-    return DensityOperator(OperatorMatrix(model.registry, support, mat), state.weight)
-
-
-def apply_instantaneous_control(state: DensityOperator,
-                                u_ctrl: OperatorMatrix) -> DensityOperator:
-    """Conjugate by a control unitary embedded into the state's support."""
-    u = u_ctrl.embed(state.support) if u_ctrl.support != state.support else u_ctrl
-    return DensityOperator(
-        OperatorMatrix(state.op.registry, state.support, u.mat @ state.mat @ dagger(u.mat)),
-        state.weight)

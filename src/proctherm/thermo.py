@@ -69,9 +69,6 @@ __all__ = [
     "ThermoLedger",
     "ThermoEvaluator",
     "evaluate_run",
-    "internal_energy",
-    "entropy_and_free_energy",
-    "work_measurement_canonical",
     "work_measurement_alternative",
     "tpm_work",
     "singular_control_work",
@@ -95,10 +92,6 @@ class MeanForceData:
     z_star: float
     beta: float
     dbeta_h_star: OperatorMatrix
-
-    @property
-    def log_z_star(self) -> float:
-        return math.log(self.z_star)
 
 
 def _mean_force_core(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[int],
@@ -168,42 +161,6 @@ def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
         OperatorMatrix(reg, x_labels, h_star, hermitian=True),
         math.exp(ln_z_star), beta,
         OperatorMatrix(reg, x_labels, dbeta_h, hermitian=True))
-
-
-def internal_energy(rho: DensityOperator, mfd: MeanForceData) -> float:
-    """tr{(H* + beta dH*/dbeta) rho}, marginalized onto the H* factors."""
-    op = mfd.h_star.mat + mfd.beta * mfd.dbeta_h_star.mat
-    return expect_herm(op, _marginal_onto(rho, mfd.h_star.support))
-
-
-def entropy_and_free_energy(p: float, rho_sa: DensityOperator,
-                            mfd: MeanForceData,
-                            extra_energy: float = 0.0) -> tuple[float, float]:
-    """Per-branch entropy and free energy from the record probability and
-    the conditional supersystem state.
-
-    ``extra_energy`` carries bare ancilla terms outside the mean-force
-    factors.  Identity f = u - T s holds by construction up to the -ln p
-    bookkeeping shared between them.
-    """
-    if p <= 0:
-        raise ValueError("zero-probability branch has no trajectory entropy")
-    beta = mfd.beta
-    s_vn = vn_entropy_mat(rho_sa.mat)
-    marginal = _marginal_onto(rho_sa, mfd.h_star.support)
-    corr = expect_herm(mfd.dbeta_h_star.mat, marginal)
-    s = -math.log(p) + s_vn + beta ** 2 * corr
-    f = expect_herm(mfd.h_star.mat, marginal) + extra_energy \
-        + (math.log(p) - s_vn) / beta
-    return s, f
-
-
-def _marginal_onto(rho: DensityOperator, support: tuple[str, ...]) -> np.ndarray:
-    if rho.support == support:
-        return rho.mat
-    reg = rho.op.registry
-    keep = [rho.support.index(l) for l in support]
-    return ptrace_factors(rho.mat, reg.dims(rho.support), keep)
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +403,17 @@ def evaluate_run(result: RunResult, dbeta: float | None = None) -> ThermoLedger:
 # measurement work and special setups
 # ---------------------------------------------------------------------------
 
-def _prefix_trace(trace: StepTrace, labels: Sequence[str]):
-    labels = tuple(str(l) for l in labels)
-    for tr in trace.per_prefix.values():
-        if tr.labels == labels:
-            return tr
-    raise KeyError(f"no branch with prefix {labels} in the step trace")
-
-
-def work_measurement_canonical(trace: StepTrace, record: Sequence[str]) -> float:
-    """Ancilla-energy measurement work of one step for one outcome record.
+def work_measurement_alternative(trace: StepTrace, record: Sequence[str]) -> float:
+    """Knowledge-update (system+ancillas) measurement work of one step.
 
     The record is the full outcome tuple through this step; its last entry
     selects the outcome, the rest the parent branch.
     """
     record = tuple(str(l) for l in record)
-    tr = _prefix_trace(trace, record[:-1])
-    return tr.w_meas[record[-1]]
-
-
-def work_measurement_alternative(trace: StepTrace, record: Sequence[str]) -> float:
-    """Knowledge-update (system+ancillas) measurement work of one step."""
-    record = tuple(str(l) for l in record)
-    tr = _prefix_trace(trace, record[:-1])
-    return tr.w_meas_alt[record[-1]]
+    for tr in trace.per_prefix.values():
+        if tr.labels == record[:-1]:
+            return tr.w_meas_alt[record[-1]]
+    raise KeyError(f"no branch with prefix {record[:-1]} in the step trace")
 
 
 @dataclass(frozen=True, eq=False)

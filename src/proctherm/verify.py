@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, max_norm, ptrace_factors
+from .algebra import max_norm, ptrace_factors
 from .channels import evaluate_process_tensor
-from .dilation import apply_dilated, dephasing_unitary
+from .dilation import dephasing_unitary, reconstruction_error
 from .simulate import AutonomousModel, RunResult, Simulator
 from .thermo import ThermoLedger, evaluate_run
 from .tolerances import DEFAULT, Tolerances
 
-__all__ = ["CheckResult", "verify_model", "equivalence_rows", "run_verified"]
+__all__ = ["CheckResult", "verify_model", "equivalence_rows", "equivalence_checks",
+           "run_verified"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,28 @@ def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
     return rows
 
 
+def equivalence_checks(model: AutonomousModel, result: RunResult,
+                       tol: Tolerances = DEFAULT
+                       ) -> tuple[list[dict] | None, list[CheckResult]]:
+    """The per-record rows of :func:`equivalence_rows` and the two checks on
+    their worst state and probability deviations.
+
+    The direct route models instantaneous controls only, so a model with a
+    finite-width control window has no rows (None) and both checks are
+    skipped with a note.
+    """
+    specs = (("equivalence-states", "state_dev", tol.equivalence_state),
+             ("equivalence-probabilities", "prob_dev", tol.equivalence_prob))
+    if any(s.window_width is not None for s in model.steps):
+        return None, [CheckResult(name, 0.0, t, True,
+                                  note="skipped: the direct route has no "
+                                       "finite-width control windows")
+                      for name, _, t in specs]
+    rows = equivalence_rows(model, result)
+    return rows, [_check(name, max((r[key] for r in rows), default=0.0), t)
+                  for name, key, t in specs]
+
+
 def run_verified(model: AutonomousModel, report_times, *, prune: float,
                  max_branches: int) -> RunResult:
     sim = Simulator(model, prune=prune, validate_dephasing=True,
@@ -98,11 +121,7 @@ def verify_model(model: AutonomousModel, result: RunResult,
             worst_u = max(worst_u, hw.unitarity_residual())
             comp = sum(hw.projectors)
             worst_u = max(worst_u, max_norm(comp - np.eye(hw.ancilla_dim)))
-            for r, (label, cp) in enumerate(inst.outcomes):
-                for e in _basis(hw.system_dim):
-                    direct = sum(kk @ e @ dagger(kk) for kk in cp.kraus)
-                    worst_rec = max(worst_rec, max_norm(
-                        apply_dilated(hw, e, outcome=r) - direct))
+            worst_rec = max(worst_rec, reconstruction_error(hw, inst))
     checks.append(_check("dilation-unitarity", worst_u, tol.dilation_unitary))
     checks.append(_check("dilation-reconstruction", worst_rec,
                          tol.dilation_reconstruction))
@@ -133,12 +152,7 @@ def verify_model(model: AutonomousModel, result: RunResult,
     checks.append(_check("branch-positivity", max(worst_neg, 0.0), tol.psd))
 
     # --- dynamical equivalence (instantaneous controls only)
-    if all(s.window_width is None for s in model.steps):
-        rows = equivalence_rows(model, result)
-        sdev = max((r["state_dev"] for r in rows), default=0.0)
-        pdev = max((r["prob_dev"] for r in rows), default=0.0)
-        checks.append(_check("equivalence-states", sdev, tol.equivalence_state))
-        checks.append(_check("equivalence-probabilities", pdev, tol.equivalence_prob))
+    checks += equivalence_checks(model, result, tol)[1]
 
     # --- first law, per branch and ensemble, plus the energy budget
     worst_fl = 0.0
@@ -181,10 +195,3 @@ def verify_model(model: AutonomousModel, result: RunResult,
                  "guarantee"))
     return checks
 
-
-def _basis(d: int):
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            yield e

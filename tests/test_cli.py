@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from proctherm.cli import main
 from proctherm.scenario import build_model, parse_scenario
@@ -142,6 +143,69 @@ class TestRunCommand:
         assert len(expected) == 3 + 3 + 9
 
 
+def z_readouts_from_ground(tmp_path):
+    """Two projective Z readouts of |0><0| with no bath and a zero prune
+    threshold: only the record g|g is possible."""
+    z = {"outcomes": [{"label": "g", "kraus": [[[1.0, 0.0], [0.0, 0.0]]]},
+                      {"label": "e", "kraus": [[[0.0, 0.0], [0.0, 1.0]]]}]}
+    path = tmp_path / "z_from_ground.yaml"
+    path.write_text(yaml.safe_dump({
+        "name": "z-from-ground", "beta": 1.0,
+        "system": {"dim": 2}, "bath": {"dim": 1},
+        "system_hamiltonian": {"diag": [0.0, 1.0]},
+        "time": {"start": 0.0, "end": 1.0},
+        "steps": [{"time": 0.3, "instrument": z}, {"time": 0.6, "instrument": z}],
+        "initial": {"sb": {"matrix": [[1.0, 0.0], [0.0, 0.0]]}},
+        "report_times": [0.5, 1.0],
+        "options": {"prune_threshold": 0.0}}))
+    return path
+
+
+def windowed_measurement_work(tmp_path):
+    """``measurement_work.yaml`` with a finite control window on step 1."""
+    data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
+    data["steps"][1]["window"] = {"width": 0.2}
+    path = tmp_path / "windowed.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+class TestPruneRule:
+    def test_process_tensor_lists_the_simulator_records(self, tmp_path, capsys):
+        # zero-probability records are dropped on both routes, whatever the
+        # threshold
+        path = z_readouts_from_ground(tmp_path)
+        assert run_cli("run", "--scenario", str(path), "--mode", "process-tensor") == 0
+        direct = [(r["time"], r["record"]) for r in json.loads(capsys.readouterr().out)["records"]]
+        out = tmp_path / "auto"
+        assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert direct == [(r["time"], r["record"]) for r in doc["branch_rows"]]
+        assert direct == [(0.5, "g"), (1.0, "g|g")]
+
+
+class TestWindowedModel:
+    def test_run_both_skips_equivalence(self, tmp_path, capsys):
+        # the direct route has no finite-width windows, so there is nothing
+        # to compare against
+        out = tmp_path / "r"
+        assert run_cli("run", "--scenario", str(windowed_measurement_work(tmp_path)),
+                       "--mode", "both", "--out", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["equivalence"] is None
+        assert "equivalence-states skipped" in capsys.readouterr().err
+
+    def test_verify_reports_skipped_equivalence(self, tmp_path, capsys):
+        assert run_cli("verify", "--scenario", str(windowed_measurement_work(tmp_path))) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("equivalence-")]
+        assert len(lines) == 2
+        assert all("pass" in l and "skipped" in l for l in lines)
+
+    def test_equiv_rejects_windowed_model(self, tmp_path, capsys):
+        assert run_cli("equiv", "--scenario", str(windowed_measurement_work(tmp_path))) == 2
+        assert "instantaneous controls only" in capsys.readouterr().err
+
+
 class TestEquivCommand:
     def test_equiv_passes_on_shipped_scenarios(self, capsys):
         for name in ("driven_feedback.yaml", "tpm_qutrit.yaml"):
@@ -166,7 +230,7 @@ class TestDilateCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ancilla_dim"] == 2
         assert doc["unitarity_residual"] < 1e-10
-        assert doc["reconstruction_error_diagonal_basis"] < 1e-9
+        assert doc["reconstruction_error"] < 1e-9
         assert len(doc["unitary"]) == 4
 
     def test_bad_step_index(self, capsys):

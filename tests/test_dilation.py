@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from proctherm import dilation
 from proctherm.channels import CPMap, Instrument
 from proctherm.dilation import (
     apply_dilated,
-    dephase,
     dephasing_unitary,
     dilate_channel,
     dilate_instrument,
@@ -32,6 +32,15 @@ def operator_basis(d):
             e[i, j] = 1.0
             out.append(e)
     return out
+
+
+def dephased(rho_mem):
+    """Memory state after the dephasing unitary with a maximally mixed
+    dephaser of the same dimension, traced out."""
+    d = rho_mem.shape[0]
+    u = dephasing_unitary(d)
+    joint = u @ np.kron(rho_mem, np.eye(d) / d) @ dagger(u)
+    return ptrace_factors(joint, [d, d], [0])
 
 
 def register_hamiltonian(h_m, c):
@@ -167,6 +176,30 @@ class TestInstrumentDilation:
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
+class TestReconstructionError:
+    def test_full_basis_reads_coherences(self):
+        # complete dephasing and the identity agree on every diagonal input;
+        # only the off-diagonal matrix units tell their dilations apart
+        identity = Instrument([("1", CPMap(("S",), [np.eye(2)]))])
+        dephasing = Instrument([("1", CPMap(("S",), [P0, P1]))])
+        dr = dilate_instrument(dephasing)
+        assert dilation.reconstruction_error(dr, dephasing) < 1e-12
+        assert dilation.reconstruction_error(dr, identity) == pytest.approx(1.0, abs=1e-12)
+
+    def test_agrees_with_spanning_basis_oracle(self):
+        rng = np.random.default_rng(56)
+        kraus = random_kraus_channel(rng, 3, 4)
+        inst = Instrument([("a", CPMap(("S",), kraus[:1])), ("b", CPMap(("S",), kraus[1:3])),
+                           ("c", CPMap(("S",), kraus[3:]))])
+        wrong = Instrument([("a", CPMap(("S",), kraus[1:2])), ("b", CPMap(("S",), [kraus[0], kraus[2]])),
+                            ("c", CPMap(("S",), kraus[3:]))])
+        dr = dilate_instrument(inst)
+        for target in (inst, wrong):
+            want = reconstruction_error(dr, [cp for _, cp in target.outcomes])
+            assert dilation.reconstruction_error(dr, target) == want
+        assert dilation.reconstruction_error(dr, wrong) > 1e-3
+
+
 class TestInstrumentFromDilation:
     def test_round_trip_through_hardware(self):
         rng = np.random.default_rng(48)
@@ -232,17 +265,17 @@ class TestMeasurementUnitary:
 class TestDephasing:
     def test_diagonal_state_unchanged(self):
         rho = np.diag([0.2, 0.8]).astype(complex)
-        np.testing.assert_allclose(dephase(rho), rho, atol=1e-14)
+        np.testing.assert_allclose(dephased(rho), rho, atol=1e-14)
 
     def test_uniform_superposition_fully_dephased(self):
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        np.testing.assert_allclose(dephase(plus), np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(dephased(plus), np.eye(2) / 2, atol=1e-14)
 
     def test_matches_projector_sandwich_oracle(self):
         rng = np.random.default_rng(51)
         rho = random_density(rng, 3)
         expected = np.diag(np.diag(rho))
-        np.testing.assert_allclose(dephase(rho), expected, atol=1e-13)
+        np.testing.assert_allclose(dephased(rho), expected, atol=1e-13)
 
     def test_commutes_with_degenerate_energies(self):
         # non-degenerate register, degenerate dephaser: the dephaser commutes
@@ -278,7 +311,7 @@ class TestDephasing:
     def test_trace_preserving(self):
         rng = np.random.default_rng(53)
         rho = random_density(rng, 4)
-        assert abs(np.trace(dephase(rho)) - 1.0) < 1e-12
+        assert abs(np.trace(dephased(rho)) - 1.0) < 1e-12
 
     def test_shift_matrix_cycles(self):
         s = shift_matrix(3, 1)

@@ -1,4 +1,4 @@
-"""Tests for scenario parsing, validation and canonical round-trips."""
+"""Tests for scenario parsing, validation and model assembly."""
 
 import math
 from pathlib import Path
@@ -9,8 +9,6 @@ import pytest
 from proctherm.scenario import (
     ScenarioError,
     build_model,
-    canonical_dict,
-    canonical_yaml,
     parse_scenario,
     parse_scenario_dict,
 )
@@ -162,14 +160,6 @@ class TestShippedScenarios:
         model = build_model(sc)
         assert model.beta == sc.beta
         assert len(sc.checksum) == 64
-
-    def test_round_trip_identical(self):
-        for path in sorted(SCENARIO_DIR.glob("*.yaml")):
-            sc = parse_scenario(path)
-            text = canonical_yaml(sc)
-            import yaml as _yaml
-            sc2 = parse_scenario_dict(_yaml.safe_load(text))
-            assert canonical_dict(sc) == canonical_dict(sc2), path.name
 
 
 class TestBuildModel:

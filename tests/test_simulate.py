@@ -10,22 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from proctherm.algebra import (
-    DensityOperator,
-    OperatorMatrix,
-    max_norm,
-    ptrace_factors,
-)
+from proctherm.algebra import max_norm, ptrace_factors
 from proctherm.channels import CPMap, Instrument, evaluate_process_tensor
 from proctherm.protocol import Protocol, Segment
-from proctherm.simulate import (
-    AutonomousModel,
-    Simulator,
-    UnknownRecordError,
-    ancilla_label,
-    apply_instantaneous_control,
-    evolve_sb,
-)
+from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
 
 from oracles import (
     random_density,
@@ -114,17 +102,6 @@ class TestBasics:
         for b in result.final.branches.values():
             assert np.linalg.eigvalsh(b.state)[0] > -1e-10
 
-    def test_condition_returns_normalized_state(self):
-        model = simple_model([{"time": 0.5, "instrument": projective_z()}])
-        result = Simulator(model).run(report_times=[1.0])
-        ledger = result.final
-        labels = ledger.records()[0]
-        rho, p = ledger.condition(labels, model.registry)
-        assert abs(np.trace(rho.mat) - 1.0) < 1e-12
-        assert 0 < p < 1
-        with pytest.raises(UnknownRecordError):
-            ledger.condition(("no-such",), model.registry)
-
     def test_zero_probability_branch_pruned(self):
         # measuring |0><0| projectively never yields outcome 2
         sb = np.kron(P0, np.eye(2) / 2)
@@ -145,7 +122,7 @@ class TestBasics:
             ledger = evaluate_run(result)
         for snap in list(result.snapshots) + [Snapshotish(result.final)]:
             assert all(b.weight > 0 for b in snap.ledger.branches.values())
-        assert result.final.records() == [("1", "1")]
+        assert [b.labels for b in result.final.branches.values()] == [("1", "1")]
         for rows in ledger.branch_rows.values():
             assert [r.labels[-1:] for r in rows] == [("1",)]
             assert all(np.isfinite([r.p, r.w_meas, r.w_meas_alt, r.s]).all() for r in rows)
@@ -236,27 +213,30 @@ class TestEquivalence:
             assert_equivalent(model, result)
 
 
+def evolve_single_branch(model, t):
+    """State at ``t`` of the one branch of a step-free run."""
+    (branch,) = Simulator(model).run(report_times=[t]).snapshots[0].ledger.branches.values()
+    return branch.state
+
+
 class TestEvolution:
     def test_zero_hamiltonian_is_identity(self):
         rng = np.random.default_rng(64)
-        model = simple_model([])
         rho = random_density(rng, 4)
-        state = DensityOperator(OperatorMatrix(model.registry, ("S", "B"), rho))
-        out = evolve_sb(model, state, 0.0, 1.3)
-        np.testing.assert_allclose(out.mat, rho, atol=1e-13)
+        model = simple_model([], sb_init=rho)
+        np.testing.assert_allclose(evolve_single_branch(model, 1.3), rho, atol=1e-13)
 
     def test_commuting_segments_compose(self):
         h1, h2 = np.diag([0.0, 1.0]), np.diag([0.0, 2.5])
         segs = [Segment(0.0, 0.5, h1), Segment(0.5, 1.0, h2)]
-        model = simple_model([], segments=segs, t_end=1.0)
         rng = np.random.default_rng(65)
         rho = random_density(rng, 4)
-        state = DensityOperator(OperatorMatrix(model.registry, ("S", "B"), rho))
-        out = evolve_sb(model, state, 0.0, 1.0)
+        model = simple_model([], segments=segs, t_end=1.0, sb_init=rho)
+        out = evolve_single_branch(model, 1.0)
         from proctherm.algebra import expm_herm
         h_eff = np.kron(0.5 * h1 + 0.5 * h2, np.eye(2))
         u = expm_herm(h_eff, -1j)
-        np.testing.assert_allclose(out.mat, u @ rho @ u.conj().T, atol=1e-12)
+        np.testing.assert_allclose(out, u @ rho @ u.conj().T, atol=1e-12)
 
     def test_matches_fine_slicing_oracle(self):
         rng = np.random.default_rng(66)
@@ -264,10 +244,9 @@ class TestEvolution:
         h_b = random_hermitian(rng, 2)
         v = 0.4 * random_hermitian(rng, 4)
         segs = [Segment(0.0, 0.6, h0), Segment(0.6, 1.4, h1)]
-        model = simple_model([], segments=segs, h_bath=h_b, v=v, t_end=1.4)
         rho = random_density(rng, 4)
-        state = DensityOperator(OperatorMatrix(model.registry, ("S", "B"), rho))
-        got = evolve_sb(model, state, 0.0, 1.4)
+        model = simple_model([], segments=segs, h_bath=h_b, v=v, t_end=1.4, sb_init=rho)
+        got = evolve_single_branch(model, 1.4)
         # oracle: 1000 fine slices in strict time order across the change
         from proctherm.algebra import expm_herm
         mat = rho.copy()
@@ -279,35 +258,23 @@ class TestEvolution:
             h_full = np.kron(h_t, np.eye(2)) + np.kron(np.eye(2), h_b) + v
             u = expm_herm(h_full, -1j * (b - a))
             mat = u @ mat @ u.conj().T
-        np.testing.assert_allclose(got.mat, mat, atol=1e-8)
+        np.testing.assert_allclose(got, mat, atol=1e-8)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(67)
-        model = simple_model([], h_sys=random_hermitian(rng, 2),
-                             h_bath=random_hermitian(rng, 2),
-                             v=0.5 * random_hermitian(rng, 4))
+        h_s, h_b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        v = 0.5 * random_hermitian(rng, 4)
         rho = random_density(rng, 4)
-        state = DensityOperator(OperatorMatrix(model.registry, ("S", "B"), rho))
-        out = evolve_sb(model, state, 0.0, 2.0)
-        assert abs(np.trace(out.mat) - 1.0) < 1e-11
+        model = simple_model([], h_sys=h_s, h_bath=h_b, v=v, sb_init=rho)
+        assert abs(np.trace(evolve_single_branch(model, 2.0)) - 1.0) < 1e-11
 
     def test_uncovered_interval_rejected(self):
-        model = simple_model([], t_end=1.0)
-        rho = DensityOperator(OperatorMatrix(model.registry, ("S", "B"),
-                                             np.eye(4) / 4))
+        model = simple_model([], t_end=1.0, sb_init=np.eye(4) / 4)
         with pytest.raises(ValueError):
-            evolve_sb(model, rho, 0.0, 5.0)
+            Simulator(model).run(report_times=[5.0])
 
 
 class TestInstantaneousControl:
-    def test_identity_is_noop(self):
-        model = simple_model([])
-        rng = np.random.default_rng(68)
-        rho = random_density(rng, 4)
-        state = DensityOperator(OperatorMatrix(model.registry, ("S", "B"), rho))
-        u = OperatorMatrix.identity(model.registry, ("S",))
-        np.testing.assert_allclose(apply_instantaneous_control(state, u).mat, rho)
-
     def test_swap_transfers_system_state(self):
         model = simple_model([{"time": 0.5, "collision": {
             "ancilla_state": np.diag([1.0, 0.0]).astype(complex),
@@ -401,9 +368,9 @@ class TestValidationFeatures:
                                     sb_init=model_delta.sb_init.mat)
         res_d = Simulator(model_delta).run(report_times=[1.5])
         res_w = Simulator(model_window).run(report_times=[1.5])
-        for labels in [b.labels for b in res_d.final.branches.values()]:
-            bd = res_d.final.get(labels)
-            bw = res_w.final.get(labels)
+        windowed = {b.labels: b for b in res_w.final.branches.values()}
+        for bd in res_d.final.branches.values():
+            bw = windowed[bd.labels]
             assert abs(bd.weight - bw.weight) < 1e-10
             got_d = conditional_system(model_delta, res_d.final, bd)
             got_w = conditional_system(model_window, res_w.final, bw)
@@ -497,11 +464,12 @@ class TestWindowWork:
             h_prev, win_prev = h_now, win_now
 
         assert len(ledger.branches) == len(branches) == 4
+        by_labels = {b.labels: b for b in ledger.branches.values()}
         for labels, (r, ws, wc) in branches.items():
-            br = ledger.get(labels)
+            br = by_labels[labels]
             assert br.weight == pytest.approx(np.trace(r).real, abs=1e-10)
             assert br.w_sys == pytest.approx(ws, abs=1e-9)
             assert br.w_ctrl == pytest.approx(wc, abs=1e-9)
         # the per-branch values really differ, so the test pins each branch
-        assert max(abs(br.w_ctrl - ledger.get(("1", "1")).w_ctrl)
+        assert max(abs(br.w_ctrl - by_labels[("1", "1")].w_ctrl)
                    for br in ledger.branches.values()) > 1e-3

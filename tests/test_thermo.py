@@ -21,12 +21,10 @@ from proctherm.thermo import (
     ConventionError,
     ThermoEvaluator,
     evaluate_run,
-    internal_energy,
     mean_force_hamiltonian,
     singular_control_work,
     tpm_work,
     work_measurement_alternative,
-    work_measurement_canonical,
 )
 
 from oracles import dlog_daleckii, random_density, random_hermitian, richardson_halving
@@ -383,11 +381,10 @@ class TestMeasurementWorkConventions:
         result = Simulator(model).run()
         trace = result.traces[1]
         some = next(iter(result.final.branches.values()))
-        w_c = work_measurement_canonical(trace, some.labels)
         w_a = work_measurement_alternative(trace, some.labels)
-        assert np.isfinite(w_c) and np.isfinite(w_a)
+        assert np.isfinite(w_a)
         with pytest.raises(KeyError):
-            work_measurement_canonical(trace, ("x", "y"))
+            work_measurement_alternative(trace, ("x", "y"))
 
     def test_no_average_measurement_heat(self):
         # isolated system+ancilla, identity control, rotated readout: the
@@ -555,16 +552,26 @@ class TestSingularControlWork:
             singular_control_work(state, u, h_s, None, None, window_width=0.1)
 
 
+def decoupled_rows(rho_s, steps=()):
+    """Branch rows at t = 1 of a qubit prepared in ``rho_s`` next to an
+    uncoupled bath, under H_S = diag(0, 1)."""
+    model = AutonomousModel.assemble(
+        s_dim=2, b_dim=2, beta=1.0,
+        protocol=Protocol([Segment(0.0, 1.0, np.diag([0.0, 1.0]))]),
+        h_bath=np.diag([0.0, 0.9]), steps=list(steps),
+        sb_init=np.kron(rho_s, np.eye(2) / 2))
+    return evaluate_run(Simulator(model).run(report_times=[1.0])).branch_rows[1.0]
+
+
 class TestStandaloneOps:
     def test_internal_energy_weak_coupling_cases(self):
-        reg = FactorRegistry([("S", 2), ("B", 2)])
-        h_xb, h_s, h_b = TestMeanForce().coupled(0.0)
-        mfd = mean_force_hamiltonian(h_xb, ["S"], beta=1.0, h_bath=h_b)
-        excited = DensityOperator(OperatorMatrix(reg, ("S",), P1))
-        assert internal_energy(excited, mfd) == pytest.approx(1.0, abs=1e-10)
-        pi = DensityOperator(OperatorMatrix(reg, ("S",), gibbs_mat(h_s, 1.0)[0]))
-        expected = float(np.real(np.trace(h_s @ gibbs_mat(h_s, 1.0)[0])))
-        assert internal_energy(pi, mfd) == pytest.approx(expected, abs=1e-10)
+        h_s = np.diag([0.0, 1.0])
+        (excited,) = decoupled_rows(P1)
+        assert excited.u == pytest.approx(1.0, abs=1e-10)
+        pi = gibbs_mat(h_s, 1.0)[0]
+        expected = float(np.real(np.trace(h_s @ pi)))
+        (thermal,) = decoupled_rows(pi)
+        assert thermal.u == pytest.approx(expected, abs=1e-10)
 
     def test_strong_coupling_branch_sum_matches_unconditional(self):
         # sum over branches of p*u equals the mean-force internal energy of
@@ -585,18 +592,18 @@ class TestStandaloneOps:
         assert u_sum == pytest.approx(u_unc, abs=1e-9)
 
     def test_entropy_free_energy_simple_cases(self):
-        from proctherm.thermo import entropy_and_free_energy
-        reg = FactorRegistry([("S", 2), ("B", 2)])
-        h_xb, h_s, h_b = TestMeanForce().coupled(0.0)
-        mfd = mean_force_hamiltonian(h_xb, ["S"], beta=1.0, h_bath=h_b)
-        pure = DensityOperator(OperatorMatrix(reg, ("S",), P1))
-        s, f = entropy_and_free_energy(1.0, pure, mfd)
-        assert s == pytest.approx(0.0, abs=1e-10)
-        assert f == pytest.approx(1.0, abs=1e-10)  # u - T s with u = gap
-        s2, _ = entropy_and_free_energy(0.5, pure, mfd)
-        assert s2 == pytest.approx(math.log(2), abs=1e-10)
-        with pytest.raises(ValueError):
-            entropy_and_free_energy(0.0, pure, mfd)
+        (certain,) = decoupled_rows(P1)
+        assert certain.s == pytest.approx(0.0, abs=1e-10)
+        assert certain.f == pytest.approx(1.0, abs=1e-10)  # u - T s with u = gap
+        # |+> read out in Z: two pure branches of probability 1/2 each
+        halves = decoupled_rows(PLUS, [{"time": 0.5, "instrument": projective_z()}])
+        assert [r.p for r in halves] == pytest.approx([0.5, 0.5], abs=1e-12)
+        for r in halves:
+            assert r.s == pytest.approx(math.log(2), abs=1e-10)
+            assert r.f == pytest.approx(r.u - r.s, abs=1e-12)
+        # a zero-probability record gets no row, hence no trajectory entropy
+        (only,) = decoupled_rows(P1, [{"time": 0.5, "instrument": projective_z()}])
+        assert only.labels == ("2",) and only.p == pytest.approx(1.0, abs=1e-12)
 
     def test_shannon_only_two_branch_case(self):
         # two equiprobable pure branches, weak coupling: S = ln 2

@@ -73,8 +73,10 @@ class TestVerifySuite:
         model = build_model(parse_scenario_dict(data))
         result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
         checks = verify_model(model, result, rng=np.random.default_rng(0))
-        names = {c.name for c in checks}
-        assert "equivalence-states" not in names
+        skipped = {c.name: c for c in checks if c.name.startswith("equivalence-")}
+        assert sorted(skipped) == ["equivalence-probabilities", "equivalence-states"]
+        for c in skipped.values():
+            assert c.value == 0.0 and c.note.startswith("skipped:")
         assert all(c.passed for c in checks)
 
     def test_register_mixing_dephaser_fails_zero_cost(self, monkeypatch):
