@@ -88,7 +88,7 @@ def reorder_factors(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -
         raise ValueError(f"invalid permutation {perm}")
     t = mat.reshape(tuple(dims) * 2)
     axes = list(perm) + [p + k for p in perm]
-    d = int(np.prod([dims[p] for p in perm])) if k else 1
+    d = math.prod(dims[p] for p in perm)
     return np.ascontiguousarray(t.transpose(axes)).reshape(d, d)
 
 
@@ -96,8 +96,10 @@ def embed_factors(mat: np.ndarray, positions: Sequence[int], dims: Sequence[int]
     """Embed ``mat`` (acting on the factors at ``positions``, in that order)
     into the full product space with factor dimensions ``dims``."""
     rest = [i for i in range(len(dims)) if i not in positions]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(mat, np.eye(d_rest, dtype=complex))
+    d_rest = math.prod(dims[i] for i in rest)
+    d = mat.shape[0] * d_rest
+    # mat (x) 1 by broadcasting; np.kron costs more than this at small sizes
+    big = (mat[:, None, :, None] * np.eye(d_rest)[:, None, :]).reshape(d, d)
     cur = list(positions) + rest           # factor order of `big`
     perm = [cur.index(i) for i in range(len(dims))]
     return reorder_factors(big, [dims[i] for i in cur], perm)
@@ -112,7 +114,7 @@ def ptrace_factors(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) ->
     for i in sorted(set(range(k)) - set(keep_sorted), reverse=True):
         t = np.trace(t, axis1=i, axis2=i + nfac)
         nfac -= 1
-    d = int(np.prod([dims[i] for i in keep_sorted])) if keep_sorted else 1
+    d = math.prod(dims[i] for i in keep_sorted)
     return t.reshape(d, d)
 
 

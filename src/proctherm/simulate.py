@@ -28,6 +28,7 @@ accessible).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,7 +40,6 @@ from .algebra import (
     OperatorMatrix,
     dagger,
     embed_factors,
-    energy_change,
     expect_herm,
     expm_herm,
     is_hermitian,
@@ -83,7 +83,6 @@ def ancilla_label(k: int) -> str:
 class StepSpec:
     """Resolved per-step hardware shared by all feedback variants."""
 
-    index: int
     time: float
     ancilla_dim: int
     ancilla_state: np.ndarray
@@ -94,40 +93,79 @@ class StepSpec:
 
 
 class _Space:
-    """Embedding helpers for one branch support, with Hamiltonian caches."""
+    """One branch support and the only list of Hamiltonian terms on it.
+
+    The terms are the drive on S, ``h_bath`` on B, ``v_coupling`` on S B,
+    the Hamiltonian of each ancilla still in the support, and an active
+    control window on S A_k.  Every Hamiltonian the autonomous route reads
+    is a sum of some of them.
+    """
 
     def __init__(self, model: "AutonomousModel", support: tuple[str, ...]):
+        self.model = model
         self.support = support
-        reg = model.registry
-        self.dims = reg.dims(support)
+        self.dims = model.registry.dims(support)
         self.pos = {l: i for i, l in enumerate(support)}
-        h = np.zeros((int(np.prod(self.dims)), int(np.prod(self.dims))), dtype=complex)
-        if model.h_bath is not None:
-            h = h + embed_factors(model.h_bath, [self.pos["B"]], self.dims)
-        if model.v_coupling is not None:
-            h = h + embed_factors(model.v_coupling, [self.pos["S"], self.pos["B"]], self.dims)
-        for k, spec in enumerate(model.steps):
-            label = ancilla_label(k)
-            if label in self.pos and max_norm(spec.h_ancilla) > 0:
-                h = h + embed_factors(spec.h_ancilla, [self.pos[label]], self.dims)
-        self.h_static = h
-        self._cache: dict[tuple, np.ndarray] = {}
+        # ancillas in the support that have a Hamiltonian
+        self.ancillas = {ancilla_label(k): spec.h_ancilla
+                         for k, spec in enumerate(model.steps)
+                         if ancilla_label(k) in self.pos and max_norm(spec.h_ancilla) > 0}
+        self._fixed: dict[tuple, np.ndarray] = {}
 
-    def embed(self, mat: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-        key = ("e", id(mat)) + tuple(labels)
-        out = self._cache.get(key)
-        if out is None:
-            out = embed_factors(mat, [self.pos[l] for l in labels], self.dims)
-            self._cache[key] = out
-        return out
-
-    def full_hamiltonian(self, h_system: np.ndarray,
-                         window: tuple[int, np.ndarray] | None) -> np.ndarray:
-        h = self.h_static + self.embed(h_system, ["S"])
-        if window is not None:
-            k, v = window
-            h = h + self.embed(v, ["S", ancilla_label(k)])
+    def hamiltonian(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
+                    window: tuple[int, np.ndarray] | None = None) -> np.ndarray:
+        """Sum of the terms that act within ``labels``, on those factors in
+        the order given; the drive and the window count only when passed.
+        All but the drive is cached per (labels, window)."""
+        dims = self.model.registry.dims(labels)
+        key = (labels, None if window is None else window[0])
+        h = self._fixed.get(key)
+        if h is None:
+            model = self.model
+            terms = [(model.h_bath, ("B",)), (model.v_coupling, ("S", "B"))]
+            terms += [(h_a, (label,)) for label, h_a in self.ancillas.items()]
+            if window is not None:
+                terms.append((window[1], ("S", ancilla_label(window[0]))))
+            d = math.prod(dims)
+            h = np.zeros((d, d), dtype=complex)
+            for op, on in terms:
+                if op is not None and set(on) <= set(labels):
+                    h = h + embed_factors(op, [labels.index(l) for l in on], dims)
+            h = self._fixed[key] = _frozen(h)
+        if h_system is not None and "S" in labels:
+            h = h + embed_factors(h_system, [labels.index("S")], dims)
         return h
+
+    def apply(self, op: np.ndarray, labels: Sequence[str], state: np.ndarray) -> np.ndarray:
+        """op state op^dagger for ``op`` acting on the factors ``labels``,
+        in that order: the row factors of ``labels`` go first and their
+        column factors last, so each side is one matmul."""
+        n = len(self.dims)
+        idx = [self.pos[l] for l in labels]
+        rest = [i for i in range(n) if i not in idx]
+        perm = idx + rest + [n + i for i in rest] + [n + i for i in idx]
+        t = state.reshape(self.dims * 2).transpose(perm)
+        d = op.shape[0]
+        out = (op @ t.reshape(d, -1)).reshape(-1, d) @ dagger(op)
+        return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(state.shape)
+
+    def propagate(self, state: np.ndarray, seg: Segment, a: float, b: float) -> np.ndarray:
+        """Conjugate ``state`` by the exact propagator of ``seg`` over [a, b].
+
+        Finished ancillas couple to nothing, so the propagator factors into
+        one unitary on the block the segment's terms couple (S B, plus A_k
+        inside its window) and one per other ancilla with a Hamiltonian.
+        Each factor is cached per (segment, interval) on the model.
+        """
+        block = ("S", "B") if seg.window is None else ("S", "B", ancilla_label(seg.window[0]))
+        cache = self.model._propagators
+        for labels in [block] + [(l,) for l in self.ancillas if l not in block]:
+            u = cache.get((seg, a, b, labels))
+            if u is None:
+                h = self.hamiltonian(labels, seg.h_system, seg.window)
+                u = cache[seg, a, b, labels] = expm_herm(h, -1j * (b - a))
+            state = self.apply(u, labels, state)
+        return _frozen(state)
 
     def ptrace(self, mat: np.ndarray, keep: Sequence[str]) -> np.ndarray:
         return ptrace_factors(mat, self.dims, [self.pos[l] for l in keep])
@@ -150,6 +188,7 @@ class AutonomousModel:
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_dilations", {})
         object.__setattr__(self, "_readouts", {})
+        object.__setattr__(self, "_propagators", {})
 
     # -- assembly -----------------------------------------------------------
 
@@ -198,7 +237,7 @@ class AutonomousModel:
                 if window is not None and k in feedback:
                     raise ValueError(f"step {k}: finite-width control cannot be "
                                      "combined with instrument feedback")
-                specs.append(StepSpec(k, t_k, d_anc, ref, h_anc,
+                specs.append(StepSpec(t_k, d_anc, ref, h_anc,
                                       None if window is None else float(window)))
                 instruments.append(inst)
             elif "collision" in st:
@@ -224,7 +263,7 @@ class AutonomousModel:
                 fixed = DilationResult(s_dim, d_anc, anc, u, tuple(projs), labels)
                 if fixed.unitarity_residual() > DEFAULT.dilation_unitary:
                     raise ValueError(f"step {k}: declared control is not unitary")
-                specs.append(StepSpec(k, t_k, d_anc, anc, h_anc,
+                specs.append(StepSpec(t_k, d_anc, anc, h_anc,
                                       None if window is None else float(window),
                                       fixed=fixed))
                 instruments.append(instrument_from_dilation(
@@ -415,15 +454,13 @@ class PrefixTrace:
     """Per-parent-branch record of one intervention.
 
     ``weight`` is the parent branch weight; the dicts are keyed by outcome
-    label: the outcome probability conditional on the parent, the
-    normalized ancilla state after readout, and the measurement work in the
-    ancilla-energy and knowledge-update conventions.
+    label: the outcome probability conditional on the parent and the
+    measurement work in the ancilla-energy and knowledge-update conventions.
     """
 
     labels: tuple[str, ...]
     weight: float
     cond_probs: dict[str, float]
-    anc_post: dict[str, np.ndarray]
     w_meas: dict[str, float]
     w_meas_alt: dict[str, float]
 
@@ -493,12 +530,6 @@ def _contract_last(state: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("a,iaj->ij", v.conj(), half)
 
 
-def _propagate(space: _Space, mat: np.ndarray, seg: Segment, dt: float) -> np.ndarray:
-    """Conjugate ``mat`` by the exact propagator of one constant segment."""
-    u = expm_herm(space.full_hamiltonian(seg.h_system, seg.window), -1j * dt)
-    return _frozen(u @ mat @ dagger(u))
-
-
 class Simulator:
     """Drives a :class:`BranchLedger` through the scheduled interventions."""
 
@@ -549,7 +580,7 @@ class Simulator:
         space = self.model.space(br.support)
         for seg, a, b in self.model.protocol.iter_segments(t_from, t_to, br.labels):
             br = self._switch(br, seg)
-            br = br.replace(state=_propagate(space, br.state, seg, b - a))
+            br = br.replace(state=space.propagate(br.state, seg, a, b))
         return br
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
@@ -587,12 +618,12 @@ class Simulator:
             prepped = br.replace(state=_frozen(np.kron(br.state, hw.ancilla_state)),
                                  support=support2)
             space = model.space(support2)
-            # --- control
+            # --- control; the kick is booked as the energy change it causes,
+            # coupling term included
             if spec.window_width is None:
-                u = space.embed(hw.unitary, ["S", anc])
-                ctrl_state = u @ prepped.state @ dagger(u)
-                w_kick = self._kick_work(space, br.h_sys_applied, spec,
-                                         prepped.state, ctrl_state, weight)
+                ctrl_state = space.apply(hw.unitary, ("S", anc), prepped.state)
+                h = space.hamiltonian(support2, br.h_sys_applied)
+                w_kick = expect_herm(h, ctrl_state - prepped.state) / weight
                 ctrled = prepped.replace(state=_frozen(ctrl_state),
                                          w_ctrl=prepped.w_ctrl + w_kick)
             else:
@@ -604,7 +635,7 @@ class Simulator:
             # energy splits into the parent's factors and the new ancilla
             sa_labels = tuple(l for l in br.support if l != "B")
             rho_anc = space.ptrace(ctrled.state, [anc]) / weight
-            h_sa = self._sa_hamiltonian(ctrled.h_sys_applied, sa_labels)
+            h_sa = space.hamiltonian(sa_labels, ctrled.h_sys_applied)
             e_sa_before = expect_herm(h_sa, space.ptrace(ctrled.state, sa_labels) / weight)
             e_anc_before = expect_herm(spec.h_ancilla, rho_anc)
             if self.validate_dephasing:
@@ -612,14 +643,13 @@ class Simulator:
                     space, ctrled.state, hw, anc, weight))
             # --- conditioning on the recorded outcome
             cond_probs: dict[str, float] = {}
-            anc_post: dict[str, np.ndarray] = {}
             w_meas: dict[str, float] = {}
             w_meas_alt: dict[str, float] = {}
             for r, (label, v) in enumerate(zip(hw.outcome_labels,
                                                model.readout_vectors(hw))):
                 if v is None:
-                    proj = space.embed(hw.projectors[r], [anc])
-                    child_state, child_support = proj @ ctrled.state @ proj, support2
+                    child_state = space.apply(hw.projectors[r], (anc,), ctrled.state)
+                    child_support = support2
                 else:
                     child_state, child_support = _contract_last(ctrled.state, v), br.support
                 p_child = float(np.real(np.trace(child_state)))
@@ -632,7 +662,6 @@ class Simulator:
                 else:
                     anc_r = np.zeros_like(rho_anc)
                     sa_r = np.zeros_like(h_sa)
-                anc_post[label] = anc_r
                 e_anc_r = expect_herm(spec.h_ancilla, anc_r)
                 w_meas[label] = e_anc_r - e_anc_before
                 w_meas_alt[label] = w_meas[label] + expect_herm(h_sa, sa_r) - e_sa_before
@@ -648,41 +677,13 @@ class Simulator:
                 new_branches[child.record] = child
             traces[rec] = PrefixTrace(
                 labels=br.labels, weight=weight, cond_probs=cond_probs,
-                anc_post=anc_post, w_meas=w_meas, w_meas_alt=w_meas_alt)
+                w_meas=w_meas, w_meas_alt=w_meas_alt)
 
         if len(new_branches) > self.max_branches:
             raise RuntimeError(f"branch count {len(new_branches)} exceeds the "
                                f"limit {self.max_branches}")
         out = BranchLedger(t_meas, new_branches, pruned, steps_done=k + 1)
         return out, StepTrace(k, spec.time, traces, cat_offdiag=cat_worst)
-
-    def _kick_work(self, space: _Space, h_sys: np.ndarray, spec: StepSpec,
-                   before: np.ndarray, after: np.ndarray, weight: float) -> float:
-        """Energy change of an instantaneous control, per unit weight.
-
-        Includes the system-bath coupling term: with a delta-like control
-        this is the only consistent bookkeeping, even though it is not
-        accessible from system-ancilla records alone.
-        """
-        if weight <= 0:
-            return 0.0
-        terms = [(op, [space.pos[l] for l in labels])
-                 for op, labels in ((h_sys, ["S"]),
-                                    (spec.h_ancilla, [ancilla_label(spec.index)]),
-                                    (self.model.v_coupling, ["S", "B"]))
-                 if op is not None and max_norm(op) > 0]
-        return energy_change(before, after, space.dims, terms) / weight
-
-    def _sa_hamiltonian(self, h_sys: np.ndarray, sa_labels: tuple[str, ...]) -> np.ndarray:
-        """System term plus the Hamiltonian of every ancilla in ``sa_labels``."""
-        model = self.model
-        dims = model.registry.dims(sa_labels)
-        h = embed_factors(h_sys, [0], dims)
-        for k, spec in enumerate(model.steps):
-            label = ancilla_label(k)
-            if label in sa_labels and max_norm(spec.h_ancilla) > 0:
-                h = h + embed_factors(spec.h_ancilla, [sa_labels.index(label)], dims)
-        return h
 
     def _dephasing_residual(self, space: _Space, state: np.ndarray,
                             hw: DilationResult, anc: str, weight: float) -> float:
@@ -699,7 +700,9 @@ class Simulator:
         d_branch = state.shape[0]
         reg0 = np.zeros((d_out, d_out), dtype=complex)
         reg0[0, 0] = 1.0
-        u_meas = measurement_unitary([space.embed(p, [anc]) for p in hw.projectors])
+        a = space.pos[anc]
+        u_meas = measurement_unitary([embed_factors(p, [a], space.dims)
+                                      for p in hw.projectors])
         # u_meas acts on (branch-space, register)
         joint = u_meas @ np.kron(state, reg0) @ dagger(u_meas)
         # couple the register to a maximally mixed dephaser and trace it out
@@ -715,8 +718,8 @@ class Simulator:
             for rp in range(d_out):
                 block = blocks[:, r, :, rp]
                 if r == rp:
-                    proj = space.embed(hw.projectors[r], [anc])
-                    worst = max(worst, max_norm(block - proj @ state @ proj))
+                    cond = space.apply(hw.projectors[r], (anc,), state)
+                    worst = max(worst, max_norm(block - cond))
                 else:
                     worst = max(worst, max_norm(block))
         return worst

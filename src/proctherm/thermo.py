@@ -49,7 +49,6 @@ from .algebra import (
     expect_herm,
     log_partition,
     logsumexp,
-    max_norm,
     ptrace_factors,
     vn_entropy_mat,
 )
@@ -58,7 +57,6 @@ from .simulate import (
     RunResult,
     Snapshot,
     StepTrace,
-    ancilla_label,
 )
 
 __all__ = [
@@ -279,13 +277,10 @@ class ThermoEvaluator:
         sa_labels = tuple(l for l in br.support if l != "B")
         rho_sa = space.ptrace(br.state, sa_labels) / p
         h_star, dh, _ = self._mean_force(br.h_sys_applied)
-        # ancillas still in the state, then the factored-out and pending ones
-        e_anc = 0.0
-        for i, spec in enumerate(model.steps):
-            if ancilla_label(i) in br.support and max_norm(spec.h_ancilla) > 0:
-                rho_a = space.ptrace(br.state, [ancilla_label(i)]) / p
-                e_anc += expect_herm(spec.h_ancilla, rho_a)
-        e_anc += br.e_factored + sum(self._e_anc0[i] for i in pending)
+        # factored-out and pending ancillas, then those still in the state
+        e_anc = br.e_factored + sum(self._e_anc0[i] for i in pending)
+        if space.ancillas:
+            e_anc += expect_herm(space.hamiltonian(sa_labels), rho_sa)
         corr = expect_herm(dh, rho_s)
         h_star_tr = expect_herm(h_star, rho_s)
         u = h_star_tr + self.beta * corr + e_anc
@@ -308,8 +303,8 @@ class ThermoEvaluator:
         total = 0.0
         tw = 0.0
         for br in snap.ledger.branches.values():
-            space = model.space(br.support)
-            h = space.full_hamiltonian(br.h_sys_applied, br.window_applied)
+            h = model.space(br.support).hamiltonian(br.support, br.h_sys_applied,
+                                                    br.window_applied)
             total += expect_herm(h, br.state) + br.weight * br.e_factored
             tw += br.weight
         total += tw * sum(self._e_anc0[snap.ledger.steps_done:])

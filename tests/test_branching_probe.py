@@ -13,6 +13,7 @@ import pytest
 
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
+import proctherm.simulate as simulate
 from proctherm.simulate import AutonomousModel, Simulator
 from proctherm.thermo import evaluate_run
 from proctherm.tolerances import DEFAULT
@@ -25,20 +26,28 @@ X_READ = Instrument([("+", CPMap(("S",), [0.5 * np.array([[1.0, 1.0], [1.0, 1.0]
                      ("-", CPMap(("S",), [0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])]))])
 
 
-@pytest.fixture(scope="module")
-def probe():
+def probe_model(n_steps):
+    """``n_steps`` Z/X readouts at t = 0.5 + k under a two-segment drive."""
     rng = np.random.default_rng(8)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     v = 0.5 * (g + g.conj().T)
-    model = AutonomousModel.assemble(
+    return AutonomousModel.assemble(
         s_dim=2, b_dim=2, beta=1.0,
-        protocol=Protocol([Segment(0.0, N_STEPS / 2, np.diag([0.0, 1.0])),
-                           Segment(N_STEPS / 2, N_STEPS, np.array([[0.0, 0.4], [0.4, 1.0]]))]),
+        protocol=Protocol([Segment(0.0, n_steps / 2, np.diag([0.0, 1.0])),
+                           Segment(n_steps / 2, n_steps, np.array([[0.0, 0.4], [0.4, 1.0]]))]),
         h_bath=np.diag([0.0, 1.0]), v_coupling=0.3 * v / np.linalg.norm(v, 2),
         steps=[{"time": 0.5 + k, "instrument": Z_READ if k % 2 == 0 else X_READ}
-               for k in range(N_STEPS)])
-    result = Simulator(model).run(report_times=[0.5 + k for k in range(N_STEPS)]
-                                  + [float(N_STEPS)])
+               for k in range(n_steps)])
+
+
+def report_times(n_steps):
+    return [0.5 + k for k in range(n_steps)] + [float(n_steps)]
+
+
+@pytest.fixture(scope="module")
+def probe():
+    model = probe_model(N_STEPS)
+    result = Simulator(model).run(report_times=report_times(N_STEPS))
     return model, result, evaluate_run(result)
 
 
@@ -68,3 +77,26 @@ def test_final_snapshot_matches_direct_route(probe):
     assert len(rows) == 2 ** N_STEPS
     assert max(r["state_dev"] for r in rows) <= DEFAULT.equivalence_state
     assert max(r["prob_dev"] for r in rows) <= DEFAULT.equivalence_prob
+
+
+def test_branches_share_segment_propagators(monkeypatch):
+    # every branch crosses the same (segment, interval) pairs, so each pair
+    # needs one propagator, not one per branch
+    model = probe_model(4)
+    shapes = []
+    expm_herm = simulate.expm_herm
+
+    def counted(h, scale=1.0):
+        shapes.append(h.shape)
+        return expm_herm(h, scale)
+
+    monkeypatch.setattr(simulate, "expm_herm", counted)
+    result = Simulator(model).run(report_times=report_times(4))
+    events = [0.0] + report_times(4)
+    pairs = {(seg, a, b) for t0, t1 in zip(events, events[1:])
+             for seg, a, b in model.protocol.iter_segments(t0, t1)}
+    # (0, .5), (.5, 1.5), (1.5, 2) and (2, 2.5) across the drive switch,
+    # (2.5, 3.5), (3.5, 4)
+    assert len(pairs) == 6
+    assert len(result.final.branches) == 16
+    assert shapes == [(4, 4)] * len(pairs)

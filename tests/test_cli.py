@@ -250,3 +250,10 @@ class TestInputErrors:
                        + "\noptions: {prune_threshold: -0.5}\n")
         assert run_cli("run", "--scenario", str(bad)) == 2
         assert "prune_threshold" in capsys.readouterr().err
+
+    def test_checks_key_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "checks.yaml"
+        bad.write_text((SCENARIO_DIR / "equilibrium.yaml").read_text()
+                       + "\nchecks: {second_law: false}\n")
+        assert run_cli("verify", "--scenario", str(bad)) == 2
+        assert "checks" in capsys.readouterr().err

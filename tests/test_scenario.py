@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import proctherm.scenario as scenario
 from proctherm.scenario import (
     ScenarioError,
     build_model,
@@ -35,7 +37,7 @@ class TestParsing:
         sc = parse_scenario_dict(minimal())
         assert sc.name == "minimal"
         assert sc.s_dim == 2 and sc.b_dim == 2
-        assert sc.initial_gibbs and sc.second_law
+        assert sc.initial_gibbs
 
     def test_complex_literals_in_matrices(self):
         sc = parse_scenario_dict(minimal(
@@ -102,21 +104,14 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="unknown top-level"):
             parse_scenario_dict(minimal(surprise=1))
 
-    def test_second_law_requires_gibbs(self):
-        bad = minimal(initial={"sb": {"matrix": [[0.25, 0, 0, 0],
-                                                 [0, 0.25, 0, 0],
-                                                 [0, 0, 0.25, 0],
-                                                 [0, 0, 0, 0.25]]}},
-                      checks={"second_law": True})
-        with pytest.raises(ScenarioError, match="second"):
-            parse_scenario_dict(bad)
-        # without the explicit request the same state is fine
-        ok = minimal(initial={"sb": {"matrix": [[0.25, 0, 0, 0],
-                                                [0, 0.25, 0, 0],
-                                                [0, 0, 0.25, 0],
-                                                [0, 0, 0, 0.25]]}})
-        sc = parse_scenario_dict(ok)
-        assert not sc.second_law
+    def test_checks_key_rejected(self):
+        # verify decides the second-law checks from the initial state alone,
+        # so a scenario cannot ask for them
+        mixed = {"sb": {"matrix": (np.eye(4) / 4).tolist()}}
+        for checks in ({"second_law": True}, {"second_law": False}):
+            with pytest.raises(ScenarioError, match="unknown top-level.*checks"):
+                parse_scenario_dict(minimal(initial=mixed, checks=checks))
+        assert not parse_scenario_dict(minimal(initial=mixed)).initial_gibbs
 
     def test_invalid_density_rejected(self):
         bad = minimal(initial={"sb": {"matrix": np.diag([2.0, -1.0, 0, 0]).tolist()}})
@@ -160,6 +155,11 @@ class TestShippedScenarios:
         model = build_model(sc)
         assert model.beta == sc.beta
         assert len(sc.checksum) == 64
+
+    @pytest.mark.parametrize("fname", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_loader_matches_pure_python_safe_loader(self, fname):
+        text = (SCENARIO_DIR / fname).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=scenario._YAML_LOADER) == yaml.safe_load(text)
 
 
 class TestBuildModel:

@@ -330,11 +330,6 @@ class TestMeasurementWorkConventions:
             sb_init=np.kron(random_density(np.random.default_rng(3), 2), np.eye(1)))
         result = Simulator(model).run()
         trace = result.traces[0]
-        for tr in trace.per_prefix.values():
-            for label, p in tr.cond_probs.items():
-                # readout in the energy eigenbasis: no ancilla-energy kick
-                post = tr.anc_post[label]
-                assert abs(np.imag(np.trace(post))) < 1e-12
         # average canonical work vanishes since the post-control ancilla
         # is diagonal in its energy basis here (swap of diagonal states)
         avg = sum(tr.weight * p * tr.w_meas[l]
