@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, EIG_FLOOR, HERMITIAN
 
 __all__ = [
     "FactorRegistry",
@@ -67,8 +67,8 @@ def max_norm(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat))) if np.size(mat) else 0.0
 
 
-def is_hermitian(mat: np.ndarray, tol: float = DEFAULT.hermitian) -> bool:
-    return max_norm(mat - mat.conj().T) <= tol
+def is_hermitian(mat: np.ndarray) -> bool:
+    return max_norm(mat - mat.conj().T) <= HERMITIAN
 
 
 def expect_herm(h: np.ndarray, rho: np.ndarray) -> float:
@@ -179,30 +179,27 @@ def log_partition(h: np.ndarray, beta: float) -> float:
     return logsumexp(-beta * w)
 
 
-def vn_entropy_mat(rho: np.ndarray, psd_tol: float = DEFAULT.psd,
-                   eig_floor: float = DEFAULT.eig_floor) -> float:
+def vn_entropy_mat(rho: np.ndarray) -> float:
     """von Neumann entropy -tr(rho ln rho) in nats; 0*ln 0 counts as 0."""
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -psd_tol:
+    if w[0] < -DEFAULT.psd:
         raise ValueError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-    w = w[w > eig_floor]
+    w = w[w > EIG_FLOOR]
     return float(-np.sum(w * np.log(w)))
 
 
-def relative_entropy_mat(rho: np.ndarray, sigma: np.ndarray,
-                         support_tol: float = 1e-12,
-                         eig_floor: float = DEFAULT.eig_floor) -> float:
+def relative_entropy_mat(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Relative entropy tr{rho(ln rho - ln sigma)} in nats.
 
-    Returns ``math.inf`` when rho has spectral weight outside the support of
-    sigma (beyond ``support_tol``) instead of raising.
+    Returns ``math.inf`` when rho has spectral weight above 1e-12 outside
+    the support of sigma instead of raising.
     """
     ws, vs = np.linalg.eigh(sigma)
-    kernel = ws <= eig_floor
+    kernel = ws <= EIG_FLOOR
     if np.any(kernel):
         overlap = vs[:, kernel]
         mass = float(np.real(np.sum(overlap.conj() * (rho @ overlap))))
-        if mass > support_tol:
+        if mass > 1e-12:
             return math.inf
     supp = ~kernel
     diag_rho = np.real(np.sum(vs[:, supp].conj() * (rho @ vs[:, supp]), axis=0))
@@ -301,8 +298,8 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def is_hermitian(self, tol: float = DEFAULT.hermitian) -> bool:
-        return is_hermitian(self.mat, tol)
+    def is_hermitian(self) -> bool:
+        return is_hermitian(self.mat)
 
     def embed(self, support: Iterable[str]) -> "OperatorMatrix":
         """Tensor with identities so the operator acts on ``support``."""
@@ -349,17 +346,16 @@ class DensityOperator:
     def support(self) -> tuple[str, ...]:
         return self.op.support
 
-    def validate(self, psd_tol: float = DEFAULT.psd,
-                 trace_tol: float = 1e-9) -> "DensityOperator":
+    def validate(self) -> "DensityOperator":
         if not self.op.is_hermitian():
             raise ValueError("density operator is not Hermitian")
         tr = float(np.real(np.trace(self.mat)))
-        if abs(tr - self.weight) > trace_tol:
+        if abs(tr - self.weight) > 1e-9:
             raise ValueError(f"trace {tr} does not match declared weight {self.weight}")
         if not 0.0 <= self.weight <= 1.0 + 1e-10:
             raise ValueError(f"weight {self.weight} outside [0, 1]")
         wmin = float(np.linalg.eigvalsh(self.mat)[0])
-        if wmin < -psd_tol:
+        if wmin < -DEFAULT.psd:
             raise ValueError(f"negative eigenvalue {wmin:.3e} beyond tolerance")
         return self
 

@@ -26,7 +26,7 @@ from .algebra import (
     max_norm,
     ptrace_factors,
 )
-from .protocol import Protocol, Segment
+from .protocol import Protocol, Segment, deepest_prefix
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -98,8 +98,7 @@ class Instrument:
 
     outcomes: tuple[tuple[str, CPMap], ...]
 
-    def __init__(self, outcomes: Sequence[tuple[str, CPMap]],
-                 tol: float = DEFAULT.kraus_tp):
+    def __init__(self, outcomes: Sequence[tuple[str, CPMap]]):
         outcomes = tuple((str(label), cp) for label, cp in outcomes)
         if not outcomes:
             raise ValueError("an instrument needs at least one outcome")
@@ -111,7 +110,7 @@ class Instrument:
             raise ValueError("all outcome maps must share one support")
         object.__setattr__(self, "outcomes", outcomes)
         res = self.average().tp_residual()
-        if res > tol:
+        if res > DEFAULT.kraus_tp:
             raise ValueError(f"instrument is not trace-preserving on average: "
                              f"residual {res:.3e}")
 
@@ -196,16 +195,7 @@ class InterventionSchedule:
         return self.instruments[k].labels
 
     def instrument_at(self, k: int, prefix: Sequence[str]) -> Instrument:
-        prefix = tuple(prefix)
-        table = self.feedback.get(k, {})
-        for cut in range(len(prefix), -1, -1):
-            inst = table.get(prefix[:cut])
-            if inst is not None:
-                return inst
-        return self.instruments[k]
-
-    def all_variants(self, k: int) -> list[Instrument]:
-        return [self.instruments[k]] + list(self.feedback.get(k, {}).values())
+        return deepest_prefix(self.feedback.get(k, {}), prefix, self.instruments[k])
 
     def h_sb(self, h_system: np.ndarray) -> np.ndarray:
         """Full system-bath Hamiltonian for a given system term."""

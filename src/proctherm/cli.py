@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import evaluate_process_tensor
 from .dilation import reconstruction_error
-from .report import bundle_from_run
+from .report import bundle_from_run, record_string
 from .scenario import ScenarioError, build_model, parse_scenario
 from .simulate import Simulator, survives_prune
 from .thermo import evaluate_run
@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
     if args.mode == "process-tensor":
         direct = evaluate_process_tensor(model.schedule, model.sb_init,
                                          scenario.report_times)
-        rows = [{"time": t, "record": "|".join(labels) or "-", "p": out.weight}
+        rows = [{"time": t, "record": record_string(labels), "p": out.weight}
                 for t in scenario.report_times
                 for labels, out in direct[t].items()
                 if survives_prune(out.weight, prune)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import dagger, max_norm, ptrace_factors
 from .channels import CPMap, Instrument
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, EIG_FLOOR
 
 __all__ = [
     "DilationResult",
@@ -170,14 +170,14 @@ def reconstruction_error(dr: DilationResult, inst: Instrument) -> float:
 def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,
                              projectors: Sequence[np.ndarray],
                              system_dim: int,
-                             labels: Sequence[str] | None = None,
-                             support: Sequence[str] = ("S",),
-                             weight_floor: float = 1e-14) -> Instrument:
+                             labels: Sequence[str] | None = None) -> Instrument:
     """Kraus form of the instrument realized by declared hardware.
 
     With the ancilla prepared in a mixed state sum_j lam_j |x_j><x_j|,
-    the outcome-r Kraus operators are sqrt(lam_j) <a_i| P(r) U |x_j>, one
-    per retained eigenvector j and readout basis index i.
+    the outcome-r Kraus operators on the system are
+    sqrt(lam_j) <a_i| P(r) U |x_j>, one per retained eigenvector j and
+    readout basis index i; eigenvalues below ``EIG_FLOOR`` and Kraus
+    operators with no entry above 1e-14 are dropped.
     """
     d_anc = ancilla_state.shape[0]
     lam, chi = np.linalg.eigh(np.asarray(ancilla_state, dtype=complex))
@@ -191,17 +191,17 @@ def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,
         contracted = np.einsum("satb,bj->satj", pu, chi)
         kraus = []
         for j in range(d_anc):
-            if lam[j] < weight_floor:
+            if lam[j] < EIG_FLOOR:
                 continue
             root = np.sqrt(lam[j])
             for i in range(d_anc):
                 k = root * contracted[:, i, :, j]
-                if np.max(np.abs(k)) > weight_floor:
+                if np.max(np.abs(k)) > 1e-14:
                     kraus.append(k)
         if not kraus:
             kraus = [np.zeros((system_dim, system_dim), dtype=complex)]
         label = str(r + 1) if labels is None else str(labels[r])
-        outcomes.append((label, CPMap(tuple(support), kraus)))
+        outcomes.append((label, CPMap(("S",), kraus)))
     return Instrument(outcomes)
 
 

@@ -3,22 +3,37 @@
 A protocol is a contiguous timeline of segments, each holding the system
 Hamiltonian for that interval and, optionally, an active system-ancilla
 coupling window.  Feedback is expressed as replacement timelines keyed by
-outcome-record prefixes; the deepest matching prefix wins.  Smooth drives
-must be pre-discretized (see :func:`discretize_ramp`), which makes every
-work integral an exact switch-sum.
+outcome-record prefixes; the deepest matching prefix wins, by the rule of
+:func:`deepest_prefix` that also picks instruments and control hardware.
+Smooth drives must be pre-discretized (see :func:`discretize_ramp`), which
+makes every work integral an exact switch-sum.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .algebra import is_hermitian
 
-__all__ = ["Segment", "Protocol", "discretize_ramp"]
+__all__ = ["Segment", "Protocol", "deepest_prefix", "discretize_ramp"]
+
+T = TypeVar("T")
+
+
+def deepest_prefix(table: Mapping[tuple[str, ...], T], record: Sequence[str],
+                   default: T | None = None) -> T | None:
+    """The entry of ``table`` under the longest prefix of ``record``
+    (the empty prefix included), or ``default`` when none is declared."""
+    record = tuple(record)
+    for cut in range(len(record), -1, -1):
+        value = table.get(record[:cut])
+        if value is not None:
+            return value
+    return default
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +76,9 @@ class Protocol:
         base = _validate_timeline(base)
         vd = {}
         for prefix, segs in (variants or {}).items():
+            if not prefix:
+                raise ValueError("a protocol variant needs a nonempty prefix; "
+                                 "the base timeline covers the empty record")
             segs = _validate_timeline(segs)
             if abs(segs[0].t0 - base[0].t0) > 1e-12 or abs(segs[-1].t1 - base[-1].t1) > 1e-12:
                 raise ValueError(f"variant {prefix} does not span the base timeline")
@@ -78,12 +96,7 @@ class Protocol:
 
     def timeline(self, prefix: Sequence[str]) -> tuple[Segment, ...]:
         """Timeline for an outcome prefix; deepest declared prefix wins."""
-        prefix = tuple(prefix)
-        for cut in range(len(prefix), 0, -1):
-            segs = self.variants.get(prefix[:cut])
-            if segs is not None:
-                return segs
-        return self.base
+        return deepest_prefix(self.variants, prefix, self.base)
 
     def segment_at(self, t: float, prefix: Sequence[str] = ()) -> Segment:
         """Segment active at time t; [t0, t1) semantics, t_end maps to the last."""

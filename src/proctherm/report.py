@@ -15,7 +15,7 @@ from .simulate import RunResult
 from .thermo import ThermoLedger
 from .tolerances import Tolerances
 
-__all__ = ["ReportBundle", "bundle_from_run", "CONTROL_CAVEAT"]
+__all__ = ["ReportBundle", "bundle_from_run", "record_string", "CONTROL_CAVEAT"]
 
 CONTROL_CAVEAT = (
     "instantaneous controls with a nonzero system-bath coupling: the booked "
@@ -84,6 +84,12 @@ class ReportBundle:
         return written
 
 
+def record_string(labels: tuple[str, ...]) -> str:
+    """The ``record`` cell of an outcome record: its labels joined by
+    ``|``, or ``-`` for the empty record."""
+    return "|".join(labels) or "-"
+
+
 def _csv(columns: tuple[str, ...], rows: list[dict[str, Any]]) -> str:
     out = io.StringIO()
     out.write(",".join(columns) + "\n")
@@ -106,10 +112,10 @@ def bundle_from_run(result: RunResult, ledger: ThermoLedger, *, mode: str,
                     equivalence: list[dict] | None = None,
                     checks: list[dict] | None = None) -> ReportBundle:
     branch_rows = []
-    for t in ledger.times:
-        for r in ledger.branch_rows[t]:
+    for t, rows in ledger.branch_rows.items():
+        for r in rows:
             branch_rows.append({
-                "time": t, "record": "|".join(r.labels) or "-", "p": r.p,
+                "time": t, "record": record_string(r.labels), "p": r.p,
                 "u": r.u, "du": r.du, "w_sys": r.w_sys, "w_ctrl": r.w_ctrl,
                 "w_meas": r.w_meas, "w_meas_alt": r.w_meas_alt,
                 "w": r.w, "w_alt": r.w_alt, "q": r.q, "q_alt": r.q_alt,

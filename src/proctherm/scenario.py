@@ -174,8 +174,7 @@ class Scenario:
     variants: dict[tuple[str, ...], list[tuple[float, float, np.ndarray]]]
     steps: list[dict]
     feedback: dict[int, dict[tuple[str, ...], Instrument]]
-    initial_gibbs: bool
-    initial_sb: np.ndarray | None
+    initial_sb: np.ndarray | None      # None: the Gibbs state of the initial H_SB
     report_times: list[float]
     options: dict
     checksum: str = ""
@@ -406,7 +405,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         name=name, beta=beta, mean_force=mean_force, s_dim=s_dim, b_dim=b_dim,
         h_bath=h_bath, v_coupling=v_coupling,
         segments=segments, variants=variants, steps=steps, feedback=feedback,
-        initial_gibbs=initial_gibbs, initial_sb=initial_sb,
+        initial_sb=initial_sb,
         report_times=sorted(set(report_times)),
         options=options)
 

@@ -6,9 +6,9 @@ ancilla readout into the memory register, memory dephasing, then driven
 system-bath evolution until the next step.  Because the dephased memory is
 only classically correlated with everything else, the simulator stores the
 total state as a ledger of unnormalized conditional branches keyed by the
-outcome record; that representation is exact, and the pre-dephasing
-coherent register state is materialized only transiently when validation
-is switched on.
+outcome record, the tuple of outcome labels; that representation is exact,
+and the pre-dephasing coherent register state is materialized only
+transiently when validation is switched on.
 
 An ancilla enters its branch states at its step.  Once read out it couples
 to nothing again: a control window ends at or before its own readout, and
@@ -54,7 +54,7 @@ from .dilation import (
     dilate_instrument,
     measurement_unitary,
 )
-from .protocol import Segment
+from .protocol import Segment, deepest_prefix
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -81,15 +81,20 @@ def ancilla_label(k: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class StepSpec:
-    """Resolved per-step hardware shared by all feedback variants."""
+    """Resolved hardware of one step.
+
+    ``controls`` maps each declared record prefix (the empty one is the
+    base) to the step's control hardware under that prefix, together with
+    the rank-1 readout vector of each outcome (see :func:`_rank1_vector`).
+    """
 
     time: float
     ancilla_dim: int
     ancilla_state: np.ndarray
     h_ancilla: np.ndarray
     window_width: float | None
-    # for collision steps the hardware is declared once:
-    fixed: DilationResult | None = None
+    controls: Mapping[tuple[str, ...],
+                      tuple[DilationResult, tuple[np.ndarray | None, ...]]]
 
 
 class _Space:
@@ -186,8 +191,6 @@ class AutonomousModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_spaces", {})
-        object.__setattr__(self, "_dilations", {})
-        object.__setattr__(self, "_readouts", {})
         object.__setattr__(self, "_propagators", {})
 
     # -- assembly -----------------------------------------------------------
@@ -205,7 +208,8 @@ class AutonomousModel:
         or ``collision`` (declared hardware: ``ancilla_state``, ``unitary``,
         ``projectors``, optional ``labels``).  Optional per-step keys:
         ``h_ancilla`` and ``window`` (a positive width; default is an
-        instantaneous control).
+        instantaneous control).  Each step's hardware is built here, once
+        per declared feedback prefix.
         """
         from .dilation import instrument_from_dilation
 
@@ -223,22 +227,12 @@ class AutonomousModel:
             window = st.get("window")
             if "instrument" in st:
                 inst: Instrument = st["instrument"]
-                variants = [inst] + list(feedback.get(k, {}).values())
-                d_anc = max(v.kraus_count() for v in variants)
-                ref = np.zeros((d_anc, d_anc), dtype=complex)
-                ref[0, 0] = 1.0
-                h_anc = st.get("h_ancilla")
-                h_anc = np.zeros((d_anc, d_anc), dtype=complex) if h_anc is None \
-                    else np.asarray(h_anc, dtype=complex)
-                if h_anc.shape != (d_anc, d_anc):
-                    raise ValueError(
-                        f"step {k}: ancilla Hamiltonian must be {d_anc}x{d_anc} "
-                        f"(Kraus count incl. feedback variants), got {h_anc.shape}")
+                table = {(): inst, **feedback.get(k, {})}
+                d_anc = max(v.kraus_count() for v in table.values())
                 if window is not None and k in feedback:
                     raise ValueError(f"step {k}: finite-width control cannot be "
                                      "combined with instrument feedback")
-                specs.append(StepSpec(t_k, d_anc, ref, h_anc,
-                                      None if window is None else float(window)))
+                hardware = {p: dilate_instrument(v, d_anc) for p, v in table.items()}
                 instruments.append(inst)
             elif "collision" in st:
                 col = dict(st["collision"])
@@ -254,33 +248,38 @@ class AutonomousModel:
                 labels = col.get("labels")
                 labels = tuple(str(i + 1) for i in range(len(projs))) if labels is None \
                     else tuple(str(l) for l in labels)
-                h_anc = st.get("h_ancilla")
-                h_anc = np.zeros((d_anc, d_anc), dtype=complex) if h_anc is None \
-                    else np.asarray(h_anc, dtype=complex)
                 if k in feedback:
                     raise ValueError(f"step {k}: collision steps take no "
                                      "instrument feedback")
                 fixed = DilationResult(s_dim, d_anc, anc, u, tuple(projs), labels)
                 if fixed.unitarity_residual() > DEFAULT.dilation_unitary:
                     raise ValueError(f"step {k}: declared control is not unitary")
-                specs.append(StepSpec(t_k, d_anc, anc, h_anc,
-                                      None if window is None else float(window),
-                                      fixed=fixed))
+                hardware = {(): fixed}
                 instruments.append(instrument_from_dilation(
                     u, anc, projs, s_dim, labels=labels))
             else:
                 raise ValueError(f"step {k}: needs 'instrument' or 'collision'")
-            if not is_hermitian(specs[-1].h_ancilla):
+            h_anc = st.get("h_ancilla")
+            h_anc = np.zeros((d_anc, d_anc), dtype=complex) if h_anc is None \
+                else np.asarray(h_anc, dtype=complex)
+            if h_anc.shape != (d_anc, d_anc):
+                raise ValueError(f"step {k}: ancilla Hamiltonian must be "
+                                 f"{d_anc}x{d_anc} (for an instrument, its Kraus count "
+                                 f"incl. feedback variants), got {h_anc.shape}")
+            if not is_hermitian(h_anc):
                 raise ValueError(f"step {k}: ancilla Hamiltonian is not Hermitian")
-            factors.append((ancilla_label(k), specs[-1].ancilla_dim))
+            controls = {p: (hw, tuple(_rank1_vector(q) for q in hw.projectors))
+                        for p, hw in hardware.items()}
+            specs.append(StepSpec(t_k, d_anc, hardware[()].ancilla_state, h_anc,
+                                  None if window is None else float(window), controls))
+            factors.append((ancilla_label(k), d_anc))
 
         registry = FactorRegistry(factors)
         # overlay finite-width couplings on the protocol before freezing it
         for k, spec in enumerate(specs):
             if spec.window_width is None:
                 continue
-            hw = specs[k].fixed or dilate_instrument(instruments[k], spec.ancilla_dim)
-            gen = unitary_log_generator(hw.unitary)
+            gen = unitary_log_generator(spec.controls[()][0].unitary)
             t0, t1 = spec.time, spec.time + spec.window_width
             if t1 >= protocol.t_end - 1e-12:
                 raise ValueError(f"step {k}: control window must end before the "
@@ -354,25 +353,7 @@ class AutonomousModel:
 
     def hardware(self, k: int, prefix: Sequence[str]) -> DilationResult:
         """Control hardware for step k given the outcome prefix."""
-        spec = self.steps[k]
-        if spec.fixed is not None:
-            return spec.fixed
-        inst = self.schedule.instrument_at(k, prefix)
-        key = (k, id(inst))
-        hw = self._dilations.get(key)
-        if hw is None:
-            hw = dilate_instrument(inst, spec.ancilla_dim)
-            self._dilations[key] = hw
-        return hw
-
-    def readout_vectors(self, hw: DilationResult) -> tuple[np.ndarray | None, ...]:
-        """Per outcome of ``hw``, the unit vector v with projector |v><v|,
-        or None when the projector has rank > 1."""
-        out = self._readouts.get(id(hw))
-        if out is None:
-            out = tuple(_rank1_vector(p) for p in hw.projectors)
-            self._readouts[id(hw)] = out
-        return out
+        return deepest_prefix(self.steps[k].controls, prefix)[0]
 
 
 def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
@@ -382,13 +363,12 @@ def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
     declared projector counts as rank 1 when |v><v| reproduces it within
     the instrument-reconstruction tolerance.
     """
-    diag = np.diag(proj).real
-    if np.count_nonzero(proj) == np.count_nonzero(diag) and np.all((diag == 0) | (diag == 1)):
-        ones = np.flatnonzero(diag)
-        if len(ones) != 1:
+    diag = proj.diagonal().real.tolist()
+    if np.count_nonzero(proj) == sum(x != 0 for x in diag) and set(diag) <= {0.0, 1.0}:
+        if diag.count(1.0) != 1:
             return None
         v = np.zeros(len(diag), dtype=complex)
-        v[ones[0]] = 1.0
+        v[diag.index(1.0)] = 1.0
         return v
     v = np.linalg.eigh(proj)[1][:, -1]
     if max_norm(proj - np.outer(v, v.conj())) > DEFAULT.dilation_reconstruction:
@@ -404,11 +384,11 @@ def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
 class Branch:
     """Unnormalized conditional state plus per-trajectory work tallies.
 
-    ``state`` holds the factors in ``support``; an ancilla factored out
-    after a rank-1 readout is pure and enters only through ``e_factored``.
+    ``labels`` is the outcome record.  ``state`` holds the factors in
+    ``support``; an ancilla factored out after a rank-1 readout is pure and
+    enters only through ``e_factored``.
     """
 
-    record: tuple[int, ...]
     labels: tuple[str, ...]
     state: np.ndarray
     support: tuple[str, ...]
@@ -424,24 +404,16 @@ class Branch:
     def weight(self) -> float:
         return float(np.real(np.trace(self.state)))
 
-    @property
-    def w_total(self) -> float:
-        return self.w_sys + self.w_ctrl + self.w_meas
-
-    @property
-    def w_total_alt(self) -> float:
-        return self.w_sys + self.w_ctrl + self.w_meas_alt
-
     def replace(self, **kw) -> "Branch":
         return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True, eq=False)
 class BranchLedger:
-    """Outcome-keyed map of branches at one instant."""
+    """Branches at one instant, keyed by their outcome labels."""
 
     time: float
-    branches: dict[tuple[int, ...], Branch]
+    branches: dict[tuple[str, ...], Branch]
     pruned_mass: float = 0.0
     steps_done: int = 0
 
@@ -458,7 +430,6 @@ class PrefixTrace:
     measurement work in the ancilla-energy and knowledge-update conventions.
     """
 
-    labels: tuple[str, ...]
     weight: float
     cond_probs: dict[str, float]
     w_meas: dict[str, float]
@@ -471,7 +442,7 @@ class StepTrace:
 
     step: int
     time: float
-    per_prefix: dict[tuple[int, ...], PrefixTrace]
+    per_prefix: dict[tuple[str, ...], PrefixTrace]    # keyed by parent labels
     cat_offdiag: float | None = None         # recorded only under validation
 
     def average_work_gap(self) -> float:
@@ -546,7 +517,7 @@ class Simulator:
         model = self.model
         t0 = model.protocol.t_start
         seg = model.protocol.segment_at(t0)
-        br = Branch(record=(), labels=(), state=_frozen(model.sb_init.mat),
+        br = Branch(labels=(), state=_frozen(model.sb_init.mat),
                     support=model.registry.canonical(("S", "B")),
                     h_sys_applied=seg.h_system, window_applied=None)
         return BranchLedger(time=t0, branches={(): br})
@@ -588,8 +559,8 @@ class Simulator:
             raise ValueError(f"cannot advance backwards from {ledger.time} to {t}")
         if t <= ledger.time + 1e-15:
             return ledger
-        branches = {rec: self._advance_branch(br, ledger.time, t)
-                    for rec, br in ledger.branches.items()}
+        branches = {labels: self._advance_branch(br, ledger.time, t)
+                    for labels, br in ledger.branches.items()}
         return BranchLedger(t, branches, ledger.pruned_mass, ledger.steps_done)
 
     # -- one intervention ---------------------------------------------------
@@ -604,14 +575,14 @@ class Simulator:
             raise ValueError(f"step {k} is scheduled at t={spec.time}, "
                              f"ledger is at t={ledger.time}")
         anc = ancilla_label(k)
-        new_branches: dict[tuple[int, ...], Branch] = {}
-        traces: dict[tuple[int, ...], PrefixTrace] = {}
+        new_branches: dict[tuple[str, ...], Branch] = {}
+        traces: dict[tuple[str, ...], PrefixTrace] = {}
         pruned = ledger.pruned_mass
         cat_worst = 0.0 if self.validate_dephasing else None
         t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
 
-        for rec, br in ledger.branches.items():
-            hw = model.hardware(k, br.labels)
+        for labels, br in ledger.branches.items():
+            hw, vectors = deepest_prefix(spec.controls, labels)
             weight = br.weight
             # --- preparation: fresh ancilla joins at the end of the support
             support2 = br.support + (anc,)
@@ -630,7 +601,7 @@ class Simulator:
                 ctrled = self._advance_branch(prepped, spec.time, t_meas)
                 # a switch landing on the window's end is booked before readout
                 ctrled = self._switch(ctrled,
-                                      model.protocol.segment_at(t_meas, br.labels))
+                                      model.protocol.segment_at(t_meas, labels))
             # --- readout energies before conditioning; the system+ancilla
             # energy splits into the parent's factors and the new ancilla
             sa_labels = tuple(l for l in br.support if l != "B")
@@ -645,8 +616,7 @@ class Simulator:
             cond_probs: dict[str, float] = {}
             w_meas: dict[str, float] = {}
             w_meas_alt: dict[str, float] = {}
-            for r, (label, v) in enumerate(zip(hw.outcome_labels,
-                                               model.readout_vectors(hw))):
+            for r, (label, v) in enumerate(zip(hw.outcome_labels, vectors)):
                 if v is None:
                     child_state = space.apply(hw.projectors[r], (anc,), ctrled.state)
                     child_support = support2
@@ -669,14 +639,14 @@ class Simulator:
                     pruned += p_child
                     continue
                 child = ctrled.replace(
-                    record=br.record + (r,), labels=br.labels + (label,),
+                    labels=labels + (label,),
                     state=_frozen(child_state), support=child_support,
                     e_factored=ctrled.e_factored + (e_anc_r if v is not None else 0.0),
                     w_meas=ctrled.w_meas + w_meas[label],
                     w_meas_alt=ctrled.w_meas_alt + w_meas_alt[label])
-                new_branches[child.record] = child
-            traces[rec] = PrefixTrace(
-                labels=br.labels, weight=weight, cond_probs=cond_probs,
+                new_branches[child.labels] = child
+            traces[labels] = PrefixTrace(
+                weight=weight, cond_probs=cond_probs,
                 w_meas=w_meas, w_meas_alt=w_meas_alt)
 
         if len(new_branches) > self.max_branches:

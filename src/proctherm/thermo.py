@@ -110,10 +110,11 @@ def _mean_force_core(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[int]
 
 
 def _mean_force_arrays(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[int],
-                       h_bath: np.ndarray, beta: float, dbeta: float
+                       h_bath: np.ndarray, beta: float
                        ) -> tuple[np.ndarray, np.ndarray, float]:
     """(H*, dH*/dbeta, ln Z*); the derivative is a central difference with
-    one Richardson refinement, steps ``dbeta`` and ``dbeta / 2``."""
+    one Richardson refinement, steps ``dbeta = 1e-4 * beta`` and ``dbeta / 2``."""
+    dbeta = 1e-4 * beta
 
     def at(b):
         return _mean_force_core(h_xb, dims, x_pos, log_partition(h_bath, b), b)
@@ -127,14 +128,14 @@ def _mean_force_arrays(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[in
 
 
 def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
-                           beta: float, dbeta: float | None = None,
-                           h_bath: np.ndarray | None = None) -> MeanForceData:
+                           beta: float, h_bath: np.ndarray | None = None
+                           ) -> MeanForceData:
     """Mean-force Hamiltonian of the ``x_labels`` part of a coupled pair.
 
     ``h_bath`` is the bare Hamiltonian of the traced-out factors (zero if
     omitted); it fixes the normalization Z* = Z_XB / Z_B.  The
     inverse-temperature derivative is a central difference with one
-    Richardson refinement, step ``dbeta`` (default 1e-4 * beta).
+    Richardson refinement, step ``1e-4 * beta``.
     """
     if beta <= 0:
         raise ValueError(f"inverse temperature must be positive, got {beta}")
@@ -149,12 +150,7 @@ def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
     bath_dim = int(np.prod([d for i, d in enumerate(dims) if i not in x_pos]))
     if h_bath is None:
         h_bath = np.zeros((bath_dim, bath_dim))
-    dbeta = 1e-4 * beta if dbeta is None else float(dbeta)
-    if dbeta <= 0 or dbeta >= beta:
-        raise ValueError(f"derivative step {dbeta} must lie in (0, beta)")
-
-    h_star, dbeta_h, ln_z_star = _mean_force_arrays(h_xb.mat, dims, x_pos, h_bath,
-                                                    beta, dbeta)
+    h_star, dbeta_h, ln_z_star = _mean_force_arrays(h_xb.mat, dims, x_pos, h_bath, beta)
     return MeanForceData(
         OperatorMatrix(reg, x_labels, h_star, hermitian=True),
         math.exp(ln_z_star), beta,
@@ -177,8 +173,6 @@ class BranchThermo:
     w_ctrl: float
     w_meas: float
     w_meas_alt: float
-    q: float
-    q_alt: float
     s: float
     f: float
 
@@ -189,6 +183,14 @@ class BranchThermo:
     @property
     def w_alt(self) -> float:
         return self.w_sys + self.w_ctrl + self.w_meas_alt
+
+    @property
+    def q(self) -> float:
+        return self.du - self.w
+
+    @property
+    def q_alt(self) -> float:
+        return self.du - self.w_alt
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,23 +215,20 @@ class EnsembleThermo:
 
 @dataclass(frozen=True, eq=False)
 class ThermoLedger:
-    """Branch rows and ensemble aggregates for every report time."""
+    """Branch rows per report time, in time order, and ensemble aggregates."""
 
-    times: tuple[float, ...]
     branch_rows: dict[float, tuple[BranchThermo, ...]]
     ensemble_rows: tuple[EnsembleThermo, ...]
-    control_caveat: bool = False
 
 
 class ThermoEvaluator:
     """Evaluates the thermodynamic functionals over a finished run."""
 
-    def __init__(self, result: RunResult, dbeta: float | None = None):
+    def __init__(self, result: RunResult):
         self.result = result
         self.model = result.model
         self.beta = self.model.beta
         self.bare = self.model.mean_force_bare
-        self.dbeta = 1e-4 * self.beta if dbeta is None else float(dbeta)
         self._mf_cache: dict[bytes, tuple[np.ndarray, np.ndarray, float]] = {}
         # constants of the unentered ancillas, counted from the initial time
         self._e_anc0 = [expect_herm(spec.h_ancilla, spec.ancilla_state)
@@ -258,7 +257,7 @@ class ThermoEvaluator:
         else:
             out = _mean_force_arrays(model.schedule.h_sb(h_sys),
                                      model.registry.dims(("S", "B")), [0], self._h_b,
-                                     beta, self.dbeta)
+                                     beta)
         self._mf_cache[key] = out
         return out
 
@@ -319,13 +318,10 @@ class ThermoEvaluator:
                 continue
             s = -math.log(p) + s_vn + self.beta ** 2 * corr
             f = h_star_tr + e_anc + (math.log(p) - s_vn) / self.beta
-            du = u - u0
             rows.append(BranchThermo(
-                labels=br.labels, p=p, u=u, du=du,
+                labels=br.labels, p=p, u=u, du=u - u0,
                 w_sys=br.w_sys, w_ctrl=br.w_ctrl,
-                w_meas=br.w_meas, w_meas_alt=br.w_meas_alt,
-                q=du - br.w_total, q_alt=du - br.w_total_alt,
-                s=s, f=f))
+                w_meas=br.w_meas, w_meas_alt=br.w_meas_alt, s=s, f=f))
         return tuple(rows)
 
     # -- ensemble ------------------------------------------------------------
@@ -380,18 +376,15 @@ class ThermoEvaluator:
         return d_tot - d_x
 
 
-def evaluate_run(result: RunResult, dbeta: float | None = None) -> ThermoLedger:
+def evaluate_run(result: RunResult) -> ThermoLedger:
     """Thermodynamic ledger for every report time of a finished run."""
-    ev = ThermoEvaluator(result, dbeta=dbeta)
-    times = []
+    ev = ThermoEvaluator(result)
     branch_rows = {}
     ensemble_rows = []
     for snap in result.snapshots:
-        times.append(snap.time)
         rows = branch_rows[snap.time] = ev.branch_rows(snap)
         ensemble_rows.append(ev.ensemble(snap, rows))
-    return ThermoLedger(tuple(times), branch_rows, tuple(ensemble_rows),
-                        control_caveat=result.control_caveat)
+    return ThermoLedger(branch_rows, tuple(ensemble_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +398,9 @@ def work_measurement_alternative(trace: StepTrace, record: Sequence[str]) -> flo
     selects the outcome, the rest the parent branch.
     """
     record = tuple(str(l) for l in record)
-    for tr in trace.per_prefix.values():
-        if tr.labels == record[:-1]:
-            return tr.w_meas_alt[record[-1]]
-    raise KeyError(f"no branch with prefix {record[:-1]} in the step trace")
+    if record[:-1] not in trace.per_prefix:
+        raise KeyError(f"no branch with prefix {record[:-1]} in the step trace")
+    return trace.per_prefix[record[:-1]].w_meas_alt[record[-1]]
 
 
 @dataclass(frozen=True, eq=False)

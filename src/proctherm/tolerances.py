@@ -1,7 +1,9 @@
 """Central registry of numerical tolerances.
 
 Every check in the package reads its tolerance from one :class:`Tolerances`
-instance so that the CLI can override individual values uniformly.
+instance so that the CLI can override individual values uniformly.  The
+two constants below are numerical floors, not check tolerances, and are
+not overridable.
 """
 
 from __future__ import annotations
@@ -9,16 +11,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+HERMITIAN = 1e-12   # max-norm Hermiticity residual accepted on input matrices
+EIG_FLOOR = 1e-14   # eigenvalues below this count as zero in entropies
+
 
 @dataclass(frozen=True)
 class Tolerances:
     """Named tolerances, one per verified property."""
 
-    hermitian: float = 1e-12          # max-norm Hermiticity residual
     psd: float = 1e-10                # admissible negative eigenvalue magnitude
-    eig_floor: float = 1e-14          # eigenvalues below this count as zero in entropies
     trace: float = 1e-12              # trace preservation (partial trace, dephasing map)
-    unitary: float = 1e-11            # unitarity of spectral exponentials
     kraus_tp: float = 1e-10           # || sum K'K - 1 ||
     choi_psd: float = 1e-10           # complete positivity, Choi eigenvalue floor
     dilation_unitary: float = 1e-10   # || U'U - 1 || for synthesized unitaries

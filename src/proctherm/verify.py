@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import max_norm, ptrace_factors
 from .channels import evaluate_process_tensor
 from .dilation import dephasing_unitary, reconstruction_error
+from .report import record_string
 from .simulate import AutonomousModel, RunResult, Simulator
 from .thermo import ThermoLedger, evaluate_run
 from .tolerances import DEFAULT, Tolerances
@@ -57,7 +58,7 @@ def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
             got = ptrace_factors(br.state, dims, [0])
             rows.append({
                 "time": snap.time,
-                "record": "|".join(br.labels) or "-",
+                "record": record_string(br.labels),
                 "state_dev": max_norm(got - want.mat),
                 "prob_dev": abs(br.weight - want.weight)})
     return rows
@@ -101,27 +102,21 @@ def verify_model(model: AutonomousModel, result: RunResult,
     ledger = ledger if ledger is not None else evaluate_run(result)
     checks: list[CheckResult] = []
 
-    # --- instruments: complete positivity and trace preservation
-    worst_tp, worst_cp = 0.0, 0.0
-    for k in range(model.n_steps):
-        for inst in model.schedule.all_variants(k):
+    # --- every instrument a record can meet: complete positivity and trace
+    # preservation, and its dilation's unitarity and reconstruction
+    worst_tp, worst_cp, worst_u, worst_rec = 0.0, 0.0, 0.0, 0.0
+    for k, spec in enumerate(model.steps):
+        for prefix, (hw, _) in spec.controls.items():
+            inst = model.schedule.instrument_at(k, prefix)
             worst_tp = max(worst_tp, inst.average().tp_residual())
             for _, cp in inst.outcomes:
                 worst_cp = max(worst_cp, -float(np.linalg.eigvalsh(cp.choi())[0]))
-    checks.append(_check("kraus-trace-preserving", worst_tp, tol.kraus_tp))
-    checks.append(_check("complete-positivity", max(worst_cp, 0.0), tol.choi_psd))
-
-    # --- dilations: unitarity and instrument reconstruction
-    worst_u, worst_rec = 0.0, 0.0
-    for k in range(model.n_steps):
-        prefixes = [()] + list(model.schedule.feedback.get(k, {}).keys())
-        for prefix in prefixes:
-            hw = model.hardware(k, prefix)
-            inst = model.schedule.instrument_at(k, prefix)
             worst_u = max(worst_u, hw.unitarity_residual())
             comp = sum(hw.projectors)
             worst_u = max(worst_u, max_norm(comp - np.eye(hw.ancilla_dim)))
             worst_rec = max(worst_rec, reconstruction_error(hw, inst))
+    checks.append(_check("kraus-trace-preserving", worst_tp, tol.kraus_tp))
+    checks.append(_check("complete-positivity", max(worst_cp, 0.0), tol.choi_psd))
     checks.append(_check("dilation-unitarity", worst_u, tol.dilation_unitary))
     checks.append(_check("dilation-reconstruction", worst_rec,
                          tol.dilation_reconstruction))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and report bundles."""
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import yaml
 
 from proctherm.cli import main
 from proctherm.scenario import build_model, parse_scenario
+from proctherm.tolerances import Tolerances
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -80,6 +82,43 @@ class TestVerifyCommand:
                        "--tol-override", "kraus_tp=1e-12")
         assert code == 1
         assert "kraus-trace-preserving" in capsys.readouterr().out
+
+
+def verify_outputs(outdir, *overrides):
+    """Check verdicts and run numbers of ``verify --out`` on the scenario
+    whose verify table skips no check."""
+    argv = ["verify", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+            "--out", str(outdir)]
+    for pair in overrides:
+        argv += ["--tol-override", pair]
+    run_cli(*argv)
+    checks = json.loads((outdir / "report.json").read_text())["checks"]
+    return ([(c["name"], c["verdict"]) for c in checks],
+            (outdir / "branches.csv").read_text(), (outdir / "ensemble.csv").read_text())
+
+
+@pytest.fixture(scope="module")
+def default_verify_outputs(tmp_path_factory):
+    return verify_outputs(tmp_path_factory.mktemp("default"))
+
+
+class TestToleranceFields:
+    # every check value is >= 0, so a negative tolerance fails any check
+    # that reads it; a prune threshold of 0.9 drops every lighter record
+    EXTREME = {"prune": "0.9"}
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+    def test_extreme_override_changes_a_verdict_or_a_number(
+            self, name, tmp_path, capsys, default_verify_outputs):
+        got = verify_outputs(tmp_path, f"{name}={self.EXTREME.get(name, '-1')}")
+        assert got != default_verify_outputs
+
+    @pytest.mark.parametrize("name", ["hermitian", "unitary", "eig_floor"])
+    def test_fixed_floors_are_not_tolerances(self, name, capsys):
+        code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
+                       "--tol-override", f"{name}=-1")
+        assert code == 2
+        assert "unknown tolerance" in capsys.readouterr().err
 
 
 class TestRunCommand:

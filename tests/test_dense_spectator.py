@@ -204,10 +204,9 @@ def runs():
 def test_branch_states_match_dense_oracle(runs, t):
     _, result, _, _, snaps = runs
     ledger = next(s.ledger for s in result.snapshots if s.time == t)
-    branches = {br.labels: br for br in ledger.branches.values()}
-    assert set(branches) == set(snaps[t])
+    assert set(ledger.branches) == set(snaps[t])
     for labels, (rho, *_) in snaps[t].items():
-        br = branches[labels]
+        br = ledger.branches[labels]
         # A0 stays after the rank-2 outcome "b"; A1 joins at step 1 and is
         # factored out by its rank-1 readout
         expected = ("S", "B") + (("A0",) if labels[0] == "b" else ())

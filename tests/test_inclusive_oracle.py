@@ -96,9 +96,8 @@ class TestRegisterStructure:
         hw = model.hardware(0, ())
         rho_sbai = ptrace_factors(rho, dims, [0, 1, 2, 3])
         blocks = rho_sbai.reshape(8, 2, 8, 2)
-        by_labels = {b.labels: b for b in result.final.branches.values()}
         for r, labels in enumerate([("1",), ("2",)]):
-            branch = by_labels[labels]
+            branch = result.final.branches[labels]
             expected = np.kron(branch.state, hw.projectors[r])
             assert max_norm(blocks[:, r, :, r] - expected) < 1e-12
             assert abs(np.trace(blocks[:, r, :, r]).real - branch.weight) < 1e-12

@@ -37,7 +37,7 @@ class TestParsing:
         sc = parse_scenario_dict(minimal())
         assert sc.name == "minimal"
         assert sc.s_dim == 2 and sc.b_dim == 2
-        assert sc.initial_gibbs
+        assert sc.initial_sb is None
 
     def test_complex_literals_in_matrices(self):
         sc = parse_scenario_dict(minimal(
@@ -111,7 +111,7 @@ class TestParsing:
         for checks in ({"second_law": True}, {"second_law": False}):
             with pytest.raises(ScenarioError, match="unknown top-level.*checks"):
                 parse_scenario_dict(minimal(initial=mixed, checks=checks))
-        assert not parse_scenario_dict(minimal(initial=mixed)).initial_gibbs
+        assert parse_scenario_dict(minimal(initial=mixed)).initial_sb is not None
 
     def test_invalid_density_rejected(self):
         bad = minimal(initial={"sb": {"matrix": np.diag([2.0, -1.0, 0, 0]).tolist()}})

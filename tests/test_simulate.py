@@ -13,7 +13,9 @@ import pytest
 from proctherm.algebra import max_norm, ptrace_factors
 from proctherm.channels import CPMap, Instrument, evaluate_process_tensor
 from proctherm.protocol import Protocol, Segment
+from proctherm import simulate
 from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
+from proctherm.thermo import work_measurement_alternative
 
 from oracles import (
     random_density,
@@ -219,6 +221,68 @@ def evolve_single_branch(model, t):
     return branch.state
 
 
+def feedback_model(window=None):
+    """Z readout at t=0.4 (optionally with a control window), then a step
+    at t=1.1 whose instrument and drive depend on the first outcome."""
+    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
+    unsharp = Instrument([("1", CPMap(("S",), [np.sqrt(0.8) * P0 + np.sqrt(0.2) * P1])),
+                          ("2", CPMap(("S",), [np.sqrt(0.2) * P0 + np.sqrt(0.8) * P1]))])
+    h0 = np.diag([0.0, 1.0])
+    proto = Protocol([Segment(0.0, 2.0, h0)],
+                     variants={("2",): [Segment(0.0, 0.8, h0),
+                                        Segment(0.8, 2.0, h0 + 0.6 * SX)]})
+    first = {"time": 0.4, "instrument": projective_z()}
+    if window is not None:
+        first["window"] = window
+    return AutonomousModel.assemble(
+        s_dim=2, b_dim=2, beta=1.0, protocol=proto,
+        h_bath=np.diag([0.0, 0.8]), v_coupling=0.3 * np.kron(SX, SX),
+        steps=[first, {"time": 1.1, "instrument": projective_z()}],
+        feedback={1: {("1",): unsharp, ("2",): x_inst}})
+
+
+class TestRecordKeys:
+    def test_ledgers_and_traces_keyed_by_outcome_labels(self):
+        model = feedback_model()
+        result = Simulator(model).run(report_times=[0.8, 2.0])
+        ledgers = [result.initial.ledger, result.final] + [s.ledger for s in result.snapshots]
+        for ledger in ledgers:
+            assert ledger.branches
+            for key, br in ledger.branches.items():
+                assert key == br.labels
+        assert set(result.final.branches) == {(a, b) for a in "12" for b in "12"}
+        # each step's trace is keyed by the labels of the parent branches
+        assert set(result.traces[0].per_prefix) == {()}
+        assert set(result.traces[1].per_prefix) == {("1",), ("2",)}
+        for labels, br in result.final.branches.items():
+            parent = result.traces[1].per_prefix[labels[:-1]]
+            assert work_measurement_alternative(result.traces[1], labels) \
+                == parent.w_meas_alt[labels[-1]]
+
+    def test_hardware_dilated_once_per_declared_prefix_at_assembly(self, monkeypatch):
+        calls = []
+        original = simulate.dilate_instrument
+
+        def counting(inst, *args, **kwargs):
+            calls.append(inst)
+            return original(inst, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "dilate_instrument", counting)
+        model = feedback_model(window=0.2)
+        # step 0 (windowed): its base; step 1: its base and two variants
+        assert len(calls) == 4
+        assert len({id(inst) for inst in calls}) == 4
+        result = Simulator(model).run(report_times=[2.0])
+        assert len(calls) == 4
+        assert len(result.final.branches) == 4
+        # feedback picks the variant's hardware for each parent record
+        for labels in [("1",), ("2",)]:
+            assert model.hardware(1, labels + ("1",)) is model.steps[1].controls[labels][0]
+            assert model.hardware(1, labels) is not model.hardware(1, ())
+
+
 class TestEvolution:
     def test_zero_hamiltonian_is_identity(self):
         rng = np.random.default_rng(64)
@@ -345,6 +409,13 @@ class TestValidationFeatures:
             simple_model([step], h_bath=bad if arg == "h_bath" else None,
                          v=bad if arg == "v_coupling" else None)
 
+    def test_empty_prefix_variant_rejected(self):
+        # the empty record is the base timeline's; a variant under it would
+        # be silently ignored by every lookup
+        base = [Segment(0.0, 2.0, np.zeros((2, 2)))]
+        with pytest.raises(ValueError, match="nonempty prefix"):
+            Protocol(base, {(): [Segment(0.0, 2.0, np.diag([0.0, 1.0]))]})
+
     def test_branch_limit_enforced(self):
         # a rotating drive repopulates both outcomes between measurements
         model = simple_model([{"time": 0.3, "instrument": projective_z()},
@@ -368,9 +439,8 @@ class TestValidationFeatures:
                                     sb_init=model_delta.sb_init.mat)
         res_d = Simulator(model_delta).run(report_times=[1.5])
         res_w = Simulator(model_window).run(report_times=[1.5])
-        windowed = {b.labels: b for b in res_w.final.branches.values()}
-        for bd in res_d.final.branches.values():
-            bw = windowed[bd.labels]
+        for labels, bd in res_d.final.branches.items():
+            bw = res_w.final.branches[labels]
             assert abs(bd.weight - bw.weight) < 1e-10
             got_d = conditional_system(model_delta, res_d.final, bd)
             got_w = conditional_system(model_window, res_w.final, bw)
@@ -464,12 +534,11 @@ class TestWindowWork:
             h_prev, win_prev = h_now, win_now
 
         assert len(ledger.branches) == len(branches) == 4
-        by_labels = {b.labels: b for b in ledger.branches.values()}
         for labels, (r, ws, wc) in branches.items():
-            br = by_labels[labels]
+            br = ledger.branches[labels]
             assert br.weight == pytest.approx(np.trace(r).real, abs=1e-10)
             assert br.w_sys == pytest.approx(ws, abs=1e-9)
             assert br.w_ctrl == pytest.approx(wc, abs=1e-9)
         # the per-branch values really differ, so the test pins each branch
-        assert max(abs(br.w_ctrl - by_labels[("1", "1")].w_ctrl)
+        assert max(abs(br.w_ctrl - ledger.branches[("1", "1")].w_ctrl)
                    for br in ledger.branches.values()) > 1e-3
