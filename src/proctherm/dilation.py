@@ -31,6 +31,7 @@ __all__ = [
     "dephasing_unitary",
     "apply_dilated",
     "reconstruction_error",
+    "dephasing_error",
     "instrument_from_dilation",
     "shift_matrix",
 ]
@@ -165,6 +166,28 @@ def reconstruction_error(dr: DilationResult, inst: Instrument) -> float:
                 direct = sum(k @ e @ dagger(k) for k in cp.kraus)
                 worst = max(worst, max_norm(apply_dilated(dr, e, outcome=r) - direct))
     return worst
+
+
+def dephasing_error(hw: DilationResult) -> float:
+    """Worst entrywise gap between the memory stage of ``hw`` and the
+    projective split X -> sum_r P_r X P_r (x) |r><r| it must realize.
+
+    The memory stage records the outcome into a register prepared in |0>
+    with :func:`measurement_unitary`, couples the register to a maximally
+    mixed dephaser with :func:`dephasing_unitary`, and traces the dephaser
+    out.  Both sides are compared on the ancilla's Choi matrix
+    sum_ij |i><j| (x) Phi(|i><j|), which holds every input at once.
+    """
+    d, m = hw.ancilla_dim, len(hw.projectors)
+    # readout isometry iso[a, r, i]: the register input fixed to |0>
+    iso = measurement_unitary(hw.projectors).reshape(d, m, d, m)[..., 0]
+    # dephaser Kraus blocks <k|U|l> on the register; the 1/m of the
+    # dephaser state is applied once, to the sum
+    blocks = dephasing_unitary(m).reshape(m, m, m, m)
+    vecs = np.einsum("skrl,ari->klasi", blocks, iso).reshape(m * m, -1)
+    split = np.einsum("rai,rs->rasi", np.asarray(hw.projectors), np.eye(m)).reshape(m, -1)
+    got = vecs.T @ vecs.conj() / m
+    return max_norm(got - split.T @ split.conj())
 
 
 def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,

@@ -6,9 +6,7 @@ ancilla readout into the memory register, memory dephasing, then driven
 system-bath evolution until the next step.  Because the dephased memory is
 only classically correlated with everything else, the simulator stores the
 total state as a ledger of unnormalized conditional branches keyed by the
-outcome record, the tuple of outcome labels; that representation is exact,
-and the pre-dephasing coherent register state is materialized only
-transiently when validation is switched on.
+outcome record, the tuple of outcome labels; that representation is exact.
 
 An ancilla enters its branch states at its step.  Once read out it couples
 to nothing again: a control window ends at or before its own readout, and
@@ -48,12 +46,7 @@ from .algebra import (
     unitary_log_generator,
 )
 from .channels import Instrument, InterventionSchedule
-from .dilation import (
-    DilationResult,
-    dephasing_unitary,
-    dilate_instrument,
-    measurement_unitary,
-)
+from .dilation import DilationResult, dilate_instrument
 from .protocol import Segment, deepest_prefix
 from .tolerances import DEFAULT
 
@@ -216,7 +209,7 @@ class AutonomousModel:
         for arg, mat in (("h_bath", h_bath), ("v_coupling", v_coupling)):
             if mat is not None and not is_hermitian(np.asarray(mat, dtype=complex)):
                 raise ValueError(f"{arg} is not Hermitian")
-        factors = [("S", int(s_dim)), ("B", int(b_dim)), ("P", 1)]
+        factors = [("S", int(s_dim)), ("B", int(b_dim))]
         specs: list[StepSpec] = []
         instruments: list[Instrument] = []
         times: list[float] = []
@@ -443,7 +436,6 @@ class StepTrace:
     step: int
     time: float
     per_prefix: dict[tuple[str, ...], PrefixTrace]    # keyed by parent labels
-    cat_offdiag: float | None = None         # recorded only under validation
 
     def average_work_gap(self) -> float:
         """| sum_r p(r) (w_meas - w_meas_alt) |, the convention gap."""
@@ -505,10 +497,9 @@ class Simulator:
     """Drives a :class:`BranchLedger` through the scheduled interventions."""
 
     def __init__(self, model: AutonomousModel, prune: float = DEFAULT.prune,
-                 validate_dephasing: bool = False, max_branches: int = 4096):
+                 max_branches: int = 4096):
         self.model = model
         self.prune = float(prune)
-        self.validate_dephasing = bool(validate_dephasing)
         self.max_branches = int(max_branches)
 
     # -- construction -------------------------------------------------------
@@ -578,7 +569,6 @@ class Simulator:
         new_branches: dict[tuple[str, ...], Branch] = {}
         traces: dict[tuple[str, ...], PrefixTrace] = {}
         pruned = ledger.pruned_mass
-        cat_worst = 0.0 if self.validate_dephasing else None
         t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
 
         for labels, br in ledger.branches.items():
@@ -609,9 +599,6 @@ class Simulator:
             h_sa = space.hamiltonian(sa_labels, ctrled.h_sys_applied)
             e_sa_before = expect_herm(h_sa, space.ptrace(ctrled.state, sa_labels) / weight)
             e_anc_before = expect_herm(spec.h_ancilla, rho_anc)
-            if self.validate_dephasing:
-                cat_worst = max(cat_worst, self._dephasing_residual(
-                    space, ctrled.state, hw, anc, weight))
             # --- conditioning on the recorded outcome
             cond_probs: dict[str, float] = {}
             w_meas: dict[str, float] = {}
@@ -653,46 +640,7 @@ class Simulator:
             raise RuntimeError(f"branch count {len(new_branches)} exceeds the "
                                f"limit {self.max_branches}")
         out = BranchLedger(t_meas, new_branches, pruned, steps_done=k + 1)
-        return out, StepTrace(k, spec.time, traces, cat_offdiag=cat_worst)
-
-    def _dephasing_residual(self, space: _Space, state: np.ndarray,
-                            hw: DilationResult, anc: str, weight: float) -> float:
-        """Materialize the coherent register state, apply the dephasing
-        unitary, and measure how far the result is from the branch split.
-
-        Before dephasing the register holds every cross term between
-        outcomes; afterwards the off-diagonal register blocks must vanish
-        and the diagonal ones must equal the conditioned branches.
-        """
-        if weight <= 0:
-            return 0.0
-        d_out = len(hw.projectors)
-        d_branch = state.shape[0]
-        reg0 = np.zeros((d_out, d_out), dtype=complex)
-        reg0[0, 0] = 1.0
-        a = space.pos[anc]
-        u_meas = measurement_unitary([embed_factors(p, [a], space.dims)
-                                      for p in hw.projectors])
-        # u_meas acts on (branch-space, register)
-        joint = u_meas @ np.kron(state, reg0) @ dagger(u_meas)
-        # couple the register to a maximally mixed dephaser and trace it out
-        u_deph = dephasing_unitary(d_out)
-        big = np.kron(joint, np.eye(d_out, dtype=complex) / d_out)
-        dims = [d_branch, d_out, d_out]
-        u_big = embed_factors(u_deph, [1, 2], dims)
-        big = u_big @ big @ dagger(u_big)
-        after = ptrace_factors(big, dims, [0, 1])
-        blocks = after.reshape(d_branch, d_out, d_branch, d_out)
-        worst = 0.0
-        for r in range(d_out):
-            for rp in range(d_out):
-                block = blocks[:, r, :, rp]
-                if r == rp:
-                    cond = space.apply(hw.projectors[r], (anc,), state)
-                    worst = max(worst, max_norm(block - cond))
-                else:
-                    worst = max(worst, max_norm(block))
-        return worst
+        return out, StepTrace(k, spec.time, traces)
 
     # -- full run -----------------------------------------------------------
 

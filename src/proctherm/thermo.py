@@ -92,10 +92,11 @@ class MeanForceData:
     dbeta_h_star: OperatorMatrix
 
 
-def _mean_force_core(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[int],
-                     ln_z_bath: float, beta: float) -> tuple[np.ndarray, float]:
-    """H* and ln Z* for one inverse temperature."""
-    w, v = np.linalg.eigh(h_xb)
+def _mean_force_core(w: np.ndarray, v: np.ndarray, dims: Sequence[int],
+                     x_pos: Sequence[int], ln_z_bath: float,
+                     beta: float) -> tuple[np.ndarray, float]:
+    """H* and ln Z* for one inverse temperature, from the eigenpairs
+    (w, v) of H_XB."""
     w0 = float(w[0])
     m0 = ptrace_factors((v * np.exp(-beta * (w - w0))) @ v.conj().T, dims, x_pos)
     m0 = 0.5 * (m0 + m0.conj().T)
@@ -115,9 +116,10 @@ def _mean_force_arrays(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[in
     """(H*, dH*/dbeta, ln Z*); the derivative is a central difference with
     one Richardson refinement, steps ``dbeta = 1e-4 * beta`` and ``dbeta / 2``."""
     dbeta = 1e-4 * beta
+    w, v = np.linalg.eigh(h_xb)
 
     def at(b):
-        return _mean_force_core(h_xb, dims, x_pos, log_partition(h_bath, b), b)
+        return _mean_force_core(w, v, dims, x_pos, log_partition(h_bath, b), b)
 
     def central(h):
         return (at(beta + h)[0] - at(beta - h)[0]) / (2 * h)
@@ -195,7 +197,12 @@ class BranchThermo:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleThermo:
-    """Ensemble aggregates at one report time."""
+    """Ensemble aggregates at one report time.
+
+    ``sigma_rel_ent`` is None without an exact relative-entropy reference
+    (a non-thermal initial state or bare mean force) and when no branch
+    survives; the sums over branches are then 0.0.
+    """
 
     time: float
     total_weight: float
@@ -330,19 +337,19 @@ class ThermoEvaluator:
         """Ensemble aggregates of ``snap`` from its branch rows, as returned
         by :meth:`branch_rows` for the same snapshot."""
         u0, s0, e0 = self._reference()
-        tw = sum(r.p for r in rows)
-        u = sum(r.p * r.u for r in rows)
-        s = sum(r.p * r.s for r in rows)
-        f = sum(r.p * r.f for r in rows)
-        w = sum(r.p * r.w for r in rows)
-        w_alt = sum(r.p * r.w_alt for r in rows)
+        tw = sum((r.p for r in rows), 0.0)
+        u = sum((r.p * r.u for r in rows), 0.0)
+        s = sum((r.p * r.s for r in rows), 0.0)
+        f = sum((r.p * r.f for r in rows), 0.0)
+        w = sum((r.p * r.w for r in rows), 0.0)
+        w_alt = sum((r.p * r.w_alt for r in rows), 0.0)
         du = u - tw * u0
         ds = s - tw * s0
         q = du - w
         sigma_fl = ds - self.beta * q
         e_bare = self._bare_energy(snap)
         sigma_re = None
-        if self.model.gibbs_initial and not self.bare:
+        if rows and self.model.gibbs_initial and not self.bare:
             sigma_re = self._sigma_relent(e_bare, f)
         w_budget = e_bare - tw * e0
         return EnsembleThermo(

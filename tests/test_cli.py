@@ -223,6 +223,43 @@ class TestPruneRule:
         assert direct == [(0.5, "g"), (1.0, "g|g")]
 
 
+class TestPrunedEnsemble:
+    def test_empty_ensemble_rows_are_float_zeros_without_relent(self, tmp_path):
+        # prune=0.9 drops every record, so each report time has no branch
+        out = tmp_path / "r"
+        code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+                       "--tol-override", "prune=0.9", "--out", str(out))
+        assert code == 0
+        lines = (out / "ensemble.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            for key in ("total_weight", "u", "w", "w_alt", "s", "f"):
+                assert row[key] == "0.0"
+            assert row["sigma_rel_ent"] == ""
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        forms = checks["entropy-production-forms"]
+        assert forms["verdict"] == "pass" and forms["note"].startswith("skipped:")
+
+    def test_pruned_mass_named_on_the_ensemble_identities(self, tmp_path, capsys):
+        def notes(*overrides):
+            out = tmp_path / "-".join(overrides or ("default",))
+            argv = ["verify", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+                    "--out", str(out)]
+            for pair in overrides:
+                argv += ["--tol-override", pair]
+            run_cli(*argv)
+            checks = json.loads((out / "report.json").read_text())["checks"]
+            return {c["name"]: c["note"] for c in checks}
+
+        names = ("work-energy-budget", "entropy-production-forms")
+        assert all(notes()[n] == "" for n in names)
+        pruned = notes("prune=0.4")
+        for n in names:
+            assert "pruned mass 1.000e+00" in pruned[n]
+        assert "pruned mass" in capsys.readouterr().out
+
+
 class TestWindowedModel:
     def test_run_both_skips_equivalence(self, tmp_path, capsys):
         # the direct route has no finite-width windows, so there is nothing

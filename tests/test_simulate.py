@@ -12,6 +12,7 @@ import pytest
 
 from proctherm.algebra import max_norm, ptrace_factors
 from proctherm.channels import CPMap, Instrument, evaluate_process_tensor
+from proctherm.dilation import dephasing_error
 from proctherm.protocol import Protocol, Segment
 from proctherm import simulate
 from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
@@ -376,7 +377,7 @@ class TestInstantaneousControl:
 
 
 class TestValidationFeatures:
-    def test_dephasing_residual_tracked(self):
+    def test_step_hardware_dephases_into_branch_split(self):
         rng = np.random.default_rng(71)
         kraus = random_kraus_channel(rng, 2, 3)
         inst = Instrument([("1", CPMap(("S",), kraus[:2])), ("2", CPMap(("S",), kraus[2:]))])
@@ -384,10 +385,7 @@ class TestValidationFeatures:
                              h_sys=random_hermitian(rng, 2),
                              h_bath=random_hermitian(rng, 2),
                              v=0.3 * random_hermitian(rng, 4))
-        sim = Simulator(model, validate_dephasing=True)
-        result = sim.run(report_times=[1.0])
-        assert result.traces[0].cat_offdiag is not None
-        assert result.traces[0].cat_offdiag < 1e-12
+        assert dephasing_error(model.hardware(0, ())) < 1e-12
 
     def test_report_inside_window_rejected(self):
         model = simple_model([{"time": 0.5, "instrument": projective_z(),

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from proctherm import dilation
+from proctherm.dilation import shift_matrix
 from proctherm.scenario import build_model, parse_scenario_dict
 from proctherm.simulate import Simulator
 from proctherm.thermo import evaluate_run
@@ -29,6 +31,22 @@ def scenario_dict():
                 {"label": "2", "kraus": [[[0.0, 0.0], [0.0, 1.0]]]}]}},
         ],
     }
+
+
+def shifted_readout(projectors):
+    """Readout unitary that writes outcome r into register slot r + 1."""
+    m = len(projectors)
+    return sum(np.kron(np.asarray(p, dtype=complex), shift_matrix(m, (r + 1) % m))
+               for r, p in enumerate(projectors))
+
+
+# seeded defects of the memory stage: (dilation binding, replacement)
+MEMORY_DEFECTS = {
+    "dephasing-skipped": ("dephasing_unitary", lambda d: np.eye(d * d, dtype=complex)),
+    "dephaser-mixing": ("dephasing_unitary",
+                        lambda d: random_unitary(np.random.default_rng(d), d * d)),
+    "readout-shifted": ("measurement_unitary", shifted_readout),
+}
 
 
 class TestVerifySuite:
@@ -91,6 +109,35 @@ class TestVerifySuite:
         checks = verify_model(model, result, rng=np.random.default_rng(0))
         failed = {c.name for c in checks if not c.passed}
         assert failed == {"dephasing-zero-cost"}
+
+    @pytest.mark.parametrize("defect", sorted(MEMORY_DEFECTS))
+    def test_memory_defect_fails_dephasing_placement(self, defect, monkeypatch):
+        name, fake = MEMORY_DEFECTS[defect]
+        model = build_model(parse_scenario_dict(scenario_dict()))
+        result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
+        monkeypatch.setattr(dilation, name, fake)
+        checks = verify_model(model, result, rng=np.random.default_rng(0))
+        failed = {c.name for c in checks if not c.passed}
+        assert failed == {"dephasing-placement"}
+
+    def test_skipped_dephasing_fails_without_coherence_to_kill(self, monkeypatch):
+        # a Gibbs state of Z read out in Z has no coherence between the
+        # outcomes, so a run never reaches a state the missing dephasing
+        # would change; the check over every input still sees it
+        z = {"outcomes": [{"label": "g", "kraus": [[[1.0, 0.0], [0.0, 0.0]]]},
+                          {"label": "e", "kraus": [[[0.0, 0.0], [0.0, 1.0]]]}]}
+        model = build_model(parse_scenario_dict({
+            "name": "gibbs-z", "beta": 1.0,
+            "system": {"dim": 2}, "bath": {"dim": 1},
+            "system_hamiltonian": {"diag": [1.0, -1.0]},
+            "time": {"start": 0.0, "end": 1.0},
+            "steps": [{"time": 0.5, "instrument": z}],
+            "report_times": [1.0]}))
+        result = run_verified(model, [1.0], prune=1e-14, max_branches=256)
+        monkeypatch.setattr(dilation, *MEMORY_DEFECTS["dephasing-skipped"])
+        checks = verify_model(model, result, rng=np.random.default_rng(0))
+        failed = {c.name for c in checks if not c.passed}
+        assert failed == {"dephasing-placement"}
 
 
 class TestTolerances:
