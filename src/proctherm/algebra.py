@@ -32,6 +32,7 @@ __all__ = [
     "dagger",
     "max_norm",
     "is_hermitian",
+    "validate_density",
     "expect_herm",
     "energy_change",
     "reorder_factors",
@@ -69,6 +70,22 @@ def max_norm(mat: np.ndarray) -> float:
 
 def is_hermitian(mat: np.ndarray) -> bool:
     return max_norm(mat - mat.conj().T) <= HERMITIAN
+
+
+def validate_density(mat: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """``mat`` if Hermitian with trace within 1e-9 of ``weight`` in [0, 1]
+    and no eigenvalue below ``-DEFAULT.psd``; ValueError otherwise."""
+    if not is_hermitian(mat):
+        raise ValueError("density operator is not Hermitian")
+    tr = float(np.real(np.trace(mat)))
+    if abs(tr - weight) > 1e-9:
+        raise ValueError(f"trace {tr} does not match declared weight {weight}")
+    if not 0.0 <= weight <= 1.0 + 1e-10:
+        raise ValueError(f"weight {weight} outside [0, 1]")
+    wmin = float(np.linalg.eigvalsh(mat)[0])
+    if wmin < -DEFAULT.psd:
+        raise ValueError(f"negative eigenvalue {wmin:.3e} beyond tolerance")
+    return mat
 
 
 def expect_herm(h: np.ndarray, rho: np.ndarray) -> float:
@@ -334,9 +351,7 @@ class DensityOperator:
 
     @classmethod
     def normalized(cls, op: OperatorMatrix) -> "DensityOperator":
-        rho = cls(op, 1.0)
-        rho.validate()
-        return rho
+        return cls(op, 1.0).validate()
 
     @property
     def mat(self) -> np.ndarray:
@@ -347,16 +362,7 @@ class DensityOperator:
         return self.op.support
 
     def validate(self) -> "DensityOperator":
-        if not self.op.is_hermitian():
-            raise ValueError("density operator is not Hermitian")
-        tr = float(np.real(np.trace(self.mat)))
-        if abs(tr - self.weight) > 1e-9:
-            raise ValueError(f"trace {tr} does not match declared weight {self.weight}")
-        if not 0.0 <= self.weight <= 1.0 + 1e-10:
-            raise ValueError(f"weight {self.weight} outside [0, 1]")
-        wmin = float(np.linalg.eigvalsh(self.mat)[0])
-        if wmin < -DEFAULT.psd:
-            raise ValueError(f"negative eigenvalue {wmin:.3e} beyond tolerance")
+        validate_density(self.mat, self.weight)
         return self
 
 

@@ -26,7 +26,7 @@ from .algebra import (
     max_norm,
     ptrace_factors,
 )
-from .protocol import Protocol, Segment, deepest_prefix
+from .protocol import Protocol, Segment, before, deepest_prefix
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -62,12 +62,9 @@ class CPMap:
     def dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def kraus_sum(self) -> np.ndarray:
-        """sum_i K_i' K_i; equals the identity for a trace-preserving map."""
-        return sum(dagger(k) @ k for k in self.kraus)
-
     def tp_residual(self) -> float:
-        return max_norm(self.kraus_sum() - np.eye(self.dim))
+        """|| sum_i K_i' K_i - 1 ||, zero for a trace-preserving map."""
+        return max_norm(sum(dagger(k) @ k for k in self.kraus) - np.eye(self.dim))
 
     def choi(self) -> np.ndarray:
         """Choi matrix sum_i |K_i>><<K_i| (row-major vectorization)."""
@@ -161,7 +158,7 @@ class InterventionSchedule:
         instruments = tuple(instruments)
         if len(times) != len(instruments):
             raise ValueError("one instrument per intervention time")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(before(a, b) for a, b in zip(times, times[1:])):
             raise ValueError(f"intervention times must strictly increase: {times}")
         fb: dict[int, dict[tuple[str, ...], Instrument]] = {}
         for k, table in (feedback or {}).items():
@@ -241,7 +238,7 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
     t_cur, k = schedule.protocol.t_start, 0
     out = {}
     for t in sorted(set(times)):
-        while k < schedule.n_steps and schedule.times[k] <= t + 1e-12:
+        while k < schedule.n_steps and not before(t, schedule.times[k]):
             children = {}
             for prefix, mat in nodes.items():
                 mat = evolve(mat, t_cur, schedule.times[k], prefix)
@@ -288,7 +285,7 @@ def multilinearity_check(schedule: InterventionSchedule,
     """
     if len(ops_a) != len(ops_b):
         raise ValueError("operation lists must have equal length")
-    applied = sum(1 for tk in schedule.times if tk <= t + 1e-12)
+    applied = sum(1 for tk in schedule.times if not before(t, tk))
     if len(ops_a) != applied:
         raise ValueError(
             f"operation list covers {len(ops_a)} interventions but {applied} "

@@ -231,8 +231,8 @@ def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,
 def shift_matrix(d: int, r: int) -> np.ndarray:
     """Cyclic shift |i> -> |i + r mod d>."""
     s = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        s[(i + r) % d, i] = 1.0
+    i = np.arange(d)
+    s[(i + r) % d, i] = 1.0
     return s
 
 
@@ -243,21 +243,19 @@ def measurement_unitary(projectors: Sequence[np.ndarray]) -> np.ndarray:
     outcome into the register while keeping all cross terms:
     sum_{r,r'} P(r) rho' P(r') (x) |r><r'|.
     """
-    projectors = [np.asarray(p, dtype=complex) for p in projectors]
-    d_anc = projectors[0].shape[0]
-    d_out = len(projectors)
-    total = sum(projectors)
-    if max_norm(total - np.eye(d_anc)) > 1e-12:
+    p = np.asarray(projectors, dtype=complex)
+    d_out, d_anc = p.shape[:2]
+    if max_norm(p.sum(axis=0) - np.eye(d_anc)) > 1e-12:
         raise ValueError("projectors do not resolve the ancilla identity")
-    for i, p in enumerate(projectors):
-        for j, q in enumerate(projectors):
-            expect = p if i == j else np.zeros_like(p)
-            if max_norm(p @ q - expect) > 1e-12:
-                raise ValueError("projector blocks are not orthogonal")
-    u = np.zeros((d_anc * d_out, d_anc * d_out), dtype=complex)
-    for r, p in enumerate(projectors):
-        u += np.kron(p, shift_matrix(d_out, r))
-    return u
+    # P(i) P(j) must be P(i) if i == j and vanish otherwise
+    expect = np.eye(d_out)[:, :, None, None] * p[:, None]
+    if max_norm(p[:, None] @ p[None, :] - expect) > 1e-12:
+        raise ValueError("projector blocks are not orthogonal")
+    # U[(a, r + j), (b, j)] = P(r)[a, b]
+    r, j = np.divmod(np.arange(d_out * d_out), d_out)
+    u = np.zeros((d_anc, d_out, d_anc, d_out), dtype=complex)
+    u[:, (r + j) % d_out, :, j] = p[r]
+    return u.reshape(d_anc * d_out, d_anc * d_out)
 
 
 def dephasing_unitary(d: int) -> np.ndarray:
@@ -269,10 +267,7 @@ def dephasing_unitary(d: int) -> np.ndarray:
     H_M diagonal in the record basis and a degenerate dephaser, so the
     operation costs no energy.
     """
+    r, i = np.divmod(np.arange(d * d), d)
     u = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d):
-        ket = np.zeros((d, d), dtype=complex)
-        ket[r, r] = 1.0
-        u += np.kron(ket, shift_matrix(d, r))
+    u[r * d + (i + r) % d, r * d + i] = 1.0
     return u
-

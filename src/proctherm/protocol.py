@@ -6,22 +6,35 @@ coupling window.  Feedback is expressed as replacement timelines keyed by
 outcome-record prefixes; the deepest matching prefix wins, by the rule of
 :func:`deepest_prefix` that also picks instruments and control hardware.
 Smooth drives must be pre-discretized (see :func:`discretize_ramp`), which
-makes every work integral an exact switch-sum.
+makes every work integral an exact switch-sum.  Times at most ``TIME_EPS``
+apart are one instant; :func:`same_instant` and :func:`before` are the only
+comparisons of two times in either route.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .algebra import is_hermitian
+from .tolerances import TIME_EPS
 
-__all__ = ["Segment", "Protocol", "deepest_prefix", "discretize_ramp"]
+__all__ = ["Segment", "Protocol", "deepest_prefix", "discretize_ramp",
+           "same_instant", "before"]
 
 T = TypeVar("T")
+
+
+def same_instant(a: float, b: float) -> bool:
+    """Whether times a and b are one instant: at most ``TIME_EPS`` apart."""
+    return abs(a - b) <= TIME_EPS
+
+
+def before(a: float, b: float) -> bool:
+    """Whether time a falls before time b by more than one instant."""
+    return a < b - TIME_EPS
 
 
 def deepest_prefix(table: Mapping[tuple[str, ...], T], record: Sequence[str],
@@ -46,7 +59,7 @@ class Segment:
     window: tuple[int, np.ndarray] | None = None  # (step index, V on system+ancilla)
 
     def __post_init__(self):
-        if not self.t1 > self.t0:
+        if not before(self.t0, self.t1):
             raise ValueError(f"empty segment [{self.t0}, {self.t1})")
         if not is_hermitian(np.asarray(self.h_system)):
             raise ValueError("segment Hamiltonian is not Hermitian")
@@ -59,7 +72,7 @@ def _validate_timeline(segments: Sequence[Segment]) -> tuple[Segment, ...]:
     if not segments:
         raise ValueError("a protocol needs at least one segment")
     for a, b in zip(segments, segments[1:]):
-        if abs(a.t1 - b.t0) > 1e-12:
+        if not same_instant(a.t1, b.t0):
             raise ValueError(f"protocol gap or overlap between t={a.t1} and t={b.t0}")
     return segments
 
@@ -80,7 +93,8 @@ class Protocol:
                 raise ValueError("a protocol variant needs a nonempty prefix; "
                                  "the base timeline covers the empty record")
             segs = _validate_timeline(segs)
-            if abs(segs[0].t0 - base[0].t0) > 1e-12 or abs(segs[-1].t1 - base[-1].t1) > 1e-12:
+            if not (same_instant(segs[0].t0, base[0].t0)
+                    and same_instant(segs[-1].t1, base[-1].t1)):
                 raise ValueError(f"variant {prefix} does not span the base timeline")
             vd[tuple(prefix)] = segs
         object.__setattr__(self, "base", base)
@@ -99,26 +113,23 @@ class Protocol:
         return deepest_prefix(self.variants, prefix, self.base)
 
     def segment_at(self, t: float, prefix: Sequence[str] = ()) -> Segment:
-        """Segment active at time t; [t0, t1) semantics, t_end maps to the last."""
-        segs = self.timeline(prefix)
-        if t < segs[0].t0 - 1e-12 or t > segs[-1].t1 + 1e-12:
+        """The last segment starting at most one instant after t."""
+        if before(t, self.t_start) or before(self.t_end, t):
             raise ValueError(f"time {t} outside protocol range "
-                             f"[{segs[0].t0}, {segs[-1].t1}]")
-        starts = [s.t0 for s in segs]
-        i = bisect.bisect_right(starts, t + 1e-15) - 1
-        return segs[max(0, min(i, len(segs) - 1))]
+                             f"[{self.t_start}, {self.t_end}]")
+        return [s for s in self.timeline(prefix) if not before(t, s.t0)][-1]
 
     def iter_segments(self, t_from: float, t_to: float,
                       prefix: Sequence[str] = ()) -> Iterator[tuple[Segment, float, float]]:
         """Yield (segment, a, b) slices covering (t_from, t_to]."""
-        if t_to < t_from - 1e-12:
+        if before(t_to, t_from):
             raise ValueError(f"reversed interval ({t_from}, {t_to})")
-        if t_from < self.t_start - 1e-12 or t_to > self.t_end + 1e-12:
+        if before(t_from, self.t_start) or before(self.t_end, t_to):
             raise ValueError(f"interval ({t_from}, {t_to}) not covered by the "
                              f"protocol range [{self.t_start}, {self.t_end}]")
         for seg in self.timeline(prefix):
             a, b = max(seg.t0, t_from), min(seg.t1, t_to)
-            if b - a > 1e-13:
+            if before(a, b):
                 yield seg, a, b
 
     def with_window(self, step: int, t0: float, t1: float, v: np.ndarray) -> "Protocol":
@@ -131,9 +142,9 @@ class Protocol:
                 cuts = sorted({seg.t0, seg.t1, min(max(t0, seg.t0), seg.t1),
                                min(max(t1, seg.t0), seg.t1)})
                 for a, b in zip(cuts, cuts[1:]):
-                    if b - a <= 1e-13:
+                    if not before(a, b):
                         continue
-                    inside = a >= t0 - 1e-12 and b <= t1 + 1e-12
+                    inside = not before(a, t0) and not before(t1, b)
                     if inside and seg.window is not None:
                         raise ValueError("overlapping coupling windows")
                     out.append(Segment(a, b, seg.h_system,

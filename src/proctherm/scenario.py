@@ -16,9 +16,9 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 import yaml
 
-from .algebra import gibbs_mat, is_hermitian, max_norm
+from .algebra import gibbs_mat, is_hermitian, validate_density
 from .channels import CPMap, Instrument
-from .protocol import Protocol, Segment
+from .protocol import Protocol, Segment, before, same_instant
 from .simulate import AutonomousModel
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_dict",
@@ -146,13 +146,10 @@ def _parse_state(node: Any, path: str, dim: int, beta: float,
 
 
 def _check_density(rho: np.ndarray, path: str) -> np.ndarray:
-    if not is_hermitian(rho):
-        raise ScenarioError(path, "density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ScenarioError(path, f"density matrix trace is {np.trace(rho).real!r}, not 1")
-    if np.linalg.eigvalsh(rho)[0] < -1e-10:
-        raise ScenarioError(path, "density matrix has a negative eigenvalue")
-    return rho
+    try:
+        return validate_density(rho)
+    except ValueError as exc:
+        raise ScenarioError(path, f"invalid density matrix: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +198,8 @@ def _parse_instrument(node, path, names, s_dim) -> Instrument:
     try:
         return Instrument(outcomes)
     except ValueError as exc:
-        total = sum(k.conj().T @ k for _, cp in outcomes for k in cp.kraus)
-        residual = max_norm(total - np.eye(s_dim))
-        raise ScenarioError(
-            path, f"invalid instrument (Kraus completeness residual "
-                  f"{residual:.3e}): {exc}") from None
+        # the instrument's own message names the completeness residual
+        raise ScenarioError(path, f"invalid instrument: {exc}") from None
 
 
 def _parse_segments(node, path, names, s_dim, t_start, t_end) -> list:
@@ -224,7 +218,7 @@ def _parse_segments(node, path, names, s_dim, t_start, t_end) -> list:
         segs.append((t0, t1, h))
     if not segs:
         raise ScenarioError(path, "protocol needs at least one segment")
-    if abs(segs[0][0] - t_start) > 1e-12 or abs(segs[-1][1] - t_end) > 1e-12:
+    if not (same_instant(segs[0][0], t_start) and same_instant(segs[-1][1], t_end)):
         raise ScenarioError(path, f"segments must cover [{t_start}, {t_end}]")
     return segs
 
@@ -276,7 +270,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     default_end = max([t_start + 1.0] + report_times
                       + [float(s.get("time", t_start)) for s in steps_node])
     t_end = float(tspan.get("end", default_end))
-    if t_end <= t_start:
+    if not before(t_start, t_end):
         raise ScenarioError("time", f"end {t_end} must exceed start {t_start}")
 
     if "protocol" in data and "system_hamiltonian" in data:
@@ -303,6 +297,13 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         if "instrument" in sn:
             entry["instrument"] = _parse_instrument(sn["instrument"],
                                                     spath + ".instrument", names, s_dim)
+            if "ancilla_hamiltonian" in sn:
+                entry["h_ancilla"] = _parse_hermitian(
+                    sn["ancilla_hamiltonian"], spath + ".ancilla_hamiltonian", names)
+        elif "ancilla_hamiltonian" in sn:
+            raise ScenarioError(spath + ".ancilla_hamiltonian",
+                                "a collision step declares its ancilla Hamiltonian "
+                                "as collision.ancilla.hamiltonian")
         else:
             col = sn["collision"]
             cpath = spath + ".collision"
@@ -331,13 +332,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
             entry["collision"] = {
                 "ancilla_state": state, "unitary": u, "projectors": projs,
                 "labels": col.get("labels")}
-            if h_anc is not None:
-                entry["h_ancilla"] = h_anc
-        if "ancilla_hamiltonian" in sn:
-            entry["h_ancilla"] = _parse_matrix(
-                sn["ancilla_hamiltonian"], spath + ".ancilla_hamiltonian", names)
-            if not is_hermitian(entry["h_ancilla"]):
-                raise ScenarioError(spath + ".ancilla_hamiltonian", "must be Hermitian")
+            entry["h_ancilla"] = h_anc
         if "window" in sn:
             width = float(sn["window"].get("width", 0.0)) \
                 if isinstance(sn["window"], Mapping) else float(sn["window"])
@@ -386,7 +381,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     if not report_times:
         report_times = [t_end]
     for i, t in enumerate(report_times):
-        if t < t_start - 1e-12 or t > t_end + 1e-12:
+        if before(t, t_start) or before(t_end, t):
             raise ScenarioError(f"report_times[{i}]",
                                 f"{t} outside [{t_start}, {t_end}]")
 

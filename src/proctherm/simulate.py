@@ -47,7 +47,7 @@ from .algebra import (
 )
 from .channels import Instrument, InterventionSchedule
 from .dilation import DilationResult, dilate_instrument
-from .protocol import Segment, deepest_prefix
+from .protocol import Segment, before, deepest_prefix, same_instant
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -82,7 +82,6 @@ class StepSpec:
     """
 
     time: float
-    ancilla_dim: int
     ancilla_state: np.ndarray
     h_ancilla: np.ndarray
     window_width: float | None
@@ -263,7 +262,7 @@ class AutonomousModel:
                 raise ValueError(f"step {k}: ancilla Hamiltonian is not Hermitian")
             controls = {p: (hw, tuple(_rank1_vector(q) for q in hw.projectors))
                         for p, hw in hardware.items()}
-            specs.append(StepSpec(t_k, d_anc, hardware[()].ancilla_state, h_anc,
+            specs.append(StepSpec(t_k, hardware[()].ancilla_state, h_anc,
                                   None if window is None else float(window), controls))
             factors.append((ancilla_label(k), d_anc))
 
@@ -274,20 +273,21 @@ class AutonomousModel:
                 continue
             gen = unitary_log_generator(spec.controls[()][0].unitary)
             t0, t1 = spec.time, spec.time + spec.window_width
-            if t1 >= protocol.t_end - 1e-12:
+            if not before(t0, t1):
+                raise ValueError(f"step {k}: control window is not longer than "
+                                 "one instant")
+            if not before(t1, protocol.t_end):
                 raise ValueError(f"step {k}: control window must end before the "
                                  "protocol does")
-            if k + 1 < len(specs) and t1 > specs[k + 1].time + 1e-12:
+            if k + 1 < len(specs) and before(specs[k + 1].time, t1):
                 raise ValueError(f"step {k}: control window overlaps the next step")
             protocol = protocol.with_window(k, t0, t1, gen / spec.window_width)
 
         schedule = InterventionSchedule(registry, times, instruments, protocol,
                                         feedback=feedback, h_bath=h_bath,
                                         v_coupling=v_coupling)
-        if schedule.times and schedule.times[0] < protocol.t_start - 1e-12:
-            raise ValueError("first intervention happens before the protocol starts")
-        if schedule.times and schedule.times[-1] > protocol.t_end + 1e-12:
-            raise ValueError("an intervention is scheduled after the protocol ends")
+        if times and (before(times[0], protocol.t_start) or before(protocol.t_end, times[-1])):
+            raise ValueError("an intervention is scheduled outside the protocol range")
         # a variant timeline may only deviate once its prefix is resolved
         for prefix in protocol.variants:
             if len(prefix) > len(times):
@@ -433,8 +433,6 @@ class PrefixTrace:
 class StepTrace:
     """All conditioning data gathered while executing one step."""
 
-    step: int
-    time: float
     per_prefix: dict[tuple[str, ...], PrefixTrace]    # keyed by parent labels
 
     def average_work_gap(self) -> float:
@@ -506,12 +504,10 @@ class Simulator:
 
     def initial_ledger(self) -> BranchLedger:
         model = self.model
-        t0 = model.protocol.t_start
-        seg = model.protocol.segment_at(t0)
         br = Branch(labels=(), state=_frozen(model.sb_init.mat),
                     support=model.registry.canonical(("S", "B")),
-                    h_sys_applied=seg.h_system, window_applied=None)
-        return BranchLedger(time=t0, branches={(): br})
+                    h_sys_applied=model.protocol.base[0].h_system)
+        return BranchLedger(time=model.protocol.t_start, branches={(): br})
 
     # -- evolution ----------------------------------------------------------
 
@@ -546,9 +542,9 @@ class Simulator:
         return br
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
-        if t < ledger.time - 1e-12:
+        if before(t, ledger.time):
             raise ValueError(f"cannot advance backwards from {ledger.time} to {t}")
-        if t <= ledger.time + 1e-15:
+        if not before(ledger.time, t):
             return ledger
         branches = {labels: self._advance_branch(br, ledger.time, t)
                     for labels, br in ledger.branches.items()}
@@ -562,7 +558,7 @@ class Simulator:
         if ledger.steps_done != k:
             raise ValueError(f"ledger has completed {ledger.steps_done} steps, "
                              f"cannot run step {k}")
-        if abs(ledger.time - spec.time) > 1e-9:
+        if not same_instant(ledger.time, spec.time):
             raise ValueError(f"step {k} is scheduled at t={spec.time}, "
                              f"ledger is at t={ledger.time}")
         anc = ancilla_label(k)
@@ -640,7 +636,7 @@ class Simulator:
             raise RuntimeError(f"branch count {len(new_branches)} exceeds the "
                                f"limit {self.max_branches}")
         out = BranchLedger(t_meas, new_branches, pruned, steps_done=k + 1)
-        return out, StepTrace(k, spec.time, traces)
+        return out, StepTrace(traces)
 
     # -- full run -----------------------------------------------------------
 
@@ -650,7 +646,7 @@ class Simulator:
         initial = Snapshot(ledger.time, ledger)
         times = sorted(set(float(t) for t in report_times))
         for t in times:
-            if t < model.protocol.t_start - 1e-12 or t > model.protocol.t_end + 1e-12:
+            if before(t, model.protocol.t_start) or before(model.protocol.t_end, t):
                 raise ValueError(f"report time {t} outside the protocol range")
         snapshots: list[Snapshot] = []
         traces: list[StepTrace] = []
@@ -658,7 +654,7 @@ class Simulator:
 
         def steps_until(t):
             nonlocal ledger, k
-            while k < model.n_steps and model.steps[k].time <= t + 1e-12:
+            while k < model.n_steps and not before(t, model.steps[k].time):
                 ledger = self.advance(ledger, model.steps[k].time)
                 ledger, tr = self.run_step(ledger, k)
                 traces.append(tr)
@@ -666,7 +662,7 @@ class Simulator:
 
         for t in times:
             steps_until(t)
-            if ledger.time > t + 1e-12:
+            if before(t, ledger.time):
                 raise ValueError(f"report time {t} falls inside a control window")
             ledger = self.advance(ledger, t)
             snapshots.append(Snapshot(t, ledger))

@@ -2,8 +2,8 @@
 
 Every check in the package reads its tolerance from one :class:`Tolerances`
 instance so that the CLI can override individual values uniformly.  The
-two constants below are numerical floors, not check tolerances, and are
-not overridable.
+three constants below are fixed, not check tolerances, and are not
+overridable: two numerical floors and the width of one instant.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 HERMITIAN = 1e-12   # max-norm Hermiticity residual accepted on input matrices
 EIG_FLOOR = 1e-14   # eigenvalues below this count as zero in entropies
+TIME_EPS = 1e-12    # times at most this far apart are one instant (see protocol)
 
 
 @dataclass(frozen=True)

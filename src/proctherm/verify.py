@@ -170,10 +170,9 @@ def verify_model(model: AutonomousModel, result: RunResult,
 
     # --- second law, both forms
     if model.gibbs_initial:
-        neg = max((-row.sigma_first_law for row in ledger.ensemble_rows),
-                  default=0.0)
-        checks.append(_check("second-law-positivity", max(neg, 0.0),
-                             tol.second_law))
+        # +0.0 leads: max keeps the first of equal values, so -0.0 never shows
+        neg = max([0.0] + [-row.sigma_first_law for row in ledger.ensemble_rows])
+        checks.append(_check("second-law-positivity", neg, tol.second_law))
         gaps = [abs(row.sigma_first_law - row.sigma_rel_ent)
                 for row in ledger.ensemble_rows if row.sigma_rel_ent is not None]
         if gaps:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,7 @@ class TestToleranceFields:
         got = verify_outputs(tmp_path, f"{name}={self.EXTREME.get(name, '-1')}")
         assert got != default_verify_outputs
 
-    @pytest.mark.parametrize("name", ["hermitian", "unitary", "eig_floor"])
+    @pytest.mark.parametrize("name", ["hermitian", "unitary", "eig_floor", "time_eps"])
     def test_fixed_floors_are_not_tolerances(self, name, capsys):
         code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
                        "--tol-override", f"{name}=-1")
@@ -240,6 +241,15 @@ class TestPrunedEnsemble:
         checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
         forms = checks["entropy-production-forms"]
         assert forms["verdict"] == "pass" and forms["note"].startswith("skipped:")
+
+    def test_second_law_of_empty_rows_reads_positive_zero(self, tmp_path, capsys):
+        # every ensemble row is empty, so each sigma is 0.0 and its negation -0.0
+        out = tmp_path / "r"
+        run_cli("verify", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+                "--tol-override", "prune=0.9", "--out", str(out))
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+        assert math.copysign(1.0, checks["second-law-positivity"]["value"]) == 1.0
+        assert "-0.000e+00" not in capsys.readouterr().out
 
     def test_pruned_mass_named_on_the_ensemble_identities(self, tmp_path, capsys):
         def notes(*overrides):

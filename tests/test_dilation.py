@@ -261,6 +261,11 @@ class TestMeasurementUnitary:
         with pytest.raises(ValueError):
             measurement_unitary([P0, 0.5 * P1])
 
+    def test_overlapping_resolution_rejected(self):
+        # complete, so only the pairwise check can refuse it
+        with pytest.raises(ValueError, match="not orthogonal"):
+            measurement_unitary([np.diag([1.0, 0.5]), np.diag([0.0, 0.5])])
+
 
 class TestDephasing:
     def test_diagonal_state_unchanged(self):

@@ -118,6 +118,15 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario_dict(bad)
 
+    @pytest.mark.parametrize("mat, why", [
+        (np.diag([2.0, -1.0, 0, 0]), "negative eigenvalue"),
+        (np.diag([0.5, 0.2, 0, 0]), "trace"),
+        (np.triu(np.full((4, 4), 0.25)), "not Hermitian")])
+    def test_invalid_density_names_path_and_reason(self, mat, why):
+        with pytest.raises(ScenarioError, match=why) as err:
+            parse_scenario_dict(minimal(initial={"sb": {"matrix": mat.tolist()}}))
+        assert err.value.path == "initial.sb.matrix"
+
     def test_report_times_range_checked(self):
         with pytest.raises(ScenarioError, match="report_times"):
             parse_scenario_dict(minimal(report_times=[5.0]))
@@ -146,6 +155,23 @@ class TestParsing:
         p = 1 / (1 + math.exp(-1.0))
         np.testing.assert_allclose(np.diag(st["collision"]["ancilla_state"]),
                                    [p, 1 - p], atol=1e-12)
+
+    def test_collision_takes_one_ancilla_hamiltonian_key(self):
+        # the Gibbs ancilla state is built from collision.ancilla.hamiltonian,
+        # so a second, step-level Hamiltonian would contradict it
+        data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
+        data["steps"][1]["ancilla_hamiltonian"] = {"diag": [0.0, 2.0]}
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_dict(data)
+        assert err.value.path == "steps[1].ancilla_hamiltonian"
+
+    def test_instrument_ancilla_hamiltonian_must_be_hermitian(self):
+        inst = {"outcomes": [{"label": "1", "kraus": [[[1, 0], [0, 1]]]}]}
+        step = {"time": 0.5, "instrument": inst, "ancilla_hamiltonian": [[0.0]]}
+        assert parse_scenario_dict(minimal(steps=[step])).steps[0]["h_ancilla"].shape == (1, 1)
+        step["ancilla_hamiltonian"] = [[0, 1], [0, 0]]
+        with pytest.raises(ScenarioError, match="ancilla_hamiltonian.*Hermitian"):
+            parse_scenario_dict(minimal(steps=[step]))
 
 
 class TestShippedScenarios:

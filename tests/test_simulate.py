@@ -17,6 +17,7 @@ from proctherm.protocol import Protocol, Segment
 from proctherm import simulate
 from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
 from proctherm.thermo import work_measurement_alternative
+from proctherm.tolerances import TIME_EPS
 
 from oracles import (
     random_density,
@@ -337,6 +338,69 @@ class TestEvolution:
         model = simple_model([], t_end=1.0, sb_init=np.eye(4) / 4)
         with pytest.raises(ValueError):
             Simulator(model).run(report_times=[5.0])
+
+
+def instant_model():
+    """Two projective steps under a drive and a system-bath coupling, so
+    any propagation, however short, moves every state."""
+    rng = np.random.default_rng(29)
+    return simple_model([{"time": 0.5, "instrument": projective_z()},
+                         {"time": 1.2, "instrument": projective_z()}],
+                        h_sys=SX + P1, h_bath=np.diag([0.0, 0.7]),
+                        v=0.3 * random_hermitian(rng, 4))
+
+
+def states_reported_at(model, t):
+    """Branch states of the autonomous route and conditional system states
+    of the direct route, reported at t."""
+    auto = Simulator(model).run([t]).snapshots[0].ledger.branches
+    direct = evaluate_process_tensor(model.schedule, model.sb_init, [t])[t]
+    return ({labels: br.state for labels, br in auto.items()},
+            {record: rho.mat for record, rho in direct.items()})
+
+
+class TestSameInstant:
+    """Times at most TIME_EPS apart are one instant, in both routes."""
+
+    T_STEP = 1.2
+
+    @pytest.mark.parametrize("offset", [-TIME_EPS / 2, TIME_EPS / 2])
+    def test_report_within_one_instant_of_a_step_is_at_it(self, offset):
+        model = instant_model()
+        want = states_reported_at(model, self.T_STEP)
+        got = states_reported_at(model, self.T_STEP + offset)
+        for route_got, route_want in zip(got, want):
+            assert route_got.keys() == route_want.keys()
+            for key, mat in route_want.items():
+                assert np.array_equal(route_got[key], mat)
+
+    def test_report_two_instants_from_a_step_is_distinct(self):
+        model = instant_model()
+        at_step = states_reported_at(model, self.T_STEP)
+        early = states_reported_at(model, self.T_STEP - 2 * TIME_EPS)
+        late = states_reported_at(model, self.T_STEP + 2 * TIME_EPS)
+        for route_at, route_early, route_late in zip(at_step, early, late):
+            # the step has not happened yet: the records are one label short
+            assert {len(k) for k in route_early} == {1}
+            assert route_late.keys() == route_at.keys()
+            assert not any(np.array_equal(route_late[k], m) for k, m in route_at.items())
+
+    def test_protocol_reads_times_one_instant_apart_as_one(self):
+        proto = Protocol([Segment(0.0, 1.0, SX), Segment(1.0, 2.0, P1)])
+        assert list(proto.iter_segments(0.3, 0.3 + TIME_EPS / 2)) == []
+        assert len(list(proto.iter_segments(0.3, 0.3 + 2 * TIME_EPS))) == 1
+        assert proto.segment_at(1.0 - TIME_EPS / 2) is proto.base[1]
+        assert proto.segment_at(1.0 - 2 * TIME_EPS) is proto.base[0]
+
+    def test_steps_segments_and_windows_span_more_than_one_instant(self):
+        with pytest.raises(ValueError, match="empty segment"):
+            Segment(0.0, TIME_EPS / 2, SX)
+        with pytest.raises(ValueError, match="strictly increase"):
+            simple_model([{"time": 0.5, "instrument": projective_z()},
+                          {"time": 0.5 + TIME_EPS / 2, "instrument": projective_z()}])
+        with pytest.raises(ValueError, match="one instant"):
+            simple_model([{"time": 0.5, "instrument": projective_z(),
+                           "window": TIME_EPS / 2}])
 
 
 class TestInstantaneousControl:
