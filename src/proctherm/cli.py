@@ -72,22 +72,25 @@ def build_parser():
 
 
 def _load(args):
+    """Scenario, model and the tolerances of the run.  The prune threshold
+    is the explicit override, else the scenario's option, else the default."""
     scenario = parse_scenario(args.scenario)
     model = build_model(scenario)
-    tol = DEFAULT.replaced(**_parse_overrides(args.tol_override))
-    prune = float(scenario.options.get("prune_threshold", tol.prune))
-    return scenario, model, tol, prune
+    overrides = _parse_overrides(args.tol_override)
+    if "prune_threshold" in scenario.options:
+        overrides.setdefault("prune", scenario.options["prune_threshold"])
+    return scenario, model, DEFAULT.replaced(**overrides)
 
 
 def cmd_run(args) -> int:
-    scenario, model, tol, prune = _load(args)
+    scenario, model, tol = _load(args)
     if args.mode == "process-tensor":
         direct = evaluate_process_tensor(model.schedule, model.sb_init,
                                          scenario.report_times)
         rows = [{"time": t, "record": record_string(labels), "p": out.weight}
                 for t in scenario.report_times
                 for labels, out in direct[t].items()
-                if survives_prune(out.weight, prune)]
+                if survives_prune(out.weight, tol.prune)]
         doc = {"scenario": scenario.name, "mode": args.mode, "seed": args.seed,
                "scenario_checksum": scenario.checksum, "records": rows}
         text = json.dumps(doc, sort_keys=True, indent=2)
@@ -98,7 +101,7 @@ def cmd_run(args) -> int:
             print(text)
         return EXIT_OK
 
-    result = Simulator(model, prune=prune,
+    result = Simulator(model, prune=tol.prune,
                        max_branches=args.max_branches).run(scenario.report_times)
     ledger = evaluate_run(result)
     equivalence, checks = None, []
@@ -121,8 +124,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenario, model, tol, prune = _load(args)
-    result = run_verified(model, scenario.report_times, prune=prune,
+    scenario, model, tol = _load(args)
+    result = run_verified(model, scenario.report_times, prune=tol.prune,
                           max_branches=args.max_branches)
     ledger = evaluate_run(result)
     rng = np.random.default_rng(args.seed)
@@ -145,8 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    scenario, model, tol, prune = _load(args)
-    result = Simulator(model, prune=prune,
+    scenario, model, tol = _load(args)
+    result = Simulator(model, prune=tol.prune,
                        max_branches=args.max_branches).run(scenario.report_times)
     rows, checks = equivalence_checks(model, result, tol)
     if rows is None:
@@ -170,7 +173,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    scenario, model, tol, _ = _load(args)
+    scenario, model, tol = _load(args)
     if not 0 <= args.step < model.n_steps:
         print(f"error: scenario has {model.n_steps} step(s), no index {args.step}",
               file=sys.stderr)

@@ -1,10 +1,12 @@
 """Piecewise-constant driving protocols with outcome-conditioned variants.
 
-A protocol is a contiguous timeline of segments, each holding the system
-Hamiltonian for that interval and, optionally, an active system-ancilla
-coupling window.  Feedback is expressed as replacement timelines keyed by
-outcome-record prefixes; the deepest matching prefix wins, by the rule of
-:func:`deepest_prefix` that also picks instruments and control hardware.
+A protocol is the external drive H_S(t): a contiguous timeline of
+segments, each holding the system Hamiltonian for that interval.  It knows
+nothing of ancillas: a control and its coupling belong to their step
+(see :mod:`proctherm.simulate`).  Feedback
+is expressed as replacement timelines keyed by outcome-record prefixes;
+the deepest matching prefix wins, by the rule of :func:`deepest_prefix`
+that also picks instruments and control hardware.
 Smooth drives must be pre-discretized (see :func:`discretize_ramp`), which
 makes every work integral an exact switch-sum.  Times at most ``TIME_EPS``
 apart are one instant; :func:`same_instant` and :func:`before` are the only
@@ -56,15 +58,12 @@ class Segment:
     t0: float
     t1: float
     h_system: np.ndarray
-    window: tuple[int, np.ndarray] | None = None  # (step index, V on system+ancilla)
 
     def __post_init__(self):
         if not before(self.t0, self.t1):
             raise ValueError(f"empty segment [{self.t0}, {self.t1})")
         if not is_hermitian(np.asarray(self.h_system)):
             raise ValueError("segment Hamiltonian is not Hermitian")
-        if self.window is not None and not is_hermitian(np.asarray(self.window[1])):
-            raise ValueError("window coupling is not Hermitian")
 
 
 def _validate_timeline(segments: Sequence[Segment]) -> tuple[Segment, ...]:
@@ -131,28 +130,6 @@ class Protocol:
             a, b = max(seg.t0, t_from), min(seg.t1, t_to)
             if before(a, b):
                 yield seg, a, b
-
-    def with_window(self, step: int, t0: float, t1: float, v: np.ndarray) -> "Protocol":
-        """New protocol with a coupling window overlaid on every timeline."""
-        window = (step, np.asarray(v, dtype=complex))
-
-        def overlay(segs: tuple[Segment, ...]) -> list[Segment]:
-            out: list[Segment] = []
-            for seg in segs:
-                cuts = sorted({seg.t0, seg.t1, min(max(t0, seg.t0), seg.t1),
-                               min(max(t1, seg.t0), seg.t1)})
-                for a, b in zip(cuts, cuts[1:]):
-                    if not before(a, b):
-                        continue
-                    inside = not before(a, t0) and not before(t1, b)
-                    if inside and seg.window is not None:
-                        raise ValueError("overlapping coupling windows")
-                    out.append(Segment(a, b, seg.h_system,
-                                       window if inside else seg.window))
-            return out
-
-        return Protocol(overlay(self.base),
-                        {p: overlay(s) for p, s in self.variants.items()})
 
 
 def discretize_ramp(h0: np.ndarray, h1: np.ndarray, t0: float, t1: float,

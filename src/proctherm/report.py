@@ -4,6 +4,7 @@ and seed produce byte-identical output."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ from typing import Any
 
 from . import __version__
 from .simulate import RunResult
-from .thermo import ThermoLedger
+from .thermo import EnsembleThermo, ThermoLedger
 from .tolerances import Tolerances
 
 __all__ = ["ReportBundle", "bundle_from_run", "record_string", "CONTROL_CAVEAT"]
@@ -24,9 +25,7 @@ CONTROL_CAVEAT = (
 
 BRANCH_COLUMNS = ("time", "record", "p", "u", "du", "w_sys", "w_ctrl",
                   "w_meas", "w_meas_alt", "w", "w_alt", "q", "q_alt", "s", "f")
-ENSEMBLE_COLUMNS = ("time", "total_weight", "u", "du", "w", "w_alt", "w_budget",
-                    "q", "s", "ds", "f", "sigma_first_law", "sigma_rel_ent",
-                    "pruned_mass")
+ENSEMBLE_COLUMNS = tuple(f.name for f in dataclasses.fields(EnsembleThermo))
 
 
 @dataclass(eq=False)
@@ -120,14 +119,8 @@ def bundle_from_run(result: RunResult, ledger: ThermoLedger, *, mode: str,
                 "w_meas": r.w_meas, "w_meas_alt": r.w_meas_alt,
                 "w": r.w, "w_alt": r.w_alt, "q": r.q, "q_alt": r.q_alt,
                 "s": r.s, "f": r.f})
-    ensemble_rows = []
-    for row in ledger.ensemble_rows:
-        ensemble_rows.append({
-            "time": row.time, "total_weight": row.total_weight, "u": row.u,
-            "du": row.du, "w": row.w, "w_alt": row.w_alt,
-            "w_budget": row.w_budget, "q": row.q, "s": row.s, "ds": row.ds,
-            "f": row.f, "sigma_first_law": row.sigma_first_law,
-            "sigma_rel_ent": row.sigma_rel_ent, "pruned_mass": row.pruned_mass})
+    ensemble_rows = [{c: getattr(row, c) for c in ENSEMBLE_COLUMNS}
+                     for row in ledger.ensemble_rows]
     return ReportBundle(
         scenario_name=result.model.name, mode=mode, seed=seed,
         checksum=checksum, tolerances=tolerances.as_dict(),

@@ -58,6 +58,17 @@ def _parse_complex(value: Any, path: str) -> complex:
     raise ScenarioError(path, f"expected a number or 'a+bi' string, got {type(value).__name__}")
 
 
+def _mapping(node: Any, path: str, keys: set[str] | None = None) -> Mapping:
+    """``node``, checked to be a mapping with no key outside ``keys`` (when
+    given), so that a misspelled key is an error rather than ignored."""
+    if not isinstance(node, Mapping):
+        raise ScenarioError(path, f"expected a mapping, got {type(node).__name__}")
+    unknown = set() if keys is None else set(node) - keys
+    if unknown:
+        raise ScenarioError(path, f"unknown key(s) {sorted(unknown, key=str)}")
+    return node
+
+
 def _pauli_string(ops: str, path: str) -> np.ndarray:
     out = np.array([[1.0]], dtype=complex)
     for ch in ops:
@@ -83,7 +94,7 @@ def _parse_matrix(node: Any, path: str, names: Mapping[str, np.ndarray],
                        for i, v in enumerate(node["diag"])]
             mat = np.diag(np.array(entries, dtype=complex))
         elif "number" in keys:
-            spec = node["number"]
+            spec = _mapping(node["number"], path + ".number")
             d = int(spec.get("dim", 0))
             if d < 1:
                 raise ScenarioError(path + ".number.dim", "needs a positive dim")
@@ -180,6 +191,10 @@ class Scenario:
 _TOP_KEYS = {"name", "beta", "mean_force", "system", "bath", "coupling",
              "matrices", "protocol", "system_hamiltonian", "time", "steps",
              "feedback", "initial", "report_times", "options"}
+_STEP_KEYS = {"time", "instrument", "collision", "ancilla_hamiltonian", "window"}
+_COLLISION_KEYS = {"ancilla", "unitary", "projectors", "labels"}
+_ANCILLA_KEYS = {"dim", "state", "hamiltonian"}
+_OPTION_KEYS = {"prune_threshold"}
 
 
 def _parse_instrument(node, path, names, s_dim) -> Instrument:
@@ -188,6 +203,7 @@ def _parse_instrument(node, path, names, s_dim) -> Instrument:
     outcomes = []
     for i, oc in enumerate(node["outcomes"]):
         opath = f"{path}.outcomes[{i}]"
+        oc = _mapping(oc, opath)
         label = str(oc.get("label", i + 1))
         kraus_nodes = oc.get("kraus")
         if not kraus_nodes:
@@ -243,15 +259,15 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     if mean_force not in ("exact", "bare"):
         raise ScenarioError("mean_force", f"must be 'exact' or 'bare', got {mean_force!r}")
 
-    s_dim = int(data["system"].get("dim", 0))
+    s_dim = int(_mapping(data["system"], "system", {"dim"}).get("dim", 0))
     if s_dim < 2:
         raise ScenarioError("system.dim", f"needs dimension >= 2, got {s_dim}")
 
     names: dict[str, np.ndarray] = {}
-    for mname, mnode in (data.get("matrices") or {}).items():
+    for mname, mnode in _mapping(data.get("matrices") or {}, "matrices").items():
         names[str(mname)] = _parse_matrix(mnode, f"matrices.{mname}", names)
 
-    bath = data.get("bath") or {}
+    bath = _mapping(data.get("bath") or {}, "bath", {"dim", "hamiltonian"})
     b_dim = int(bath.get("dim", 1))
     if b_dim < 1:
         raise ScenarioError("bath.dim", f"needs dimension >= 1, got {b_dim}")
@@ -263,9 +279,10 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         v_coupling = _parse_hermitian(data["coupling"], "coupling", names, s_dim * b_dim)
 
     # time horizon and drive
-    steps_node = data.get("steps") or []
+    steps_node = [_mapping(sn, f"steps[{i}]", _STEP_KEYS)
+                  for i, sn in enumerate(data.get("steps") or [])]
     report_times = [float(t) for t in (data.get("report_times") or [])]
-    tspan = data.get("time") or {}
+    tspan = _mapping(data.get("time") or {}, "time", {"start", "end"})
     t_start = float(tspan.get("start", 0.0))
     default_end = max([t_start + 1.0] + report_times
                       + [float(s.get("time", t_start)) for s in steps_node])
@@ -288,7 +305,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     steps: list[dict] = []
     for i, sn in enumerate(steps_node):
         spath = f"steps[{i}]"
-        if not isinstance(sn, Mapping) or "time" not in sn:
+        if "time" not in sn:
             raise ScenarioError(spath, "step needs a 'time'")
         entry: dict = {"time": float(sn["time"])}
         if ("instrument" in sn) == ("collision" in sn):
@@ -305,9 +322,9 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
                                 "a collision step declares its ancilla Hamiltonian "
                                 "as collision.ancilla.hamiltonian")
         else:
-            col = sn["collision"]
             cpath = spath + ".collision"
-            anc = col.get("ancilla") or {}
+            col = _mapping(sn["collision"], cpath, _COLLISION_KEYS)
+            anc = _mapping(col.get("ancilla") or {}, cpath + ".ancilla", _ANCILLA_KEYS)
             d_anc = int(anc.get("dim", 0))
             if d_anc < 1:
                 raise ScenarioError(cpath + ".ancilla.dim", "needs a positive dim")
@@ -351,7 +368,8 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         prefix = tuple(str(l) for l in fn["prefix"])
         if not prefix:
             raise ScenarioError(fpath + ".prefix", "prefix cannot be empty")
-        for snode, inode in (fn.get("instruments") or {}).items():
+        for snode, inode in _mapping(fn.get("instruments") or {},
+                                     fpath + ".instruments").items():
             k = int(snode)
             if not 0 <= k < len(steps):
                 raise ScenarioError(f"{fpath}.instruments.{snode}",
@@ -366,7 +384,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
                                                names, s_dim, t_start, t_end)
 
     # initial state
-    initial = data.get("initial") or {}
+    initial = _mapping(data.get("initial") or {}, "initial", {"sb"})
     sb_node = initial.get("sb", "gibbs")
     initial_gibbs = sb_node == "gibbs" or (isinstance(sb_node, Mapping)
                                            and sb_node.get("gibbs"))
@@ -385,7 +403,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
             raise ScenarioError(f"report_times[{i}]",
                                 f"{t} outside [{t_start}, {t_end}]")
 
-    options = dict(data.get("options") or {})
+    options = dict(_mapping(data.get("options") or {}, "options", _OPTION_KEYS))
     if "prune_threshold" in options:
         raw_prune = options["prune_threshold"]
         try:

@@ -79,12 +79,15 @@ class StepSpec:
     ``controls`` maps each declared record prefix (the empty one is the
     base) to the step's control hardware under that prefix, together with
     the rank-1 readout vector of each outcome (see :func:`_rank1_vector`).
+    A finite-width control switches the coupling ``window`` = log(U)/width
+    on S A_k on at ``time`` and off ``window_width`` later.
     """
 
     time: float
     ancilla_state: np.ndarray
     h_ancilla: np.ndarray
     window_width: float | None
+    window: np.ndarray | None
     controls: Mapping[tuple[str, ...],
                       tuple[DilationResult, tuple[np.ndarray | None, ...]]]
 
@@ -93,9 +96,9 @@ class _Space:
     """One branch support and the only list of Hamiltonian terms on it.
 
     The terms are the drive on S, ``h_bath`` on B, ``v_coupling`` on S B,
-    the Hamiltonian of each ancilla still in the support, and an active
-    control window on S A_k.  Every Hamiltonian the autonomous route reads
-    is a sum of some of them.
+    the Hamiltonian of each ancilla still in the support, and the coupling
+    of step k's control window on S A_k while it is open.  Every
+    Hamiltonian the autonomous route reads is a sum of some of them.
     """
 
     def __init__(self, model: "AutonomousModel", support: tuple[str, ...]):
@@ -110,19 +113,19 @@ class _Space:
         self._fixed: dict[tuple, np.ndarray] = {}
 
     def hamiltonian(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
-                    window: tuple[int, np.ndarray] | None = None) -> np.ndarray:
+                    window: int | None = None) -> np.ndarray:
         """Sum of the terms that act within ``labels``, on those factors in
-        the order given; the drive and the window count only when passed.
-        All but the drive is cached per (labels, window)."""
+        the order given; the drive and step ``window``'s coupling count
+        only when passed.  All but the drive is cached per (labels, window)."""
         dims = self.model.registry.dims(labels)
-        key = (labels, None if window is None else window[0])
+        key = (labels, window)
         h = self._fixed.get(key)
         if h is None:
             model = self.model
             terms = [(model.h_bath, ("B",)), (model.v_coupling, ("S", "B"))]
             terms += [(h_a, (label,)) for label, h_a in self.ancillas.items()]
             if window is not None:
-                terms.append((window[1], ("S", ancilla_label(window[0]))))
+                terms.append((model.steps[window].window, ("S", ancilla_label(window))))
             d = math.prod(dims)
             h = np.zeros((d, d), dtype=complex)
             for op, on in terms:
@@ -146,20 +149,23 @@ class _Space:
         out = (op @ t.reshape(d, -1)).reshape(-1, d) @ dagger(op)
         return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(state.shape)
 
-    def propagate(self, state: np.ndarray, seg: Segment, a: float, b: float) -> np.ndarray:
-        """Conjugate ``state`` by the exact propagator of ``seg`` over [a, b].
+    def propagate(self, state: np.ndarray, seg: Segment, a: float, b: float,
+                  window: int | None = None) -> np.ndarray:
+        """Conjugate ``state`` by the exact propagator of ``seg`` over [a, b],
+        with step ``window``'s control window open when given.
 
         Finished ancillas couple to nothing, so the propagator factors into
-        one unitary on the block the segment's terms couple (S B, plus A_k
-        inside its window) and one per other ancilla with a Hamiltonian.
-        Each factor is cached per (segment, interval) on the model.
+        one unitary on the block the terms couple (S B, plus A_k inside its
+        window) and one per other ancilla with a Hamiltonian.  Each factor
+        is cached per (segment, interval, block) on the model; a block that
+        holds A_k occurs only inside step k's window.
         """
-        block = ("S", "B") if seg.window is None else ("S", "B", ancilla_label(seg.window[0]))
+        block = ("S", "B") if window is None else ("S", "B", ancilla_label(window))
         cache = self.model._propagators
         for labels in [block] + [(l,) for l in self.ancillas if l not in block]:
             u = cache.get((seg, a, b, labels))
             if u is None:
-                h = self.hamiltonian(labels, seg.h_system, seg.window)
+                h = self.hamiltonian(labels, seg.h_system, window)
                 u = cache[seg, a, b, labels] = expm_herm(h, -1j * (b - a))
             state = self.apply(u, labels, state)
         return _frozen(state)
@@ -262,27 +268,24 @@ class AutonomousModel:
                 raise ValueError(f"step {k}: ancilla Hamiltonian is not Hermitian")
             controls = {p: (hw, tuple(_rank1_vector(q) for q in hw.projectors))
                         for p, hw in hardware.items()}
+            v_window = None
+            if window is not None:
+                window = float(window)
+                t1 = t_k + window
+                if not before(t_k, t1):
+                    raise ValueError(f"step {k}: control window is not longer than "
+                                     "one instant")
+                if not before(t1, protocol.t_end):
+                    raise ValueError(f"step {k}: control window must end before the "
+                                     "protocol does")
+                if k + 1 < len(steps) and before(float(steps[k + 1]["time"]), t1):
+                    raise ValueError(f"step {k}: control window overlaps the next step")
+                v_window = unitary_log_generator(hardware[()].unitary) / window
             specs.append(StepSpec(t_k, hardware[()].ancilla_state, h_anc,
-                                  None if window is None else float(window), controls))
+                                  window, v_window, controls))
             factors.append((ancilla_label(k), d_anc))
 
         registry = FactorRegistry(factors)
-        # overlay finite-width couplings on the protocol before freezing it
-        for k, spec in enumerate(specs):
-            if spec.window_width is None:
-                continue
-            gen = unitary_log_generator(spec.controls[()][0].unitary)
-            t0, t1 = spec.time, spec.time + spec.window_width
-            if not before(t0, t1):
-                raise ValueError(f"step {k}: control window is not longer than "
-                                 "one instant")
-            if not before(t1, protocol.t_end):
-                raise ValueError(f"step {k}: control window must end before the "
-                                 "protocol does")
-            if k + 1 < len(specs) and before(specs[k + 1].time, t1):
-                raise ValueError(f"step {k}: control window overlaps the next step")
-            protocol = protocol.with_window(k, t0, t1, gen / spec.window_width)
-
         schedule = InterventionSchedule(registry, times, instruments, protocol,
                                         feedback=feedback, h_bath=h_bath,
                                         v_coupling=v_coupling)
@@ -391,7 +394,6 @@ class Branch:
     w_meas_alt: float = 0.0  # measurement work, knowledge-update convention
     e_factored: float = 0.0  # summed <h_A> of the ancillas factored out of state
     h_sys_applied: np.ndarray | None = None
-    window_applied: tuple[int, np.ndarray] | None = None
 
     @property
     def weight(self) -> float:
@@ -512,33 +514,25 @@ class Simulator:
     # -- evolution ----------------------------------------------------------
 
     def _switch(self, br: Branch, seg: Segment) -> Branch:
-        """Apply ``seg``'s drive and window to a branch, booking the work of
-        the switch as the jump in each changed term's expectation."""
-        if seg.h_system is br.h_sys_applied and seg.window is br.window_applied:
+        """Apply ``seg``'s drive to a branch, booking the work of the switch
+        as the jump in the drive's expectation."""
+        if seg.h_system is br.h_sys_applied:
             return br
-        space = self.model.space(br.support)
+        w_s = br.w_sys
         weight = br.weight
-        w_s, w_c = br.w_sys, br.w_ctrl
         if weight > 0:
-            if seg.h_system is not br.h_sys_applied:
-                rho_s = space.ptrace(br.state, ["S"])
-                w_s += expect_herm(seg.h_system - br.h_sys_applied, rho_s) / weight
-            if seg.window is not br.window_applied:
-                gain = 0.0
-                for window, sign in ((seg.window, 1.0), (br.window_applied, -1.0)):
-                    if window is not None:
-                        k, v = window
-                        rho = space.ptrace(br.state, ["S", ancilla_label(k)])
-                        gain += sign * expect_herm(v, rho)
-                w_c += gain / weight
-        return br.replace(w_sys=w_s, w_ctrl=w_c, h_sys_applied=seg.h_system,
-                          window_applied=seg.window)
+            rho_s = self.model.space(br.support).ptrace(br.state, ["S"])
+            w_s += expect_herm(seg.h_system - br.h_sys_applied, rho_s) / weight
+        return br.replace(w_sys=w_s, h_sys_applied=seg.h_system)
 
-    def _advance_branch(self, br: Branch, t_from: float, t_to: float) -> Branch:
+    def _advance_branch(self, br: Branch, t_from: float, t_to: float,
+                        window: int | None = None) -> Branch:
+        """Evolve a branch over (t_from, t_to] under its drive, with step
+        ``window``'s control window open when given."""
         space = self.model.space(br.support)
         for seg, a, b in self.model.protocol.iter_segments(t_from, t_to, br.labels):
             br = self._switch(br, seg)
-            br = br.replace(state=space.propagate(br.state, seg, a, b))
+            br = br.replace(state=space.propagate(br.state, seg, a, b, window))
         return br
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
@@ -584,10 +578,16 @@ class Simulator:
                 ctrled = prepped.replace(state=_frozen(ctrl_state),
                                          w_ctrl=prepped.w_ctrl + w_kick)
             else:
-                ctrled = self._advance_branch(prepped, spec.time, t_meas)
-                # a switch landing on the window's end is booked before readout
-                ctrled = self._switch(ctrled,
-                                      model.protocol.segment_at(t_meas, labels))
+                # the window coupling V is switched on, evolves with the drive
+                # and is switched off at readout, each switch booked as the
+                # jump in <V>; a drive switch on the window's end comes first
+                on = expect_herm(spec.window, space.ptrace(prepped.state, ["S", anc]))
+                ctrled = self._advance_branch(
+                    prepped.replace(w_ctrl=prepped.w_ctrl + on / prepped.weight),
+                    spec.time, t_meas, k)
+                ctrled = self._switch(ctrled, model.protocol.segment_at(t_meas, labels))
+                off = expect_herm(spec.window, space.ptrace(ctrled.state, ["S", anc]))
+                ctrled = ctrled.replace(w_ctrl=ctrled.w_ctrl - off / ctrled.weight)
             # --- readout energies before conditioning; the system+ancilla
             # energy splits into the parent's factors and the new ancilla
             sa_labels = tuple(l for l in br.support if l != "B")

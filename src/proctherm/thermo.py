@@ -273,9 +273,6 @@ class ThermoEvaluator:
     def _branch_pieces(self, snap: Snapshot, br: Branch):
         """(p, u, s_vn_plus_pending, corr, e_bare_anc, h_star_tr) for one branch."""
         model = self.model
-        if br.window_applied is not None:
-            raise ConventionError("thermodynamic report times must lie outside "
-                                  "control windows")
         space = model.space(br.support)
         p = br.weight
         pending = range(snap.ledger.steps_done, model.n_steps)
@@ -309,8 +306,7 @@ class ThermoEvaluator:
         total = 0.0
         tw = 0.0
         for br in snap.ledger.branches.values():
-            h = model.space(br.support).hamiltonian(br.support, br.h_sys_applied,
-                                                    br.window_applied)
+            h = model.space(br.support).hamiltonian(br.support, br.h_sys_applied)
             total += expect_herm(h, br.state) + br.weight * br.e_factored
             tw += br.weight
         total += tw * sum(self._e_anc0[snap.ledger.steps_done:])
@@ -445,19 +441,14 @@ def tpm_work(result: RunResult) -> tuple[TPMRow, ...]:
 def singular_control_work(state: DensityOperator, u_ctrl: OperatorMatrix,
                           h_system: OperatorMatrix,
                           v_coupling: OperatorMatrix | None,
-                          h_ancilla: OperatorMatrix | None,
-                          window_width: float | None = None) -> float:
+                          h_ancilla: OperatorMatrix | None) -> float:
     """Energy change booked by an instantaneous control unitary.
 
     tr{(H_S + V_SB + H_A)(U rho U' - rho)}: the coupling term matters
     whenever the system-bath coupling is nonzero, so this work needs bath
-    access.  Raises :class:`ConventionError` when called for a finite-width
-    control, whose work is the coupling switch-sum instead.
+    access.  A finite-width control books its work through the switches of
+    its window coupling instead.
     """
-    if window_width is not None:
-        raise ConventionError(
-            "finite-width controls book their work through coupling switches; "
-            "the instantaneous form does not apply")
     u = u_ctrl.embed(state.support)
     after = u.mat @ state.mat @ u.mat.conj().T
     terms = [(op.mat, [state.support.index(l) for l in op.support])

@@ -270,6 +270,33 @@ class TestPrunedEnsemble:
         assert "pruned mass" in capsys.readouterr().out
 
 
+class TestPruneThreshold:
+    def test_override_then_scenario_option_then_default(self, tmp_path):
+        path = tmp_path / "prune.yaml"
+        path.write_text((SCENARIO_DIR / "measurement_work.yaml").read_text()
+                        + "\noptions: {prune_threshold: 0.1}\n")
+
+        def report(name, *argv):
+            out = tmp_path / name
+            assert run_cli("run", "--scenario", str(path), "--out", str(out), *argv) == 0
+            return json.loads((out / "report.json").read_text())
+
+        # the report names the threshold the run used
+        doc = report("option")
+        assert doc["tolerances"]["prune"] == 0.1
+        assert doc["branch_rows"] and all(r["p"] >= 0.1 for r in doc["branch_rows"])
+        # prune=0.9 drops every record
+        doc = report("override", "--tol-override", "prune=0.9")
+        assert doc["tolerances"]["prune"] == 0.9
+        assert doc["pruned_mass"] == pytest.approx(1.0)
+        assert doc["branch_rows"] == []
+        # another override leaves the scenario option in force
+        doc = report("other", "--tol-override", "psd=1e-10")
+        assert doc["tolerances"]["prune"] == 0.1
+        path.write_text((SCENARIO_DIR / "measurement_work.yaml").read_text())
+        assert report("default")["tolerances"]["prune"] == Tolerances().prune
+
+
 class TestWindowedModel:
     def test_run_both_skips_equivalence(self, tmp_path, capsys):
         # the direct route has no finite-width windows, so there is nothing
@@ -336,6 +363,20 @@ class TestInputErrors:
                        + "\noptions: {prune_threshold: -0.5}\n")
         assert run_cli("run", "--scenario", str(bad)) == 2
         assert "prune_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("system", 2), ("time", 5), ("bath", 3), ("initial", 3), ("options", 1),
+        ("steps[1].collision", 1)])
+    def test_scalar_for_a_mapping_is_an_input_error(self, tmp_path, capsys, field, value):
+        data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
+        if field.startswith("steps"):
+            data["steps"][1]["collision"] = value
+        else:
+            data[field] = value
+        bad = tmp_path / "scalar.yaml"
+        bad.write_text(yaml.safe_dump(data))
+        assert run_cli("verify", "--scenario", str(bad)) == 2
+        assert f"error: {field}: expected a mapping" in capsys.readouterr().err
 
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import proctherm.scenario as scenario
+from proctherm.algebra import expm_herm
 from proctherm.scenario import (
     ScenarioError,
     build_model,
@@ -104,6 +105,24 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="unknown top-level"):
             parse_scenario_dict(minimal(surprise=1))
 
+    @pytest.mark.parametrize("field, key", [
+        ("system", "surprise"), ("bath", "surprise"), ("time", "surprise"),
+        ("initial", "surprise"), ("steps[1].collision", "surprise"),
+        ("steps[1].collision.ancilla", "surprise"),
+        # misspellings that used to run as an instantaneous kick and with
+        # the default threshold
+        ("steps[0]", "windw"), ("options", "prune_treshold")])
+    def test_unknown_key_below_top_level_rejected(self, field, key):
+        data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
+        data["options"] = {}
+        node = data
+        for part in field.replace("[", ".").replace("]", "").split("."):
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[key] = 0.2
+        with pytest.raises(ScenarioError, match=rf"unknown key\(s\) \['{key}'\]") as err:
+            parse_scenario_dict(data)
+        assert err.value.path == field
+
     def test_checks_key_rejected(self):
         # verify decides the second-law checks from the initial state alone,
         # so a scenario cannot ask for them
@@ -189,7 +208,7 @@ class TestShippedScenarios:
 
 
 class TestBuildModel:
-    def test_window_step_builds_overlay(self):
+    def test_window_step_carries_its_coupling(self):
         sc = parse_scenario_dict(minimal(steps=[{
             "time": 0.3,
             "instrument": {"outcomes": [
@@ -197,9 +216,16 @@ class TestBuildModel:
                 {"label": "2", "kraus": [[[0, 0], [0, 1]]]}]},
             "window": {"width": 0.1}}]))
         model = build_model(sc)
-        seg = model.protocol.segment_at(0.35)
-        assert seg.window is not None
-        assert model.steps[0].window_width == pytest.approx(0.1)
+        spec = model.steps[0]
+        assert spec.window_width == pytest.approx(0.1)
+        # the window coupling V on S A_0 generates the control: exp(-i V w) = U
+        u = expm_herm(spec.window, -1j * spec.window_width)
+        assert np.allclose(u, model.hardware(0, ()).unitary, atol=1e-10)
+        # the drive protocol is the one declared, not split at the window
+        assert [(seg.t0, seg.t1) for seg in model.protocol.base] == \
+            [(t0, t1) for t0, t1, _ in sc.segments]
+        for seg, (_, _, h) in zip(model.protocol.base, sc.segments):
+            assert np.array_equal(seg.h_system, h)
 
     def test_missing_file_reported(self):
         with pytest.raises(ScenarioError, match="cannot read"):

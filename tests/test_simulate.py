@@ -604,3 +604,28 @@ class TestWindowWork:
         # the per-branch values really differ, so the test pins each branch
         assert max(abs(br.w_ctrl - ledger.branches[("1", "1")].w_ctrl)
                    for br in ledger.branches.values()) > 1e-3
+
+    def test_window_ending_where_the_next_window_opens(self):
+        # with no drive and no bath a window applies exactly its control
+        # unitary, so back-to-back windows give the instantaneous branches
+        rng = np.random.default_rng(75)
+        gens = [0.4 * random_hermitian(rng, 4) for _ in range(2)]
+        for g in gens:
+            assert np.max(np.abs(np.linalg.eigvalsh(g))) < np.pi
+
+        def final_branches(widths):
+            model = AutonomousModel.assemble(
+                s_dim=2, b_dim=1, beta=1.0,
+                protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))]),
+                steps=[{"time": t, "window": w,
+                        "collision": {"ancilla_state": P0,
+                                      "unitary": taylor_expm(-1j * g),
+                                      "projectors": [P0, P1]}}
+                       for t, w, g in zip((0.2, 0.4), widths, gens)])
+            return Simulator(model).run(report_times=[1.0]).final.branches
+
+        windowed = final_branches((0.2, 0.2))
+        instant = final_branches((None, None))
+        assert windowed.keys() == instant.keys() and len(instant) == 4
+        for labels, br in instant.items():
+            assert max_norm(windowed[labels].state - br.state) < 1e-9

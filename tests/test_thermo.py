@@ -558,15 +558,6 @@ class TestSingularControlWork:
                 None)
             assert abs(w_delta - extrapolated) < 1e-5
 
-    def test_finite_width_request_rejected(self):
-        model = ancilla_energy_model()
-        reg = model.registry
-        state = DensityOperator(OperatorMatrix(reg, ("S",), np.eye(2) / 2))
-        u = OperatorMatrix.identity(reg, ("S",))
-        h_s = OperatorMatrix(reg, ("S",), np.diag([0.0, 1.0]))
-        with pytest.raises(ConventionError):
-            singular_control_work(state, u, h_s, None, None, window_width=0.1)
-
 
 def decoupled_rows(rho_s, steps=()):
     """Branch rows at t = 1 of a qubit prepared in ``rho_s`` next to an
