@@ -8,7 +8,6 @@ Validation errors carry the field path of the offending node.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -69,6 +68,31 @@ def _mapping(node: Any, path: str, keys: set[str] | None = None) -> Mapping:
     return node
 
 
+def _sequence(node: Any, path: str) -> Sequence:
+    """``node``, checked to be a list; an absent node (None) is an empty one."""
+    if node is None:
+        return []
+    if isinstance(node, str) or not isinstance(node, Sequence):
+        raise ScenarioError(path, f"expected a list, got {type(node).__name__}")
+    return node
+
+
+def _number(node: Any, path: str, kind: type = float):
+    """``node`` as a ``kind`` (float or int).  A string is read as well,
+    since YAML takes ``1e-3`` for one; a bool, and a float with a
+    fractional part where an int is expected, are errors."""
+    if isinstance(node, (int, float, str)) and not isinstance(node, bool):
+        try:
+            value = kind(node)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if kind is not int or not isinstance(node, float) or value == node:
+                return value
+    what = "an integer" if kind is int else "a number"
+    raise ScenarioError(path, f"expected {what}, got {node!r}")
+
+
 def _pauli_string(ops: str, path: str) -> np.ndarray:
     out = np.array([[1.0]], dtype=complex)
     for ch in ops:
@@ -91,18 +115,18 @@ def _parse_matrix(node: Any, path: str, names: Mapping[str, np.ndarray],
             mat = complex(_parse_complex(node.get("coeff", 1.0), path + ".coeff")).real * mat
         elif "diag" in keys:
             entries = [_parse_complex(v, f"{path}.diag[{i}]")
-                       for i, v in enumerate(node["diag"])]
+                       for i, v in enumerate(_sequence(node["diag"], path + ".diag"))]
             mat = np.diag(np.array(entries, dtype=complex))
         elif "number" in keys:
             spec = _mapping(node["number"], path + ".number")
-            d = int(spec.get("dim", 0))
+            d = _number(spec.get("dim", 0), path + ".number.dim", int)
             if d < 1:
                 raise ScenarioError(path + ".number.dim", "needs a positive dim")
-            w = float(spec.get("spacing", 1.0))
-            off = float(spec.get("offset", 0.0))
+            w = _number(spec.get("spacing", 1.0), path + ".number.spacing")
+            off = _number(spec.get("offset", 0.0), path + ".number.offset")
             mat = np.diag(off + w * np.arange(d)).astype(complex)
         elif "zeros" in keys:
-            d = int(node["zeros"])
+            d = _number(node["zeros"], path + ".zeros", int)
             mat = np.zeros((d, d), dtype=complex)
         else:
             raise ScenarioError(path, f"unknown matrix spec with keys {sorted(keys)}")
@@ -142,7 +166,8 @@ def _parse_state(node: Any, path: str, dim: int, beta: float,
             return np.eye(dim, dtype=complex) / dim
         if "pure" in node:
             vec = np.array([_parse_complex(v, f"{path}.pure[{i}]")
-                            for i, v in enumerate(node["pure"])], dtype=complex)
+                            for i, v in enumerate(_sequence(node["pure"], path + ".pure"))],
+                           dtype=complex)
             if vec.shape != (dim,):
                 raise ScenarioError(path + ".pure", f"expected {dim} amplitudes")
             norm = np.linalg.norm(vec)
@@ -201,11 +226,11 @@ def _parse_instrument(node, path, names, s_dim) -> Instrument:
     if not isinstance(node, Mapping) or "outcomes" not in node:
         raise ScenarioError(path, "instrument needs an 'outcomes' list")
     outcomes = []
-    for i, oc in enumerate(node["outcomes"]):
+    for i, oc in enumerate(_sequence(node["outcomes"], path + ".outcomes")):
         opath = f"{path}.outcomes[{i}]"
         oc = _mapping(oc, opath)
         label = str(oc.get("label", i + 1))
-        kraus_nodes = oc.get("kraus")
+        kraus_nodes = _sequence(oc.get("kraus"), opath + ".kraus")
         if not kraus_nodes:
             raise ScenarioError(opath, "outcome needs a nonempty 'kraus' list")
         kraus = [_parse_matrix(kn, f"{opath}.kraus[{j}]", names, s_dim)
@@ -219,17 +244,12 @@ def _parse_instrument(node, path, names, s_dim) -> Instrument:
 
 
 def _parse_segments(node, path, names, s_dim, t_start, t_end) -> list:
-    if not isinstance(node, Sequence) or isinstance(node, str):
-        raise ScenarioError(path, "protocol must be a list of segments")
     segs = []
-    for i, sn in enumerate(node):
+    for i, sn in enumerate(_sequence(node, path)):
         spath = f"{path}[{i}]"
-        if not isinstance(sn, Mapping) or "system" not in sn:
+        if not {"t0", "t1", "system"} <= set(_mapping(sn, spath)):
             raise ScenarioError(spath, "segment needs t0, t1 and 'system'")
-        try:
-            t0, t1 = float(sn["t0"]), float(sn["t1"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError(spath, "segment needs numeric t0 and t1") from None
+        t0, t1 = _number(sn["t0"], spath + ".t0"), _number(sn["t1"], spath + ".t1")
         h = _parse_hermitian(sn["system"], spath + ".system", names, s_dim)
         segs.append((t0, t1, h))
     if not segs:
@@ -249,17 +269,15 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         if key not in data:
             raise ScenarioError(source, f"missing required key {key!r}")
     name = str(data["name"])
-    try:
-        beta = float(data["beta"])
-    except (TypeError, ValueError):
-        raise ScenarioError("beta", "must be a number") from None
+    beta = _number(data["beta"], "beta")
     if beta <= 0:
         raise ScenarioError("beta", f"must be positive, got {beta}")
     mean_force = str(data.get("mean_force", "exact"))
     if mean_force not in ("exact", "bare"):
         raise ScenarioError("mean_force", f"must be 'exact' or 'bare', got {mean_force!r}")
 
-    s_dim = int(_mapping(data["system"], "system", {"dim"}).get("dim", 0))
+    system = _mapping(data["system"], "system", {"dim"})
+    s_dim = _number(system.get("dim", 0), "system.dim", int)
     if s_dim < 2:
         raise ScenarioError("system.dim", f"needs dimension >= 2, got {s_dim}")
 
@@ -268,7 +286,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         names[str(mname)] = _parse_matrix(mnode, f"matrices.{mname}", names)
 
     bath = _mapping(data.get("bath") or {}, "bath", {"dim", "hamiltonian"})
-    b_dim = int(bath.get("dim", 1))
+    b_dim = _number(bath.get("dim", 1), "bath.dim", int)
     if b_dim < 1:
         raise ScenarioError("bath.dim", f"needs dimension >= 1, got {b_dim}")
     h_bath = None
@@ -279,14 +297,19 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         v_coupling = _parse_hermitian(data["coupling"], "coupling", names, s_dim * b_dim)
 
     # time horizon and drive
-    steps_node = [_mapping(sn, f"steps[{i}]", _STEP_KEYS)
-                  for i, sn in enumerate(data.get("steps") or [])]
-    report_times = [float(t) for t in (data.get("report_times") or [])]
     tspan = _mapping(data.get("time") or {}, "time", {"start", "end"})
-    t_start = float(tspan.get("start", 0.0))
-    default_end = max([t_start + 1.0] + report_times
-                      + [float(s.get("time", t_start)) for s in steps_node])
-    t_end = float(tspan.get("end", default_end))
+    t_start = _number(tspan.get("start", 0.0), "time.start")
+    steps_node = [_mapping(sn, f"steps[{i}]", _STEP_KEYS)
+                  for i, sn in enumerate(_sequence(data.get("steps"), "steps"))]
+    step_times = []
+    for i, sn in enumerate(steps_node):
+        if "time" not in sn:
+            raise ScenarioError(f"steps[{i}]", "step needs a 'time'")
+        step_times.append(_number(sn["time"], f"steps[{i}].time"))
+    report_times = [_number(t, f"report_times[{i}]") for i, t in
+                    enumerate(_sequence(data.get("report_times"), "report_times"))]
+    default_end = max([t_start + 1.0] + report_times + step_times)
+    t_end = _number(tspan.get("end", default_end), "time.end")
     if not before(t_start, t_end):
         raise ScenarioError("time", f"end {t_end} must exceed start {t_start}")
 
@@ -305,9 +328,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     steps: list[dict] = []
     for i, sn in enumerate(steps_node):
         spath = f"steps[{i}]"
-        if "time" not in sn:
-            raise ScenarioError(spath, "step needs a 'time'")
-        entry: dict = {"time": float(sn["time"])}
+        entry: dict = {"time": step_times[i]}
         if ("instrument" in sn) == ("collision" in sn):
             raise ScenarioError(spath, "step needs exactly one of "
                                        "'instrument' or 'collision'")
@@ -325,7 +346,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
             cpath = spath + ".collision"
             col = _mapping(sn["collision"], cpath, _COLLISION_KEYS)
             anc = _mapping(col.get("ancilla") or {}, cpath + ".ancilla", _ANCILLA_KEYS)
-            d_anc = int(anc.get("dim", 0))
+            d_anc = _number(anc.get("dim", 0), cpath + ".ancilla.dim", int)
             if d_anc < 1:
                 raise ScenarioError(cpath + ".ancilla.dim", "needs a positive dim")
             h_anc_node = anc.get("hamiltonian")
@@ -345,14 +366,18 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
             projs = col.get("projectors")
             if projs is not None:
                 projs = [_parse_matrix(p, f"{cpath}.projectors[{j}]", names, d_anc)
-                         for j, p in enumerate(projs)]
+                         for j, p in enumerate(_sequence(projs, cpath + ".projectors"))]
+            labels = col.get("labels")
             entry["collision"] = {
                 "ancilla_state": state, "unitary": u, "projectors": projs,
-                "labels": col.get("labels")}
+                "labels": None if labels is None else _sequence(labels, cpath + ".labels")}
             entry["h_ancilla"] = h_anc
         if "window" in sn:
-            width = float(sn["window"].get("width", 0.0)) \
-                if isinstance(sn["window"], Mapping) else float(sn["window"])
+            wpath, window = spath + ".window", sn["window"]
+            if isinstance(window, Mapping):
+                window = _mapping(window, wpath, {"width"}).get("width", 0.0)
+                wpath += ".width"
+            width = _number(window, wpath)
             if width <= 0:
                 raise ScenarioError(spath + ".window", "width must be positive")
             entry["window"] = width
@@ -361,16 +386,16 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     # feedback
     feedback: dict[int, dict[tuple[str, ...], Instrument]] = {}
     variants: dict[tuple[str, ...], list] = {}
-    for i, fn in enumerate(data.get("feedback") or []):
+    for i, fn in enumerate(_sequence(data.get("feedback"), "feedback")):
         fpath = f"feedback[{i}]"
         if not isinstance(fn, Mapping) or "prefix" not in fn:
             raise ScenarioError(fpath, "feedback entry needs a 'prefix'")
-        prefix = tuple(str(l) for l in fn["prefix"])
+        prefix = tuple(str(l) for l in _sequence(fn["prefix"], fpath + ".prefix"))
         if not prefix:
             raise ScenarioError(fpath + ".prefix", "prefix cannot be empty")
         for snode, inode in _mapping(fn.get("instruments") or {},
                                      fpath + ".instruments").items():
-            k = int(snode)
+            k = _number(snode, f"{fpath}.instruments.{snode}", int)
             if not 0 <= k < len(steps):
                 raise ScenarioError(f"{fpath}.instruments.{snode}",
                                     f"no step with index {k}")
@@ -405,14 +430,10 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
 
     options = dict(_mapping(data.get("options") or {}, "options", _OPTION_KEYS))
     if "prune_threshold" in options:
-        raw_prune = options["prune_threshold"]
-        try:
-            prune = math.nan if isinstance(raw_prune, bool) else float(raw_prune)
-        except (TypeError, ValueError):
-            prune = math.nan
+        prune = _number(options["prune_threshold"], "options.prune_threshold")
         if not 0.0 <= prune < 1.0:
             raise ScenarioError("options.prune_threshold",
-                                f"must be a number in [0, 1), got {raw_prune!r}")
+                                f"must be in [0, 1), got {prune!r}")
         options["prune_threshold"] = prune
     return Scenario(
         name=name, beta=beta, mean_force=mean_force, s_dim=s_dim, b_dim=b_dim,

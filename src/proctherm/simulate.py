@@ -48,7 +48,7 @@ from .algebra import (
 from .channels import Instrument, InterventionSchedule
 from .dilation import DilationResult, dilate_instrument
 from .protocol import Segment, before, deepest_prefix, same_instant
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, HERMITIAN
 
 __all__ = [
     "AutonomousModel",
@@ -299,7 +299,7 @@ class AutonomousModel:
             resolved = times[len(prefix) - 1]
             for seg, a, b in protocol.iter_segments(protocol.t_start, resolved, prefix):
                 for bseg, ba, bb in protocol.iter_segments(a, b, prefix[:-1]):
-                    if max_norm(seg.h_system - bseg.h_system) > 1e-12:
+                    if max_norm(seg.h_system - bseg.h_system) > HERMITIAN:
                         raise ValueError(
                             f"protocol variant {prefix} changes the drive at "
                             f"t={ba}, before its prefix is resolved at t={resolved}")

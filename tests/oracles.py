@@ -3,11 +3,36 @@
 Everything here is deliberately written along a different numerical route
 than the package itself (index loops, Taylor series, superoperators,
 fine-grained slicing) so agreement is meaningful.
+
+:func:`dense_run` is the isolated black box itself: it evolves system,
+bath and every ancilla as one literal S (x) B (x) A_0 (x) ... state from
+the declarative model description, and :func:`dense_thermo` reads the
+canonical thermodynamic quantities off those dense states.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
+
 import numpy as np
+
+from proctherm.algebra import (
+    FactorRegistry,
+    OperatorMatrix,
+    embed_factors,
+    expect_herm,
+    logsumexp,
+    ptrace_factors,
+    relative_entropy_mat,
+    unitary_log_generator,
+    vn_entropy_mat,
+)
+from proctherm.dilation import dilate_instrument
+from proctherm.thermo import mean_force_hamiltonian
 
 
 def kron_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -135,3 +160,232 @@ def dlog_daleckii(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
             else:
                 phi[i, j] = (np.log(w[i]) - np.log(w[j])) / (w[i] - w[j])
     return v @ (phi * dmt) @ v.conj().T
+
+
+# ---------------------------------------------------------------------------
+# dense black box
+# ---------------------------------------------------------------------------
+
+INSTANT = 1e-12   # times closer than this are one instant
+PRUNE = 1e-14     # records lighter than this are dropped
+
+
+@dataclass(frozen=True, eq=False)
+class DenseRecord:
+    """One outcome record: the unnormalized S B A_0 ... A_{n-1} state, the
+    drive last switched to and the work tallies per unit weight.
+    ``support`` is S, B and each ancilla read out by a projector of rank
+    > 1 (a rank-1 readout leaves its ancilla a pure product factor)."""
+
+    rho: np.ndarray
+    h_sys: np.ndarray
+    support: tuple[str, ...] = ("S", "B")
+    w_sys: float = 0.0
+    w_ctrl: float = 0.0
+    w_meas: float = 0.0
+    w_meas_alt: float = 0.0
+
+    @property
+    def p(self) -> float:
+        return float(np.trace(self.rho).real)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseRun:
+    spec: Mapping
+    dims: list[int]
+    h_total: Callable[[np.ndarray], np.ndarray]   # every term, for one drive
+    h_ancillas: np.ndarray                        # every ancilla term
+    initial: DenseRecord
+    snapshots: dict[float, dict[tuple[str, ...], DenseRecord]]
+
+
+def _deepest(table: Mapping, labels: Sequence[str]):
+    return next(table[labels[:cut]] for cut in range(len(labels), -1, -1)
+                if labels[:cut] in table)
+
+
+def _hardware(step: Mapping, variants: Mapping) -> dict:
+    """{prefix: (ancilla state, unitary, projectors, labels)} of one step."""
+    if "instrument" in step:
+        table = {(): step["instrument"], **variants}
+        d = max(inst.kraus_count() for inst in table.values())
+        dilated = {p: dilate_instrument(inst, d) for p, inst in table.items()}
+        return {p: (hw.ancilla_state, hw.unitary, hw.projectors, hw.outcome_labels)
+                for p, hw in dilated.items()}
+    col = step["collision"]
+    anc = np.asarray(col["ancilla_state"], dtype=complex)
+    projs = col.get("projectors")
+    projs = [np.eye(len(anc))] if projs is None else projs
+    labels = col.get("labels") or range(1, len(projs) + 1)
+    return {(): (anc, col["unitary"], projs, tuple(str(l) for l in labels))}
+
+
+def _h_sb(spec: Mapping, h_sys: np.ndarray) -> np.ndarray:
+    """Drive, bath and coupling terms on S (x) B."""
+    d_s, d_b = spec["s_dim"], spec.get("b_dim", 1)
+    h = np.kron(h_sys, np.eye(d_b)).astype(complex)
+    if spec.get("h_bath") is not None:
+        h = h + np.kron(np.eye(d_s), spec["h_bath"])
+    return h if spec.get("v_coupling") is None else h + spec["v_coupling"]
+
+
+def dense_run(spec: Mapping, report_times: Sequence[float]) -> DenseRun:
+    """Literal evolution of the model ``AutonomousModel.assemble(**spec)``
+    describes, read from ``spec`` alone.
+
+    Every ancilla sits in its prepared state from the start; its
+    Hamiltonian drives the evolution from its step on, and every energy
+    counts all terms.  A step applies its control unitary U on S A_k as a
+    kick, or opens the window V = log(U)/width, booking <V> on and off (a
+    drive switch at the window's end first); then it splits each record by
+    the readout projectors.  A drive switch is booked as the jump in the
+    drive's expectation.
+    """
+    protocol, beta = spec["protocol"], spec["beta"]
+    timelines = {(): protocol.base, **protocol.variants}
+    steps = list(spec.get("steps", ()))
+    feedback = spec.get("feedback") or {}
+    hardware = [_hardware(st, feedback.get(k, {})) for k, st in enumerate(steps)]
+    h_anc = [np.zeros((len(hw[()][0]),) * 2) if st.get("h_ancilla") is None
+             else st["h_ancilla"] for st, hw in zip(steps, hardware)]
+    dims = [spec["s_dim"], spec.get("b_dim", 1)] + [len(h) for h in h_anc]
+
+    def emb(op, positions):
+        return embed_factors(np.asarray(op, dtype=complex), positions, dims)
+
+    h_a = [emb(h, [2 + k]) for k, h in enumerate(h_anc)]
+
+    def hamiltonian(h_sys, entered=range(len(steps)), window=0):
+        return emb(_h_sb(spec, h_sys), [0, 1]) + sum(h_a[k] for k in entered) + window
+
+    def switch(rec, h_sys):
+        dw = expect_herm(emb(h_sys - rec.h_sys, [0]), rec.rho) / rec.p
+        return dataclasses.replace(rec, h_sys=h_sys, w_sys=rec.w_sys + dw)
+
+    def evolve(rec, labels, a, b, entered, window=0):
+        for seg in _deepest(timelines, labels):
+            lo, hi = max(seg.t0, a), min(seg.t1, b)
+            if hi - lo > INSTANT:
+                rec = switch(rec, seg.h_system)
+                u = taylor_expm(-1j * (hi - lo) * hamiltonian(seg.h_system, entered, window))
+                rec = dataclasses.replace(rec, rho=u @ rec.rho @ u.conj().T)
+        return rec
+
+    h0 = protocol.base[0].h_system
+    rho0 = taylor_expm(-beta * _h_sb(spec, h0)) if spec.get("sb_init") is None \
+        else np.asarray(spec["sb_init"], dtype=complex)
+    rho0 = rho0 / np.trace(rho0)
+    for hw in hardware:
+        rho0 = np.kron(rho0, hw[()][0])
+    records = {(): DenseRecord(rho0, h0)}
+    snapshots = {}
+    events = sorted([(float(st["time"]), 0, k) for k, st in enumerate(steps)]
+                    + [(float(t), 1, None) for t in set(report_times)])
+    t, entered = protocol.base[0].t0, []
+    for t_next, _, k in events:
+        records = {l: evolve(r, l, t, t_next, entered) for l, r in records.items()}
+        t = t_next
+        if k is None:
+            snapshots[t] = records
+            continue
+        entered.append(k)
+        width = steps[k].get("window")
+        out = {}
+        for labels, rec in records.items():
+            _, u, projs, outcomes = _deepest(hardware[k], labels)
+            p = rec.p
+            if width is None:
+                u = emb(u, [0, 2 + k])
+                after = u @ rec.rho @ u.conj().T
+                kick = expect_herm(hamiltonian(rec.h_sys), after - rec.rho) / p
+                rec = dataclasses.replace(rec, rho=after, w_ctrl=rec.w_ctrl + kick)
+            else:
+                v = emb(unitary_log_generator(np.asarray(u, dtype=complex)) / width,
+                        [0, 2 + k])
+                rec = dataclasses.replace(rec, w_ctrl=rec.w_ctrl + expect_herm(v, rec.rho) / p)
+                rec = evolve(rec, labels, t, t + width, entered, v)
+                ends = [s for s in _deepest(timelines, labels) if s.t0 <= t + width + INSTANT]
+                rec = switch(rec, ends[-1].h_system)
+                rec = dataclasses.replace(rec, w_ctrl=rec.w_ctrl - expect_herm(v, rec.rho) / p)
+            h_read = emb(rec.h_sys, [0]) + sum(h_a)
+            e_a, e_read = expect_herm(h_a[k], rec.rho) / p, expect_herm(h_read, rec.rho) / p
+            for proj, label in zip(projs, outcomes):
+                big = emb(proj, [2 + k])
+                child = dataclasses.replace(rec, rho=big @ rec.rho @ big)
+                pc = child.p
+                if pc < PRUNE:
+                    continue
+                kept = (f"A{k}",) if round(np.trace(proj).real) > 1 else ()
+                out[labels + (label,)] = dataclasses.replace(
+                    child, support=rec.support + kept,
+                    w_meas=rec.w_meas + expect_herm(h_a[k], child.rho) / pc - e_a,
+                    w_meas_alt=rec.w_meas_alt + expect_herm(h_read, child.rho) / pc - e_read)
+        records = out
+        t += width or 0.0
+    return DenseRun(spec, dims, hamiltonian, sum(h_a, np.zeros_like(rho0)),
+                    DenseRecord(rho0, h0), snapshots)
+
+
+# rows: {labels: (u, s, f)}; sigma_rel_ent is None where it is not defined
+DenseThermo = namedtuple("DenseThermo", "rows w_budget sigma_first_law sigma_rel_ent")
+
+
+def dense_thermo(run: DenseRun, t: float) -> DenseThermo:
+    """Canonical thermodynamics of the records of ``run`` at time ``t``.
+
+    Per record of probability p, with supersystem X = S A_0 ... A_{n-1}:
+
+        u = tr{(H* + beta dH*/dbeta) rho_S} + sum_k <h_A(k)>
+        s = -ln p + S_vN(rho_X) + beta^2 tr{(dH*/dbeta) rho_S}
+        f = tr{H* rho_S} + sum_k <h_A(k)> + T ln p - T S_vN(rho_X)
+
+    where H* is the bare drive for a decoupled or declared-bare model.  In
+    the isolated black box the work is the global energy change
+    ``w_budget``, so Sigma = dS - beta (dU - w_budget).  The relative-entropy
+    form (Gibbs S B start and exact mean force only) is D(rho_tot || Gibbs)
+    - D(rho_X || mean-force Gibbs), against the record-conditioned
+    Hamiltonians; memory and dephaser evolve unitarily, so the total
+    entropy is the initial one.
+    """
+    spec, dims, beta = run.spec, run.dims, run.spec["beta"]
+    x = [0] + list(range(2, len(dims)))
+    v = spec.get("v_coupling")
+    bare = spec.get("mean_force_bare") or v is None or not np.any(v)
+
+    def thermo(rec):
+        h_star, dh = rec.h_sys, np.zeros_like(rec.h_sys)
+        if not bare:
+            reg = FactorRegistry([("S", dims[0]), ("B", dims[1])])
+            h_b = spec.get("h_bath")
+            mf = mean_force_hamiltonian(
+                OperatorMatrix(reg, ("S", "B"), _h_sb(spec, rec.h_sys), hermitian=True),
+                ["S"], beta=beta, h_bath=np.zeros((dims[1],) * 2) if h_b is None else h_b)
+            h_star, dh = mf.h_star.mat, mf.dbeta_h_star.mat
+        p = rec.p
+        rho_s = ptrace_factors(rec.rho, dims, [0]) / p
+        s_vn = vn_entropy_mat(ptrace_factors(rec.rho, dims, x) / p)
+        e = expect_herm(h_star, rho_s) + expect_herm(run.h_ancillas, rec.rho) / p
+        corr = expect_herm(dh, rho_s)
+        return (e + beta * corr, -math.log(p) + s_vn + beta ** 2 * corr,
+                e + (math.log(p) - s_vn) / beta)
+
+    records = run.snapshots[t]
+    rows = {labels: thermo(rec) for labels, rec in records.items()}
+    u0, s0, _ = thermo(run.initial)
+    rho0 = run.initial.rho
+    h_r = {labels: run.h_total(rec.h_sys) for labels, rec in records.items()}
+    e_t = sum(expect_herm(h_r[l], rec.rho) for l, rec in records.items())
+    w = e_t - expect_herm(run.h_total(run.initial.h_sys), rho0)
+    du = sum(rec.p * (rows[l][0] - u0) for l, rec in records.items())
+    ds = sum(rec.p * (rows[l][1] - s0) for l, rec in records.items())
+    sigma_rel_ent = None
+    if spec.get("sb_init") is None and not spec.get("mean_force_bare"):
+        ln_z = logsumexp(np.concatenate([-beta * np.linalg.eigvalsh(h) for h in h_r.values()]))
+        # block-diagonal in the records, so the relative entropy sums over them
+        d_x = sum(relative_entropy_mat(
+            ptrace_factors(rec.rho, dims, x),
+            ptrace_factors(taylor_expm(-beta * h_r[l]), dims, x) / math.exp(ln_z))
+            for l, rec in records.items())
+        sigma_rel_ent = beta * e_t + ln_z - vn_entropy_mat(rho0) - d_x
+    return DenseThermo(rows, w, ds - beta * (du - w), sigma_rel_ent)

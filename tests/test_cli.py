@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -364,19 +365,34 @@ class TestInputErrors:
         assert run_cli("run", "--scenario", str(bad)) == 2
         assert "prune_threshold" in capsys.readouterr().err
 
+    @staticmethod
+    def verify_with(tmp_path, field, value):
+        """Exit code of ``verify`` on measurement_work.yaml with the node at
+        the path ``field`` set to ``value``."""
+        data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
+        *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", field)]
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        bad = tmp_path / "patched.yaml"
+        bad.write_text(yaml.safe_dump(data))
+        return run_cli("verify", "--scenario", str(bad))
+
     @pytest.mark.parametrize("field, value", [
         ("system", 2), ("time", 5), ("bath", 3), ("initial", 3), ("options", 1),
         ("steps[1].collision", 1)])
     def test_scalar_for_a_mapping_is_an_input_error(self, tmp_path, capsys, field, value):
-        data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
-        if field.startswith("steps"):
-            data["steps"][1]["collision"] = value
-        else:
-            data[field] = value
-        bad = tmp_path / "scalar.yaml"
-        bad.write_text(yaml.safe_dump(data))
-        assert run_cli("verify", "--scenario", str(bad)) == 2
+        assert self.verify_with(tmp_path, field, value) == 2
         assert f"error: {field}: expected a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 5), ("report_times", 1), ("steps[0].instrument.outcomes", 3),
+        ("steps[0].window", [1]), ("time.end", "x"), ("system.dim", "x")])
+    def test_wrong_type_for_a_list_or_number_is_an_input_error(self, tmp_path, capsys,
+                                                               field, value):
+        assert self.verify_with(tmp_path, field, value) == 2
+        assert f"error: {field}: expected a" in capsys.readouterr().err
 
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"

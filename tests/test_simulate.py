@@ -19,6 +19,7 @@ from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
 from proctherm.thermo import work_measurement_alternative
 from proctherm.tolerances import TIME_EPS
 
+from dense_checks import both_routes, check_branch_rows, check_branch_states, check_ensemble
 from oracles import (
     random_density,
     random_hermitian,
@@ -478,6 +479,21 @@ class TestValidationFeatures:
         with pytest.raises(ValueError, match="nonempty prefix"):
             Protocol(base, {(): [Segment(0.0, 2.0, np.diag([0.0, 1.0]))]})
 
+    @pytest.mark.parametrize("t_switch", [0.3, 0.5])
+    def test_variant_deviates_only_once_its_prefix_resolves(self, t_switch):
+        variant = [Segment(0.0, t_switch, np.zeros((2, 2))), Segment(t_switch, 1.0, SX)]
+        protocol = Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))], {("1",): variant})
+
+        def assemble():
+            return AutonomousModel.assemble(s_dim=2, beta=1.0, protocol=protocol,
+                                            steps=[{"time": 0.5, "instrument": projective_z()}])
+        if t_switch < 0.5:
+            with pytest.raises(ValueError, match=r"protocol variant \('1',\) changes the drive "
+                                                 r"at t=0.3, before its prefix is resolved at t=0.5"):
+                assemble()
+        else:
+            assert assemble().protocol.variants[("1",)][1].t0 == 0.5
+
     def test_branch_limit_enforced(self):
         # a rotating drive repopulates both outcomes between measurements
         model = simple_model([{"time": 0.3, "instrument": projective_z()},
@@ -510,100 +526,38 @@ class TestValidationFeatures:
 
 
 class TestWindowWork:
-    @staticmethod
-    def _embed(mat, positions, dims):
-        """``mat`` on the factors at ``positions``, identity elsewhere."""
-        n = len(dims)
-        rest = [i for i in range(n) if i not in positions]
-        big = np.kron(mat, np.eye(int(np.prod([dims[i] for i in rest]))))
-        order = list(positions) + rest
-        perm = [order.index(i) for i in range(n)]
-        t = big.reshape([dims[i] for i in order] * 2)
-        return t.transpose(perm + [p + n for p in perm]).reshape(big.shape)
-
     def test_window_ending_on_drive_switch_matches_dense_oracle(self):
         # two finite-width controls, each ending exactly on a drive switch,
         # with a further switch inside the first window and one between the
-        # steps; the oracle evolves S (x) B (x) A0 (x) A1 densely and books
-        # every switch, including the one at a window's end, before readout
+        # steps; the dense oracle books every switch, including the one at
+        # a window's end, before readout
         rng = np.random.default_rng(74)
         cuts = [0.0, 0.3, 0.55, 0.6, 1.0, 1.4, 2.0]
         hs = [random_hermitian(rng, 2) for _ in cuts[1:]]
         h_b = random_hermitian(rng, 2)
         v = 0.4 * random_hermitian(rng, 4)
-        h_a = np.diag([0.0, 0.7]).astype(complex)
         windows = [(0.5, 0.1), (1.2, 0.2)]
         gens = [0.4 * random_hermitian(rng, 4) for _ in windows]
         for g in gens:
             assert np.max(np.abs(np.linalg.eigvalsh(g))) < np.pi
-        sb0 = random_density(rng, 4)
-        model = AutonomousModel.assemble(
+        spec = dict(
             s_dim=2, b_dim=2, beta=1.0,
             protocol=Protocol([Segment(a, b, h) for a, b, h in zip(cuts, cuts[1:], hs)]),
-            h_bath=h_b, v_coupling=v, sb_init=sb0,
-            steps=[{"time": t, "window": w, "h_ancilla": h_a,
+            h_bath=h_b, v_coupling=v, sb_init=random_density(rng, 4),
+            steps=[{"time": t, "window": w, "h_ancilla": np.diag([0.0, 0.7]),
                     "collision": {"ancilla_state": P0,
                                   "unitary": taylor_expm(-1j * g),
                                   "projectors": [P0, P1]}}
                    for (t, w), g in zip(windows, gens)])
-        t_report = 1.8
-        ledger = Simulator(model).run(report_times=[t_report]).snapshots[-1].ledger
-
-        embed = self._embed
-        grid = sorted(set(cuts) | {t for t, _ in windows} | {t_report})
-        grid = [t for t in grid if t <= t_report]
-        dims = [2, 2]
-        branches = {(): (sb0, 0.0, 0.0)}   # labels -> (state, w_sys, w_ctrl)
-        h_prev, win_prev = hs[0], None
-        for t, t_next in zip(grid, grid[1:]):
-            for k, (t_k, width) in enumerate(windows):
-                if abs(t - t_k) < 1e-12:
-                    dims = dims + [2]
-                    branches = {l: (np.kron(r, P0), ws, wc)
-                                for l, (r, ws, wc) in branches.items()}
-            h_now = hs[max(i for i, c in enumerate(cuts[:-1]) if c <= t + 1e-12)]
-            win_now = None
-            for k, (t_k, width) in enumerate(windows):
-                if t_k - 1e-12 <= t < t_k + width - 1e-12:
-                    win_now = embed(gens[k] / width, [0, 2 + k], dims)
-            d_sys = embed(h_now - h_prev, [0], dims)
-            zero = np.zeros_like(d_sys)
-            d_win = (zero if win_now is None else win_now) \
-                - (zero if win_prev is None else win_prev)
-            booked = {}
-            for l, (r, ws, wc) in branches.items():
-                p = np.trace(r).real
-                booked[l] = (r, ws + np.trace(d_sys @ r).real / p,
-                             wc + np.trace(d_win @ r).real / p)
-            branches = booked
-            # readout of a control whose window closed at t
-            for k, (t_k, width) in enumerate(windows):
-                if abs(t - (t_k + width)) < 1e-12:
-                    split = {}
-                    for l, (r, ws, wc) in branches.items():
-                        for label, proj in (("1", P0), ("2", P1)):
-                            pr = embed(proj, [2 + k], dims)
-                            split[l + (label,)] = (pr @ r @ pr, ws, wc)
-                    branches = split
-            h_full = embed(h_now, [0], dims) + embed(h_b, [1], dims) \
-                + embed(v, [0, 1], dims) \
-                + sum(embed(h_a, [j], dims) for j in range(2, len(dims)))
-            if win_now is not None:
-                h_full = h_full + win_now
-            u = taylor_expm(-1j * (t_next - t) * h_full)
-            branches = {l: (u @ r @ u.conj().T, ws, wc)
-                        for l, (r, ws, wc) in branches.items()}
-            h_prev, win_prev = h_now, win_now
-
-        assert len(ledger.branches) == len(branches) == 4
-        for labels, (r, ws, wc) in branches.items():
-            br = ledger.branches[labels]
-            assert br.weight == pytest.approx(np.trace(r).real, abs=1e-10)
-            assert br.w_sys == pytest.approx(ws, abs=1e-9)
-            assert br.w_ctrl == pytest.approx(wc, abs=1e-9)
+        runs = both_routes(spec, [1.8])
+        check_branch_states(runs, 1.8)
+        check_branch_rows(runs, 1.8)
+        check_ensemble(runs, 1.8)
+        branches = runs.result.snapshots[-1].ledger.branches
+        assert len(branches) == 4
         # the per-branch values really differ, so the test pins each branch
-        assert max(abs(br.w_ctrl - ledger.branches[("1", "1")].w_ctrl)
-                   for br in ledger.branches.values()) > 1e-3
+        assert max(abs(br.w_ctrl - branches[("1", "1")].w_ctrl)
+                   for br in branches.values()) > 1e-3
 
     def test_window_ending_where_the_next_window_opens(self):
         # with no drive and no bath a window applies exactly its control
