@@ -19,7 +19,7 @@ from .channels import evaluate_process_tensor
 from .dilation import reconstruction_error
 from .report import bundle_from_run, record_string
 from .scenario import ScenarioError, build_model, parse_scenario
-from .simulate import Simulator, survives_prune
+from .simulate import RunResult, survives_prune
 from .thermo import evaluate_run
 from .tolerances import DEFAULT
 from .verify import equivalence_checks, run_verified, verify_model
@@ -82,6 +82,23 @@ def _load(args):
     return scenario, model, DEFAULT.replaced(**overrides)
 
 
+def _simulate(args, scenario, model, tol) -> RunResult:
+    """The one simulator run of ``run``, ``verify`` and ``equiv``."""
+    return run_verified(model, scenario.report_times, prune=tol.prune,
+                        max_branches=args.max_branches)
+
+
+def _write_json(doc: dict, out: str | None, fname: str) -> None:
+    """``doc`` as sorted, indented JSON: written to ``out/fname``, or
+    printed when there is no output directory."""
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        (Path(out) / fname).write_text(text, encoding="utf-8")
+    else:
+        print(text)
+
+
 def cmd_run(args) -> int:
     scenario, model, tol = _load(args)
     if args.mode == "process-tensor":
@@ -91,18 +108,12 @@ def cmd_run(args) -> int:
                 for t in scenario.report_times
                 for labels, out in direct[t].items()
                 if survives_prune(out.weight, tol.prune)]
-        doc = {"scenario": scenario.name, "mode": args.mode, "seed": args.seed,
-               "scenario_checksum": scenario.checksum, "records": rows}
-        text = json.dumps(doc, sort_keys=True, indent=2)
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "report.json").write_text(text, encoding="utf-8")
-        else:
-            print(text)
+        _write_json({"scenario": scenario.name, "mode": args.mode, "seed": args.seed,
+                     "scenario_checksum": scenario.checksum, "records": rows},
+                    args.out, "report.json")
         return EXIT_OK
 
-    result = Simulator(model, prune=tol.prune,
-                       max_branches=args.max_branches).run(scenario.report_times)
+    result = _simulate(args, scenario, model, tol)
     ledger = evaluate_run(result)
     equivalence, checks = None, []
     if args.mode == "both":
@@ -125,8 +136,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario, model, tol = _load(args)
-    result = run_verified(model, scenario.report_times, prune=tol.prune,
-                          max_branches=args.max_branches)
+    result = _simulate(args, scenario, model, tol)
     ledger = evaluate_run(result)
     rng = np.random.default_rng(args.seed)
     checks = verify_model(model, result, ledger, tol=tol, rng=rng)
@@ -149,8 +159,7 @@ def cmd_verify(args) -> int:
 
 def cmd_equiv(args) -> int:
     scenario, model, tol = _load(args)
-    result = Simulator(model, prune=tol.prune,
-                       max_branches=args.max_branches).run(scenario.report_times)
+    result = _simulate(args, scenario, model, tol)
     rows, checks = equivalence_checks(model, result, tol)
     if rows is None:
         print("error: equivalence is defined for instantaneous controls only",
@@ -163,12 +172,10 @@ def cmd_equiv(args) -> int:
     print(f"worst: state {worst_s:.3e} (tol {tol.equivalence_state:.1e}), "
           f"probability {worst_p:.3e} (tol {tol.equivalence_prob:.1e})")
     if args.out:
-        doc = {"scenario": scenario.name, "seed": args.seed,
-               "scenario_checksum": scenario.checksum, "rows": rows,
-               "worst_state_dev": worst_s, "worst_prob_dev": worst_p}
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "equivalence.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2), encoding="utf-8")
+        _write_json({"scenario": scenario.name, "seed": args.seed,
+                     "scenario_checksum": scenario.checksum, "rows": rows,
+                     "worst_state_dev": worst_s, "worst_prob_dev": worst_p},
+                    args.out, "equivalence.json")
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
@@ -181,7 +188,7 @@ def cmd_dilate(args) -> int:
     hw = model.hardware(args.step, ())
     inst = model.schedule.instrument_at(args.step, ())
     rec_err = reconstruction_error(hw, inst)
-    doc = {
+    _write_json({
         "scenario": scenario.name,
         "step": args.step,
         "ancilla_dim": hw.ancilla_dim,
@@ -191,14 +198,7 @@ def cmd_dilate(args) -> int:
         "unitary": _complex_rows(hw.unitary),
         "projectors": [_complex_rows(p) for p in hw.projectors],
         "ancilla_state": _complex_rows(hw.ancilla_state),
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / f"dilation_step{args.step}.json").write_text(
-            text, encoding="utf-8")
-    else:
-        print(text)
+    }, args.out, f"dilation_step{args.step}.json")
     ok = (hw.unitarity_residual() <= tol.dilation_unitary
           and rec_err <= tol.dilation_reconstruction)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

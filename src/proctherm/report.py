@@ -110,21 +110,18 @@ def bundle_from_run(result: RunResult, ledger: ThermoLedger, *, mode: str,
                     seed: int, checksum: str, tolerances: Tolerances,
                     equivalence: list[dict] | None = None,
                     checks: list[dict] | None = None) -> ReportBundle:
-    branch_rows = []
-    for t, rows in ledger.branch_rows.items():
-        for r in rows:
-            branch_rows.append({
-                "time": t, "record": record_string(r.labels), "p": r.p,
-                "u": r.u, "du": r.du, "w_sys": r.w_sys, "w_ctrl": r.w_ctrl,
-                "w_meas": r.w_meas, "w_meas_alt": r.w_meas_alt,
-                "w": r.w, "w_alt": r.w_alt, "q": r.q, "q_alt": r.q_alt,
-                "s": r.s, "f": r.f})
+    # every branch column after time and record is a BranchThermo attribute
+    branch_rows = [{"time": t, "record": record_string(r.labels),
+                    **{c: getattr(r, c) for c in BRANCH_COLUMNS[2:]}}
+                   for t, rows in ledger.branch_rows.items() for r in rows]
     ensemble_rows = [{c: getattr(row, c) for c in ENSEMBLE_COLUMNS}
                      for row in ledger.ensemble_rows]
+    model = result.model
+    caveat = model.has_sb_coupling() and any(s.window_width is None for s in model.steps)
     return ReportBundle(
-        scenario_name=result.model.name, mode=mode, seed=seed,
+        scenario_name=model.name, mode=mode, seed=seed,
         checksum=checksum, tolerances=tolerances.as_dict(),
         branch_rows=branch_rows, ensemble_rows=ensemble_rows,
         equivalence=equivalence, checks=checks,
         pruned_mass=result.final.pruned_mass,
-        control_caveat=CONTROL_CAVEAT if result.control_caveat else None)
+        control_caveat=CONTROL_CAVEAT if caveat else None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -181,11 +182,17 @@ def _parse_state(node: Any, path: str, dim: int, beta: float,
     raise ScenarioError(path, "state must be one of {gibbs| pure| maximally_mixed| matrix}")
 
 
-def _check_density(rho: np.ndarray, path: str) -> np.ndarray:
+def _checked(path: str, build, *args, context: str = ""):
+    """``build(*args)``, with its ValueError raised as an input error at
+    ``path``, its message led by ``context``."""
     try:
-        return validate_density(rho)
+        return build(*args)
     except ValueError as exc:
-        raise ScenarioError(path, f"invalid density matrix: {exc}") from None
+        raise ScenarioError(path, f"{context}{exc}") from None
+
+
+def _check_density(rho: np.ndarray, path: str) -> np.ndarray:
+    return _checked(path, validate_density, rho, context="invalid density matrix: ")
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +201,18 @@ def _check_density(rho: np.ndarray, path: str) -> np.ndarray:
 
 @dataclass(eq=False)
 class Scenario:
-    """Validated scenario, ready for model assembly."""
+    """A validated scenario: ``spec`` is the keyword mapping
+    :meth:`AutonomousModel.assemble` takes, so a model is
+    ``AutonomousModel.assemble(**spec)``."""
 
-    name: str
-    beta: float
-    mean_force: str                    # "exact" | "bare"
-    s_dim: int
-    b_dim: int
-    h_bath: np.ndarray | None
-    v_coupling: np.ndarray | None
-    segments: list[tuple[float, float, np.ndarray]]
-    variants: dict[tuple[str, ...], list[tuple[float, float, np.ndarray]]]
-    steps: list[dict]
-    feedback: dict[int, dict[tuple[str, ...], Instrument]]
-    initial_sb: np.ndarray | None      # None: the Gibbs state of the initial H_SB
+    spec: dict
     report_times: list[float]
     options: dict
     checksum: str = ""
+
+    @property
+    def name(self) -> str:
+        return self.spec["name"]
 
 
 _TOP_KEYS = {"name", "beta", "mean_force", "system", "bath", "coupling",
@@ -236,14 +238,13 @@ def _parse_instrument(node, path, names, s_dim) -> Instrument:
         kraus = [_parse_matrix(kn, f"{opath}.kraus[{j}]", names, s_dim)
                  for j, kn in enumerate(kraus_nodes)]
         outcomes.append((label, CPMap(("S",), kraus)))
-    try:
-        return Instrument(outcomes)
-    except ValueError as exc:
-        # the instrument's own message names the completeness residual
-        raise ScenarioError(path, f"invalid instrument: {exc}") from None
+    # the instrument's own message names the completeness residual
+    return _checked(path, Instrument, outcomes, context="invalid instrument: ")
 
 
-def _parse_segments(node, path, names, s_dim, t_start, t_end) -> list:
+def _parse_timeline(node, path, names, s_dim, t_start, t_end) -> tuple[Segment, ...]:
+    """The segments at ``path``, checked to be one gapless timeline over
+    [t_start, t_end]."""
     segs = []
     for i, sn in enumerate(_sequence(node, path)):
         spath = f"{path}[{i}]"
@@ -251,12 +252,12 @@ def _parse_segments(node, path, names, s_dim, t_start, t_end) -> list:
             raise ScenarioError(spath, "segment needs t0, t1 and 'system'")
         t0, t1 = _number(sn["t0"], spath + ".t0"), _number(sn["t1"], spath + ".t1")
         h = _parse_hermitian(sn["system"], spath + ".system", names, s_dim)
-        segs.append((t0, t1, h))
+        segs.append(_checked(spath, Segment, t0, t1, h))
     if not segs:
         raise ScenarioError(path, "protocol needs at least one segment")
-    if not (same_instant(segs[0][0], t_start) and same_instant(segs[-1][1], t_end)):
+    if not (same_instant(segs[0].t0, t_start) and same_instant(segs[-1].t1, t_end)):
         raise ScenarioError(path, f"segments must cover [{t_start}, {t_end}]")
-    return segs
+    return _checked(path, Protocol, segs).base
 
 
 def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
@@ -317,12 +318,12 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         raise ScenarioError("protocol", "give either 'protocol' or "
                                         "'system_hamiltonian', not both")
     if "protocol" in data:
-        segments = _parse_segments(data["protocol"], "protocol", names, s_dim,
-                                   t_start, t_end)
+        base = _parse_timeline(data["protocol"], "protocol", names, s_dim,
+                               t_start, t_end)
     else:
         h0 = _parse_hermitian(data.get("system_hamiltonian", {"zeros": s_dim}),
                               "system_hamiltonian", names, s_dim)
-        segments = [(t_start, t_end, h0)]
+        base = [Segment(t_start, t_end, h0)]
 
     # steps
     steps: list[dict] = []
@@ -385,7 +386,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
 
     # feedback
     feedback: dict[int, dict[tuple[str, ...], Instrument]] = {}
-    variants: dict[tuple[str, ...], list] = {}
+    variants: dict[tuple[str, ...], tuple[Segment, ...]] = {}
     for i, fn in enumerate(_sequence(data.get("feedback"), "feedback")):
         fpath = f"feedback[{i}]"
         if not isinstance(fn, Mapping) or "prefix" not in fn:
@@ -405,7 +406,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
             feedback.setdefault(k, {})[prefix] = _parse_instrument(
                 inode, f"{fpath}.instruments.{snode}", names, s_dim)
         if "protocol" in fn:
-            variants[prefix] = _parse_segments(fn["protocol"], fpath + ".protocol",
+            variants[prefix] = _parse_timeline(fn["protocol"], fpath + ".protocol",
                                                names, s_dim, t_start, t_end)
 
     # initial state
@@ -427,6 +428,12 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         if before(t, t_start) or before(t_end, t):
             raise ScenarioError(f"report_times[{i}]",
                                 f"{t} outside [{t_start}, {t_end}]")
+        # Simulator.run's rule: the last step run by t must have closed its window
+        k = len(list(takewhile(lambda st: not before(t, st["time"]), steps))) - 1
+        if k >= 0 and "window" in steps[k] and \
+                before(t, steps[k]["time"] + steps[k]["window"]):
+            raise ScenarioError(f"report_times[{i}]",
+                                f"{t} falls inside the control window of steps[{k}]")
 
     options = dict(_mapping(data.get("options") or {}, "options", _OPTION_KEYS))
     if "prune_threshold" in options:
@@ -435,13 +442,12 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
             raise ScenarioError("options.prune_threshold",
                                 f"must be in [0, 1), got {prune!r}")
         options["prune_threshold"] = prune
-    return Scenario(
-        name=name, beta=beta, mean_force=mean_force, s_dim=s_dim, b_dim=b_dim,
-        h_bath=h_bath, v_coupling=v_coupling,
-        segments=segments, variants=variants, steps=steps, feedback=feedback,
-        initial_sb=initial_sb,
-        report_times=sorted(set(report_times)),
-        options=options)
+    spec = dict(
+        s_dim=s_dim, b_dim=b_dim, beta=beta,
+        protocol=_checked("feedback", Protocol, base, variants),
+        h_bath=h_bath, v_coupling=v_coupling, steps=steps, feedback=feedback,
+        sb_init=initial_sb, mean_force_bare=mean_force == "bare", name=name)
+    return Scenario(spec, sorted(set(report_times)), options)
 
 
 # libyaml's safe loader parses large matrices several times faster
@@ -470,18 +476,7 @@ def parse_scenario(path: str) -> Scenario:
 
 def build_model(scenario: Scenario) -> AutonomousModel:
     """Assemble the inclusive model a scenario describes."""
-    segs = [Segment(t0, t1, h) for t0, t1, h in scenario.segments]
-    variants = {p: [Segment(t0, t1, h) for t0, t1, h in segs_]
-                for p, segs_ in scenario.variants.items()}
-    protocol = Protocol(segs, variants=variants)
     try:
-        return AutonomousModel.assemble(
-            s_dim=scenario.s_dim, b_dim=scenario.b_dim, beta=scenario.beta,
-            protocol=protocol, h_bath=scenario.h_bath,
-            v_coupling=scenario.v_coupling, steps=scenario.steps,
-            feedback=scenario.feedback, sb_init=scenario.initial_sb,
-            mean_force_bare=scenario.mean_force == "bare",
-            name=scenario.name)
+        return AutonomousModel.assemble(**scenario.spec)
     except ValueError as exc:
         raise ScenarioError(scenario.name, f"cannot assemble model: {exc}") from None
-

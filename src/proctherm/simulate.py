@@ -466,7 +466,6 @@ class RunResult:
     snapshots: tuple[Snapshot, ...]
     traces: tuple[StepTrace, ...]
     final: BranchLedger
-    control_caveat: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +666,4 @@ class Simulator:
             ledger = self.advance(ledger, t)
             snapshots.append(Snapshot(t, ledger))
         steps_until(model.protocol.t_end)
-        caveat = model.has_sb_coupling() and any(
-            s.window_width is None for s in model.steps)
-        return RunResult(model, initial, tuple(snapshots), tuple(traces), ledger,
-                         control_caveat=caveat)
+        return RunResult(model, initial, tuple(snapshots), tuple(traces), ledger)

@@ -236,7 +236,7 @@ class ThermoEvaluator:
         self.model = result.model
         self.beta = self.model.beta
         self.bare = self.model.mean_force_bare
-        self._mf_cache: dict[bytes, tuple[np.ndarray, np.ndarray, float]] = {}
+        self._mf_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         # constants of the unentered ancillas, counted from the initial time
         self._e_anc0 = [expect_herm(spec.h_ancilla, spec.ancilla_state)
                         for spec in self.model.steps]
@@ -250,8 +250,8 @@ class ThermoEvaluator:
 
     # -- mean force ----------------------------------------------------------
 
-    def _mean_force(self, h_sys: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(H*, dH*/dbeta, ln Z*) on the system factor for one drive value."""
+    def _mean_force(self, h_sys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(H*, dH*/dbeta) on the system factor for one drive value."""
         key = h_sys.tobytes()
         out = self._mf_cache.get(key)
         if out is not None:
@@ -259,12 +259,11 @@ class ThermoEvaluator:
         model, beta = self.model, self.beta
         if self.bare or not model.has_sb_coupling():
             # decoupled (or declared weak-coupling): H* is the bare term
-            lnz = log_partition(h_sys, beta)
-            out = (np.asarray(h_sys, dtype=complex), np.zeros_like(h_sys, dtype=complex), lnz)
+            out = (np.asarray(h_sys, dtype=complex), np.zeros_like(h_sys, dtype=complex))
         else:
             out = _mean_force_arrays(model.schedule.h_sb(h_sys),
                                      model.registry.dims(("S", "B")), [0], self._h_b,
-                                     beta)
+                                     beta)[:2]
         self._mf_cache[key] = out
         return out
 
@@ -279,7 +278,7 @@ class ThermoEvaluator:
         rho_s = space.ptrace(br.state, ["S"]) / p
         sa_labels = tuple(l for l in br.support if l != "B")
         rho_sa = space.ptrace(br.state, sa_labels) / p
-        h_star, dh, _ = self._mean_force(br.h_sys_applied)
+        h_star, dh = self._mean_force(br.h_sys_applied)
         # factored-out and pending ancillas, then those still in the state
         e_anc = br.e_factored + sum(self._e_anc0[i] for i in pending)
         if space.ancillas:

@@ -232,7 +232,7 @@ class TestAcceptance:
             u = expm_herm(seg.h_system, -1j * (seg.t1 - seg.t0)) @ u
         h0, h1 = segs[0].h_system, segs[-1].h_system
         e0, e1 = np.diag(h0).real, np.diag(h1).real
-        pi0 = gibbs_mat(h0, sc.beta)[0]
+        pi0 = gibbs_mat(h0, sc.spec["beta"])[0]
         worst_p, worst_w = 0.0, 0.0
         support_ok = True
         for i in range(3):

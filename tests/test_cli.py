@@ -366,18 +366,24 @@ class TestInputErrors:
         assert "prune_threshold" in capsys.readouterr().err
 
     @staticmethod
-    def verify_with(tmp_path, field, value):
-        """Exit code of ``verify`` on measurement_work.yaml with the node at
-        the path ``field`` set to ``value``."""
-        data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
-        *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", field)]
-        node = data
-        for key in parents:
-            node = node[key]
-        node[last] = value
+    def verify_patched(tmp_path, fname, patches):
+        """Exit code of ``verify`` on the shipped scenario ``fname`` with the
+        node at each field path of ``patches`` set to its value."""
+        data = yaml.safe_load((SCENARIO_DIR / fname).read_text())
+        for field, value in patches.items():
+            *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", field)]
+            node = data
+            for key in parents:
+                node = node[key]
+            node[last] = value
         bad = tmp_path / "patched.yaml"
         bad.write_text(yaml.safe_dump(data))
         return run_cli("verify", "--scenario", str(bad))
+
+    def verify_with(self, tmp_path, field, value):
+        """Exit code of ``verify`` on measurement_work.yaml with the node at
+        the path ``field`` set to ``value``."""
+        return self.verify_patched(tmp_path, "measurement_work.yaml", {field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("system", 2), ("time", 5), ("bath", 3), ("initial", 3), ("options", 1),
@@ -393,6 +399,20 @@ class TestInputErrors:
                                                                field, value):
         assert self.verify_with(tmp_path, field, value) == 2
         assert f"error: {field}: expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fname, patches, path", [
+        ("measurement_work.yaml", {"protocol[0].t1": 0.4}, "protocol"),
+        ("driven_feedback.yaml", {"feedback[0].protocol[0].t1": 0.7},
+         "feedback[0].protocol"),
+        ("measurement_work.yaml", {"protocol[0].t1": 0.0}, "protocol[0]"),
+        # step 1 runs at t = 1.0 with its window open until 1.2
+        ("measurement_work.yaml", {"steps[1].window": {"width": 0.2},
+                                   "report_times": [1.1, 2.0]}, "report_times[0]")],
+        ids=["protocol-gap", "variant-gap", "empty-segment", "report-in-window"])
+    def test_protocol_and_report_time_errors_name_their_path(
+            self, tmp_path, capsys, fname, patches, path):
+        assert self.verify_patched(tmp_path, fname, patches) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"

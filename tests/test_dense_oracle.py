@@ -64,19 +64,6 @@ def model_spec():
                               "labels": ["u", "d"]}}])
 
 
-def scenario_spec(path):
-    """The keyword arguments :func:`proctherm.scenario.build_model` assembles
-    a scenario with, and its report times."""
-    sc = parse_scenario(str(path))
-    protocol = Protocol([Segment(*seg) for seg in sc.segments],
-                        variants={p: [Segment(*seg) for seg in segs]
-                                  for p, segs in sc.variants.items()})
-    return dict(s_dim=sc.s_dim, b_dim=sc.b_dim, beta=sc.beta, protocol=protocol,
-                h_bath=sc.h_bath, v_coupling=sc.v_coupling, steps=sc.steps,
-                feedback=sc.feedback, sb_init=sc.initial_sb,
-                mean_force_bare=sc.mean_force == "bare", name=sc.name), sc.report_times
-
-
 @pytest.fixture(scope="module")
 def runs():
     return both_routes(model_spec(), REPORTS)
@@ -100,9 +87,9 @@ def test_ensemble_matches_dense_oracle(runs, t):
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
 def test_shipped_scenario_matches_dense_oracle(path):
-    spec, reports = scenario_spec(path)
-    runs = both_routes(spec, reports)
-    for t in reports:
+    sc = parse_scenario(str(path))
+    runs = both_routes(sc.spec, sc.report_times)
+    for t in sc.report_times:
         check_branch_states(runs, t)
         check_branch_rows(runs, t)
         check_ensemble(runs, t)

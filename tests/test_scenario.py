@@ -9,6 +9,7 @@ import yaml
 
 import proctherm.scenario as scenario
 from proctherm.algebra import expm_herm
+from proctherm.simulate import Simulator
 from proctherm.scenario import (
     ScenarioError,
     build_model,
@@ -37,13 +38,13 @@ class TestParsing:
     def test_minimal_valid_file(self):
         sc = parse_scenario_dict(minimal())
         assert sc.name == "minimal"
-        assert sc.s_dim == 2 and sc.b_dim == 2
-        assert sc.initial_sb is None
+        assert sc.spec["s_dim"] == 2 and sc.spec["b_dim"] == 2
+        assert sc.spec["sb_init"] is None
 
     def test_complex_literals_in_matrices(self):
         sc = parse_scenario_dict(minimal(
             system_hamiltonian=[[0, "1+2i"], ["1-2i", "0.5"]]))
-        np.testing.assert_allclose(sc.segments[0][2][0, 1], 1 + 2j)
+        np.testing.assert_allclose(sc.spec["protocol"].base[0].h_system[0, 1], 1 + 2j)
 
     @pytest.mark.parametrize("value", [-1e-3, 1.0, 2, float("nan"), float("inf"),
                                        "often", True, [0.1]])
@@ -78,14 +79,16 @@ class TestParsing:
             coupling={"pauli": "XX", "coeff": 0.5},
             system_hamiltonian={"number": {"dim": 2, "spacing": 0.7}}))
         sx = np.array([[0, 1], [1, 0]])
-        np.testing.assert_allclose(sc.v_coupling, 0.5 * np.kron(sx, sx))
-        np.testing.assert_allclose(sc.segments[0][2], np.diag([0.0, 0.7]))
+        np.testing.assert_allclose(sc.spec["v_coupling"], 0.5 * np.kron(sx, sx))
+        np.testing.assert_allclose(sc.spec["protocol"].base[0].h_system,
+                                   np.diag([0.0, 0.7]))
 
     def test_named_matrix_reference(self):
         sc = parse_scenario_dict(minimal(
             matrices={"H": {"diag": [0.0, 2.0]}},
             system_hamiltonian="H"))
-        np.testing.assert_allclose(sc.segments[0][2], np.diag([0.0, 2.0]))
+        np.testing.assert_allclose(sc.spec["protocol"].base[0].h_system,
+                                   np.diag([0.0, 2.0]))
         with pytest.raises(ScenarioError, match="unknown matrix name"):
             parse_scenario_dict(minimal(system_hamiltonian="NOPE"))
 
@@ -130,7 +133,7 @@ class TestParsing:
         for checks in ({"second_law": True}, {"second_law": False}):
             with pytest.raises(ScenarioError, match="unknown top-level.*checks"):
                 parse_scenario_dict(minimal(initial=mixed, checks=checks))
-        assert parse_scenario_dict(minimal(initial=mixed)).initial_sb is not None
+        assert parse_scenario_dict(minimal(initial=mixed)).spec["sb_init"] is not None
 
     def test_invalid_density_rejected(self):
         bad = minimal(initial={"sb": {"matrix": np.diag([2.0, -1.0, 0, 0]).tolist()}})
@@ -149,6 +152,27 @@ class TestParsing:
     def test_report_times_range_checked(self):
         with pytest.raises(ScenarioError, match="report_times"):
             parse_scenario_dict(minimal(report_times=[5.0]))
+
+    @pytest.mark.parametrize("t, inside", [(0.29, False), (0.3, True), (0.35, True),
+                                           (0.4, False)])
+    def test_report_time_inside_a_control_window(self, t, inside):
+        # step 0 at t_k = 0.3 holds its control window open for w = 0.1: the
+        # parser rejects a report time in [t_k, t_k + w), as Simulator.run does
+        z = {"outcomes": [{"label": "1", "kraus": [[[1, 0], [0, 0]]]},
+                          {"label": "2", "kraus": [[[0, 0], [0, 1]]]}]}
+        data = minimal(steps=[{"time": 0.3, "instrument": z, "window": 0.1}],
+                       report_times=[1.0, t])
+        model = build_model(parse_scenario_dict(minimal(
+            steps=data["steps"], report_times=[1.0])))
+        if inside:
+            with pytest.raises(ScenarioError, match="control window of steps") as err:
+                parse_scenario_dict(data)
+            assert err.value.path == "report_times[1]"
+            with pytest.raises(ValueError, match="inside a control window"):
+                Simulator(model).run([t])
+        else:
+            assert parse_scenario_dict(data).report_times == [t, 1.0]
+            Simulator(model).run([t])
 
     def test_feedback_validation(self):
         inst = {"outcomes": [{"label": "1", "kraus": [[[1, 0], [0, 0]]]},
@@ -169,7 +193,7 @@ class TestParsing:
                 "unitary": "swap",
                 "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
             }}]))
-        st = sc.steps[0]
+        st = sc.spec["steps"][0]
         assert st["collision"]["unitary"].shape == (4, 4)
         p = 1 / (1 + math.exp(-1.0))
         np.testing.assert_allclose(np.diag(st["collision"]["ancilla_state"]),
@@ -187,7 +211,8 @@ class TestParsing:
     def test_instrument_ancilla_hamiltonian_must_be_hermitian(self):
         inst = {"outcomes": [{"label": "1", "kraus": [[[1, 0], [0, 1]]]}]}
         step = {"time": 0.5, "instrument": inst, "ancilla_hamiltonian": [[0.0]]}
-        assert parse_scenario_dict(minimal(steps=[step])).steps[0]["h_ancilla"].shape == (1, 1)
+        sc = parse_scenario_dict(minimal(steps=[step]))
+        assert sc.spec["steps"][0]["h_ancilla"].shape == (1, 1)
         step["ancilla_hamiltonian"] = [[0, 1], [0, 0]]
         with pytest.raises(ScenarioError, match="ancilla_hamiltonian.*Hermitian"):
             parse_scenario_dict(minimal(steps=[step]))
@@ -198,8 +223,26 @@ class TestShippedScenarios:
     def test_parses_and_builds(self, fname):
         sc = parse_scenario(SCENARIO_DIR / fname)
         model = build_model(sc)
-        assert model.beta == sc.beta
+        assert model.beta == sc.spec["beta"]
         assert len(sc.checksum) == 64
+
+    def test_feedback_drive_variant_reaches_the_model(self):
+        # after outcome "down" of step 0, driven_feedback.yaml replaces the
+        # drive H1 on [0.8, 2.0) by HFB and step 1's instrument by a Z readout
+        model = build_model(parse_scenario(SCENARIO_DIR / "driven_feedback.yaml"))
+        protocol = model.protocol
+        assert list(protocol.variants) == [("down",)]
+        variant = protocol.variants[("down",)]
+        assert [(seg.t0, seg.t1) for seg in variant] == [(0.0, 0.8), (0.8, 2.0)]
+        assert np.array_equal(variant[0].h_system, np.diag([0.0, 1.0]))
+        assert np.array_equal(variant[1].h_system, [[0.0, -0.3], [-0.3, 1.0]])
+        assert np.array_equal(protocol.base[1].h_system, [[0.0, 0.45], [0.45, 1.0]])
+        assert protocol.timeline(("down", "+")) is variant
+        assert protocol.timeline(("up",)) is protocol.base
+        z_readout = model.schedule.instrument_at(1, ("down",))
+        assert [label for label, _ in z_readout.outcomes] == ["+", "-"]
+        assert np.array_equal(z_readout.outcomes[0][1].kraus[0], np.diag([1.0, 0.0]))
+        assert model.schedule.instrument_at(1, ("up",)) is model.schedule.instruments[1]
 
     @pytest.mark.parametrize("fname", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
     def test_loader_matches_pure_python_safe_loader(self, fname):
@@ -222,10 +265,8 @@ class TestBuildModel:
         u = expm_herm(spec.window, -1j * spec.window_width)
         assert np.allclose(u, model.hardware(0, ()).unitary, atol=1e-10)
         # the drive protocol is the one declared, not split at the window
-        assert [(seg.t0, seg.t1) for seg in model.protocol.base] == \
-            [(t0, t1) for t0, t1, _ in sc.segments]
-        for seg, (_, _, h) in zip(model.protocol.base, sc.segments):
-            assert np.array_equal(seg.h_system, h)
+        assert model.protocol is sc.spec["protocol"]
+        assert [(seg.t0, seg.t1) for seg in model.protocol.base] == [(0.0, 1.0)]
 
     def test_missing_file_reported(self):
         with pytest.raises(ScenarioError, match="cannot read"):

@@ -593,7 +593,7 @@ class TestStandaloneOps:
         space = model.space(some.support)
         rho_s_unc = sum(space.ptrace(br.state, ["S"])
                         for br in snap.ledger.branches.values())
-        h_star, dh, _ = ev._mean_force(some.h_sys_applied)
+        h_star, dh = ev._mean_force(some.h_sys_applied)
         u_unc = float(np.real(np.trace((h_star + model.beta * dh) @ rho_s_unc)))
         # degenerate measurement ancillas add nothing here
         assert u_sum == pytest.approx(u_unc, abs=1e-9)
