@@ -145,9 +145,13 @@ def energy_change(before: np.ndarray, after: np.ndarray, dims: Sequence[int],
                 for op, pos in terms), 0.0)
 
 
-def expm_herm(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * h) for Hermitian h via spectral decomposition."""
-    w, v = np.linalg.eigh(h)
+def expm_herm(h: np.ndarray | None, scale: complex = 1.0,
+              eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """exp(scale * h) for Hermitian h via spectral decomposition.
+
+    ``eig`` is the eigenpairs (w, v) of h when they are already known; h is
+    then not read and may be None."""
+    w, v = np.linalg.eigh(h) if eig is None else eig
     return (v * np.exp(scale * w)) @ v.conj().T
 
 
@@ -190,9 +194,13 @@ def gibbs_mat(h: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     return 0.5 * (rho + rho.conj().T), z0 * math.exp(-beta * w[0])
 
 
-def log_partition(h: np.ndarray, beta: float) -> float:
-    """ln tr exp(-beta h), overflow-safe."""
+def log_partition(h: np.ndarray, beta: float | Sequence[float]
+                  ) -> float | tuple[float, ...]:
+    """ln tr exp(-beta h), overflow-safe.  For a sequence of inverse
+    temperatures, one value per entry, all from one spectrum of h."""
     w = np.linalg.eigvalsh(h)
+    if np.ndim(beta):
+        return tuple(logsumexp(-b * w) for b in beta)
     return logsumexp(-beta * w)
 
 

@@ -217,20 +217,25 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
     recorded at each report time.  An intervention at a report time acts
     before the report.  Children follow their parent and label order, so
     every report lists records in ``itertools.product`` order of the
-    alphabets.  Nodes share the propagator of each (segment, interval).
+    alphabets.  Each segment's H_SB is diagonalized once; the propagator of
+    each (segment, interval) is formed from that spectrum, shared by every
+    node advanced over the interval, and kept only until the next event.
     """
     reg = schedule.registry
     if sb_init.support != reg.canonical(("S", "B")):
         raise ValueError("initial state must live on the system-bath factors")
     dims = reg.dims(("S", "B"))
+    spectra: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
     propagators: dict[tuple[Segment, float, float], np.ndarray] = {}
 
     def evolve(mat, t_from, t_to, prefix):
         for seg, a, b in schedule.protocol.iter_segments(t_from, t_to, prefix):
             u = propagators.get((seg, a, b))
             if u is None:
-                u = propagators[seg, a, b] = expm_herm(schedule.h_sb(seg.h_system),
-                                                       -1j * (b - a))
+                eig = spectra.get(seg)
+                if eig is None:
+                    eig = spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
+                u = propagators[seg, a, b] = expm_herm(None, -1j * (b - a), eig=eig)
             mat = u @ mat @ dagger(u)
         return mat
 
@@ -246,8 +251,10 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
                     positions = [("S", "B").index(l) for l in cp.support]
                     children[prefix + (label,)] = cp.apply_mat(mat, dims, positions)
             nodes, t_cur, k = children, schedule.times[k], k + 1
+            propagators.clear()
         nodes = {prefix: evolve(mat, t_cur, t, prefix) for prefix, mat in nodes.items()}
         out[t], t_cur = nodes, t
+        propagators.clear()
     return out
 
 

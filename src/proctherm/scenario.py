@@ -387,6 +387,7 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     # feedback
     feedback: dict[int, dict[tuple[str, ...], Instrument]] = {}
     variants: dict[tuple[str, ...], tuple[Segment, ...]] = {}
+    declared: dict[tuple[str, ...], int] = {}   # prefix -> its feedback index
     for i, fn in enumerate(_sequence(data.get("feedback"), "feedback")):
         fpath = f"feedback[{i}]"
         if not isinstance(fn, Mapping) or "prefix" not in fn:
@@ -394,6 +395,10 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
         prefix = tuple(str(l) for l in _sequence(fn["prefix"], fpath + ".prefix"))
         if not prefix:
             raise ScenarioError(fpath + ".prefix", "prefix cannot be empty")
+        if prefix in declared:
+            raise ScenarioError(fpath + ".prefix", f"prefix {list(prefix)} is already "
+                                f"declared at feedback[{declared[prefix]}]")
+        declared[prefix] = i
         for snode, inode in _mapping(fn.get("instruments") or {},
                                      fpath + ".instruments").items():
             k = _number(snode, f"{fpath}.instruments.{snode}", int)

@@ -92,6 +92,12 @@ class StepSpec:
                       tuple[DilationResult, tuple[np.ndarray | None, ...]]]
 
 
+def _block(window: int | None) -> tuple[str, ...]:
+    """The factors the Hamiltonian terms couple: S B, plus A_k while step
+    k's control window is open."""
+    return ("S", "B") if window is None else ("S", "B", ancilla_label(window))
+
+
 class _Space:
     """One branch support and the only list of Hamiltonian terms on it.
 
@@ -149,26 +155,29 @@ class _Space:
         out = (op @ t.reshape(d, -1)).reshape(-1, d) @ dagger(op)
         return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(state.shape)
 
-    def propagate(self, state: np.ndarray, seg: Segment, a: float, b: float,
-                  window: int | None = None) -> np.ndarray:
-        """Conjugate ``state`` by the exact propagator of ``seg`` over [a, b],
-        with step ``window``'s control window open when given.
+    def propagators(self, seg: Segment, a: float, b: float, window: int | None,
+                    cache: dict) -> list[tuple[tuple[str, ...], np.ndarray]]:
+        """(labels, U) for each factor of the exact propagator of ``seg``
+        over [a, b], with step ``window``'s control window open when given.
 
         Finished ancillas couple to nothing, so the propagator factors into
         one unitary on the block the terms couple (S B, plus A_k inside its
-        window) and one per other ancilla with a Hamiltonian.  Each factor
-        is cached per (segment, interval, block) on the model; a block that
-        holds A_k occurs only inside step k's window.
+        window), which comes first, and one per other ancilla with a
+        Hamiltonian.  Each unitary is formed from the model's one
+        eigendecomposition per (drive value, block) and kept in ``cache``
+        per (segment, interval, block).  ``cache`` holds one event
+        interval: the branches advanced over it share each propagator, and
+        none outlives it.
         """
-        block = ("S", "B") if window is None else ("S", "B", ancilla_label(window))
-        cache = self.model._propagators
+        block = _block(window)
+        out = []
         for labels in [block] + [(l,) for l in self.ancillas if l not in block]:
             u = cache.get((seg, a, b, labels))
             if u is None:
-                h = self.hamiltonian(labels, seg.h_system, window)
-                u = cache[seg, a, b, labels] = expm_herm(h, -1j * (b - a))
-            state = self.apply(u, labels, state)
-        return _frozen(state)
+                eig = self.model.spectrum(labels, seg.h_system, window)
+                u = cache[seg, a, b, labels] = expm_herm(None, -1j * (b - a), eig=eig)
+            out.append((labels, u))
+        return out
 
     def ptrace(self, mat: np.ndarray, keep: Sequence[str]) -> np.ndarray:
         return ptrace_factors(mat, self.dims, [self.pos[l] for l in keep])
@@ -189,7 +198,7 @@ class AutonomousModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_spaces", {})
-        object.__setattr__(self, "_propagators", {})
+        object.__setattr__(self, "_spectra", {})
 
     # -- assembly -----------------------------------------------------------
 
@@ -335,6 +344,20 @@ class AutonomousModel:
             sp = _Space(self, support)
             self._spaces[support] = sp
         return sp
+
+    def spectrum(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
+                 window: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (w, v) of :meth:`_Space.hamiltonian` on ``labels``,
+        computed once per (labels, window, drive value); the drive and the
+        window count only on a block that holds S."""
+        if "S" not in labels:
+            h_system, window = None, None
+        key = (labels, window, None if h_system is None else h_system.tobytes())
+        eig = self._spectra.get(key)
+        if eig is None:
+            h = self.space(labels).hamiltonian(labels, h_system, window)
+            eig = self._spectra[key] = tuple(_frozen(a) for a in np.linalg.eigh(h))
+        return eig
 
     @property
     def h_bath(self):
@@ -512,34 +535,57 @@ class Simulator:
 
     # -- evolution ----------------------------------------------------------
 
-    def _switch(self, br: Branch, seg: Segment) -> Branch:
+    def _switch(self, br: Branch, seg: Segment, space: _Space, state: np.ndarray) -> Branch:
         """Apply ``seg``'s drive to a branch, booking the work of the switch
-        as the jump in the drive's expectation."""
+        as the jump in the drive's expectation in ``state``: the branch
+        state, or a marginal of it that holds S, on ``space``."""
         if seg.h_system is br.h_sys_applied:
             return br
         w_s = br.w_sys
         weight = br.weight
         if weight > 0:
-            rho_s = self.model.space(br.support).ptrace(br.state, ["S"])
+            rho_s = space.ptrace(state, ["S"])
             w_s += expect_herm(seg.h_system - br.h_sys_applied, rho_s) / weight
         return br.replace(w_sys=w_s, h_sys_applied=seg.h_system)
 
-    def _advance_branch(self, br: Branch, t_from: float, t_to: float,
+    def _advance_branch(self, br: Branch, t_from: float, t_to: float, cache: dict,
                         window: int | None = None) -> Branch:
         """Evolve a branch over (t_from, t_to] under its drive, with step
-        ``window``'s control window open when given."""
-        space = self.model.space(br.support)
-        for seg, a, b in self.model.protocol.iter_segments(t_from, t_to, br.labels):
-            br = self._switch(br, seg)
-            br = br.replace(state=space.propagate(br.state, seg, a, b, window))
-        return br
+        ``window``'s control window open when given; ``cache`` holds the
+        propagators of this event interval (see :meth:`_Space.propagators`).
+
+        Each switch is booked from the block marginal, evolved segment by
+        segment; the factors outside the block never reach rho_S, so that
+        is exact.  The branch state is conjugated once, by each factor's
+        unitaries composed over the interval.  When the block is the whole
+        support, the marginal is the state.
+        """
+        model = self.model
+        space = model.space(br.support)
+        block = _block(window)
+        block_space = model.space(block)
+        whole = block == br.support
+        marginal = br.state if whole else space.ptrace(br.state, block)
+        composed: dict[tuple[str, ...], np.ndarray] = {}
+        for seg, a, b in model.protocol.iter_segments(t_from, t_to, br.labels):
+            br = self._switch(br, seg, block_space, marginal)
+            for labels, u in space.propagators(seg, a, b, window, cache):
+                if labels == block:
+                    marginal = u @ marginal @ dagger(u)
+                if not whole:
+                    composed[labels] = u @ composed[labels] if labels in composed else u
+        state = marginal if whole else br.state
+        for labels, u in composed.items():
+            state = space.apply(u, labels, state)
+        return br.replace(state=_frozen(state))
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
         if before(t, ledger.time):
             raise ValueError(f"cannot advance backwards from {ledger.time} to {t}")
         if not before(ledger.time, t):
             return ledger
-        branches = {labels: self._advance_branch(br, ledger.time, t)
+        cache: dict = {}
+        branches = {labels: self._advance_branch(br, ledger.time, t, cache)
                     for labels, br in ledger.branches.items()}
         return BranchLedger(t, branches, ledger.pruned_mass, ledger.steps_done)
 
@@ -559,6 +605,7 @@ class Simulator:
         traces: dict[tuple[str, ...], PrefixTrace] = {}
         pruned = ledger.pruned_mass
         t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
+        cache: dict = {}    # the window's propagators
 
         for labels, br in ledger.branches.items():
             hw, vectors = deepest_prefix(spec.controls, labels)
@@ -583,8 +630,9 @@ class Simulator:
                 on = expect_herm(spec.window, space.ptrace(prepped.state, ["S", anc]))
                 ctrled = self._advance_branch(
                     prepped.replace(w_ctrl=prepped.w_ctrl + on / prepped.weight),
-                    spec.time, t_meas, k)
-                ctrled = self._switch(ctrled, model.protocol.segment_at(t_meas, labels))
+                    spec.time, t_meas, cache, k)
+                ctrled = self._switch(ctrled, model.protocol.segment_at(t_meas, labels),
+                                      space, ctrled.state)
                 off = expect_herm(spec.window, space.ptrace(ctrled.state, ["S", anc]))
                 ctrled = ctrled.replace(w_ctrl=ctrled.w_ctrl - off / ctrled.weight)
             # --- readout energies before conditioning; the system+ancilla

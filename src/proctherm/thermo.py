@@ -110,22 +110,28 @@ def _mean_force_core(w: np.ndarray, v: np.ndarray, dims: Sequence[int],
     return h_star, ln_z_star
 
 
-def _mean_force_arrays(h_xb: np.ndarray, dims: Sequence[int], x_pos: Sequence[int],
-                       h_bath: np.ndarray, beta: float
+_DBETA = 1e-4   # step of the dH*/dbeta central difference, relative to beta
+
+
+def _mean_force_betas(beta: float) -> tuple[float, ...]:
+    """The inverse temperatures one mean force reads: beta, then
+    beta +- dbeta and beta +- dbeta/2 with ``dbeta = _DBETA * beta``."""
+    dbeta = _DBETA * beta
+    return (beta, beta + dbeta, beta - dbeta, beta + dbeta / 2, beta - dbeta / 2)
+
+
+def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
+                       x_pos: Sequence[int], ln_z_bath: Sequence[float], beta: float
                        ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(H*, dH*/dbeta, ln Z*); the derivative is a central difference with
-    one Richardson refinement, steps ``dbeta = 1e-4 * beta`` and ``dbeta / 2``."""
-    dbeta = 1e-4 * beta
-    w, v = np.linalg.eigh(h_xb)
-
-    def at(b):
-        return _mean_force_core(w, v, dims, x_pos, log_partition(h_bath, b), b)
-
-    def central(h):
-        return (at(beta + h)[0] - at(beta - h)[0]) / (2 * h)
-
-    h_star, ln_z_star = at(beta)
-    dh = (4.0 * central(dbeta / 2) - central(dbeta)) / 3.0
+    """(H*, dH*/dbeta, ln Z*) from the eigenpairs of H_XB and ln Z_B at each
+    of :func:`_mean_force_betas`; the derivative is a central difference
+    with one Richardson refinement, steps ``dbeta`` and ``dbeta / 2``."""
+    w, v = eig
+    (h_star, ln_z_star), (hp, _), (hm, _), (hp2, _), (hm2, _) = [
+        _mean_force_core(w, v, dims, x_pos, ln_z, b)
+        for b, ln_z in zip(_mean_force_betas(beta), ln_z_bath)]
+    dbeta = _DBETA * beta
+    dh = (4.0 * (hp2 - hm2) / dbeta - (hp - hm) / (2 * dbeta)) / 3.0
     return h_star, 0.5 * (dh + dh.conj().T), ln_z_star
 
 
@@ -152,7 +158,9 @@ def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
     bath_dim = int(np.prod([d for i, d in enumerate(dims) if i not in x_pos]))
     if h_bath is None:
         h_bath = np.zeros((bath_dim, bath_dim))
-    h_star, dbeta_h, ln_z_star = _mean_force_arrays(h_xb.mat, dims, x_pos, h_bath, beta)
+    h_star, dbeta_h, ln_z_star = _mean_force_arrays(
+        np.linalg.eigh(h_xb.mat), dims, x_pos,
+        log_partition(h_bath, _mean_force_betas(beta)), beta)
     return MeanForceData(
         OperatorMatrix(reg, x_labels, h_star, hermitian=True),
         math.exp(ln_z_star), beta,
@@ -241,17 +249,21 @@ class ThermoEvaluator:
         self._e_anc0 = [expect_herm(spec.h_ancilla, spec.ancilla_state)
                         for spec in self.model.steps]
         self._s_anc0 = [vn_entropy_mat(spec.ancilla_state) for spec in self.model.steps]
+        self._s_tot0 = vn_entropy_mat(self.model.sb_init.mat) + sum(self._s_anc0)
         h_b = self.model.h_bath
         if h_b is None:
             d_b = self.model.registry.dims(("B",))[0]
             h_b = np.zeros((d_b, d_b))
-        self._h_b, self._lnz_b = h_b, log_partition(h_b, self.beta)
+        # ln Z_B at each inverse temperature the mean force reads (beta
+        # first), from one bath spectrum
+        self._lnz_b = log_partition(h_b, _mean_force_betas(self.beta))
         self._ref: tuple[float, float, float] | None = None
 
     # -- mean force ----------------------------------------------------------
 
     def _mean_force(self, h_sys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H*, dH*/dbeta) on the system factor for one drive value."""
+        """(H*, dH*/dbeta) on the system factor for one drive value, from
+        the model's own S B spectrum for it."""
         key = h_sys.tobytes()
         out = self._mf_cache.get(key)
         if out is not None:
@@ -261,8 +273,8 @@ class ThermoEvaluator:
             # decoupled (or declared weak-coupling): H* is the bare term
             out = (np.asarray(h_sys, dtype=complex), np.zeros_like(h_sys, dtype=complex))
         else:
-            out = _mean_force_arrays(model.schedule.h_sb(h_sys),
-                                     model.registry.dims(("S", "B")), [0], self._h_b,
+            out = _mean_force_arrays(model.spectrum(("S", "B"), h_sys),
+                                     model.registry.dims(("S", "B")), [0], self._lnz_b,
                                      beta)[:2]
         self._mf_cache[key] = out
         return out
@@ -370,11 +382,10 @@ class ThermoEvaluator:
         beta = self.beta
         # total-state relative entropy to the reference product state,
         # without its ln Z_XB
-        s_tot0 = vn_entropy_mat(self.model.sb_init.mat) + sum(self._s_anc0)
-        d_tot = beta * e_xb - s_tot0
+        d_tot = beta * e_xb - self._s_tot0
         # supersystem relative entropy to its mean-force Gibbs state, without
         # its ln Z_XB: sum_r p (ln p - S_vN) + beta sum_r p (h*_tr + e_anc) = beta F
-        d_x = beta * f - self._lnz_b
+        d_x = beta * f - self._lnz_b[0]
         return d_tot - d_x
 
 

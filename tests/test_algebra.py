@@ -11,6 +11,7 @@ from proctherm.algebra import (
     OperatorMatrix,
     expm_herm,
     gibbs_state,
+    log_partition,
     max_norm,
     partial_trace,
     relative_entropy_mat,
@@ -189,6 +190,14 @@ class TestHermExp:
             u = expm_herm(h, -1.3j)
             assert max_norm(u @ u.conj().T - np.eye(5)) < 1e-11
 
+    def test_precomputed_spectrum_is_used_as_given(self):
+        # with (w, v) given, h is not read and the exponential is bitwise the
+        # one formed from h itself
+        rng = np.random.default_rng(35)
+        h = random_hermitian(rng, 4)
+        assert np.array_equal(expm_herm(None, -0.7j, eig=np.linalg.eigh(h)),
+                              expm_herm(h, -0.7j))
+
     def test_unitary_log_generator_roundtrip(self):
         rng = np.random.default_rng(34)
         for d in (2, 4):
@@ -312,6 +321,16 @@ class TestGibbs:
         reg = two_factor_registry()
         with pytest.raises(ValueError):
             gibbs_state(op(reg, ("S",), SX), beta=0.0)
+
+    def test_log_partition_per_inverse_temperature(self):
+        rng = np.random.default_rng(63)
+        h = random_hermitian(rng, 5)
+        betas = (0.7, 0.70007, 1.3)
+        lnz = log_partition(h, betas)
+        assert lnz == tuple(log_partition(h, b) for b in betas)
+        assert lnz[0] == pytest.approx(math.log(gibbs_state(op(FactorRegistry([("S", 5)]),
+                                                                ("S",), h), 0.7)[1]),
+                                       rel=1e-12)
 
 
 class TestRoundTrips:

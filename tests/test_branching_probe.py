@@ -80,17 +80,23 @@ def test_final_snapshot_matches_direct_route(probe):
 
 
 def test_branches_share_segment_propagators(monkeypatch):
-    # every branch crosses the same (segment, interval) pairs, so each pair
-    # needs one propagator, not one per branch
+    # every branch crosses the same (segment, interval) pairs, so each
+    # segment's block Hamiltonian needs one eigendecomposition and each pair
+    # one propagator, formed from it, not one per branch
     model = probe_model(4)
-    shapes = []
-    expm_herm = simulate.expm_herm
+    eighs, spectra = [], []
+    eigh, expm_herm = np.linalg.eigh, simulate.expm_herm
 
-    def counted(h, scale=1.0):
-        shapes.append(h.shape)
-        return expm_herm(h, scale)
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(simulate, "expm_herm", counted)
+    def counted_expm(h, scale=1.0, eig=None):
+        spectra.append(eig)
+        return expm_herm(h, scale, eig)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(simulate, "expm_herm", counted_expm)
     result = Simulator(model).run(report_times=report_times(4))
     events = [0.0] + report_times(4)
     pairs = {(seg, a, b) for t0, t1 in zip(events, events[1:])
@@ -99,4 +105,8 @@ def test_branches_share_segment_propagators(monkeypatch):
     # (2.5, 3.5), (3.5, 4)
     assert len(pairs) == 6
     assert len(result.final.branches) == 16
-    assert shapes == [(4, 4)] * len(pairs)
+    # one eigh per (segment, block): two segments, block S (x) B
+    assert eighs == [(4, 4)] * len(model.protocol.base)
+    # one propagator per (segment, interval), each from a cached spectrum
+    assert len(spectra) == len(pairs)
+    assert len({id(eig) for eig in spectra}) == len(model.protocol.base)

@@ -190,6 +190,38 @@ class TestProcessEvaluation:
                 total += got.weight
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_split_segment_is_diagonalized_once(self, monkeypatch):
+        # a report time and a step cut the first segment into three
+        # intervals: each interval gets one propagator, shared by both
+        # records after the step, and all three come from one eigh
+        import proctherm.channels as channels
+        rng = np.random.default_rng(25)
+        reg = sb_registry()
+        proto = Protocol([Segment(0.0, 2.0, np.diag([0.0, 1.0])),
+                          Segment(2.0, 3.0, random_hermitian(rng, 2))])
+        sched = InterventionSchedule(reg, [1.2], [projective_z()], proto,
+                                     h_bath=np.diag([0.0, 0.8]),
+                                     v_coupling=0.3 * random_hermitian(rng, 4))
+        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), random_density(rng, 4)))
+        eighs, intervals = [], []
+        eigh, expm_herm = np.linalg.eigh, channels.expm_herm
+
+        def counted_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counted_expm(h, scale=1.0, eig=None):
+            intervals.append(scale)
+            return expm_herm(h, scale, eig)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(channels, "expm_herm", counted_expm)
+        out = evaluate_process_tensor(sched, sb, [0.7, 2.5])
+        assert set(out[2.5]) == {("1",), ("2",)}
+        # (0, .7), (.7, 1.2) and (1.2, 2) on the first segment, (2, 2.5)
+        assert eighs == [(4, 4)] * 2
+        np.testing.assert_allclose(np.imag(intervals), [-0.7, -0.5, -0.8, -0.5], atol=1e-12)
+
     def test_non_system_bath_initial_state_rejected(self):
         sched = flat_schedule([0.5], [projective_z()])
         rho_s = DensityOperator(OperatorMatrix(sched.registry, ("S",), np.eye(2) / 2))

@@ -184,6 +184,17 @@ class TestParsing:
             sc = parse_scenario_dict(base)
             build_model(sc)
 
+    @pytest.mark.parametrize("override", ["instruments", "protocol"])
+    def test_repeated_feedback_prefix_rejected(self, override):
+        # a second entry for the prefix [down] would silently replace the
+        # first one's instrument override or drive variant
+        data = yaml.safe_load((SCENARIO_DIR / "driven_feedback.yaml").read_text())
+        first = data["feedback"][0]
+        data["feedback"].append({"prefix": ["down"], override: first[override]})
+        with pytest.raises(ScenarioError, match=r"already declared at feedback\[0\]") as err:
+            parse_scenario_dict(data)
+        assert err.value.path == "feedback[1].prefix"
+
     def test_collision_parsing(self):
         sc = parse_scenario_dict(minimal(steps=[{
             "time": 0.5,

@@ -60,8 +60,10 @@ class TestMeanForce:
         return OperatorMatrix(reg, ("S", "B"), h, hermitian=True), h_s, h_b
 
     def test_joint_hamiltonian_diagonalized_once_per_drive_value(self, monkeypatch):
-        # H_XB depends on the drive alone: H*, its beta-derivative and ln Z*
-        # at beta, beta +- dbeta and beta +- dbeta/2 share one eigh of it
+        # H_SB depends on the drive alone: the propagators of its segments,
+        # and H*, its beta-derivative and ln Z* at beta, beta +- dbeta and
+        # beta +- dbeta/2, all share one eigh of it across the run and its
+        # evaluation
         rng = np.random.default_rng(12)
         drives = [np.diag([0.0, 1.0]) + c * SX for c in (0.0, 0.2, 0.5)]
         proto = Protocol([Segment(0.5 * i, 0.5 * (i + 1), h) for i, h in enumerate(drives)])
@@ -69,16 +71,17 @@ class TestMeanForce:
             s_dim=2, b_dim=3, beta=1.0, protocol=proto,
             h_bath=np.diag([0.0, 0.7, 1.3]), v_coupling=0.4 * random_hermitian(rng, 6),
             steps=[{"time": 0.7, "instrument": projective_z()}])
-        result = Simulator(model).run(report_times=[0.25, 0.75, 1.25])
-        eigh, shapes = np.linalg.eigh, []
+        eigh, inputs = np.linalg.eigh, []
 
         def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            inputs.append(np.array(a))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        evaluate_run(result)
-        assert shapes.count((6, 6)) == len(drives)
+        evaluate_run(Simulator(model).run(report_times=[0.25, 0.75, 1.25]))
+        joint = [a for a in inputs if a.shape == (6, 6)]
+        assert len(joint) == len(drives)
+        assert len({a.tobytes() for a in joint}) == len(drives)
 
     def test_decoupled_limit_is_bare(self):
         h_xb, h_s, h_b = self.coupled(0.0)
