@@ -88,9 +88,15 @@ def validate_density(mat: np.ndarray, weight: float = 1.0) -> np.ndarray:
     return mat
 
 
-def expect_herm(h: np.ndarray, rho: np.ndarray) -> float:
-    """tr(h rho) for Hermitian h, in O(D^2): sum_ij conj(h_ij) rho_ij."""
-    return float(np.vdot(h, rho).real)
+def expect_herm(h: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
+    """tr(h rho) for Hermitian h, in O(D^2): Re sum_ij conj(h_ij) rho_ij,
+    one real dot product over the interleaved real and imaginary parts, so
+    nothing is conjugated or copied.  For a stack ``rho`` of shape
+    (N, D, D), the N values as an array."""
+    h = np.ascontiguousarray(h, dtype=complex).reshape(-1).view(float)
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    out = rho.reshape(rho.shape[:-2] + (-1,)).view(float) @ h
+    return float(out) if rho.ndim == 2 else out
 
 
 def reorder_factors(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -123,16 +129,18 @@ def embed_factors(mat: np.ndarray, positions: Sequence[int], dims: Sequence[int]
 
 
 def ptrace_factors(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace over all factors not listed in ``keep``."""
+    """Partial trace over all factors not listed in ``keep``; axes before
+    the last two are batch axes, kept as they are."""
     k = len(dims)
     keep_sorted = sorted(keep)
-    t = mat.reshape(tuple(dims) * 2)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + tuple(dims) * 2)
     nfac = k
     for i in sorted(set(range(k)) - set(keep_sorted), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + nfac)
+        t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + nfac)
         nfac -= 1
     d = math.prod(dims[i] for i in keep_sorted)
-    return t.reshape(d, d)
+    return t.reshape(lead + (d, d))
 
 
 def energy_change(before: np.ndarray, after: np.ndarray, dims: Sequence[int],
@@ -185,9 +193,13 @@ def logsumexp(values: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(values - m))))
 
 
-def gibbs_mat(h: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Gibbs state exp(-beta h)/Z and the partition function Z."""
-    w, v = np.linalg.eigh(h)
+def gibbs_mat(h: np.ndarray | None, beta: float,
+              eig: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, float]:
+    """Gibbs state exp(-beta h)/Z and the partition function Z.
+
+    ``eig`` is the eigenpairs (w, v) of h when they are already known; h is
+    then not read and may be None."""
+    w, v = np.linalg.eigh(h) if eig is None else eig
     shifted = np.exp(-beta * (w - w[0]))
     z0 = float(np.sum(shifted))
     rho = (v * (shifted / z0)) @ v.conj().T
@@ -204,13 +216,16 @@ def log_partition(h: np.ndarray, beta: float | Sequence[float]
     return logsumexp(-beta * w)
 
 
-def vn_entropy_mat(rho: np.ndarray) -> float:
-    """von Neumann entropy -tr(rho ln rho) in nats; 0*ln 0 counts as 0."""
+def vn_entropy_mat(rho: np.ndarray) -> float | np.ndarray:
+    """von Neumann entropy -tr(rho ln rho) in nats; 0*ln 0 counts as 0.
+    For a stack ``rho`` of shape (N, D, D), the N values as an array."""
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -DEFAULT.psd:
-        raise ValueError(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-    w = w[w > EIG_FLOOR]
-    return float(-np.sum(w * np.log(w)))
+    low = float(np.min(w[..., 0]))
+    if low < -DEFAULT.psd:
+        raise ValueError(f"negative eigenvalue {low:.3e} beyond tolerance")
+    kept = w > EIG_FLOOR
+    s = -np.sum(np.where(kept, w * np.log(np.where(kept, w, 1.0)), 0.0), axis=-1)
+    return float(s) if rho.ndim == 2 else s
 
 
 def relative_entropy_mat(rho: np.ndarray, sigma: np.ndarray) -> float:

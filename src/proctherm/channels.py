@@ -73,8 +73,8 @@ class CPMap:
 
     def apply_mat(self, mat: np.ndarray, dims: Sequence[int],
                   positions: Sequence[int]) -> np.ndarray:
-        """Apply to a matrix on a larger space; ``positions`` locate the
-        support factors inside ``dims``."""
+        """Apply to a matrix on a larger space, or to each matrix of a stack
+        of them; ``positions`` locate the support factors inside ``dims``."""
         ops = [embed_factors(k, positions, dims) for k in self.kraus]
         return sum(k @ mat @ dagger(k) for k in ops)
 
@@ -208,52 +208,78 @@ class InterventionSchedule:
 def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
           times: Iterable[float],
           branches: Callable[[int, tuple[str, ...]], Sequence[tuple[str, CPMap]]]
-          ) -> dict[float, dict[tuple[str, ...], np.ndarray]]:
-    """System-bath matrix of every record at every time in ``times``.
+          ) -> dict[float, tuple[list[tuple[str, ...]], np.ndarray]]:
+    """System-bath matrix of every record at every time in ``times``, as
+    the records and their matrices stacked in one (N, D, D) array.
 
-    One pass over the record tree: each node is carried forward from the
-    last event under its own prefix's timeline, splits at intervention k
-    into one child per ``(label, map)`` of ``branches(k, prefix)``, and is
+    One pass over the record tree: the nodes are carried forward from the
+    last event, each under its own prefix's timeline, split at intervention
+    k into one child per ``(label, map)`` of ``branches(k, prefix)``, and
     recorded at each report time.  An intervention at a report time acts
     before the report.  Children follow their parent and label order, so
     every report lists records in ``itertools.product`` order of the
-    alphabets.  Each segment's H_SB is diagonalized once; the propagator of
-    each (segment, interval) is formed from that spectrum, shared by every
-    node advanced over the interval, and kept only until the next event.
+    alphabets.  The nodes that share a timeline evolve as one stack, and
+    the nodes that share a ``branches`` sequence split as one, each map
+    embedded once per step.  Each segment's H_SB is diagonalized once; the
+    propagator of each (segment, interval) is formed from that spectrum,
+    shared by every node advanced over the interval, and kept only until
+    the next event.
     """
     reg = schedule.registry
     if sb_init.support != reg.canonical(("S", "B")):
         raise ValueError("initial state must live on the system-bath factors")
     dims = reg.dims(("S", "B"))
+    protocol = schedule.protocol
     spectra: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
     propagators: dict[tuple[Segment, float, float], np.ndarray] = {}
 
-    def evolve(mat, t_from, t_to, prefix):
-        for seg, a, b in schedule.protocol.iter_segments(t_from, t_to, prefix):
-            u = propagators.get((seg, a, b))
-            if u is None:
-                eig = spectra.get(seg)
-                if eig is None:
-                    eig = spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
-                u = propagators[seg, a, b] = expm_herm(None, -1j * (b - a), eig=eig)
-            mat = u @ mat @ dagger(u)
-        return mat
+    def groups(keys):
+        """Node indices grouped by key, in order of first appearance."""
+        out: dict = {}
+        for i, key in enumerate(keys):
+            out.setdefault(key, []).append(i)
+        return out.values()
 
-    nodes = {(): sb_init.mat}
-    t_cur, k = schedule.protocol.t_start, 0
+    def evolve(prefixes, mats, t_from, t_to):
+        timelines = [protocol.timeline(prefix) for prefix in prefixes]
+        out = np.empty_like(mats)
+        for idx in groups(map(id, timelines)):
+            sub = mats[idx]
+            for seg, a, b in protocol.iter_segments(t_from, t_to, prefixes[idx[0]]):
+                u = propagators.get((seg, a, b))
+                if u is None:
+                    eig = spectra.get(seg)
+                    if eig is None:
+                        eig = spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
+                    u = propagators[seg, a, b] = expm_herm(None, -1j * (b - a), eig=eig)
+                sub = u @ sub @ dagger(u)
+            out[idx] = sub
+        return out
+
+    def split(k, prefixes, mats):
+        outcomes = [branches(k, prefix) for prefix in prefixes]
+        children: list = [None] * len(prefixes)
+        for idx in groups(map(id, outcomes)):
+            sub = mats[idx]
+            per_label = [(label, cp.apply_mat(sub, dims,
+                                              [("S", "B").index(l) for l in cp.support]))
+                         for label, cp in outcomes[idx[0]]]
+            for j, i in enumerate(idx):
+                children[i] = [(prefixes[i] + (label,), m[j]) for label, m in per_label]
+        kids = [kid for family in children for kid in family]
+        return [record for record, _ in kids], np.stack([m for _, m in kids])
+
+    prefixes, mats = [()], sb_init.mat[None]
+    t_cur, k = protocol.t_start, 0
     out = {}
     for t in sorted(set(times)):
         while k < schedule.n_steps and not before(t, schedule.times[k]):
-            children = {}
-            for prefix, mat in nodes.items():
-                mat = evolve(mat, t_cur, schedule.times[k], prefix)
-                for label, cp in branches(k, prefix):
-                    positions = [("S", "B").index(l) for l in cp.support]
-                    children[prefix + (label,)] = cp.apply_mat(mat, dims, positions)
-            nodes, t_cur, k = children, schedule.times[k], k + 1
+            mats = evolve(prefixes, mats, t_cur, schedule.times[k])
+            prefixes, mats = split(k, prefixes, mats)
+            t_cur, k = schedule.times[k], k + 1
             propagators.clear()
-        nodes = {prefix: evolve(mat, t_cur, t, prefix) for prefix, mat in nodes.items()}
-        out[t], t_cur = nodes, t
+        mats = evolve(prefixes, mats, t_cur, t)
+        out[t], t_cur = (prefixes, mats), t
         propagators.clear()
     return out
 
@@ -265,19 +291,18 @@ def evaluate_process_tensor(schedule: InterventionSchedule,
 
     Applies the outcome's CP map at each scheduled time (with feedback
     resolved from the record prefix) interleaved with the driven
-    system-bath unitary, then traces out the bath.  Returns
-    ``{t: {record: state}}``; the trace of a state is its record
-    probability, and summing over the records at fixed t gives a normalized
-    state.
+    system-bath unitary, then traces out the bath, once per time over all
+    records.  Returns ``{t: {record: state}}``; the trace of a state is its
+    record probability, and summing over the records at fixed t gives a
+    normalized state.
     """
     reg = schedule.registry
     dims = reg.dims(("S", "B"))
     tree = _walk(schedule, sb_init, times,
                  lambda k, prefix: schedule.instrument_at(k, prefix).outcomes)
-    return {t: {record: DensityOperator(OperatorMatrix(
-                    reg, ("S",), ptrace_factors(mat, dims, [0])))
-                for record, mat in nodes.items()}
-            for t, nodes in tree.items()}
+    return {t: {record: DensityOperator(OperatorMatrix(reg, ("S",), mat))
+                for record, mat in zip(records, ptrace_factors(mats, dims, [0]))}
+            for t, (records, mats) in tree.items()}
 
 
 def multilinearity_check(schedule: InterventionSchedule,
@@ -299,8 +324,8 @@ def multilinearity_check(schedule: InterventionSchedule,
             f"are scheduled up to t={t}")
 
     def final(ops):
-        tree = _walk(schedule, sb_init, [t], lambda k, _: [("", ops[k])])
-        return tree[t][("",) * len(ops)]
+        _, mats = _walk(schedule, sb_init, [t], lambda k, _: [("", ops[k])])[t]
+        return mats[0]
 
     worst = 0.0
     for k in range(len(ops_a)):

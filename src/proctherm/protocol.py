@@ -44,7 +44,8 @@ def deepest_prefix(table: Mapping[tuple[str, ...], T], record: Sequence[str],
     """The entry of ``table`` under the longest prefix of ``record``
     (the empty prefix included), or ``default`` when none is declared."""
     record = tuple(record)
-    for cut in range(len(record), -1, -1):
+    depth = max(map(len, table), default=-1)   # no longer prefix is declared
+    for cut in range(min(len(record), depth), -1, -1):
         value = table.get(record[:cut])
         if value is not None:
             return value

@@ -21,14 +21,23 @@ Work from the driving accrues as exact switch-sums; the instantaneous
 control kick is booked from the energy change it causes, which requires
 the system-bath coupling term (flagged, since that is not operationally
 accessible).
+
+The ledger stores one :class:`Branch` per record.  Each event (an
+interval of evolution, or a step) groups the branches that share a
+support, a drive timeline and an applied drive, and at a step also the
+step's control hardware, and stacks each group's states into one (N, D, D)
+array: the group evolves under the shared propagators, books its switch
+and control work as vectors, is read out with one partial trace per
+marginal and splits by outcome into child stacks.  The children are
+stored again as branches, in parent-major, label order.  The thermodynamic
+evaluation and the checks stack their groups the same way.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +49,7 @@ from .algebra import (
     embed_factors,
     expect_herm,
     expm_herm,
+    gibbs_mat,
     is_hermitian,
     max_norm,
     ptrace_factors,
@@ -60,6 +70,7 @@ __all__ = [
     "RunResult",
     "Snapshot",
     "ancilla_label",
+    "stacked_groups",
     "survives_prune",
 ]
 
@@ -145,14 +156,18 @@ class _Space:
     def apply(self, op: np.ndarray, labels: Sequence[str], state: np.ndarray) -> np.ndarray:
         """op state op^dagger for ``op`` acting on the factors ``labels``,
         in that order: the row factors of ``labels`` go first and their
-        column factors last, so each side is one matmul."""
+        column factors last, so each side is one matmul.  Axes of
+        ``state`` before the last two are batch axes."""
         n = len(self.dims)
+        lead = state.shape[:-2]
+        b = len(lead)
         idx = [self.pos[l] for l in labels]
         rest = [i for i in range(n) if i not in idx]
         perm = idx + rest + [n + i for i in rest] + [n + i for i in idx]
-        t = state.reshape(self.dims * 2).transpose(perm)
+        perm = list(range(b)) + [b + i for i in perm]
+        t = state.reshape(lead + self.dims * 2).transpose(perm)
         d = op.shape[0]
-        out = (op @ t.reshape(d, -1)).reshape(-1, d) @ dagger(op)
+        out = (op @ t.reshape(lead + (d, -1))).reshape(lead + (-1, d)) @ dagger(op)
         return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(state.shape)
 
     def propagators(self, seg: Segment, a: float, b: float, window: int | None,
@@ -180,25 +195,41 @@ class _Space:
         return out
 
     def ptrace(self, mat: np.ndarray, keep: Sequence[str]) -> np.ndarray:
+        """Marginal on the factors ``keep``, per matrix of a stack."""
         return ptrace_factors(mat, self.dims, [self.pos[l] for l in keep])
 
 
 @dataclass(frozen=True, eq=False)
 class AutonomousModel:
-    """Inclusive model: registry, Hamiltonian terms, schedule, hardware."""
+    """Inclusive model: registry, Hamiltonian terms, schedule, hardware.
+
+    ``sb_init`` None starts from the Gibbs state of H_SB at the first drive
+    value, built from the model's own spectrum; ``gibbs_initial`` says so.
+    """
 
     registry: FactorRegistry
     schedule: InterventionSchedule
     steps: tuple[StepSpec, ...]
     beta: float
-    sb_init: DensityOperator
-    gibbs_initial: bool = True
+    sb_init: DensityOperator | None
     mean_force_bare: bool = False
     name: str = "model"
+    gibbs_initial: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_spectra", {})
+        object.__setattr__(self, "gibbs_initial", self.sb_init is None)
+        if self.gibbs_initial:
+            # the Gibbs state of H_SB at the first drive value, from the
+            # model's own spectrum of it
+            if self.beta <= 0:
+                raise ValueError(f"inverse temperature must be positive, got {self.beta}")
+            support = self.registry.canonical(("S", "B"))
+            rho, _ = gibbs_mat(None, self.beta,
+                               eig=self.spectrum(support, self.protocol.base[0].h_system))
+            object.__setattr__(self, "sb_init", DensityOperator(
+                OperatorMatrix(self.registry, support, rho), 1.0))
 
     # -- assembly -----------------------------------------------------------
 
@@ -313,20 +344,10 @@ class AutonomousModel:
                             f"protocol variant {prefix} changes the drive at "
                             f"t={ba}, before its prefix is resolved at t={resolved}")
 
-        gibbs_initial = sb_init is None
-        if gibbs_initial:
-            h0 = OperatorMatrix(registry, registry.canonical(("S", "B")),
-                                schedule.h_sb(protocol.base[0].h_system),
-                                hermitian=True)
-            from .algebra import gibbs_state
-            rho0, _ = gibbs_state(h0, beta)
-        else:
-            rho0 = DensityOperator.normalized(OperatorMatrix(
-                registry, registry.canonical(("S", "B")),
-                np.asarray(sb_init, dtype=complex)))
+        rho0 = None if sb_init is None else DensityOperator.normalized(OperatorMatrix(
+            registry, registry.canonical(("S", "B")), np.asarray(sb_init, dtype=complex)))
         return cls(registry, schedule, tuple(specs), float(beta), rho0,
-                   gibbs_initial=gibbs_initial, mean_force_bare=mean_force_bare,
-                   name=name)
+                   mean_force_bare=mean_force_bare, name=name)
 
     # -- geometry -----------------------------------------------------------
 
@@ -422,8 +443,17 @@ class Branch:
     def weight(self) -> float:
         return float(np.real(np.trace(self.state)))
 
-    def replace(self, **kw) -> "Branch":
-        return dataclasses.replace(self, **kw)
+
+def stacked_groups(branches: Iterable[Branch], key: Callable[[Branch], Hashable]
+                   ) -> list[tuple[list[Branch], np.ndarray]]:
+    """``branches`` grouped by ``key``, in order of first appearance, each
+    group with its states stacked as one (N, D, D) array.  A group of one
+    stacks as a view of its state, without a copy."""
+    groups: dict[Hashable, list[Branch]] = {}
+    for br in branches:
+        groups.setdefault(key(br), []).append(br)
+    return [(g, g[0].state[None] if len(g) == 1 else np.stack([br.state for br in g]))
+            for g in groups.values()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,15 +538,34 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 
 def _contract_last(state: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<v| state |v> over the last factor, of dimension ``len(v)``."""
+    """<v| state |v> over the last factor, of dimension ``len(v)``, for each
+    matrix of a stack."""
     a = len(v)
-    d = state.shape[0] // a
-    half = (state.reshape(d * a * d, a) @ v).reshape(d, a, d)
-    return np.einsum("a,iaj->ij", v.conj(), half)
+    lead = state.shape[:-2]
+    d = state.shape[-1] // a
+    half = (state.reshape(lead + (d * a * d, a)) @ v).reshape(lead + (d, a, d))
+    return np.einsum("a,...iaj->...ij", v.conj(), half)
+
+
+class _Stack:
+    """One group of branches through one event: their states as one stack
+    ``states`` (N, D, D) on ``support``, and the tallies an event changes
+    before readout as length-N arrays.  ``weights`` are the traces at the
+    start of the event."""
+
+    def __init__(self, group: list[Branch], states: np.ndarray):
+        self.prefix = group[0].labels
+        self.support = group[0].support
+        self.states = states
+        self.weights = np.trace(states, axis1=1, axis2=2).real
+        self.w_sys = np.array([br.w_sys for br in group])
+        self.w_ctrl = np.array([br.w_ctrl for br in group])
+        self.h_sys = group[0].h_sys_applied
 
 
 class Simulator:
-    """Drives a :class:`BranchLedger` through the scheduled interventions."""
+    """Drives a :class:`BranchLedger` through the scheduled interventions,
+    one stacked group of branches at a time (see the module docstring)."""
 
     def __init__(self, model: AutonomousModel, prune: float = DEFAULT.prune,
                  max_branches: int = 4096):
@@ -533,51 +582,54 @@ class Simulator:
                     h_sys_applied=model.protocol.base[0].h_system)
         return BranchLedger(time=model.protocol.t_start, branches={(): br})
 
+    def _key(self, br: Branch) -> tuple:
+        """What the branches of one group share: support, drive timeline and
+        applied drive."""
+        return (br.support, id(self.model.protocol.timeline(br.labels)),
+                id(br.h_sys_applied))
+
     # -- evolution ----------------------------------------------------------
 
-    def _switch(self, br: Branch, seg: Segment, space: _Space, state: np.ndarray) -> Branch:
-        """Apply ``seg``'s drive to a branch, booking the work of the switch
-        as the jump in the drive's expectation in ``state``: the branch
-        state, or a marginal of it that holds S, on ``space``."""
-        if seg.h_system is br.h_sys_applied:
-            return br
-        w_s = br.w_sys
-        weight = br.weight
-        if weight > 0:
-            rho_s = space.ptrace(state, ["S"])
-            w_s += expect_herm(seg.h_system - br.h_sys_applied, rho_s) / weight
-        return br.replace(w_sys=w_s, h_sys_applied=seg.h_system)
+    def _switch(self, st: _Stack, seg: Segment, space: _Space, states: np.ndarray) -> None:
+        """Apply ``seg``'s drive to a group, booking the work of the switch
+        as the jump in the drive's expectation in ``states``: the group's
+        states, or marginals of them that hold S, on ``space``."""
+        if seg.h_system is st.h_sys:
+            return
+        jump = expect_herm(seg.h_system - st.h_sys, space.ptrace(states, ["S"]))
+        st.w_sys = st.w_sys + jump / st.weights
+        st.h_sys = seg.h_system
 
-    def _advance_branch(self, br: Branch, t_from: float, t_to: float, cache: dict,
-                        window: int | None = None) -> Branch:
-        """Evolve a branch over (t_from, t_to] under its drive, with step
+    def _evolve(self, st: _Stack, t_from: float, t_to: float, cache: dict,
+                window: int | None = None) -> None:
+        """Evolve a group over (t_from, t_to] under its drive, with step
         ``window``'s control window open when given; ``cache`` holds the
         propagators of this event interval (see :meth:`_Space.propagators`).
 
-        Each switch is booked from the block marginal, evolved segment by
+        Each switch is booked from the block marginals, evolved segment by
         segment; the factors outside the block never reach rho_S, so that
-        is exact.  The branch state is conjugated once, by each factor's
+        is exact.  The states are conjugated once, by each factor's
         unitaries composed over the interval.  When the block is the whole
-        support, the marginal is the state.
+        support, the marginals are the states.
         """
         model = self.model
-        space = model.space(br.support)
+        space = model.space(st.support)
         block = _block(window)
         block_space = model.space(block)
-        whole = block == br.support
-        marginal = br.state if whole else space.ptrace(br.state, block)
+        whole = block == st.support
+        marginal = st.states if whole else space.ptrace(st.states, block)
         composed: dict[tuple[str, ...], np.ndarray] = {}
-        for seg, a, b in model.protocol.iter_segments(t_from, t_to, br.labels):
-            br = self._switch(br, seg, block_space, marginal)
+        for seg, a, b in model.protocol.iter_segments(t_from, t_to, st.prefix):
+            self._switch(st, seg, block_space, marginal)
             for labels, u in space.propagators(seg, a, b, window, cache):
                 if labels == block:
                     marginal = u @ marginal @ dagger(u)
                 if not whole:
                     composed[labels] = u @ composed[labels] if labels in composed else u
-        state = marginal if whole else br.state
+        states = marginal if whole else st.states
         for labels, u in composed.items():
-            state = space.apply(u, labels, state)
-        return br.replace(state=_frozen(state))
+            states = space.apply(u, labels, states)
+        st.states = _frozen(states)
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
         if before(t, ledger.time):
@@ -585,8 +637,16 @@ class Simulator:
         if not before(ledger.time, t):
             return ledger
         cache: dict = {}
-        branches = {labels: self._advance_branch(br, ledger.time, t, cache)
-                    for labels, br in ledger.branches.items()}
+        advanced: dict[tuple[str, ...], Branch] = {}
+        for group, states in stacked_groups(ledger.branches.values(), self._key):
+            st = _Stack(group, states)
+            self._evolve(st, ledger.time, t, cache)
+            for br, state, w_sys in zip(group, st.states, st.w_sys.tolist()):
+                advanced[br.labels] = Branch(
+                    br.labels, state, br.support, w_sys=w_sys, w_ctrl=br.w_ctrl,
+                    w_meas=br.w_meas, w_meas_alt=br.w_meas_alt,
+                    e_factored=br.e_factored, h_sys_applied=st.h_sys)
+        branches = {labels: advanced[labels] for labels in ledger.branches}
         return BranchLedger(t, branches, ledger.pruned_mass, ledger.steps_done)
 
     # -- one intervention ---------------------------------------------------
@@ -601,84 +661,97 @@ class Simulator:
             raise ValueError(f"step {k} is scheduled at t={spec.time}, "
                              f"ledger is at t={ledger.time}")
         anc = ancilla_label(k)
-        new_branches: dict[tuple[str, ...], Branch] = {}
-        traces: dict[tuple[str, ...], PrefixTrace] = {}
-        pruned = ledger.pruned_mass
         t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
         cache: dict = {}    # the window's propagators
+        # per parent record: its trace and its (probability, child or None
+        # if pruned) per outcome, in label order
+        split: dict[tuple[str, ...], tuple[PrefixTrace, list]] = {}
 
-        for labels, br in ledger.branches.items():
-            hw, vectors = deepest_prefix(spec.controls, labels)
-            weight = br.weight
+        def key(br):
+            return self._key(br) + (id(deepest_prefix(spec.controls, br.labels)),)
+
+        for group, states in stacked_groups(ledger.branches.values(), key):
+            hw, vectors = deepest_prefix(spec.controls, group[0].labels)
+            st = _Stack(group, states)
+            weights = st.weights
+            support = st.support
             # --- preparation: fresh ancilla joins at the end of the support
-            support2 = br.support + (anc,)
-            prepped = br.replace(state=_frozen(np.kron(br.state, hw.ancilla_state)),
-                                 support=support2)
-            space = model.space(support2)
+            st.support = support + (anc,)
+            space = model.space(st.support)
+            n, d, a = len(group), states.shape[-1], hw.ancilla_dim
+            prepped = (states[:, :, None, :, None]
+                       * hw.ancilla_state[:, None, :]).reshape(n, d * a, d * a)
             # --- control; the kick is booked as the energy change it causes,
             # coupling term included
             if spec.window_width is None:
-                ctrl_state = space.apply(hw.unitary, ("S", anc), prepped.state)
-                h = space.hamiltonian(support2, br.h_sys_applied)
-                w_kick = expect_herm(h, ctrl_state - prepped.state) / weight
-                ctrled = prepped.replace(state=_frozen(ctrl_state),
-                                         w_ctrl=prepped.w_ctrl + w_kick)
+                ctrl = space.apply(hw.unitary, ("S", anc), prepped)
+                h = space.hamiltonian(st.support, st.h_sys)
+                st.w_ctrl = st.w_ctrl + expect_herm(h, ctrl - prepped) / weights
             else:
                 # the window coupling V is switched on, evolves with the drive
                 # and is switched off at readout, each switch booked as the
                 # jump in <V>; a drive switch on the window's end comes first
-                on = expect_herm(spec.window, space.ptrace(prepped.state, ["S", anc]))
-                ctrled = self._advance_branch(
-                    prepped.replace(w_ctrl=prepped.w_ctrl + on / prepped.weight),
-                    spec.time, t_meas, cache, k)
-                ctrled = self._switch(ctrled, model.protocol.segment_at(t_meas, labels),
-                                      space, ctrled.state)
-                off = expect_herm(spec.window, space.ptrace(ctrled.state, ["S", anc]))
-                ctrled = ctrled.replace(w_ctrl=ctrled.w_ctrl - off / ctrled.weight)
+                st.states = prepped
+                on = expect_herm(spec.window, space.ptrace(prepped, ["S", anc]))
+                st.w_ctrl = st.w_ctrl + on / weights
+                self._evolve(st, spec.time, t_meas, cache, k)
+                ctrl = st.states
+                self._switch(st, model.protocol.segment_at(t_meas, st.prefix), space, ctrl)
+                off = expect_herm(spec.window, space.ptrace(ctrl, ["S", anc]))
+                st.w_ctrl = st.w_ctrl - off / weights
             # --- readout energies before conditioning; the system+ancilla
             # energy splits into the parent's factors and the new ancilla
-            sa_labels = tuple(l for l in br.support if l != "B")
-            rho_anc = space.ptrace(ctrled.state, [anc]) / weight
-            h_sa = space.hamiltonian(sa_labels, ctrled.h_sys_applied)
-            e_sa_before = expect_herm(h_sa, space.ptrace(ctrled.state, sa_labels) / weight)
-            e_anc_before = expect_herm(spec.h_ancilla, rho_anc)
-            # --- conditioning on the recorded outcome
-            cond_probs: dict[str, float] = {}
-            w_meas: dict[str, float] = {}
-            w_meas_alt: dict[str, float] = {}
+            sa_labels = tuple(l for l in support if l != "B")
+            h_sa = space.hamiltonian(sa_labels, st.h_sys)
+            e_sa_before = expect_herm(h_sa, space.ptrace(ctrl, sa_labels)) / weights
+            e_anc_before = expect_herm(spec.h_ancilla, space.ptrace(ctrl, [anc])) / weights
+            # --- conditioning on the recorded outcome; a child of zero
+            # probability reads zero energies
+            outcomes = []
             for r, (label, v) in enumerate(zip(hw.outcome_labels, vectors)):
                 if v is None:
-                    child_state = space.apply(hw.projectors[r], (anc,), ctrled.state)
-                    child_support = support2
+                    child, child_support = space.apply(hw.projectors[r], (anc,), ctrl), st.support
                 else:
-                    child_state, child_support = _contract_last(ctrled.state, v), br.support
-                p_child = float(np.real(np.trace(child_state)))
-                cond_probs[label] = p_child / weight if weight > 0 else 0.0
-                if p_child > 0:
-                    child_space = model.space(child_support)
-                    anc_r = np.outer(v, v.conj()) if v is not None else \
-                        child_space.ptrace(child_state, [anc]) / p_child
-                    sa_r = child_space.ptrace(child_state, sa_labels) / p_child
+                    child, child_support = _contract_last(ctrl, v), support
+                p = np.trace(child, axis1=1, axis2=2).real
+                inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0)
+                child_space = model.space(child_support)
+                if v is None:
+                    e_anc = expect_herm(spec.h_ancilla, child_space.ptrace(child, [anc])) * inv_p
+                    e_factored = np.zeros(n)
                 else:
-                    anc_r = np.zeros_like(rho_anc)
-                    sa_r = np.zeros_like(h_sa)
-                e_anc_r = expect_herm(spec.h_ancilla, anc_r)
-                w_meas[label] = e_anc_r - e_anc_before
-                w_meas_alt[label] = w_meas[label] + expect_herm(h_sa, sa_r) - e_sa_before
-                if not survives_prune(p_child, self.prune):
-                    pruned += p_child
-                    continue
-                child = ctrled.replace(
-                    labels=labels + (label,),
-                    state=_frozen(child_state), support=child_support,
-                    e_factored=ctrled.e_factored + (e_anc_r if v is not None else 0.0),
-                    w_meas=ctrled.w_meas + w_meas[label],
-                    w_meas_alt=ctrled.w_meas_alt + w_meas_alt[label])
-                new_branches[child.labels] = child
-            traces[labels] = PrefixTrace(
-                weight=weight, cond_probs=cond_probs,
-                w_meas=w_meas, w_meas_alt=w_meas_alt)
+                    e_anc = e_factored = np.where(
+                        p > 0, expect_herm(spec.h_ancilla, np.outer(v, v.conj())), 0.0)
+                w_meas = e_anc - e_anc_before
+                w_alt = (w_meas + expect_herm(h_sa, child_space.ptrace(child, sa_labels)) * inv_p
+                         - e_sa_before)
+                outcomes.append((label, _frozen(child), child_support, p.tolist(),
+                                 e_factored.tolist(), w_meas.tolist(), w_alt.tolist()))
+            w_sys, w_ctrl, weights = st.w_sys.tolist(), st.w_ctrl.tolist(), weights.tolist()
+            for i, br in enumerate(group):
+                kids, cond_probs, meas, meas_alt = [], {}, {}, {}
+                for label, child, child_support, p, e_fac, w_meas, w_alt in outcomes:
+                    cond_probs[label] = p[i] / weights[i]
+                    meas[label], meas_alt[label] = w_meas[i], w_alt[i]
+                    kids.append((p[i], Branch(
+                        br.labels + (label,), child[i], child_support,
+                        w_sys=w_sys[i], w_ctrl=w_ctrl[i],
+                        w_meas=br.w_meas + w_meas[i], w_meas_alt=br.w_meas_alt + w_alt[i],
+                        e_factored=br.e_factored + e_fac[i], h_sys_applied=st.h_sys)
+                        if survives_prune(p[i], self.prune) else None))
+                split[br.labels] = (PrefixTrace(weights[i], cond_probs, meas, meas_alt), kids)
 
+        # children in parent-major, label order
+        new_branches: dict[tuple[str, ...], Branch] = {}
+        traces: dict[tuple[str, ...], PrefixTrace] = {}
+        pruned = ledger.pruned_mass
+        for labels in ledger.branches:
+            traces[labels], kids = split[labels]
+            for p, child in kids:
+                if child is None:
+                    pruned += p
+                else:
+                    new_branches[child.labels] = child
         if len(new_branches) > self.max_branches:
             raise RuntimeError(f"branch count {len(new_branches)} exceeds the "
                                f"limit {self.max_branches}")

@@ -57,6 +57,7 @@ from .simulate import (
     RunResult,
     Snapshot,
     StepTrace,
+    stacked_groups,
 )
 
 __all__ = [
@@ -281,20 +282,30 @@ class ThermoEvaluator:
 
     # -- branch rows ---------------------------------------------------------
 
-    def _branch_pieces(self, snap: Snapshot, br: Branch):
-        """(p, u, s_vn_plus_pending, corr, e_bare_anc, h_star_tr) for one branch."""
+    @staticmethod
+    def _groups(snap: Snapshot):
+        """The branches of ``snap`` that share a support and an applied
+        drive, stacked (see :func:`stacked_groups`)."""
+        return stacked_groups(snap.ledger.branches.values(),
+                              lambda br: (br.support, id(br.h_sys_applied)))
+
+    def _pieces(self, snap: Snapshot, group: Sequence[Branch], states: np.ndarray):
+        """(p, u, s_vn_plus_pending, corr, e_bare_anc, h_star_tr) for a group
+        of branches with states ``states``, each as a length-N array."""
         model = self.model
-        space = model.space(br.support)
-        p = br.weight
+        first = group[0]
+        space = model.space(first.support)
+        p = np.trace(states, axis1=1, axis2=2).real
         pending = range(snap.ledger.steps_done, model.n_steps)
-        rho_s = space.ptrace(br.state, ["S"]) / p
-        sa_labels = tuple(l for l in br.support if l != "B")
-        rho_sa = space.ptrace(br.state, sa_labels) / p
-        h_star, dh = self._mean_force(br.h_sys_applied)
+        rho_s = space.ptrace(states, ["S"]) / p[:, None, None]
+        sa_labels = tuple(l for l in first.support if l != "B")
+        rho_sa = rho_s if sa_labels == ("S",) else \
+            space.ptrace(states, sa_labels) / p[:, None, None]
+        h_star, dh = self._mean_force(first.h_sys_applied)
         # factored-out and pending ancillas, then those still in the state
-        e_anc = br.e_factored + sum(self._e_anc0[i] for i in pending)
+        e_anc = np.array([br.e_factored for br in group]) + sum(self._e_anc0[i] for i in pending)
         if space.ancillas:
-            e_anc += expect_herm(space.hamiltonian(sa_labels), rho_sa)
+            e_anc = e_anc + expect_herm(space.hamiltonian(sa_labels), rho_sa)
         corr = expect_herm(dh, rho_s)
         h_star_tr = expect_herm(h_star, rho_s)
         u = h_star_tr + self.beta * corr + e_anc
@@ -305,8 +316,8 @@ class ThermoEvaluator:
         """(u0, s0, E_bare0) at the initial time."""
         if self._ref is None:
             snap = self.result.initial
-            br = next(iter(snap.ledger.branches.values()))
-            p, u, s_vn, corr, _, _ = self._branch_pieces(snap, br)
+            (group, states), = self._groups(snap)
+            _, u, s_vn, corr, _, _ = (float(x[0]) for x in self._pieces(snap, group, states))
             s0 = s_vn + self.beta ** 2 * corr  # single branch: -ln p = 0
             self._ref = (u, s0, self._bare_energy(snap))
         return self._ref
@@ -316,27 +327,33 @@ class ThermoEvaluator:
         model = self.model
         total = 0.0
         tw = 0.0
-        for br in snap.ledger.branches.values():
-            h = model.space(br.support).hamiltonian(br.support, br.h_sys_applied)
-            total += expect_herm(h, br.state) + br.weight * br.e_factored
-            tw += br.weight
+        for group, states in self._groups(snap):
+            first = group[0]
+            h = model.space(first.support).hamiltonian(first.support, first.h_sys_applied)
+            weights = np.trace(states, axis1=1, axis2=2).real
+            e_factored = np.array([br.e_factored for br in group])
+            total += float(np.sum(expect_herm(h, states) + weights * e_factored))
+            tw += float(np.sum(weights))
         total += tw * sum(self._e_anc0[snap.ledger.steps_done:])
         return total
 
     def branch_rows(self, snap: Snapshot) -> tuple[BranchThermo, ...]:
+        """One row per branch of ``snap`` of positive weight, in ledger
+        order."""
         u0, _, _ = self._reference()
-        rows = []
-        for br in snap.ledger.branches.values():
-            p, u, s_vn, corr, e_anc, h_star_tr = self._branch_pieces(snap, br)
-            if p <= 0:
-                continue
-            s = -math.log(p) + s_vn + self.beta ** 2 * corr
-            f = h_star_tr + e_anc + (math.log(p) - s_vn) / self.beta
-            rows.append(BranchThermo(
-                labels=br.labels, p=p, u=u, du=u - u0,
-                w_sys=br.w_sys, w_ctrl=br.w_ctrl,
-                w_meas=br.w_meas, w_meas_alt=br.w_meas_alt, s=s, f=f))
-        return tuple(rows)
+        rows: dict[tuple[str, ...], BranchThermo] = {}
+        for group, states in self._groups(snap):
+            pieces = zip(*(x.tolist() for x in self._pieces(snap, group, states)))
+            for br, (p, u, s_vn, corr, e_anc, h_star_tr) in zip(group, pieces):
+                if p <= 0:
+                    continue
+                s = -math.log(p) + s_vn + self.beta ** 2 * corr
+                f = h_star_tr + e_anc + (math.log(p) - s_vn) / self.beta
+                rows[br.labels] = BranchThermo(
+                    labels=br.labels, p=p, u=u, du=u - u0,
+                    w_sys=br.w_sys, w_ctrl=br.w_ctrl,
+                    w_meas=br.w_meas, w_meas_alt=br.w_meas_alt, s=s, f=f)
+        return tuple(rows[labels] for labels in snap.ledger.branches if labels in rows)
 
     # -- ensemble ------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from .algebra import max_norm, ptrace_factors
 from .channels import evaluate_process_tensor
 from .dilation import dephasing_error, dephasing_unitary, reconstruction_error
 from .report import record_string
-from .simulate import AutonomousModel, RunResult, Simulator
+from .simulate import AutonomousModel, RunResult, Simulator, stacked_groups
 from .thermo import ThermoLedger, evaluate_run
 from .tolerances import DEFAULT, Tolerances
 
@@ -52,15 +52,20 @@ def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
                                      [snap.time for snap in result.snapshots])
     rows = []
     for snap in result.snapshots:
-        for br in snap.ledger.branches.values():
-            want = direct[snap.time][br.labels]
-            dims = model.registry.dims(br.support)
-            got = ptrace_factors(br.state, dims, [0])
-            rows.append({
-                "time": snap.time,
-                "record": record_string(br.labels),
-                "state_dev": max_norm(got - want.mat),
-                "prob_dev": abs(br.weight - want.weight)})
+        records = direct[snap.time]
+        devs = {}
+        for group, states in stacked_groups(snap.ledger.branches.values(),
+                                            lambda br: br.support):
+            want = [records[br.labels] for br in group]
+            got = ptrace_factors(states, model.registry.dims(group[0].support), [0])
+            state_dev = np.max(np.abs(got - np.stack([w.mat for w in want])), axis=(1, 2))
+            prob_dev = np.abs(np.trace(states, axis1=1, axis2=2).real
+                              - [w.weight for w in want])
+            devs.update(zip((br.labels for br in group),
+                            zip(state_dev.tolist(), prob_dev.tolist())))
+        for labels in snap.ledger.branches:
+            rows.append({"time": snap.time, "record": record_string(labels),
+                         "state_dev": devs[labels][0], "prob_dev": devs[labels][1]})
     return rows
 
 
@@ -139,8 +144,8 @@ def verify_model(model: AutonomousModel, result: RunResult,
     p_err = abs(result.final.total_weight() + result.final.pruned_mass - 1.0)
     checks.append(_check("record-probabilities-sum", p_err, tol.prob_total))
     worst_neg = 0.0
-    for br in result.final.branches.values():
-        worst_neg = max(worst_neg, -float(np.linalg.eigvalsh(br.state)[0]))
+    for _, states in stacked_groups(result.final.branches.values(), lambda br: br.support):
+        worst_neg = max(worst_neg, -float(np.min(np.linalg.eigvalsh(states)[:, 0])))
     checks.append(_check("branch-positivity", max(worst_neg, 0.0), tol.psd))
 
     # --- dynamical equivalence (instantaneous controls only)

@@ -3,7 +3,9 @@
 :func:`both_routes` runs the package on ``AutonomousModel.assemble(**spec)``
 and :func:`oracles.dense_run` on the same ``spec``.  A branch state is
 compared with the partial trace of its dense record over the factors the
-branch holds, since the package may factor a finished ancilla out.
+branch holds, since the package may factor a finished ancilla out.  The
+records, and the rows, must come in the dense run's order: parent-major,
+then outcome label order.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def both_routes(spec: Mapping, report_times: Sequence[float]) -> Routes:
 def check_branch_states(routes: Routes, t: float) -> None:
     ledger = next(s.ledger for s in routes.result.snapshots if s.time == t)
     records = routes.dense.snapshots[t]
-    assert set(ledger.branches) == set(records)
+    assert list(ledger.branches) == list(records)
     names = ["S", "B"] + [f"A{k}" for k in range(len(routes.dense.dims) - 2)]
     for labels, rec in records.items():
         br = ledger.branches[labels]
@@ -48,7 +50,7 @@ def check_branch_rows(routes: Routes, t: float) -> None:
     rows = {r.labels: r for r in routes.ledger.branch_rows[t]}
     records = routes.dense.snapshots[t]
     thermo = dense_thermo(routes.dense, t)
-    assert set(rows) == set(records)
+    assert list(rows) == list(records)
     for labels, rec in records.items():
         u, s, f = thermo.rows[labels]
         expected = dict(p=rec.p, w_sys=rec.w_sys, w_ctrl=rec.w_ctrl, w_meas=rec.w_meas,

@@ -6,6 +6,7 @@ doubles per step.  Kept in the fast suite: it must run in well under a
 second and a few tens of MB.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
 import proctherm.simulate as simulate
+import proctherm.thermo as thermo
 from proctherm.simulate import AutonomousModel, Simulator
-from proctherm.thermo import evaluate_run
+from proctherm.thermo import ThermoEvaluator, evaluate_run
 from proctherm.tolerances import DEFAULT
 from proctherm.verify import equivalence_rows
 
@@ -81,9 +83,9 @@ def test_final_snapshot_matches_direct_route(probe):
 
 def test_branches_share_segment_propagators(monkeypatch):
     # every branch crosses the same (segment, interval) pairs, so each
-    # segment's block Hamiltonian needs one eigendecomposition and each pair
-    # one propagator, formed from it, not one per branch
-    model = probe_model(4)
+    # segment's block Hamiltonian needs one eigendecomposition (the first
+    # one, made for the Gibbs start, at assembly) and each pair one
+    # propagator, formed from it, not one per branch
     eighs, spectra = [], []
     eigh, expm_herm = np.linalg.eigh, simulate.expm_herm
 
@@ -97,6 +99,7 @@ def test_branches_share_segment_propagators(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(simulate, "expm_herm", counted_expm)
+    model = probe_model(4)
     result = Simulator(model).run(report_times=report_times(4))
     events = [0.0] + report_times(4)
     pairs = {(seg, a, b) for t0, t1 in zip(events, events[1:])
@@ -110,3 +113,44 @@ def test_branches_share_segment_propagators(monkeypatch):
     # one propagator per (segment, interval), each from a cached spectrum
     assert len(spectra) == len(pairs)
     assert len({id(eig) for eig in spectra}) == len(model.protocol.base)
+
+
+def test_partial_traces_and_entropies_per_event_not_per_branch(monkeypatch):
+    # the branches of one step, interval or report share their hardware and
+    # drive, so they are traced and diagonalized as one stack: each event
+    # makes the same number of partial traces and entropies whether it
+    # holds 2 or 2**6 branches (the mean force's own traces, once per drive
+    # value, are bound in thermo and not counted)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    per_call = collections.defaultdict(list)   # (n, event) -> [(ptraces, entropies)]
+
+    def per_event(n, event, fn):
+        def wrapper(*args, **kwargs):
+            before = calls["ptrace"], calls["entropy"]
+            out = fn(*args, **kwargs)
+            per_call[n, event].append((calls["ptrace"] - before[0],
+                                       calls["entropy"] - before[1]))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(simulate, "ptrace_factors", counted("ptrace", simulate.ptrace_factors))
+    monkeypatch.setattr(thermo, "vn_entropy_mat", counted("entropy", thermo.vn_entropy_mat))
+    for n in (4, 6):
+        with monkeypatch.context() as m:
+            for cls, event in ((Simulator, "run_step"), (Simulator, "advance"),
+                               (ThermoEvaluator, "branch_rows")):
+                m.setattr(cls, event, per_event(n, event, getattr(cls, event)))
+            evaluate_run(Simulator(probe_model(n)).run(report_times=report_times(n)))
+    assert len(set(per_call[4, "run_step"] + per_call[6, "run_step"])) == 1
+    # one advance crosses the drive switch
+    assert set(per_call[4, "advance"]) == set(per_call[6, "advance"])
+    # the first report also evaluates the initial reference
+    assert per_call[4, "branch_rows"][0] == per_call[6, "branch_rows"][0]
+    assert len(set(per_call[4, "branch_rows"][1:] + per_call[6, "branch_rows"][1:])) == 1

@@ -167,6 +167,23 @@ class TestEquivalence:
         assert_equivalent(model, result)
         assert result.final.total_weight() == pytest.approx(1.0, abs=1e-10)
 
+    def test_feedback_instrument_alone(self):
+        # the feedback replaces step 1's instrument but not the drive, so the
+        # two parents of step 1 share all but their control hardware
+        plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+        x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
+        spec = dict(
+            s_dim=2, b_dim=2, beta=1.0,
+            protocol=Protocol([Segment(0.0, 2.0, np.diag([0.0, 1.0]) + 0.3 * SX)]),
+            h_bath=np.diag([0.0, 0.8]), v_coupling=0.3 * np.kron(SX, SX),
+            steps=[{"time": 0.4, "instrument": projective_z()},
+                   {"time": 1.1, "instrument": projective_z()}],
+            feedback={1: {("2",): x_inst}})
+        routes = both_routes(spec, [1.6])
+        check_branch_states(routes, 1.6)
+        check_branch_rows(routes, 1.6)
+
     def test_collision_step_equivalence(self):
         # declared-hardware step with a mixed thermal ancilla
         theta = np.pi / 3

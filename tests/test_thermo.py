@@ -60,17 +60,13 @@ class TestMeanForce:
         return OperatorMatrix(reg, ("S", "B"), h, hermitian=True), h_s, h_b
 
     def test_joint_hamiltonian_diagonalized_once_per_drive_value(self, monkeypatch):
-        # H_SB depends on the drive alone: the propagators of its segments,
-        # and H*, its beta-derivative and ln Z* at beta, beta +- dbeta and
-        # beta +- dbeta/2, all share one eigh of it across the run and its
-        # evaluation
+        # H_SB depends on the drive alone: the Gibbs start, the propagators
+        # of its segments, and H*, its beta-derivative and ln Z* at beta,
+        # beta +- dbeta and beta +- dbeta/2, all share one eigh of it across
+        # the assembly, the run and its evaluation
         rng = np.random.default_rng(12)
         drives = [np.diag([0.0, 1.0]) + c * SX for c in (0.0, 0.2, 0.5)]
         proto = Protocol([Segment(0.5 * i, 0.5 * (i + 1), h) for i, h in enumerate(drives)])
-        model = AutonomousModel.assemble(
-            s_dim=2, b_dim=3, beta=1.0, protocol=proto,
-            h_bath=np.diag([0.0, 0.7, 1.3]), v_coupling=0.4 * random_hermitian(rng, 6),
-            steps=[{"time": 0.7, "instrument": projective_z()}])
         eigh, inputs = np.linalg.eigh, []
 
         def counted(a, *args, **kwargs):
@@ -78,6 +74,10 @@ class TestMeanForce:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        model = AutonomousModel.assemble(
+            s_dim=2, b_dim=3, beta=1.0, protocol=proto,
+            h_bath=np.diag([0.0, 0.7, 1.3]), v_coupling=0.4 * random_hermitian(rng, 6),
+            steps=[{"time": 0.7, "instrument": projective_z()}])
         evaluate_run(Simulator(model).run(report_times=[0.25, 0.75, 1.25]))
         joint = [a for a in inputs if a.shape == (6, 6)]
         assert len(joint) == len(drives)

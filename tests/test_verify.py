@@ -1,5 +1,7 @@
 """Tests for the verification suite itself."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,35 @@ class TestVerifySuite:
         checks = verify_model(model, result, rng=np.random.default_rng(0))
         failed = {c.name for c in checks if not c.passed}
         assert failed == {"dephasing-placement"}
+
+
+class TestCorruptedBranch:
+    def test_each_check_on_branch_states_flags_the_corrupted_record(self):
+        # the second record of the final stack loses eps/4 along every
+        # direction: its state is no longer positive, its probability is
+        # eps too low and rho_S is eps/2 off the direct route's; each check
+        # must see that, at that record and nowhere else
+        eps = 1e-3
+        model = build_model(parse_scenario_dict(scenario_dict()))
+        result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
+        labels = list(result.final.branches)[1]
+        br = result.final.branches[labels]
+        bad_br = dataclasses.replace(br, state=br.state - eps / 4 * np.eye(len(br.state)))
+        ledger = dataclasses.replace(result.final,
+                                     branches={**result.final.branches, labels: bad_br})
+        snaps = tuple(dataclasses.replace(s, ledger=ledger) for s in result.snapshots)
+        bad = dataclasses.replace(result, snapshots=snaps, final=ledger)
+        rows = {r["record"]: r for r in verify.equivalence_rows(model, bad)}
+        assert rows["2"]["state_dev"] == pytest.approx(eps / 2, rel=1e-9)
+        assert rows["2"]["prob_dev"] == pytest.approx(eps, rel=1e-9)
+        assert rows["1"]["state_dev"] <= DEFAULT.equivalence_state
+        assert rows["1"]["prob_dev"] <= DEFAULT.equivalence_prob
+        checks = {c.name: c for c in verify_model(model, bad, evaluate_run(result),
+                                                  rng=np.random.default_rng(0))}
+        assert {n for n, c in checks.items() if not c.passed} == {
+            "record-probabilities-sum", "branch-positivity",
+            "equivalence-states", "equivalence-probabilities"}
+        assert checks["branch-positivity"].value == pytest.approx(eps / 4, rel=1e-9)
 
 
 class TestTolerances:
