@@ -19,7 +19,6 @@ import numpy as np
 from .algebra import (
     DensityOperator,
     FactorRegistry,
-    OperatorMatrix,
     dagger,
     embed_factors,
     expm_herm,
@@ -35,7 +34,6 @@ __all__ = [
     "InterventionSchedule",
     "evaluate_process_tensor",
     "multilinearity_check",
-    "mix_cp",
 ]
 
 
@@ -77,16 +75,6 @@ class CPMap:
         of them; ``positions`` locate the support factors inside ``dims``."""
         ops = [embed_factors(k, positions, dims) for k in self.kraus]
         return sum(k @ mat @ dagger(k) for k in ops)
-
-    def scaled(self, c: float) -> "CPMap":
-        return CPMap(self.support, tuple(np.sqrt(c) * k for k in self.kraus))
-
-
-def mix_cp(a: CPMap, b: CPMap, alpha: float) -> CPMap:
-    """Convex mixture alpha*a + (1-alpha)*b as a single CP map."""
-    if a.support != b.support:
-        raise ValueError("can only mix maps on the same support")
-    return CPMap(a.support, a.scaled(alpha).kraus + b.scaled(1 - alpha).kraus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,22 +274,21 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
 
 def evaluate_process_tensor(schedule: InterventionSchedule,
                             sb_init: DensityOperator, times: Iterable[float]
-                            ) -> dict[float, dict[tuple[str, ...], DensityOperator]]:
+                            ) -> dict[float, tuple[list[tuple[str, ...]], np.ndarray]]:
     """Unnormalized conditional system state of every record at every time.
 
     Applies the outcome's CP map at each scheduled time (with feedback
     resolved from the record prefix) interleaved with the driven
     system-bath unitary, then traces out the bath, once per time over all
-    records.  Returns ``{t: {record: state}}``; the trace of a state is its
-    record probability, and summing over the records at fixed t gives a
-    normalized state.
+    records.  Returns ``{t: (records, states)}``: the records in
+    ``itertools.product`` order of the alphabets, and an (N, d_S, d_S)
+    array whose row i is the state of ``records[i]``.  The trace of a state
+    is its record probability; the states at fixed t sum to a normalized one.
     """
-    reg = schedule.registry
-    dims = reg.dims(("S", "B"))
+    dims = schedule.registry.dims(("S", "B"))
     tree = _walk(schedule, sb_init, times,
                  lambda k, prefix: schedule.instrument_at(k, prefix).outcomes)
-    return {t: {record: DensityOperator(OperatorMatrix(reg, ("S",), mat))
-                for record, mat in zip(records, ptrace_factors(mats, dims, [0]))}
+    return {t: (records, ptrace_factors(mats, dims, [0]))
             for t, (records, mats) in tree.items()}
 
 
@@ -317,6 +304,8 @@ def multilinearity_check(schedule: InterventionSchedule,
     """
     if len(ops_a) != len(ops_b):
         raise ValueError("operation lists must have equal length")
+    if any(a.support != b.support for a, b in zip(ops_a, ops_b)):
+        raise ValueError("can only mix maps on the same support")
     applied = sum(1 for tk in schedule.times if not before(t, tk))
     if len(ops_a) != applied:
         raise ValueError(
@@ -328,11 +317,12 @@ def multilinearity_check(schedule: InterventionSchedule,
         return mats[0]
 
     worst = 0.0
-    for k in range(len(ops_a)):
+    for k, (a, b) in enumerate(zip(ops_a, ops_b)):
         mixed = list(ops_a)
-        mixed[k] = mix_cp(ops_a[k], ops_b[k], alpha)
+        mixed[k] = CPMap(a.support, [np.sqrt(alpha) * m for m in a.kraus]
+                         + [np.sqrt(1 - alpha) * m for m in b.kraus])
         swapped = list(ops_a)
-        swapped[k] = ops_b[k]
+        swapped[k] = b
         lhs = final(mixed)
         rhs = alpha * final(ops_a) + (1 - alpha) * final(swapped)
         worst = max(worst, max_norm(lhs - rhs))

@@ -19,7 +19,7 @@ from .channels import evaluate_process_tensor
 from .dilation import reconstruction_error
 from .report import bundle_from_run, record_string
 from .scenario import ScenarioError, build_model, parse_scenario
-from .simulate import RunResult, survives_prune
+from .simulate import survives_prune
 from .thermo import evaluate_run
 from .tolerances import DEFAULT
 from .verify import equivalence_checks, run_verified, verify_model
@@ -82,12 +82,6 @@ def _load(args):
     return scenario, model, DEFAULT.replaced(**overrides)
 
 
-def _simulate(args, scenario, model, tol) -> RunResult:
-    """The one simulator run of ``run``, ``verify`` and ``equiv``."""
-    return run_verified(model, scenario.report_times, prune=tol.prune,
-                        max_branches=args.max_branches)
-
-
 def _write_json(doc: dict, out: str | None, fname: str) -> None:
     """``doc`` as sorted, indented JSON: written to ``out/fname``, or
     printed when there is no output directory."""
@@ -104,16 +98,19 @@ def cmd_run(args) -> int:
     if args.mode == "process-tensor":
         direct = evaluate_process_tensor(model.schedule, model.sb_init,
                                          scenario.report_times)
-        rows = [{"time": t, "record": record_string(labels), "p": out.weight}
+        probs = {t: np.trace(states, axis1=1, axis2=2).real.tolist()
+                 for t, (_, states) in direct.items()}
+        rows = [{"time": t, "record": record_string(labels), "p": p}
                 for t in scenario.report_times
-                for labels, out in direct[t].items()
-                if survives_prune(out.weight, tol.prune)]
+                for labels, p in zip(direct[t][0], probs[t])
+                if survives_prune(p, tol.prune)]
         _write_json({"scenario": scenario.name, "mode": args.mode, "seed": args.seed,
                      "scenario_checksum": scenario.checksum, "records": rows},
                     args.out, "report.json")
         return EXIT_OK
 
-    result = _simulate(args, scenario, model, tol)
+    result = run_verified(model, scenario.report_times, prune=tol.prune,
+                          max_branches=args.max_branches)
     ledger = evaluate_run(result)
     equivalence, checks = None, []
     if args.mode == "both":
@@ -136,7 +133,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario, model, tol = _load(args)
-    result = _simulate(args, scenario, model, tol)
+    result = run_verified(model, scenario.report_times, prune=tol.prune,
+                          max_branches=args.max_branches)
     ledger = evaluate_run(result)
     rng = np.random.default_rng(args.seed)
     checks = verify_model(model, result, ledger, tol=tol, rng=rng)
@@ -159,7 +157,8 @@ def cmd_verify(args) -> int:
 
 def cmd_equiv(args) -> int:
     scenario, model, tol = _load(args)
-    result = _simulate(args, scenario, model, tol)
+    result = run_verified(model, scenario.report_times, prune=tol.prune,
+                          max_branches=args.max_branches)
     rows, checks = equivalence_checks(model, result, tol)
     if rows is None:
         print("error: equivalence is defined for instantaneous controls only",

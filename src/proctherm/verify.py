@@ -47,25 +47,30 @@ def _check(name: str, value: float, tol: float, note: str = "") -> CheckResult:
 
 
 def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
-    """Per-snapshot, per-record deviation between the two evaluation routes."""
+    """Per-snapshot deviation between the two evaluation routes, one row per
+    ledger record in ledger order, each record matched to its row of the
+    direct route's stack; ``prob_dev`` compares the trace of the autonomous
+    S⊗B state with that of the direct system state."""
     direct = evaluate_process_tensor(model.schedule, model.sb_init,
                                      [snap.time for snap in result.snapshots])
     rows = []
     for snap in result.snapshots:
-        records = direct[snap.time]
-        devs = {}
-        for group, states in stacked_groups(snap.ledger.branches.values(),
-                                            lambda br: br.support):
-            want = [records[br.labels] for br in group]
-            got = ptrace_factors(states, model.registry.dims(group[0].support), [0])
-            state_dev = np.max(np.abs(got - np.stack([w.mat for w in want])), axis=(1, 2))
-            prob_dev = np.abs(np.trace(states, axis1=1, axis2=2).real
-                              - [w.weight for w in want])
-            devs.update(zip((br.labels for br in group),
-                            zip(state_dev.tolist(), prob_dev.tolist())))
-        for labels in snap.ledger.branches:
-            rows.append({"time": snap.time, "record": record_string(labels),
-                         "state_dev": devs[labels][0], "prob_dev": devs[labels][1]})
+        records, states = direct[snap.time]
+        row_of = {record: i for i, record in enumerate(records)}
+        labels = list(snap.ledger.branches)
+        at = {l: i for i, l in enumerate(labels)}
+        want = states[[row_of[l] for l in labels]]
+        got, p_got = np.empty_like(want), np.empty(len(labels))
+        for group, sb in stacked_groups(snap.ledger.branches.values(),
+                                        lambda br: br.support):
+            idx = [at[br.labels] for br in group]
+            got[idx] = ptrace_factors(sb, model.registry.dims(group[0].support), [0])
+            p_got[idx] = np.trace(sb, axis1=1, axis2=2).real
+        state_dev = np.max(np.abs(got - want), axis=(1, 2))
+        prob_dev = np.abs(p_got - np.trace(want, axis1=1, axis2=2).real)
+        rows += [{"time": snap.time, "record": record_string(l),
+                  "state_dev": s, "prob_dev": p}
+                 for l, s, p in zip(labels, state_dev.tolist(), prob_dev.tolist())]
     return rows
 
 

@@ -1,6 +1,8 @@
 """Tests for CP maps, instruments, and direct multi-time evaluation."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,17 @@ def flat_schedule(times, instruments, reg=None, h_sys=None, h_bath=None, v=None,
     proto = Protocol([Segment(t_span[0], t_span[1], h_sys)])
     return InterventionSchedule(reg, times, instruments, proto,
                                 feedback=feedback, h_bath=h_bath, v_coupling=v)
+
+
+def states_by_record(report):
+    """One report time's ``(records, states)`` as {record: state matrix}."""
+    records, states = report
+    assert states.shape[0] == len(records)
+    return dict(zip(records, states))
+
+
+def weight(state):
+    return np.trace(state).real
 
 
 class TestCPMap:
@@ -129,10 +142,11 @@ class TestProcessEvaluation:
         sched = flat_schedule([], [], h_sys=h_s, h_bath=h_b, v=v)
         h_sb = OperatorMatrix(reg, ("S", "B"), sched.h_sb(h_s))
         pi_sb, _ = gibbs_state(h_sb, beta=1.0)
-        out = evaluate_process_tensor(sched, pi_sb, [2.5])[2.5][()]
+        records, states = evaluate_process_tensor(sched, pi_sb, [2.5])[2.5]
+        assert records == [()] and states.shape == (1, 2, 2)
         from proctherm.algebra import partial_trace
-        np.testing.assert_allclose(out.mat, partial_trace(pi_sb, ["S"]).mat, atol=1e-11)
-        assert out.weight == pytest.approx(1.0, abs=1e-11)
+        np.testing.assert_allclose(states[0], partial_trace(pi_sb, ["S"]).mat, atol=1e-11)
+        assert weight(states[0]) == pytest.approx(1.0, abs=1e-11)
 
     def test_identity_intervention_is_bare_evolution(self):
         rng = np.random.default_rng(21)
@@ -144,9 +158,9 @@ class TestProcessEvaluation:
         sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
         sched0 = flat_schedule([], [], h_sys=h_s, h_bath=h_b, v=v)
         sched1 = flat_schedule([1.0], [identity_instrument()], h_sys=h_s, h_bath=h_b, v=v)
-        bare = evaluate_process_tensor(sched0, sb, [2.0])[2.0][()]
-        with_id = evaluate_process_tensor(sched1, sb, [2.0])[2.0][("1",)]
-        np.testing.assert_allclose(with_id.mat, bare.mat, atol=0)  # same matrix path
+        bare = states_by_record(evaluate_process_tensor(sched0, sb, [2.0])[2.0])[()]
+        with_id = states_by_record(evaluate_process_tensor(sched1, sb, [2.0])[2.0])[("1",)]
+        np.testing.assert_allclose(with_id, bare, atol=0)  # same matrix path
 
     def test_matches_kraus_sequence_oracle(self):
         # driven qubit + qubit bath, two unsharp interventions
@@ -171,7 +185,7 @@ class TestProcessEvaluation:
                 out = expm_herm(sched.h_sb(seg.h_system), -1j * (b - a)) @ out
             return out
 
-        direct = evaluate_process_tensor(sched, sb, [2.0])[2.0]
+        direct = states_by_record(evaluate_process_tensor(sched, sb, [2.0])[2.0])
         total = 0.0
         for ra, cpa in unsharp.outcomes:
             for rb, cpb in projective_z().outcomes:
@@ -186,8 +200,8 @@ class TestProcessEvaluation:
                             @ u12.conj().T @ eb.conj().T @ u2f.conj().T
                         expected += m
                 expected_s = expected.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-                np.testing.assert_allclose(got.mat, expected_s, atol=1e-11)
-                total += got.weight
+                np.testing.assert_allclose(got, expected_s, atol=1e-11)
+                total += weight(got)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_split_segment_is_diagonalized_once(self, monkeypatch):
@@ -217,7 +231,7 @@ class TestProcessEvaluation:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(channels, "expm_herm", counted_expm)
         out = evaluate_process_tensor(sched, sb, [0.7, 2.5])
-        assert set(out[2.5]) == {("1",), ("2",)}
+        assert out[2.5][0] == [("1",), ("2",)]
         # (0, .7), (.7, 1.2) and (1.2, 2) on the first segment, (2, 2.5)
         assert eighs == [(4, 4)] * 2
         np.testing.assert_allclose(np.imag(intervals), [-0.7, -0.5, -0.8, -0.5], atol=1e-12)
@@ -239,12 +253,12 @@ class TestProcessEvaluation:
                               feedback={1: {("1",): x_inst}})
         rho0 = random_density(rng, 4)
         sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
-        got = evaluate_process_tensor(sched, sb, [1.5])[1.5][("1", "1")]
+        got = states_by_record(evaluate_process_tensor(sched, sb, [1.5])[1.5])[("1", "1")]
         e0 = np.kron(P0, np.eye(2))
         eplus = np.kron(plus, np.eye(2))
         expected = eplus @ e0 @ rho0 @ e0 @ eplus   # zero Hamiltonian: no evolution
         expected_s = expected.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        np.testing.assert_allclose(got.mat, expected_s, atol=1e-12)
+        np.testing.assert_allclose(got, expected_s, atol=1e-12)
 
     def test_record_tree_matches_kraus_sequence_oracle(self):
         # feedback and a prefix-keyed drive; reports before an intervention,
@@ -303,13 +317,15 @@ class TestProcessEvaluation:
         assert list(tree) == report
         for t in report:
             n = sum(1 for tk in times if tk <= t)
-            assert list(tree[t]) == list(itertools.product(*[("1", "2")] * n))
-            single = evaluate_process_tensor(sched, sb, [t])[t]
-            assert list(single) == list(tree[t])
-            for record, got in tree[t].items():
-                np.testing.assert_allclose(got.mat, oracle(record, t), atol=1e-11)
-                np.testing.assert_allclose(got.mat, single[record].mat, atol=1e-14)
-            assert sum(out.weight for out in tree[t].values()) == pytest.approx(1.0, abs=1e-10)
+            records, states = tree[t]
+            assert records == list(itertools.product(*[("1", "2")] * n))
+            assert states.shape == (len(records), 2, 2)
+            single_records, single = evaluate_process_tensor(sched, sb, [t])[t]
+            assert single_records == records
+            for record, got, alone in zip(records, states, single):
+                np.testing.assert_allclose(got, oracle(record, t), atol=1e-11)
+                np.testing.assert_allclose(got, alone, atol=1e-14)
+            assert sum(weight(m) for m in states) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMultilinearity:
@@ -332,9 +348,38 @@ class TestMultilinearity:
         with pytest.raises(ValueError):
             multilinearity_check(sched, ops_a[:1], ops_b[:1], 0.5, sb, t=1.5)
 
+    def test_maps_on_different_supports_rejected(self):
+        # a slot cannot mix a system map with a bath map
+        sched, ops_a, ops_b, sb = self._setup(33)
+        on_bath = [CPMap(("B",), ops_b[1].kraus)]
+        with pytest.raises(ValueError, match="same support"):
+            multilinearity_check(sched, ops_a, ops_b[:1] + on_bath, 0.5, sb, t=1.5)
+
     @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.37])
     def test_linearity_per_slot(self, alpha):
         sched, ops_a, ops_b, sb = self._setup(31)
         ok, dev = multilinearity_check(sched, ops_a, ops_b, alpha, sb, t=1.5)
         assert ok, f"deviation {dev}"
         assert dev < 1e-10
+
+
+class TestRouteIndependence:
+    def test_direct_route_imports_no_autonomous_module(self):
+        # the direct route must not share code with simulate, thermo or
+        # verify, or agreeing with the autonomous route would prove nothing
+        import proctherm.channels as channels
+        imported = set()
+        for node in ast.walk(ast.parse(Path(channels.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level > 0:
+                    imported |= ({module.split(".")[0]} if module
+                                 else {a.name for a in node.names})
+                elif module == "proctherm":
+                    imported |= {a.name for a in node.names}
+                elif module.startswith("proctherm."):
+                    imported.add(module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[1] for a in node.names
+                             if a.name.startswith("proctherm.")}
+        assert imported == {"algebra", "protocol", "tolerances"}

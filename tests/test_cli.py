@@ -212,17 +212,26 @@ def windowed_measurement_work(tmp_path):
 
 
 class TestPruneRule:
-    def test_process_tensor_lists_the_simulator_records(self, tmp_path, capsys):
+    def test_process_tensor_lists_the_simulator_records(self, tmp_path):
         # zero-probability records are dropped on both routes, whatever the
-        # threshold
-        path = z_readouts_from_ground(tmp_path)
-        assert run_cli("run", "--scenario", str(path), "--mode", "process-tensor") == 0
-        direct = [(r["time"], r["record"]) for r in json.loads(capsys.readouterr().out)["records"]]
-        out = tmp_path / "auto"
-        assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert direct == [(r["time"], r["record"]) for r in doc["branch_rows"]]
-        assert direct == [(0.5, "g"), (1.0, "g|g")]
+        # threshold; on every shipped scenario the direct route lists the
+        # simulator's (time, record) pairs in its order, each p within the
+        # equivalence tolerance
+        zero = z_readouts_from_ground(tmp_path)
+        tol = Tolerances().equivalence_prob
+        for path in [zero] + sorted(SCENARIO_DIR.glob("*.yaml")):
+            out = tmp_path / path.stem
+            assert run_cli("run", "--scenario", str(path), "--mode", "process-tensor",
+                           "--out", str(out / "direct")) == 0, path.name
+            assert run_cli("run", "--scenario", str(path), "--mode", "both",
+                           "--out", str(out / "both")) == 0, path.name
+            direct = json.loads((out / "direct" / "report.json").read_text())["records"]
+            auto = json.loads((out / "both" / "report.json").read_text())["branch_rows"]
+            assert ([(r["time"], r["record"]) for r in direct]
+                    == [(r["time"], r["record"]) for r in auto]), path.name
+            assert all(abs(d["p"] - a["p"]) <= tol for d, a in zip(direct, auto)), path.name
+            if path == zero:
+                assert [(r["time"], r["record"]) for r in direct] == [(0.5, "g"), (1.0, "g|g")]
 
 
 class TestPrunedEnsemble:

@@ -171,6 +171,70 @@ class TestCorruptedBranch:
         assert checks["branch-positivity"].value == pytest.approx(eps / 4, rel=1e-9)
 
 
+def givens(d, i, j, theta):
+    """Real rotation by theta in the (i, j) plane of a d-dimensional space."""
+    g = np.eye(d)
+    c, s = np.cos(theta), np.sin(theta)
+    g[i, i], g[j, j], g[i, j], g[j, i] = c, c, -s, s
+    return g
+
+
+def interleaved_scenario_dict():
+    """A Z readout, then a collision with a qutrit ancilla read out by
+    diag(1,0,0) and diag(0,1,1): record a factors the ancilla out, record b
+    keeps it, so the ledger g|a, g|b, e|a, e|b alternates between the
+    supports S B and S B A1."""
+    data = scenario_dict()
+    # |s, a> is index 3 s + a: |0,0> <-> |1,1> and |1,0> <-> |0,2>
+    u = givens(6, 0, 4, 0.7) @ givens(6, 3, 2, 1.1)
+    data["report_times"] = [1.5]
+    data["steps"] = [
+        {"time": 0.4, "instrument": {"outcomes": [
+            {"label": "g", "kraus": [[[1.0, 0.0], [0.0, 0.0]]]},
+            {"label": "e", "kraus": [[[0.0, 0.0], [0.0, 1.0]]]}]}},
+        {"time": 0.8, "collision": {
+            "ancilla": {"dim": 3}, "unitary": u.tolist(),
+            "projectors": [np.diag([1.0, 0.0, 0.0]).tolist(),
+                           np.diag([0.0, 1.0, 1.0]).tolist()],
+            "labels": ["a", "b"]}},
+    ]
+    return data
+
+
+class TestInterleavedSupports:
+    def test_deviation_lands_on_its_ledger_record(self):
+        # g|b is first in its support group but second in the ledger, so a
+        # row taken by group position instead of by record would flag e|a
+        eps = 1e-3
+        model = build_model(parse_scenario_dict(interleaved_scenario_dict()))
+        result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
+        ledger = result.final
+        assert [(labels, br.support) for labels, br in ledger.branches.items()] == [
+            (("g", "a"), ("S", "B")), (("g", "b"), ("S", "B", "A1")),
+            (("e", "a"), ("S", "B")), (("e", "b"), ("S", "B", "A1"))]
+        clean = verify.equivalence_rows(model, result)
+        assert max(r["state_dev"] for r in clean) <= DEFAULT.equivalence_state
+        assert max(r["prob_dev"] for r in clean) <= DEFAULT.equivalence_prob
+
+        br = ledger.branches[("g", "b")]
+        d = len(br.state)
+        bad_br = dataclasses.replace(br, state=br.state - eps / 4 * np.eye(d))
+        bad_ledger = dataclasses.replace(ledger, branches={**ledger.branches,
+                                                           ("g", "b"): bad_br})
+        snaps = tuple(dataclasses.replace(s, ledger=bad_ledger) for s in result.snapshots)
+        bad = dataclasses.replace(result, snapshots=snaps, final=bad_ledger)
+        rows = verify.equivalence_rows(model, bad)
+        assert [(r["time"], r["record"]) for r in rows] == [
+            (1.5, "g|a"), (1.5, "g|b"), (1.5, "e|a"), (1.5, "e|b")]
+        flagged = [r["record"] for r in rows
+                   if r["state_dev"] > DEFAULT.equivalence_state
+                   or r["prob_dev"] > DEFAULT.equivalence_prob]
+        assert flagged == ["g|b"]
+        # tracing B A1 out of eps/4 * identity leaves eps/4 * (d / 2) on S
+        assert rows[1]["state_dev"] == pytest.approx(eps / 4 * d / 2, rel=1e-9)
+        assert rows[1]["prob_dev"] == pytest.approx(eps / 4 * d, rel=1e-9)
+
+
 class TestTolerances:
     def test_replace_and_reject(self):
         tol = Tolerances().replaced(first_law=1e-6)
