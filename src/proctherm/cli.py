@@ -9,7 +9,6 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .channels import evaluate_process_tensor
 from .dilation import reconstruction_error
-from .report import bundle_from_run, record_string
+from .report import bundle_from_run, dumps, record_string
 from .scenario import ScenarioError, build_model, parse_scenario
 from .simulate import survives_prune
 from .thermo import evaluate_run
@@ -85,7 +84,7 @@ def _load(args):
 def _write_json(doc: dict, out: str | None, fname: str) -> None:
     """``doc`` as sorted, indented JSON: written to ``out/fname``, or
     printed when there is no output directory."""
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = dumps(doc)
     if out:
         Path(out).mkdir(parents=True, exist_ok=True)
         (Path(out) / fname).write_text(text, encoding="utf-8")

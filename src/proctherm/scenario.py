@@ -224,6 +224,18 @@ _ANCILLA_KEYS = {"dim", "state", "hamiltonian"}
 _OPTION_KEYS = {"prune_threshold"}
 
 
+def _label(node: Any, path: str) -> str:
+    """An outcome label.  It is a field of ``branches.csv`` and a part of a
+    ``|``-joined record string, so a comma, bar, double quote or line break
+    in it would break the bundle or make two records spell alike."""
+    label = str(node)
+    bad = [c for c in ',|"\r\n' if c in label]
+    if bad:
+        raise ScenarioError(path, f"outcome label {label!r} contains {bad[0]!r}; "
+                                  "labels may not contain ',', '|', '\"' or a line break")
+    return label
+
+
 def _parse_instrument(node, path, names, s_dim) -> Instrument:
     if not isinstance(node, Mapping) or "outcomes" not in node:
         raise ScenarioError(path, "instrument needs an 'outcomes' list")
@@ -231,7 +243,7 @@ def _parse_instrument(node, path, names, s_dim) -> Instrument:
     for i, oc in enumerate(_sequence(node["outcomes"], path + ".outcomes")):
         opath = f"{path}.outcomes[{i}]"
         oc = _mapping(oc, opath)
-        label = str(oc.get("label", i + 1))
+        label = _label(oc.get("label", i + 1), opath + ".label")
         kraus_nodes = _sequence(oc.get("kraus"), opath + ".kraus")
         if not kraus_nodes:
             raise ScenarioError(opath, "outcome needs a nonempty 'kraus' list")
@@ -371,7 +383,9 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
             labels = col.get("labels")
             entry["collision"] = {
                 "ancilla_state": state, "unitary": u, "projectors": projs,
-                "labels": None if labels is None else _sequence(labels, cpath + ".labels")}
+                "labels": None if labels is None else [
+                    _label(l, f"{cpath}.labels[{j}]")
+                    for j, l in enumerate(_sequence(labels, cpath + ".labels"))]}
             entry["h_ancilla"] = h_anc
         if "window" in sn:
             wpath, window = spath + ".window", sn["window"]

@@ -11,6 +11,7 @@ average agreement of the two measurement-work conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,20 @@ class CheckResult:
 
 def _check(name: str, value: float, tol: float, note: str = "") -> CheckResult:
     return CheckResult(name, float(value), float(tol), bool(value <= tol), note)
+
+
+def _worst(values) -> float:
+    """The largest of +0.0 and ``values``, or NaN if any value is NaN, so a
+    NaN fails its check.  The built-in ``max`` keeps its first argument when
+    a comparison is false: ``max(0.0, nan)`` is 0.0.  +0.0 leads and only a
+    larger value replaces it, so -0.0 never shows."""
+    worst = 0.0
+    for v in values:
+        if v != v:
+            return math.nan
+        if v > worst:
+            worst = v
+    return float(worst)
 
 
 def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
@@ -92,7 +107,7 @@ def equivalence_checks(model: AutonomousModel, result: RunResult,
                                        "finite-width control windows")
                       for name, _, t in specs]
     rows = equivalence_rows(model, result)
-    return rows, [_check(name, max((r[key] for r in rows), default=0.0), t)
+    return rows, [_check(name, _worst(r[key] for r in rows), t)
                   for name, key, t in specs]
 
 
@@ -114,79 +129,74 @@ def verify_model(model: AutonomousModel, result: RunResult,
     # --- every instrument a record can meet: complete positivity and trace
     # preservation, its dilation's unitarity and reconstruction, and the
     # dephasing of its readout register into the branch split
-    worst_tp, worst_cp, worst_u, worst_rec, worst_deph = 0.0, 0.0, 0.0, 0.0, 0.0
+    tp, cp, unitary, rec, deph = [], [], [], [], []
     for k, spec in enumerate(model.steps):
         for prefix, (hw, _) in spec.controls.items():
             inst = model.schedule.instrument_at(k, prefix)
-            worst_tp = max(worst_tp, inst.average().tp_residual())
-            for _, cp in inst.outcomes:
-                worst_cp = max(worst_cp, -float(np.linalg.eigvalsh(cp.choi())[0]))
-            worst_u = max(worst_u, hw.unitarity_residual())
-            comp = sum(hw.projectors)
-            worst_u = max(worst_u, max_norm(comp - np.eye(hw.ancilla_dim)))
-            worst_rec = max(worst_rec, reconstruction_error(hw, inst))
-            worst_deph = max(worst_deph, dephasing_error(hw))
-    checks.append(_check("kraus-trace-preserving", worst_tp, tol.kraus_tp))
-    checks.append(_check("complete-positivity", max(worst_cp, 0.0), tol.choi_psd))
-    checks.append(_check("dilation-unitarity", worst_u, tol.dilation_unitary))
-    checks.append(_check("dilation-reconstruction", worst_rec,
+            tp.append(inst.average().tp_residual())
+            cp += [-float(np.linalg.eigvalsh(m.choi())[0]) for _, m in inst.outcomes]
+            unitary += [hw.unitarity_residual(),
+                        max_norm(sum(hw.projectors) - np.eye(hw.ancilla_dim))]
+            rec.append(reconstruction_error(hw, inst))
+            deph.append(dephasing_error(hw))
+    checks.append(_check("kraus-trace-preserving", _worst(tp), tol.kraus_tp))
+    checks.append(_check("complete-positivity", _worst(cp), tol.choi_psd))
+    checks.append(_check("dilation-unitarity", _worst(unitary), tol.dilation_unitary))
+    checks.append(_check("dilation-reconstruction", _worst(rec),
                          tol.dilation_reconstruction))
-    checks.append(_check("dephasing-placement", worst_deph, tol.trace))
+    checks.append(_check("dephasing-placement", _worst(deph), tol.trace))
 
     # --- memory: dephasing costs no energy on any state, any register size,
     # i.e. it commutes with a non-degenerate register next to a degenerate
     # dephaser (a multiple of the identity alone would pass any unitary)
-    worst_cost = 0.0
+    cost = []
     dims = sorted({len(model.schedule.alphabet(k)) for k in range(model.n_steps)}) or [2]
     for d in dims:
         u = dephasing_unitary(d)
         h_m = np.diag(np.cumsum(rng.uniform(0.1, 1.0, d)))
         h = np.kron(h_m, np.eye(d)) + np.kron(np.eye(d), rng.uniform() * np.eye(d))
-        worst_cost = max(worst_cost, max_norm(u @ h - h @ u))
-    checks.append(_check("dephasing-zero-cost", worst_cost, tol.dephasing_cost))
+        cost.append(max_norm(u @ h - h @ u))
+    checks.append(_check("dephasing-zero-cost", _worst(cost), tol.dephasing_cost))
 
     # --- probability bookkeeping
     p_err = abs(result.final.total_weight() + result.final.pruned_mass - 1.0)
     checks.append(_check("record-probabilities-sum", p_err, tol.prob_total))
-    worst_neg = 0.0
+    neg = []
     for _, states in stacked_groups(result.final.branches.values(), lambda br: br.support):
-        worst_neg = max(worst_neg, -float(np.min(np.linalg.eigvalsh(states)[:, 0])))
-    checks.append(_check("branch-positivity", max(worst_neg, 0.0), tol.psd))
+        # a non-finite state has no spectrum (eigvalsh raises): it reads NaN
+        neg += ((-np.linalg.eigvalsh(states)[:, 0]).tolist()
+                if np.isfinite(states).all() else [math.nan])
+    checks.append(_check("branch-positivity", _worst(neg), tol.psd))
 
     # --- dynamical equivalence (instantaneous controls only)
     checks += equivalence_checks(model, result, tol)[1]
 
     # --- first law, per branch and ensemble, plus the energy budget
-    worst_fl = 0.0
-    for t, rows in ledger.branch_rows.items():
-        for r in rows:
-            worst_fl = max(worst_fl, abs(r.q - (r.du - r.w)),
-                           abs(r.q_alt - (r.du - r.w_alt)))
-    budget = 0.0
-    for row in ledger.ensemble_rows:
-        worst_fl = max(worst_fl, abs(row.q - (row.du - row.w)))
-        budget = max(budget, abs(row.w - row.w_budget))
+    first_law = [abs(q - (r.du - w)) for rows in ledger.branch_rows.values()
+                 for r in rows for q, w in ((r.q, r.w), (r.q_alt, r.w_alt))]
+    first_law += [abs(row.q - (row.du - row.w)) for row in ledger.ensemble_rows]
+    budget = _worst(abs(row.w - row.w_budget) for row in ledger.ensemble_rows)
     # both ensemble identities close only over all records
     pruned = result.final.pruned_mass
     pruned_note = (f"pruned mass {pruned:.3e} is missing from the ensemble"
                    if pruned > 0 else "")
-    checks.append(_check("first-law", worst_fl, tol.first_law))
+    checks.append(_check("first-law", _worst(first_law), tol.first_law))
     checks.append(_check("work-energy-budget", budget, tol.first_law, pruned_note))
 
     # --- measurement-work conventions agree on average
-    worst_gap = max((tr.average_work_gap() for tr in result.traces), default=0.0)
-    checks.append(_check("work-convention-average", worst_gap,
+    checks.append(_check("work-convention-average",
+                         _worst(tr.average_work_gap() for tr in result.traces),
                          tol.convention_average))
 
     # --- second law, both forms
     if model.gibbs_initial:
-        # +0.0 leads: max keeps the first of equal values, so -0.0 never shows
-        neg = max([0.0] + [-row.sigma_first_law for row in ledger.ensemble_rows])
-        checks.append(_check("second-law-positivity", neg, tol.second_law))
+        checks.append(_check("second-law-positivity",
+                             _worst(-row.sigma_first_law for row in ledger.ensemble_rows),
+                             tol.second_law))
         gaps = [abs(row.sigma_first_law - row.sigma_rel_ent)
                 for row in ledger.ensemble_rows if row.sigma_rel_ent is not None]
         if gaps:
-            checks.append(_check("entropy-production-forms", max(gaps),
+            checks.append(_check("entropy-production-forms", _worst(gaps),
                                  tol.sigma_forms, pruned_note))
         else:
             why = ("bare mean-force mode has no exact relative-entropy reference"

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+import proctherm.cli as cli
 from proctherm.cli import main
 from proctherm.scenario import build_model, parse_scenario
 from proctherm.tolerances import Tolerances
+from proctherm.verify import run_verified
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,6 +56,25 @@ class TestVerifyCommand:
                        "--tol-override", "equivalence_prob=-1")
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_branch_state_is_a_failed_check_not_an_input_error(
+            self, monkeypatch, capsys):
+        # eigvalsh raises LinAlgError (a ValueError, so exit 2) on a NaN
+        # state; the check reads NaN and fails instead
+        def corrupted(*args, **kwargs):
+            result = run_verified(*args, **kwargs)
+            labels, br = list(result.final.branches.items())[1]
+            state = br.state.copy()
+            state[0, 0] = math.nan
+            return dataclasses.replace(result, final=dataclasses.replace(
+                result.final, branches={**result.final.branches,
+                                        labels: dataclasses.replace(br, state=state)}))
+
+        monkeypatch.setattr(cli, "run_verified", corrupted)
+        code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"))
+        assert code == 1
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert "value=nan" in rows["branch-positivity"] and "FAIL" in rows["branch-positivity"]
 
     def test_unknown_tolerance_rejected(self, capsys):
         code = run_cli("verify", "--scenario",
@@ -422,6 +443,11 @@ class TestInputErrors:
             self, tmp_path, capsys, fname, patches, path):
         assert self.verify_patched(tmp_path, fname, patches) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_label_with_a_comma_is_an_input_error(self, tmp_path, capsys):
+        field = "steps[0].instrument.outcomes[0].label"
+        assert self.verify_with(tmp_path, field, "u,p") == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"

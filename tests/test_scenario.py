@@ -229,6 +229,41 @@ class TestParsing:
             parse_scenario_dict(minimal(steps=[step]))
 
 
+class TestOutcomeLabels:
+    """A label is a branches.csv field and a part of a |-joined record, so
+    the characters that would split, quote or blur those are rejected."""
+
+    SITES = [
+        ("measurement_work.yaml", ("steps", 0, "instrument", "outcomes", 1, "label"),
+         "steps[0].instrument.outcomes[1].label"),
+        ("driven_feedback.yaml",
+         ("feedback", 0, "instruments", "1", "outcomes", 1, "label"),
+         "feedback[0].instruments.1.outcomes[1].label"),
+        ("measurement_work.yaml", ("steps", 1, "collision", "labels", 1),
+         "steps[1].collision.labels[1]")]
+
+    @pytest.mark.parametrize("char", [",", "|", '"', "\n", "\r"])
+    @pytest.mark.parametrize("fname, keys, path", SITES, ids=["instrument", "feedback",
+                                                              "collision"])
+    def test_label_that_would_break_the_bundle_rejected(self, fname, keys, path, char):
+        data = yaml.safe_load((SCENARIO_DIR / fname).read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = f"u{char}p"
+        with pytest.raises(ScenarioError, match="may not contain") as err:
+            parse_scenario_dict(data)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("label", ["-", "+", "u p", "é", "1.5", "a:b"])
+    def test_other_labels_accepted(self, label):
+        data = yaml.safe_load((SCENARIO_DIR / "measurement_work.yaml").read_text())
+        data["steps"][0]["instrument"]["outcomes"][1]["label"] = label
+        data["steps"][1]["collision"]["labels"][0] = label + "x"
+        model = build_model(parse_scenario_dict(data))
+        assert model.schedule.alphabet(0) == ("up", label)
+
+
 class TestShippedScenarios:
     @pytest.mark.parametrize("fname", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
     def test_parses_and_builds(self, fname):

@@ -170,6 +170,51 @@ class TestCorruptedBranch:
             "equivalence-states", "equivalence-probabilities"}
         assert checks["branch-positivity"].value == pytest.approx(eps / 4, rel=1e-9)
 
+    def test_a_nan_in_a_later_record_fails_every_check_that_reads_it(self):
+        # the built-in max keeps its first argument when a comparison is
+        # false, so max(0.0, nan) would drop the NaN of the second record
+        model = build_model(parse_scenario_dict(scenario_dict()))
+        result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
+        labels = list(result.final.branches)[1]
+        br = result.final.branches[labels]
+        state = br.state.copy()
+        state[0, 0] = np.nan
+        ledger = dataclasses.replace(result.final, branches={
+            **result.final.branches, labels: dataclasses.replace(br, state=state)})
+        snaps = tuple(dataclasses.replace(s, ledger=ledger) for s in result.snapshots)
+        bad = dataclasses.replace(result, snapshots=snaps, final=ledger)
+        devs = [r["state_dev"] for r in verify.equivalence_rows(model, bad)]
+        assert devs[0] <= DEFAULT.equivalence_state and np.isnan(devs[1])
+        checks = {c.name: c for c in verify_model(model, bad, evaluate_run(result),
+                                                  rng=np.random.default_rng(0))}
+        failed = {n for n, c in checks.items() if not c.passed}
+        assert failed == {"record-probabilities-sum", "branch-positivity",
+                          "equivalence-states", "equivalence-probabilities"}
+        assert all(np.isnan(checks[n].value) for n in failed)
+
+    @pytest.mark.parametrize("table, field, failing", [
+        ("branch", "du", {"first-law"}),
+        ("ensemble", "w_budget", {"work-energy-budget"}),
+        ("ensemble", "sigma_first_law", {"second-law-positivity",
+                                         "entropy-production-forms"}),
+        ("ensemble", "sigma_rel_ent", {"entropy-production-forms"})])
+    def test_a_nan_in_a_later_ledger_row_fails_its_checks(self, table, field, failing):
+        model = build_model(parse_scenario_dict(scenario_dict()))
+        result = run_verified(model, [0.7, 1.5], prune=1e-14, max_branches=256)
+        ledger = evaluate_run(result)
+        if table == "branch":
+            t, rows = list(ledger.branch_rows.items())[-1]
+            rows = (*rows[:-1], dataclasses.replace(rows[-1], **{field: np.nan}))
+            ledger = dataclasses.replace(ledger, branch_rows={**ledger.branch_rows, t: rows})
+        else:
+            rows = ledger.ensemble_rows
+            ledger = dataclasses.replace(ledger, ensemble_rows=(
+                *rows[:-1], dataclasses.replace(rows[-1], **{field: np.nan})))
+        checks = {c.name: c for c in verify_model(model, result, ledger,
+                                                  rng=np.random.default_rng(0))}
+        assert {n for n, c in checks.items() if not c.passed} == failing
+        assert all(np.isnan(checks[n].value) for n in failing)
+
 
 def givens(d, i, j, theta):
     """Real rotation by theta in the (i, j) plane of a d-dimensional space."""
