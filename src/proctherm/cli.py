@@ -203,7 +203,7 @@ def cmd_dilate(args) -> int:
 
 
 def _complex_rows(mat: np.ndarray) -> list[list[str]]:
-    return [[f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}i"
+    return [[f"{float(v.real)!r}{'+' if v.imag >= 0 else '-'}{float(abs(v.imag))!r}i"
              for v in row] for row in np.asarray(mat, dtype=complex)]
 
 

@@ -134,7 +134,8 @@ def dilate_instrument(inst: Instrument, ancilla_dim: int | None = None) -> Dilat
 
 def apply_dilated(dr: DilationResult, rho_s: np.ndarray,
                   outcome: int | None = None) -> np.ndarray:
-    """Reduced action of the dilation: tr_anc{P U (rho (x) ref) U' P}.
+    """Reduced action of the dilation: tr_anc{P U (rho (x) ref) U' P}, on one
+    system matrix or on each of a stack of them.
 
     ``outcome`` selects a projector block (None for the unconditional
     channel).  Returns the unnormalized system state.
@@ -151,21 +152,15 @@ def apply_dilated(dr: DilationResult, rho_s: np.ndarray,
 
 def reconstruction_error(dr: DilationResult, inst: Instrument) -> float:
     """Worst entrywise gap between the dilated and the Kraus action of each
-    outcome of ``inst``, over every matrix unit E_ij of the system.
+    outcome of ``inst`` on the (d^2, d, d) stack of every matrix unit E_ij.
 
     The full operator basis matters: a dilation can act correctly on every
-    diagonal input and still get the coherences wrong.
-    """
+    diagonal input and still get the coherences wrong."""
     d = dr.system_dim
-    worst = 0.0
-    for r, (_, cp) in enumerate(inst.outcomes):
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                direct = sum(k @ e @ dagger(k) for k in cp.kraus)
-                worst = max(worst, max_norm(apply_dilated(dr, e, outcome=r) - direct))
-    return worst
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return max([0.0] + [max_norm(apply_dilated(dr, units, outcome=r)
+                                 - sum(k @ units @ dagger(k) for k in cp.kraus))
+                        for r, (_, cp) in enumerate(inst.outcomes)])
 
 
 def dephasing_error(hw: DilationResult) -> float:

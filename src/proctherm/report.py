@@ -12,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from . import __version__
 from .simulate import RunResult
@@ -99,22 +101,24 @@ def _scalar_types(values) -> bool:
 class _Table:
     """Rows of scalar cells under fixed columns, each cell formatted once.
 
-    One C-encoder call per column gives every cell's JSON token.  The same
+    ``values`` holds the cells per column, from ``rows`` (dicts) or given.
+    One C-encoder call per column gives every cell's JSON token; the same
     text, spelled for CSV (``nan``, ``inf``, an empty field for None, a
     string unquoted), is the cell's CSV field.
     """
 
-    def __init__(self, columns, rows: list[dict[str, Any]]):
+    def __init__(self, columns, rows: list[dict[str, Any]] | None, values: list | None = None):
         self.columns, self.rows = tuple(columns), rows
-        self.values = [[row.get(c) for row in rows] for c in self.columns]
-        self.tokens = [_tokens(values) for values in self.values]
+        self.values = values if rows is None else [[row.get(c) for row in rows]
+                                                   for c in self.columns]
+        self.tokens = [_tokens(v) for v in self.values]
 
     def json(self, nl: str) -> str:
         """The rows as the indented JSON list :func:`dumps` writes for them."""
-        if not self.rows:
+        if not self.values[0]:
             return "[]"
         names = set(self.columns)
-        if any(row.keys() != names for row in self.rows):
+        if self.rows is not None and any(row.keys() != names for row in self.rows):
             return _encode(list(self.rows), nl)
         mid, deep = nl + "  ", nl + "    "
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
@@ -152,8 +156,8 @@ class ReportBundle:
     seed: int
     checksum: str
     tolerances: dict[str, float]
-    branch_rows: list[dict[str, Any]] = field(default_factory=list)
-    ensemble_rows: list[dict[str, Any]] = field(default_factory=list)
+    branches: _Table
+    ensemble: _Table
     equivalence: list[dict[str, Any]] | None = None
     checks: list[dict[str, Any]] | None = None
     pruned_mass: float = 0.0
@@ -161,6 +165,10 @@ class ReportBundle:
     version: str = __version__
 
     def to_dict(self) -> dict[str, Any]:
+        return self._doc(*([dict(zip(t.columns, cells)) for cells in zip(*t.values)]
+                           for t in (self.branches, self.ensemble)))
+
+    def _doc(self, branch_rows, ensemble_rows) -> dict[str, Any]:
         return {
             "scenario": self.scenario_name,
             "mode": self.mode,
@@ -170,41 +178,26 @@ class ReportBundle:
             "tolerances": self.tolerances,
             "pruned_mass": self.pruned_mass,
             "control_caveat": self.control_caveat,
-            "branch_rows": self.branch_rows,
-            "ensemble_rows": self.ensemble_rows,
+            "branch_rows": branch_rows,
+            "ensemble_rows": ensemble_rows,
             "equivalence": self.equivalence,
             "checks": self.checks,
         }
 
     def to_json(self) -> str:
-        return self._json(*self._tables())
-
-    def branches_csv(self) -> str:
-        return _Table(BRANCH_COLUMNS, self.branch_rows).csv()
-
-    def ensemble_csv(self) -> str:
-        return _Table(ENSEMBLE_COLUMNS, self.ensemble_rows).csv()
+        return dumps(self._doc(self.branches, self.ensemble))
 
     def write(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        branches, ensemble = self._tables()
         written = []
-        for fname, text in (("report.json", self._json(branches, ensemble)),
-                            ("branches.csv", branches.csv()),
-                            ("ensemble.csv", ensemble.csv())):
+        for fname, text in (("report.json", self.to_json()),
+                            ("branches.csv", self.branches.csv()),
+                            ("ensemble.csv", self.ensemble.csv())):
             path = outdir / fname
             path.write_text(text, encoding="utf-8")
             written.append(path)
         return written
-
-    def _tables(self) -> tuple[_Table, _Table]:
-        return (_Table(BRANCH_COLUMNS, self.branch_rows),
-                _Table(ENSEMBLE_COLUMNS, self.ensemble_rows))
-
-    def _json(self, branches: _Table, ensemble: _Table) -> str:
-        return dumps({**self.to_dict(), "branch_rows": branches,
-                      "ensemble_rows": ensemble})
 
 
 def record_string(labels: tuple[str, ...]) -> str:
@@ -217,18 +210,20 @@ def bundle_from_run(result: RunResult, ledger: ThermoLedger, *, mode: str,
                     seed: int, checksum: str, tolerances: Tolerances,
                     equivalence: list[dict] | None = None,
                     checks: list[dict] | None = None) -> ReportBundle:
-    # every branch column after time and record is a BranchThermo attribute
-    branch_rows = [{"time": t, "record": record_string(r.labels),
-                    **{c: getattr(r, c) for c in BRANCH_COLUMNS[2:]}}
-                   for t, rows in ledger.branch_rows.items() for r in rows]
-    ensemble_rows = [{c: getattr(row, c) for c in ENSEMBLE_COLUMNS}
-                     for row in ledger.ensemble_rows]
+    tables = ledger.branch_rows.items()
+    numbers = [[getattr(rows, c) for c in BRANCH_COLUMNS[2:]] for _, rows in tables]
+    branches = _Table(BRANCH_COLUMNS, None, [
+        [t for t, rows in tables for _ in range(len(rows))],
+        [record_string(labels) for _, rows in tables for labels in rows.labels],
+        *np.concatenate([np.zeros((len(BRANCH_COLUMNS) - 2, 0)), *numbers], axis=1).tolist()])
+    ensemble = _Table(ENSEMBLE_COLUMNS, [{c: getattr(row, c) for c in ENSEMBLE_COLUMNS}
+                                         for row in ledger.ensemble_rows])
     model = result.model
     caveat = model.has_sb_coupling() and any(s.window_width is None for s in model.steps)
     return ReportBundle(
         scenario_name=model.name, mode=mode, seed=seed,
         checksum=checksum, tolerances=tolerances.as_dict(),
-        branch_rows=branch_rows, ensemble_rows=ensemble_rows,
+        branches=branches, ensemble=ensemble,
         equivalence=equivalence, checks=checks,
         pruned_mass=result.final.pruned_mass,
         control_caveat=CONTROL_CAVEAT if caveat else None)

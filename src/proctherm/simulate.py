@@ -22,22 +22,22 @@ control kick is booked from the energy change it causes, which requires
 the system-bath coupling term (flagged, since that is not operationally
 accessible).
 
-The ledger stores one :class:`Branch` per record.  Each event (an
-interval of evolution, or a step) groups the branches that share a
-support, a drive timeline and an applied drive, and at a step also the
-step's control hardware, and stacks each group's states into one (N, D, D)
-array: the group evolves under the shared propagators, books its switch
-and control work as vectors, is read out with one partial trace per
-marginal and splits by outcome into child stacks.  The children are
-stored again as branches, in parent-major, label order.  The thermodynamic
-evaluation and the checks stack their groups the same way.
+The ledger stores groups of records that share a support and a node (see
+:meth:`AutonomousModel.node`), their states as one (N, D, D) stack
+and each work tally as a length-N array.  Each event resolves a group's
+drive and hardware once and evolves, books and reads out its stack as one;
+a step splits it by outcome into child groups.  Ledger order (parent-major,
+then label order) is one index array, applied where rows are emitted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import compress
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .tolerances import DEFAULT, HERMITIAN
 __all__ = [
     "AutonomousModel",
     "Branch",
+    "BranchGroup",
     "BranchLedger",
     "StepTrace",
     "PrefixTrace",
@@ -70,7 +71,7 @@ __all__ = [
     "RunResult",
     "Snapshot",
     "ancilla_label",
-    "stacked_groups",
+    "join_groups",
     "survives_prune",
 ]
 
@@ -215,8 +216,12 @@ class AutonomousModel:
     mean_force_bare: bool = False
     name: str = "model"
     gibbs_initial: bool = field(init=False)
+    nodes: frozenset = field(init=False)    # every prefix of a declared prefix
 
     def __post_init__(self):
+        declared = [p for spec in self.steps for p in spec.controls]
+        object.__setattr__(self, "nodes", frozenset(
+            p[:i] for p in [(), *declared, *self.protocol.variants] for i in range(len(p) + 1)))
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_spectra", {})
         object.__setattr__(self, "gibbs_initial", self.sb_init is None)
@@ -395,6 +400,11 @@ class AutonomousModel:
         """Control hardware for step k given the outcome prefix."""
         return deepest_prefix(self.steps[k].controls, prefix)[0]
 
+    def node(self, record: tuple[str, ...]) -> tuple[str, ...]:
+        """The longest prefix of ``record`` in :attr:`nodes`: the records that
+        share it resolve the same hardware and timeline at every later event."""
+        return next(record[:i] for i in range(len(record), -1, -1) if record[:i] in self.nodes)
+
 
 def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
     """v with proj = |v><v|, or None.
@@ -422,12 +432,10 @@ def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """Unnormalized conditional state plus per-trajectory work tallies.
-
-    ``labels`` is the outcome record.  ``state`` holds the factors in
-    ``support``; an ancilla factored out after a rank-1 readout is pure and
-    enters only through ``e_factored``.
-    """
+    """One record's unnormalized conditional state and work tallies, a view of
+    its row in a :class:`BranchGroup`.  ``state`` holds the factors in
+    ``support``; an ancilla factored out after a rank-1 readout enters only
+    through ``e_factored``."""
 
     labels: tuple[str, ...]
     state: np.ndarray
@@ -444,39 +452,84 @@ class Branch:
         return float(np.real(np.trace(self.state)))
 
 
-def stacked_groups(branches: Iterable[Branch], key: Callable[[Branch], Hashable]
-                   ) -> list[tuple[list[Branch], np.ndarray]]:
-    """``branches`` grouped by ``key``, in order of first appearance, each
-    group with its states stacked as one (N, D, D) array.  A group of one
-    stacks as a view of its state, without a copy."""
-    groups: dict[Hashable, list[Branch]] = {}
-    for br in branches:
-        groups.setdefault(key(br), []).append(br)
-    return [(g, g[0].state[None] if len(g) == 1 else np.stack([br.state for br in g]))
-            for g in groups.values()]
+_TALLIES = ("w_sys", "w_ctrl", "w_meas", "w_meas_alt", "e_factored")
+
+
+@dataclass(frozen=True, eq=False)
+class BranchGroup:
+    """The records that share a support, a node and hence the drive ``h_sys``;
+    row i of the (N, D, D) ``states`` and of each tally is ``records[i]``'s."""
+
+    records: tuple[tuple[str, ...], ...]
+    support: tuple[str, ...]
+    h_sys: np.ndarray
+    states: np.ndarray
+    w_sys: np.ndarray
+    w_ctrl: np.ndarray
+    w_meas: np.ndarray
+    w_meas_alt: np.ndarray
+    e_factored: np.ndarray
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.trace(self.states, axis1=1, axis2=2).real
 
 
 @dataclass(frozen=True, eq=False)
 class BranchLedger:
-    """Branches at one instant, keyed by their outcome labels."""
+    """The records at one instant: groups in the order of their first records,
+    rows in ledger order.  ``order[i]`` is the row of the i-th record among the
+    groups' rows joined; ``branches`` holds read-only :class:`Branch` views."""
 
     time: float
-    branches: dict[tuple[str, ...], Branch]
+    groups: tuple[BranchGroup, ...]
+    order: np.ndarray
     pruned_mass: float = 0.0
     steps_done: int = 0
 
+    def in_order(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """One array per group, rows first, joined in ledger order."""
+        return np.concatenate(columns)[self.order] if columns else np.zeros(0)
+
+    def positions(self) -> Iterator[np.ndarray]:
+        """The ledger position of each row, one array per group."""
+        position, start = np.argsort(self.order), 0
+        for g in self.groups:
+            yield position[start:start + len(g.records)]
+            start += len(g.records)
+
+    @cached_property
+    def records(self) -> list[tuple[str, ...]]:
+        rows = [labels for g in self.groups for labels in g.records]
+        return [rows[i] for i in self.order.tolist()]
+
+    @cached_property
+    def branches(self) -> Mapping[tuple[str, ...], Branch]:
+        views = [Branch(labels, state, g.support, *tallies, g.h_sys)
+                 for g in self.groups for labels, state, *tallies in zip(
+                     g.records, g.states, *(getattr(g, t).tolist() for t in _TALLIES))]
+        return MappingProxyType({views[i].labels: views[i] for i in self.order.tolist()})
+
     def total_weight(self) -> float:
-        return sum(b.weight for b in self.branches.values())
+        return sum(self.in_order([g.weights for g in self.groups]).tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class PrefixTrace:
-    """Per-parent-branch record of one intervention.
+def join_groups(parts: Sequence[tuple[BranchGroup, np.ndarray]]) -> tuple[BranchGroup, np.ndarray]:
+    """Groups with a sort key per row, joined in key order (support and
+    drive from the first), and the sorted keys."""
+    if len(parts) == 1:
+        return parts[0]
+    keys = np.concatenate([key for _, key in parts])
+    by = np.argsort(keys)
+    records = [labels for g, _ in parts for labels in g.records]
+    return replace(parts[0][0], records=tuple(records[i] for i in by.tolist()), **{
+        name: _frozen(np.concatenate([getattr(g, name) for g, _ in parts])[by])
+        for name in ("states", *_TALLIES)}), keys[by]
 
-    ``weight`` is the parent branch weight; the dicts are keyed by outcome
-    label: the outcome probability conditional on the parent and the
-    measurement work in the ancilla-energy and knowledge-update conventions.
-    """
+
+class PrefixTrace(NamedTuple):
+    """A parent record's weight and, per outcome label, the conditional outcome
+    probability and the measurement work in both conventions."""
 
     weight: float
     cond_probs: dict[str, float]
@@ -486,24 +539,30 @@ class PrefixTrace:
 
 @dataclass(frozen=True, eq=False)
 class StepTrace:
-    """All conditioning data gathered while executing one step."""
+    """All conditioning data gathered while executing one step, per parent
+    record (in ledger order) and outcome; ``per_prefix`` keys it by record."""
 
-    per_prefix: dict[tuple[str, ...], PrefixTrace]    # keyed by parent labels
+    labels: tuple[str, ...]
+    parents: list[tuple[str, ...]]
+    weights: np.ndarray
+    cond_probs: np.ndarray
+    w_meas: np.ndarray
+    w_meas_alt: np.ndarray
+
+    @cached_property
+    def per_prefix(self) -> Mapping[tuple[str, ...], PrefixTrace]:
+        dicts = ([dict(zip(self.labels, row)) for row in x.tolist()]
+                 for x in (self.cond_probs, self.w_meas, self.w_meas_alt))
+        return MappingProxyType(dict(zip(self.parents, map(
+            PrefixTrace, self.weights.tolist(), *dicts))))
 
     def average_work_gap(self) -> float:
-        """| sum_r p(r) (w_meas - w_meas_alt) |, the convention gap."""
-        total = 0.0
-        for tr in self.per_prefix.values():
-            for label, p in tr.cond_probs.items():
-                total += tr.weight * p * (tr.w_meas[label] - tr.w_meas_alt[label])
-        return abs(total)
+        """| sum_r p(r) (w_meas - w_meas_alt) |, summed in ledger and label order."""
+        terms = self.weights[:, None] * self.cond_probs * (self.w_meas - self.w_meas_alt)
+        return abs(float(np.cumsum(np.append(0.0, terms))[-1]))
 
     def max_branch_gap(self) -> float:
-        gap = 0.0
-        for tr in self.per_prefix.values():
-            for label in tr.cond_probs:
-                gap = max(gap, abs(tr.w_meas[label] - tr.w_meas_alt[label]))
-        return gap
+        return float(np.max(np.abs(self.w_meas - self.w_meas_alt), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,9 +585,9 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 def survives_prune(p: float, prune: float) -> bool:
-    """Whether a record of probability ``p`` is kept at threshold ``prune``;
-    a record of zero probability never is."""
-    return p > 0 and p >= prune
+    """Whether a record of probability ``p`` (or each of an array) is kept
+    at threshold ``prune``; a record of zero probability never is."""
+    return (p > 0) & (p >= prune)
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -547,25 +606,9 @@ def _contract_last(state: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("a,...iaj->...ij", v.conj(), half)
 
 
-class _Stack:
-    """One group of branches through one event: their states as one stack
-    ``states`` (N, D, D) on ``support``, and the tallies an event changes
-    before readout as length-N arrays.  ``weights`` are the traces at the
-    start of the event."""
-
-    def __init__(self, group: list[Branch], states: np.ndarray):
-        self.prefix = group[0].labels
-        self.support = group[0].support
-        self.states = states
-        self.weights = np.trace(states, axis1=1, axis2=2).real
-        self.w_sys = np.array([br.w_sys for br in group])
-        self.w_ctrl = np.array([br.w_ctrl for br in group])
-        self.h_sys = group[0].h_sys_applied
-
-
 class Simulator:
     """Drives a :class:`BranchLedger` through the scheduled interventions,
-    one stacked group of branches at a time (see the module docstring)."""
+    one group at a time (see the module docstring)."""
 
     def __init__(self, model: AutonomousModel, prune: float = DEFAULT.prune,
                  max_branches: int = 4096):
@@ -573,36 +616,22 @@ class Simulator:
         self.prune = float(prune)
         self.max_branches = int(max_branches)
 
-    # -- construction -------------------------------------------------------
-
-    def initial_ledger(self) -> BranchLedger:
-        model = self.model
-        br = Branch(labels=(), state=_frozen(model.sb_init.mat),
-                    support=model.registry.canonical(("S", "B")),
-                    h_sys_applied=model.protocol.base[0].h_system)
-        return BranchLedger(time=model.protocol.t_start, branches={(): br})
-
-    def _key(self, br: Branch) -> tuple:
-        """What the branches of one group share: support, drive timeline and
-        applied drive."""
-        return (br.support, id(self.model.protocol.timeline(br.labels)),
-                id(br.h_sys_applied))
-
     # -- evolution ----------------------------------------------------------
 
-    def _switch(self, st: _Stack, seg: Segment, space: _Space, states: np.ndarray) -> None:
-        """Apply ``seg``'s drive to a group, booking the work of the switch
-        as the jump in the drive's expectation in ``states``: the group's
-        states, or marginals of them that hold S, on ``space``."""
-        if seg.h_system is st.h_sys:
-            return
-        jump = expect_herm(seg.h_system - st.h_sys, space.ptrace(states, ["S"]))
-        st.w_sys = st.w_sys + jump / st.weights
-        st.h_sys = seg.h_system
+    def _switch(self, w_sys: np.ndarray, h_sys: np.ndarray, seg: Segment, space: _Space,
+                states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The driving work ``w_sys`` and drive ``h_sys`` of a group after a
+        switch to ``seg``'s drive, booked per unit ``weights`` as the jump in
+        the drive's expectation in ``states``: the group's states, or
+        marginals of them that hold S, on ``space``."""
+        if seg.h_system is h_sys:
+            return w_sys, h_sys
+        jump = expect_herm(seg.h_system - h_sys, space.ptrace(states, ["S"]))
+        return w_sys + jump / weights, seg.h_system
 
-    def _evolve(self, st: _Stack, t_from: float, t_to: float, cache: dict,
-                window: int | None = None) -> None:
-        """Evolve a group over (t_from, t_to] under its drive, with step
+    def _evolve(self, g: BranchGroup, t_from: float, t_to: float, cache: dict,
+                weights: np.ndarray, window: int | None = None) -> BranchGroup:
+        """``g`` evolved over (t_from, t_to] under its drive, with step
         ``window``'s control window open when given; ``cache`` holds the
         propagators of this event interval (see :meth:`_Space.propagators`).
 
@@ -613,23 +642,24 @@ class Simulator:
         support, the marginals are the states.
         """
         model = self.model
-        space = model.space(st.support)
+        space = model.space(g.support)
         block = _block(window)
         block_space = model.space(block)
-        whole = block == st.support
-        marginal = st.states if whole else space.ptrace(st.states, block)
+        whole = block == g.support
+        marginal = g.states if whole else space.ptrace(g.states, block)
         composed: dict[tuple[str, ...], np.ndarray] = {}
-        for seg, a, b in model.protocol.iter_segments(t_from, t_to, st.prefix):
-            self._switch(st, seg, block_space, marginal)
+        w_sys, h_sys = g.w_sys, g.h_sys
+        for seg, a, b in model.protocol.iter_segments(t_from, t_to, model.node(g.records[0])):
+            w_sys, h_sys = self._switch(w_sys, h_sys, seg, block_space, marginal, weights)
             for labels, u in space.propagators(seg, a, b, window, cache):
                 if labels == block:
                     marginal = u @ marginal @ dagger(u)
                 if not whole:
                     composed[labels] = u @ composed[labels] if labels in composed else u
-        states = marginal if whole else st.states
+        states = marginal if whole else g.states
         for labels, u in composed.items():
             states = space.apply(u, labels, states)
-        st.states = _frozen(states)
+        return replace(g, states=_frozen(states), w_sys=w_sys, h_sys=h_sys)
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
         if before(t, ledger.time):
@@ -637,17 +667,8 @@ class Simulator:
         if not before(ledger.time, t):
             return ledger
         cache: dict = {}
-        advanced: dict[tuple[str, ...], Branch] = {}
-        for group, states in stacked_groups(ledger.branches.values(), self._key):
-            st = _Stack(group, states)
-            self._evolve(st, ledger.time, t, cache)
-            for br, state, w_sys in zip(group, st.states, st.w_sys.tolist()):
-                advanced[br.labels] = Branch(
-                    br.labels, state, br.support, w_sys=w_sys, w_ctrl=br.w_ctrl,
-                    w_meas=br.w_meas, w_meas_alt=br.w_meas_alt,
-                    e_factored=br.e_factored, h_sys_applied=st.h_sys)
-        branches = {labels: advanced[labels] for labels in ledger.branches}
-        return BranchLedger(t, branches, ledger.pruned_mass, ledger.steps_done)
+        return replace(ledger, time=t, groups=tuple(
+            self._evolve(g, ledger.time, t, cache, g.weights) for g in ledger.groups))
 
     # -- one intervention ---------------------------------------------------
 
@@ -663,106 +684,114 @@ class Simulator:
         anc = ancilla_label(k)
         t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
         cache: dict = {}    # the window's propagators
-        # per parent record: its trace and its (probability, child or None
-        # if pruned) per outcome, in label order
-        split: dict[tuple[str, ...], tuple[PrefixTrace, list]] = {}
-
-        def key(br):
-            return self._key(br) + (id(deepest_prefix(spec.controls, br.labels)),)
-
-        for group, states in stacked_groups(ledger.branches.values(), key):
-            hw, vectors = deepest_prefix(spec.controls, group[0].labels)
-            st = _Stack(group, states)
-            weights = st.weights
-            support = st.support
+        labels = spec.controls[()][0].outcome_labels    # every prefix's hardware has them
+        trace, children, pruned = [], [], []
+        for g, position in zip(ledger.groups, ledger.positions()):
+            node = model.node(g.records[0])
+            hw, vectors = deepest_prefix(spec.controls, node)
+            weights, support, w_sys, h_sys = g.weights, g.support, g.w_sys, g.h_sys
             # --- preparation: fresh ancilla joins at the end of the support
-            st.support = support + (anc,)
-            space = model.space(st.support)
-            n, d, a = len(group), states.shape[-1], hw.ancilla_dim
-            prepped = (states[:, :, None, :, None]
+            n, d, a = len(g.records), g.states.shape[-1], hw.ancilla_dim
+            prepped = (g.states[:, :, None, :, None]
                        * hw.ancilla_state[:, None, :]).reshape(n, d * a, d * a)
+            space = model.space(support + (anc,))
             # --- control; the kick is booked as the energy change it causes,
             # coupling term included
             if spec.window_width is None:
                 ctrl = space.apply(hw.unitary, ("S", anc), prepped)
-                h = space.hamiltonian(st.support, st.h_sys)
-                st.w_ctrl = st.w_ctrl + expect_herm(h, ctrl - prepped) / weights
+                h = space.hamiltonian(space.support, h_sys)
+                w_ctrl = g.w_ctrl + expect_herm(h, ctrl - prepped) / weights
             else:
                 # the window coupling V is switched on, evolves with the drive
                 # and is switched off at readout, each switch booked as the
                 # jump in <V>; a drive switch on the window's end comes first
-                st.states = prepped
                 on = expect_herm(spec.window, space.ptrace(prepped, ["S", anc]))
-                st.w_ctrl = st.w_ctrl + on / weights
-                self._evolve(st, spec.time, t_meas, cache, k)
-                ctrl = st.states
-                self._switch(st, model.protocol.segment_at(t_meas, st.prefix), space, ctrl)
+                window = self._evolve(replace(g, support=space.support, states=prepped,
+                                              w_ctrl=g.w_ctrl + on / weights),
+                                      spec.time, t_meas, cache, weights, k)
+                ctrl = window.states
+                w_sys, h_sys = self._switch(window.w_sys, window.h_sys, model.protocol.segment_at(
+                    t_meas, node), space, ctrl, weights)
                 off = expect_herm(spec.window, space.ptrace(ctrl, ["S", anc]))
-                st.w_ctrl = st.w_ctrl - off / weights
+                w_ctrl = window.w_ctrl - off / weights
             # --- readout energies before conditioning; the system+ancilla
             # energy splits into the parent's factors and the new ancilla
             sa_labels = tuple(l for l in support if l != "B")
-            h_sa = space.hamiltonian(sa_labels, st.h_sys)
+            h_sa = space.hamiltonian(sa_labels, h_sys)
             e_sa_before = expect_herm(h_sa, space.ptrace(ctrl, sa_labels)) / weights
             e_anc_before = expect_herm(spec.h_ancilla, space.ptrace(ctrl, [anc])) / weights
             # --- conditioning on the recorded outcome; a child of zero
             # probability reads zero energies
             outcomes = []
-            for r, (label, v) in enumerate(zip(hw.outcome_labels, vectors)):
+            for r, v in enumerate(vectors):
                 if v is None:
-                    child, child_support = space.apply(hw.projectors[r], (anc,), ctrl), st.support
+                    child = space.apply(hw.projectors[r], (anc,), ctrl)
+                    child_support = space.support
                 else:
                     child, child_support = _contract_last(ctrl, v), support
                 p = np.trace(child, axis1=1, axis2=2).real
                 inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0)
                 child_space = model.space(child_support)
-                if v is None:
-                    e_anc = expect_herm(spec.h_ancilla, child_space.ptrace(child, [anc])) * inv_p
-                    e_factored = np.zeros(n)
-                else:
-                    e_anc = e_factored = np.where(
-                        p > 0, expect_herm(spec.h_ancilla, np.outer(v, v.conj())), 0.0)
+                e_anc = (expect_herm(spec.h_ancilla, child_space.ptrace(child, [anc])) * inv_p
+                         if v is None else
+                         np.where(p > 0, expect_herm(spec.h_ancilla, np.outer(v, v.conj())), 0.0))
                 w_meas = e_anc - e_anc_before
                 w_alt = (w_meas + expect_herm(h_sa, child_space.ptrace(child, sa_labels)) * inv_p
                          - e_sa_before)
-                outcomes.append((label, _frozen(child), child_support, p.tolist(),
-                                 e_factored.tolist(), w_meas.tolist(), w_alt.tolist()))
-            w_sys, w_ctrl, weights = st.w_sys.tolist(), st.w_ctrl.tolist(), weights.tolist()
-            for i, br in enumerate(group):
-                kids, cond_probs, meas, meas_alt = [], {}, {}, {}
-                for label, child, child_support, p, e_fac, w_meas, w_alt in outcomes:
-                    cond_probs[label] = p[i] / weights[i]
-                    meas[label], meas_alt[label] = w_meas[i], w_alt[i]
-                    kids.append((p[i], Branch(
-                        br.labels + (label,), child[i], child_support,
-                        w_sys=w_sys[i], w_ctrl=w_ctrl[i],
-                        w_meas=br.w_meas + w_meas[i], w_meas_alt=br.w_meas_alt + w_alt[i],
-                        e_factored=br.e_factored + e_fac[i], h_sys_applied=st.h_sys)
-                        if survives_prune(p[i], self.prune) else None))
-                split[br.labels] = (PrefixTrace(weights[i], cond_probs, meas, meas_alt), kids)
+                outcomes.append((child, child_support, p, np.zeros(n) if v is None else e_anc,
+                                 w_meas, w_alt))
+            states, supports, *columns = zip(*outcomes)
+            readout = np.array(columns)   # (4, R, n): p, e_factored, w_meas, w_meas_alt
+            trace.append(np.concatenate([weights[:, None], (readout[0] / weights).T,
+                                         readout[2].T, readout[3].T], axis=1))
+            kept = survives_prune(readout[0], self.prune)
+            # a child's key, its parent's position then its outcome, sorts in ledger order
+            keys = position * len(labels) + np.arange(len(labels))[:, None]
+            if not kept.all():
+                pruned.append((keys[~kept], readout[0][~kept]))
+            # every child's tallies (5, R, n); children sharing a support and a node
+            # form one group, its rows parent-major
+            tallies = np.array([w_sys[None].repeat(len(labels), 0),
+                                w_ctrl[None].repeat(len(labels), 0), g.w_meas + readout[2],
+                                g.w_meas_alt + readout[3], g.e_factored + readout[1]])
+            classes: dict[tuple, list[int]] = {}
+            for r, label in enumerate(labels):
+                child_node = model.node(g.records[0] + (label,))
+                classes.setdefault((supports[r], child_node), []).append(r)
+            for (child_support, _), rs in classes.items():
+                run = slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else rs
+                keep = kept[run].T.ravel()
+                if keep.any():
+                    pick = slice(None) if keep.all() else keep
+                    stack = states[rs[0]] if len(rs) == 1 else np.stack(
+                        [states[r] for r in rs], axis=1).reshape((-1,) + states[rs[0]].shape[1:])
+                    records = (rec + (labels[r],) for rec in g.records for r in rs)
+                    children.append((keys[run].T.ravel()[pick], BranchGroup(
+                        tuple(compress(records, keep)), child_support, h_sys, _frozen(stack[pick]),
+                        *tallies[:, run].transpose(0, 2, 1).reshape(len(tallies), -1)[:, pick])))
 
-        # children in parent-major, label order
-        new_branches: dict[tuple[str, ...], Branch] = {}
-        traces: dict[tuple[str, ...], PrefixTrace] = {}
-        pruned = ledger.pruned_mass
-        for labels in ledger.branches:
-            traces[labels], kids = split[labels]
-            for p, child in kids:
-                if child is None:
-                    pruned += p
-                else:
-                    new_branches[child.labels] = child
-        if len(new_branches) > self.max_branches:
-            raise RuntimeError(f"branch count {len(new_branches)} exceeds the "
-                               f"limit {self.max_branches}")
-        out = BranchLedger(t_meas, new_branches, pruned, steps_done=k + 1)
-        return out, StepTrace(traces)
+        children.sort(key=lambda child: child[0][0])
+        keys = np.concatenate([np.zeros(0, int), *(key for key, _ in children)])
+        if len(keys) > self.max_branches:
+            raise RuntimeError(f"branch count {len(keys)} exceeds the limit {self.max_branches}")
+        pruned_mass = ledger.pruned_mass
+        if pruned:    # summed in ledger order
+            lost, mass = (np.concatenate(x) for x in zip(*pruned))
+            pruned_mass = float(np.cumsum(np.append(pruned_mass, mass[np.argsort(lost)]))[-1])
+        out = BranchLedger(t_meas, tuple(g for _, g in children), np.argsort(keys), pruned_mass,
+                           k + 1)
+        r = len(labels)
+        table = ledger.in_order(trace or [np.zeros((0, 1 + 3 * r))])
+        return out, StepTrace(labels, ledger.records, table[:, 0], table[:, 1:1 + r],
+                              table[:, 1 + r:1 + 2 * r], table[:, 1 + 2 * r:])
 
     # -- full run -----------------------------------------------------------
 
     def run(self, report_times: Sequence[float] = ()) -> RunResult:
         model = self.model
-        ledger = self.initial_ledger()
+        ledger = BranchLedger(model.protocol.t_start, (BranchGroup(
+            ((),), model.registry.canonical(("S", "B")), model.protocol.base[0].h_system,
+            _frozen(model.sb_init.mat[None]), *[_frozen(np.zeros(1))] * 5),), np.zeros(1, int))
         initial = Snapshot(ledger.time, ledger)
         times = sorted(set(float(t) for t in report_times))
         for t in times:

@@ -37,8 +37,9 @@ entropy offsets, so nothing jumps when it starts interacting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import compress
 
 import numpy as np
 
@@ -52,18 +53,13 @@ from .algebra import (
     ptrace_factors,
     vn_entropy_mat,
 )
-from .simulate import (
-    Branch,
-    RunResult,
-    Snapshot,
-    StepTrace,
-    stacked_groups,
-)
+from .simulate import BranchGroup, BranchLedger, RunResult, Snapshot, StepTrace, join_groups
 
 __all__ = [
     "MeanForceData",
     "mean_force_hamiltonian",
     "BranchThermo",
+    "BranchRows",
     "EnsembleThermo",
     "ThermoLedger",
     "ThermoEvaluator",
@@ -187,21 +183,22 @@ class BranchThermo:
     s: float
     f: float
 
-    @property
-    def w(self) -> float:
-        return self.w_sys + self.w_ctrl + self.w_meas
+    w = property(lambda self: self.w_sys + self.w_ctrl + self.w_meas)
+    w_alt = property(lambda self: self.w_sys + self.w_ctrl + self.w_meas_alt)
+    q = property(lambda self: self.du - self.w)
+    q_alt = property(lambda self: self.du - self.w_alt)
 
-    @property
-    def w_alt(self) -> float:
-        return self.w_sys + self.w_ctrl + self.w_meas_alt
 
-    @property
-    def q(self) -> float:
-        return self.du - self.w
+class BranchRows(BranchThermo, Sequence):
+    """The branch rows of one report time in ledger order, ``labels`` the
+    records and each other field a column; an item is one row."""
 
-    @property
-    def q_alt(self) -> float:
-        return self.du - self.w_alt
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> BranchThermo:
+        return BranchThermo(self.labels[i], *(float(getattr(self, f.name)[i])
+                                              for f in fields(self)[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,12 +230,13 @@ class EnsembleThermo:
 class ThermoLedger:
     """Branch rows per report time, in time order, and ensemble aggregates."""
 
-    branch_rows: dict[float, tuple[BranchThermo, ...]]
+    branch_rows: dict[float, BranchRows]
     ensemble_rows: tuple[EnsembleThermo, ...]
 
 
 class ThermoEvaluator:
-    """Evaluates the thermodynamic functionals over a finished run."""
+    """Evaluates the thermodynamic functionals over a finished run, per stack
+    of the groups that share a support and an applied drive."""
 
     def __init__(self, result: RunResult):
         self.result = result
@@ -283,27 +281,27 @@ class ThermoEvaluator:
     # -- branch rows ---------------------------------------------------------
 
     @staticmethod
-    def _groups(snap: Snapshot):
-        """The branches of ``snap`` that share a support and an applied
-        drive, stacked (see :func:`stacked_groups`)."""
-        return stacked_groups(snap.ledger.branches.values(),
-                              lambda br: (br.support, id(br.h_sys_applied)))
+    def _stacks(ledger: BranchLedger) -> list[tuple[BranchGroup, np.ndarray]]:
+        """The groups of ``ledger`` joined by support and drive, with row positions."""
+        shared: dict[tuple, list] = {}
+        for g, position in zip(ledger.groups, ledger.positions()):
+            shared.setdefault((g.support, id(g.h_sys)), []).append((g, position))
+        return [join_groups(parts) for parts in shared.values()]
 
-    def _pieces(self, snap: Snapshot, group: Sequence[Branch], states: np.ndarray):
-        """(p, u, s_vn_plus_pending, corr, e_bare_anc, h_star_tr) for a group
-        of branches with states ``states``, each as a length-N array."""
+    def _pieces(self, snap: Snapshot, g: BranchGroup):
+        """(p, u, s_vn_plus_pending, corr, e_bare_anc, h_star_tr) for the
+        records of one group, each as a length-N array."""
         model = self.model
-        first = group[0]
-        space = model.space(first.support)
-        p = np.trace(states, axis1=1, axis2=2).real
+        space = model.space(g.support)
+        p = g.weights
         pending = range(snap.ledger.steps_done, model.n_steps)
-        rho_s = space.ptrace(states, ["S"]) / p[:, None, None]
-        sa_labels = tuple(l for l in first.support if l != "B")
+        rho_s = space.ptrace(g.states, ["S"]) / p[:, None, None]
+        sa_labels = tuple(l for l in g.support if l != "B")
         rho_sa = rho_s if sa_labels == ("S",) else \
-            space.ptrace(states, sa_labels) / p[:, None, None]
-        h_star, dh = self._mean_force(first.h_sys_applied)
+            space.ptrace(g.states, sa_labels) / p[:, None, None]
+        h_star, dh = self._mean_force(g.h_sys)
         # factored-out and pending ancillas, then those still in the state
-        e_anc = np.array([br.e_factored for br in group]) + sum(self._e_anc0[i] for i in pending)
+        e_anc = g.e_factored + sum(self._e_anc0[i] for i in pending)
         if space.ancillas:
             e_anc = e_anc + expect_herm(space.hamiltonian(sa_labels), rho_sa)
         corr = expect_herm(dh, rho_s)
@@ -316,8 +314,8 @@ class ThermoEvaluator:
         """(u0, s0, E_bare0) at the initial time."""
         if self._ref is None:
             snap = self.result.initial
-            (group, states), = self._groups(snap)
-            _, u, s_vn, corr, _, _ = (float(x[0]) for x in self._pieces(snap, group, states))
+            (g,) = snap.ledger.groups
+            _, u, s_vn, corr, _, _ = (float(x[0]) for x in self._pieces(snap, g))
             s0 = s_vn + self.beta ** 2 * corr  # single branch: -ln p = 0
             self._ref = (u, s0, self._bare_energy(snap))
         return self._ref
@@ -327,46 +325,40 @@ class ThermoEvaluator:
         model = self.model
         total = 0.0
         tw = 0.0
-        for group, states in self._groups(snap):
-            first = group[0]
-            h = model.space(first.support).hamiltonian(first.support, first.h_sys_applied)
-            weights = np.trace(states, axis1=1, axis2=2).real
-            e_factored = np.array([br.e_factored for br in group])
-            total += float(np.sum(expect_herm(h, states) + weights * e_factored))
+        for g, _ in self._stacks(snap.ledger):
+            h = model.space(g.support).hamiltonian(g.support, g.h_sys)
+            weights = g.weights
+            total += float(np.sum(expect_herm(h, g.states) + weights * g.e_factored))
             tw += float(np.sum(weights))
         total += tw * sum(self._e_anc0[snap.ledger.steps_done:])
         return total
 
-    def branch_rows(self, snap: Snapshot) -> tuple[BranchThermo, ...]:
-        """One row per branch of ``snap`` of positive weight, in ledger
+    def branch_rows(self, snap: Snapshot) -> BranchRows:
+        """The rows of the records of ``snap`` of positive weight, in ledger
         order."""
         u0, _, _ = self._reference()
-        rows: dict[tuple[str, ...], BranchThermo] = {}
-        for group, states in self._groups(snap):
-            pieces = zip(*(x.tolist() for x in self._pieces(snap, group, states)))
-            for br, (p, u, s_vn, corr, e_anc, h_star_tr) in zip(group, pieces):
-                if p <= 0:
-                    continue
-                s = -math.log(p) + s_vn + self.beta ** 2 * corr
-                f = h_star_tr + e_anc + (math.log(p) - s_vn) / self.beta
-                rows[br.labels] = BranchThermo(
-                    labels=br.labels, p=p, u=u, du=u - u0,
-                    w_sys=br.w_sys, w_ctrl=br.w_ctrl,
-                    w_meas=br.w_meas, w_meas_alt=br.w_meas_alt, s=s, f=f)
-        return tuple(rows[labels] for labels in snap.ledger.branches if labels in rows)
+        stacks = self._stacks(snap.ledger)
+        columns = [np.zeros((9, 0))]
+        for g, _ in stacks:
+            p, u, s_vn, corr, e_anc, h_star_tr = self._pieces(snap, g)
+            log_p = np.array([math.log(x) if x > 0 else 0.0 for x in p.tolist()])
+            columns.append(np.array([p, u, u - u0, g.w_sys, g.w_ctrl, g.w_meas, g.w_meas_alt,
+                                     -log_p + s_vn + self.beta ** 2 * corr,
+                                     h_star_tr + e_anc + (log_p - s_vn) / self.beta]))
+        cols = np.concatenate(columns, axis=1)[:, np.argsort(np.concatenate(
+            [np.zeros(0, int), *(pos for _, pos in stacks)]))]
+        kept = cols[0] > 0
+        return BranchRows(list(compress(snap.ledger.records, kept.tolist())), *cols[:, kept])
 
     # -- ensemble ------------------------------------------------------------
 
-    def ensemble(self, snap: Snapshot, rows: Sequence[BranchThermo]) -> EnsembleThermo:
+    def ensemble(self, snap: Snapshot, rows: BranchRows) -> EnsembleThermo:
         """Ensemble aggregates of ``snap`` from its branch rows, as returned
-        by :meth:`branch_rows` for the same snapshot."""
+        by :meth:`branch_rows` for the same snapshot, summed in row order."""
         u0, s0, e0 = self._reference()
-        tw = sum((r.p for r in rows), 0.0)
-        u = sum((r.p * r.u for r in rows), 0.0)
-        s = sum((r.p * r.s for r in rows), 0.0)
-        f = sum((r.p * r.f for r in rows), 0.0)
-        w = sum((r.p * r.w for r in rows), 0.0)
-        w_alt = sum((r.p * r.w_alt for r in rows), 0.0)
+        tw = sum(rows.p.tolist(), 0.0)
+        u, s, f, w, w_alt = (sum((rows.p * x).tolist(), 0.0)
+                             for x in (rows.u, rows.s, rows.f, rows.w, rows.w_alt))
         du = u - tw * u0
         ds = s - tw * s0
         q = du - w
@@ -409,12 +401,9 @@ class ThermoEvaluator:
 def evaluate_run(result: RunResult) -> ThermoLedger:
     """Thermodynamic ledger for every report time of a finished run."""
     ev = ThermoEvaluator(result)
-    branch_rows = {}
-    ensemble_rows = []
-    for snap in result.snapshots:
-        rows = branch_rows[snap.time] = ev.branch_rows(snap)
-        ensemble_rows.append(ev.ensemble(snap, rows))
-    return ThermoLedger(branch_rows, tuple(ensemble_rows))
+    rows = {snap.time: ev.branch_rows(snap) for snap in result.snapshots}
+    return ThermoLedger(rows, tuple(ev.ensemble(snap, rows[snap.time])
+                                    for snap in result.snapshots))
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +447,8 @@ def tpm_work(result: RunResult) -> tuple[TPMRow, ...]:
         raise ConventionError("two-point statistics need at least two "
                               "interventions (initial and final readout)")
     last = result.traces[-1]
-    rows = []
-    for br in result.final.branches.values():
-        w = br.w_sys + work_measurement_alternative(last, br.labels)
-        rows.append(TPMRow(br.labels, br.weight, w))
-    return tuple(rows)
+    return tuple(TPMRow(br.labels, br.weight, br.w_sys + work_measurement_alternative(
+        last, br.labels)) for br in result.final.branches.values())
 
 
 def singular_control_work(state: DensityOperator, u_ctrl: OperatorMatrix,

@@ -20,7 +20,7 @@ from .algebra import max_norm, ptrace_factors
 from .channels import evaluate_process_tensor
 from .dilation import dephasing_error, dephasing_unitary, reconstruction_error
 from .report import record_string
-from .simulate import AutonomousModel, RunResult, Simulator, stacked_groups
+from .simulate import AutonomousModel, RunResult, Simulator
 from .thermo import ThermoLedger, evaluate_run
 from .tolerances import DEFAULT, Tolerances
 
@@ -48,17 +48,14 @@ def _check(name: str, value: float, tol: float, note: str = "") -> CheckResult:
 
 
 def _worst(values) -> float:
-    """The largest of +0.0 and ``values``, or NaN if any value is NaN, so a
-    NaN fails its check.  The built-in ``max`` keeps its first argument when
-    a comparison is false: ``max(0.0, nan)`` is 0.0.  +0.0 leads and only a
-    larger value replaces it, so -0.0 never shows."""
-    worst = 0.0
-    for v in values:
-        if v != v:
-            return math.nan
-        if v > worst:
-            worst = v
-    return float(worst)
+    """The largest of +0.0 and ``values`` (an array, or any iterable of
+    floats), or NaN if any value is NaN, so a NaN fails its check.  The
+    built-in ``max`` keeps its first argument when a comparison is false:
+    ``max(0.0, nan)`` is 0.0.  +0.0 leads and only a larger value replaces
+    it, so -0.0 never shows."""
+    values = values if isinstance(values, np.ndarray) else np.fromiter(values, float)
+    worst = float(np.max(values, initial=0.0))   # NaN if any value is NaN
+    return worst if worst > 0.0 or worst != worst else 0.0
 
 
 def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
@@ -72,20 +69,17 @@ def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
     for snap in result.snapshots:
         records, states = direct[snap.time]
         row_of = {record: i for i, record in enumerate(records)}
-        labels = list(snap.ledger.branches)
-        at = {l: i for i, l in enumerate(labels)}
-        want = states[[row_of[l] for l in labels]]
-        got, p_got = np.empty_like(want), np.empty(len(labels))
-        for group, sb in stacked_groups(snap.ledger.branches.values(),
-                                        lambda br: br.support):
-            idx = [at[br.labels] for br in group]
-            got[idx] = ptrace_factors(sb, model.registry.dims(group[0].support), [0])
-            p_got[idx] = np.trace(sb, axis1=1, axis2=2).real
-        state_dev = np.max(np.abs(got - want), axis=(1, 2))
-        prob_dev = np.abs(p_got - np.trace(want, axis1=1, axis2=2).real)
-        rows += [{"time": snap.time, "record": record_string(l),
+        ledger = snap.ledger
+        state_dev, prob_dev = [], []
+        for g in ledger.groups:
+            want = states[[row_of[labels] for labels in g.records]]
+            got = ptrace_factors(g.states, model.registry.dims(g.support), [0])
+            state_dev.append(np.max(np.abs(got - want), axis=(1, 2)))
+            prob_dev.append(np.abs(g.weights - np.trace(want, axis1=1, axis2=2).real))
+        rows += [{"time": snap.time, "record": record_string(labels),
                   "state_dev": s, "prob_dev": p}
-                 for l, s, p in zip(labels, state_dev.tolist(), prob_dev.tolist())]
+                 for labels, s, p in zip(ledger.records, ledger.in_order(state_dev).tolist(),
+                                         ledger.in_order(prob_dev).tolist())]
     return rows
 
 
@@ -161,26 +155,26 @@ def verify_model(model: AutonomousModel, result: RunResult,
     # --- probability bookkeeping
     p_err = abs(result.final.total_weight() + result.final.pruned_mass - 1.0)
     checks.append(_check("record-probabilities-sum", p_err, tol.prob_total))
-    neg = []
-    for _, states in stacked_groups(result.final.branches.values(), lambda br: br.support):
-        # a non-finite state has no spectrum (eigvalsh raises): it reads NaN
-        neg += ((-np.linalg.eigvalsh(states)[:, 0]).tolist()
-                if np.isfinite(states).all() else [math.nan])
-    checks.append(_check("branch-positivity", _worst(neg), tol.psd))
+    # a non-finite state has no spectrum (eigvalsh raises): it reads NaN
+    neg = [-np.linalg.eigvalsh(g.states)[:, 0] if np.isfinite(g.states).all()
+           else np.array([math.nan]) for g in result.final.groups]
+    checks.append(_check("branch-positivity", _worst(np.concatenate([np.zeros(0), *neg])),
+                         tol.psd))
 
     # --- dynamical equivalence (instantaneous controls only)
     checks += equivalence_checks(model, result, tol)[1]
 
     # --- first law, per branch and ensemble, plus the energy budget
-    first_law = [abs(q - (r.du - w)) for rows in ledger.branch_rows.values()
-                 for r in rows for q, w in ((r.q, r.w), (r.q_alt, r.w_alt))]
-    first_law += [abs(row.q - (row.du - row.w)) for row in ledger.ensemble_rows]
+    first_law = [q - (rows.du - w) for rows in ledger.branch_rows.values()
+                 for q, w in ((rows.q, rows.w), (rows.q_alt, rows.w_alt))]
+    first_law.append(np.array([row.q - (row.du - row.w) for row in ledger.ensemble_rows]))
     budget = _worst(abs(row.w - row.w_budget) for row in ledger.ensemble_rows)
     # both ensemble identities close only over all records
     pruned = result.final.pruned_mass
     pruned_note = (f"pruned mass {pruned:.3e} is missing from the ensemble"
                    if pruned > 0 else "")
-    checks.append(_check("first-law", _worst(first_law), tol.first_law))
+    checks.append(_check("first-law", _worst(np.abs(np.concatenate(first_law))),
+                         tol.first_law))
     checks.append(_check("work-energy-budget", budget, tol.first_law, pruned_note))
 
     # --- measurement-work conventions agree on average

@@ -14,6 +14,7 @@ import pytest
 
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
+import proctherm.protocol as protocol
 import proctherm.simulate as simulate
 import proctherm.thermo as thermo
 from proctherm.simulate import AutonomousModel, Simulator
@@ -154,3 +155,45 @@ def test_partial_traces_and_entropies_per_event_not_per_branch(monkeypatch):
     # the first report also evaluates the initial reference
     assert per_call[4, "branch_rows"][0] == per_call[6, "branch_rows"][0]
     assert len(set(per_call[4, "branch_rows"][1:] + per_call[6, "branch_rows"][1:])) == 1
+
+
+def test_prefix_resolutions_per_event_not_per_branch(monkeypatch):
+    # the records of a group share their node, so each event resolves a
+    # group's drive timeline and step hardware once: it makes the same
+    # number of deepest_prefix and Protocol.timeline calls whether it
+    # holds 2 or 2**6 records
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    per_call = collections.defaultdict(list)   # (n, event) -> [(prefixes, timelines)]
+
+    def per_event(n, event, fn):
+        def wrapper(*args, **kwargs):
+            before = calls["prefix"], calls["timeline"]
+            out = fn(*args, **kwargs)
+            per_call[n, event].append((calls["prefix"] - before[0],
+                                       calls["timeline"] - before[1]))
+            return out
+        return wrapper
+
+    # Protocol.timeline resolves through the deepest_prefix bound in protocol
+    monkeypatch.setattr(simulate, "deepest_prefix", counted("prefix", simulate.deepest_prefix))
+    monkeypatch.setattr(protocol, "deepest_prefix", counted("prefix", protocol.deepest_prefix))
+    monkeypatch.setattr(Protocol, "timeline", counted("timeline", Protocol.timeline))
+    for n in (4, 6):
+        with monkeypatch.context() as m:
+            for event in ("run_step", "advance"):
+                m.setattr(Simulator, event, per_event(n, event, getattr(Simulator, event)))
+            Simulator(probe_model(n)).run(report_times=report_times(n))
+    assert len(per_call[6, "run_step"]) == 6
+    assert len(set(per_call[4, "run_step"] + per_call[6, "run_step"])) == 1
+    assert set(per_call[4, "advance"]) == set(per_call[6, "advance"])
+    # the counts are not vacuous: every step resolves its hardware, and an
+    # advance over an interval its timeline
+    assert all(prefixes > 0 for prefixes, _ in per_call[6, "run_step"])
+    assert any(timelines > 0 for _, timelines in per_call[6, "advance"])

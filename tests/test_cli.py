@@ -1,5 +1,6 @@
 """Tests for the command-line interface and report bundles."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -7,14 +8,18 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import proctherm.cli as cli
+from proctherm.channels import CPMap
 from proctherm.cli import main
-from proctherm.scenario import build_model, parse_scenario
+from proctherm.scenario import _parse_complex, build_model, parse_scenario
 from proctherm.tolerances import Tolerances
 from proctherm.verify import run_verified
+
+from ledger_edits import with_state
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -66,9 +71,7 @@ class TestVerifyCommand:
             labels, br = list(result.final.branches.items())[1]
             state = br.state.copy()
             state[0, 0] = math.nan
-            return dataclasses.replace(result, final=dataclasses.replace(
-                result.final, branches={**result.final.branches,
-                                        labels: dataclasses.replace(br, state=state)}))
+            return dataclasses.replace(result, final=with_state(result.final, labels, state))
 
         monkeypatch.setattr(cli, "run_verified", corrupted)
         code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"))
@@ -381,6 +384,67 @@ class TestDilateCommand:
         code = run_cli("dilate", "--scenario",
                        str(SCENARIO_DIR / "equilibrium.yaml"), "--step", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_every_cell_parses_back_to_the_hardware(self, path, tmp_path, capsys):
+        # each cell is an 'a+bi' string of the scenario grammar that reads
+        # back exactly the synthesized hardware
+        def parsed(rows, name):
+            assert all(isinstance(cell, str) for row in rows for cell in row), name
+            return np.array([[_parse_complex(cell, name) for cell in row] for row in rows])
+
+        model = build_model(parse_scenario(path))
+        for k in range(model.n_steps):
+            assert run_cli("dilate", "--scenario", str(path), "--step", str(k),
+                           "--out", str(tmp_path)) == 0
+            doc = json.loads((tmp_path / f"dilation_step{k}.json").read_text())
+            hw = model.hardware(k, ())
+            np.testing.assert_array_equal(parsed(doc["unitary"], "unitary"), hw.unitary)
+            assert len(doc["projectors"]) == len(hw.projectors)
+            for cells, proj in zip(doc["projectors"], hw.projectors):
+                np.testing.assert_array_equal(parsed(cells, "projectors"), proj)
+            np.testing.assert_array_equal(parsed(doc["ancilla_state"], "ancilla_state"),
+                                          hw.ancilla_state)
+
+
+def scale_first_kraus(monkeypatch, factor):
+    """Make the model the CLI builds declare step 0's first Kraus operator
+    scaled by ``factor``, set past the instrument's trace-preservation
+    guard, while its hardware still dilates the declared scenario."""
+    build = cli.build_model
+
+    def scaled(scenario):
+        model = build(scenario)
+        schedule = model.schedule
+        inst = copy.copy(schedule.instruments[0])
+        (label, cp), *rest = inst.outcomes
+        object.__setattr__(inst, "outcomes", (
+            (label, CPMap(cp.support, [factor * cp.kraus[0], *cp.kraus[1:]])), *rest))
+        object.__setattr__(schedule, "instruments", (inst, *schedule.instruments[1:]))
+        return model
+
+    monkeypatch.setattr(cli, "build_model", scaled)
+
+
+class TestReconstructionNegativeControl:
+    # one Kraus operator off by 1e-6 is a defect the dilation does not
+    # realize; the unscaled operator is the positive control
+    SCENARIO = str(SCENARIO_DIR / "driven_feedback.yaml")
+
+    @pytest.mark.parametrize("factor, code", [(1.0, 0), (1 + 1e-6, 1)])
+    def test_verify_flags_the_scaled_operator(self, monkeypatch, capsys, factor, code):
+        scale_first_kraus(monkeypatch, factor)
+        assert run_cli("verify", "--scenario", self.SCENARIO) == code
+        rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert ("FAIL" in rows["dilation-reconstruction"]) == (code == 1)
+
+    @pytest.mark.parametrize("factor, code", [(1.0, 0), (1 + 1e-6, 1)])
+    def test_dilate_exits_1_on_the_scaled_operator(self, monkeypatch, tmp_path, factor, code):
+        scale_first_kraus(monkeypatch, factor)
+        assert run_cli("dilate", "--scenario", self.SCENARIO, "--step", "0",
+                       "--out", str(tmp_path)) == code
+        doc = json.loads((tmp_path / "dilation_step0.json").read_text())
+        assert (doc["reconstruction_error"] > Tolerances().dilation_reconstruction) == (code == 1)
 
 
 class TestInputErrors:

@@ -62,12 +62,13 @@ def bundles(path):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_bundles_match_the_oracle(path, tmp_path):
     for bundle in bundles(path):
-        want_json = oracle(bundle.to_dict())
-        want_branches = reference_csv(BRANCH_COLUMNS, bundle.branch_rows)
-        want_ensemble = reference_csv(ENSEMBLE_COLUMNS, bundle.ensemble_rows)
+        doc = bundle.to_dict()
+        want_json = oracle(doc)
+        want_branches = reference_csv(BRANCH_COLUMNS, doc["branch_rows"])
+        want_ensemble = reference_csv(ENSEMBLE_COLUMNS, doc["ensemble_rows"])
         assert bundle.to_json() == want_json
-        assert bundle.branches_csv() == want_branches
-        assert bundle.ensemble_csv() == want_ensemble
+        assert bundle.branches.csv() == want_branches
+        assert bundle.ensemble.csv() == want_ensemble
         out = tmp_path / bundle.mode
         bundle.write(out)
         assert (out / "report.json").read_text(encoding="utf-8") == want_json

@@ -14,6 +14,7 @@ from proctherm.tolerances import DEFAULT, Tolerances
 from proctherm import verify
 from proctherm.verify import run_verified, verify_model
 
+from ledger_edits import with_state
 from oracles import random_unitary
 
 
@@ -153,9 +154,7 @@ class TestCorruptedBranch:
         result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
         labels = list(result.final.branches)[1]
         br = result.final.branches[labels]
-        bad_br = dataclasses.replace(br, state=br.state - eps / 4 * np.eye(len(br.state)))
-        ledger = dataclasses.replace(result.final,
-                                     branches={**result.final.branches, labels: bad_br})
+        ledger = with_state(result.final, labels, br.state - eps / 4 * np.eye(len(br.state)))
         snaps = tuple(dataclasses.replace(s, ledger=ledger) for s in result.snapshots)
         bad = dataclasses.replace(result, snapshots=snaps, final=ledger)
         rows = {r["record"]: r for r in verify.equivalence_rows(model, bad)}
@@ -179,8 +178,7 @@ class TestCorruptedBranch:
         br = result.final.branches[labels]
         state = br.state.copy()
         state[0, 0] = np.nan
-        ledger = dataclasses.replace(result.final, branches={
-            **result.final.branches, labels: dataclasses.replace(br, state=state)})
+        ledger = with_state(result.final, labels, state)
         snaps = tuple(dataclasses.replace(s, ledger=ledger) for s in result.snapshots)
         bad = dataclasses.replace(result, snapshots=snaps, final=ledger)
         devs = [r["state_dev"] for r in verify.equivalence_rows(model, bad)]
@@ -204,7 +202,9 @@ class TestCorruptedBranch:
         ledger = evaluate_run(result)
         if table == "branch":
             t, rows = list(ledger.branch_rows.items())[-1]
-            rows = (*rows[:-1], dataclasses.replace(rows[-1], **{field: np.nan}))
+            column = getattr(rows, field).copy()
+            column[-1] = np.nan
+            rows = dataclasses.replace(rows, **{field: column})
             ledger = dataclasses.replace(ledger, branch_rows={**ledger.branch_rows, t: rows})
         else:
             rows = ledger.ensemble_rows
@@ -263,9 +263,7 @@ class TestInterleavedSupports:
 
         br = ledger.branches[("g", "b")]
         d = len(br.state)
-        bad_br = dataclasses.replace(br, state=br.state - eps / 4 * np.eye(d))
-        bad_ledger = dataclasses.replace(ledger, branches={**ledger.branches,
-                                                           ("g", "b"): bad_br})
+        bad_ledger = with_state(ledger, ("g", "b"), br.state - eps / 4 * np.eye(d))
         snaps = tuple(dataclasses.replace(s, ledger=bad_ledger) for s in result.snapshots)
         bad = dataclasses.replace(result, snapshots=snaps, final=bad_ledger)
         rows = verify.equivalence_rows(model, bad)
