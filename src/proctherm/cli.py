@@ -17,7 +17,7 @@ import numpy as np
 from .channels import evaluate_process_tensor
 from .dilation import reconstruction_error
 from .report import bundle_from_run, dumps, record_string
-from .scenario import ScenarioError, build_model, parse_scenario
+from .scenario import ScenarioError, _checked, build_model, parse_scenario
 from .simulate import survives_prune
 from .thermo import evaluate_run
 from .tolerances import DEFAULT
@@ -78,7 +78,8 @@ def _load(args):
     overrides = _parse_overrides(args.tol_override)
     if "prune_threshold" in scenario.options:
         overrides.setdefault("prune", scenario.options["prune_threshold"])
-    return scenario, model, DEFAULT.replaced(**overrides)
+    # the scenario's option passed the same rule at parse, so a failure is the override's
+    return scenario, model, _checked("--tol-override", DEFAULT.replaced, **overrides)
 
 
 def _write_json(doc: dict, out: str | None, fname: str) -> None:

@@ -20,6 +20,7 @@ from .algebra import gibbs_mat, is_hermitian, validate_density
 from .channels import CPMap, Instrument
 from .protocol import Protocol, Segment, before, same_instant
 from .simulate import AutonomousModel
+from .tolerances import DEFAULT
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_dict",
            "build_model"]
@@ -182,11 +183,11 @@ def _parse_state(node: Any, path: str, dim: int, beta: float,
     raise ScenarioError(path, "state must be one of {gibbs| pure| maximally_mixed| matrix}")
 
 
-def _checked(path: str, build, *args, context: str = ""):
-    """``build(*args)``, with its ValueError raised as an input error at
-    ``path``, its message led by ``context``."""
+def _checked(path: str, build, *args, context: str = "", **kwargs):
+    """``build(*args, **kwargs)``, with its ValueError raised as an input
+    error at ``path``, its message led by ``context``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioError(path, f"{context}{exc}") from None
 
@@ -456,11 +457,9 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
 
     options = dict(_mapping(data.get("options") or {}, "options", _OPTION_KEYS))
     if "prune_threshold" in options:
-        prune = _number(options["prune_threshold"], "options.prune_threshold")
-        if not 0.0 <= prune < 1.0:
-            raise ScenarioError("options.prune_threshold",
-                                f"must be in [0, 1), got {prune!r}")
-        options["prune_threshold"] = prune
+        path = "options.prune_threshold"
+        options["prune_threshold"] = _checked(path, DEFAULT.replaced, prune=_number(
+            options["prune_threshold"], path)).prune
     spec = dict(
         s_dim=s_dim, b_dim=b_dim, beta=beta,
         protocol=_checked("feedback", Protocol, base, variants),

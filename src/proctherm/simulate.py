@@ -71,7 +71,6 @@ __all__ = [
     "RunResult",
     "Snapshot",
     "ancilla_label",
-    "join_groups",
     "survives_prune",
 ]
 
@@ -514,19 +513,6 @@ class BranchLedger:
         return sum(self.in_order([g.weights for g in self.groups]).tolist())
 
 
-def join_groups(parts: Sequence[tuple[BranchGroup, np.ndarray]]) -> tuple[BranchGroup, np.ndarray]:
-    """Groups with a sort key per row, joined in key order (support and
-    drive from the first), and the sorted keys."""
-    if len(parts) == 1:
-        return parts[0]
-    keys = np.concatenate([key for _, key in parts])
-    by = np.argsort(keys)
-    records = [labels for g, _ in parts for labels in g.records]
-    return replace(parts[0][0], records=tuple(records[i] for i in by.tolist()), **{
-        name: _frozen(np.concatenate([getattr(g, name) for g, _ in parts])[by])
-        for name in ("states", *_TALLIES)}), keys[by]
-
-
 class PrefixTrace(NamedTuple):
     """A parent record's weight and, per outcome label, the conditional outcome
     probability and the measurement work in both conventions."""
@@ -742,8 +728,7 @@ class Simulator:
                                  w_meas, w_alt))
             states, supports, *columns = zip(*outcomes)
             readout = np.array(columns)   # (4, R, n): p, e_factored, w_meas, w_meas_alt
-            trace.append(np.concatenate([weights[:, None], (readout[0] / weights).T,
-                                         readout[2].T, readout[3].T], axis=1))
+            trace.append((weights, (readout[0] / weights).T, readout[2].T, readout[3].T))
             kept = survives_prune(readout[0], self.prune)
             # a child's key, its parent's position then its outcome, sorts in ledger order
             keys = position * len(labels) + np.arange(len(labels))[:, None]
@@ -780,10 +765,8 @@ class Simulator:
             pruned_mass = float(np.cumsum(np.append(pruned_mass, mass[np.argsort(lost)]))[-1])
         out = BranchLedger(t_meas, tuple(g for _, g in children), np.argsort(keys), pruned_mass,
                            k + 1)
-        r = len(labels)
-        table = ledger.in_order(trace or [np.zeros((0, 1 + 3 * r))])
-        return out, StepTrace(labels, ledger.records, table[:, 0], table[:, 1:1 + r],
-                              table[:, 1 + r:1 + 2 * r], table[:, 1 + 2 * r:])
+        return out, StepTrace(labels, ledger.records, *(ledger.in_order([t[i] for t in trace])
+                                                        for i in range(4)))
 
     # -- full run -----------------------------------------------------------
 

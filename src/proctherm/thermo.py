@@ -24,10 +24,11 @@ books the system+ancilla energy change caused by the knowledge update and
 is the one that reproduces two-point projective energy statistics on
 isolated systems.
 
-Entropy production is computed in two independently evaluated forms, the
-first-law form Sigma = dS - beta Q and a relative-entropy form against the
-instantaneous reference Gibbs states; for a thermal initial system-bath
-state they agree identically and are non-negative.
+Entropy production is computed in two forms, the first-law form
+Sigma = dS - beta Q and a relative-entropy form against the instantaneous
+reference Gibbs states.  They are not independent: with no pruned mass they
+differ by beta (w_budget - w) plus a constant fixed at t = 0.  For a thermal
+initial system-bath state they agree identically and are non-negative.
 
 Ancillas are accounted from the initial time in their declared preparation
 states: before entering the dynamics each contributes constant energy and
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -53,7 +55,7 @@ from .algebra import (
     ptrace_factors,
     vn_entropy_mat,
 )
-from .simulate import BranchGroup, BranchLedger, RunResult, Snapshot, StepTrace, join_groups
+from .simulate import BranchGroup, RunResult, Snapshot, StepTrace
 
 __all__ = [
     "MeanForceData",
@@ -235,8 +237,8 @@ class ThermoLedger:
 
 
 class ThermoEvaluator:
-    """Evaluates the thermodynamic functionals over a finished run, per stack
-    of the groups that share a support and an applied drive."""
+    """Evaluates the thermodynamic functionals over a finished run, one ledger
+    group (one stack) at a time."""
 
     def __init__(self, result: RunResult):
         self.result = result
@@ -256,7 +258,6 @@ class ThermoEvaluator:
         # ln Z_B at each inverse temperature the mean force reads (beta
         # first), from one bath spectrum
         self._lnz_b = log_partition(h_b, _mean_force_betas(self.beta))
-        self._ref: tuple[float, float, float] | None = None
 
     # -- mean force ----------------------------------------------------------
 
@@ -280,82 +281,67 @@ class ThermoEvaluator:
 
     # -- branch rows ---------------------------------------------------------
 
-    @staticmethod
-    def _stacks(ledger: BranchLedger) -> list[tuple[BranchGroup, np.ndarray]]:
-        """The groups of ``ledger`` joined by support and drive, with row positions."""
-        shared: dict[tuple, list] = {}
-        for g, position in zip(ledger.groups, ledger.positions()):
-            shared.setdefault((g.support, id(g.h_sys)), []).append((g, position))
-        return [join_groups(parts) for parts in shared.values()]
-
     def _pieces(self, snap: Snapshot, g: BranchGroup):
         """(p, u, s_vn_plus_pending, corr, e_bare_anc, h_star_tr) for the
         records of one group, each as a length-N array."""
-        model = self.model
-        space = model.space(g.support)
+        space = self.model.space(g.support)
         p = g.weights
-        pending = range(snap.ledger.steps_done, model.n_steps)
+        done = snap.ledger.steps_done    # the ancillas of the later steps are pending
         rho_s = space.ptrace(g.states, ["S"]) / p[:, None, None]
         sa_labels = tuple(l for l in g.support if l != "B")
         rho_sa = rho_s if sa_labels == ("S",) else \
             space.ptrace(g.states, sa_labels) / p[:, None, None]
         h_star, dh = self._mean_force(g.h_sys)
         # factored-out and pending ancillas, then those still in the state
-        e_anc = g.e_factored + sum(self._e_anc0[i] for i in pending)
+        e_anc = g.e_factored + sum(self._e_anc0[done:])
         if space.ancillas:
             e_anc = e_anc + expect_herm(space.hamiltonian(sa_labels), rho_sa)
         corr = expect_herm(dh, rho_s)
         h_star_tr = expect_herm(h_star, rho_s)
         u = h_star_tr + self.beta * corr + e_anc
-        s_vn = vn_entropy_mat(rho_sa) + sum(self._s_anc0[i] for i in pending)
+        s_vn = vn_entropy_mat(rho_sa) + sum(self._s_anc0[done:])
         return p, u, s_vn, corr, e_anc, h_star_tr
 
+    @cached_property
     def _reference(self) -> tuple[float, float, float]:
-        """(u0, s0, E_bare0) at the initial time."""
-        if self._ref is None:
-            snap = self.result.initial
-            (g,) = snap.ledger.groups
-            _, u, s_vn, corr, _, _ = (float(x[0]) for x in self._pieces(snap, g))
-            s0 = s_vn + self.beta ** 2 * corr  # single branch: -ln p = 0
-            self._ref = (u, s0, self._bare_energy(snap))
-        return self._ref
+        """(u0, s0, E_bare0) at the initial time, of its single branch (-ln p = 0)."""
+        snap = self.result.initial
+        (g,) = snap.ledger.groups
+        _, u, s_vn, corr, _, _ = (float(x[0]) for x in self._pieces(snap, g))
+        return u, s_vn + self.beta ** 2 * corr, self._bare_energy(snap)
 
     def _bare_energy(self, snap: Snapshot) -> float:
         """tr{H rho} of the inclusive state (system, bath, ancillas)."""
-        model = self.model
-        total = 0.0
-        tw = 0.0
-        for g, _ in self._stacks(snap.ledger):
-            h = model.space(g.support).hamiltonian(g.support, g.h_sys)
-            weights = g.weights
-            total += float(np.sum(expect_herm(h, g.states) + weights * g.e_factored))
-            tw += float(np.sum(weights))
-        total += tw * sum(self._e_anc0[snap.ledger.steps_done:])
-        return total
+        total = tw = 0.0
+        for g in snap.ledger.groups:
+            h = self.model.space(g.support).hamiltonian(g.support, g.h_sys)
+            total += float(np.sum(expect_herm(h, g.states) + g.weights * g.e_factored))
+            tw += float(np.sum(g.weights))
+        return total + tw * sum(self._e_anc0[snap.ledger.steps_done:])
 
     def branch_rows(self, snap: Snapshot) -> BranchRows:
         """The rows of the records of ``snap`` of positive weight, in ledger
         order."""
-        u0, _, _ = self._reference()
-        stacks = self._stacks(snap.ledger)
-        columns = [np.zeros((9, 0))]
-        for g, _ in stacks:
+        u0 = self._reference[0]
+        ledger = snap.ledger
+        columns = [[] for _ in fields(BranchRows)[1:]]
+        for g in ledger.groups:
             p, u, s_vn, corr, e_anc, h_star_tr = self._pieces(snap, g)
             log_p = np.array([math.log(x) if x > 0 else 0.0 for x in p.tolist()])
-            columns.append(np.array([p, u, u - u0, g.w_sys, g.w_ctrl, g.w_meas, g.w_meas_alt,
-                                     -log_p + s_vn + self.beta ** 2 * corr,
-                                     h_star_tr + e_anc + (log_p - s_vn) / self.beta]))
-        cols = np.concatenate(columns, axis=1)[:, np.argsort(np.concatenate(
-            [np.zeros(0, int), *(pos for _, pos in stacks)]))]
-        kept = cols[0] > 0
-        return BranchRows(list(compress(snap.ledger.records, kept.tolist())), *cols[:, kept])
+            for column, x in zip(columns, (p, u, u - u0, g.w_sys, g.w_ctrl, g.w_meas,
+                                           g.w_meas_alt, -log_p + s_vn + self.beta ** 2 * corr,
+                                           h_star_tr + e_anc + (log_p - s_vn) / self.beta)):
+                column.append(x)
+        columns = [ledger.in_order(column) for column in columns]
+        kept = columns[0] > 0
+        return BranchRows(list(compress(ledger.records, kept.tolist())), *(c[kept] for c in columns))
 
     # -- ensemble ------------------------------------------------------------
 
     def ensemble(self, snap: Snapshot, rows: BranchRows) -> EnsembleThermo:
         """Ensemble aggregates of ``snap`` from its branch rows, as returned
         by :meth:`branch_rows` for the same snapshot, summed in row order."""
-        u0, s0, e0 = self._reference()
+        u0, s0, e0 = self._reference
         tw = sum(rows.p.tolist(), 0.0)
         u, s, f, w, w_alt = (sum((rows.p * x).tolist(), 0.0)
                              for x in (rows.u, rows.s, rows.f, rows.w, rows.w_alt))

@@ -36,6 +36,10 @@ class Tolerances:
     convention_average: float = 1e-10 # average agreement of the two work conventions
     prune: float = 1e-14              # branch weight below which branches are dropped
 
+    def __post_init__(self):    # the one rule for the prune threshold; NaN fails it
+        if not 0.0 <= self.prune < 1.0:
+            raise ValueError(f"the prune threshold must be in [0, 1), got {self.prune!r}")
+
     def replaced(self, **overrides: float) -> "Tolerances":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
         if unknown:

@@ -6,7 +6,9 @@ unitarity and reconstruction, the dephasing of every readout register into
 the branch split and its zero energy cost, the autonomous/direct dynamical
 equivalence, the first law at branch and ensemble level backed by an
 independent global energy budget, both entropy-production forms, and the
-average agreement of the two measurement-work conventions.
+average agreement of the two measurement-work conventions.  The
+``first-law`` row is an identity today (``q`` is defined as ``du - w``, per
+branch and per ensemble); ``work-energy-budget`` is the one that can fail.
 """
 
 from __future__ import annotations

@@ -330,6 +330,22 @@ class TestPruneThreshold:
         path.write_text((SCENARIO_DIR / "measurement_work.yaml").read_text())
         assert report("default")["tolerances"]["prune"] == Tolerances().prune
 
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1"])
+    def test_override_follows_the_option_rule(self, tmp_path, capsys, value):
+        # a threshold outside [0, 1) is an input error from either source, and
+        # the message names the one that gave it
+        out = tmp_path / "r"
+        assert run_cli("run", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+                       "--mode", "both", "--tol-override", f"prune={value}",
+                       "--out", str(out)) == 2
+        assert "--tol-override" in capsys.readouterr().err
+        assert not out.exists()
+        path = tmp_path / "prune.yaml"
+        path.write_text((SCENARIO_DIR / "measurement_work.yaml").read_text()
+                        + f"\noptions: {{prune_threshold: {value.replace('nan', '.nan')}}}\n")
+        assert run_cli("run", "--scenario", str(path), "--mode", "both") == 2
+        assert "options.prune_threshold" in capsys.readouterr().err
+
 
 class TestWindowedModel:
     def test_run_both_skips_equivalence(self, tmp_path, capsys):

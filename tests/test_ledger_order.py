@@ -7,7 +7,7 @@ and "f" sit in two groups split by support, whose rows alternate in ledger
 order; the third step splits both again.  At every report time the ledger,
 the branch rows, ``report.json``, ``branches.csv`` and the equivalence rows
 must list the records in the dense oracle's order: parent-major, then
-label order.
+label order; and each step's trace must list its parents in ledger order.
 """
 
 import csv
@@ -21,10 +21,11 @@ import pytest
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
 from proctherm.report import bundle_from_run, record_string
+from proctherm.simulate import Simulator
 from proctherm.tolerances import DEFAULT
 from proctherm.verify import equivalence_rows
 
-from dense_checks import both_routes, check_branch_rows, check_branch_states
+from dense_checks import both_routes, check_branch_rows, check_branch_states, check_ensemble
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -83,6 +84,36 @@ def test_groups_interleave_in_ledger_order(runs):
 def test_ledger_and_branch_rows_in_dense_order(runs, t):
     check_branch_states(runs, t)
     check_branch_rows(runs, t)
+    check_ensemble(runs, t)
+
+
+def test_step_trace_rows_follow_the_parents_in_ledger_order(runs):
+    # each step's trace lists the ledger's records just before the step, and
+    # row i is parent i's: its weight, and per outcome the child's weight and
+    # measurement work
+    model = runs.result.model
+    sim = Simulator(model)
+    ledger, interleaved = runs.result.initial.ledger, False
+    for k, spec in enumerate(model.steps):
+        ledger = sim.advance(ledger, spec.time)
+        interleaved |= bool((ledger.order != np.arange(len(ledger.order))).any())
+        after, trace = sim.run_step(ledger, k)
+        assert trace.parents == ledger.records
+        for i, parent in enumerate(trace.parents):
+            up = ledger.branches[parent]
+            assert trace.weights[i] == pytest.approx(up.weight, abs=1e-15), (k, parent)
+            for j, label in enumerate(trace.labels):
+                child = after.branches.get(parent + (label,))
+                p = trace.cond_probs[i, j] * trace.weights[i]
+                if child is None:
+                    assert p < sim.prune, (k, parent, label)
+                    continue
+                assert p == pytest.approx(child.weight, abs=1e-15), (k, parent, label)
+                for name in ("w_meas", "w_meas_alt"):
+                    assert getattr(trace, name)[i, j] == pytest.approx(
+                        getattr(child, name) - getattr(up, name), abs=1e-12), (k, parent, name)
+        ledger = after
+    assert interleaved    # some step's parents alternate between groups
 
 
 def test_written_bundle_and_equivalence_rows_in_dense_order(runs, tmp_path):
