@@ -95,7 +95,7 @@ class Instrument:
             raise ValueError("all outcome maps must share one support")
         object.__setattr__(self, "outcomes", outcomes)
         res = self.average().tp_residual()
-        if res > DEFAULT.kraus_tp:
+        if not res <= DEFAULT.kraus_tp:
             raise ValueError(f"instrument is not trace-preserving on average: "
                              f"residual {res:.3e}")
 
@@ -200,75 +200,70 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
     """System-bath matrix of every record at every time in ``times``, as
     the records and their matrices stacked in one (N, D, D) array.
 
-    One pass over the record tree: the nodes are carried forward from the
-    last event, each under its own prefix's timeline, split at intervention
-    k into one child per ``(label, map)`` of ``branches(k, prefix)``, and
-    recorded at each report time.  An intervention at a report time acts
-    before the report.  Children follow their parent and label order, so
-    every report lists records in ``itertools.product`` order of the
-    alphabets.  The nodes that share a timeline evolve as one stack, and
-    the nodes that share a ``branches`` sequence split as one, each map
-    embedded once per step.  Each segment's H_SB is diagonalized once; the
-    propagator of each (segment, interval) is formed from that spectrum,
-    shared by every node advanced over the interval, and kept only until
-    the next event.
+    One pass over the record tree in families ``(node, records, keys,
+    stack)``.  A record's node, its longest prefix that is a prefix of a
+    declared feedback or variant prefix, fixes its timeline and every later
+    ``branches(k, node)``, so a family resolves them once per event and
+    evolves as one stack.  A split gives one child stack per outcome, keyed
+    parent key times outcome count plus outcome position; children that
+    share a node form one family.  A report (after any intervention at its
+    time) sorts by key, which is ``itertools.product`` order of the
+    alphabets.  Each segment's H_SB is diagonalized once, and its
+    propagator over an interval is formed once for every family.
     """
     reg = schedule.registry
     if sb_init.support != reg.canonical(("S", "B")):
         raise ValueError("initial state must live on the system-bath factors")
     dims = reg.dims(("S", "B"))
     protocol = schedule.protocol
+    declared = [*protocol.variants, *(p for table in schedule.feedback.values() for p in table)]
+    nodes = {p[:i] for p in [(), *declared] for i in range(len(p) + 1)}
     spectra: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
-    propagators: dict[tuple[Segment, float, float], np.ndarray] = {}
 
-    def groups(keys):
-        """Node indices grouped by key, in order of first appearance."""
-        out: dict = {}
-        for i, key in enumerate(keys):
-            out.setdefault(key, []).append(i)
-        return out.values()
-
-    def evolve(prefixes, mats, t_from, t_to):
-        timelines = [protocol.timeline(prefix) for prefix in prefixes]
-        out = np.empty_like(mats)
-        for idx in groups(map(id, timelines)):
-            sub = mats[idx]
-            for seg, a, b in protocol.iter_segments(t_from, t_to, prefixes[idx[0]]):
-                u = propagators.get((seg, a, b))
-                if u is None:
-                    eig = spectra.get(seg)
-                    if eig is None:
-                        eig = spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
-                    u = propagators[seg, a, b] = expm_herm(None, -1j * (b - a), eig=eig)
-                sub = u @ sub @ dagger(u)
-            out[idx] = sub
+    def evolve(families, t_from, t_to):
+        propagators: dict[Segment, np.ndarray] = {}   # over (t_from, t_to] only
+        out = []
+        for node, records, keys, mats in families:
+            for seg, a, b in protocol.iter_segments(t_from, t_to, node):
+                if seg not in propagators:
+                    if seg not in spectra:
+                        spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
+                    propagators[seg] = expm_herm(None, -1j * (b - a), eig=spectra[seg])
+                mats = propagators[seg] @ mats @ dagger(propagators[seg])
+            out.append((node, records, keys, mats))
         return out
 
-    def split(k, prefixes, mats):
-        outcomes = [branches(k, prefix) for prefix in prefixes]
-        children: list = [None] * len(prefixes)
-        for idx in groups(map(id, outcomes)):
-            sub = mats[idx]
-            per_label = [(label, cp.apply_mat(sub, dims,
-                                              [("S", "B").index(l) for l in cp.support]))
-                         for label, cp in outcomes[idx[0]]]
-            for j, i in enumerate(idx):
-                children[i] = [(prefixes[i] + (label,), m[j]) for label, m in per_label]
-        kids = [kid for family in children for kid in family]
-        return [record for record, _ in kids], np.stack([m for _, m in kids])
+    def join(node, families):
+        """The records of ``families`` as one family under ``node``."""
+        _, records, keys, mats = zip(*families)
+        return (node, [record for family in records for record in family],
+                np.concatenate(keys), np.concatenate(mats))
 
-    prefixes, mats = [()], sb_init.mat[None]
+    def split(k, families):
+        outcomes = [branches(k, node) for node, *_ in families]
+        radix = max(map(len, outcomes))
+        children: dict[tuple[str, ...], list] = {}
+        for (node, records, keys, mats), outs in zip(families, outcomes):
+            for r, (label, cp) in enumerate(outs):
+                # a node deepens only while it is the whole record
+                deeper = node + (label,)
+                child = deeper if len(node) == len(records[0]) and deeper in nodes else node
+                children.setdefault(child, []).append((
+                    child, [record + (label,) for record in records], keys * radix + r,
+                    cp.apply_mat(mats, dims, [("S", "B").index(l) for l in cp.support])))
+        return [join(node, kids) for node, kids in children.items()]
+
+    families = [((), [()], np.zeros(1, int), sb_init.mat[None])]
     t_cur, k = protocol.t_start, 0
     out = {}
     for t in sorted(set(times)):
         while k < schedule.n_steps and not before(t, schedule.times[k]):
-            mats = evolve(prefixes, mats, t_cur, schedule.times[k])
-            prefixes, mats = split(k, prefixes, mats)
+            families = split(k, evolve(families, t_cur, schedule.times[k]))
             t_cur, k = schedule.times[k], k + 1
-            propagators.clear()
-        mats = evolve(prefixes, mats, t_cur, t)
-        out[t], t_cur = (prefixes, mats), t
-        propagators.clear()
+        families, t_cur = evolve(families, t_cur, t), t
+        _, records, keys, mats = join((), families)
+        order = np.argsort(keys)
+        out[t] = [records[i] for i in order], mats[order]
     return out
 
 
@@ -277,8 +272,8 @@ def evaluate_process_tensor(schedule: InterventionSchedule,
                             ) -> dict[float, tuple[list[tuple[str, ...]], np.ndarray]]:
     """Unnormalized conditional system state of every record at every time.
 
-    Applies the outcome's CP map at each scheduled time (with feedback
-    resolved from the record prefix) interleaved with the driven
+    Applies the outcome's CP map at each scheduled time (feedback resolved
+    once per record node, see :func:`_walk`) interleaved with the driven
     system-bath unitary, then traces out the bath, once per time over all
     records.  Returns ``{t: (records, states)}``: the records in
     ``itertools.product`` order of the alphabets, and an (N, d_S, d_S)

@@ -73,7 +73,7 @@ def _stinespring_unitary(kraus: Sequence[np.ndarray], d_anc: int) -> np.ndarray:
         # row index (s, a) = s*d_anc + a
         isometry[i::d_anc, :] = k
     res = max_norm(dagger(isometry) @ isometry - np.eye(d))
-    if res > DEFAULT.kraus_tp:
+    if not res <= DEFAULT.kraus_tp:
         raise ValueError(f"Kraus completeness violated: residual {res:.3e}")
     u = np.zeros((big, big), dtype=complex)
     u[:, 0::d_anc] = isometry          # columns hit by |psi> (x) |0>

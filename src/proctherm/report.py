@@ -82,7 +82,7 @@ def _encode(value, nl: str) -> str:
         return "{" + inner + ("," + inner).join(body) + nl + "}"
     columns = _run_columns(value)
     if columns:
-        return _Table(columns, value).json(nl)
+        return _Table(columns, [[row[c] for row in value] for c in columns]).json(nl)
     return "[" + inner + ("," + inner).join(_encode(v, inner) for v in value) + nl + "]"
 
 
@@ -101,25 +101,20 @@ def _scalar_types(values) -> bool:
 class _Table:
     """Rows of scalar cells under fixed columns, each cell formatted once.
 
-    ``values`` holds the cells per column, from ``rows`` (dicts) or given.
-    One C-encoder call per column gives every cell's JSON token; the same
-    text, spelled for CSV (``nan``, ``inf``, an empty field for None, a
-    string unquoted), is the cell's CSV field.
+    ``values`` holds the cells per column.  One C-encoder call per column
+    gives every cell's JSON token; the same text, spelled for CSV (``nan``,
+    ``inf``, an empty field for None, a string unquoted), is the cell's CSV
+    field.
     """
 
-    def __init__(self, columns, rows: list[dict[str, Any]] | None, values: list | None = None):
-        self.columns, self.rows = tuple(columns), rows
-        self.values = values if rows is None else [[row.get(c) for row in rows]
-                                                   for c in self.columns]
-        self.tokens = [_tokens(v) for v in self.values]
+    def __init__(self, columns, values: list[list]):
+        self.columns, self.values = tuple(columns), values
+        self.tokens = [_tokens(v) for v in values]
 
     def json(self, nl: str) -> str:
         """The rows as the indented JSON list :func:`dumps` writes for them."""
         if not self.values[0]:
             return "[]"
-        names = set(self.columns)
-        if self.rows is not None and any(row.keys() != names for row in self.rows):
-            return _encode(list(self.rows), nl)
         mid, deep = nl + "  ", nl + "    "
         order = sorted(range(len(self.columns)), key=self.columns.__getitem__)
         row = "{" + deep + ("," + deep).join(
@@ -212,12 +207,12 @@ def bundle_from_run(result: RunResult, ledger: ThermoLedger, *, mode: str,
                     checks: list[dict] | None = None) -> ReportBundle:
     tables = ledger.branch_rows.items()
     numbers = [[getattr(rows, c) for c in BRANCH_COLUMNS[2:]] for _, rows in tables]
-    branches = _Table(BRANCH_COLUMNS, None, [
+    branches = _Table(BRANCH_COLUMNS, [
         [t for t, rows in tables for _ in range(len(rows))],
         [record_string(labels) for _, rows in tables for labels in rows.labels],
         *np.concatenate([np.zeros((len(BRANCH_COLUMNS) - 2, 0)), *numbers], axis=1).tolist()])
-    ensemble = _Table(ENSEMBLE_COLUMNS, [{c: getattr(row, c) for c in ENSEMBLE_COLUMNS}
-                                         for row in ledger.ensemble_rows])
+    ensemble = _Table(ENSEMBLE_COLUMNS, [[getattr(row, c) for row in ledger.ensemble_rows]
+                                         for c in ENSEMBLE_COLUMNS])
     model = result.model
     caveat = model.has_sb_coupling() and any(s.window_width is None for s in model.steps)
     return ReportBundle(

@@ -7,7 +7,9 @@ Validation errors carry the field path of the offending node.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from itertools import takewhile
@@ -47,16 +49,20 @@ def _parse_complex(value: Any, path: str) -> complex:
     if isinstance(value, bool):
         raise ScenarioError(path, f"expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
+        z = complex(value)
+    elif isinstance(value, str):
         text = value.strip().replace(" ", "")
         if not text or not _COMPLEX_CHARS.fullmatch(text):
             raise ScenarioError(path, f"malformed complex literal {value!r}")
         try:
-            return complex(text.replace("i", "j"))
+            z = complex(text.replace("i", "j"))
         except ValueError:
             raise ScenarioError(path, f"malformed complex literal {value!r}") from None
-    raise ScenarioError(path, f"expected a number or 'a+bi' string, got {type(value).__name__}")
+    else:
+        raise ScenarioError(path, f"expected a number or 'a+bi' string, got {type(value).__name__}")
+    if not cmath.isfinite(z):
+        raise ScenarioError(path, f"expected a finite number, got {value!r}")
+    return z
 
 
 def _mapping(node: Any, path: str, keys: set[str] | None = None) -> Mapping:
@@ -81,17 +87,16 @@ def _sequence(node: Any, path: str) -> Sequence:
 
 def _number(node: Any, path: str, kind: type = float):
     """``node`` as a ``kind`` (float or int).  A string is read as well,
-    since YAML takes ``1e-3`` for one; a bool, and a float with a
-    fractional part where an int is expected, are errors."""
+    since YAML takes ``1e-3`` for one; a bool, a NaN or infinite float, and
+    a float with a fractional part where an int is expected, are errors."""
     if isinstance(node, (int, float, str)) and not isinstance(node, bool):
         try:
             value = kind(node)
+            if math.isfinite(value) and (kind is float or not isinstance(node, float) or value == node):
+                return value
         except (ValueError, OverflowError):
             pass
-        else:
-            if kind is not int or not isinstance(node, float) or value == node:
-                return value
-    what = "an integer" if kind is int else "a number"
+    what = "an integer" if kind is int else "a finite number"
     raise ScenarioError(path, f"expected {what}, got {node!r}")
 
 
@@ -228,8 +233,11 @@ _OPTION_KEYS = {"prune_threshold"}
 def _label(node: Any, path: str) -> str:
     """An outcome label.  It is a field of ``branches.csv`` and a part of a
     ``|``-joined record string, so a comma, bar, double quote or line break
-    in it would break the bundle or make two records spell alike."""
+    in it would break the bundle or make two records spell alike, and so
+    would an empty label, whose one-label record spells ``-``."""
     label = str(node)
+    if not label:
+        raise ScenarioError(path, "outcome label is empty; its record would spell '-'")
     bad = [c for c in ',|"\r\n' if c in label]
     if bad:
         raise ScenarioError(path, f"outcome label {label!r} contains {bad[0]!r}; "

@@ -294,7 +294,7 @@ class AutonomousModel:
                     raise ValueError(f"step {k}: collision steps take no "
                                      "instrument feedback")
                 fixed = DilationResult(s_dim, d_anc, anc, u, tuple(projs), labels)
-                if fixed.unitarity_residual() > DEFAULT.dilation_unitary:
+                if not fixed.unitarity_residual() <= DEFAULT.dilation_unitary:
                     raise ValueError(f"step {k}: declared control is not unitary")
                 hardware = {(): fixed}
                 instruments.append(instrument_from_dilation(
@@ -778,7 +778,8 @@ class Simulator:
         initial = Snapshot(ledger.time, ledger)
         times = sorted(set(float(t) for t in report_times))
         for t in times:
-            if before(t, model.protocol.t_start) or before(model.protocol.t_end, t):
+            if not (math.isfinite(t) and not before(t, model.protocol.t_start)
+                    and not before(model.protocol.t_end, t)):
                 raise ValueError(f"report time {t} outside the protocol range")
         snapshots: list[Snapshot] = []
         traces: list[StepTrace] = []

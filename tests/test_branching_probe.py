@@ -14,6 +14,7 @@ import pytest
 
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
+import proctherm.channels as channels
 import proctherm.protocol as protocol
 import proctherm.simulate as simulate
 import proctherm.thermo as thermo
@@ -197,3 +198,35 @@ def test_prefix_resolutions_per_event_not_per_branch(monkeypatch):
     # advance over an interval its timeline
     assert all(prefixes > 0 for prefixes, _ in per_call[6, "run_step"])
     assert any(timelines > 0 for _, timelines in per_call[6, "advance"])
+
+
+def test_direct_route_resolutions_per_event_not_per_record(monkeypatch):
+    # the direct route carries the records that share a node as one family;
+    # the probe declares no feedback, so its records form one family, and
+    # each advance resolves its drive timeline once and each step its
+    # instrument once, whether the tree holds 2**4 or 2**6 records
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Protocol.timeline resolves through the deepest_prefix bound in
+    # protocol, InterventionSchedule.instrument_at through the one in channels
+    monkeypatch.setattr(protocol, "deepest_prefix", counted("prefix", protocol.deepest_prefix))
+    monkeypatch.setattr(channels, "deepest_prefix", counted("prefix", channels.deepest_prefix))
+    monkeypatch.setattr(Protocol, "timeline", counted("timeline", Protocol.timeline))
+    per_event = {}
+    for n in (4, 6):
+        model, times = probe_model(n), report_times(n)
+        calls.clear()
+        tree = channels.evaluate_process_tensor(model.schedule, model.sb_init, times)
+        assert len(tree[times[-1]][0]) == 2 ** n
+        # one advance up to each step and each report time (a report at a
+        # step's time advances over an empty interval), one split per step
+        advances = n + len(times)
+        per_event[n] = (calls["timeline"] / advances,
+                        (calls["prefix"] - calls["timeline"]) / n)
+    assert per_event[4] == per_event[6] == (1.0, 1.0)

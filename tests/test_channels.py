@@ -109,6 +109,14 @@ class TestInstrument:
         with pytest.raises(ValueError):
             Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [0.5 * P1]))])
 
+    def test_nan_kraus_rejected(self):
+        # a NaN residual compares false with any tolerance, so the guard
+        # must reject what it cannot show to be small
+        k = P1.copy()
+        k[1, 1] = np.nan
+        with pytest.raises(ValueError, match="not trace-preserving"):
+            Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [k]))])
+
     def test_unknown_label(self):
         with pytest.raises(KeyError):
             projective_z().cp_map("3")

@@ -476,9 +476,10 @@ class TestInputErrors:
         assert "prune_threshold" in capsys.readouterr().err
 
     @staticmethod
-    def verify_patched(tmp_path, fname, patches):
-        """Exit code of ``verify`` on the shipped scenario ``fname`` with the
-        node at each field path of ``patches`` set to its value."""
+    def verify_patched(tmp_path, fname, patches, command=("verify",)):
+        """Exit code of ``command`` (``verify`` by default) on the shipped
+        scenario ``fname`` with the node at each field path of ``patches``
+        set to its value."""
         data = yaml.safe_load((SCENARIO_DIR / fname).read_text())
         for field, value in patches.items():
             *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", field)]
@@ -488,7 +489,7 @@ class TestInputErrors:
             node[last] = value
         bad = tmp_path / "patched.yaml"
         bad.write_text(yaml.safe_dump(data))
-        return run_cli("verify", "--scenario", str(bad))
+        return run_cli(*command, "--scenario", str(bad))
 
     def verify_with(self, tmp_path, field, value):
         """Exit code of ``verify`` on measurement_work.yaml with the node at
@@ -523,6 +524,31 @@ class TestInputErrors:
             self, tmp_path, capsys, fname, patches, path):
         assert self.verify_patched(tmp_path, fname, patches) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", math.nan), ("beta", math.inf),
+        ("steps[0].instrument.outcomes[0].kraus[0][0][0]", "1e999"),
+        ("report_times[0]", math.nan)],
+        ids=["beta-nan", "beta-inf", "kraus-1e999", "report-time-nan"])
+    def test_non_finite_number_is_an_input_error(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        code = self.verify_patched(tmp_path, "relaxation_two_level.yaml", {field: value},
+                                   ("run", "--mode", "both", "--out", str(out)))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: expected a finite number")
+        assert not out.exists()
+
+    def test_empty_label_is_an_input_error(self, tmp_path, capsys):
+        # next to "-", its one-label record would spell "-" as well
+        field = "steps[0].instrument.outcomes[0].label"
+        out = tmp_path / "out"
+        code = self.verify_patched(
+            tmp_path, "measurement_work.yaml",
+            {field: "", "steps[0].instrument.outcomes[1].label": "-"},
+            ("run", "--mode", "both", "--out", str(out)))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: outcome label is empty")
+        assert not out.exists()
 
     def test_label_with_a_comma_is_an_input_error(self, tmp_path, capsys):
         field = "steps[0].instrument.outcomes[0].label"

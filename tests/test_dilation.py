@@ -84,6 +84,12 @@ class TestChannelDilation:
         with pytest.raises(ValueError):
             dilate_channel(CPMap(("S",), [P0]))
 
+    def test_nan_kraus_rejected(self):
+        k = P1.copy()
+        k[1, 1] = np.nan
+        with pytest.raises(ValueError, match="Kraus completeness"):
+            dilate_channel(CPMap(("S",), [P0, k]))
+
     def test_padding_keeps_reconstruction(self):
         rng = np.random.default_rng(41)
         ch = CPMap(("S",), random_kraus_channel(rng, 2, 2))

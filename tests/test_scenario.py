@@ -74,6 +74,24 @@ class TestParsing:
             with pytest.raises(ScenarioError):
                 _parse_complex(bad, "x")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e999", "1-1e999i"])
+    def test_non_finite_literal_rejected(self, bad):
+        from proctherm.scenario import _parse_complex
+        with pytest.raises(ScenarioError, match="expected a finite number") as err:
+            _parse_complex(bad, "x")
+        assert err.value.path == "x"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e999", "nan", "-inf"],
+                             ids=["nan", "inf", "-inf", "str-1e999", "str-nan", "str--inf"])
+    @pytest.mark.parametrize("field", ["beta", "time"])
+    def test_non_finite_number_rejected(self, field, bad):
+        # every comparison with NaN is false, so a range check alone lets it
+        # through; the number is refused where it is read
+        extra = {"beta": bad} if field == "beta" else {"time": {"start": 0.0, "end": bad}}
+        with pytest.raises(ScenarioError, match="expected a finite number") as err:
+            parse_scenario_dict(minimal(**extra))
+        assert err.value.path == ("beta" if field == "beta" else "time.end")
+
     def test_pauli_and_number_presets(self):
         sc = parse_scenario_dict(minimal(
             coupling={"pauli": "XX", "coeff": 0.5},
@@ -252,6 +270,19 @@ class TestOutcomeLabels:
             node = node[key]
         node[keys[-1]] = f"u{char}p"
         with pytest.raises(ScenarioError, match="may not contain") as err:
+            parse_scenario_dict(data)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("fname, keys, path", SITES, ids=["instrument", "feedback",
+                                                              "collision"])
+    def test_empty_label_rejected(self, fname, keys, path):
+        # its one-label record would spell "-", as the empty record does
+        data = yaml.safe_load((SCENARIO_DIR / fname).read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = ""
+        with pytest.raises(ScenarioError, match="label is empty") as err:
             parse_scenario_dict(data)
         assert err.value.path == path
 

@@ -471,6 +471,22 @@ class TestValidationFeatures:
                              v=0.3 * random_hermitian(rng, 4))
         assert dephasing_error(model.hardware(0, ())) < 1e-12
 
+    def test_nan_declared_unitary_rejected(self):
+        # a NaN residual compares false with any tolerance, so the guard
+        # must reject what it cannot show to be small
+        u = np.eye(4, dtype=complex)
+        u[3, 3] = np.nan
+        step = {"time": 0.5, "collision": {"ancilla_state": np.diag([1.0, 0.0]),
+                                           "unitary": u, "projectors": [P0, P1]}}
+        with pytest.raises(ValueError, match="declared control is not unitary"):
+            simple_model([step])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_report_time_rejected(self, t):
+        model = simple_model([{"time": 0.5, "instrument": projective_z()}])
+        with pytest.raises(ValueError, match="outside the protocol range"):
+            Simulator(model).run(report_times=[t])
+
     def test_report_inside_window_rejected(self):
         model = simple_model([{"time": 0.5, "instrument": projective_z(),
                                "window": 0.2}])
