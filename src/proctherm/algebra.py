@@ -206,14 +206,9 @@ def gibbs_mat(h: np.ndarray | None, beta: float,
     return 0.5 * (rho + rho.conj().T), z0 * math.exp(-beta * w[0])
 
 
-def log_partition(h: np.ndarray, beta: float | Sequence[float]
-                  ) -> float | tuple[float, ...]:
-    """ln tr exp(-beta h), overflow-safe.  For a sequence of inverse
-    temperatures, one value per entry, all from one spectrum of h."""
-    w = np.linalg.eigvalsh(h)
-    if np.ndim(beta):
-        return tuple(logsumexp(-b * w) for b in beta)
-    return logsumexp(-beta * w)
+def log_partition(h: np.ndarray, beta: float) -> float:
+    """ln tr exp(-beta h), overflow-safe."""
+    return logsumexp(-beta * np.linalg.eigvalsh(h))
 
 
 def vn_entropy_mat(rho: np.ndarray) -> float | np.ndarray:

@@ -15,6 +15,7 @@ comparisons of two times in either route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, TypeVar
 
@@ -114,7 +115,7 @@ class Protocol:
 
     def segment_at(self, t: float, prefix: Sequence[str] = ()) -> Segment:
         """The last segment starting at most one instant after t."""
-        if before(t, self.t_start) or before(self.t_end, t):
+        if math.isnan(t) or before(t, self.t_start) or before(self.t_end, t):
             raise ValueError(f"time {t} outside protocol range "
                              f"[{self.t_start}, {self.t_end}]")
         return [s for s in self.timeline(prefix) if not before(t, s.t0)][-1]
@@ -124,7 +125,7 @@ class Protocol:
         """Yield (segment, a, b) slices covering (t_from, t_to]."""
         if before(t_to, t_from):
             raise ValueError(f"reversed interval ({t_from}, {t_to})")
-        if before(t_from, self.t_start) or before(self.t_end, t_to):
+        if math.isnan(t_from + t_to) or before(t_from, self.t_start) or before(self.t_end, t_to):
             raise ValueError(f"interval ({t_from}, {t_to}) not covered by the "
                              f"protocol range [{self.t_start}, {self.t_end}]")
         for seg in self.timeline(prefix):

@@ -648,6 +648,8 @@ class Simulator:
         return replace(g, states=_frozen(states), w_sys=w_sys, h_sys=h_sys)
 
     def advance(self, ledger: BranchLedger, t: float) -> BranchLedger:
+        if math.isnan(t):
+            raise ValueError(f"cannot advance from {ledger.time} to time {t}")
         if before(t, ledger.time):
             raise ValueError(f"cannot advance backwards from {ledger.time} to {t}")
         if not before(ledger.time, t):

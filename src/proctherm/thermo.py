@@ -91,46 +91,47 @@ class MeanForceData:
     dbeta_h_star: OperatorMatrix
 
 
-def _mean_force_core(w: np.ndarray, v: np.ndarray, dims: Sequence[int],
-                     x_pos: Sequence[int], ln_z_bath: float,
-                     beta: float) -> tuple[np.ndarray, float]:
-    """H* and ln Z* for one inverse temperature, from the eigenpairs
-    (w, v) of H_XB."""
+def _log_divided_differences(lam: np.ndarray) -> np.ndarray:
+    """K_ij = (ln l_i - ln l_j) / (l_i - l_j) and K_ii = 1 / l_i for l > 0,
+    as f(1 - r) / l_max with r = l_min / l_max and f(y) = -ln(1 - y) / y,
+    f(0) = 1: nothing overflows, and r below the unit roundoff stays finite."""
+    hi = np.maximum.outer(lam, lam)
+    r = np.minimum.outer(lam, lam) / hi
+    return np.divide(-np.log(r), 1.0 - r, out=np.ones_like(r), where=r < 1) / hi
+
+
+def _bath_moments(h_bath: np.ndarray, beta: float) -> tuple[float, float]:
+    """(ln Z_B, <H_B>) of the bath's Gibbs state at ``beta``."""
+    w = np.linalg.eigvalsh(h_bath)
+    boltz = np.exp(-beta * (w - w[0]))
+    return log_partition(h_bath, beta), float(boltz @ w / np.sum(boltz))
+
+
+def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
+                       x_pos: Sequence[int], bath: tuple[float, float], beta: float
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(H*, dH*/dbeta, ln Z*) from the eigenpairs (w, v) of H_XB and the
+    bath's (ln Z_B, <H_B>) at beta, in one pass.  With w0 = min w,
+    M = tr_B e^{-beta (H_XB - w0)} and M' = dM/dbeta, beta H* = -ln M +
+    beta w0 + ln Z_B gives dH*/dbeta = (w0 - <H_B> - D ln M[M'] - H*) / beta,
+    with the Daleckii-Krein derivative D ln M[X] = V ((V' X V) o K) V' in
+    M's eigenbasis, K from :func:`_log_divided_differences`."""
+    w, v = eig
+    ln_z_bath, e_bath = bath
     w0 = float(w[0])
-    m0 = ptrace_factors((v * np.exp(-beta * (w - w0))) @ v.conj().T, dims, x_pos)
+    boltz = np.exp(-beta * (w - w0))
+    m0 = ptrace_factors((v * boltz) @ v.conj().T, dims, x_pos)
     m0 = 0.5 * (m0 + m0.conj().T)
+    dm = ptrace_factors((v * (-(w - w0) * boltz)) @ v.conj().T, dims, x_pos)
     wm, vm = np.linalg.eigh(m0)
     wm = np.clip(wm, 1e-300, None)
     ln_m = (vm * np.log(wm)) @ vm.conj().T
     eye = np.eye(ln_m.shape[0])
     h_star = -(ln_m) / beta + (w0 + ln_z_bath / beta) * eye
     h_star = 0.5 * (h_star + h_star.conj().T)
+    dln_m = vm @ ((vm.conj().T @ dm @ vm) * _log_divided_differences(wm)) @ vm.conj().T
+    dh = ((w0 - e_bath) * eye - dln_m - h_star) / beta
     ln_z_star = logsumexp(-beta * w) - ln_z_bath
-    return h_star, ln_z_star
-
-
-_DBETA = 1e-4   # step of the dH*/dbeta central difference, relative to beta
-
-
-def _mean_force_betas(beta: float) -> tuple[float, ...]:
-    """The inverse temperatures one mean force reads: beta, then
-    beta +- dbeta and beta +- dbeta/2 with ``dbeta = _DBETA * beta``."""
-    dbeta = _DBETA * beta
-    return (beta, beta + dbeta, beta - dbeta, beta + dbeta / 2, beta - dbeta / 2)
-
-
-def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
-                       x_pos: Sequence[int], ln_z_bath: Sequence[float], beta: float
-                       ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(H*, dH*/dbeta, ln Z*) from the eigenpairs of H_XB and ln Z_B at each
-    of :func:`_mean_force_betas`; the derivative is a central difference
-    with one Richardson refinement, steps ``dbeta`` and ``dbeta / 2``."""
-    w, v = eig
-    (h_star, ln_z_star), (hp, _), (hm, _), (hp2, _), (hm2, _) = [
-        _mean_force_core(w, v, dims, x_pos, ln_z, b)
-        for b, ln_z in zip(_mean_force_betas(beta), ln_z_bath)]
-    dbeta = _DBETA * beta
-    dh = (4.0 * (hp2 - hm2) / dbeta - (hp - hm) / (2 * dbeta)) / 3.0
     return h_star, 0.5 * (dh + dh.conj().T), ln_z_star
 
 
@@ -141,8 +142,9 @@ def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
 
     ``h_bath`` is the bare Hamiltonian of the traced-out factors (zero if
     omitted); it fixes the normalization Z* = Z_XB / Z_B.  The
-    inverse-temperature derivative is a central difference with one
-    Richardson refinement, step ``1e-4 * beta``.
+    inverse-temperature derivative is exact: the Daleckii-Krein derivative
+    of ln tr_B e^{-beta H_XB} in closed form, from the same eigenpairs of
+    H_XB (see :func:`_mean_force_arrays`).
     """
     if beta <= 0:
         raise ValueError(f"inverse temperature must be positive, got {beta}")
@@ -158,8 +160,7 @@ def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
     if h_bath is None:
         h_bath = np.zeros((bath_dim, bath_dim))
     h_star, dbeta_h, ln_z_star = _mean_force_arrays(
-        np.linalg.eigh(h_xb.mat), dims, x_pos,
-        log_partition(h_bath, _mean_force_betas(beta)), beta)
+        np.linalg.eigh(h_xb.mat), dims, x_pos, _bath_moments(h_bath, beta), beta)
     return MeanForceData(
         OperatorMatrix(reg, x_labels, h_star, hermitian=True),
         math.exp(ln_z_star), beta,
@@ -255,15 +256,14 @@ class ThermoEvaluator:
         if h_b is None:
             d_b = self.model.registry.dims(("B",))[0]
             h_b = np.zeros((d_b, d_b))
-        # ln Z_B at each inverse temperature the mean force reads (beta
-        # first), from one bath spectrum
-        self._lnz_b = log_partition(h_b, _mean_force_betas(self.beta))
+        # (ln Z_B, <H_B>) at beta, which every mean force reads
+        self._bath = _bath_moments(h_b, self.beta)
 
     # -- mean force ----------------------------------------------------------
 
     def _mean_force(self, h_sys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H*, dH*/dbeta) on the system factor for one drive value, from
-        the model's own S B spectrum for it."""
+        """(H*, exact dH*/dbeta) on the system factor for one drive value,
+        from one pass over the model's own S B spectrum for it."""
         key = h_sys.tobytes()
         out = self._mf_cache.get(key)
         if out is not None:
@@ -274,7 +274,7 @@ class ThermoEvaluator:
             out = (np.asarray(h_sys, dtype=complex), np.zeros_like(h_sys, dtype=complex))
         else:
             out = _mean_force_arrays(model.spectrum(("S", "B"), h_sys),
-                                     model.registry.dims(("S", "B")), [0], self._lnz_b,
+                                     model.registry.dims(("S", "B")), [0], self._bath,
                                      beta)[:2]
         self._mf_cache[key] = out
         return out
@@ -380,7 +380,7 @@ class ThermoEvaluator:
         d_tot = beta * e_xb - self._s_tot0
         # supersystem relative entropy to its mean-force Gibbs state, without
         # its ln Z_XB: sum_r p (ln p - S_vN) + beta sum_r p (h*_tr + e_anc) = beta F
-        d_x = beta * f - self._lnz_b[0]
+        d_x = beta * f - self._bath[0]
         return d_tot - d_x
 
 

@@ -162,6 +162,23 @@ def dlog_daleckii(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
     return v @ (phi * dmt) @ v.conj().T
 
 
+def mean_force_dbeta(h_xb: np.ndarray, dims: Sequence[int], h_bath: np.ndarray,
+                     beta: float) -> np.ndarray:
+    """dH*/dbeta of the first factor of ``h_xb`` on ``dims = (d_X, d_B)``.
+
+    With R = tr_B e^{-beta H_XB} / Z_B and H* = -(1/beta) ln R, the product
+    rule gives dH*/dbeta = ln R / beta^2 - D ln R[dR/dbeta] / beta, with
+    D ln from :func:`dlog_daleckii` and the partial trace by index loops."""
+    w, v = np.linalg.eigh(h_xb)
+    m = ptrace_index((v * np.exp(-beta * w)) @ v.conj().T, list(dims), [0])
+    dm = ptrace_index((v * (-w * np.exp(-beta * w))) @ v.conj().T, list(dims), [0])
+    w_b = np.linalg.eigvalsh(h_bath)
+    z_b, dz_b = np.sum(np.exp(-beta * w_b)), np.sum(-w_b * np.exp(-beta * w_b))
+    ratio, dratio = m / z_b, dm / z_b - m * dz_b / z_b ** 2
+    wl, vl = np.linalg.eigh(ratio)
+    return (vl * np.log(wl)) @ vl.conj().T / beta ** 2 - dlog_daleckii(ratio, dratio) / beta
+
+
 # ---------------------------------------------------------------------------
 # dense black box
 # ---------------------------------------------------------------------------
@@ -340,7 +357,9 @@ def dense_thermo(run: DenseRun, t: float) -> DenseThermo:
         s = -ln p + S_vN(rho_X) + beta^2 tr{(dH*/dbeta) rho_S}
         f = tr{H* rho_S} + sum_k <h_A(k)> + T ln p - T S_vN(rho_X)
 
-    where H* is the bare drive for a decoupled or declared-bare model.  In
+    where H* is the bare drive for a decoupled or declared-bare model.
+    Otherwise H* comes from :func:`mean_force_hamiltonian` and dH*/dbeta
+    from :func:`mean_force_dbeta`, not from the route under test.  In
     the isolated black box the work is the global energy change
     ``w_budget``, so Sigma = dS - beta (dU - w_budget).  The relative-entropy
     form (Gibbs S B start and exact mean force only) is D(rho_tot || Gibbs)
@@ -358,10 +377,11 @@ def dense_thermo(run: DenseRun, t: float) -> DenseThermo:
         if not bare:
             reg = FactorRegistry([("S", dims[0]), ("B", dims[1])])
             h_b = spec.get("h_bath")
-            mf = mean_force_hamiltonian(
-                OperatorMatrix(reg, ("S", "B"), _h_sb(spec, rec.h_sys), hermitian=True),
-                ["S"], beta=beta, h_bath=np.zeros((dims[1],) * 2) if h_b is None else h_b)
-            h_star, dh = mf.h_star.mat, mf.dbeta_h_star.mat
+            h_b = np.zeros((dims[1],) * 2) if h_b is None else h_b
+            h_sb = _h_sb(spec, rec.h_sys)
+            h_star = mean_force_hamiltonian(OperatorMatrix(reg, ("S", "B"), h_sb, hermitian=True),
+                                            ["S"], beta=beta, h_bath=h_b).h_star.mat
+            dh = mean_force_dbeta(h_sb, dims[:2], h_b, beta)
         p = rec.p
         rho_s = ptrace_factors(rec.rho, dims, [0]) / p
         s_vn = vn_entropy_mat(ptrace_factors(rec.rho, dims, x) / p)

@@ -325,12 +325,8 @@ class TestGibbs:
     def test_log_partition_per_inverse_temperature(self):
         rng = np.random.default_rng(63)
         h = random_hermitian(rng, 5)
-        betas = (0.7, 0.70007, 1.3)
-        lnz = log_partition(h, betas)
-        assert lnz == tuple(log_partition(h, b) for b in betas)
-        assert lnz[0] == pytest.approx(math.log(gibbs_state(op(FactorRegistry([("S", 5)]),
-                                                                ("S",), h), 0.7)[1]),
-                                       rel=1e-12)
+        z = gibbs_state(op(FactorRegistry([("S", 5)]), ("S",), h), 0.7)[1]
+        assert log_partition(h, 0.7) == pytest.approx(math.log(z), rel=1e-12)
 
 
 class TestRoundTrips:

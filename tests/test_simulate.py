@@ -5,7 +5,9 @@ state produced by the unitary inclusive model must match the direct
 intervention-sequence evaluation, record by record.
 """
 
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from proctherm.channels import CPMap, Instrument, evaluate_process_tensor
 from proctherm.dilation import dephasing_error
 from proctherm.protocol import Protocol, Segment
 from proctherm import simulate
+from proctherm.scenario import build_model, parse_scenario
 from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
 from proctherm.thermo import work_measurement_alternative
 from proctherm.tolerances import TIME_EPS
@@ -486,6 +489,25 @@ class TestValidationFeatures:
         model = simple_model([{"time": 0.5, "instrument": projective_z()}])
         with pytest.raises(ValueError, match="outside the protocol range"):
             Simulator(model).run(report_times=[t])
+
+    # every comparison with NaN is false, so a range guard alone lets it through
+    @pytest.mark.parametrize("call", [
+        lambda proto: proto.segment_at(math.nan),
+        lambda proto: list(proto.iter_segments(math.nan, 1.5)),
+        lambda proto: list(proto.iter_segments(0.5, math.nan)),
+    ], ids=["segment_at", "iter_segments_from", "iter_segments_to"])
+    def test_nan_time_rejected_by_protocol(self, call):
+        proto = Protocol([Segment(0.0, 1.0, SX), Segment(1.0, 2.0, P1)])
+        with pytest.raises(ValueError, match="nan"):
+            call(proto)
+
+    def test_nan_time_rejected_by_advance(self):
+        scenario = parse_scenario(Path(__file__).resolve().parent.parent
+                                  / "scenarios" / "measurement_work.yaml")
+        sim = Simulator(build_model(scenario))
+        ledger = sim.run().initial.ledger
+        with pytest.raises(ValueError, match="nan"):
+            sim.advance(ledger, math.nan)
 
     def test_report_inside_window_rejected(self):
         model = simple_model([{"time": 0.5, "instrument": projective_z(),

@@ -1,6 +1,7 @@
 """Tests for the thermodynamic functionals and their identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from proctherm.thermo import (
     work_measurement_alternative,
 )
 
-from oracles import dlog_daleckii, random_density, random_hermitian, richardson_halving
+from oracles import mean_force_dbeta, random_density, random_hermitian, richardson_halving
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -61,9 +62,10 @@ class TestMeanForce:
 
     def test_joint_hamiltonian_diagonalized_once_per_drive_value(self, monkeypatch):
         # H_SB depends on the drive alone: the Gibbs start, the propagators
-        # of its segments, and H*, its beta-derivative and ln Z* at beta,
-        # beta +- dbeta and beta +- dbeta/2, all share one eigh of it across
-        # the assembly, the run and its evaluation
+        # of its segments, and H*, its beta-derivative and ln Z* all share
+        # one eigh of it across the assembly, the run and its evaluation;
+        # the mean force then diagonalizes one d_S x d_S matrix, M = tr_B
+        # exp(-beta H_SB) up to a scalar, per drive value
         rng = np.random.default_rng(12)
         drives = [np.diag([0.0, 1.0]) + c * SX for c in (0.0, 0.2, 0.5)]
         proto = Protocol([Segment(0.5 * i, 0.5 * (i + 1), h) for i, h in enumerate(drives)])
@@ -82,6 +84,7 @@ class TestMeanForce:
         joint = [a for a in inputs if a.shape == (6, 6)]
         assert len(joint) == len(drives)
         assert len({a.tobytes() for a in joint}) == len(drives)
+        assert len([a for a in inputs if a.shape == (2, 2)]) == len(drives)
 
     def test_decoupled_limit_is_bare(self):
         h_xb, h_s, h_b = self.coupled(0.0)
@@ -116,19 +119,69 @@ class TestMeanForce:
         beta = 1.0
         h_xb, _, h_b = self.coupled(0.5, beta)
         mfd = mean_force_hamiltonian(h_xb, ["S"], beta, h_bath=h_b)
-        # analytic derivative: H* = -(1/beta) ln(M/Z_B) with M = tr_B e^{-bH}
-        w, v = np.linalg.eigh(h_xb.mat)
-        em = (v * np.exp(-beta * w)) @ v.conj().T
-        m = ptrace_factors(em, [2, 2], [0])
-        dm = ptrace_factors((v * (-w * np.exp(-beta * w))) @ v.conj().T, [2, 2], [0])
-        z_b = float(np.sum(np.exp(-beta * np.linalg.eigvalsh(h_b))))
-        dz_b = float(np.sum(-np.linalg.eigvalsh(h_b) * np.exp(-beta * np.linalg.eigvalsh(h_b))))
-        ratio = m / z_b
-        dratio = dm / z_b - m * dz_b / z_b ** 2
-        wl, vl = np.linalg.eigh(ratio)
-        ln_ratio = (vl * np.log(wl)) @ vl.conj().T
-        analytic = ln_ratio / beta ** 2 - dlog_daleckii(ratio, dratio) / beta
-        np.testing.assert_allclose(mfd.dbeta_h_star.mat, analytic, atol=1e-6)
+        np.testing.assert_allclose(mfd.dbeta_h_star.mat,
+                                   mean_force_dbeta(h_xb.mat, (2, 2), h_b, beta),
+                                   rtol=0, atol=1e-12)
+
+    @staticmethod
+    def general(h, dims, h_b, beta):
+        reg = FactorRegistry([("S", dims[0]), ("B", dims[1])])
+        return mean_force_hamiltonian(OperatorMatrix(reg, ("S", "B"), h, hermitian=True),
+                                      ["S"], beta, h_bath=h_b)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_beta_derivative_on_random_models(self, seed):
+        # a random coupling: M = tr_B exp(-beta H_SB) and its beta-derivative
+        # do not commute, so every off-diagonal divided difference counts
+        rng = np.random.default_rng([20, seed])
+        d_s, d_b = (int(d) for d in rng.integers(2, 4, size=2))
+        h_b = random_hermitian(rng, d_b)
+        h = (np.kron(random_hermitian(rng, d_s), np.eye(d_b)) + np.kron(np.eye(d_s), h_b)
+             + random_hermitian(rng, d_s * d_b, scale=0.5))
+        beta = float(rng.uniform(0.3, 2.0))
+        mfd = self.general(h, (d_s, d_b), h_b, beta)
+        np.testing.assert_allclose(mfd.dbeta_h_star.mat,
+                                   mean_force_dbeta(h, (d_s, d_b), h_b, beta),
+                                   rtol=0, atol=1e-12)
+
+    def test_beta_derivative_of_degenerate_hamiltonian(self):
+        h = 0.4 * np.eye(4)
+        mfd = self.general(h, (2, 2), np.zeros((2, 2)), 0.8)
+        np.testing.assert_allclose(mfd.dbeta_h_star.mat,
+                                   mean_force_dbeta(h, (2, 2), np.zeros((2, 2)), 0.8),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("g", [1e-4, 1e-8])
+    def test_beta_derivative_near_degeneracy(self, g):
+        # H_S = 0: M is the identity times Z_B up to O(g^2), so its
+        # eigenvalues nearly coincide; checked against a Richardson-refined
+        # central difference of H* itself, step 1e-3 beta
+        beta, step = 1.1, 1.1e-3
+        h_xb, _, h_b = self.coupled(g, beta, h_s=np.zeros((2, 2)))
+
+        def h_star(b):
+            return mean_force_hamiltonian(h_xb, ["S"], b, h_bath=h_b).h_star.mat
+
+        diffs = [(h_star(beta + d) - h_star(beta - d)) / (2 * d) for d in (step, step / 2)]
+        mfd = mean_force_hamiltonian(h_xb, ["S"], beta, h_bath=h_b)
+        np.testing.assert_allclose(mfd.dbeta_h_star.mat, richardson_halving(diffs, (2,)),
+                                   rtol=0, atol=1e-12)
+
+    def test_beta_derivative_finite_at_the_eigenvalue_clip(self):
+        # a sigma_z x sigma_x coupling keeps the system levels apart, and the
+        # excited level's Boltzmann weight exp(-1000) underflows: M's lowest
+        # eigenvalue is clipped to 1e-300, and every divided difference must
+        # stay finite, without a RuntimeWarning
+        beta = 200.0
+        h_xb, _, h_b = self.coupled(0.0, beta, h_s=np.diag([0.0, 5.0]))
+        h = h_xb.mat + 0.3 * np.kron(np.diag([1.0, -1.0]), SX)
+        w, v = np.linalg.eigh(h)
+        m = ptrace_factors((v * np.exp(-beta * (w - w[0]))) @ v.conj().T, [2, 2], [0])
+        assert np.linalg.eigvalsh(m)[0] <= 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mfd = self.general(h, (2, 2), h_b, beta)
+        assert np.all(np.isfinite(mfd.dbeta_h_star.mat))
 
     def test_weak_coupling_limit_scaling(self):
         beta = 1.0
