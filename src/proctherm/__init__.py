@@ -22,7 +22,6 @@ from .channels import (
     Instrument,
     InterventionSchedule,
     evaluate_process_tensor,
-    multilinearity_check,
 )
 from .dilation import (
     DilationResult,

@@ -12,7 +12,7 @@ shares every prefix; the autonomous reconstruction lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "Instrument",
     "InterventionSchedule",
     "evaluate_process_tensor",
-    "multilinearity_check",
 ]
 
 
@@ -194,8 +193,7 @@ class InterventionSchedule:
 
 
 def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
-          times: Iterable[float],
-          branches: Callable[[int, tuple[str, ...]], Sequence[tuple[str, CPMap]]]
+          times: Iterable[float]
           ) -> dict[float, tuple[list[tuple[str, ...]], np.ndarray]]:
     """System-bath matrix of every record at every time in ``times``, as
     the records and their matrices stacked in one (N, D, D) array.
@@ -203,9 +201,9 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
     One pass over the record tree in families ``(node, records, keys,
     stack)``.  A record's node, its longest prefix that is a prefix of a
     declared feedback or variant prefix, fixes its timeline and every later
-    ``branches(k, node)``, so a family resolves them once per event and
-    evolves as one stack.  A split gives one child stack per outcome, keyed
-    parent key times outcome count plus outcome position; children that
+    instrument, so a family resolves them once per event and evolves as one
+    stack.  A split gives one child stack per outcome, keyed parent key
+    times the step's alphabet size plus outcome position; children that
     share a node form one family.  A report (after any intervention at its
     time) sorts by key, which is ``itertools.product`` order of the
     alphabets.  Each segment's H_SB is diagonalized once, and its
@@ -240,11 +238,10 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
                 np.concatenate(keys), np.concatenate(mats))
 
     def split(k, families):
-        outcomes = [branches(k, node) for node, *_ in families]
-        radix = max(map(len, outcomes))
+        radix = len(schedule.alphabet(k))   # every feedback override shares it
         children: dict[tuple[str, ...], list] = {}
-        for (node, records, keys, mats), outs in zip(families, outcomes):
-            for r, (label, cp) in enumerate(outs):
+        for node, records, keys, mats in families:
+            for r, (label, cp) in enumerate(schedule.instrument_at(k, node).outcomes):
                 # a node deepens only while it is the whole record
                 deeper = node + (label,)
                 child = deeper if len(node) == len(records[0]) and deeper in nodes else node
@@ -281,44 +278,6 @@ def evaluate_process_tensor(schedule: InterventionSchedule,
     is its record probability; the states at fixed t sum to a normalized one.
     """
     dims = schedule.registry.dims(("S", "B"))
-    tree = _walk(schedule, sb_init, times,
-                 lambda k, prefix: schedule.instrument_at(k, prefix).outcomes)
     return {t: (records, ptrace_factors(mats, dims, [0]))
-            for t, (records, mats) in tree.items()}
+            for t, (records, mats) in _walk(schedule, sb_init, times).items()}
 
-
-def multilinearity_check(schedule: InterventionSchedule,
-                         ops_a: Sequence[CPMap], ops_b: Sequence[CPMap],
-                         alpha: float, sb_init: DensityOperator,
-                         t: float) -> tuple[bool, float]:
-    """Check per-slot linearity of the multi-time map.
-
-    For each slot k the sequence with the mixed map alpha*a_k + (1-alpha)*b_k
-    must equal the convex combination of the two pure sequences entrywise.
-    Returns (ok, max deviation); never raises on failure.
-    """
-    if len(ops_a) != len(ops_b):
-        raise ValueError("operation lists must have equal length")
-    if any(a.support != b.support for a, b in zip(ops_a, ops_b)):
-        raise ValueError("can only mix maps on the same support")
-    applied = sum(1 for tk in schedule.times if not before(t, tk))
-    if len(ops_a) != applied:
-        raise ValueError(
-            f"operation list covers {len(ops_a)} interventions but {applied} "
-            f"are scheduled up to t={t}")
-
-    def final(ops):
-        _, mats = _walk(schedule, sb_init, [t], lambda k, _: [("", ops[k])])[t]
-        return mats[0]
-
-    worst = 0.0
-    for k, (a, b) in enumerate(zip(ops_a, ops_b)):
-        mixed = list(ops_a)
-        mixed[k] = CPMap(a.support, [np.sqrt(alpha) * m for m in a.kraus]
-                         + [np.sqrt(1 - alpha) * m for m in b.kraus])
-        swapped = list(ops_a)
-        swapped[k] = b
-        lhs = final(mixed)
-        rhs = alpha * final(ops_a) + (1 - alpha) * final(swapped)
-        worst = max(worst, max_norm(lhs - rhs))
-    return worst <= 1e-10, worst

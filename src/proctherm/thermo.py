@@ -115,7 +115,9 @@ def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
     M = tr_B e^{-beta (H_XB - w0)} and M' = dM/dbeta, beta H* = -ln M +
     beta w0 + ln Z_B gives dH*/dbeta = (w0 - <H_B> - D ln M[M'] - H*) / beta,
     with the Daleckii-Krein derivative D ln M[X] = V ((V' X V) o K) V' in
-    M's eigenbasis, K from :func:`_log_divided_differences`."""
+    M's eigenbasis, K from :func:`_log_divided_differences`.  Raises
+    :class:`ConventionError` when M's lowest eigenvalue underflows (at or
+    below 1e-300): its logarithm would no longer be H*."""
     w, v = eig
     ln_z_bath, e_bath = bath
     w0 = float(w[0])
@@ -124,7 +126,11 @@ def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
     m0 = 0.5 * (m0 + m0.conj().T)
     dm = ptrace_factors((v * (-(w - w0) * boltz)) @ v.conj().T, dims, x_pos)
     wm, vm = np.linalg.eigh(m0)
-    wm = np.clip(wm, 1e-300, None)
+    if not wm[0] > 1e-300:
+        raise ConventionError(
+            f"Hamiltonian of mean force at beta={beta:g}: the lowest eigenvalue "
+            f"{wm[0]:.3e} of tr_B exp(-beta (H_XB - w0)) underflows, so a "
+            f"level more than ~690/beta above the ground is not resolved")
     ln_m = (vm * np.log(wm)) @ vm.conj().T
     eye = np.eye(ln_m.shape[0])
     h_star = -(ln_m) / beta + (w0 + ln_z_bath / beta) * eye

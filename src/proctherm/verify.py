@@ -184,26 +184,27 @@ def verify_model(model: AutonomousModel, result: RunResult,
                          _worst(tr.average_work_gap() for tr in result.traces),
                          tol.convention_average))
 
-    # --- second law, both forms
+    # --- second law, both forms; a row that cannot be evaluated is listed
+    # as skipped, with the reason
+    gaps = [abs(row.sigma_first_law - row.sigma_rel_ent)
+            for row in ledger.ensemble_rows if row.sigma_rel_ent is not None]
     if model.gibbs_initial:
         checks.append(_check("second-law-positivity",
                              _worst(-row.sigma_first_law for row in ledger.ensemble_rows),
                              tol.second_law))
-        gaps = [abs(row.sigma_first_law - row.sigma_rel_ent)
-                for row in ledger.ensemble_rows if row.sigma_rel_ent is not None]
-        if gaps:
-            checks.append(_check("entropy-production-forms", _worst(gaps),
-                                 tol.sigma_forms, pruned_note))
-        else:
-            why = ("bare mean-force mode has no exact relative-entropy reference"
-                   if model.mean_force_bare else "no report time has a surviving record")
-            checks.append(CheckResult(
-                "entropy-production-forms", 0.0, tol.sigma_forms, True,
-                note="; ".join(filter(None, (f"skipped: {why}", pruned_note)))))
+        why = "" if gaps else (
+            "bare mean-force mode has no exact relative-entropy reference"
+            if model.mean_force_bare else "no report time has a surviving record")
     else:
+        why = "non-thermal initial system-bath state voids the guarantee"
+        checks.append(CheckResult("second-law-positivity", 0.0, tol.second_law, True,
+                                  note=f"skipped: {why}"))
+    if why:
         checks.append(CheckResult(
-            "second-law-positivity", 0.0, tol.second_law, True,
-            note="skipped: non-thermal initial system-bath state voids the "
-                 "guarantee"))
+            "entropy-production-forms", 0.0, tol.sigma_forms, True,
+            note="; ".join(filter(None, (f"skipped: {why}", pruned_note)))))
+    else:
+        checks.append(_check("entropy-production-forms", _worst(gaps),
+                             tol.sigma_forms, pruned_note))
     return checks
 

@@ -13,7 +13,6 @@ from proctherm.channels import (
     Instrument,
     InterventionSchedule,
     evaluate_process_tensor,
-    multilinearity_check,
 )
 from proctherm.protocol import Protocol, Segment
 
@@ -137,6 +136,36 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             flat_schedule([0.5, 1.0], [projective_z(), projective_z()],
                           feedback={1: {("1",): other}})
+
+
+# each case reaches exactly one guard; with that guard gone it raises
+# nothing, or something else
+GUARDS = {
+    "cp-map-without-kraus": (lambda: CPMap(("S",), []), "at least one Kraus operator"),
+    "cp-map-unequal-kraus": (lambda: CPMap(("S",), [np.eye(2), np.eye(3)]),
+                             "must be square and equal-sized"),
+    "instrument-without-outcomes": (lambda: Instrument([]), "at least one outcome"),
+    "instrument-duplicate-labels": (
+        lambda: Instrument([("1", CPMap(("S",), [P0])), ("1", CPMap(("S",), [P1]))]),
+        r"duplicate outcome labels \['1', '1'\]"),
+    "instrument-mixed-supports": (
+        lambda: Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("B",), [P1]))]),
+        "all outcome maps must share one support"),
+    "schedule-instrument-count": (
+        lambda: flat_schedule([0.5, 1.0], [projective_z()]),
+        "one instrument per intervention time"),
+    "schedule-feedback-unknown-step": (
+        lambda: flat_schedule([0.5], [projective_z()], feedback={2: {(): projective_z()}}),
+        "feedback references unknown step 2"),
+}
+
+
+class TestGuards:
+    @pytest.mark.parametrize("case", GUARDS)
+    def test_guard_rejects(self, case):
+        call, message = GUARDS[case]
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestProcessEvaluation:
@@ -337,38 +366,45 @@ class TestProcessEvaluation:
 
 
 class TestMultilinearity:
-    def _setup(self, seed):
-        rng = np.random.default_rng(seed)
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.37])
+    def test_linearity_per_slot(self, alpha):
+        # the two-outcome instrument {sqrt(alpha) a_k, sqrt(1-alpha) b_k} at
+        # slot k splits the run with the mixed map into alpha run(a) and
+        # (1-alpha) run(b), record by record and unnormalized
+        rng = np.random.default_rng(31)
         reg = sb_registry()
-        sched = flat_schedule([0.4, 1.0], [identity_instrument(), identity_instrument()],
-                              h_sys=random_hermitian(rng, 2),
-                              h_bath=random_hermitian(rng, 2),
-                              v=0.3 * random_hermitian(rng, 4))
+        h_sys, h_bath = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        v = 0.3 * random_hermitian(rng, 4)
         ops_a = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
         ops_b = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
         sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), random_density(rng, 4)))
-        return sched, ops_a, ops_b, sb
 
-    def test_op_list_length_validated(self):
-        sched, ops_a, ops_b, sb = self._setup(32)
-        with pytest.raises(ValueError):
-            multilinearity_check(sched, ops_a, ops_b, 0.5, sb, t=0.7)
-        with pytest.raises(ValueError):
-            multilinearity_check(sched, ops_a[:1], ops_b[:1], 0.5, sb, t=1.5)
+        def run(instruments):
+            sched = flat_schedule([0.4, 1.0], instruments, reg=reg,
+                                  h_sys=h_sys, h_bath=h_bath, v=v)
+            return states_by_record(evaluate_process_tensor(sched, sb, [1.5])[1.5])
 
-    def test_maps_on_different_supports_rejected(self):
-        # a slot cannot mix a system map with a bath map
-        sched, ops_a, ops_b, sb = self._setup(33)
-        on_bath = [CPMap(("B",), ops_b[1].kraus)]
-        with pytest.raises(ValueError, match="same support"):
-            multilinearity_check(sched, ops_a, ops_b[:1] + on_bath, 0.5, sb, t=1.5)
+        def only(cp):
+            return Instrument([("1", cp)])
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.0, 0.37])
-    def test_linearity_per_slot(self, alpha):
-        sched, ops_a, ops_b, sb = self._setup(31)
-        ok, dev = multilinearity_check(sched, ops_a, ops_b, alpha, sb, t=1.5)
-        assert ok, f"deviation {dev}"
-        assert dev < 1e-10
+        for k in range(2):
+            plain = [only(cp) for cp in ops_a]
+            swapped = list(plain)
+            swapped[k] = only(ops_b[k])
+            split = list(plain)
+            split[k] = Instrument([
+                ("a", CPMap(("S",), [np.sqrt(alpha) * m for m in ops_a[k].kraus])),
+                ("b", CPMap(("S",), [np.sqrt(1 - alpha) * m for m in ops_b[k].kraus]))])
+            mixed = list(plain)
+            mixed[k] = only(CPMap(("S",), [*(np.sqrt(alpha) * m for m in ops_a[k].kraus),
+                                           *(np.sqrt(1 - alpha) * m for m in ops_b[k].kraus)]))
+            (run_a,), (run_b,), (run_mixed,) = (run(i).values() for i in (plain, swapped, mixed))
+            parts = run(split)
+            labels = [("1",) * k + (x,) + ("1",) * (1 - k) for x in "ab"]
+            assert sorted(parts) == sorted(labels)
+            np.testing.assert_allclose(parts[labels[0]], alpha * run_a, atol=1e-12)
+            np.testing.assert_allclose(parts[labels[1]], (1 - alpha) * run_b, atol=1e-12)
+            np.testing.assert_allclose(sum(parts.values()), run_mixed, atol=1e-12)
 
 
 class TestRouteIndependence:

@@ -187,6 +187,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "note:" in err
 
+    def test_report_without_out_is_the_written_report(self, tmp_path, capsys):
+        scenario = str(SCENARIO_DIR / "measurement_work.yaml")
+        out = tmp_path / "r"
+        assert run_cli("run", "--scenario", scenario, "--mode", "both", "--seed", "7",
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("run", "--scenario", scenario, "--mode", "both", "--seed", "7") == 0
+        assert capsys.readouterr().out == (out / "report.json").read_text(encoding="utf-8") + "\n"
+
     def test_process_tensor_mode(self, capsys):
         code = run_cli("run", "--scenario", str(SCENARIO_DIR / "tpm_qutrit.yaml"),
                        "--mode", "process-tensor")
@@ -464,6 +473,16 @@ class TestReconstructionNegativeControl:
 
 
 class TestInputErrors:
+    # each case reaches exactly one guard; with that guard gone the error
+    # no longer names the flag
+    @pytest.mark.parametrize("override, message", [
+        ("prune", "expected k=v, got 'prune'"),
+        ("prune=small", "'small' is not a number")], ids=["no-equals", "not-a-number"])
+    def test_malformed_tolerance_override_is_an_input_error(self, capsys, override, message):
+        assert run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
+                       "--tol-override", override) == 2
+        assert capsys.readouterr().err == f"error: --tol-override: {message}\n"
+
     def test_missing_scenario_file(self, capsys):
         assert run_cli("run", "--scenario", "/does/not/exist.yaml") == 2
         assert "error:" in capsys.readouterr().err
@@ -554,6 +573,22 @@ class TestInputErrors:
         field = "steps[0].instrument.outcomes[0].label"
         assert self.verify_with(tmp_path, field, "u,p") == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_underflowing_mean_force_is_an_input_error(self, tmp_path, capsys):
+        # a sigma_z x sigma_x coupling keeps the system levels 5 apart: at
+        # beta = 200 the excited level's Boltzmann weight underflows
+        path = tmp_path / "cold.yaml"
+        sz_sx = 0.3 * np.kron(np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]])
+        path.write_text(yaml.safe_dump({
+            "name": "cold", "beta": 200.0, "system": {"dim": 2},
+            "bath": {"dim": 2, "hamiltonian": {"diag": [0.0, 0.9]}},
+            "coupling": sz_sx.tolist(),
+            "system_hamiltonian": {"diag": [0.0, 5.0]},
+            "time": {"start": 0.0, "end": 1.0}, "report_times": [1.0]}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 2
+        assert "mean force" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"

@@ -21,6 +21,7 @@ from proctherm.scenario import build_model, parse_scenario
 from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
 from proctherm.thermo import work_measurement_alternative
 from proctherm.tolerances import TIME_EPS
+from proctherm.verify import equivalence_rows
 
 from dense_checks import both_routes, check_branch_rows, check_branch_states, check_ensemble
 from oracles import (
@@ -640,3 +641,105 @@ class TestWindowWork:
         assert windowed.keys() == instant.keys() and len(instant) == 4
         for labels, br in instant.items():
             assert max_norm(windowed[labels].state - br.state) < 1e-9
+
+
+def _collision(**extra):
+    """An identity collision step at t=0.5 on a qubit ancilla, updated by
+    ``extra``."""
+    return {"time": 0.5, **extra,
+            "collision": {"ancilla_state": P0, "unitary": np.eye(4), "projectors": [P0, P1]}}
+
+
+def _on_ledger_at(t, act):
+    """``act(simulator, ledger)`` for a two-step model (steps at 0.5 and
+    1.0) and its ledger at ``t``."""
+    sim = Simulator(simple_model([{"time": 0.5, "instrument": projective_z()},
+                                  {"time": 1.0, "instrument": projective_z()}]))
+    return act(sim, sim.run(report_times=[t]).snapshots[0].ledger)
+
+
+# each case reaches exactly one guard; with that guard gone it raises
+# nothing, or something else
+GUARDS = {
+    "gibbs-start-nonpositive-beta": (
+        lambda: simple_model([], beta=0.0), "inverse temperature must be positive"),
+    "window-with-feedback": (
+        lambda: simple_model([{"time": 0.5, "instrument": projective_z()},
+                              {"time": 1.0, "instrument": projective_z(), "window": 0.1}],
+                             feedback={1: {("1",): projective_z()}}),
+        "finite-width control cannot be combined with instrument feedback"),
+    "collision-unitary-shape": (
+        lambda: simple_model([{"time": 0.5, "collision": {
+            "ancilla_state": P0, "unitary": np.eye(2), "projectors": [P0, P1]}}]),
+        r"control unitary must act on system \(x\) ancilla"),
+    "collision-with-feedback": (
+        lambda: simple_model([{"time": 0.5, "instrument": projective_z()},
+                              _collision(time=1.0)],
+                             feedback={1: {("1",): projective_z()}}),
+        "collision steps take no instrument feedback"),
+    "step-kind-missing": (
+        lambda: simple_model([{"time": 0.5}]), "needs 'instrument' or 'collision'"),
+    "ancilla-hamiltonian-shape": (
+        lambda: simple_model([{"time": 0.5, "instrument": projective_z(),
+                               "h_ancilla": np.eye(3)}]),
+        r"ancilla Hamiltonian must be 2x2 .* got \(3, 3\)"),
+    "window-past-protocol-end": (
+        lambda: simple_model([_collision(window=0.2, time=1.9)]),
+        "control window must end before the protocol does"),
+    "window-overlaps-next-step": (
+        lambda: simple_model([_collision(window=0.3), _collision(time=0.6)]),
+        "control window overlaps the next step"),
+    "step-outside-protocol": (
+        lambda: simple_model([{"time": 2.5, "instrument": projective_z()}]),
+        "an intervention is scheduled outside the protocol range"),
+    "variant-longer-than-schedule": (
+        lambda: AutonomousModel.assemble(
+            s_dim=2, beta=1.0, steps=[{"time": 0.5, "instrument": projective_z()}],
+            protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))],
+                              {("1", "1"): [Segment(0.0, 1.0, np.zeros((2, 2)))]})),
+        r"protocol variant \('1', '1'\) is longer than the intervention schedule"),
+    "advance-backwards": (
+        lambda: _on_ledger_at(1.2, lambda sim, ledger: sim.advance(ledger, 0.7)),
+        "cannot advance backwards from 1.2 to 0.7"),
+    "run-step-out-of-order": (
+        lambda: _on_ledger_at(0.0, lambda sim, ledger: sim.run_step(ledger, 1)),
+        "ledger has completed 0 steps, cannot run step 1"),
+    "run-step-off-time": (
+        lambda: _on_ledger_at(0.3, lambda sim, ledger: sim.run_step(ledger, 0)),
+        r"step 0 is scheduled at t=0.5, ledger is at t=0.3"),
+}
+
+
+class TestGuards:
+    @pytest.mark.parametrize("case", GUARDS)
+    def test_guard_rejects(self, case):
+        call, message = GUARDS[case]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+class TestDeclaredReadout:
+    def test_declared_rank2_projector_keeps_its_ancilla(self):
+        # rotated readout on a qutrit ancilla: a rank-2 and a rank-1
+        # projector, neither a 0/1 diagonal; the rank-1 record factors its
+        # ancilla out, the rank-2 record keeps it in its state
+        rng = np.random.default_rng(81)
+        rot = random_unitary(rng, 3)
+        projectors = [rot @ np.diag([1.0, 1.0, 0.0]) @ rot.conj().T,
+                      rot @ np.diag([0.0, 0.0, 1.0]) @ rot.conj().T]
+        model = simple_model(
+            [{"time": 0.5, "h_ancilla": np.diag([0.0, 0.4, 1.1]),
+              "collision": {"ancilla_state": np.diag([1.0, 0.0, 0.0]),
+                            "unitary": random_unitary(rng, 6),
+                            "projectors": projectors, "labels": ("two", "one")}}],
+            h_sys=random_hermitian(rng, 2), h_bath=random_hermitian(rng, 2),
+            v=0.3 * random_hermitian(rng, 4))
+        result = Simulator(model).run(report_times=[1.5])
+        anc = ancilla_label(0)
+        supports = {labels: g.support for g in result.final.groups for labels in g.records}
+        assert sorted(supports) == [("one",), ("two",)]
+        assert anc in supports[("two",)] and anc not in supports[("one",)]
+        assert all(br.weight > 1e-3 for br in result.final.branches.values())
+        rows = equivalence_rows(model, result)
+        assert len(rows) == 2
+        assert max(max(r["state_dev"], r["prob_dev"]) for r in rows) < 1e-12

@@ -167,21 +167,40 @@ class TestMeanForce:
         np.testing.assert_allclose(mfd.dbeta_h_star.mat, richardson_halving(diffs, (2,)),
                                    rtol=0, atol=1e-12)
 
-    def test_beta_derivative_finite_at_the_eigenvalue_clip(self):
-        # a sigma_z x sigma_x coupling keeps the system levels apart, and the
-        # excited level's Boltzmann weight exp(-1000) underflows: M's lowest
-        # eigenvalue is clipped to 1e-300, and every divided difference must
-        # stay finite, without a RuntimeWarning
-        beta = 200.0
+    def sz_sx(self, beta):
+        """sigma_z x sigma_x coupling: H_SB is block-diagonal in the system
+        basis, so H* is diagonal with one logsumexp per system level."""
         h_xb, _, h_b = self.coupled(0.0, beta, h_s=np.diag([0.0, 5.0]))
         h = h_xb.mat + 0.3 * np.kron(np.diag([1.0, -1.0]), SX)
+
+        def logsumexp(x):
+            return x.max() + np.log(np.sum(np.exp(x - x.max())))
+
+        ln_z_b = logsumexp(-beta * np.diag(h_b))
+        closed = [(ln_z_b - logsumexp(-beta * np.linalg.eigvalsh(block))) / beta
+                  for block in (h[:2, :2], h[2:, 2:])]
+        return h, h_b, closed
+
+    def test_upper_level_matches_the_per_level_closed_form(self):
+        # the excited level's Boltzmann weight exp(-500) is tiny but resolved
+        beta = 100.0
+        h, h_b, closed = self.sz_sx(beta)
+        mfd = self.general(h, (2, 2), h_b, beta)
+        np.testing.assert_allclose(mfd.h_star.mat, np.diag(closed), rtol=0, atol=1e-12)
+
+    def test_underflowing_boltzmann_weight_is_a_convention_error(self):
+        # at beta = 200 the excited level's weight exp(-1000) underflows, so
+        # M's lowest eigenvalue no longer fixes H*: raise rather than return
+        # a wrong upper level, without a RuntimeWarning on the way
+        beta = 200.0
+        h, h_b, _ = self.sz_sx(beta)
         w, v = np.linalg.eigh(h)
         m = ptrace_factors((v * np.exp(-beta * (w - w[0]))) @ v.conj().T, [2, 2], [0])
         assert np.linalg.eigvalsh(m)[0] <= 1e-300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mfd = self.general(h, (2, 2), h_b, beta)
-        assert np.all(np.isfinite(mfd.dbeta_h_star.mat))
+            with pytest.raises(ConventionError, match="mean force"):
+                self.general(h, (2, 2), h_b, beta)
 
     def test_weak_coupling_limit_scaling(self):
         beta = 1.0

@@ -88,6 +88,25 @@ class TestVerifySuite:
         b = verify_model(model, result, rng=np.random.default_rng(42))
         assert [(c.name, c.value) for c in a] == [(c.name, c.value) for c in b]
 
+    def test_non_thermal_start_lists_every_check(self):
+        # a non-thermal start voids both second-law forms: they are listed
+        # as skipped with the reason, not left out
+        def checks(data):
+            model = build_model(parse_scenario_dict(data))
+            result = run_verified(model, [0.7, 1.5], prune=1e-14, max_branches=256)
+            return verify_model(model, result, rng=np.random.default_rng(0))
+
+        data = scenario_dict()
+        data["initial"] = {"sb": {"matrix": (np.eye(4) / 4).tolist()}}
+        thermal, mixed = checks(scenario_dict()), checks(data)
+        assert [c.name for c in mixed] == [c.name for c in thermal]
+        second_law = [c for c in mixed if c.name in ("second-law-positivity",
+                                                     "entropy-production-forms")]
+        assert len(second_law) == 2
+        for c in second_law:
+            assert c.passed and c.value == 0.0
+            assert c.note == "skipped: non-thermal initial system-bath state voids the guarantee"
+
     def test_window_scenario_skips_equivalence(self):
         data = scenario_dict()
         data["steps"][0]["window"] = {"width": 0.05}
