@@ -9,6 +9,7 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .channels import evaluate_process_tensor
 from .dilation import reconstruction_error
+from .protocol import before
 from .report import bundle_from_run, dumps, record_string
 from .scenario import ScenarioError, _checked, build_model, parse_scenario
 from .simulate import survives_prune
@@ -70,11 +72,20 @@ def build_parser():
     return parser
 
 
-def _load(args):
+def _load(args, direct: bool = True):
     """Scenario, model and the tolerances of the run.  The prune threshold
-    is the explicit override, else the scenario's option, else the default."""
+    is the explicit override, else the scenario's option, else the default.
+    When the direct route will run, its records, every outcome sequence up
+    to the last report time, must fit ``--max-branches``."""
     scenario = parse_scenario(args.scenario)
     model = build_model(scenario)
+    if direct:
+        t_last = max(scenario.report_times)
+        count = math.prod(len(model.schedule.alphabet(k)) for k, t in
+                          enumerate(model.schedule.times) if not before(t_last, t))
+        if count > args.max_branches:
+            raise ScenarioError("--max-branches", f"the direct route would hold {count} "
+                                f"records, above the limit {args.max_branches}")
     overrides = _parse_overrides(args.tol_override)
     if "prune_threshold" in scenario.options:
         overrides.setdefault("prune", scenario.options["prune_threshold"])
@@ -94,7 +105,7 @@ def _write_json(doc: dict, out: str | None, fname: str) -> None:
 
 
 def cmd_run(args) -> int:
-    scenario, model, tol = _load(args)
+    scenario, model, tol = _load(args, direct=args.mode != "autonomous")
     if args.mode == "process-tensor":
         direct = evaluate_process_tensor(model.schedule, model.sb_init,
                                          scenario.report_times)
@@ -179,7 +190,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    scenario, model, tol = _load(args)
+    scenario, model, tol = _load(args, direct=False)
     if not 0 <= args.step < model.n_steps:
         print(f"error: scenario has {model.n_steps} step(s), no index {args.step}",
               file=sys.stderr)
@@ -214,9 +225,6 @@ def main(argv=None) -> int:
                 "equiv": cmd_equiv, "dilate": cmd_dilate}
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (KeyError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

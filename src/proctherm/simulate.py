@@ -26,8 +26,9 @@ The ledger stores groups of records that share a support and a node (see
 :meth:`AutonomousModel.node`), their states as one (N, D, D) stack
 and each work tally as a length-N array.  Each event resolves a group's
 drive and hardware once and evolves, books and reads out its stack as one;
-a step splits it by outcome into child groups.  Ledger order (parent-major,
-then label order) is one index array, applied where rows are emitted.
+a step splits it by outcome into child groups, stacked outcome by outcome.
+Ledger order (parent-major, then label order) lives only in one index
+array, applied where rows are emitted.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ class AutonomousModel:
                 labels = col.get("labels")
                 labels = tuple(str(i + 1) for i in range(len(projs))) if labels is None \
                     else tuple(str(l) for l in labels)
+                if len(labels) != len(projs):
+                    raise ValueError(f"step {k}: collision needs one label per projector, "
+                                     f"got {len(labels)} label(s) for {len(projs)} projector(s)")
                 if k in feedback:
                     raise ValueError(f"step {k}: collision steps take no "
                                      "instrument feedback")
@@ -335,11 +339,19 @@ class AutonomousModel:
                                         v_coupling=v_coupling)
         if times and (before(times[0], protocol.t_start) or before(protocol.t_end, times[-1])):
             raise ValueError("an intervention is scheduled outside the protocol range")
-        # a variant timeline may only deviate once its prefix is resolved
-        for prefix in protocol.variants:
+        # a prefix spells outcomes its steps can record (the schedule has
+        # already bounded the length of a feedback prefix)
+        for prefix in [*(p for table in schedule.feedback.values() for p in table),
+                       *protocol.variants]:
             if len(prefix) > len(times):
                 raise ValueError(f"protocol variant {prefix} is longer than the "
                                  "intervention schedule")
+            for j, label in enumerate(prefix):
+                if label not in schedule.alphabet(j):
+                    raise ValueError(f"prefix {list(prefix)}: step {j} records one of "
+                                     f"{list(schedule.alphabet(j))}, not {label!r}")
+        # a variant timeline may only deviate once its prefix is resolved
+        for prefix in protocol.variants:
             resolved = times[len(prefix) - 1]
             for seg, a, b in protocol.iter_segments(protocol.t_start, resolved, prefix):
                 for bseg, ba, bb in protocol.iter_segments(a, b, prefix[:-1]):
@@ -476,9 +488,9 @@ class BranchGroup:
 
 @dataclass(frozen=True, eq=False)
 class BranchLedger:
-    """The records at one instant: groups in the order of their first records,
-    rows in ledger order.  ``order[i]`` is the row of the i-th record among the
-    groups' rows joined; ``branches`` holds read-only :class:`Branch` views."""
+    """The records at one instant, in groups; ledger order lives only in
+    ``order``: ``order[i]`` is the row of the i-th record among the groups'
+    rows joined.  ``branches`` holds read-only :class:`Branch` views."""
 
     time: float
     groups: tuple[BranchGroup, ...]
@@ -737,7 +749,7 @@ class Simulator:
             if not kept.all():
                 pruned.append((keys[~kept], readout[0][~kept]))
             # every child's tallies (5, R, n); children sharing a support and a node
-            # form one group, its rows parent-major
+            # form one group, stacked outcome by outcome; ``order`` alone gives ledger order
             tallies = np.array([w_sys[None].repeat(len(labels), 0),
                                 w_ctrl[None].repeat(len(labels), 0), g.w_meas + readout[2],
                                 g.w_meas_alt + readout[3], g.e_factored + readout[1]])
@@ -746,18 +758,14 @@ class Simulator:
                 child_node = model.node(g.records[0] + (label,))
                 classes.setdefault((supports[r], child_node), []).append(r)
             for (child_support, _), rs in classes.items():
-                run = slice(rs[0], rs[-1] + 1) if rs[-1] - rs[0] == len(rs) - 1 else rs
-                keep = kept[run].T.ravel()
+                keep = kept[rs].ravel()
                 if keep.any():
-                    pick = slice(None) if keep.all() else keep
-                    stack = states[rs[0]] if len(rs) == 1 else np.stack(
-                        [states[r] for r in rs], axis=1).reshape((-1,) + states[rs[0]].shape[1:])
-                    records = (rec + (labels[r],) for rec in g.records for r in rs)
-                    children.append((keys[run].T.ravel()[pick], BranchGroup(
-                        tuple(compress(records, keep)), child_support, h_sys, _frozen(stack[pick]),
-                        *tallies[:, run].transpose(0, 2, 1).reshape(len(tallies), -1)[:, pick])))
+                    records = (rec + (labels[r],) for r in rs for rec in g.records)
+                    children.append((keys[rs].ravel()[keep], BranchGroup(
+                        tuple(compress(records, keep)), child_support, h_sys,
+                        _frozen(np.concatenate([states[r] for r in rs])[keep]),
+                        *tallies[:, rs].reshape(len(tallies), -1)[:, keep])))
 
-        children.sort(key=lambda child: child[0][0])
         keys = np.concatenate([np.zeros(0, int), *(key for key, _ in children)])
         if len(keys) > self.max_branches:
             raise RuntimeError(f"branch count {len(keys)} exceeds the limit {self.max_branches}")

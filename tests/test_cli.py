@@ -217,9 +217,9 @@ class TestRunCommand:
         assert len(expected) == 3 + 3 + 9
 
 
-def z_readouts_from_ground(tmp_path):
-    """Two projective Z readouts of |0><0| with no bath and a zero prune
-    threshold: only the record g|g is possible."""
+def z_readouts_from_ground(tmp_path, times=(0.3, 0.6)):
+    """Projective Z readouts of |0><0| at ``times`` with no bath and a zero
+    prune threshold: only the record g|g|... is possible."""
     z = {"outcomes": [{"label": "g", "kraus": [[[1.0, 0.0], [0.0, 0.0]]]},
                       {"label": "e", "kraus": [[[0.0, 0.0], [0.0, 1.0]]]}]}
     path = tmp_path / "z_from_ground.yaml"
@@ -228,7 +228,7 @@ def z_readouts_from_ground(tmp_path):
         "system": {"dim": 2}, "bath": {"dim": 1},
         "system_hamiltonian": {"diag": [0.0, 1.0]},
         "time": {"start": 0.0, "end": 1.0},
-        "steps": [{"time": 0.3, "instrument": z}, {"time": 0.6, "instrument": z}],
+        "steps": [{"time": t, "instrument": z} for t in times],
         "initial": {"sb": {"matrix": [[1.0, 0.0], [0.0, 0.0]]}},
         "report_times": [0.5, 1.0],
         "options": {"prune_threshold": 0.0}}))
@@ -265,6 +265,28 @@ class TestPruneRule:
             assert all(abs(d["p"] - a["p"]) <= tol for d, a in zip(direct, auto)), path.name
             if path == zero:
                 assert [(r["time"], r["record"]) for r in direct] == [(0.5, "g"), (1.0, "g|g")]
+
+
+class TestDirectRecordBound:
+    def test_max_branches_bounds_the_direct_routes_records(self, tmp_path, capsys):
+        # the direct route keeps every outcome sequence, zero-probability
+        # ones included, so --max-branches bounds their count before any
+        # command that walks it runs; the autonomous route holds one record
+        path = z_readouts_from_ground(tmp_path, times=[0.05 * (k + 1) for k in range(14)])
+        direct = [("verify",), ("run", "--mode", "both"),
+                  ("run", "--mode", "process-tensor"), ("equiv",)]
+        for command in direct:
+            out = tmp_path / "refused"
+            assert run_cli(*command, "--scenario", str(path), "--max-branches", "100",
+                           "--out", str(out)) == 2, command
+            assert capsys.readouterr().err == ("error: --max-branches: the direct route would "
+                                               "hold 16384 records, above the limit 100\n")
+            assert not out.exists()
+        assert run_cli("run", "--mode", "autonomous", "--scenario", str(path),
+                       "--max-branches", "100", "--out", str(tmp_path / "autonomous")) == 0
+        for command in direct + [("run", "--mode", "autonomous")]:
+            assert run_cli(*command, "--scenario", str(path), "--max-branches", "16384",
+                           "--out", str(tmp_path / "admitted")) == 0, command
 
 
 class TestPrunedEnsemble:
@@ -588,6 +610,23 @@ class TestInputErrors:
         out = tmp_path / "out"
         assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 2
         assert "mean force" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fname, patches, message", [
+        ("measurement_work.yaml", {"steps[1].collision.labels": ["+"]},
+         "step 1: collision needs one label per projector, got 1 label(s) for 2"),
+        ("measurement_work.yaml", {"steps[1].collision.labels": ["+", "-", "x"]},
+         "step 1: collision needs one label per projector, got 3 label(s) for 2"),
+        ("driven_feedback.yaml", {"feedback[0].prefix": ["dwon"]},
+         "prefix ['dwon']: step 0 records one of ['up', 'down'], not 'dwon'")],
+        ids=["one-collision-label", "three-collision-labels", "misspelled-prefix"])
+    def test_label_the_steps_cannot_record_is_an_input_error(
+            self, tmp_path, capsys, fname, patches, message):
+        out = tmp_path / "out"
+        code = self.verify_patched(tmp_path, fname, patches,
+                                   ("run", "--mode", "both", "--out", str(out)))
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
 from proctherm.report import bundle_from_run, record_string
+from proctherm.scenario import parse_scenario
 from proctherm.simulate import Simulator
 from proctherm.tolerances import DEFAULT
 from proctherm.verify import equivalence_rows
@@ -33,6 +35,7 @@ P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 H_0 = np.diag([0.0, 1.0]).astype(complex)
 REPORTS = (0.5, 0.8, 1.0, 1.5, 2.0)
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def diag_root(*weights):
@@ -135,3 +138,17 @@ def test_written_bundle_and_equivalence_rows_in_dense_order(runs, tmp_path):
             assert listed[source][t] == dense_order(runs, t), (source, t)
     assert max(r["state_dev"] for r in equivalence) <= DEFAULT.equivalence_state
     assert max(r["prob_dev"] for r in equivalence) <= DEFAULT.equivalence_prob
+
+
+@pytest.mark.parametrize("name", ["tpm_qutrit", "measurement_work"])
+def test_shipped_scenario_permutes_into_dense_order(name):
+    # a step stacks its children outcome by outcome, so on these scenarios
+    # some report's rows reach ledger order only through ``order``
+    sc = parse_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
+    runs = both_routes(sc.spec, sc.report_times)
+    for t in sc.report_times:
+        check_branch_states(runs, t)
+        check_branch_rows(runs, t)
+        check_ensemble(runs, t)
+    assert any((snap.ledger.order != np.arange(len(snap.ledger.order))).any()
+               for snap in runs.result.snapshots)

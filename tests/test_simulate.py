@@ -650,6 +650,13 @@ def _collision(**extra):
             "collision": {"ancilla_state": P0, "unitary": np.eye(4), "projectors": [P0, P1]}}
 
 
+def _labelled_collision(labels):
+    """``_collision()`` with ``labels`` for its two projectors."""
+    step = _collision()
+    step["collision"]["labels"] = labels
+    return step
+
+
 def _on_ledger_at(t, act):
     """``act(simulator, ledger)`` for a two-step model (steps at 0.5 and
     1.0) and its ledger at ``t``."""
@@ -698,6 +705,23 @@ GUARDS = {
             protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))],
                               {("1", "1"): [Segment(0.0, 1.0, np.zeros((2, 2)))]})),
         r"protocol variant \('1', '1'\) is longer than the intervention schedule"),
+    "collision-too-few-labels": (
+        lambda: simple_model([_labelled_collision(["+"])]),
+        r"step 0: collision needs one label per projector, got 1 label\(s\) for 2"),
+    "collision-too-many-labels": (
+        lambda: simple_model([_labelled_collision(["+", "-", "x"])]),
+        r"step 0: collision needs one label per projector, got 3 label\(s\) for 2"),
+    "feedback-prefix-misspelled": (
+        lambda: simple_model([{"time": 0.5, "instrument": projective_z()},
+                              {"time": 1.0, "instrument": projective_z()}],
+                             feedback={1: {("3",): projective_z()}}),
+        r"prefix \['3'\]: step 0 records one of \['1', '2'\], not '3'"),
+    "variant-prefix-misspelled": (
+        lambda: AutonomousModel.assemble(
+            s_dim=2, beta=1.0, steps=[{"time": 0.5, "instrument": projective_z()}],
+            protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))],
+                              {("3",): [Segment(0.0, 1.0, np.zeros((2, 2)))]})),
+        r"prefix \['3'\]: step 0 records one of \['1', '2'\], not '3'"),
     "advance-backwards": (
         lambda: _on_ledger_at(1.2, lambda sim, ledger: sim.advance(ledger, 0.7)),
         "cannot advance backwards from 1.2 to 0.7"),
