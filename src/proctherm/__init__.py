@@ -9,6 +9,15 @@ checking the identities that relate them.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the caller set a count, before NumPy loads: a
+# threaded BLAS sums in an order that depends on the thread count, so the
+# same scenario and seed would give bundles that differ in the last digits.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .algebra import (
     DensityOperator,
     FactorRegistry,

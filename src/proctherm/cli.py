@@ -9,6 +9,7 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -42,32 +43,30 @@ def _parse_overrides(pairs):
     return out
 
 
-def _common_flags(p):
-    p.add_argument("--scenario", required=True, help="scenario file (YAML)")
-    p.add_argument("--out", default=None, help="output directory for reports")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized verification probes")
-    p.add_argument("--tol-override", action="append", metavar="K=V",
-                   help="override a named tolerance (repeatable)")
-    p.add_argument("--max-branches", type=int, default=4096)
-
-
+@functools.cache
 def build_parser():
+    """The parser, built once per process; each parse makes a fresh namespace."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scenario", required=True, help="scenario file (YAML)")
+    common.add_argument("--out", default=None, help="output directory for reports")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized verification probes")
+    common.add_argument("--tol-override", action="append", metavar="K=V",
+                        help="override a named tolerance (repeatable)")
+    common.add_argument("--max-branches", type=int, default=4096)
     parser = argparse.ArgumentParser(
         prog="proctherm",
         description="Simulate quantum causal models autonomously and check "
                     "their trajectory thermodynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="simulate and emit the report bundle")
-    _common_flags(p_run)
+    p_run = sub.add_parser("run", parents=[common],
+                           help="simulate and emit the report bundle")
     p_run.add_argument("--mode", choices=["autonomous", "process-tensor", "both"],
                        default="autonomous")
-    p_ver = sub.add_parser("verify", help="run every invariant suite")
-    _common_flags(p_ver)
-    p_eq = sub.add_parser("equiv", help="compare the two evaluation routes")
-    _common_flags(p_eq)
-    p_dil = sub.add_parser("dilate", help="dump the dilation of one step")
-    _common_flags(p_dil)
+    sub.add_parser("verify", parents=[common], help="run every invariant suite")
+    sub.add_parser("equiv", parents=[common], help="compare the two evaluation routes")
+    p_dil = sub.add_parser("dilate", parents=[common],
+                           help="dump the dilation of one step")
     p_dil.add_argument("--step", type=int, default=0)
     return parser
 
@@ -77,6 +76,11 @@ def _load(args, direct: bool = True):
     is the explicit override, else the scenario's option, else the default.
     When the direct route will run, its records, every outcome sequence up
     to the last report time, must fit ``--max-branches``."""
+    if args.seed < 0:
+        raise ScenarioError("--seed", f"expected an integer >= 0, got {args.seed}")
+    if args.max_branches < 1:
+        raise ScenarioError("--max-branches",
+                            f"expected an integer >= 1, got {args.max_branches}")
     scenario = parse_scenario(args.scenario)
     model = build_model(scenario)
     if direct:
@@ -225,7 +229,7 @@ def main(argv=None) -> int:
                 "equiv": cmd_equiv, "dilate": cmd_dilate}
     try:
         return handlers[args.command](args)
-    except (KeyError, ValueError, RuntimeError) as exc:
+    except (KeyError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

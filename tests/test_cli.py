@@ -1,11 +1,16 @@
 """Tests for the command-line interface and report bundles."""
 
+import argparse
 import copy
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +26,8 @@ from proctherm.verify import run_verified
 
 from ledger_edits import with_state
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def run_cli(*argv):
@@ -635,3 +641,116 @@ class TestInputErrors:
                        + "\nchecks: {second_law: false}\n")
         assert run_cli("verify", "--scenario", str(bad)) == 2
         assert "checks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify", "equiv", "dilate"])
+    @pytest.mark.parametrize("flag, value, floor", [
+        ("--seed", "-1", 0), ("--max-branches", "0", 1), ("--max-branches", "-5", 1)],
+        ids=["seed-negative", "max-branches-zero", "max-branches-negative"])
+    def test_flag_out_of_range_is_an_input_error(self, tmp_path, capsys, command,
+                                                 flag, value, floor):
+        out = tmp_path / "out"
+        assert run_cli(command, "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
+                       flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {flag}: expected an integer "
+                                           f">= {floor}, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("run", "--mode", "both"), ("verify",), ("equiv",),
+        ("run", "--mode", "process-tensor"), ("dilate", "--step", "0")],
+        ids=["run-both", "verify", "equiv", "run-process-tensor", "dilate"])
+    def test_out_under_a_regular_file_is_an_input_error(self, tmp_path, capsys, command):
+        # exit 1 is kept for a failed check; a directory that cannot be made
+        # is the caller's input
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert run_cli(*command, "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
+
+class TestOneParser:
+    def test_second_command_adds_no_argument(self, monkeypatch, capsys):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        argv = ("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"))
+        assert run_cli(*argv) == 0
+        added.clear()
+        assert run_cli(*argv) == 0
+        assert added == []
+
+    def test_no_parse_leaks_into_the_next(self, tmp_path, capsys):
+        # a bundle records its tolerances, so a prune override that stuck
+        # to the parser would show in the last bundle
+        path = str(SCENARIO_DIR / "measurement_work.yaml")
+        assert run_cli("run", "--scenario", path, "--mode", "both",
+                       "--out", str(tmp_path / "A")) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--scenario", path, "--bogus", "--out", str(tmp_path / "bogus"))
+        assert exc.value.code == 2
+        assert run_cli("run", "--scenario", path, "--tol-override", "prune=0.1",
+                       "--out", str(tmp_path / "B")) == 0
+        assert run_cli("run", "--scenario", path, "--mode", "both",
+                       "--out", str(tmp_path / "C")) == 0
+        files = sorted(p.name for p in (tmp_path / "A").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "C").iterdir())
+        for name in files:
+            assert (tmp_path / "A" / name).read_bytes() == (tmp_path / "C" / name).read_bytes()
+        assert ((tmp_path / "B" / "report.json").read_bytes()
+                != (tmp_path / "A" / "report.json").read_bytes())
+        assert not (tmp_path / "bogus").exists()
+
+    def test_run_usage_names_the_shared_flags(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.split("\n\n")[0] == (
+            "usage: proctherm run [-h] --scenario SCENARIO [--out OUT] [--seed SEED]\n"
+            "                     [--tol-override K=V] [--max-branches MAX_BRANCHES]\n"
+            "                     [--mode {autonomous,process-tensor,both}]")
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def ramp_input(tmp_path, monkeypatch, seed=7):
+    """perfbench's ``ramp`` input (a qubit on a 32-level bath, D = 64)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "ramp.yaml"
+    path.write_text(yaml.safe_dump(workloads.ramp_scenario(seed)))
+    return path
+
+
+class TestThreadCount:
+    def test_bundle_bytes_do_not_depend_on_the_blas_variables(self, tmp_path, monkeypatch):
+        # a D = 64 model is large enough for a threaded BLAS to split its
+        # sums; the package pins one thread when the variables are unset
+        path = ramp_input(tmp_path, monkeypatch)
+        bundles = []
+        for setting in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+            env.update({k: setting for k in BLAS_THREADS if setting is not None})
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+            out = tmp_path / f"threads-{setting}"
+            subprocess.run([sys.executable, "-m", "proctherm.cli", "run", "--scenario",
+                            str(path), "--mode", "both", "--seed", "7", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(bundles[0]) == ["branches.csv", "ensemble.csv", "report.json"]
+        for name in bundles[0]:
+            assert bundles[0][name] == bundles[1][name], name
