@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -74,13 +75,16 @@ def build_parser():
 def _load(args, direct: bool = True):
     """Scenario, model and the tolerances of the run.  The prune threshold
     is the explicit override, else the scenario's option, else the default.
-    When the direct route will run, its records, every outcome sequence up
-    to the last report time, must fit ``--max-branches``."""
+    ``--out`` must be able to become a writable directory (nothing is made
+    here).  When the direct route will run, its records, every outcome
+    sequence up to the last report time, must fit ``--max-branches``."""
     if args.seed < 0:
         raise ScenarioError("--seed", f"expected an integer >= 0, got {args.seed}")
     if args.max_branches < 1:
         raise ScenarioError("--max-branches",
                             f"expected an integer >= 1, got {args.max_branches}")
+    if args.out is not None:
+        _check_out(args.out)
     scenario = parse_scenario(args.scenario)
     model = build_model(scenario)
     if direct:
@@ -95,6 +99,18 @@ def _load(args, direct: bool = True):
         overrides.setdefault("prune", scenario.options["prune_threshold"])
     # the scenario's option passed the same rule at parse, so a failure is the override's
     return scenario, model, _checked("--tol-override", DEFAULT.replaced, **overrides)
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any work and without creating anything, an output
+    directory that cannot be made or written: the nearest existing path
+    of ``out`` and its ancestors must be a writable directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ScenarioError("--out", f"{out} cannot be a directory: {existing} is not one")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ScenarioError("--out", f"{out} cannot be written: {existing} is not writable")
 
 
 def _write_json(doc: dict, out: str | None, fname: str) -> None:

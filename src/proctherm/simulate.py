@@ -27,8 +27,17 @@ The ledger stores groups of records that share a support and a node (see
 and each work tally as a length-N array.  Each event resolves a group's
 drive and hardware once and evolves, books and reads out its stack as one;
 a step splits it by outcome into child groups, stacked outcome by outcome.
-Ledger order (parent-major, then label order) lives only in one index
-array, applied where rows are emitted.
+A step reads every outcome of a group out of one marginal, B traced out
+of the controlled stack once: each outcome's probability and its ancilla
+and S+ancilla energies, before and after conditioning, are expectations
+of observables on the new ancilla arranged once per hardware (see
+:class:`_Readout`).  The children of all rank-1 outcomes come from one
+contraction and each tally column is gathered once, so a step's NumPy
+calls per group do not grow with the outcome count.  Energies are read
+term by term off each term's own factors (see :meth:`_Space.energy`); no
+Hamiltonian of a whole support is embedded per call.  Ledger order
+(parent-major, then label order) lives only in one index array, applied
+where rows are emitted.
 """
 
 from __future__ import annotations
@@ -36,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -90,7 +98,7 @@ class StepSpec:
 
     ``controls`` maps each declared record prefix (the empty one is the
     base) to the step's control hardware under that prefix, together with
-    the rank-1 readout vector of each outcome (see :func:`_rank1_vector`).
+    its :class:`_Readout`.
     A finite-width control switches the coupling ``window`` = log(U)/width
     on S A_k on at ``time`` and off ``window_width`` later.
     """
@@ -100,8 +108,7 @@ class StepSpec:
     h_ancilla: np.ndarray
     window_width: float | None
     window: np.ndarray | None
-    controls: Mapping[tuple[str, ...],
-                      tuple[DilationResult, tuple[np.ndarray | None, ...]]]
+    controls: Mapping[tuple[str, ...], tuple[DilationResult, "_Readout"]]
 
 
 def _block(window: int | None) -> tuple[str, ...]:
@@ -125,9 +132,7 @@ class _Space:
         self.dims = model.registry.dims(support)
         self.pos = {l: i for i, l in enumerate(support)}
         # ancillas in the support that have a Hamiltonian
-        self.ancillas = {ancilla_label(k): spec.h_ancilla
-                         for k, spec in enumerate(model.steps)
-                         if ancilla_label(k) in self.pos and max_norm(spec.h_ancilla) > 0}
+        self.ancillas = {l: h for l, h in model.ancilla_terms.items() if l in self.pos}
         self._fixed: dict[tuple, np.ndarray] = {}
 
     def hamiltonian(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
@@ -154,6 +159,46 @@ class _Space:
             h = h + embed_factors(h_system, [labels.index("S")], dims)
         return h
 
+    @cached_property
+    def _terms(self) -> list[tuple[int, np.ndarray]]:
+        """Each term but the drive, as (dimension of the factors before it,
+        its matrix): the S B block (``h_bath`` and ``v_coupling``), then the
+        Hamiltonian of each ancilla in the support."""
+        before = {l: math.prod(self.dims[:i]) for i, l in enumerate(self.support)}
+        return [(1, self.model.space(("S", "B")).hamiltonian(("S", "B")))] + [
+            (before[l], h) for l, h in self.ancillas.items()]
+
+    def energy(self, states: np.ndarray, h_system: np.ndarray) -> np.ndarray:
+        """tr(H rho) per matrix of a stack, H every term on the support plus
+        the drive ``h_system``.  Each term is read off the indices of its own
+        factors, so no Hamiltonian of the whole support is formed."""
+        terms = [(1, h_system)] + self._terms
+        return sum(_expect_on(h, states, left) for left, h in terms)[:, 0, 0].real
+
+    @cached_property
+    def _readout_terms(self) -> tuple[tuple[str, ...], list[tuple[int, np.ndarray]]]:
+        """The factors of the support but B, and the Hamiltonians of the
+        ancillas among them but the last, as in :attr:`_terms`."""
+        keep = tuple(l for l in self.support if l != "B")
+        dims = self.model.registry.dims(keep)
+        return keep, [(math.prod(dims[:i]), self.ancillas[l])
+                      for i, l in enumerate(keep[:-1]) if l in self.ancillas]
+
+    def resolved(self, states: np.ndarray, h_system: np.ndarray) -> np.ndarray:
+        """B traced out of a stack of states once, then every factor but the
+        last: tr_X[(h (x) 1) rho] per matrix, for h the energy on the factors
+        X between (the drive ``h_system`` and the ancillas' Hamiltonians) and
+        for h = 1, as a (2, N, a, a) stack of operators on the last factor.
+        Their expectations are those of h (x) O for any O there.  As in
+        :meth:`energy`, each term is read off its own factors' indices."""
+        keep, terms = self._readout_terms
+        a = self.dims[-1]
+        marginal = self.ptrace(states, keep)
+        n, d = len(states), marginal.shape[-1] // a
+        return np.stack((sum(_expect_on(h, marginal, left, a)
+                             for left, h in [(1, h_system)] + terms),
+                         marginal.reshape(n, d, a, d, a).trace(axis1=1, axis2=3)))
+
     def apply(self, op: np.ndarray, labels: Sequence[str], state: np.ndarray) -> np.ndarray:
         """op state op^dagger for ``op`` acting on the factors ``labels``,
         in that order: the row factors of ``labels`` go first and their
@@ -169,7 +214,8 @@ class _Space:
         t = state.reshape(lead + self.dims * 2).transpose(perm)
         d = op.shape[0]
         out = (op @ t.reshape(lead + (d, -1))).reshape(lead + (-1, d)) @ dagger(op)
-        return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(state.shape)
+        back = sorted(range(len(perm)), key=perm.__getitem__)
+        return out.reshape(t.shape).transpose(back).reshape(state.shape)
 
     def propagators(self, seg: Segment, a: float, b: float, window: int | None,
                     cache: dict) -> list[tuple[tuple[str, ...], np.ndarray]]:
@@ -264,6 +310,7 @@ class AutonomousModel:
         instruments: list[Instrument] = []
         times: list[float] = []
         feedback = dict(feedback or {})
+        readouts: dict[tuple, _Readout] = {}
         for k, st in enumerate(steps):
             t_k = float(st["time"])
             times.append(t_k)
@@ -314,8 +361,14 @@ class AutonomousModel:
                                  f"incl. feedback variants), got {h_anc.shape}")
             if not is_hermitian(h_anc):
                 raise ValueError(f"step {k}: ancilla Hamiltonian is not Hermitian")
-            controls = {p: (hw, tuple(_rank1_vector(q) for q in hw.projectors))
-                        for p, hw in hardware.items()}
+            controls = {}
+            for p, hw in hardware.items():
+                # steps that read out the same projectors with the same h_A share one readout
+                key = (np.shape(hw.projectors), np.asarray(hw.projectors).tobytes(),
+                       h_anc.tobytes())
+                if key not in readouts:
+                    readouts[key] = _Readout.of(hw.projectors, h_anc)
+                controls[p] = (hw, readouts[key])
             v_window = None
             if window is not None:
                 window = float(window)
@@ -396,6 +449,12 @@ class AutonomousModel:
             eig = self._spectra[key] = tuple(_frozen(a) for a in np.linalg.eigh(h))
         return eig
 
+    @cached_property
+    def ancilla_terms(self) -> dict[str, np.ndarray]:
+        """The Hamiltonian of each ancilla that has one, by label."""
+        return {ancilla_label(k): spec.h_ancilla for k, spec in enumerate(self.steps)
+                if max_norm(spec.h_ancilla) > 0}
+
     @property
     def h_bath(self):
         return self.schedule.h_bath
@@ -435,6 +494,42 @@ def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
     if max_norm(proj - np.outer(v, v.conj())) > DEFAULT.dilation_reconstruction:
         return None
     return v
+
+
+class _Readout(NamedTuple):
+    """One hardware's readout of its ancilla, arranged at assembly (once per
+    distinct projectors and h_A).
+
+    Outcome r with a rank-1 projector |v><v| contracts its ancilla with v,
+    column ``slot[r]`` of ``vectors``; any other outcome keeps its ancilla
+    under projector ``slot[r]`` of ``projectors``.  Every readout tally is
+    the expectation of one of 2R + 2 operators O_q on the ancilla: the
+    effect P_r^dag P_r of each outcome r (with P_r = |v><v| for a rank-1
+    one), then P_r^dag h_A P_r of each, then 1 and h_A.  Column q of
+    ``observables`` is O_q^T flattened, so a stack of operators K flattened
+    times it gives every tr(O_q K) at once.
+    """
+
+    rank1: np.ndarray
+    slot: np.ndarray
+    vectors: np.ndarray
+    projectors: np.ndarray
+    observables: np.ndarray
+
+    @classmethod
+    def of(cls, projectors: Sequence[np.ndarray], h_ancilla: np.ndarray) -> "_Readout":
+        vectors = [_rank1_vector(p) for p in projectors]
+        flags = [v is not None for v in vectors]
+        rank1, a = np.array(flags), len(h_ancilla)
+        narrow = np.array([v for v in vectors if v is not None]).reshape(-1, a)
+        ops = np.array(projectors, dtype=complex)
+        ops[rank1] = narrow[:, :, None] * narrow[:, None, :].conj()
+        x = np.array((np.eye(a), h_ancilla))
+        obs = np.concatenate(((ops.conj().transpose(0, 2, 1)[:, None] @ x @ ops[:, None])
+                              .transpose(1, 0, 2, 3).reshape(-1, a, a), x))
+        return cls(rank1, np.array([flags[:r].count(one) for r, one in enumerate(flags)]),
+                   narrow.T, ops[~rank1],
+                   obs.reshape(-1, a * a).conj().T)    # O^T = conj(O): each O is Hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +689,33 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _contract_last(state: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<v| state |v> over the last factor, of dimension ``len(v)``, for each
-    matrix of a stack."""
-    a = len(v)
-    lead = state.shape[:-2]
-    d = state.shape[-1] // a
-    half = (state.reshape(lead + (d * a * d, a)) @ v).reshape(lead + (d, a, d))
-    return np.einsum("a,...iaj->...ij", v.conj(), half)
+def _expect_on(h: np.ndarray, states: np.ndarray, left: int, last: int = 1) -> np.ndarray:
+    """tr[(1 (x) h (x) 1) rho] over every factor but the last ``last``
+    dimensions, per matrix rho of an (N, D, D) stack, for h on the factors
+    that follow the first ``left`` dimensions: an (N, last, last) stack."""
+    n, d, m = len(states), states.shape[-1] // last, len(h)
+    shape = (n, left, m, d // (left * m), last)
+    return np.einsum("xy,nlyrblxra->nba", h, states.reshape(shape + shape[1:]))
+
+
+def _contract_last(states: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v| rho |v> over the last factor for each column v of ``vectors``
+    (a, R) and each matrix rho of an (N, D, D) stack: an (R, N, D/a, D/a)
+    stack."""
+    a, r = vectors.shape
+    n, d = len(states), states.shape[-1] // a
+    half = (states.reshape(n, d * a * d, a) @ vectors).reshape(n, d, a, d, r)
+    return np.einsum("ar,niajr->rnij", vectors.conj(), half)
+
+
+def _project_last(states: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """(1 (x) P) rho (1 (x) P^dag) on the last factor for each P of an (R, a, a)
+    stack and each rho of an (N, D, D) stack: an (R, N, D, D) stack."""
+    r, a = len(projectors), projectors.shape[-1]
+    n, d = len(states), states.shape[-1] // a
+    p = projectors[:, None]
+    left = (p[:, None] @ states.reshape(n, d, a, d * a)).reshape(r, n, d * a * d, a)
+    return (left @ p.conj().swapaxes(-1, -2)).reshape(r, n, d * a, d * a)
 
 
 class Simulator:
@@ -685,10 +799,12 @@ class Simulator:
         t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
         cache: dict = {}    # the window's propagators
         labels = spec.controls[()][0].outcome_labels    # every prefix's hardware has them
+        n_out = len(labels)
+        outcome = np.arange(n_out)[:, None]
         trace, children, pruned = [], [], []
         for g, position in zip(ledger.groups, ledger.positions()):
             node = model.node(g.records[0])
-            hw, vectors = deepest_prefix(spec.controls, node)
+            hw, readout = deepest_prefix(spec.controls, node)
             weights, support, w_sys, h_sys = g.weights, g.support, g.w_sys, g.h_sys
             # --- preparation: fresh ancilla joins at the end of the support
             n, d, a = len(g.records), g.states.shape[-1], hw.ancilla_dim
@@ -699,8 +815,7 @@ class Simulator:
             # coupling term included
             if spec.window_width is None:
                 ctrl = space.apply(hw.unitary, ("S", anc), prepped)
-                h = space.hamiltonian(space.support, h_sys)
-                w_ctrl = g.w_ctrl + expect_herm(h, ctrl - prepped) / weights
+                w_ctrl = g.w_ctrl + space.energy(ctrl - prepped, h_sys) / weights
             else:
                 # the window coupling V is switched on, evolves with the drive
                 # and is switched off at readout, each switch booked as the
@@ -714,57 +829,56 @@ class Simulator:
                     t_meas, node), space, ctrl, weights)
                 off = expect_herm(spec.window, space.ptrace(ctrl, ["S", anc]))
                 w_ctrl = window.w_ctrl - off / weights
-            # --- readout energies before conditioning; the system+ancilla
-            # energy splits into the parent's factors and the new ancilla
-            sa_labels = tuple(l for l in support if l != "B")
-            h_sa = space.hamiltonian(sa_labels, h_sys)
-            e_sa_before = expect_herm(h_sa, space.ptrace(ctrl, sa_labels)) / weights
-            e_anc_before = expect_herm(spec.h_ancilla, space.ptrace(ctrl, [anc])) / weights
-            # --- conditioning on the recorded outcome; a child of zero
-            # probability reads zero energies
-            outcomes = []
-            for r, v in enumerate(vectors):
-                if v is None:
-                    child = space.apply(hw.projectors[r], (anc,), ctrl)
-                    child_support = space.support
-                else:
-                    child, child_support = _contract_last(ctrl, v), support
-                p = np.trace(child, axis1=1, axis2=2).real
-                inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0)
-                child_space = model.space(child_support)
-                e_anc = (expect_herm(spec.h_ancilla, child_space.ptrace(child, [anc])) * inv_p
-                         if v is None else
-                         np.where(p > 0, expect_herm(spec.h_ancilla, np.outer(v, v.conj())), 0.0))
-                w_meas = e_anc - e_anc_before
-                w_alt = (w_meas + expect_herm(h_sa, child_space.ptrace(child, sa_labels)) * inv_p
-                         - e_sa_before)
-                outcomes.append((child, child_support, p, np.zeros(n) if v is None else e_anc,
-                                 w_meas, w_alt))
-            states, supports, *columns = zip(*outcomes)
-            readout = np.array(columns)   # (4, R, n): p, e_factored, w_meas, w_meas_alt
-            trace.append((weights, (readout[0] / weights).T, readout[2].T, readout[3].T))
-            kept = survives_prune(readout[0], self.prune)
-            # a child's key, its parent's position then its outcome, sorts in ledger order
-            keys = position * len(labels) + np.arange(len(labels))[:, None]
+            # --- readout: every tally of every outcome from one marginal, B
+            # traced out; tally[q, o, i] is parent i's expectation of O_q (see
+            # _Readout) on A_k times the energy of the parent's S and ancillas
+            # (o = 0) or times 1 (o = 1)
+            tally = (space.resolved(ctrl, h_sys).reshape(2 * n, a * a)
+                     @ readout.observables).real.T.reshape(-1, 2, n)
+            # per outcome: p, and the A_k and S+ancilla energies after
+            # conditioning, zero for a child of zero probability; a rank-1
+            # child keeps its ancilla's energy as e_factored
+            p = tally[:n_out, 1]
+            e_anc, e_sa = np.divide((tally[n_out:2 * n_out, 1], tally[:n_out, 0]), p,
+                                    out=np.zeros((2,) + p.shape), where=p > 0)
+            e_factored = np.where(readout.rank1[:, None], e_anc, 0.0)
+            w_meas = e_anc - tally[-1, 1] / weights
+            w_alt = w_meas + e_sa - tally[-2, 0] / weights
+            trace.append((weights, (p / weights).T, w_meas.T, w_alt.T))
+            # --- children: row r * n + i of every column is parent i's child of
+            # outcome r, and a child's key, its parent's position then its
+            # outcome, sorts in ledger order
+            kept = survives_prune(p, self.prune)
+            keys = position * n_out + outcome
             if not kept.all():
-                pruned.append((keys[~kept], readout[0][~kept]))
-            # every child's tallies (5, R, n); children sharing a support and a node
-            # form one group, stacked outcome by outcome; ``order`` alone gives ledger order
-            tallies = np.array([w_sys[None].repeat(len(labels), 0),
-                                w_ctrl[None].repeat(len(labels), 0), g.w_meas + readout[2],
-                                g.w_meas_alt + readout[3], g.e_factored + readout[1]])
+                pruned.append((keys[~kept], p[~kept]))
+            columns = np.empty((len(_TALLIES), n_out, n))
+            columns[:2] = np.array((w_sys, w_ctrl))[:, None]
+            columns[2:] = (g.w_meas + w_meas, g.w_meas_alt + w_alt, g.e_factored + e_factored)
+            # children sharing a support and a node form one group, stacked
+            # outcome by outcome; each column is gathered once, in that order,
+            # and ``order`` alone gives ledger order
             classes: dict[tuple, list[int]] = {}
-            for r, label in enumerate(labels):
-                child_node = model.node(g.records[0] + (label,))
-                classes.setdefault((supports[r], child_node), []).append(r)
-            for (child_support, _), rs in classes.items():
-                keep = kept[rs].ravel()
-                if keep.any():
-                    records = (rec + (labels[r],) for r in rs for rec in g.records)
-                    children.append((keys[rs].ravel()[keep], BranchGroup(
-                        tuple(compress(records, keep)), child_support, h_sys,
-                        _frozen(np.concatenate([states[r] for r in rs])[keep]),
-                        *tallies[:, rs].reshape(len(tallies), -1)[:, keep])))
+            for r, (label, narrow) in enumerate(zip(labels, readout.rank1.tolist())):
+                classes.setdefault((narrow, model.node(g.records[0] + (label,))), []).append(r)
+            order = np.array([r for rs in classes.values() for r in rs])
+            mask = kept[order]
+            columns, keys = columns[:, order][:, mask], keys[order][mask]
+            # the children of the rank-1 outcomes, and of the others, in one stack each
+            states = {True: _contract_last(ctrl, readout.vectors) if readout.vectors.size else None,
+                      False: _project_last(ctrl, readout.projectors)
+                      if readout.projectors.size else None}
+            flags, start = kept.tolist(), 0
+            for (narrow, _), rs in classes.items():
+                records = tuple(rec + (labels[r],) for r in rs
+                                for rec, keep in zip(g.records, flags[r]) if keep)
+                stop = start + len(records)
+                if records:
+                    children.append((keys[start:stop], BranchGroup(
+                        records, support if narrow else space.support, h_sys,
+                        _frozen(states[narrow][readout.slot[rs]][kept[rs]]),
+                        *columns[:, start:stop])))
+                start = stop
 
         keys = np.concatenate([np.zeros(0, int), *(key for key, _ in children)])
         if len(keys) > self.max_branches:

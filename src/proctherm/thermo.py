@@ -320,8 +320,8 @@ class ThermoEvaluator:
         """tr{H rho} of the inclusive state (system, bath, ancillas)."""
         total = tw = 0.0
         for g in snap.ledger.groups:
-            h = self.model.space(g.support).hamiltonian(g.support, g.h_sys)
-            total += float(np.sum(expect_herm(h, g.states) + g.weights * g.e_factored))
+            e = self.model.space(g.support).energy(g.states, g.h_sys)
+            total += float(np.sum(e + g.weights * g.e_factored))
             tw += float(np.sum(g.weights))
         return total + tw * sum(self._e_anc0[snap.ledger.steps_done:])
 

@@ -215,6 +215,7 @@ class DenseRun:
     h_ancillas: np.ndarray                        # every ancilla term
     initial: DenseRecord
     snapshots: dict[float, dict[tuple[str, ...], DenseRecord]]
+    pruned_mass: dict[float, float]                # summed p of the dropped records, per snapshot
 
 
 def _deepest(table: Mapping, labels: Sequence[str]):
@@ -256,8 +257,9 @@ def dense_run(spec: Mapping, report_times: Sequence[float]) -> DenseRun:
     counts all terms.  A step applies its control unitary U on S A_k as a
     kick, or opens the window V = log(U)/width, booking <V> on and off (a
     drive switch at the window's end first); then it splits each record by
-    the readout projectors.  A drive switch is booked as the jump in the
-    drive's expectation.
+    the readout projectors, dropping a child lighter than ``PRUNE`` and
+    adding its weight to the pruned mass.  A drive switch is booked as the
+    jump in the drive's expectation.
     """
     protocol, beta = spec["protocol"], spec["beta"]
     timelines = {(): protocol.base, **protocol.variants}
@@ -296,7 +298,7 @@ def dense_run(spec: Mapping, report_times: Sequence[float]) -> DenseRun:
     for hw in hardware:
         rho0 = np.kron(rho0, hw[()][0])
     records = {(): DenseRecord(rho0, h0)}
-    snapshots = {}
+    snapshots, pruned_mass, pruned = {}, {}, 0.0
     events = sorted([(float(st["time"]), 0, k) for k, st in enumerate(steps)]
                     + [(float(t), 1, None) for t in set(report_times)])
     t, entered = protocol.base[0].t0, []
@@ -304,7 +306,7 @@ def dense_run(spec: Mapping, report_times: Sequence[float]) -> DenseRun:
         records = {l: evolve(r, l, t, t_next, entered) for l, r in records.items()}
         t = t_next
         if k is None:
-            snapshots[t] = records
+            snapshots[t], pruned_mass[t] = records, pruned
             continue
         entered.append(k)
         width = steps[k].get("window")
@@ -332,6 +334,7 @@ def dense_run(spec: Mapping, report_times: Sequence[float]) -> DenseRun:
                 child = dataclasses.replace(rec, rho=big @ rec.rho @ big)
                 pc = child.p
                 if pc < PRUNE:
+                    pruned += pc
                     continue
                 kept = (f"A{k}",) if round(np.trace(proj).real) > 1 else ()
                 out[labels + (label,)] = dataclasses.replace(
@@ -341,7 +344,7 @@ def dense_run(spec: Mapping, report_times: Sequence[float]) -> DenseRun:
         records = out
         t += width or 0.0
     return DenseRun(spec, dims, hamiltonian, sum(h_a, np.zeros_like(rho0)),
-                    DenseRecord(rho0, h0), snapshots)
+                    DenseRecord(rho0, h0), snapshots, pruned_mass)
 
 
 # rows: {labels: (u, s, f)}; sigma_rel_ent is None where it is not defined

@@ -158,6 +158,41 @@ def test_partial_traces_and_entropies_per_event_not_per_branch(monkeypatch):
     assert len(set(per_call[4, "branch_rows"][1:] + per_call[6, "branch_rows"][1:])) == 1
 
 
+# Z and X readouts at once: four outcomes, each with one Kraus operator
+FOUR_READ = Instrument([(label, CPMap(("S",), [np.sqrt(0.5) * k]))
+                        for label, k in (("0", np.diag([1.0, 0.0])), ("1", np.diag([0.0, 1.0])),
+                                         ("+", 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])),
+                                         ("-", 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])))])
+
+
+def test_readout_calls_per_step_not_per_outcome(monkeypatch):
+    # every readout tally of every outcome comes from one marginal, so a
+    # step makes the same partial traces and energy expectations whether
+    # its rank-1 instrument has 2 or 4 outcomes
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simulate, "ptrace_factors", counted("ptrace", simulate.ptrace_factors))
+    monkeypatch.setattr(simulate, "expect_herm", counted("expect", simulate.expect_herm))
+    base, per_step = probe_model(1), {}
+    for inst in (Z_READ, FOUR_READ):
+        sim = Simulator(AutonomousModel.assemble(
+            s_dim=2, b_dim=2, beta=1.0, protocol=base.protocol, h_bath=base.h_bath,
+            v_coupling=base.v_coupling, steps=[{"time": 0.5, "instrument": inst}]))
+        ledger = sim.advance(sim.run().initial.ledger, 0.5)
+        calls.clear()
+        after, _ = sim.run_step(ledger, 0)
+        assert len(after.branches) == len(inst.labels)
+        per_step[len(inst.labels)] = (calls["ptrace"], calls["expect"])
+    assert per_step[2] == per_step[4]
+    assert per_step[2][0] > 0
+
+
 def test_prefix_resolutions_per_event_not_per_branch(monkeypatch):
     # the records of a group share their node, so each event resolves a
     # group's drive timeline and step hardware once: it makes the same

@@ -661,14 +661,16 @@ class TestInputErrors:
         ids=["run-both", "verify", "equiv", "run-process-tensor", "dilate"])
     def test_out_under_a_regular_file_is_an_input_error(self, tmp_path, capsys, command):
         # exit 1 is kept for a failed check; a directory that cannot be made
-        # is the caller's input
+        # is the caller's input, refused before any work: nothing on stdout
         (tmp_path / "file").write_text("")
-        out = tmp_path / "file" / "sub"
-        assert run_cli(*command, "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
-                       "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
-        assert "Traceback" not in err
+        for out in (tmp_path / "file" / "sub", tmp_path / "file"):
+            assert run_cli(*command, "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+                           "--out", str(out)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and str(out) in captured.err
+            assert "Traceback" not in captured.err
+        assert (tmp_path / "file").read_text() == ""
 
 
 class TestOneParser:
