@@ -18,14 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .algebra import (
-    DensityOperator,
-    FactorRegistry,
-    OperatorMatrix,
-    gibbs_state,
-    partial_trace,
-    tensor,
-)
+from .algebra import FactorRegistry
 from .channels import (
     CPMap,
     Instrument,
@@ -49,13 +42,5 @@ from .simulate import (
     Simulator,
     StepTrace,
 )
-from .thermo import (
-    MeanForceData,
-    ThermoEvaluator,
-    ThermoLedger,
-    evaluate_run,
-    mean_force_hamiltonian,
-    singular_control_work,
-    tpm_work,
-)
+from .thermo import ThermoEvaluator, ThermoLedger, evaluate_run
 from .tolerances import DEFAULT, Tolerances

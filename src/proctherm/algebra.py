@@ -1,10 +1,10 @@
-"""Dense complex linear algebra over labelled tensor factors.
+"""Dense complex linear algebra on arrays over ordered tensor factors.
 
-Every operator carries a reference to a :class:`FactorRegistry` fixing an
-ordered list of subsystem labels with their dimensions, plus the subset of
-factors it acts on (its *support*).  Composition, embedding and partial
-traces permute Kronecker factors into the registry's canonical order, so
-callers never juggle index conventions by hand.
+Operators and states are plain square arrays.  A product space is the
+ordered list of its factors' dimensions (``dims``), and a function that
+embeds, permutes or traces out factors takes ``dims`` and the factor
+positions it acts on.  :class:`FactorRegistry` names the factors of one
+model (S, B, then one ancilla per step) and maps labels to dimensions.
 
 Conventions: hbar = k_B = 1 throughout (energies and temperatures share one
 unit), storage is dense row-major complex, and the Hermitian
@@ -24,24 +24,17 @@ from .tolerances import DEFAULT, EIG_FLOOR, HERMITIAN
 
 __all__ = [
     "FactorRegistry",
-    "OperatorMatrix",
-    "DensityOperator",
-    "tensor",
-    "partial_trace",
-    "gibbs_state",
     "dagger",
     "max_norm",
     "is_hermitian",
     "validate_density",
     "expect_herm",
-    "energy_change",
     "reorder_factors",
     "embed_factors",
     "ptrace_factors",
     "expm_herm",
     "unitary_log_generator",
     "vn_entropy_mat",
-    "relative_entropy_mat",
     "gibbs_mat",
     "log_partition",
     "logsumexp",
@@ -143,16 +136,6 @@ def ptrace_factors(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) ->
     return t.reshape(lead + (d, d))
 
 
-def energy_change(before: np.ndarray, after: np.ndarray, dims: Sequence[int],
-                  terms: Iterable[tuple[np.ndarray, Sequence[int]]]) -> float:
-    """Sum of tr{op (rho_after - rho_before)} over Hermitian ``(op,
-    positions)`` terms, each evaluated on the marginal at its factor
-    positions (ascending, matching the factor order of ``op``)."""
-    delta = after - before
-    return sum((expect_herm(op, ptrace_factors(delta, dims, pos))
-                for op, pos in terms), 0.0)
-
-
 def expm_herm(h: np.ndarray | None, scale: complex = 1.0,
               eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """exp(scale * h) for Hermitian h via spectral decomposition.
@@ -223,25 +206,6 @@ def vn_entropy_mat(rho: np.ndarray) -> float | np.ndarray:
     return float(s) if rho.ndim == 2 else s
 
 
-def relative_entropy_mat(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Relative entropy tr{rho(ln rho - ln sigma)} in nats.
-
-    Returns ``math.inf`` when rho has spectral weight above 1e-12 outside
-    the support of sigma instead of raising.
-    """
-    ws, vs = np.linalg.eigh(sigma)
-    kernel = ws <= EIG_FLOOR
-    if np.any(kernel):
-        overlap = vs[:, kernel]
-        mass = float(np.real(np.sum(overlap.conj() * (rho @ overlap))))
-        if mass > 1e-12:
-            return math.inf
-    supp = ~kernel
-    diag_rho = np.real(np.sum(vs[:, supp].conj() * (rho @ vs[:, supp]), axis=0))
-    cross = float(np.dot(diag_rho, np.log(ws[supp])))
-    return -vn_entropy_mat(rho) - cross
-
-
 # ---------------------------------------------------------------------------
 # labelled factors
 # ---------------------------------------------------------------------------
@@ -250,8 +214,8 @@ def relative_entropy_mat(rho: np.ndarray, sigma: np.ndarray) -> float:
 class FactorRegistry:
     """Ordered list of (label, dimension) tensor factors.
 
-    The declaration order is canonical: every operator's factors are stored
-    in this order, and all embeddings permute into it.
+    The declaration order is canonical: a support lists its factors in
+    this order, and an array on it stores them in this order.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -286,141 +250,3 @@ class FactorRegistry:
 
     def dims(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.dim(l) for l in labels)
-
-    def total_dim(self, labels: Iterable[str] | None = None) -> int:
-        labels = self.labels if labels is None else tuple(labels)
-        return int(np.prod([self.dim(l) for l in labels])) if labels else 1
-
-
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    mat = np.array(mat, dtype=complex)
-    mat.setflags(write=False)
-    return mat
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense complex matrix over an ordered subset of registry factors."""
-
-    registry: FactorRegistry
-    support: tuple[str, ...]
-    mat: np.ndarray
-
-    def __init__(self, registry: FactorRegistry, support: Iterable[str], mat,
-                 hermitian: bool = False):
-        support = tuple(support)
-        if support != registry.canonical(support):
-            raise ValueError(
-                f"support {support} is not in registry order "
-                f"{registry.canonical(support)}")
-        mat = _as_complex(mat)
-        d = registry.total_dim(support)
-        if mat.shape != (d, d):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match support dimension {d}")
-        if hermitian and not is_hermitian(mat):
-            raise ValueError("matrix declared Hermitian fails the max-norm check")
-        object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mat", _frozen(mat))
-
-    @classmethod
-    def identity(cls, registry: FactorRegistry, support: Iterable[str]) -> "OperatorMatrix":
-        support = registry.canonical(support)
-        return cls(registry, support, np.eye(registry.total_dim(support)))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def is_hermitian(self) -> bool:
-        return is_hermitian(self.mat)
-
-    def embed(self, support: Iterable[str]) -> "OperatorMatrix":
-        """Tensor with identities so the operator acts on ``support``."""
-        target = self.registry.canonical(support)
-        if not set(self.support) <= set(target):
-            raise ValueError(f"target support {target} does not contain {self.support}")
-        if target == self.support:
-            return self
-        dims_by = dict(self.registry.factors)
-        cur = list(self.support)
-        positions = [target.index(l) for l in cur]
-        mat = embed_factors(self.mat, positions, [dims_by[l] for l in target])
-        return OperatorMatrix(self.registry, target, mat)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Positive-semidefinite operator with bookkeeping of its weight.
-
-    ``weight`` is the trace: 1 for a normalized state, the record
-    probability p for an unnormalized conditional state.
-    """
-
-    op: OperatorMatrix
-    weight: float
-
-    def __init__(self, op: OperatorMatrix, weight: float | None = None):
-        if weight is None:
-            weight = float(np.real(np.trace(op.mat)))
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "weight", float(weight))
-
-    @classmethod
-    def normalized(cls, op: OperatorMatrix) -> "DensityOperator":
-        return cls(op, 1.0).validate()
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return self.op.support
-
-    def validate(self) -> "DensityOperator":
-        validate_density(self.mat, self.weight)
-        return self
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker composition of operators with disjoint supports.
-
-    The result's factors are ordered canonically per the shared registry.
-    """
-    if a.registry != b.registry:
-        raise ValueError("operands live on different registries")
-    overlap = set(a.support) & set(b.support)
-    if overlap:
-        raise ValueError(f"overlapping supports {sorted(overlap)}")
-    target = a.registry.canonical(a.support + b.support)
-    cur = list(a.support) + list(b.support)
-    dims = a.registry.dims(cur)
-    perm = [cur.index(l) for l in target]
-    return OperatorMatrix(a.registry, target, reorder_factors(np.kron(a.mat, b.mat), dims, perm))
-
-
-def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
-    """Trace out every factor of ``rho`` not listed in ``keep``."""
-    reg = rho.op.registry
-    keep = reg.canonical(keep)
-    if not set(keep) <= set(rho.support):
-        raise KeyError(f"cannot keep {keep}: state supports {rho.support}")
-    positions = [rho.support.index(l) for l in keep]
-    mat = ptrace_factors(rho.mat, reg.dims(rho.support), positions)
-    return DensityOperator(OperatorMatrix(reg, keep, mat), rho.weight)
-
-
-def gibbs_state(h: OperatorMatrix, beta: float) -> tuple[DensityOperator, float]:
-    """Thermal state exp(-beta h)/Z and its partition function Z."""
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
-    if not h.is_hermitian():
-        raise ValueError("gibbs_state requires a Hermitian Hamiltonian")
-    rho, z = gibbs_mat(h.mat, beta)
-    return DensityOperator(OperatorMatrix(h.registry, h.support, rho), 1.0), z

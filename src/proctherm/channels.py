@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    DensityOperator,
     FactorRegistry,
     dagger,
     embed_factors,
@@ -192,7 +191,7 @@ class InterventionSchedule:
         return h
 
 
-def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
+def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
           times: Iterable[float]
           ) -> dict[float, tuple[list[tuple[str, ...]], np.ndarray]]:
     """System-bath matrix of every record at every time in ``times``, as
@@ -209,10 +208,11 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
     alphabets.  Each segment's H_SB is diagonalized once, and its
     propagator over an interval is formed once for every family.
     """
-    reg = schedule.registry
-    if sb_init.support != reg.canonical(("S", "B")):
-        raise ValueError("initial state must live on the system-bath factors")
-    dims = reg.dims(("S", "B"))
+    dims = schedule.registry.dims(("S", "B"))
+    d = dims[0] * dims[1]
+    if np.shape(sb_init) != (d, d):
+        raise ValueError(f"initial state must be a {d}x{d} system-bath matrix, "
+                         f"got shape {np.shape(sb_init)}")
     protocol = schedule.protocol
     declared = [*protocol.variants, *(p for table in schedule.feedback.values() for p in table)]
     nodes = {p[:i] for p in [(), *declared] for i in range(len(p) + 1)}
@@ -250,7 +250,7 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
                     cp.apply_mat(mats, dims, [("S", "B").index(l) for l in cp.support])))
         return [join(node, kids) for node, kids in children.items()]
 
-    families = [((), [()], np.zeros(1, int), sb_init.mat[None])]
+    families = [((), [()], np.zeros(1, int), np.asarray(sb_init, dtype=complex)[None])]
     t_cur, k = protocol.t_start, 0
     out = {}
     for t in sorted(set(times)):
@@ -265,9 +265,10 @@ def _walk(schedule: InterventionSchedule, sb_init: DensityOperator,
 
 
 def evaluate_process_tensor(schedule: InterventionSchedule,
-                            sb_init: DensityOperator, times: Iterable[float]
+                            sb_init: np.ndarray, times: Iterable[float]
                             ) -> dict[float, tuple[list[tuple[str, ...]], np.ndarray]]:
-    """Unnormalized conditional system state of every record at every time.
+    """Unnormalized conditional system state of every record at every time,
+    from the (d_S d_B, d_S d_B) system-bath state ``sb_init``.
 
     Applies the outcome's CP map at each scheduled time (feedback resolved
     once per record node, see :func:`_walk`) interleaved with the driven

@@ -33,7 +33,6 @@ __all__ = [
     "reconstruction_error",
     "dephasing_error",
     "instrument_from_dilation",
-    "shift_matrix",
 ]
 
 
@@ -221,14 +220,6 @@ def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,
         label = str(r + 1) if labels is None else str(labels[r])
         outcomes.append((label, CPMap(("S",), kraus)))
     return Instrument(outcomes)
-
-
-def shift_matrix(d: int, r: int) -> np.ndarray:
-    """Cyclic shift |i> -> |i + r mod d>."""
-    s = np.zeros((d, d), dtype=complex)
-    i = np.arange(d)
-    s[(i + r) % d, i] = 1.0
-    return s
 
 
 def measurement_unitary(projectors: Sequence[np.ndarray]) -> np.ndarray:

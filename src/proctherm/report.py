@@ -159,12 +159,8 @@ class ReportBundle:
     control_caveat: str | None = None
     version: str = __version__
 
-    def to_dict(self) -> dict[str, Any]:
-        return self._doc(*([dict(zip(t.columns, cells)) for cells in zip(*t.values)]
-                           for t in (self.branches, self.ensemble)))
-
-    def _doc(self, branch_rows, ensemble_rows) -> dict[str, Any]:
-        return {
+    def to_json(self) -> str:
+        return dumps({
             "scenario": self.scenario_name,
             "mode": self.mode,
             "seed": self.seed,
@@ -173,14 +169,11 @@ class ReportBundle:
             "tolerances": self.tolerances,
             "pruned_mass": self.pruned_mass,
             "control_caveat": self.control_caveat,
-            "branch_rows": branch_rows,
-            "ensemble_rows": ensemble_rows,
+            "branch_rows": self.branches,
+            "ensemble_rows": self.ensemble,
             "equivalence": self.equivalence,
             "checks": self.checks,
-        }
-
-    def to_json(self) -> str:
-        return dumps(self._doc(self.branches, self.ensemble))
+        })
 
     def write(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)

@@ -51,9 +51,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import (
-    DensityOperator,
     FactorRegistry,
-    OperatorMatrix,
     dagger,
     embed_factors,
     expect_herm,
@@ -63,6 +61,7 @@ from .algebra import (
     max_norm,
     ptrace_factors,
     unitary_log_generator,
+    validate_density,
 )
 from .channels import Instrument, InterventionSchedule
 from .dilation import DilationResult, dilate_instrument
@@ -250,15 +249,16 @@ class _Space:
 class AutonomousModel:
     """Inclusive model: registry, Hamiltonian terms, schedule, hardware.
 
-    ``sb_init`` None starts from the Gibbs state of H_SB at the first drive
-    value, built from the model's own spectrum; ``gibbs_initial`` says so.
+    ``sb_init`` is the read-only (d_S d_B, d_S d_B) initial state on S B;
+    passed as None, it is the Gibbs state of H_SB at the first drive value,
+    built from the model's own spectrum, and ``gibbs_initial`` says so.
     """
 
     registry: FactorRegistry
     schedule: InterventionSchedule
     steps: tuple[StepSpec, ...]
     beta: float
-    sb_init: DensityOperator | None
+    sb_init: np.ndarray | None
     mean_force_bare: bool = False
     name: str = "model"
     gibbs_initial: bool = field(init=False)
@@ -279,8 +279,7 @@ class AutonomousModel:
             support = self.registry.canonical(("S", "B"))
             rho, _ = gibbs_mat(None, self.beta,
                                eig=self.spectrum(support, self.protocol.base[0].h_system))
-            object.__setattr__(self, "sb_init", DensityOperator(
-                OperatorMatrix(self.registry, support, rho), 1.0))
+            object.__setattr__(self, "sb_init", _frozen(rho))
 
     # -- assembly -----------------------------------------------------------
 
@@ -413,8 +412,14 @@ class AutonomousModel:
                             f"protocol variant {prefix} changes the drive at "
                             f"t={ba}, before its prefix is resolved at t={resolved}")
 
-        rho0 = None if sb_init is None else DensityOperator.normalized(OperatorMatrix(
-            registry, registry.canonical(("S", "B")), np.asarray(sb_init, dtype=complex)))
+        rho0 = None
+        if sb_init is not None:
+            d = int(s_dim) * int(b_dim)
+            rho0 = np.array(sb_init, dtype=complex)
+            if rho0.shape != (d, d):
+                raise ValueError(f"sb_init must be {d}x{d} (system (x) bath), "
+                                 f"got shape {rho0.shape}")
+            rho0 = _frozen(validate_density(rho0))
         return cls(registry, schedule, tuple(specs), float(beta), rho0,
                    mean_force_bare=mean_force_bare, name=name)
 
@@ -551,7 +556,6 @@ class Branch:
     w_meas: float = 0.0      # measurement work, ancilla-energy convention
     w_meas_alt: float = 0.0  # measurement work, knowledge-update convention
     e_factored: float = 0.0  # summed <h_A> of the ancillas factored out of state
-    h_sys_applied: np.ndarray | None = None
 
     @property
     def weight(self) -> float:
@@ -611,7 +615,7 @@ class BranchLedger:
 
     @cached_property
     def branches(self) -> Mapping[tuple[str, ...], Branch]:
-        views = [Branch(labels, state, g.support, *tallies, g.h_sys)
+        views = [Branch(labels, state, g.support, *tallies)
                  for g in self.groups for labels, state, *tallies in zip(
                      g.records, g.states, *(getattr(g, t).tolist() for t in _TALLIES))]
         return MappingProxyType({views[i].labels: views[i] for i in self.order.tolist()})
@@ -653,9 +657,6 @@ class StepTrace:
         """| sum_r p(r) (w_meas - w_meas_alt) |, summed in ledger and label order."""
         terms = self.weights[:, None] * self.cond_probs * (self.w_meas - self.w_meas_alt)
         return abs(float(np.cumsum(np.append(0.0, terms))[-1]))
-
-    def max_branch_gap(self) -> float:
-        return float(np.max(np.abs(self.w_meas - self.w_meas_alt), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -898,7 +899,7 @@ class Simulator:
         model = self.model
         ledger = BranchLedger(model.protocol.t_start, (BranchGroup(
             ((),), model.registry.canonical(("S", "B")), model.protocol.base[0].h_system,
-            _frozen(model.sb_init.mat[None]), *[_frozen(np.zeros(1))] * 5),), np.zeros(1, int))
+            _frozen(model.sb_init[None]), *[_frozen(np.zeros(1))] * 5),), np.zeros(1, int))
         initial = Snapshot(ledger.time, ledger)
         times = sorted(set(float(t) for t in report_times))
         for t in times:

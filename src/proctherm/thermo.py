@@ -46,29 +46,21 @@ from itertools import compress
 import numpy as np
 
 from .algebra import (
-    DensityOperator,
-    OperatorMatrix,
-    energy_change,
     expect_herm,
     log_partition,
     logsumexp,
     ptrace_factors,
     vn_entropy_mat,
 )
-from .simulate import BranchGroup, RunResult, Snapshot, StepTrace
+from .simulate import BranchGroup, RunResult, Snapshot
 
 __all__ = [
-    "MeanForceData",
-    "mean_force_hamiltonian",
     "BranchThermo",
     "BranchRows",
     "EnsembleThermo",
     "ThermoLedger",
     "ThermoEvaluator",
     "evaluate_run",
-    "work_measurement_alternative",
-    "tpm_work",
-    "singular_control_work",
     "ConventionError",
 ]
 
@@ -80,16 +72,6 @@ class ConventionError(ValueError):
 # ---------------------------------------------------------------------------
 # Hamiltonian of mean force
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class MeanForceData:
-    """Mean-force Hamiltonian with its inverse-temperature derivative."""
-
-    h_star: OperatorMatrix
-    z_star: float
-    beta: float
-    dbeta_h_star: OperatorMatrix
-
 
 def _log_divided_differences(lam: np.ndarray) -> np.ndarray:
     """K_ij = (ln l_i - ln l_j) / (l_i - l_j) and K_ii = 1 / l_i for l > 0,
@@ -139,38 +121,6 @@ def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
     dh = ((w0 - e_bath) * eye - dln_m - h_star) / beta
     ln_z_star = logsumexp(-beta * w) - ln_z_bath
     return h_star, 0.5 * (dh + dh.conj().T), ln_z_star
-
-
-def mean_force_hamiltonian(h_xb: OperatorMatrix, x_labels: Sequence[str],
-                           beta: float, h_bath: np.ndarray | None = None
-                           ) -> MeanForceData:
-    """Mean-force Hamiltonian of the ``x_labels`` part of a coupled pair.
-
-    ``h_bath`` is the bare Hamiltonian of the traced-out factors (zero if
-    omitted); it fixes the normalization Z* = Z_XB / Z_B.  The
-    inverse-temperature derivative is exact: the Daleckii-Krein derivative
-    of ln tr_B e^{-beta H_XB} in closed form, from the same eigenpairs of
-    H_XB (see :func:`_mean_force_arrays`).
-    """
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
-    if not h_xb.is_hermitian():
-        raise ValueError("mean force requires a Hermitian joint Hamiltonian")
-    reg = h_xb.registry
-    x_labels = reg.canonical(x_labels)
-    if not set(x_labels) < set(h_xb.support):
-        raise ValueError(f"{x_labels} must be a proper subset of {h_xb.support}")
-    dims = reg.dims(h_xb.support)
-    x_pos = [h_xb.support.index(l) for l in x_labels]
-    bath_dim = int(np.prod([d for i, d in enumerate(dims) if i not in x_pos]))
-    if h_bath is None:
-        h_bath = np.zeros((bath_dim, bath_dim))
-    h_star, dbeta_h, ln_z_star = _mean_force_arrays(
-        np.linalg.eigh(h_xb.mat), dims, x_pos, _bath_moments(h_bath, beta), beta)
-    return MeanForceData(
-        OperatorMatrix(reg, x_labels, h_star, hermitian=True),
-        math.exp(ln_z_star), beta,
-        OperatorMatrix(reg, x_labels, dbeta_h, hermitian=True))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +207,7 @@ class ThermoEvaluator:
         self._e_anc0 = [expect_herm(spec.h_ancilla, spec.ancilla_state)
                         for spec in self.model.steps]
         self._s_anc0 = [vn_entropy_mat(spec.ancilla_state) for spec in self.model.steps]
-        self._s_tot0 = vn_entropy_mat(self.model.sb_init.mat) + sum(self._s_anc0)
+        self._s_tot0 = vn_entropy_mat(self.model.sb_init) + sum(self._s_anc0)
         h_b = self.model.h_bath
         if h_b is None:
             d_b = self.model.registry.dims(("B",))[0]
@@ -396,69 +346,3 @@ def evaluate_run(result: RunResult) -> ThermoLedger:
     rows = {snap.time: ev.branch_rows(snap) for snap in result.snapshots}
     return ThermoLedger(rows, tuple(ev.ensemble(snap, rows[snap.time])
                                     for snap in result.snapshots))
-
-
-# ---------------------------------------------------------------------------
-# measurement work and special setups
-# ---------------------------------------------------------------------------
-
-def work_measurement_alternative(trace: StepTrace, record: Sequence[str]) -> float:
-    """Knowledge-update (system+ancillas) measurement work of one step.
-
-    The record is the full outcome tuple through this step; its last entry
-    selects the outcome, the rest the parent branch.
-    """
-    record = tuple(str(l) for l in record)
-    if record[:-1] not in trace.per_prefix:
-        raise KeyError(f"no branch with prefix {record[:-1]} in the step trace")
-    return trace.per_prefix[record[:-1]].w_meas_alt[record[-1]]
-
-
-@dataclass(frozen=True, eq=False)
-class TPMRow:
-    labels: tuple[str, ...]
-    prob: float
-    work: float
-
-
-def tpm_work(result: RunResult) -> tuple[TPMRow, ...]:
-    """Driving work plus final knowledge-update work, per outcome record.
-
-    On an isolated system whose first and last interventions are projective
-    energy measurements, this reproduces the difference of the two energy
-    readings exactly, which is the two-point-measurement work statistic.
-    Raises :class:`ConventionError` when a bath coupling is present: the
-    identification is only valid for isolated systems.
-    """
-    model = result.model
-    if model.has_sb_coupling():
-        raise ConventionError(
-            "two-point work statistics assume an isolated system; this model "
-            "couples the system to the bath")
-    if model.n_steps < 2:
-        raise ConventionError("two-point statistics need at least two "
-                              "interventions (initial and final readout)")
-    last = result.traces[-1]
-    return tuple(TPMRow(br.labels, br.weight, br.w_sys + work_measurement_alternative(
-        last, br.labels)) for br in result.final.branches.values())
-
-
-def singular_control_work(state: DensityOperator, u_ctrl: OperatorMatrix,
-                          h_system: OperatorMatrix,
-                          v_coupling: OperatorMatrix | None,
-                          h_ancilla: OperatorMatrix | None) -> float:
-    """Energy change booked by an instantaneous control unitary.
-
-    tr{(H_S + V_SB + H_A)(U rho U' - rho)}: the coupling term matters
-    whenever the system-bath coupling is nonzero, so this work needs bath
-    access.  A finite-width control books its work through the switches of
-    its window coupling instead.
-    """
-    u = u_ctrl.embed(state.support)
-    after = u.mat @ state.mat @ u.mat.conj().T
-    terms = [(op.mat, [state.support.index(l) for l in op.support])
-             for op in (h_system, v_coupling, h_ancilla) if op is not None]
-    dims = state.op.registry.dims(state.support)
-    total = energy_change(state.mat, after, dims, terms)
-    weight = state.weight if state.weight > 0 else 1.0
-    return total / weight

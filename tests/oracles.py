@@ -2,7 +2,11 @@
 
 Everything here is deliberately written along a different numerical route
 than the package itself (index loops, Taylor series, superoperators,
-fine-grained slicing) so agreement is meaningful.
+fine-grained slicing) so agreement is meaningful.  The exception is
+:func:`mean_force`, which runs the package's own mean-force pass for tests
+that need H* as an input.  The work statistics and the relative entropy
+are reference quantities the package does not compute itself: tests hold
+its booked kick work and its entropy production against them.
 
 :func:`dense_run` is the isolated black box itself: it evolves system,
 bath and every ancilla as one literal S (x) B (x) A_0 (x) ... state from
@@ -16,23 +20,22 @@ import dataclasses
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from proctherm.algebra import (
-    FactorRegistry,
-    OperatorMatrix,
     embed_factors,
     expect_herm,
     logsumexp,
     ptrace_factors,
-    relative_entropy_mat,
     unitary_log_generator,
     vn_entropy_mat,
 )
 from proctherm.dilation import dilate_instrument
-from proctherm.thermo import mean_force_hamiltonian
+from proctherm.simulate import RunResult, StepTrace
+from proctherm.thermo import ConventionError, _bath_moments, _mean_force_arrays
+from proctherm.tolerances import EIG_FLOOR
 
 
 def kron_index(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,6 +180,113 @@ def mean_force_dbeta(h_xb: np.ndarray, dims: Sequence[int], h_bath: np.ndarray,
     ratio, dratio = m / z_b, dm / z_b - m * dz_b / z_b ** 2
     wl, vl = np.linalg.eigh(ratio)
     return (vl * np.log(wl)) @ vl.conj().T / beta ** 2 - dlog_daleckii(ratio, dratio) / beta
+
+
+def mean_force(h_xb: np.ndarray, dims: Sequence[int], keep: Sequence[int], beta: float,
+               h_bath: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(H*, dH*/dbeta, ln Z*) of the factors ``keep`` of ``h_xb`` on ``dims``,
+    ``h_bath`` the bare Hamiltonian of the other factors (zero if omitted),
+    from the package's own mean-force pass."""
+    d_bath = math.prod(dims) // math.prod(dims[i] for i in keep)
+    h_bath = np.zeros((d_bath, d_bath)) if h_bath is None else h_bath
+    return _mean_force_arrays(np.linalg.eigh(np.asarray(h_xb, dtype=complex)), dims, keep,
+                              _bath_moments(h_bath, beta), beta)
+
+
+def relative_entropy_mat(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Relative entropy tr{rho(ln rho - ln sigma)} in nats.
+
+    Returns ``math.inf`` when rho has spectral weight above 1e-12 outside
+    the support of sigma instead of raising.
+    """
+    ws, vs = np.linalg.eigh(sigma)
+    kernel = ws <= EIG_FLOOR
+    if np.any(kernel):
+        overlap = vs[:, kernel]
+        mass = float(np.real(np.sum(overlap.conj() * (rho @ overlap))))
+        if mass > 1e-12:
+            return math.inf
+    supp = ~kernel
+    diag_rho = np.real(np.sum(vs[:, supp].conj() * (rho @ vs[:, supp]), axis=0))
+    cross = float(np.dot(diag_rho, np.log(ws[supp])))
+    return -vn_entropy_mat(rho) - cross
+
+
+def shift_matrix(d: int, r: int) -> np.ndarray:
+    """Cyclic shift |i> -> |i + r mod d>."""
+    s = np.zeros((d, d), dtype=complex)
+    i = np.arange(d)
+    s[(i + r) % d, i] = 1.0
+    return s
+
+
+# ---------------------------------------------------------------------------
+# work statistics
+# ---------------------------------------------------------------------------
+
+def energy_change(before: np.ndarray, after: np.ndarray, dims: Sequence[int],
+                  terms: Iterable[tuple[np.ndarray, Sequence[int]]]) -> float:
+    """Sum of tr{op (rho_after - rho_before)} over Hermitian ``(op,
+    positions)`` terms, each evaluated on the marginal at its factor
+    positions (ascending, matching the factor order of ``op``)."""
+    delta = after - before
+    return sum((expect_herm(op, ptrace_factors(delta, dims, pos))
+                for op, pos in terms), 0.0)
+
+
+def singular_control_work(state: np.ndarray, dims: Sequence[int], u_ctrl: np.ndarray,
+                          positions: Sequence[int],
+                          terms: Iterable[tuple[np.ndarray, Sequence[int]]]) -> float:
+    """Energy change booked by an instantaneous control unitary ``u_ctrl``
+    on the factors at ``positions`` of ``state`` (factors ``dims``).
+
+    tr{(H_S + V_SB + H_A)(U rho U' - rho)} / tr rho, the Hamiltonian given
+    as ``terms`` as in :func:`energy_change`: the coupling term matters
+    whenever the system-bath coupling is nonzero, so this work needs bath
+    access.  A finite-width control books its work through the switches of
+    its window coupling instead.
+    """
+    u = embed_factors(u_ctrl, positions, dims)
+    total = energy_change(state, u @ state @ u.conj().T, dims, terms)
+    weight = float(np.real(np.trace(state)))
+    return total / (weight if weight > 0 else 1.0)
+
+
+def work_measurement_alternative(trace: StepTrace, record: Sequence[str]) -> float:
+    """Knowledge-update (system+ancillas) measurement work of one step.
+
+    The record is the full outcome tuple through this step; its last entry
+    selects the outcome, the rest the parent branch.
+    """
+    record = tuple(str(l) for l in record)
+    if record[:-1] not in trace.per_prefix:
+        raise KeyError(f"no branch with prefix {record[:-1]} in the step trace")
+    return trace.per_prefix[record[:-1]].w_meas_alt[record[-1]]
+
+
+TPMRow = namedtuple("TPMRow", "labels prob work")
+
+
+def tpm_work(result: RunResult) -> tuple[TPMRow, ...]:
+    """Driving work plus final knowledge-update work, per outcome record.
+
+    On an isolated system whose first and last interventions are projective
+    energy measurements, this reproduces the difference of the two energy
+    readings exactly, which is the two-point-measurement work statistic.
+    Raises :class:`ConventionError` when a bath coupling is present: the
+    identification is only valid for isolated systems.
+    """
+    model = result.model
+    if model.has_sb_coupling():
+        raise ConventionError(
+            "two-point work statistics assume an isolated system; this model "
+            "couples the system to the bath")
+    if model.n_steps < 2:
+        raise ConventionError("two-point statistics need at least two "
+                              "interventions (initial and final readout)")
+    last = result.traces[-1]
+    return tuple(TPMRow(br.labels, br.weight, br.w_sys + work_measurement_alternative(
+        last, br.labels)) for br in result.final.branches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +471,7 @@ def dense_thermo(run: DenseRun, t: float) -> DenseThermo:
         f = tr{H* rho_S} + sum_k <h_A(k)> + T ln p - T S_vN(rho_X)
 
     where H* is the bare drive for a decoupled or declared-bare model.
-    Otherwise H* comes from :func:`mean_force_hamiltonian` and dH*/dbeta
+    Otherwise H* comes from :func:`mean_force` and dH*/dbeta
     from :func:`mean_force_dbeta`, not from the route under test.  In
     the isolated black box the work is the global energy change
     ``w_budget``, so Sigma = dS - beta (dU - w_budget).  The relative-entropy
@@ -378,12 +488,10 @@ def dense_thermo(run: DenseRun, t: float) -> DenseThermo:
     def thermo(rec):
         h_star, dh = rec.h_sys, np.zeros_like(rec.h_sys)
         if not bare:
-            reg = FactorRegistry([("S", dims[0]), ("B", dims[1])])
             h_b = spec.get("h_bath")
             h_b = np.zeros((dims[1],) * 2) if h_b is None else h_b
             h_sb = _h_sb(spec, rec.h_sys)
-            h_star = mean_force_hamiltonian(OperatorMatrix(reg, ("S", "B"), h_sb, hermitian=True),
-                                            ["S"], beta=beta, h_bath=h_b).h_star.mat
+            h_star = mean_force(h_sb, dims[:2], [0], beta, h_b)[0]
             dh = mean_force_dbeta(h_sb, dims[:2], h_b, beta)
         p = rec.p
         rho_s = ptrace_factors(rec.rho, dims, [0]) / p

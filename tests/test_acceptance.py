@@ -9,20 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proctherm.algebra import FactorRegistry, OperatorMatrix, dagger, gibbs_mat, max_norm
+from proctherm.algebra import dagger, gibbs_mat, max_norm
 from proctherm.channels import CPMap, Instrument, evaluate_process_tensor
 from proctherm.dilation import dephasing_unitary, dilate_instrument
 from proctherm.protocol import Protocol, Segment
 from proctherm.scenario import build_model, parse_scenario
 from proctherm.simulate import AutonomousModel, Simulator
-from proctherm.thermo import evaluate_run, mean_force_hamiltonian, tpm_work
+from proctherm.thermo import evaluate_run
 from proctherm.verify import equivalence_rows
 
 from oracles import (
+    mean_force,
     random_density,
     random_hermitian,
     random_kraus_channel,
     richardson_halving,
+    singular_control_work,
+    tpm_work,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -214,7 +217,8 @@ class TestAcceptance:
         for sc, model, result, _ in shipped_runs():
             for trace in result.traces:
                 worst_avg = max(worst_avg, trace.average_work_gap())
-                best_branch_gap = max(best_branch_gap, trace.max_branch_gap())
+                best_branch_gap = max(best_branch_gap, float(np.max(
+                    np.abs(trace.w_meas - trace.w_meas_alt), initial=0.0)))
         ok = worst_avg < 1e-10 and best_branch_gap > 1e-3
         report(6, "work conventions agree on average yet differ per branch",
                ok, f"avg gap {worst_avg:.2e}, max branch gap {best_branch_gap:.2e}")
@@ -269,14 +273,11 @@ class TestAcceptance:
                ok, f"du {du:+.2e}, w {w:+.2e}, q {q:+.2e}, p(g) {end.p:.3f}")
 
     def test_09_weak_coupling_limit(self):
-        reg = FactorRegistry([("S", 2), ("B", 2)])
         h_s, h_b = np.diag([0.0, 1.0]), np.diag([0.0, 0.9])
         norms = []
         for g in (1e-2, 1e-3, 1e-4):
             h = np.kron(h_s, np.eye(2)) + np.kron(np.eye(2), h_b) + g * np.kron(SX, SX)
-            mfd = mean_force_hamiltonian(OperatorMatrix(reg, ("S", "B"), h),
-                                         ["S"], beta=1.0, h_bath=h_b)
-            norms.append(max_norm(mfd.h_star.mat - h_s))
+            norms.append(max_norm(mean_force(h, [2, 2], [0], 1.0, h_b)[0] - h_s))
         ok = norms[0] / norms[1] >= 10 and norms[1] / norms[2] >= 10
         report(9, "mean-force Hamiltonian collapses to the bare one with the "
                   "coupling", ok,
@@ -284,8 +285,6 @@ class TestAcceptance:
 
     def test_10_singular_control_work_consistency(self):
         from proctherm.algebra import embed_factors, expm_herm
-        from proctherm.thermo import singular_control_work
-        from proctherm.algebra import DensityOperator
         rng = np.random.default_rng(1010)
         worst = 0.0
         for _ in range(5):
@@ -310,13 +309,9 @@ class TestAcceptance:
 
             extrapolated = richardson_halving(
                 [window_work(w) for w in (0.004, 0.002, 0.001)])
-            reg = FactorRegistry([("S", 2), ("B", 2), ("A0", 2)])
-            state = DensityOperator(OperatorMatrix(reg, ("S", "B", "A0"),
-                                                   np.kron(sb0, anc)))
             w_delta = singular_control_work(
-                state, OperatorMatrix(reg, ("S", "A0"), expm_herm(gen, -1j)),
-                OperatorMatrix(reg, ("S",), h_s),
-                OperatorMatrix(reg, ("S", "B"), v), None)
+                np.kron(sb0, anc), dims, expm_herm(gen, -1j), [0, 2],
+                [(h_s, [0]), (v, [0, 1])])
             worst = max(worst, abs(w_delta - extrapolated))
         report(10, "instantaneous control work equals the zero-width limit",
                worst < 1e-5, f"worst {worst:.2e} over 5 scenarios")

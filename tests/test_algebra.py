@@ -1,4 +1,4 @@
-"""Tests for the labelled-factor linear algebra layer."""
+"""Tests for the array linear algebra over ordered tensor factors."""
 
 import math
 
@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from proctherm.algebra import (
-    DensityOperator,
     FactorRegistry,
-    OperatorMatrix,
+    embed_factors,
     expm_herm,
-    gibbs_state,
+    gibbs_mat,
     log_partition,
     max_norm,
-    partial_trace,
-    relative_entropy_mat,
-    tensor,
+    ptrace_factors,
+    reorder_factors,
     unitary_log_generator,
     vn_entropy_mat,
 )
@@ -26,26 +24,15 @@ from oracles import (
     random_density,
     random_hermitian,
     random_unitary,
+    relative_entropy_mat,
     taylor_expm,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def two_factor_registry():
-    return FactorRegistry([("S", 2), ("B", 2)])
-
-
-def op(reg, support, mat):
-    return OperatorMatrix(reg, support, mat)
-
-
-def dens(reg, support, mat, weight=None):
-    return DensityOperator(OperatorMatrix(reg, support, mat), weight)
-
-
 # ---------------------------------------------------------------------------
-# registry / wrapper plumbing
+# registry
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
@@ -60,61 +47,39 @@ class TestRegistry:
     def test_canonical_order(self):
         reg = FactorRegistry([("S", 2), ("B", 3), ("A0", 2)])
         assert reg.canonical(["A0", "S"]) == ("S", "A0")
-        assert reg.total_dim() == 12
         with pytest.raises(KeyError):
             reg.canonical(["Q"])
 
-    def test_operator_shape_checked(self):
-        reg = two_factor_registry()
-        with pytest.raises(ValueError):
-            OperatorMatrix(reg, ("S",), np.eye(3))
-
-    def test_hermitian_flag_checked(self):
-        reg = two_factor_registry()
-        with pytest.raises(ValueError):
-            OperatorMatrix(reg, ("S",), [[0, 1], [0, 0]], hermitian=True)
-        OperatorMatrix(reg, ("S",), SX, hermitian=True)
-
 
 # ---------------------------------------------------------------------------
-# tensor
+# tensor products: embedding and factor order
 # ---------------------------------------------------------------------------
+
+def composed(a, b):
+    """a on factor 0 times b on factor 1, each embedded on its own."""
+    dims = [a.shape[0], b.shape[0]]
+    return embed_factors(a, [0], dims) @ embed_factors(b, [1], dims)
+
 
 class TestTensor:
     def test_identity_case(self):
-        reg = two_factor_registry()
-        out = tensor(OperatorMatrix.identity(reg, ["S"]), OperatorMatrix.identity(reg, ["B"]))
-        np.testing.assert_allclose(out.mat, np.eye(4))
+        np.testing.assert_allclose(composed(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_basis_projectors(self):
-        reg = two_factor_registry()
-        out = tensor(op(reg, ("S",), np.diag([1, 0])), op(reg, ("B",), np.diag([0, 1])))
-        np.testing.assert_allclose(out.mat, np.diag([0, 1, 0, 0]))
+        out = composed(np.diag([1, 0]), np.diag([0, 1]))
+        np.testing.assert_allclose(out, np.diag([0, 1, 0, 0]))
 
     def test_matches_index_oracle(self):
-        reg = two_factor_registry()
         rng = np.random.default_rng(11)
         a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        out = tensor(op(reg, ("S",), a), op(reg, ("B",), b))
-        np.testing.assert_allclose(out.mat, kron_index(a, b), atol=1e-13)
+        np.testing.assert_allclose(composed(a, b), kron_index(a, b), atol=1e-13)
 
     def test_registry_order_restored(self):
-        # composing in reverse label order must permute back to S (x) B
-        reg = two_factor_registry()
+        # composing in reverse factor order must permute back to S (x) B
         rng = np.random.default_rng(12)
         a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        out = tensor(op(reg, ("B",), b), op(reg, ("S",), a))
-        np.testing.assert_allclose(out.mat, np.kron(a, b), atol=1e-13)
-
-    def test_overlap_rejected(self):
-        reg = two_factor_registry()
-        with pytest.raises(ValueError):
-            tensor(op(reg, ("S",), SX), op(reg, ("S",), SX))
-
-    def test_mismatched_registries_rejected(self):
-        rega, regb = two_factor_registry(), FactorRegistry([("S", 2), ("B", 3)])
-        with pytest.raises(ValueError):
-            tensor(op(rega, ("S",), SX), op(regb, ("B",), np.eye(3)))
+        out = reorder_factors(np.kron(b, a), [2, 2], [1, 0])
+        np.testing.assert_allclose(out, np.kron(a, b), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -123,43 +88,30 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_product_state(self):
-        reg = two_factor_registry()
         rng = np.random.default_rng(21)
         rho_s, rho_b = random_density(rng, 2), random_density(rng, 2)
-        joint = dens(reg, ("S", "B"), np.kron(rho_s, rho_b))
-        out = partial_trace(joint, ["S"])
-        np.testing.assert_allclose(out.mat, rho_s, atol=1e-13)
-        assert out.support == ("S",)
+        out = ptrace_factors(np.kron(rho_s, rho_b), [2, 2], [0])
+        np.testing.assert_allclose(out, rho_s, atol=1e-13)
 
     def test_maximally_entangled(self):
-        reg = two_factor_registry()
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / math.sqrt(2)
-        joint = dens(reg, ("S", "B"), np.outer(psi, psi.conj()))
-        out = partial_trace(joint, ["B"])
-        np.testing.assert_allclose(out.mat, np.eye(2) / 2, atol=1e-14)
+        out = ptrace_factors(np.outer(psi, psi.conj()), [2, 2], [1])
+        np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
 
     def test_matches_index_oracle(self):
-        reg = FactorRegistry([("S", 2), ("B", 3), ("A0", 2)])
         rng = np.random.default_rng(22)
         rho = random_density(rng, 12)
-        joint = dens(reg, ("S", "B", "A0"), rho)
-        out = partial_trace(joint, ["S", "A0"])
+        out = ptrace_factors(rho, [2, 3, 2], [0, 2])
         expected = ptrace_index(rho, [2, 3, 2], [0, 2])
-        np.testing.assert_allclose(out.mat, expected, atol=1e-13)
-        assert abs(out.weight - 1.0) < 1e-12
+        np.testing.assert_allclose(out, expected, atol=1e-13)
+        assert abs(np.trace(out).real - 1.0) < 1e-12
 
     def test_trace_preserved(self):
-        reg = FactorRegistry([("S", 2), ("B", 4)])
         rng = np.random.default_rng(23)
         rho = random_density(rng, 8)
-        out = partial_trace(dens(reg, ("S", "B"), rho), ["B"])
-        assert abs(np.trace(out.mat) - 1.0) < 1e-12
-
-    def test_unknown_label(self):
-        reg = two_factor_registry()
-        with pytest.raises(KeyError):
-            partial_trace(dens(reg, ("S",), np.eye(2) / 2), ["B"])
+        out = ptrace_factors(rho, [2, 4], [1])
+        assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -287,63 +239,52 @@ class TestRelativeEntropy:
 
 class TestGibbs:
     def test_degenerate_hamiltonian(self):
-        reg = FactorRegistry([("S", 4)])
-        rho, z = gibbs_state(op(reg, ("S",), 0.3 * np.eye(4)), beta=2.0)
-        np.testing.assert_allclose(rho.mat, np.eye(4) / 4, atol=1e-13)
+        rho, z = gibbs_mat(0.3 * np.eye(4), beta=2.0)
+        np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-13)
         assert z == pytest.approx(4 * math.exp(-2.0 * 0.3), rel=1e-12)
 
     def test_two_level_analytic(self):
-        reg = two_factor_registry()
         omega, beta = 1.3, 0.8
-        rho, z = gibbs_state(op(reg, ("S",), np.diag([0.0, omega])), beta)
+        rho, z = gibbs_mat(np.diag([0.0, omega]), beta)
         p = 1.0 / (1.0 + math.exp(-beta * omega))
-        np.testing.assert_allclose(rho.mat, np.diag([p, 1 - p]), atol=1e-13)
+        np.testing.assert_allclose(rho, np.diag([p, 1 - p]), atol=1e-13)
         assert z == pytest.approx(1 + math.exp(-beta * omega), rel=1e-12)
 
     def test_matches_spectral_oracle(self):
-        reg = FactorRegistry([("S", 4)])
         rng = np.random.default_rng(61)
         h = random_hermitian(rng, 4)
-        rho, z = gibbs_state(op(reg, ("S",), h), beta=0.7)
+        rho, z = gibbs_mat(h, beta=0.7)
         w, v = np.linalg.eigh(h)
         expected = v @ np.diag(np.exp(-0.7 * w)) @ v.conj().T
-        np.testing.assert_allclose(rho.mat, expected / np.trace(expected), atol=1e-12)
+        np.testing.assert_allclose(rho, expected / np.trace(expected), atol=1e-12)
         assert z == pytest.approx(float(np.sum(np.exp(-0.7 * w))), rel=1e-10)
 
     def test_commutes_with_hamiltonian(self):
-        reg = FactorRegistry([("S", 5)])
         rng = np.random.default_rng(62)
         h = random_hermitian(rng, 5)
-        rho, _ = gibbs_state(op(reg, ("S",), h), beta=1.1)
-        assert max_norm(rho.mat @ h - h @ rho.mat) < 1e-11
-
-    def test_nonpositive_beta_rejected(self):
-        reg = two_factor_registry()
-        with pytest.raises(ValueError):
-            gibbs_state(op(reg, ("S",), SX), beta=0.0)
+        rho, _ = gibbs_mat(h, beta=1.1)
+        assert max_norm(rho @ h - h @ rho) < 1e-11
 
     def test_log_partition_per_inverse_temperature(self):
         rng = np.random.default_rng(63)
         h = random_hermitian(rng, 5)
-        z = gibbs_state(op(FactorRegistry([("S", 5)]), ("S",), h), 0.7)[1]
+        z = gibbs_mat(h, 0.7)[1]
         assert log_partition(h, 0.7) == pytest.approx(math.log(z), rel=1e-12)
 
 
 class TestRoundTrips:
     def test_tensor_then_trace_recovers_marginal(self):
-        reg = FactorRegistry([("S", 2), ("B", 3)])
         rng = np.random.default_rng(71)
         rho_s, rho_b = random_density(rng, 2), random_density(rng, 3)
-        joint = tensor(op(reg, ("S",), rho_s), op(reg, ("B",), rho_b))
-        back = partial_trace(DensityOperator(joint, 1.0), ["S"])
-        np.testing.assert_allclose(back.mat, rho_s, atol=1e-13)
+        joint = reorder_factors(np.kron(rho_b, rho_s), [3, 2], [1, 0])
+        back = ptrace_factors(joint, [2, 3], [0])
+        np.testing.assert_allclose(back, rho_s, atol=1e-13)
 
     def test_embed_expectation_consistency(self):
-        reg = FactorRegistry([("S", 2), ("B", 2), ("A0", 3)])
         rng = np.random.default_rng(72)
         h = random_hermitian(rng, 2)
         rho = random_density(rng, 12)
-        full = op(reg, ("S",), h).embed(("S", "B", "A0"))
-        direct = np.trace(full.mat @ rho)
+        full = embed_factors(h, [0], [2, 2, 3])
+        direct = np.trace(full @ rho)
         marg = ptrace_index(rho, [2, 2, 3], [0])
         assert np.real(direct) == pytest.approx(np.real(np.trace(h @ marg)), abs=1e-12)

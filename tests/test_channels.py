@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proctherm.algebra import DensityOperator, FactorRegistry, OperatorMatrix, gibbs_state
+from proctherm.algebra import FactorRegistry, gibbs_mat, ptrace_factors
 from proctherm.channels import (
     CPMap,
     Instrument,
@@ -172,31 +172,26 @@ class TestProcessEvaluation:
     def test_gibbs_stationarity_no_interventions(self):
         # global thermal state of the joint Hamiltonian is invariant
         rng = np.random.default_rng(20)
-        reg = sb_registry()
         h_s = np.diag([0.0, 1.0])
         h_b = random_hermitian(rng, 2)
         v = 0.4 * np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
         sched = flat_schedule([], [], h_sys=h_s, h_bath=h_b, v=v)
-        h_sb = OperatorMatrix(reg, ("S", "B"), sched.h_sb(h_s))
-        pi_sb, _ = gibbs_state(h_sb, beta=1.0)
+        pi_sb, _ = gibbs_mat(sched.h_sb(h_s), beta=1.0)
         records, states = evaluate_process_tensor(sched, pi_sb, [2.5])[2.5]
         assert records == [()] and states.shape == (1, 2, 2)
-        from proctherm.algebra import partial_trace
-        np.testing.assert_allclose(states[0], partial_trace(pi_sb, ["S"]).mat, atol=1e-11)
+        np.testing.assert_allclose(states[0], ptrace_factors(pi_sb, [2, 2], [0]), atol=1e-11)
         assert weight(states[0]) == pytest.approx(1.0, abs=1e-11)
 
     def test_identity_intervention_is_bare_evolution(self):
         rng = np.random.default_rng(21)
-        reg = sb_registry()
         h_s = random_hermitian(rng, 2)
         h_b = random_hermitian(rng, 2)
         v = 0.3 * random_hermitian(rng, 4)
         rho0 = random_density(rng, 4)
-        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
         sched0 = flat_schedule([], [], h_sys=h_s, h_bath=h_b, v=v)
         sched1 = flat_schedule([1.0], [identity_instrument()], h_sys=h_s, h_bath=h_b, v=v)
-        bare = states_by_record(evaluate_process_tensor(sched0, sb, [2.0])[2.0])[()]
-        with_id = states_by_record(evaluate_process_tensor(sched1, sb, [2.0])[2.0])[("1",)]
+        bare = states_by_record(evaluate_process_tensor(sched0, rho0, [2.0])[2.0])[()]
+        with_id = states_by_record(evaluate_process_tensor(sched1, rho0, [2.0])[2.0])[("1",)]
         np.testing.assert_allclose(with_id, bare, atol=0)  # same matrix path
 
     def test_matches_kraus_sequence_oracle(self):
@@ -213,7 +208,6 @@ class TestProcessEvaluation:
         sched = InterventionSchedule(reg, [0.5, 1.2], [unsharp, projective_z()], proto,
                                      h_bath=h_b, v_coupling=v)
         rho0 = random_density(rng, 4)
-        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
 
         def u_sb(ta, tb):
             from proctherm.algebra import expm_herm
@@ -222,7 +216,7 @@ class TestProcessEvaluation:
                 out = expm_herm(sched.h_sb(seg.h_system), -1j * (b - a)) @ out
             return out
 
-        direct = states_by_record(evaluate_process_tensor(sched, sb, [2.0])[2.0])
+        direct = states_by_record(evaluate_process_tensor(sched, rho0, [2.0])[2.0])
         total = 0.0
         for ra, cpa in unsharp.outcomes:
             for rb, cpb in projective_z().outcomes:
@@ -253,7 +247,7 @@ class TestProcessEvaluation:
         sched = InterventionSchedule(reg, [1.2], [projective_z()], proto,
                                      h_bath=np.diag([0.0, 0.8]),
                                      v_coupling=0.3 * random_hermitian(rng, 4))
-        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), random_density(rng, 4)))
+        sb = random_density(rng, 4)
         eighs, intervals = [], []
         eigh, expm_herm = np.linalg.eigh, channels.expm_herm
 
@@ -275,22 +269,20 @@ class TestProcessEvaluation:
 
     def test_non_system_bath_initial_state_rejected(self):
         sched = flat_schedule([0.5], [projective_z()])
-        rho_s = DensityOperator(OperatorMatrix(sched.registry, ("S",), np.eye(2) / 2))
-        with pytest.raises(ValueError):
+        rho_s = np.eye(2) / 2
+        with pytest.raises(ValueError, match=r"4x4 system-bath matrix, got shape \(2, 2\)"):
             evaluate_process_tensor(sched, rho_s, [1.0])
 
     def test_feedback_selects_instrument(self):
         # step 1 measures X if r0 = "1", Z otherwise; compare by hand
         rng = np.random.default_rng(23)
-        reg = sb_registry()
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
         sched = flat_schedule([0.4, 0.9], [projective_z(), projective_z()],
                               feedback={1: {("1",): x_inst}})
         rho0 = random_density(rng, 4)
-        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
-        got = states_by_record(evaluate_process_tensor(sched, sb, [1.5])[1.5])[("1", "1")]
+        got = states_by_record(evaluate_process_tensor(sched, rho0, [1.5])[1.5])[("1", "1")]
         e0 = np.kron(P0, np.eye(2))
         eplus = np.kron(plus, np.eye(2))
         expected = eplus @ e0 @ rho0 @ e0 @ eplus   # zero Hamiltonian: no evolution
@@ -320,7 +312,6 @@ class TestProcessEvaluation:
         sched = InterventionSchedule(reg, times, instruments, proto, feedback=feedback,
                                      h_bath=h_b, v_coupling=v)
         rho0 = random_density(rng, 4)
-        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), rho0))
 
         def u_sb(ta, tb, prefix):
             from proctherm.algebra import expm_herm
@@ -350,14 +341,14 @@ class TestProcessEvaluation:
             return full.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
 
         report = [0.2, 0.8, 1.1, 2.0]
-        tree = evaluate_process_tensor(sched, sb, report)
+        tree = evaluate_process_tensor(sched, rho0, report)
         assert list(tree) == report
         for t in report:
             n = sum(1 for tk in times if tk <= t)
             records, states = tree[t]
             assert records == list(itertools.product(*[("1", "2")] * n))
             assert states.shape == (len(records), 2, 2)
-            single_records, single = evaluate_process_tensor(sched, sb, [t])[t]
+            single_records, single = evaluate_process_tensor(sched, rho0, [t])[t]
             assert single_records == records
             for record, got, alone in zip(records, states, single):
                 np.testing.assert_allclose(got, oracle(record, t), atol=1e-11)
@@ -377,7 +368,7 @@ class TestMultilinearity:
         v = 0.3 * random_hermitian(rng, 4)
         ops_a = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
         ops_b = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
-        sb = DensityOperator(OperatorMatrix(reg, ("S", "B"), random_density(rng, 4)))
+        sb = random_density(rng, 4)
 
         def run(instruments):
             sched = flat_schedule([0.4, 1.0], instruments, reg=reg,

@@ -12,11 +12,10 @@ from proctherm.dilation import (
     dilate_instrument,
     instrument_from_dilation,
     measurement_unitary,
-    shift_matrix,
 )
 from proctherm.algebra import dagger, max_norm, ptrace_factors
 
-from oracles import random_density, random_kraus_channel, random_unitary
+from oracles import random_density, random_kraus_channel, random_unitary, shift_matrix
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)

@@ -1,10 +1,13 @@
 """Every name a proctherm module exports in ``__all__`` exists, and is used
-somewhere beyond its own unit tests."""
+by the package, the benchmark harness or the README; tests do not count."""
 
 import ast
+import functools
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,8 @@ import proctherm
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(proctherm.__path__, "proctherm."))
 ROOT = Path(__file__).resolve().parent.parent
+# an inline code span that is an identifier: `name`, `mod.name` or `name(...)`
+IDENTIFIER = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?")
 
 
 def test_every_module_found():
@@ -24,6 +29,29 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def code_names(source: str) -> list[tuple[str, int]]:
+    """Each name token of Python ``source`` with its 0-based line; the text
+    of strings and comments is not code and gives none."""
+    return [(tok.string, tok.start[0] - 1)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NAME]
+
+
+def readme_names(text: str) -> set[str]:
+    """Every part of each identifier the text names in backticks."""
+    spans = (IDENTIFIER.fullmatch(span) for span in re.findall(r"`([^`\n]+)`", text))
+    return {part for m in spans if m for part in m.group(1).split(".")}
+
+
+@functools.cache
+def _names(path: Path) -> tuple[tuple[str, int], ...]:
+    """The names ``path`` uses, each file read and tokenized once per session."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".md":
+        return tuple((n, -1) for n in readme_names(text))
+    return tuple(code_names(text))
 
 
 def _definitions(source: str) -> dict[str, tuple[int, int]]:
@@ -43,35 +71,38 @@ def _definitions(source: str) -> dict[str, tuple[int, int]]:
     return spans
 
 
-def _candidates(module: str) -> list[Path]:
-    """The files that may use an export of ``module``: every module of the
-    package but ``__init__``, ``perfbench``, the README, and every test
-    file but the module's own."""
-    short = module.rsplit(".", 1)[1]
+def _users() -> list[Path]:
+    """The files whose use keeps an export: every module of the package
+    but ``__init__`` (a re-export is not a use), ``perfbench`` and the
+    README."""
     paths = [p for p in sorted((ROOT / "src" / "proctherm").glob("*.py"))
              if p.name != "__init__.py"]
-    paths += sorted((ROOT / "perfbench").glob("*.py"))
-    paths.append(ROOT / "README.md")
-    return paths + [p for p in sorted((ROOT / "tests").glob("*.py"))
-                    if p.name != f"test_{short}.py"]
+    return paths + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]
+
+
+def test_only_code_and_backticked_identifiers_count():
+    source = 'mode = "process-tensor"  # tensor(a, b)\nout = gibbs_mat(h, beta)\n'
+    assert [n for n, _ in code_names(source)] == ["mode", "out", "gibbs_mat", "h", "beta"]
+    text = ("Modes: `process-tensor`, a tensor of states, `algebra.ptrace_factors`, "
+            "`gibbs_mat(h, beta)` and `Simulator`.")
+    assert readme_names(text) == {"algebra", "ptrace_factors", "gibbs_mat", "Simulator"}
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_export_has_a_user_beyond_its_own_tests(name):
-    # the keep rule: an export whose only callers are its own unit tests
-    # is deleted, and its tests move onto the path that survives; in its
-    # own module, neither its definition nor its __all__ entry counts
+    # the keep rule: an export that only tests use is deleted, or moves
+    # to the tests as an oracle; in its own module, neither its definition
+    # nor its __all__ entry counts
     module = importlib.import_module(name)
     own = Path(module.__file__).resolve()
-    texts = {p.resolve(): p.read_text(encoding="utf-8") for p in _candidates(name)}
-    own_lines = texts.pop(own).splitlines()
-    spans = _definitions("\n".join(own_lines))
+    others = [p for p in _users() if p.resolve() != own]
+    used = {n for p in others for n, _ in _names(p)}
+    spans = _definitions(own.read_text(encoding="utf-8"))
     unused = []
     for export in getattr(module, "__all__", ()):
-        word = re.compile(rf"\b{re.escape(export)}\b")
         skipped = [range(*spans[n]) for n in (export, "__all__") if n in spans]
-        own_text = "\n".join(line for i, line in enumerate(own_lines)
-                              if not any(i in r for r in skipped))
-        if not any(word.search(text) for text in (own_text, *texts.values())):
+        if export not in used and not any(
+                n == export and not any(line in r for r in skipped)
+                for n, line in _names(own)):
             unused.append(f"{name.rsplit('.', 1)[1]}.{export}")
-    assert not unused, f"exports used only by their own definition and tests: {unused}"
+    assert not unused, f"exports no module, benchmark or README uses: {unused}"

@@ -44,6 +44,18 @@ def reference_csv(columns, rows) -> str:
     return out.getvalue()
 
 
+def bundle_doc(bundle) -> dict:
+    """The document ``report.json`` holds, each table as its list of rows."""
+    def rows(table):
+        return [dict(zip(table.columns, cells)) for cells in zip(*table.values)]
+    return {"scenario": bundle.scenario_name, "mode": bundle.mode, "seed": bundle.seed,
+            "scenario_checksum": bundle.checksum, "version": bundle.version,
+            "tolerances": bundle.tolerances, "pruned_mass": bundle.pruned_mass,
+            "control_caveat": bundle.control_caveat,
+            "branch_rows": rows(bundle.branches), "ensemble_rows": rows(bundle.ensemble),
+            "equivalence": bundle.equivalence, "checks": bundle.checks}
+
+
 def bundles(path):
     """The ``run --mode both`` and ``verify`` bundles of a scenario file."""
     scenario = parse_scenario(path)
@@ -62,7 +74,7 @@ def bundles(path):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_bundles_match_the_oracle(path, tmp_path):
     for bundle in bundles(path):
-        doc = bundle.to_dict()
+        doc = bundle_doc(bundle)
         want_json = oracle(doc)
         want_branches = reference_csv(BRANCH_COLUMNS, doc["branch_rows"])
         want_ensemble = reference_csv(ENSEMBLE_COLUMNS, doc["ensemble_rows"])

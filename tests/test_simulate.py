@@ -19,7 +19,6 @@ from proctherm.protocol import Protocol, Segment
 from proctherm import simulate
 from proctherm.scenario import build_model, parse_scenario
 from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
-from proctherm.thermo import work_measurement_alternative
 from proctherm.tolerances import TIME_EPS
 from proctherm.verify import equivalence_rows
 
@@ -31,6 +30,7 @@ from oracles import (
     random_unitary,
     richardson_halving,
     taylor_expm,
+    work_measurement_alternative,
 )
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -572,7 +572,7 @@ class TestValidationFeatures:
                                    sb_init=np.kron(random_density(rng, 2), np.eye(1)))
         model_window = simple_model([{"time": 0.5, "instrument": inst, "window": 0.1}],
                                     b_dim=1, h_sys=np.zeros((2, 2)),
-                                    sb_init=model_delta.sb_init.mat)
+                                    sb_init=model_delta.sb_init)
         res_d = Simulator(model_delta).run(report_times=[1.5])
         res_w = Simulator(model_window).run(report_times=[1.5])
         for labels, bd in res_d.final.branches.items():
@@ -731,6 +731,18 @@ GUARDS = {
     "run-step-off-time": (
         lambda: _on_ledger_at(0.3, lambda sim, ledger: sim.run_step(ledger, 0)),
         r"step 0 is scheduled at t=0.5, ledger is at t=0.3"),
+    "sb-init-system-only": (
+        lambda: simple_model([], sb_init=np.eye(2) / 2),
+        r"sb_init must be 4x4 \(system \(x\) bath\), got shape \(2, 2\)"),
+    "sb-init-not-hermitian": (
+        lambda: simple_model([], sb_init=np.triu(np.full((4, 4), 0.25))),
+        "density operator is not Hermitian"),
+    "sb-init-trace": (
+        lambda: simple_model([], sb_init=np.diag([0.5, 0.2, 0.0, 0.0])),
+        "trace 0.7 does not match declared weight 1.0"),
+    "sb-init-negative-eigenvalue": (
+        lambda: simple_model([], sb_init=np.diag([1.5, -0.5, 0.0, 0.0])),
+        "negative eigenvalue -5.000e-01 beyond tolerance"),
 }
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from proctherm import dilation
-from proctherm.dilation import shift_matrix
 from proctherm.scenario import build_model, parse_scenario_dict
 from proctherm.simulate import Simulator
 from proctherm.thermo import evaluate_run
@@ -15,7 +14,7 @@ from proctherm import verify
 from proctherm.verify import run_verified, verify_model
 
 from ledger_edits import with_state
-from oracles import random_unitary
+from oracles import random_unitary, shift_matrix
 
 
 def scenario_dict():
