@@ -105,12 +105,6 @@ class Instrument:
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.outcomes)
 
-    def cp_map(self, label: str) -> CPMap:
-        for l, cp in self.outcomes:
-            if l == label:
-                return cp
-        raise KeyError(f"unknown outcome label {label!r}")
-
     def average(self) -> CPMap:
         kraus = tuple(k for _, cp in self.outcomes for k in cp.kraus)
         return CPMap(self.support, kraus)
@@ -205,8 +199,8 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     times the step's alphabet size plus outcome position; children that
     share a node form one family.  A report (after any intervention at its
     time) sorts by key, which is ``itertools.product`` order of the
-    alphabets.  Each segment's H_SB is diagonalized once, and its
-    propagator over an interval is formed once for every family.
+    alphabets.  Each segment's H_SB is diagonalized once; a family forms
+    its propagator over an interval from that spectrum where it applies it.
     """
     dims = schedule.registry.dims(("S", "B"))
     d = dims[0] * dims[1]
@@ -219,15 +213,13 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     spectra: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
 
     def evolve(families, t_from, t_to):
-        propagators: dict[Segment, np.ndarray] = {}   # over (t_from, t_to] only
         out = []
         for node, records, keys, mats in families:
             for seg, a, b in protocol.iter_segments(t_from, t_to, node):
-                if seg not in propagators:
-                    if seg not in spectra:
-                        spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
-                    propagators[seg] = expm_herm(None, -1j * (b - a), eig=spectra[seg])
-                mats = propagators[seg] @ mats @ dagger(propagators[seg])
+                if seg not in spectra:
+                    spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
+                u = expm_herm(None, -1j * (b - a), eig=spectra[seg])
+                mats = u @ mats @ dagger(u)
             out.append((node, records, keys, mats))
         return out
 

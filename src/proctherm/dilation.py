@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import dagger, max_norm, ptrace_factors
 from .channels import CPMap, Instrument
-from .tolerances import DEFAULT, EIG_FLOOR
+from .tolerances import DEFAULT, EIG_FLOOR, HERMITIAN
 
 __all__ = [
     "DilationResult",
@@ -222,6 +222,20 @@ def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,
     return Instrument(outcomes)
 
 
+def _check_projectors(projectors: Sequence[np.ndarray], where: str = "") -> np.ndarray:
+    """The projectors as one (R, a, a) stack, once they resolve the ancilla
+    identity in orthogonal blocks within ``HERMITIAN`` (errors begin ``where``)."""
+    p = np.asarray(projectors, dtype=complex)
+    d_out, d_anc = p.shape[:2]
+    if max_norm(p.sum(axis=0) - np.eye(d_anc)) > HERMITIAN:
+        raise ValueError(f"{where}projectors do not resolve the ancilla identity")
+    # P(i) P(j) must be P(i) if i == j and vanish otherwise
+    expect = np.eye(d_out)[:, :, None, None] * p[:, None]
+    if max_norm(p[:, None] @ p[None, :] - expect) > HERMITIAN:
+        raise ValueError(f"{where}projector blocks are not orthogonal")
+    return p
+
+
 def measurement_unitary(projectors: Sequence[np.ndarray]) -> np.ndarray:
     """Outcome-recording unitary on ancilla (x) memory register.
 
@@ -229,14 +243,8 @@ def measurement_unitary(projectors: Sequence[np.ndarray]) -> np.ndarray:
     outcome into the register while keeping all cross terms:
     sum_{r,r'} P(r) rho' P(r') (x) |r><r'|.
     """
-    p = np.asarray(projectors, dtype=complex)
+    p = _check_projectors(projectors)
     d_out, d_anc = p.shape[:2]
-    if max_norm(p.sum(axis=0) - np.eye(d_anc)) > 1e-12:
-        raise ValueError("projectors do not resolve the ancilla identity")
-    # P(i) P(j) must be P(i) if i == j and vanish otherwise
-    expect = np.eye(d_out)[:, :, None, None] * p[:, None]
-    if max_norm(p[:, None] @ p[None, :] - expect) > 1e-12:
-        raise ValueError("projector blocks are not orthogonal")
     # U[(a, r + j), (b, j)] = P(r)[a, b]
     r, j = np.divmod(np.arange(d_out * d_out), d_out)
     u = np.zeros((d_anc, d_out, d_anc, d_out), dtype=complex)

@@ -23,10 +23,10 @@ the system-bath coupling term (flagged, since that is not operationally
 accessible).
 
 The ledger stores groups of records that share a support and a node (see
-:meth:`AutonomousModel.node`), their states as one (N, D, D) stack
-and each work tally as a length-N array.  Each event resolves a group's
-drive and hardware once and evolves, books and reads out its stack as one;
-a step splits it by outcome into child groups, stacked outcome by outcome.
+:class:`BranchGroup`), their states as one (N, D, D) stack and each work
+tally as a length-N array.  Each event resolves a group's drive and
+hardware once and evolves, books and reads out its stack as one; a step
+splits it by outcome into child groups, stacked outcome by outcome.
 A step reads every outcome of a group out of one marginal, B traced out
 of the controlled stack once: each outcome's probability and its ancilla
 and S+ancilla energies, before and after conditioning, are expectations
@@ -64,7 +64,7 @@ from .algebra import (
     validate_density,
 )
 from .channels import Instrument, InterventionSchedule
-from .dilation import DilationResult, dilate_instrument
+from .dilation import DilationResult, _check_projectors, dilate_instrument
 from .protocol import Segment, before, deepest_prefix, same_instant
 from .tolerances import DEFAULT, HERMITIAN
 
@@ -108,12 +108,6 @@ class StepSpec:
     window_width: float | None
     window: np.ndarray | None
     controls: Mapping[tuple[str, ...], tuple[DilationResult, "_Readout"]]
-
-
-def _block(window: int | None) -> tuple[str, ...]:
-    """The factors the Hamiltonian terms couple: S B, plus A_k while step
-    k's control window is open."""
-    return ("S", "B") if window is None else ("S", "B", ancilla_label(window))
 
 
 class _Space:
@@ -215,30 +209,6 @@ class _Space:
         out = (op @ t.reshape(lead + (d, -1))).reshape(lead + (-1, d)) @ dagger(op)
         back = sorted(range(len(perm)), key=perm.__getitem__)
         return out.reshape(t.shape).transpose(back).reshape(state.shape)
-
-    def propagators(self, seg: Segment, a: float, b: float, window: int | None,
-                    cache: dict) -> list[tuple[tuple[str, ...], np.ndarray]]:
-        """(labels, U) for each factor of the exact propagator of ``seg``
-        over [a, b], with step ``window``'s control window open when given.
-
-        Finished ancillas couple to nothing, so the propagator factors into
-        one unitary on the block the terms couple (S B, plus A_k inside its
-        window), which comes first, and one per other ancilla with a
-        Hamiltonian.  Each unitary is formed from the model's one
-        eigendecomposition per (drive value, block) and kept in ``cache``
-        per (segment, interval, block).  ``cache`` holds one event
-        interval: the branches advanced over it share each propagator, and
-        none outlives it.
-        """
-        block = _block(window)
-        out = []
-        for labels in [block] + [(l,) for l in self.ancillas if l not in block]:
-            u = cache.get((seg, a, b, labels))
-            if u is None:
-                eig = self.model.spectrum(labels, seg.h_system, window)
-                u = cache[seg, a, b, labels] = expm_herm(None, -1j * (b - a), eig=eig)
-            out.append((labels, u))
-        return out
 
     def ptrace(self, mat: np.ndarray, keep: Sequence[str]) -> np.ndarray:
         """Marginal on the factors ``keep``, per matrix of a stack."""
@@ -343,6 +313,7 @@ class AutonomousModel:
                 if k in feedback:
                     raise ValueError(f"step {k}: collision steps take no "
                                      "instrument feedback")
+                _check_projectors(projs, f"step {k}: ")
                 fixed = DilationResult(s_dim, d_anc, anc, u, tuple(projs), labels)
                 if not fixed.unitarity_residual() <= DEFAULT.dilation_unitary:
                     raise ValueError(f"step {k}: declared control is not unitary")
@@ -475,11 +446,6 @@ class AutonomousModel:
         """Control hardware for step k given the outcome prefix."""
         return deepest_prefix(self.steps[k].controls, prefix)[0]
 
-    def node(self, record: tuple[str, ...]) -> tuple[str, ...]:
-        """The longest prefix of ``record`` in :attr:`nodes`: the records that
-        share it resolve the same hardware and timeline at every later event."""
-        return next(record[:i] for i in range(len(record), -1, -1) if record[:i] in self.nodes)
-
 
 def _rank1_vector(proj: np.ndarray) -> np.ndarray | None:
     """v with proj = |v><v|, or None.
@@ -567,11 +533,14 @@ _TALLIES = ("w_sys", "w_ctrl", "w_meas", "w_meas_alt", "e_factored")
 
 @dataclass(frozen=True, eq=False)
 class BranchGroup:
-    """The records that share a support, a node and hence the drive ``h_sys``;
-    row i of the (N, D, D) ``states`` and of each tally is ``records[i]``'s."""
+    """The records that share a support, a ``node`` (each record's longest
+    prefix in :attr:`AutonomousModel.nodes`, which fixes its hardware and
+    timeline at every later event) and hence the drive ``h_sys``; row i of
+    the (N, D, D) ``states`` and of each tally is ``records[i]``'s."""
 
     records: tuple[tuple[str, ...], ...]
     support: tuple[str, ...]
+    node: tuple[str, ...]
     h_sys: np.ndarray
     states: np.ndarray
     w_sys: np.ndarray
@@ -742,29 +711,35 @@ class Simulator:
         jump = expect_herm(seg.h_system - h_sys, space.ptrace(states, ["S"]))
         return w_sys + jump / weights, seg.h_system
 
-    def _evolve(self, g: BranchGroup, t_from: float, t_to: float, cache: dict,
+    def _evolve(self, g: BranchGroup, t_from: float, t_to: float,
                 weights: np.ndarray, window: int | None = None) -> BranchGroup:
         """``g`` evolved over (t_from, t_to] under its drive, with step
-        ``window``'s control window open when given; ``cache`` holds the
-        propagators of this event interval (see :meth:`_Space.propagators`).
+        ``window``'s control window open when given.
 
-        Each switch is booked from the block marginals, evolved segment by
-        segment; the factors outside the block never reach rho_S, so that
-        is exact.  The states are conjugated once, by each factor's
-        unitaries composed over the interval.  When the block is the whole
-        support, the marginals are the states.
+        Finished ancillas couple to nothing, so a segment's propagator is one
+        unitary on the block the terms couple (S B, plus A_k inside its
+        window) and one per other ancilla with a Hamiltonian, each formed
+        from the model's spectrum of its factors.  Each switch is booked from
+        the block marginals, evolved segment by segment; the factors outside
+        the block never reach rho_S, so that is exact.  The states are
+        conjugated once, by each factor's unitaries composed over the
+        interval.  When the block is the whole support, the marginals are
+        the states.
         """
         model = self.model
         space = model.space(g.support)
-        block = _block(window)
+        block = ("S", "B") if window is None else ("S", "B", ancilla_label(window))
         block_space = model.space(block)
         whole = block == g.support
         marginal = g.states if whole else space.ptrace(g.states, block)
         composed: dict[tuple[str, ...], np.ndarray] = {}
+        factors = [block] + [(l,) for l in space.ancillas if l not in block]
         w_sys, h_sys = g.w_sys, g.h_sys
-        for seg, a, b in model.protocol.iter_segments(t_from, t_to, model.node(g.records[0])):
+        for seg, a, b in model.protocol.iter_segments(t_from, t_to, g.node):
             w_sys, h_sys = self._switch(w_sys, h_sys, seg, block_space, marginal, weights)
-            for labels, u in space.propagators(seg, a, b, window, cache):
+            for labels in factors:
+                u = expm_herm(None, -1j * (b - a),
+                              eig=model.spectrum(labels, seg.h_system, window))
                 if labels == block:
                     marginal = u @ marginal @ dagger(u)
                 if not whole:
@@ -781,9 +756,8 @@ class Simulator:
             raise ValueError(f"cannot advance backwards from {ledger.time} to {t}")
         if not before(ledger.time, t):
             return ledger
-        cache: dict = {}
         return replace(ledger, time=t, groups=tuple(
-            self._evolve(g, ledger.time, t, cache, g.weights) for g in ledger.groups))
+            self._evolve(g, ledger.time, t, g.weights) for g in ledger.groups))
 
     # -- one intervention ---------------------------------------------------
 
@@ -798,14 +772,12 @@ class Simulator:
                              f"ledger is at t={ledger.time}")
         anc = ancilla_label(k)
         t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
-        cache: dict = {}    # the window's propagators
         labels = spec.controls[()][0].outcome_labels    # every prefix's hardware has them
         n_out = len(labels)
         outcome = np.arange(n_out)[:, None]
         trace, children, pruned = [], [], []
         for g, position in zip(ledger.groups, ledger.positions()):
-            node = model.node(g.records[0])
-            hw, readout = deepest_prefix(spec.controls, node)
+            hw, readout = deepest_prefix(spec.controls, g.node)
             weights, support, w_sys, h_sys = g.weights, g.support, g.w_sys, g.h_sys
             # --- preparation: fresh ancilla joins at the end of the support
             n, d, a = len(g.records), g.states.shape[-1], hw.ancilla_dim
@@ -824,10 +796,10 @@ class Simulator:
                 on = expect_herm(spec.window, space.ptrace(prepped, ["S", anc]))
                 window = self._evolve(replace(g, support=space.support, states=prepped,
                                               w_ctrl=g.w_ctrl + on / weights),
-                                      spec.time, t_meas, cache, weights, k)
+                                      spec.time, t_meas, weights, k)
                 ctrl = window.states
                 w_sys, h_sys = self._switch(window.w_sys, window.h_sys, model.protocol.segment_at(
-                    t_meas, node), space, ctrl, weights)
+                    t_meas, g.node), space, ctrl, weights)
                 off = expect_herm(spec.window, space.ptrace(ctrl, ["S", anc]))
                 w_ctrl = window.w_ctrl - off / weights
             # --- readout: every tally of every outcome from one marginal, B
@@ -861,7 +833,10 @@ class Simulator:
             # and ``order`` alone gives ledger order
             classes: dict[tuple, list[int]] = {}
             for r, (label, narrow) in enumerate(zip(labels, readout.rank1.tolist())):
-                classes.setdefault((narrow, model.node(g.records[0] + (label,))), []).append(r)
+                node = g.node + (label,)    # deepens only while it is the whole record
+                if len(node) <= len(g.records[0]) or node not in model.nodes:
+                    node = g.node
+                classes.setdefault((narrow, node), []).append(r)
             order = np.array([r for rs in classes.values() for r in rs])
             mask = kept[order]
             columns, keys = columns[:, order][:, mask], keys[order][mask]
@@ -870,13 +845,13 @@ class Simulator:
                       False: _project_last(ctrl, readout.projectors)
                       if readout.projectors.size else None}
             flags, start = kept.tolist(), 0
-            for (narrow, _), rs in classes.items():
+            for (narrow, node), rs in classes.items():
                 records = tuple(rec + (labels[r],) for r in rs
                                 for rec, keep in zip(g.records, flags[r]) if keep)
                 stop = start + len(records)
                 if records:
                     children.append((keys[start:stop], BranchGroup(
-                        records, support if narrow else space.support, h_sys,
+                        records, support if narrow else space.support, node, h_sys,
                         _frozen(states[narrow][readout.slot[rs]][kept[rs]]),
                         *columns[:, start:stop])))
                 start = stop
@@ -898,7 +873,7 @@ class Simulator:
     def run(self, report_times: Sequence[float] = ()) -> RunResult:
         model = self.model
         ledger = BranchLedger(model.protocol.t_start, (BranchGroup(
-            ((),), model.registry.canonical(("S", "B")), model.protocol.base[0].h_system,
+            ((),), model.registry.canonical(("S", "B")), (), model.protocol.base[0].h_system,
             _frozen(model.sb_init[None]), *[_frozen(np.zeros(1))] * 5),), np.zeros(1, int))
         initial = Snapshot(ledger.time, ledger)
         times = sorted(set(float(t) for t in report_times))

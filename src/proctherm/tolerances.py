@@ -11,7 +11,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-HERMITIAN = 1e-12   # max-norm floor on input matrices (Hermiticity, drive variants)
+HERMITIAN = 1e-12   # max-norm floor on input matrices (Hermiticity, drive variants,
+                    # projectors resolving the ancilla identity in orthogonal blocks)
 EIG_FLOOR = 1e-14   # eigenvalues below this count as zero in entropies
 TIME_EPS = 1e-12    # times at most this far apart are one instant (see protocol)
 

@@ -635,6 +635,22 @@ class TestInputErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_projectors_off_the_identity_are_an_input_error(self, tmp_path, capsys):
+        # within the instrument's trace-preservation tolerance, but not
+        # within the floor the readout unitary of ``verify`` needs: every
+        # command refuses the input alike
+        plus = [[0.5 + 5e-11, 0.5], [0.5, 0.5 + 5e-11]]
+        for command in [("run", "--mode", "both"), ("verify",), ("equiv",),
+                        ("dilate", "--step", "1")]:
+            out = tmp_path / "out"
+            code = self.verify_patched(tmp_path, "measurement_work.yaml",
+                                       {"matrices.PPLUS": plus}, (*command, "--out", str(out)))
+            assert code == 2, command
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), command
+            assert lines[0].endswith("step 1: projectors do not resolve the ancilla identity")
+            assert not out.exists()
+
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"
         bad.write_text((SCENARIO_DIR / "equilibrium.yaml").read_text()

@@ -65,6 +65,12 @@ def test_the_model_takes_every_readout_path(runs):
     assert sorted(g.records for g in first.groups) == [(("a",),), (("b",),), (("c",),)]
     assert {g.support for g in first.groups} == {("S", "B"), ("S", "B", "A0")}
     assert 0 < first.pruned_mass < 1e-14
+    # the groups of "a", "b" and "c" cross the same base segments after each
+    # step, "a"'s under its feedback node
+    for t in T_STEPS:
+        ledger = next(s.ledger for s in runs.result.snapshots if s.time == t)
+        groups = sorted(ledger.groups, key=lambda g: g.records)
+        assert [g.node for g in groups] == [("a",), (), ()], t
 
 
 @pytest.mark.parametrize("t", REPORTS)

@@ -216,7 +216,7 @@ class TestInstrumentFromDilation:
         rho = random_density(rng, 2)
         for label, cp in inst.outcomes:
             direct = sum(k @ rho @ dagger(k) for k in cp.kraus)
-            via = sum(k @ rho @ dagger(k) for k in back.cp_map(label).kraus)
+            via = sum(k @ rho @ dagger(k) for k in dict(back.outcomes)[label].kraus)
             np.testing.assert_allclose(via, direct, atol=1e-12)
 
     def test_mixed_ancilla_collision(self):
@@ -226,7 +226,7 @@ class TestInstrumentFromDilation:
         pi = np.diag([0.7, 0.3]).astype(complex)
         inst = instrument_from_dilation(swap, pi, [np.eye(2)], system_dim=2)
         rho = random_density(rng, 2)
-        out = sum(k @ rho @ dagger(k) for k in inst.cp_map("1").kraus)
+        out = sum(k @ rho @ dagger(k) for k in dict(inst.outcomes)["1"].kraus)
         np.testing.assert_allclose(out, pi, atol=1e-12)
 
 

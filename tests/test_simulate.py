@@ -650,10 +650,10 @@ def _collision(**extra):
             "collision": {"ancilla_state": P0, "unitary": np.eye(4), "projectors": [P0, P1]}}
 
 
-def _labelled_collision(labels):
-    """``_collision()`` with ``labels`` for its two projectors."""
+def _labelled_collision(labels, projectors=(P0, P1)):
+    """``_collision()`` with ``labels`` for its ``projectors``."""
     step = _collision()
-    step["collision"]["labels"] = labels
+    step["collision"].update(labels=labels, projectors=list(projectors))
     return step
 
 
@@ -711,6 +711,11 @@ GUARDS = {
     "collision-too-many-labels": (
         lambda: simple_model([_labelled_collision(["+", "-", "x"])]),
         r"step 0: collision needs one label per projector, got 3 label\(s\) for 2"),
+    # off the identity by 2e-11: within the instrument's trace-preservation
+    # tolerance, beyond the projector floor the readout unitary needs
+    "collision-projectors-off-identity": (
+        lambda: simple_model([_labelled_collision(["+", "-"], (P0 + 2e-11 * np.eye(2), P1))]),
+        "step 0: projectors do not resolve the ancilla identity"),
     "feedback-prefix-misspelled": (
         lambda: simple_model([{"time": 0.5, "instrument": projective_z()},
                               {"time": 1.0, "instrument": projective_z()}],
