@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -121,18 +122,24 @@ def embed_factors(mat: np.ndarray, positions: Sequence[int], dims: Sequence[int]
     return reorder_factors(big, [dims[i] for i in cur], perm)
 
 
+@lru_cache(maxsize=1024)
+def _ptrace_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[tuple, int]:
+    """The axis pairs ``ptrace_factors`` traces, in order (last factor
+    first; batch axes not counted), and the dimension it keeps."""
+    k = len(dims)
+    traced = sorted(set(range(k)) - set(keep), reverse=True)
+    return tuple((i, i + k - n) for n, i in enumerate(traced)), math.prod(dims[i] for i in keep)
+
+
 def ptrace_factors(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace over all factors not listed in ``keep``; axes before
     the last two are batch axes, kept as they are."""
-    k = len(dims)
-    keep_sorted = sorted(keep)
+    dims = tuple(dims)
+    axes, d = _ptrace_plan(dims, tuple(keep))
     lead = mat.shape[:-2]
-    t = mat.reshape(lead + tuple(dims) * 2)
-    nfac = k
-    for i in sorted(set(range(k)) - set(keep_sorted), reverse=True):
-        t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + nfac)
-        nfac -= 1
-    d = math.prod(dims[i] for i in keep_sorted)
+    t = mat.reshape(lead + dims * 2)
+    for a1, a2 in axes:
+        t = t.trace(axis1=len(lead) + a1, axis2=len(lead) + a2)
     return t.reshape(lead + (d, d))
 
 

@@ -3,6 +3,11 @@
 Scenarios are YAML documents with explicit complex literals (``"a+bi"``)
 and row-major matrices, so they diff cleanly and double as a test corpus.
 Validation errors carry the field path of the offending node.
+
+The loader resolves two plain-scalar forms ahead of PyYAML's YAML 1.1
+implicit resolvers, with the tag those resolvers would give: a scalar
+ending in ``i`` is a string (no YAML 1.1 form ends in ``i``), and one that
+fully matches ``[-+]?[0-9]+\\.[0-9]*(?:[eE][-+][0-9]+)?`` is a float.
 """
 
 from __future__ import annotations
@@ -34,7 +39,11 @@ _PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_COMPLEX_CHARS = re.compile(r"[0-9eE.+\-ij]+")
+_LITERAL = r"[0-9eE.+\-ij]+"
+_COMPLEX_CHARS = re.compile(_LITERAL)
+# the string cells of a matrix, joined by commas
+_COMPLEX_CELLS = re.compile(rf"{_LITERAL}(?:,{_LITERAL})*")
+_CELL_TYPES = {str, float, int}
 
 
 class ScenarioError(ValueError):
@@ -49,17 +58,17 @@ def _parse_complex(value: Any, path: str) -> complex:
     if isinstance(value, bool):
         raise ScenarioError(path, f"expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, str):
-        text = value.strip().replace(" ", "")
-        if not text or not _COMPLEX_CHARS.fullmatch(text):
-            raise ScenarioError(path, f"malformed complex literal {value!r}")
-        try:
-            z = complex(text.replace("i", "j"))
-        except ValueError:
-            raise ScenarioError(path, f"malformed complex literal {value!r}") from None
-    else:
+        # an int out of float range is refused as a non-finite number
+        return complex(_number(value, path))
+    if not isinstance(value, str):
         raise ScenarioError(path, f"expected a number or 'a+bi' string, got {type(value).__name__}")
+    text = value.strip().replace(" ", "")
+    if not text or not _COMPLEX_CHARS.fullmatch(text):
+        raise ScenarioError(path, f"malformed complex literal {value!r}")
+    try:
+        z = complex(text.replace("i", "j"))
+    except ValueError:
+        raise ScenarioError(path, f"malformed complex literal {value!r}") from None
     if not cmath.isfinite(z):
         raise ScenarioError(path, f"expected a finite number, got {value!r}")
     return z
@@ -109,6 +118,37 @@ def _pauli_string(ops: str, path: str) -> np.ndarray:
     return out
 
 
+def _is_row(node: Any) -> bool:
+    return isinstance(node, Sequence) and not isinstance(node, str)
+
+
+def _read_cells(node: Sequence) -> np.ndarray | None:
+    """The square nested-list matrix ``node``, its cells read in one pass,
+    or None where some row or cell needs ``_parse_complex``'s reading: a
+    string with whitespace or a comma, a bool, None, an int out of float
+    range, a non-finite value, a malformed literal, or rows that do not make
+    a square."""
+    n = len(node)
+    if not n or not all(_is_row(row) and len(row) == n for row in node):
+        return None
+    cells = [v for row in node for v in row]
+    if not all(type(v) in _CELL_TYPES for v in cells):
+        return None
+    texts = [v for v in cells if type(v) is str]
+    try:
+        if texts:
+            joined = ",".join(texts)
+            parts = joined.replace("i", "j").split(",")
+            if len(parts) != len(texts) or not _COMPLEX_CELLS.fullmatch(joined):
+                return None
+            read = map(complex, parts)
+            cells = [next(read) if type(v) is str else v for v in cells]
+        mat = np.array(cells, dtype=complex).reshape(n, n)
+    except (ValueError, OverflowError):
+        return None
+    return mat if np.isfinite(mat).all() else None
+
+
 def _parse_matrix(node: Any, path: str, names: Mapping[str, np.ndarray],
                   dim: int | None = None) -> np.ndarray:
     if isinstance(node, str):
@@ -138,16 +178,18 @@ def _parse_matrix(node: Any, path: str, names: Mapping[str, np.ndarray],
         else:
             raise ScenarioError(path, f"unknown matrix spec with keys {sorted(keys)}")
     elif isinstance(node, Sequence):
-        rows = []
-        for i, row in enumerate(node):
-            if not isinstance(row, Sequence) or isinstance(row, str):
-                raise ScenarioError(f"{path}[{i}]", "matrix rows must be lists")
-            rows.append([_parse_complex(v, f"{path}[{i}][{j}]")
-                         for j, v in enumerate(row)])
-        widths = {len(r) for r in rows}
-        if len(widths) != 1 or len(rows) not in widths:
-            raise ScenarioError(path, "matrix must be square")
-        mat = np.array(rows, dtype=complex)
+        mat = _read_cells(node)
+        if mat is None:
+            rows = []
+            for i, row in enumerate(node):
+                if not _is_row(row):
+                    raise ScenarioError(f"{path}[{i}]", "matrix rows must be lists")
+                rows.append([_parse_complex(v, f"{path}[{i}][{j}]")
+                             for j, v in enumerate(row)])
+            widths = {len(r) for r in rows}
+            if len(widths) != 1 or len(rows) not in widths:
+                raise ScenarioError(path, "matrix must be square")
+            mat = np.array(rows, dtype=complex)
     else:
         raise ScenarioError(path, f"cannot read a matrix from {type(node).__name__}")
     if dim is not None and mat.shape != (dim, dim):
@@ -476,8 +518,30 @@ def parse_scenario_dict(data: Mapping, source: str = "<memory>") -> Scenario:
     return Scenario(spec, sorted(set(report_times)), options)
 
 
-# libyaml's safe loader parses large matrices several times faster
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_STR_TAG, _FLOAT_TAG = "tag:yaml.org,2002:str", "tag:yaml.org,2002:float"
+# a subset of PyYAML's float pattern, which PyYAML tries before its int and
+# timestamp patterns on a scalar that starts with a sign or a digit
+_PLAIN_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
+
+
+class _PlainScalarRules:
+    """Resolves the two plain-scalar forms a scenario is mostly made of
+    (module docstring) before PyYAML's Python-level resolver, which tries
+    its regexes one by one on every scalar; the tag is the one it would
+    give.  Every other scalar goes to that resolver."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0]:
+            if value.endswith("i"):
+                return _STR_TAG
+            if _PLAIN_FLOAT.fullmatch(value):
+                return _FLOAT_TAG
+        return super().resolve(kind, value, implicit)
+
+
+class _YAML_LOADER(_PlainScalarRules, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader with the plain-scalar rules; libyaml's, when PyYAML
+    has it, parses large matrices several times faster."""
 
 
 def parse_scenario(path: str) -> Scenario:

@@ -304,6 +304,10 @@ class AutonomousModel:
                 projs = col.get("projectors")
                 projs = [np.eye(d_anc, dtype=complex)] if projs is None else \
                     [np.asarray(p, dtype=complex) for p in projs]
+                for j, p in enumerate(projs):
+                    if p.shape != (d_anc, d_anc):
+                        raise ValueError(f"step {k}: projector {j} must be {d_anc}x{d_anc} "
+                                         f"(the ancilla's dimension), got shape {p.shape}")
                 labels = col.get("labels")
                 labels = tuple(str(i + 1) for i in range(len(projs))) if labels is None \
                     else tuple(str(l) for l in labels)

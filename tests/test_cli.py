@@ -651,6 +651,18 @@ class TestInputErrors:
             assert lines[0].endswith("step 1: projectors do not resolve the ancilla identity")
             assert not out.exists()
 
+    @pytest.mark.parametrize("cell", [10**400, "1-1e999i"], ids=["huge-int", "inf-string"])
+    @pytest.mark.parametrize("command", [("verify",), ("run", "--mode", "both")],
+                             ids=["verify", "run"])
+    def test_cell_out_of_float_range_is_an_input_error(self, tmp_path, capsys, command, cell):
+        out = tmp_path / "out"
+        code = self.verify_patched(tmp_path, "relaxation_two_level.yaml",
+                                   {"coupling[1][2]": cell}, (*command, "--out", str(out)))
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: coupling[1][2]: expected a finite number, got {cell!r}\n"
+        assert not out.exists()
+
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"
         bad.write_text((SCENARIO_DIR / "equilibrium.yaml").read_text()

@@ -1,6 +1,8 @@
 """Tests for scenario parsing, validation and model assembly."""
 
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,11 @@ from proctherm.scenario import (
     parse_scenario_dict,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+BASE_LOADERS = [yaml.SafeLoader, pytest.param(
+    getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+    marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="no libyaml"))]
 
 
 def minimal(**extra):
@@ -80,6 +86,21 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="expected a finite number") as err:
             _parse_complex(bad, "x")
         assert err.value.path == "x"
+
+    @pytest.mark.parametrize("extra, path", [
+        ({"coupling": [[0, 0, 0, 0], [0, 0, 10**400, 0], [0, 10**400, 0, 0], [0, 0, 0, 0]]},
+         "coupling[1][2]"),
+        ({"system_hamiltonian": {"diag": [0.0, 10**400]}}, "system_hamiltonian.diag[1]"),
+        ({"coupling": {"pauli": "XX", "coeff": -10**400}}, "coupling.coeff"),
+        ({"steps": [{"time": 0.5, "collision": {
+            "ancilla": {"dim": 2, "state": {"pure": [1, 10**400]}}, "unitary": "swap"}}]},
+         "steps[0].collision.ancilla.state.pure[1]")],
+        ids=["matrix-cell", "diag", "coeff", "pure"])
+    def test_int_out_of_float_range_rejected(self, extra, path):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_dict(minimal(**extra))
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: expected a finite number, got ")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e999", "nan", "-inf"],
                              ids=["nan", "inf", "-inf", "str-1e999", "str-nan", "str--inf"])
@@ -293,6 +314,114 @@ class TestOutcomeLabels:
         data["steps"][1]["collision"]["labels"][0] = label + "x"
         model = build_model(parse_scenario_dict(data))
         assert model.schedule.alphabet(0) == ("up", label)
+
+
+class TestMatrixCells:
+    """A nested-list matrix is read in one pass; what that pass cannot read
+    exactly as ``_parse_complex`` does goes through the per-cell reading."""
+
+    @pytest.mark.parametrize("node", [
+        [[0, "1+2i"], ["1-2i", "0.5"]],
+        [["-0.0", "-i"], ["3j", "1e-3"]],
+        [[1.5, -0.0, 2**70 + 1], [7, "0.0-0.25i", "+1.e+2-2.5e-3i"], ["2i", "1E5", ".5"]],
+        [[1.0]]])
+    def test_one_pass_reads_each_cell_as_parse_complex_does(self, node):
+        mat = scenario._read_cells(node)
+        want = np.array([[scenario._parse_complex(v, "x") for v in row] for row in node])
+        assert mat.dtype == want.dtype and mat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("node", [[[" 1 ", "1 + 2i"], ["1-2i", 0]],
+                                      [[np.float64(0.5), 0], [0, 1]]])
+    def test_other_cells_read_one_by_one(self, node):
+        assert scenario._read_cells(node) is None
+        want = np.array([[scenario._parse_complex(v, "x") for v in row] for row in node])
+        assert scenario._parse_matrix(node, "m", {}).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("node, message", [
+        ([[1.0, True], [0, 1]], "m[0][1]: expected a number, got True"),
+        ([[1.0, 0], [None, 1]], "m[1][0]: expected a number or 'a+bi' string, got NoneType"),
+        ([[1.0, 0], [0, 1j]], "m[1][1]: expected a number or 'a+bi' string, got complex"),
+        ([["1.0\t+2i", 0], [0, 1]], "m[0][0]: malformed complex literal '1.0\\t+2i'"),
+        ([[1, "1\n+2i"], [0, 1]], "m[0][1]: malformed complex literal '1\\n+2i'"),
+        ([[1, "1,2"], [0, 1]], "m[0][1]: malformed complex literal '1,2'"),
+        ([[1, 0], ["2i", "1+"]], "m[1][1]: malformed complex literal '1+'"),
+        ([["abc", 0], [0, 1]], "m[0][0]: malformed complex literal 'abc'"),
+        ([[1, 0], [math.nan, 1]], "m[1][0]: expected a finite number, got nan"),
+        ([[1, "1-1e999i"], [0, 1]], "m[0][1]: expected a finite number, got '1-1e999i'"),
+        ([[1, 0], [0, 10**400]], f"m[1][1]: expected a finite number, got {10**400!r}"),
+        ([[1, 0], [0]], "m: matrix must be square"),
+        ([[1, 0, 0], [0, 1, 0]], "m: matrix must be square"),
+        ([], "m: matrix must be square"),
+        ([[1, 0], "ab"], "m[1]: matrix rows must be lists"),
+        # the first bad cell is reported, ahead of a bad row after it
+        ([[1, True], 5], "m[0][1]: expected a number, got True")],
+        ids=["bool", "none", "complex", "tab", "newline", "comma", "malformed", "letters", "nan",
+             "inf-string", "huge-int", "ragged", "not-square", "empty", "row-not-list",
+             "cell-before-row"])
+    def test_unreadable_cell_reports_its_path(self, node, message):
+        with pytest.raises(ScenarioError) as err:
+            scenario._parse_matrix(node, "m", {})
+        assert str(err.value) == message
+
+
+def _typed(node):
+    """``node`` with every scalar replaced by its type and repr, so that
+    ``0.0 == -0.0`` or ``1 == 1.0`` do not hide a difference."""
+    if isinstance(node, dict):
+        return {_typed(k): _typed(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_typed(v) for v in node]
+    return type(node), repr(node)
+
+
+def _rules_over(base):
+    return type("Loader", (scenario._PlainScalarRules, base), {})
+
+
+def _perfbench_inputs(directory: Path) -> list[Path]:
+    """perfbench's seed-7 ``branching``, ``ramp`` and ``verify_deep`` inputs,
+    written to ``directory``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    docs = {"branching": workloads.branching_scenario(7),
+            "ramp": workloads.ramp_scenario(7),
+            "verify_deep": workloads.branching_scenario(7, n_steps=5)}
+    return [workloads.write_scenario(doc, directory / f"{name}.yaml")
+            for name, doc in docs.items()]
+
+
+class TestLoader:
+    """The loader resolves plain scalars ending in ``i`` and plain decimal
+    floats itself, and gives what its base loader gives."""
+
+    def test_built_over_libyaml_when_present(self):
+        assert scenario._YAML_LOADER.__bases__ == (
+            scenario._PlainScalarRules, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+    @pytest.mark.parametrize("text", [
+        "1.5", "-0.0", "+1.", "1.0e+5", "1.0e5", "1e-3", ".5", "1_000.5", "0x1F", "0o17",
+        "190:20:30.15", "2001-12-14", ".inf", ".nan", "yes", "~", "2i", "-i", "1-1e999i",
+        "'1.5'"])
+    @pytest.mark.parametrize("base", BASE_LOADERS)
+    def test_scalar_resolves_as_the_base_loader_does(self, base, text):
+        doc = f"{text}\n---\n[{text}, {{k: {text}}}]\n"
+        want = list(yaml.load_all(doc, Loader=base))
+        assert _typed(list(yaml.load_all(doc, Loader=_rules_over(base)))) == _typed(want)
+
+    @pytest.mark.parametrize("base", BASE_LOADERS)
+    def test_inputs_load_as_with_the_base_loader(self, base, tmp_path):
+        paths = sorted(SCENARIO_DIR.glob("*.yaml")) + _perfbench_inputs(tmp_path)
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert _typed(yaml.load(text, Loader=_rules_over(base))) == \
+                _typed(yaml.load(text, Loader=base)), path.name
 
 
 class TestShippedScenarios:

@@ -716,6 +716,13 @@ GUARDS = {
     "collision-projectors-off-identity": (
         lambda: simple_model([_labelled_collision(["+", "-"], (P0 + 2e-11 * np.eye(2), P1))]),
         "step 0: projectors do not resolve the ancilla identity"),
+    "collision-projectors-mixed-sizes": (
+        lambda: simple_model([_labelled_collision(["+", "-"], (P0, np.eye(3)))]),
+        r"step 0: projector 1 must be 2x2 \(the ancilla's dimension\), got shape \(3, 3\)"),
+    "collision-projectors-wrong-size": (
+        lambda: simple_model([_labelled_collision(["+", "-"], (np.diag([1.0, 0, 0]),
+                                                              np.diag([0, 1.0, 1.0])))]),
+        r"step 0: projector 0 must be 2x2 \(the ancilla's dimension\), got shape \(3, 3\)"),
     "feedback-prefix-misspelled": (
         lambda: simple_model([{"time": 0.5, "instrument": projective_z()},
                               {"time": 1.0, "instrument": projective_z()}],
