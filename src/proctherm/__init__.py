@@ -18,7 +18,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .algebra import FactorRegistry
 from .channels import (
     CPMap,
     Instrument,

@@ -3,8 +3,8 @@
 Operators and states are plain square arrays.  A product space is the
 ordered list of its factors' dimensions (``dims``), and a function that
 embeds, permutes or traces out factors takes ``dims`` and the factor
-positions it acts on.  :class:`FactorRegistry` names the factors of one
-model (S, B, then one ancilla per step) and maps labels to dimensions.
+positions it acts on.  Factor labels (S, B, then one ancilla per step)
+exist only in a model: ``AutonomousModel.dims`` maps each to its dimension.
 
 Conventions: hbar = k_B = 1 throughout (energies and temperatures share one
 unit), storage is dense row-major complex, and the Hermitian
@@ -15,16 +15,14 @@ logarithms and entropies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .tolerances import DEFAULT, EIG_FLOOR, HERMITIAN
 
 __all__ = [
-    "FactorRegistry",
     "dagger",
     "max_norm",
     "is_hermitian",
@@ -211,49 +209,3 @@ def vn_entropy_mat(rho: np.ndarray) -> float | np.ndarray:
     kept = w > EIG_FLOOR
     s = -np.sum(np.where(kept, w * np.log(np.where(kept, w, 1.0)), 0.0), axis=-1)
     return float(s) if rho.ndim == 2 else s
-
-
-# ---------------------------------------------------------------------------
-# labelled factors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FactorRegistry:
-    """Ordered list of (label, dimension) tensor factors.
-
-    The declaration order is canonical: a support lists its factors in
-    this order, and an array on it stores them in this order.
-    """
-
-    factors: tuple[tuple[str, int], ...]
-
-    def __init__(self, factors: Iterable[tuple[str, int]]):
-        factors = tuple((str(l), int(d)) for l, d in factors)
-        labels = [l for l, _ in factors]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
-        for label, d in factors:
-            if d < 1:
-                raise ValueError(f"factor {label!r} has dimension {d} < 1")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.factors)
-
-    def dim(self, label: str) -> int:
-        for l, d in self.factors:
-            if l == label:
-                return d
-        raise KeyError(f"unknown factor label {label!r}")
-
-    def canonical(self, labels: Iterable[str]) -> tuple[str, ...]:
-        """The given labels, reordered into registry order."""
-        wanted = set(labels)
-        missing = wanted - set(self.labels)
-        if missing:
-            raise KeyError(f"unknown factor label(s) {sorted(missing)}")
-        return tuple(l for l in self.labels if l in wanted)
-
-    def dims(self, labels: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.dim(l) for l in labels)

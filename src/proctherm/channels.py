@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    FactorRegistry,
     dagger,
     embed_factors,
     expm_herm,
@@ -121,10 +120,10 @@ class InterventionSchedule:
     the prefix refers to the record gathered so far, and the deepest
     declared prefix wins.  All overrides of one step must share the base
     instrument's outcome alphabet.  The attached protocol drives the
-    system Hamiltonian between interventions.
+    system Hamiltonian between interventions.  ``sb_dims`` is (d_S, d_B).
     """
 
-    registry: FactorRegistry
+    sb_dims: tuple[int, int]
     times: tuple[float, ...]
     instruments: tuple[Instrument, ...]
     protocol: Protocol
@@ -132,8 +131,10 @@ class InterventionSchedule:
     h_bath: np.ndarray | None = None
     v_coupling: np.ndarray | None = None
 
-    def __init__(self, registry, times, instruments, protocol,
+    def __init__(self, sb_dims, times, instruments, protocol,
                  feedback=None, h_bath=None, v_coupling=None):
+        if len(sb_dims) != 2 or not all(type(d) is int and d >= 1 for d in sb_dims):
+            raise ValueError(f"sb_dims must be two integers >= 1 (d_S, d_B), got {sb_dims}")
         times = tuple(float(t) for t in times)
         instruments = tuple(instruments)
         if len(times) != len(instruments):
@@ -156,7 +157,7 @@ class InterventionSchedule:
                         f"feedback override at step {k} changes the outcome "
                         f"alphabet {instruments[k].labels} -> {inst.labels}")
                 fb.setdefault(k, {})[prefix] = inst
-        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "sb_dims", tuple(sb_dims))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "instruments", instruments)
         object.__setattr__(self, "protocol", protocol)
@@ -176,10 +177,9 @@ class InterventionSchedule:
 
     def h_sb(self, h_system: np.ndarray) -> np.ndarray:
         """Full system-bath Hamiltonian for a given system term."""
-        dims = self.registry.dims(("S", "B"))
-        h = embed_factors(h_system, [0], dims)
+        h = embed_factors(h_system, [0], self.sb_dims)
         if self.h_bath is not None:
-            h = h + embed_factors(self.h_bath, [1], dims)
+            h = h + embed_factors(self.h_bath, [1], self.sb_dims)
         if self.v_coupling is not None:
             h = h + self.v_coupling
         return h
@@ -202,7 +202,7 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     alphabets.  Each segment's H_SB is diagonalized once; a family forms
     its propagator over an interval from that spectrum where it applies it.
     """
-    dims = schedule.registry.dims(("S", "B"))
+    dims = schedule.sb_dims
     d = dims[0] * dims[1]
     if np.shape(sb_init) != (d, d):
         raise ValueError(f"initial state must be a {d}x{d} system-bath matrix, "
@@ -270,7 +270,6 @@ def evaluate_process_tensor(schedule: InterventionSchedule,
     array whose row i is the state of ``records[i]``.  The trace of a state
     is its record probability; the states at fixed t sum to a normalized one.
     """
-    dims = schedule.registry.dims(("S", "B"))
-    return {t: (records, ptrace_factors(mats, dims, [0]))
+    return {t: (records, ptrace_factors(mats, schedule.sb_dims, [0]))
             for t, (records, mats) in _walk(schedule, sb_init, times).items()}
 

@@ -540,8 +540,18 @@ class _PlainScalarRules:
 
 
 class _YAML_LOADER(_PlainScalarRules, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader with the plain-scalar rules; libyaml's, when PyYAML
-    has it, parses large matrices several times faster."""
+    """The safe loader with the plain-scalar rules, libyaml's when PyYAML has
+    it (several times faster on large matrices); a repeated key is a ValueError."""
+
+    def construct_mapping(self, node, deep=False):
+        own = node.value    # its own pairs: a merge key (<<) rebinds node.value
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(node.value):    # a key repeats, or overrides a merged one
+            first = {}
+            for key, _ in own:
+                if first.setdefault(self.construct_object(key), key) is not key:
+                    raise ValueError(f"line {key.start_mark.line + 1}: duplicate key {key.value!r}")
+        return mapping
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -552,7 +562,8 @@ def parse_scenario(path: str) -> Scenario:
     except OSError as exc:
         raise ScenarioError(str(path), f"cannot read scenario: {exc}") from None
     try:
-        data = yaml.load(raw.decode("utf-8"), Loader=_YAML_LOADER)
+        data = _checked(str(path), yaml.load, raw.decode("utf-8"), Loader=_YAML_LOADER,
+                        context="cannot load YAML: ")
     except UnicodeDecodeError as exc:
         raise ScenarioError(str(path), f"not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:

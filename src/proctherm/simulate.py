@@ -51,7 +51,6 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import (
-    FactorRegistry,
     dagger,
     embed_factors,
     expect_herm,
@@ -122,7 +121,7 @@ class _Space:
     def __init__(self, model: "AutonomousModel", support: tuple[str, ...]):
         self.model = model
         self.support = support
-        self.dims = model.registry.dims(support)
+        self.dims = tuple(model.dims[l] for l in support)
         self.pos = {l: i for i, l in enumerate(support)}
         # ancillas in the support that have a Hamiltonian
         self.ancillas = {l: h for l, h in model.ancilla_terms.items() if l in self.pos}
@@ -133,7 +132,7 @@ class _Space:
         """Sum of the terms that act within ``labels``, on those factors in
         the order given; the drive and step ``window``'s coupling count
         only when passed.  All but the drive is cached per (labels, window)."""
-        dims = self.model.registry.dims(labels)
+        dims = tuple(self.model.dims[l] for l in labels)
         key = (labels, window)
         h = self._fixed.get(key)
         if h is None:
@@ -173,8 +172,7 @@ class _Space:
         """The factors of the support but B, and the Hamiltonians of the
         ancillas among them but the last, as in :attr:`_terms`."""
         keep = tuple(l for l in self.support if l != "B")
-        dims = self.model.registry.dims(keep)
-        return keep, [(math.prod(dims[:i]), self.ancillas[l])
+        return keep, [(math.prod(self.model.dims[m] for m in keep[:i]), self.ancillas[l])
                       for i, l in enumerate(keep[:-1]) if l in self.ancillas]
 
     def resolved(self, states: np.ndarray, h_system: np.ndarray) -> np.ndarray:
@@ -217,14 +215,14 @@ class _Space:
 
 @dataclass(frozen=True, eq=False)
 class AutonomousModel:
-    """Inclusive model: registry, Hamiltonian terms, schedule, hardware.
+    """Inclusive model: factor dimensions, Hamiltonian terms, schedule, hardware.
 
     ``sb_init`` is the read-only (d_S d_B, d_S d_B) initial state on S B;
     passed as None, it is the Gibbs state of H_SB at the first drive value,
     built from the model's own spectrum, and ``gibbs_initial`` says so.
     """
 
-    registry: FactorRegistry
+    dims: Mapping[str, int]    # read-only, factor label -> dimension: S, B, A0, A1, ...
     schedule: InterventionSchedule
     steps: tuple[StepSpec, ...]
     beta: float
@@ -246,9 +244,8 @@ class AutonomousModel:
             # model's own spectrum of it
             if self.beta <= 0:
                 raise ValueError(f"inverse temperature must be positive, got {self.beta}")
-            support = self.registry.canonical(("S", "B"))
             rho, _ = gibbs_mat(None, self.beta,
-                               eig=self.spectrum(support, self.protocol.base[0].h_system))
+                               eig=self.spectrum(("S", "B"), self.protocol.base[0].h_system))
             object.__setattr__(self, "sb_init", _frozen(rho))
 
     # -- assembly -----------------------------------------------------------
@@ -274,7 +271,9 @@ class AutonomousModel:
         for arg, mat in (("h_bath", h_bath), ("v_coupling", v_coupling)):
             if mat is not None and not is_hermitian(np.asarray(mat, dtype=complex)):
                 raise ValueError(f"{arg} is not Hermitian")
-        factors = [("S", int(s_dim)), ("B", int(b_dim))]
+        dims = {"S": int(s_dim), "B": int(b_dim)}
+        if min(dims.values()) < 1:
+            raise ValueError(f"factor dimensions must be at least 1, got {dims}")
         specs: list[StepSpec] = []
         instruments: list[Instrument] = []
         times: list[float] = []
@@ -297,6 +296,8 @@ class AutonomousModel:
                 col = dict(st["collision"])
                 anc = np.asarray(col["ancilla_state"], dtype=complex)
                 d_anc = anc.shape[0]
+                if d_anc < 1:
+                    raise ValueError(f"step {k}: the ancilla has dimension {d_anc} < 1")
                 u = np.asarray(col["unitary"], dtype=complex)
                 if u.shape != (s_dim * d_anc, s_dim * d_anc):
                     raise ValueError(f"step {k}: control unitary must act on "
@@ -358,10 +359,9 @@ class AutonomousModel:
                 v_window = unitary_log_generator(hardware[()].unitary) / window
             specs.append(StepSpec(t_k, hardware[()].ancilla_state, h_anc,
                                   window, v_window, controls))
-            factors.append((ancilla_label(k), d_anc))
+            dims[ancilla_label(k)] = d_anc
 
-        registry = FactorRegistry(factors)
-        schedule = InterventionSchedule(registry, times, instruments, protocol,
+        schedule = InterventionSchedule((dims["S"], dims["B"]), times, instruments, protocol,
                                         feedback=feedback, h_bath=h_bath,
                                         v_coupling=v_coupling)
         if times and (before(times[0], protocol.t_start) or before(protocol.t_end, times[-1])):
@@ -389,13 +389,13 @@ class AutonomousModel:
 
         rho0 = None
         if sb_init is not None:
-            d = int(s_dim) * int(b_dim)
+            d = dims["S"] * dims["B"]
             rho0 = np.array(sb_init, dtype=complex)
             if rho0.shape != (d, d):
                 raise ValueError(f"sb_init must be {d}x{d} (system (x) bath), "
                                  f"got shape {rho0.shape}")
             rho0 = _frozen(validate_density(rho0))
-        return cls(registry, schedule, tuple(specs), float(beta), rho0,
+        return cls(MappingProxyType(dims), schedule, tuple(specs), float(beta), rho0,
                    mean_force_bare=mean_force_bare, name=name)
 
     # -- geometry -----------------------------------------------------------
@@ -409,11 +409,9 @@ class AutonomousModel:
         return len(self.steps)
 
     def space(self, support: tuple[str, ...]) -> _Space:
-        sp = self._spaces.get(support)
-        if sp is None:
-            sp = _Space(self, support)
-            self._spaces[support] = sp
-        return sp
+        if support not in self._spaces:
+            self._spaces[support] = _Space(self, support)
+        return self._spaces[support]
 
     def spectrum(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
                  window: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -832,33 +830,26 @@ class Simulator:
             columns = np.empty((len(_TALLIES), n_out, n))
             columns[:2] = np.array((w_sys, w_ctrl))[:, None]
             columns[2:] = (g.w_meas + w_meas, g.w_meas_alt + w_alt, g.e_factored + e_factored)
-            # children sharing a support and a node form one group, stacked
-            # outcome by outcome; each column is gathered once, in that order,
-            # and ``order`` alone gives ledger order
+            # children sharing a support and a node form one group, stacked outcome
+            # by outcome, parents in stack order: its outcomes' rows under ``kept``
             classes: dict[tuple, list[int]] = {}
             for r, (label, narrow) in enumerate(zip(labels, readout.rank1.tolist())):
                 node = g.node + (label,)    # deepens only while it is the whole record
                 if len(node) <= len(g.records[0]) or node not in model.nodes:
                     node = g.node
                 classes.setdefault((narrow, node), []).append(r)
-            order = np.array([r for rs in classes.values() for r in rs])
-            mask = kept[order]
-            columns, keys = columns[:, order][:, mask], keys[order][mask]
             # the children of the rank-1 outcomes, and of the others, in one stack each
             states = {True: _contract_last(ctrl, readout.vectors) if readout.vectors.size else None,
                       False: _project_last(ctrl, readout.projectors)
                       if readout.projectors.size else None}
-            flags, start = kept.tolist(), 0
             for (narrow, node), rs in classes.items():
-                records = tuple(rec + (labels[r],) for r in rs
-                                for rec, keep in zip(g.records, flags[r]) if keep)
-                stop = start + len(records)
+                sel = kept[rs]
+                records = tuple(rec + (labels[r],) for r, row in zip(rs, sel.tolist())
+                                for rec, keep in zip(g.records, row) if keep)
                 if records:
-                    children.append((keys[start:stop], BranchGroup(
+                    children.append((keys[rs][sel], BranchGroup(
                         records, support if narrow else space.support, node, h_sys,
-                        _frozen(states[narrow][readout.slot[rs]][kept[rs]]),
-                        *columns[:, start:stop])))
-                start = stop
+                        _frozen(states[narrow][readout.slot[rs]][sel]), *columns[:, rs][:, sel])))
 
         keys = np.concatenate([np.zeros(0, int), *(key for key, _ in children)])
         if len(keys) > self.max_branches:
@@ -877,7 +868,7 @@ class Simulator:
     def run(self, report_times: Sequence[float] = ()) -> RunResult:
         model = self.model
         ledger = BranchLedger(model.protocol.t_start, (BranchGroup(
-            ((),), model.registry.canonical(("S", "B")), (), model.protocol.base[0].h_system,
+            ((),), ("S", "B"), (), model.protocol.base[0].h_system,
             _frozen(model.sb_init[None]), *[_frozen(np.zeros(1))] * 5),), np.zeros(1, int))
         initial = Snapshot(ledger.time, ledger)
         times = sorted(set(float(t) for t in report_times))

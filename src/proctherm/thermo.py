@@ -210,7 +210,7 @@ class ThermoEvaluator:
         self._s_tot0 = vn_entropy_mat(self.model.sb_init) + sum(self._s_anc0)
         h_b = self.model.h_bath
         if h_b is None:
-            d_b = self.model.registry.dims(("B",))[0]
+            d_b = self.model.dims["B"]
             h_b = np.zeros((d_b, d_b))
         # (ln Z_B, <H_B>) at beta, which every mean force reads
         self._bath = _bath_moments(h_b, self.beta)
@@ -230,7 +230,7 @@ class ThermoEvaluator:
             out = (np.asarray(h_sys, dtype=complex), np.zeros_like(h_sys, dtype=complex))
         else:
             out = _mean_force_arrays(model.spectrum(("S", "B"), h_sys),
-                                     model.registry.dims(("S", "B")), [0], self._bath,
+                                     model.space(("S", "B")).dims, [0], self._bath,
                                      beta)[:2]
         self._mf_cache[key] = out
         return out

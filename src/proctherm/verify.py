@@ -75,7 +75,7 @@ def equivalence_rows(model: AutonomousModel, result: RunResult) -> list[dict]:
         state_dev, prob_dev = [], []
         for g in ledger.groups:
             want = states[[row_of[labels] for labels in g.records]]
-            got = ptrace_factors(g.states, model.registry.dims(g.support), [0])
+            got = ptrace_factors(g.states, model.space(g.support).dims, [0])
             state_dev.append(np.max(np.abs(got - want), axis=(1, 2)))
             prob_dev.append(np.abs(g.weights - np.trace(want, axis1=1, axis2=2).real))
         rows += [{"time": snap.time, "record": record_string(labels),

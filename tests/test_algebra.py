@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from proctherm.algebra import (
-    FactorRegistry,
     embed_factors,
     expm_herm,
     gibbs_mat,
@@ -29,26 +28,6 @@ from oracles import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-class TestRegistry:
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            FactorRegistry([("S", 2), ("S", 3)])
-
-    def test_nonpositive_dim_rejected(self):
-        with pytest.raises(ValueError):
-            FactorRegistry([("S", 0)])
-
-    def test_canonical_order(self):
-        reg = FactorRegistry([("S", 2), ("B", 3), ("A0", 2)])
-        assert reg.canonical(["A0", "S"]) == ("S", "A0")
-        with pytest.raises(KeyError):
-            reg.canonical(["Q"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proctherm.algebra import FactorRegistry, gibbs_mat, ptrace_factors
+from proctherm.algebra import gibbs_mat, ptrace_factors
 from proctherm.channels import (
     CPMap,
     Instrument,
@@ -20,10 +20,7 @@ from oracles import apply_via_superoperator, random_density, random_hermitian, r
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-
-def sb_registry(db=2):
-    return FactorRegistry([("S", 2), ("B", db)])
+SB_DIMS = (2, 2)    # (d_S, d_B) of every schedule here
 
 
 def projective_z():
@@ -34,12 +31,11 @@ def identity_instrument():
     return Instrument([("1", CPMap(("S",), [np.eye(2)]))])
 
 
-def flat_schedule(times, instruments, reg=None, h_sys=None, h_bath=None, v=None,
+def flat_schedule(times, instruments, sb_dims=SB_DIMS, h_sys=None, h_bath=None, v=None,
                   t_span=(0.0, 3.0), feedback=None):
-    reg = reg or sb_registry()
     h_sys = np.zeros((2, 2)) if h_sys is None else h_sys
     proto = Protocol([Segment(t_span[0], t_span[1], h_sys)])
-    return InterventionSchedule(reg, times, instruments, proto,
+    return InterventionSchedule(sb_dims, times, instruments, proto,
                                 feedback=feedback, h_bath=h_bath, v_coupling=v)
 
 
@@ -150,6 +146,15 @@ GUARDS = {
     "schedule-instrument-count": (
         lambda: flat_schedule([0.5, 1.0], [projective_z()]),
         "one instrument per intervention time"),
+    "schedule-sb-dims-malformed": (
+        lambda: flat_schedule([0.5], [projective_z()], sb_dims=(2, 0)),
+        r"sb_dims must be two integers >= 1 \(d_S, d_B\), got \(2, 0\)"),
+    "schedule-sb-dims-not-a-pair": (
+        lambda: flat_schedule([0.5], [projective_z()], sb_dims=(4,)),
+        r"sb_dims must be two integers >= 1 \(d_S, d_B\), got \(4,\)"),
+    "schedule-sb-dims-not-integers": (
+        lambda: flat_schedule([0.5], [projective_z()], sb_dims=(2, 2.0)),
+        r"sb_dims must be two integers >= 1 \(d_S, d_B\), got \(2, 2.0\)"),
     "schedule-feedback-unknown-step": (
         lambda: flat_schedule([0.5], [projective_z()], feedback={2: {(): projective_z()}}),
         "feedback references unknown step 2"),
@@ -193,7 +198,6 @@ class TestProcessEvaluation:
     def test_matches_kraus_sequence_oracle(self):
         # driven qubit + qubit bath, two unsharp interventions
         rng = np.random.default_rng(22)
-        reg = sb_registry()
         h0, h1 = np.diag([0.0, 1.0]), np.diag([0.0, 1.0]) + 0.3 * np.array([[0, 1], [1, 0]])
         h_b = np.diag([0.0, 0.8])
         v = 0.25 * np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
@@ -201,7 +205,7 @@ class TestProcessEvaluation:
         k1 = [np.sqrt(0.8) * P0 + np.sqrt(0.2) * P1]
         k2 = [np.sqrt(0.2) * P0 + np.sqrt(0.8) * P1]
         unsharp = Instrument([("1", CPMap(("S",), k1)), ("2", CPMap(("S",), k2))])
-        sched = InterventionSchedule(reg, [0.5, 1.2], [unsharp, projective_z()], proto,
+        sched = InterventionSchedule(SB_DIMS, [0.5, 1.2], [unsharp, projective_z()], proto,
                                      h_bath=h_b, v_coupling=v)
         rho0 = random_density(rng, 4)
 
@@ -237,10 +241,9 @@ class TestProcessEvaluation:
         # records after the step, and all three come from one eigh
         import proctherm.channels as channels
         rng = np.random.default_rng(25)
-        reg = sb_registry()
         proto = Protocol([Segment(0.0, 2.0, np.diag([0.0, 1.0])),
                           Segment(2.0, 3.0, random_hermitian(rng, 2))])
-        sched = InterventionSchedule(reg, [1.2], [projective_z()], proto,
+        sched = InterventionSchedule(SB_DIMS, [1.2], [projective_z()], proto,
                                      h_bath=np.diag([0.0, 0.8]),
                                      v_coupling=0.3 * random_hermitian(rng, 4))
         sb = random_density(rng, 4)
@@ -289,7 +292,6 @@ class TestProcessEvaluation:
         # feedback and a prefix-keyed drive; reports before an intervention,
         # exactly at one, between two and after the last
         rng = np.random.default_rng(24)
-        reg = sb_registry()
         h0 = np.diag([0.0, 1.0])
         h_b = np.diag([0.0, 0.8])
         v = 0.25 * np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
@@ -305,7 +307,7 @@ class TestProcessEvaluation:
         times = [0.4, 0.8, 1.4]
         instruments = [noisy, projective_z(), noisy]
         feedback = {1: {("1",): x_inst}, 2: {("2", "1"): x_inst, ("1",): projective_z()}}
-        sched = InterventionSchedule(reg, times, instruments, proto, feedback=feedback,
+        sched = InterventionSchedule(SB_DIMS, times, instruments, proto, feedback=feedback,
                                      h_bath=h_b, v_coupling=v)
         rho0 = random_density(rng, 4)
 
@@ -360,7 +362,6 @@ class TestMultilinearity:
         # slot k splits the run with the mixed map into alpha run(a) and
         # (1-alpha) run(b), record by record and unnormalized
         rng = np.random.default_rng(31)
-        reg = sb_registry()
         h_sys, h_bath = random_hermitian(rng, 2), random_hermitian(rng, 2)
         v = 0.3 * random_hermitian(rng, 4)
         ops_a = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
@@ -368,7 +369,7 @@ class TestMultilinearity:
         sb = random_density(rng, 4)
 
         def run(instruments):
-            sched = flat_schedule([0.4, 1.0], instruments, reg=reg,
+            sched = flat_schedule([0.4, 1.0], instruments,
                                   h_sys=h_sys, h_bath=h_bath, v=v)
             return states_by_record(evaluate_process_tensor(sched, sb, [1.5])[1.5])
 

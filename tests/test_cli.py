@@ -663,6 +663,30 @@ class TestInputErrors:
             f"error: coupling[1][2]: expected a finite number, got {cell!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("beta: 1.0\n", "beta: 1.0\nbeta: 50.0\n", "line {line}: duplicate key 'beta'"),
+        ("  - [0.0, 0.0, 0.05, 0.0]", "  - [0.0, 0.0, 2001-13-01, 0.0]",
+         "month must be in 1..12"),
+        pytest.param("  - [0.0, 0.0, 0.05, 0.0]", f"  - [0.0, 0.0, {'9' * 5000}, 0.0]",
+                     "Exceeds the limit (4300 digits) for integer string conversion",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="this Python has no int digit limit"))],
+        ids=["repeated-key", "invalid-date", "int-past-digit-limit"])
+    @pytest.mark.parametrize("command", [("verify",), ("run", "--mode", "both")],
+                             ids=["verify", "run"])
+    def test_yaml_the_loader_refuses_is_an_input_error(self, tmp_path, capsys, command,
+                                                       old, new, message):
+        # ``line`` is that of the last line of ``new``
+        text = (SCENARIO_DIR / "relaxation_two_level.yaml").read_text()
+        bad, out = tmp_path / "bad.yaml", tmp_path / "out"
+        bad.write_text(text.replace(old, new))
+        line = text[:text.index(old)].count("\n") + new.count("\n")
+        assert run_cli(*command, "--scenario", str(bad), "--out", str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {bad}: cannot load YAML: {message.format(line=line)}")
+        assert not out.exists()
+
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"
         bad.write_text((SCENARIO_DIR / "equilibrium.yaml").read_text()

@@ -424,6 +424,69 @@ class TestLoader:
                 _typed(yaml.load(text, Loader=base)), path.name
 
 
+    def test_shipped_inputs_repeat_no_key(self, tmp_path):
+        # the scenario loader refuses a repeated key and otherwise loads as
+        # its base loader does
+        base = scenario._YAML_LOADER.__bases__[1]
+        for path in sorted(SCENARIO_DIR.glob("*.yaml")) + _perfbench_inputs(tmp_path):
+            text = path.read_text(encoding="utf-8")
+            assert _typed(yaml.load(text, Loader=scenario._YAML_LOADER)) == \
+                _typed(yaml.load(text, Loader=base)), path.name
+
+
+RELAXATION = SCENARIO_DIR / "relaxation_two_level.yaml"
+COUPLING_ROW = "  - [0.0, 0.0, 0.05, 0.0]"
+PAST_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                      reason="this Python has no int digit limit")
+
+
+def _edited(directory: Path, old: str, new: str) -> tuple[Path, str]:
+    """relaxation_two_level.yaml with ``old`` replaced by ``new``, written to
+    ``directory``, and its text."""
+    text = RELAXATION.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = directory / "edited.yaml"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return path, text.replace(old, new)
+
+
+class TestLoadErrors:
+    """What PyYAML's constructors refuse, and a key written twice in one
+    mapping, is an input error at the file."""
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("beta: 1.0\n", "beta: 1.0\nbeta: 50.0\n", "beta"),
+        ("bath:\n  dim: 2\n", "bath:\n  dim: 2\n  dim: 3\n", "dim"),
+        ("system_hamiltonian: {diag: [0.0, 1.0]}",
+         "system_hamiltonian: {diag: [0.0, 1.0], diag: [1.0, 0.0]}", "diag"),
+        ("- {label: g,", "- {label: g, label: h,", "label"),
+        ("system_hamiltonian:", "matrices:\n  HX: {diag: [0.0, 1.0]}\n"
+         "  HX: {diag: [0.0, 2.0]}\nsystem_hamiltonian:", "HX")],
+        ids=["top-level", "nested", "flow-mapping", "list-item", "matrices"])
+    def test_repeated_key_is_refused_at_its_line(self, tmp_path, old, new, key):
+        path, text = _edited(tmp_path, old, new)
+        line = text[:text.index(new) + new.rindex(key)].count("\n") + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        assert err.value.path == str(path)
+        assert str(err.value) == f"{path}: cannot load YAML: line {line}: duplicate key {key!r}"
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        path, _ = _edited(tmp_path, "system:\n  dim: 2\n", "system:\n  <<: {dim: 3}\n  dim: 2\n")
+        assert parse_scenario(path).spec["s_dim"] == 2
+
+    @pytest.mark.parametrize("cell, message", [
+        pytest.param("9" * 5000, "Exceeds the limit (4300 digits) for integer string conversion",
+                     marks=PAST_DIGIT_LIMIT),
+        ("2001-13-01", "month must be in 1..12")], ids=["int-past-digit-limit", "invalid-date"])
+    def test_value_a_constructor_refuses_is_an_error_at_the_file(self, tmp_path, cell, message):
+        path, _ = _edited(tmp_path, COUPLING_ROW, f"  - [0.0, 0.0, {cell}, 0.0]")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        assert err.value.path == str(path)
+        assert str(err.value).startswith(f"{path}: cannot load YAML: {message}")
+
+
 class TestShippedScenarios:
     @pytest.mark.parametrize("fname", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
     def test_parses_and_builds(self, fname):

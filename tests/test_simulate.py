@@ -57,7 +57,7 @@ def simple_model(steps, *, h_sys=None, h_bath=None, v=None, beta=1.0,
 
 def conditional_system(model, ledger, branch):
     """Unnormalized conditional system state of one branch."""
-    dims = model.registry.dims(branch.support)
+    dims = [model.dims[l] for l in branch.support]
     return ptrace_factors(branch.state, dims, [0])
 
 
@@ -442,7 +442,7 @@ class TestInstantaneousControl:
             "projectors": None}}], b_dim=1, sb_init=sb)
         result = Simulator(model2).run()
         branch = next(iter(result.final.branches.values()))
-        dims = model2.registry.dims(branch.support)
+        dims = [model2.dims[l] for l in branch.support]
         anc = ptrace_factors(branch.state, dims, [branch.support.index(ancilla_label(0))])
         np.testing.assert_allclose(anc, rho_s, atol=1e-12)
 
@@ -668,6 +668,16 @@ def _on_ledger_at(t, act):
 # each case reaches exactly one guard; with that guard gone it raises
 # nothing, or something else
 GUARDS = {
+    "system-dim-zero": (
+        lambda: AutonomousModel.assemble(s_dim=0, beta=1.0,
+                                         protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))])),
+        r"factor dimensions must be at least 1, got \{'S': 0, 'B': 1\}"),
+    "bath-dim-zero": (lambda: simple_model([], b_dim=0),
+                      r"factor dimensions must be at least 1, got \{'S': 2, 'B': 0\}"),
+    "collision-ancilla-dim-zero": (
+        lambda: simple_model([{"time": 0.5, "collision": {
+            "ancilla_state": np.zeros((0, 0)), "unitary": np.zeros((0, 0)), "projectors": None}}]),
+        "step 0: the ancilla has dimension 0 < 1"),
     "gibbs-start-nonpositive-beta": (
         lambda: simple_model([], beta=0.0), "inverse temperature must be positive"),
     "window-with-feedback": (

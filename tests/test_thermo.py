@@ -537,7 +537,7 @@ class TestTwoPointMeasurement:
 
 class TestSingularControlWork:
     def test_identity_control_is_free(self):
-        dims = ancilla_energy_model().registry.dims(("S", "B", "A0"))
+        dims = [ancilla_energy_model().dims[l] for l in ("S", "B", "A0")]
         rng = np.random.default_rng(9)
         state = random_density(rng, 8)
         w = singular_control_work(state, dims, np.eye(4), [0, 2],
