@@ -11,6 +11,7 @@ shares every prefix; the autonomous reconstruction lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .algebra import (
     dagger,
+    eigh_all,
     embed_factors,
     expm_herm,
     max_norm,
@@ -201,6 +203,11 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     time) sorts by key, which is ``itertools.product`` order of the
     alphabets.  Each segment's H_SB is diagonalized once; a family forms
     its propagator over an interval from that spectrum where it applies it.
+    Only a split changes the families, so an advance slices each family's
+    timeline up to the end of its stretch, the next step the walk reaches
+    (or else the last time), and the first advance of a stretch
+    diagonalizes every segment the stretch meets as one :func:`eigh_all`
+    batch.
     """
     dims = schedule.sb_dims
     d = dims[0] * dims[1]
@@ -213,13 +220,21 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     spectra: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
 
     def evolve(families, t_from, t_to):
+        end = times[-1]
+        if k < schedule.n_steps and not before(end, schedule.times[k]):
+            end = schedule.times[k]
+        slices = [list(protocol.iter_segments(t_from, end, node)) for node, *_ in families]
+        missing = dict.fromkeys(seg for family in slices for seg, _, _ in family
+                                if seg not in spectra)
+        if missing:
+            spectra.update(zip(missing, eigh_all(schedule.h_sb(seg.h_system) for seg in missing)))
         out = []
-        for node, records, keys, mats in families:
-            for seg, a, b in protocol.iter_segments(t_from, t_to, node):
-                if seg not in spectra:
-                    spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
-                u = expm_herm(None, -1j * (b - a), eig=spectra[seg])
-                mats = u @ mats @ dagger(u)
+        for (node, records, keys, mats), family in zip(families, slices):
+            for seg, a, b in family:
+                b = min(b, t_to)
+                if before(a, b):
+                    u = expm_herm(None, -1j * (b - a), eig=spectra[seg])
+                    mats = u @ mats @ dagger(u)
             out.append((node, records, keys, mats))
         return out
 
@@ -242,10 +257,16 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
                     cp.apply_mat(mats, dims, [("S", "B").index(l) for l in cp.support])))
         return [join(node, kids) for node, kids in children.items()]
 
+    times = sorted(set(times))
+    for t in times:
+        if not (math.isfinite(t) and not before(t, protocol.t_start)
+                and not before(protocol.t_end, t)):
+            raise ValueError(f"time {t} outside the protocol range "
+                             f"[{protocol.t_start}, {protocol.t_end}]")
     families = [((), [()], np.zeros(1, int), np.asarray(sb_init, dtype=complex)[None])]
     t_cur, k = protocol.t_start, 0
     out = {}
-    for t in sorted(set(times)):
+    for t in times:
         while k < schedule.n_steps and not before(t, schedule.times[k]):
             families = split(k, evolve(families, t_cur, schedule.times[k]))
             t_cur, k = schedule.times[k], k + 1

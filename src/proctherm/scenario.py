@@ -554,6 +554,38 @@ class _YAML_LOADER(_PlainScalarRules, getattr(yaml, "CSafeLoader", yaml.SafeLoad
         return mapping
 
 
+class _RefusalFinder(_YAML_LOADER):
+    """The scenario loader, noting the first node whose construction raised
+    a ValueError.  PyYAML builds the items of a sequence or a nested
+    mapping after the mapping that holds it, where no mark is at hand, so a
+    failed load is replayed with this loader to find the refused value."""
+
+    refused = None
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except ValueError:
+            if self.refused is None:
+                self.refused = node
+            raise
+
+
+def _refused_scalar_line(text: str) -> int | None:
+    """The line of the scalar whose refusal made loading ``text`` fail, or
+    None when no scalar was refused (a repeated key names its own line)."""
+    loader = _RefusalFinder(text)
+    try:
+        loader.get_single_data()
+    except ValueError:
+        pass
+    finally:
+        loader.dispose()
+    if isinstance(loader.refused, yaml.ScalarNode):
+        return loader.refused.start_mark.line + 1
+    return None
+
+
 def parse_scenario(path: str) -> Scenario:
     """Load, parse and validate a scenario file."""
     try:
@@ -562,14 +594,18 @@ def parse_scenario(path: str) -> Scenario:
     except OSError as exc:
         raise ScenarioError(str(path), f"cannot read scenario: {exc}") from None
     try:
-        data = _checked(str(path), yaml.load, raw.decode("utf-8"), Loader=_YAML_LOADER,
-                        context="cannot load YAML: ")
+        text = raw.decode("utf-8")
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except UnicodeDecodeError as exc:
         raise ScenarioError(str(path), f"not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark else "unknown position"
         raise ScenarioError(str(path), f"YAML syntax error at {where}: {exc}") from None
+    except ValueError as exc:    # a constructor refused a value, or a key repeats
+        line = _refused_scalar_line(text)
+        where = "" if line is None else f"line {line}: "
+        raise ScenarioError(str(path), f"cannot load YAML: {where}{exc}") from None
     scenario = parse_scenario_dict(data, source=str(path))
     scenario.checksum = hashlib.sha256(raw).hexdigest()
     return scenario

@@ -38,6 +38,14 @@ term by term off each term's own factors (see :meth:`_Space.energy`); no
 Hamiltonian of a whole support is embedded per call.  Ledger order
 (parent-major, then label order) lives only in one index array, applied
 where rows are emitted.
+
+Only a step changes the groups and their nodes, so :meth:`Simulator.run`
+knows every S B drive value the groups will meet from the start or a
+readout to the next step (after the last step, to the last report time).
+It diagonalizes the ones the model has no spectrum of yet as one
+:func:`~proctherm.algebra.eigh_all` batch before evolving the groups
+(:meth:`AutonomousModel.diagonalize`).  A control window's spectra are
+computed where the window uses them.
 """
 
 from __future__ import annotations
@@ -46,12 +54,13 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import (
     dagger,
+    eigh_all,
     embed_factors,
     expect_herm,
     expm_herm,
@@ -413,6 +422,11 @@ class AutonomousModel:
             self._spaces[support] = _Space(self, support)
         return self._spaces[support]
 
+    @staticmethod
+    def _spectrum_key(labels: tuple[str, ...], h_system: np.ndarray | None,
+                      window: int | None = None) -> tuple:
+        return labels, window, None if h_system is None else h_system.tobytes()
+
     def spectrum(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
                  window: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs (w, v) of :meth:`_Space.hamiltonian` on ``labels``,
@@ -420,12 +434,23 @@ class AutonomousModel:
         window count only on a block that holds S."""
         if "S" not in labels:
             h_system, window = None, None
-        key = (labels, window, None if h_system is None else h_system.tobytes())
+        key = self._spectrum_key(labels, h_system, window)
         eig = self._spectra.get(key)
         if eig is None:
             h = self.space(labels).hamiltonian(labels, h_system, window)
             eig = self._spectra[key] = tuple(_frozen(a) for a in np.linalg.eigh(h))
         return eig
+
+    def diagonalize(self, drives: Iterable[np.ndarray]) -> None:
+        """Compute the S B spectra of :meth:`spectrum` at every drive value
+        of ``drives`` that has none yet, as one :func:`eigh_all` batch."""
+        labels, missing = ("S", "B"), {}
+        for h_system in drives:
+            key = self._spectrum_key(labels, h_system)
+            if key not in self._spectra and key not in missing:
+                missing[key] = self.space(labels).hamiltonian(labels, h_system)
+        for key, eig in zip(missing, eigh_all(missing.values())):
+            self._spectra[key] = tuple(_frozen(a) for a in eig)
 
     @cached_property
     def ancilla_terms(self) -> dict[str, np.ndarray]:
@@ -880,6 +905,16 @@ class Simulator:
         traces: list[StepTrace] = []
         k = 0
 
+        def diagonalize_stretch():
+            # every S B drive value the groups meet from now to the next step
+            # (after the last step, to the last report time): only a step
+            # changes the groups and their nodes
+            end = model.steps[k].time if k < model.n_steps else max(times, default=ledger.time)
+            if before(ledger.time, end):
+                model.diagonalize(
+                    seg.h_system for node in dict.fromkeys(g.node for g in ledger.groups)
+                    for seg, _, _ in model.protocol.iter_segments(ledger.time, end, node))
+
         def steps_until(t):
             nonlocal ledger, k
             while k < model.n_steps and not before(t, model.steps[k].time):
@@ -887,7 +922,9 @@ class Simulator:
                 ledger, tr = self.run_step(ledger, k)
                 traces.append(tr)
                 k += 1
+                diagonalize_stretch()
 
+        diagonalize_stretch()
         for t in times:
             steps_until(t)
             if before(t, ledger.time):

@@ -1,11 +1,18 @@
 """Tests for the array linear algebra over ordered tensor factors."""
 
 import math
+import os
+import signal
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
 
+import proctherm.algebra as algebra
 from proctherm.algebra import (
+    eigh_all,
     embed_factors,
     expm_herm,
     gibbs_mat,
@@ -249,6 +256,94 @@ class TestGibbs:
         h = random_hermitian(rng, 5)
         z = gibbs_mat(h, 0.7)[1]
         assert log_partition(h, 0.7) == pytest.approx(math.log(z), rel=1e-12)
+
+
+class TestEighAll:
+    """A batch is bitwise what ``np.linalg.eigh`` gives matrix by matrix,
+    whether it is split between two threads or not."""
+
+    @staticmethod
+    def two_cpus(monkeypatch):
+        # the split is taken whatever the host's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize("count", [2, 3, 8])
+    def test_split_batch_is_bitwise_serial_eigh(self, monkeypatch, count):
+        self.two_cpus(monkeypatch)
+        rng = np.random.default_rng(81)
+        mats = [random_hermitian(rng, 64) for _ in range(count)]
+        got = eigh_all(mats)
+        assert algebra._worker is not None    # the batch was split
+        assert len(got) == count
+        for m, (w, v) in zip(mats, got):
+            w0, v0 = np.linalg.eigh(m)
+            assert w.tobytes() == w0.tobytes() and v.tobytes() == v0.tobytes()
+
+    @pytest.mark.parametrize("dims", [[64], [8] * 6, [64, 64, 8], []])
+    def test_unsplit_batch_is_serial_eigh(self, monkeypatch, dims):
+        self.two_cpus(monkeypatch)
+        rng = np.random.default_rng(82)
+        mats = [random_hermitian(rng, d) for d in dims]
+        for m, (w, v) in zip(mats, eigh_all(mats), strict=True):
+            w0, v0 = np.linalg.eigh(m)
+            assert w.tobytes() == w0.tobytes() and v.tobytes() == v0.tobytes()
+
+    @pytest.mark.parametrize("rebind", ["numpy", "module alias"])
+    def test_a_rebound_solver_sees_every_call_on_the_calling_thread_in_order(
+            self, monkeypatch, rebind):
+        # a tracer that wraps the solver nests spans by call order, so it
+        # must see the whole batch on one thread; the benchmark's tracer
+        # gives the module its own ``np`` alias, a patch rebinds numpy's
+        self.two_cpus(monkeypatch)
+        seen = []
+        solver = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            seen.append((threading.get_ident(), a))
+            return solver(a, *args, **kwargs)
+
+        if rebind == "numpy":
+            monkeypatch.setattr(algebra.np.linalg, "eigh", recording)
+        else:
+            linalg = types.SimpleNamespace(**{**vars(np.linalg), "eigh": recording})
+            alias = types.SimpleNamespace(**{**vars(np), "linalg": linalg})
+            monkeypatch.setattr(algebra, "np", alias)
+        rng = np.random.default_rng(83)
+        mats = [random_hermitian(rng, 64) for _ in range(6)]
+        got = eigh_all(mats)
+        assert [ident for ident, _ in seen] == [threading.get_ident()] * len(mats)
+        assert all(a is m for (_, a), m in zip(seen, mats, strict=True))
+        for m, (w, v) in zip(mats, got):
+            assert w.tobytes() == solver(m)[0].tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform has no fork")
+    def test_a_child_forked_after_a_split_batch_splits_its_own(self, monkeypatch):
+        # the child inherits the worker but not its thread; a batch handed
+        # to that worker would never be taken up
+        self.two_cpus(monkeypatch)
+        rng = np.random.default_rng(84)
+        mats = [random_hermitian(rng, 64) for _ in range(4)]
+        want = [np.linalg.eigh(m) for m in mats]
+        eigh_all(mats)
+        assert algebra._worker is not None
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                got = eigh_all(mats)
+                status = int(algebra._worker is None or not all(
+                    w.tobytes() == w0.tobytes() and v.tobytes() == v0.tobytes()
+                    for (w, v), (w0, v0) in zip(got, want, strict=True)))
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the child's split batch did not return within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestRoundTrips:

@@ -266,6 +266,14 @@ class TestProcessEvaluation:
         assert eighs == [(4, 4)] * 2
         np.testing.assert_allclose(np.imag(intervals), [-0.7, -0.5, -0.8, -0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("times", [[-0.5, 1.0], [1.0, 3.5], [float("nan"), 1.0],
+                                       [1.0, float("inf")]],
+                             ids=["before-start", "after-end", "nan", "inf"])
+    def test_time_outside_the_protocol_rejected(self, times):
+        sched = flat_schedule([0.5], [projective_z()])
+        with pytest.raises(ValueError, match=r"outside the protocol range \[0\.0, 3\.0\]"):
+            evaluate_process_tensor(sched, np.eye(4) / 4, times)
+
     def test_non_system_bath_initial_state_rejected(self):
         sched = flat_schedule([0.5], [projective_z()])
         rho_s = np.eye(2) / 2

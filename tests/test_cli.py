@@ -22,7 +22,7 @@ from proctherm.channels import CPMap
 from proctherm.cli import main
 from proctherm.scenario import _parse_complex, build_model, parse_scenario
 from proctherm.tolerances import Tolerances
-from proctherm.verify import run_verified
+from proctherm.verify import equivalence_rows, run_verified
 
 from ledger_edits import with_state
 
@@ -665,13 +665,15 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("old, new, message", [
         ("beta: 1.0\n", "beta: 1.0\nbeta: 50.0\n", "line {line}: duplicate key 'beta'"),
-        ("  - [0.0, 0.0, 0.05, 0.0]", "  - [0.0, 0.0, 2001-13-01, 0.0]",
-         "month must be in 1..12"),
-        pytest.param("  - [0.0, 0.0, 0.05, 0.0]", f"  - [0.0, 0.0, {'9' * 5000}, 0.0]",
-                     "Exceeds the limit (4300 digits) for integer string conversion",
+        ("  - [0.0, 0.0, 0.05, 0.0]\n", "  - [0.0, 0.0, 2001-13-01, 0.0]\n",
+         "line {line}: month must be in 1..12"),
+        ("beta: 1.0\n", "beta: 2001-13-01\n", "line {line}: month must be in 1..12"),
+        pytest.param("  - [0.0, 0.0, 0.05, 0.0]\n", f"  - [0.0, 0.0, {'9' * 5000}, 0.0]\n",
+                     "line {line}: Exceeds the limit (4300 digits) for integer string "
+                     "conversion",
                      marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                               reason="this Python has no int digit limit"))],
-        ids=["repeated-key", "invalid-date", "int-past-digit-limit"])
+        ids=["repeated-key", "invalid-date", "invalid-date-top-level", "int-past-digit-limit"])
     @pytest.mark.parametrize("command", [("verify",), ("run", "--mode", "both")],
                              ids=["verify", "run"])
     def test_yaml_the_loader_refuses_is_an_input_error(self, tmp_path, capsys, command,
@@ -808,3 +810,59 @@ class TestThreadCount:
         assert sorted(bundles[0]) == ["branches.csv", "ensemble.csv", "report.json"]
         for name in bundles[0]:
             assert bundles[0][name] == bundles[1][name], name
+
+    def test_bundle_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # on one CPU every D = 64 spectrum is computed on the calling thread;
+        # on two, each batch is split with a worker thread
+        path = ramp_input(tmp_path, monkeypatch)
+        bundles = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            out = tmp_path / f"cpus-{len(cpus)}"
+            assert run_cli("run", "--scenario", str(path), "--mode", "both", "--seed", "7",
+                           "--out", str(out)) == 0
+            bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(bundles[0]) == ["branches.csv", "ensemble.csv", "report.json"]
+        for name in bundles[0]:
+            assert bundles[0][name] == bundles[1][name], name
+
+    @pytest.mark.parametrize("name, counts", [("ramp", (1, 49, 50)),
+                                              ("driven_feedback", (1, 2, 4))])
+    def test_each_drive_value_is_diagonalized_once_per_route(self, tmp_path, monkeypatch,
+                                                             name, counts):
+        # set-up diagonalizes the first drive value for the Gibbs state; run
+        # and the direct route each diagonalize every drive value they
+        # visit, once, and no other: on ramp both visit 50 of its 60, the
+        # first already known to run
+        path = ramp_input(tmp_path, monkeypatch) if name == "ramp" \
+            else SCENARIO_DIR / f"{name}.yaml"
+        calls = []
+        solver = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or solver(a))
+        scen = parse_scenario(str(path))
+        model = build_model(scen)
+        setup = len(calls)
+        result = run_verified(model, scen.report_times, prune=1e-14, max_branches=4096)
+        run = len(calls) - setup
+        equivalence_rows(model, result)
+        assert (setup, run, len(calls) - setup - run) == counts
+
+    def test_the_shipped_scenarios_start_no_thread(self, tmp_path):
+        # the worker that takes half of a batch starts only on a batch of
+        # matrices of dimension 32 or more; the shipped scenarios have none
+        script = f"""
+import contextlib, io, sys, threading
+before = threading.active_count()
+from proctherm.cli import main
+for path, out in {[(str(p), str(tmp_path / p.stem)) for p in SCENARIO_DIR.glob("*.yaml")]!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--scenario", path]) == 0
+        assert main(["run", "--scenario", path, "--mode", "both", "--out", out]) == 0
+assert threading.active_count() == before == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        assert len(list(tmp_path.iterdir())) == 5

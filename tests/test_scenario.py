@@ -480,11 +480,57 @@ class TestLoadErrors:
                      marks=PAST_DIGIT_LIMIT),
         ("2001-13-01", "month must be in 1..12")], ids=["int-past-digit-limit", "invalid-date"])
     def test_value_a_constructor_refuses_is_an_error_at_the_file(self, tmp_path, cell, message):
-        path, _ = _edited(tmp_path, COUPLING_ROW, f"  - [0.0, 0.0, {cell}, 0.0]")
+        row = f"  - [0.0, 0.0, {cell}, 0.0]"
+        path, text = _edited(tmp_path, COUPLING_ROW, row)
+        line = text[:text.index(row)].count("\n") + 1
         with pytest.raises(ScenarioError) as err:
             parse_scenario(path)
         assert err.value.path == str(path)
-        assert str(err.value).startswith(f"{path}: cannot load YAML: {message}")
+        assert str(err.value).startswith(f"{path}: cannot load YAML: line {line}: {message}")
+
+    @pytest.mark.parametrize("old, new", [
+        ("beta: 1.0\n", "beta: 2001-13-01\n"),
+        ("bath:\n  dim: 2\n", "bath:\n  dim: 2\n  2001-13-01: 1\n"),
+        ("system_hamiltonian:", "matrices:\n  HX: &h {diag: [0.0, 1.0]}\n"
+         "  HY: [*h, {diag: [2001-13-01]}]\nsystem_hamiltonian:"),
+        ("beta: 1.0\n", "beta: 1.0\nbase: &b {t: 2001-02-03}\nmore: {<<: *b, t2: 2001-13-01}\n")],
+        ids=["top-level-value", "mapping-key", "after-an-alias", "after-a-merge"])
+    def test_refused_value_is_named_at_its_line(self, tmp_path, old, new):
+        path, text = _edited(tmp_path, old, new)
+        line = text[:text.index(new) + new.index("2001-13-01")].count("\n") + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}: cannot load YAML: line {line}: month must be in 1..12"
+
+    @pytest.mark.parametrize("edits, raised, message", [
+        ([("beta: 1.0\n", "beta: 1.0\nbeta: 50.0\n"),
+          (COUPLING_ROW, "  - [0.0, 0.0, 2001-13-01, 0.0]")],
+         "beta: 50.0", "duplicate key 'beta'"),
+        # PyYAML builds time's scalars before the coupling rows above them
+        ([("end: 31.41592653589793}", "end: 2001-13-01}"),
+          (COUPLING_ROW, "  - [0.0, 0.0, 2001-02-30, 0.0]")],
+         "end: 2001-13-01", "month must be in 1..12")],
+        ids=["repeated-key-and-a-refused-cell", "refused-end-below-a-refused-cell"])
+    def test_the_line_named_is_that_of_the_error_raised(self, tmp_path, edits, raised,
+                                                         message):
+        text = RELAXATION.read_text(encoding="utf-8")
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "edited.yaml"
+        path.write_text(text, encoding="utf-8")
+        line = text[:text.index(raised)].count("\n") + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}: cannot load YAML: line {line}: {message}"
+
+    def test_a_load_that_succeeds_looks_for_no_refused_value(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("looked for a refused value")
+
+        monkeypatch.setattr(scenario, "_refused_scalar_line", refuse)
+        for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+            parse_scenario(path)
 
 
 class TestShippedScenarios:
