@@ -250,16 +250,17 @@ def logsumexp(values: np.ndarray) -> float:
 
 
 def gibbs_mat(h: np.ndarray | None, beta: float,
-              eig: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, float]:
-    """Gibbs state exp(-beta h)/Z and the partition function Z.
+              eig: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Gibbs state exp(-beta h)/Z, formed from the weights relative to the
+    ground level, so it exists at any ground energy; ln Z is
+    :func:`log_partition`'s.
 
     ``eig`` is the eigenpairs (w, v) of h when they are already known; h is
     then not read and may be None."""
     w, v = np.linalg.eigh(h) if eig is None else eig
     shifted = np.exp(-beta * (w - w[0]))
-    z0 = float(np.sum(shifted))
-    rho = (v * (shifted / z0)) @ v.conj().T
-    return 0.5 * (rho + rho.conj().T), z0 * math.exp(-beta * w[0])
+    rho = (v * (shifted / float(np.sum(shifted)))) @ v.conj().T
+    return 0.5 * (rho + rho.conj().T)
 
 
 def log_partition(h: np.ndarray, beta: float) -> float:

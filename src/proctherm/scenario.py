@@ -159,7 +159,7 @@ def _parse_matrix(node: Any, path: str, names: Mapping[str, np.ndarray],
         keys = set(node)
         if "pauli" in keys:
             mat = _pauli_string(str(node["pauli"]), path)
-            mat = complex(_parse_complex(node.get("coeff", 1.0), path + ".coeff")).real * mat
+            mat = _parse_complex(node.get("coeff", 1.0), path + ".coeff") * mat
         elif "diag" in keys:
             entries = [_parse_complex(v, f"{path}.diag[{i}]")
                        for i, v in enumerate(_sequence(node["diag"], path + ".diag"))]
@@ -171,9 +171,16 @@ def _parse_matrix(node: Any, path: str, names: Mapping[str, np.ndarray],
                 raise ScenarioError(path + ".number.dim", "needs a positive dim")
             w = _number(spec.get("spacing", 1.0), path + ".number.spacing")
             off = _number(spec.get("offset", 0.0), path + ".number.offset")
+            # the levels run monotonically from the offset to the top one
+            top = off + w * (d - 1)
+            if not math.isfinite(top):
+                raise ScenarioError(path + ".number", "expected finite levels, got "
+                                    f"offset + {d - 1} * spacing = {top!r}")
             mat = np.diag(off + w * np.arange(d)).astype(complex)
         elif "zeros" in keys:
             d = _number(node["zeros"], path + ".zeros", int)
+            if d < 1:
+                raise ScenarioError(path + ".zeros", "needs a positive dim")
             mat = np.zeros((d, d), dtype=complex)
         else:
             raise ScenarioError(path, f"unknown matrix spec with keys {sorted(keys)}")
@@ -210,7 +217,7 @@ def _parse_state(node: Any, path: str, dim: int, beta: float,
     if isinstance(node, Mapping):
         if node.get("gibbs"):
             h = np.zeros((dim, dim)) if hamiltonian is None else hamiltonian
-            return gibbs_mat(h, beta)[0]
+            return gibbs_mat(h, beta)
         if node.get("maximally_mixed"):
             return np.eye(dim, dtype=complex) / dim
         if "pure" in node:

@@ -253,8 +253,8 @@ class AutonomousModel:
             # model's own spectrum of it
             if self.beta <= 0:
                 raise ValueError(f"inverse temperature must be positive, got {self.beta}")
-            rho, _ = gibbs_mat(None, self.beta,
-                               eig=self.spectrum(("S", "B"), self.protocol.base[0].h_system))
+            rho = gibbs_mat(None, self.beta,
+                            eig=self.spectrum(("S", "B"), self.protocol.base[0].h_system))
             object.__setattr__(self, "sb_init", _frozen(rho))
 
     # -- assembly -----------------------------------------------------------

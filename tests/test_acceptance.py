@@ -236,7 +236,7 @@ class TestAcceptance:
             u = expm_herm(seg.h_system, -1j * (seg.t1 - seg.t0)) @ u
         h0, h1 = segs[0].h_system, segs[-1].h_system
         e0, e1 = np.diag(h0).real, np.diag(h1).real
-        pi0 = gibbs_mat(h0, sc.spec["beta"])[0]
+        pi0 = gibbs_mat(h0, sc.spec["beta"])
         worst_p, worst_w = 0.0, 0.0
         support_ok = True
         for i in range(3):
@@ -294,7 +294,7 @@ class TestAcceptance:
             v = g * np.kron(SX, SX)
             gen = random_hermitian(rng, 4)
             sb0 = gibbs_mat(np.kron(h_s, np.eye(2)) + np.kron(np.eye(2), h_b) + v,
-                            1.0)[0]
+                            1.0)
             anc = np.diag([1.0, 0.0]).astype(complex)
             dims = [2, 2, 2]
             h_full = embed_factors(h_s, [0], dims) + embed_factors(h_b, [1], dims) \

@@ -225,37 +225,52 @@ class TestRelativeEntropy:
 
 class TestGibbs:
     def test_degenerate_hamiltonian(self):
-        rho, z = gibbs_mat(0.3 * np.eye(4), beta=2.0)
-        np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-13)
-        assert z == pytest.approx(4 * math.exp(-2.0 * 0.3), rel=1e-12)
+        h = 0.3 * np.eye(4)
+        np.testing.assert_allclose(gibbs_mat(h, beta=2.0), np.eye(4) / 4, atol=1e-13)
+        assert math.exp(log_partition(h, 2.0)) == pytest.approx(4 * math.exp(-2.0 * 0.3),
+                                                                rel=1e-12)
 
     def test_two_level_analytic(self):
         omega, beta = 1.3, 0.8
-        rho, z = gibbs_mat(np.diag([0.0, omega]), beta)
+        h = np.diag([0.0, omega])
         p = 1.0 / (1.0 + math.exp(-beta * omega))
-        np.testing.assert_allclose(rho, np.diag([p, 1 - p]), atol=1e-13)
-        assert z == pytest.approx(1 + math.exp(-beta * omega), rel=1e-12)
+        np.testing.assert_allclose(gibbs_mat(h, beta), np.diag([p, 1 - p]), atol=1e-13)
+        assert math.exp(log_partition(h, beta)) == pytest.approx(1 + math.exp(-beta * omega),
+                                                                 rel=1e-12)
 
     def test_matches_spectral_oracle(self):
         rng = np.random.default_rng(61)
         h = random_hermitian(rng, 4)
-        rho, z = gibbs_mat(h, beta=0.7)
         w, v = np.linalg.eigh(h)
         expected = v @ np.diag(np.exp(-0.7 * w)) @ v.conj().T
-        np.testing.assert_allclose(rho, expected / np.trace(expected), atol=1e-12)
-        assert z == pytest.approx(float(np.sum(np.exp(-0.7 * w))), rel=1e-10)
+        np.testing.assert_allclose(gibbs_mat(h, beta=0.7), expected / np.trace(expected),
+                                   atol=1e-12)
+        assert math.exp(log_partition(h, 0.7)) == pytest.approx(
+            float(np.sum(np.exp(-0.7 * w))), rel=1e-10)
 
     def test_commutes_with_hamiltonian(self):
         rng = np.random.default_rng(62)
         h = random_hermitian(rng, 5)
-        rho, _ = gibbs_mat(h, beta=1.1)
+        rho = gibbs_mat(h, beta=1.1)
         assert max_norm(rho @ h - h @ rho) < 1e-11
 
     def test_log_partition_per_inverse_temperature(self):
         rng = np.random.default_rng(63)
         h = random_hermitian(rng, 5)
-        z = gibbs_mat(h, 0.7)[1]
-        assert log_partition(h, 0.7) == pytest.approx(math.log(z), rel=1e-12)
+        w = np.linalg.eigvalsh(h)
+        for beta in (0.7, 2.0):
+            assert log_partition(h, beta) == pytest.approx(
+                math.log(float(np.sum(np.exp(-beta * w)))), rel=1e-12)
+
+    def test_ground_energy_below_the_float_range_of_z(self):
+        # exp(800) overflows a float: the state depends only on the level
+        # differences, and ln Z shifts by beta times the energy shift
+        rng = np.random.default_rng(64)
+        h = random_hermitian(rng, 4)
+        low = h - 800.0 * np.eye(4)
+        np.testing.assert_allclose(gibbs_mat(low, 1.0), gibbs_mat(h, 1.0), atol=1e-12)
+        assert log_partition(low, 1.0) == pytest.approx(log_partition(h, 1.0) + 800.0,
+                                                        rel=1e-12)
 
 
 class TestEighAll:

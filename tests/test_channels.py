@@ -177,7 +177,7 @@ class TestProcessEvaluation:
         h_b = random_hermitian(rng, 2)
         v = 0.4 * np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
         sched = flat_schedule([], [], h_sys=h_s, h_bath=h_b, v=v)
-        pi_sb, _ = gibbs_mat(sched.h_sb(h_s), beta=1.0)
+        pi_sb = gibbs_mat(sched.h_sb(h_s), beta=1.0)
         records, states = evaluate_process_tensor(sched, pi_sb, [2.5])[2.5]
         assert records == [()] and states.shape == (1, 2, 2)
         np.testing.assert_allclose(states[0], ptrace_factors(pi_sb, [2, 2], [0]), atol=1e-11)

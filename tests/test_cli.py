@@ -85,6 +85,25 @@ class TestVerifyCommand:
         rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
         assert "value=nan" in rows["branch-positivity"] and "FAIL" in rows["branch-positivity"]
 
+    @pytest.mark.parametrize("extra", [{}, {
+        "bath": {"dim": 2, "hamiltonian": {"diag": [-800.0, 0.5]}},
+        "coupling": {"pauli": "XX", "coeff": 0.3},
+        "report_times": [0.5, 1.0],
+        "steps": [{"time": 0.4, "instrument": {"outcomes": [
+            {"label": "g", "kraus": [[[1.0, 0.0], [0.0, 0.0]]]},
+            {"label": "e", "kraus": [[[0.0, 0.0], [0.0, 1.0]]]}]}}]}],
+        ids=["no-steps", "coupled-measured"])
+    def test_gibbs_start_far_below_zero_passes(self, tmp_path, capsys, extra):
+        # Z = exp(800) is past the float range; the state and ln Z are not
+        path = tmp_path / "low.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "low", "beta": 1.0, "system": {"dim": 2},
+            "system_hamiltonian": {"diag": [-800.0, 0.0]},
+            "time": {"start": 0.0, "end": 1.0}, "report_times": [1.0], **extra}))
+        assert run_cli("verify", "--scenario", str(path)) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "skipped" not in out
+
     def test_unknown_tolerance_rejected(self, capsys):
         code = run_cli("verify", "--scenario",
                        str(SCENARIO_DIR / "equilibrium.yaml"),
@@ -202,25 +221,27 @@ class TestRunCommand:
         assert run_cli("run", "--scenario", scenario, "--mode", "both", "--seed", "7") == 0
         assert capsys.readouterr().out == (out / "report.json").read_text(encoding="utf-8") + "\n"
 
-    def test_process_tensor_mode(self, capsys):
-        code = run_cli("run", "--scenario", str(SCENARIO_DIR / "tpm_qutrit.yaml"),
-                       "--mode", "process-tensor")
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_process_tensor_mode(self, path, capsys):
+        code = run_cli("run", "--scenario", str(path), "--mode", "process-tensor")
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         probs = {}
         for row in doc["records"]:
             probs.setdefault(row["time"], 0.0)
             probs[row["time"]] += row["p"]
+        scenario = parse_scenario(path)
+        assert sorted(probs) == sorted(scenario.report_times)
         for t, total in probs.items():
             assert total == pytest.approx(1.0, abs=1e-10)
         # rows come by report time, then in product order of the alphabets
-        scenario = parse_scenario(SCENARIO_DIR / "tpm_qutrit.yaml")
         sched = build_model(scenario).schedule
         expected = [(t, "|".join(rec) or "-") for t in scenario.report_times
                     for rec in itertools.product(*[
                         sched.alphabet(k) for k, tk in enumerate(sched.times) if tk <= t])]
         assert [(row["time"], row["record"]) for row in doc["records"]] == expected
-        assert len(expected) == 3 + 3 + 9
+        if path.stem == "tpm_qutrit":
+            assert len(expected) == 3 + 3 + 9
 
 
 def z_readouts_from_ground(tmp_path, times=(0.3, 0.6)):
@@ -689,6 +710,21 @@ class TestInputErrors:
         assert lines[0].startswith(f"error: {bad}: cannot load YAML: {message.format(line=line)}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset, message", [
+        ({"zeros": -1}, "system_hamiltonian.zeros: needs a positive dim"),
+        ({"number": {"dim": 2, "spacing": 1e308, "offset": 1e308}},
+         "system_hamiltonian.number: expected finite levels, got offset + 1 * spacing = inf")],
+        ids=["zeros-negative", "number-overflow"])
+    def test_matrix_preset_out_of_range_is_an_input_error(self, tmp_path, capsys,
+                                                          preset, message):
+        out = tmp_path / "out"
+        code = self.verify_patched(tmp_path, "relaxation_two_level.yaml",
+                                   {"system_hamiltonian": preset},
+                                   ("run", "--mode", "both", "--out", str(out)))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_checks_key_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "checks.yaml"
         bad.write_text((SCENARIO_DIR / "equilibrium.yaml").read_text()
@@ -778,6 +814,12 @@ class TestOneParser:
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def subprocess_env(environ=os.environ, **extra):
+    """``environ`` with this checkout's ``src`` leading PYTHONPATH, and ``extra`` set."""
+    return dict(environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [environ.get("PYTHONPATH")] if p]))
+
+
 def ramp_input(tmp_path, monkeypatch, seed=7):
     """perfbench's ``ramp`` input (a qubit on a 32-level bath, D = 64)."""
     spec = importlib.util.spec_from_file_location(
@@ -798,10 +840,8 @@ class TestThreadCount:
         path = ramp_input(tmp_path, monkeypatch)
         bundles = []
         for setting in (None, "1"):
-            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
-            env.update({k: setting for k in BLAS_THREADS if setting is not None})
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+            env = subprocess_env({k: v for k, v in os.environ.items() if k not in BLAS_THREADS},
+                                 **{k: setting for k in BLAS_THREADS if setting is not None})
             out = tmp_path / f"threads-{setting}"
             subprocess.run([sys.executable, "-m", "proctherm.cli", "run", "--scenario",
                             str(path), "--mode", "both", "--seed", "7", "--out", str(out)],
@@ -810,6 +850,17 @@ class TestThreadCount:
         assert sorted(bundles[0]) == ["branches.csv", "ensemble.csv", "report.json"]
         for name in bundles[0]:
             assert bundles[0][name] == bundles[1][name], name
+
+    def test_import_pins_one_blas_thread_unless_the_caller_set_a_count(self):
+        # a BLAS that does not split its sums at D = 64 passes the test
+        # above without the pin; the pin itself is checked here
+        env = subprocess_env({k: v for k, v in os.environ.items() if k not in BLAS_THREADS},
+                             OMP_NUM_THREADS="3")
+        script = ("import json, os, proctherm; "
+                  f"print(json.dumps([os.environ.get(k) for k in {BLAS_THREADS!r}]))")
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert json.loads(out) == ["1", "3", "1"]
 
     def test_bundle_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
         # on one CPU every D = 64 spectrum is computed on the calling thread;
@@ -862,7 +913,57 @@ for path, out in {[(str(p), str(tmp_path / p.stem)) for p in SCENARIO_DIR.glob("
 assert threading.active_count() == before == 1, threading.enumerate()
 assert "concurrent.futures" not in sys.modules
 """
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        subprocess.run([sys.executable, "-c", script], env=subprocess_env(), check=True)
         assert len(list(tmp_path.iterdir())) == 5
+
+
+# runs each argv of the JSON list argv[1] through cli.main in this process,
+# and prints each one's exit code, stdout and stderr as JSON
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+from proctherm.cli import main
+log = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    log.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(log))
+"""
+
+
+class TestHashSeed:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # every command on every shipped scenario, in two processes whose
+        # str and tuple hashes differ; each writes under its own working
+        # directory, so the paths it prints are the same
+        commands = []
+        for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+            n_steps = len(yaml.safe_load(path.read_text()).get("steps") or [])
+            for name, argv in [("both", ["run", "--mode", "both"]), ("verify", ["verify"]),
+                               ("process-tensor", ["run", "--mode", "process-tensor"]),
+                               ("equiv", ["equiv"]),
+                               *[("dilate", ["dilate", "--step", str(k)])
+                                 for k in range(n_steps)]]:
+                commands.append([*argv, "--scenario", str(path), "--seed", "7",
+                                 "--out", f"{path.stem}/{name}"])
+        procs = {}
+        for seed in ("1", "2"):
+            (tmp_path / seed).mkdir()
+            procs[seed] = subprocess.Popen(
+                [sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], cwd=tmp_path / seed,
+                env=subprocess_env(PYTHONHASHSEED=seed, PYTHONWARNINGS="error::RuntimeWarning"),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        logs, trees = {}, {}
+        for seed, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, stderr
+            logs[seed] = json.loads(stdout), stderr
+            assert [code for _, code, _, _ in logs[seed][0]] == [0] * len(commands)
+            trees[seed] = {p.relative_to(tmp_path / seed).as_posix(): p.read_bytes()
+                           for p in sorted((tmp_path / seed).rglob("*")) if p.is_file()}
+        assert len(commands) == 5 * 4 + 8
+        assert len(trees["1"]) == 5 * (3 + 3 + 1 + 1) + 8
+        assert logs["1"] == logs["2"]
+        assert sorted(trees["1"]) == sorted(trees["2"])
+        assert [name for name in trees["1"] if trees["1"][name] != trees["2"][name]] == []

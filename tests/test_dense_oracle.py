@@ -57,7 +57,7 @@ def model_spec():
                 "instrument": Instrument([("a", CPMap(("S",), [unsharp[0]])),
                                           ("b", CPMap(("S",), [unsharp[1]]))])},
                {"time": 1.5, "h_ancilla": H_A1,
-                "collision": {"ancilla_state": gibbs_mat(H_A1, BETA)[0],
+                "collision": {"ancilla_state": gibbs_mat(H_A1, BETA),
                               "unitary": partial_swap,
                               "projectors": [np.outer(PHI, PHI.conj()),
                                              np.outer(PHI_PERP, PHI_PERP.conj())],

@@ -56,7 +56,7 @@ def model_spec():
                               "projectors": [P_A, np.diag([0.0, 1.0, 1.0]).astype(complex)],
                               "labels": ["a", "b"]}},
                {"time": 1.1, "h_ancilla": H_A1, "window": 0.35,
-                "collision": {"ancilla_state": gibbs_mat(H_A1, BETA)[0],
+                "collision": {"ancilla_state": gibbs_mat(H_A1, BETA),
                               "unitary": expm_herm(unitary_log_generator(swap), -0.6j),
                               "projectors": [np.outer(PHI, PHI.conj()),
                                              np.outer(PHI_PERP, PHI_PERP.conj())],

@@ -146,12 +146,12 @@ class TestThermodynamicReduction:
                 + embed_factors(h_anc, [2], [2, 2, 2, 2]))
         # reference for the total state: thermal state of the full Hamiltonian
         # (nothing acts on the dephaser, so it factorizes as the flat state)
-        sigma_tot = gibbs_mat(embed_factors(h_xb, [0, 1, 2, 3], dims), model.beta)[0]
+        sigma_tot = gibbs_mat(embed_factors(h_xb, [0, 1, 2, 3], dims), model.beta)
         d_tot = relative_entropy_mat(rho, sigma_tot)
         # reference for the supersystem: its mean-force thermal state
         h_star = mean_force(h_xb, [2, 2, 2, 2], [0, 2, 3], model.beta, h_b)[0]
         rho_x = ptrace_factors(rho, dims, [0, 2, 3])
-        d_x = relative_entropy_mat(rho_x, gibbs_mat(h_star, model.beta)[0])
+        d_x = relative_entropy_mat(rho_x, gibbs_mat(h_star, model.beta))
         sigma_literal = d_tot - d_x
         ev = ThermoEvaluator(result)
         snap = result.snapshots[-1]

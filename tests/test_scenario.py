@@ -122,6 +122,17 @@ class TestParsing:
         np.testing.assert_allclose(sc.spec["protocol"].base[0].h_system,
                                    np.diag([0.0, 0.7]))
 
+    def test_complex_pauli_coeff_is_kept(self):
+        # i Z is unitary, so it is a Kraus operator on its own; on a
+        # Hamiltonian the same preset is anti-Hermitian and refused
+        sc = parse_scenario_dict(minimal(steps=[{"time": 0.5, "instrument": {"outcomes": [
+            {"label": "u", "kraus": [{"pauli": "Z", "coeff": "0+1i"}]}]}}]))
+        (_, cp), = sc.spec["steps"][0]["instrument"].outcomes
+        np.testing.assert_array_equal(cp.kraus[0], np.diag([1j, -1j]))
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_dict(minimal(system_hamiltonian={"pauli": "Z", "coeff": "0+1i"}))
+        assert str(err.value) == "system_hamiltonian: matrix must be Hermitian"
+
     def test_named_matrix_reference(self):
         sc = parse_scenario_dict(minimal(
             matrices={"H": {"diag": [0.0, 2.0]}},

@@ -86,7 +86,7 @@ class TestMeanForce:
         # H* is the same multiple of the identity, the reduced state flat
         h_star = mean_force(0.4 * np.eye(4), [2, 2], [0], 0.8)[0]
         np.testing.assert_allclose(h_star, 0.4 * np.eye(2), atol=1e-10)
-        pi = np.linalg.eigvalsh(gibbs_mat(h_star, 0.8)[0])
+        pi = np.linalg.eigvalsh(gibbs_mat(h_star, 0.8))
         np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
 
     def test_reduced_gibbs_state_identity(self):
@@ -94,9 +94,9 @@ class TestMeanForce:
         beta = 1.0
         h_xb, _, h_b = self.coupled(0.5, beta)
         h_star, _, ln_z_star = mean_force(h_xb, [2, 2], [0], beta, h_b)
-        pi_xb, _ = gibbs_mat(h_xb, beta)
+        pi_xb = gibbs_mat(h_xb, beta)
         reduced = ptrace_factors(pi_xb, [2, 2], [0])
-        model_side = gibbs_mat(h_star, beta)[0]
+        model_side = gibbs_mat(h_star, beta)
         np.testing.assert_allclose(reduced, model_side, atol=1e-10)
         # and the partition normalization Z* = Z_XB / Z_B
         z_ratio = math.exp(log_partition(h_xb, beta) - log_partition(h_b, beta))
@@ -233,7 +233,7 @@ def ancilla_energy_model():
         h_bath=np.diag([0.0, 0.9]), v_coupling=0.3 * np.kron(SX, SX),
         steps=[{"time": 0.3, "instrument": projective_z()},
                {"time": 1.0,
-                "collision": {"ancilla_state": gibbs_mat(np.diag([0.0, eps]), 1.0)[0],
+                "collision": {"ancilla_state": gibbs_mat(np.diag([0.0, eps]), 1.0),
                               "unitary": u_partial,
                               "projectors": [PLUS, MINUS],
                               "labels": ("+", "-")},
@@ -308,7 +308,7 @@ class TestFirstLaw:
         from proctherm.protocol import discretize_ramp
         h0 = np.diag([0.0, 1.0])
         h1 = np.diag([0.0, 1.0]) + 0.5 * SX
-        rho0 = gibbs_mat(h0, 1.0)[0]
+        rho0 = gibbs_mat(h0, 1.0)
         works = {}
         for n in (10, 1000):
             segs = discretize_ramp(h0, h1, 0.0, 1.0, n)
@@ -389,7 +389,7 @@ class TestMeasurementWorkConventions:
             s_dim=2, b_dim=1, beta=1.0,
             protocol=Protocol([Segment(0.0, 1.0, np.diag([0.0, 1.0]))]),
             steps=[{"time": 0.5,
-                    "collision": {"ancilla_state": gibbs_mat(np.diag([0.0, eps]), 1.0)[0],
+                    "collision": {"ancilla_state": gibbs_mat(np.diag([0.0, eps]), 1.0),
                                   "unitary": np.eye(4)[[0, 2, 1, 3]].astype(complex),
                                   "projectors": [P0, P1]},
                     "h_ancilla": np.diag([0.0, eps])}],
@@ -460,7 +460,7 @@ class TestMeasurementWorkConventions:
             s_dim=2, b_dim=1, beta=1.0,
             protocol=Protocol([Segment(0.0, 1.0, np.diag([0.0, 1.3]))]),
             steps=[{"time": 0.5,
-                    "collision": {"ancilla_state": gibbs_mat(np.diag([0.0, eps]), 1.0)[0],
+                    "collision": {"ancilla_state": gibbs_mat(np.diag([0.0, eps]), 1.0),
                                   "unitary": u_partial,
                                   "projectors": [PLUS, MINUS]},
                     "h_ancilla": np.diag([0.0, eps])}],
@@ -501,7 +501,7 @@ class TestTwoPointMeasurement:
         from proctherm.algebra import expm_herm
         u = expm_herm(h1, -1j * 0.4) @ expm_herm(h_mid, -1j * 0.4) \
             @ expm_herm(h0, -1j * 0.4)
-        pi0 = gibbs_mat(h0, 1.0)[0]
+        pi0 = gibbs_mat(h0, 1.0)
         e0, e1 = np.diag(h0).real, np.diag(h1).real
         expected = {}
         for i in range(3):
@@ -564,7 +564,7 @@ class TestSingularControlWork:
             g = 0.3 + 0.2 * rng.random()
             v = g * np.kron(SX, SX)
             gen = random_hermitian(rng, 4)   # control generator on S (x) A
-            sb0 = gibbs_mat(np.kron(h_s, np.eye(2)) + np.kron(np.eye(2), h_b) + v, 1.0)[0]
+            sb0 = gibbs_mat(np.kron(h_s, np.eye(2)) + np.kron(np.eye(2), h_b) + v, 1.0)
 
             def window_work(width):
                 from proctherm.algebra import expm_herm
@@ -607,7 +607,7 @@ class TestStandaloneOps:
         h_s = np.diag([0.0, 1.0])
         (excited,) = decoupled_rows(P1)
         assert excited.u == pytest.approx(1.0, abs=1e-10)
-        pi = gibbs_mat(h_s, 1.0)[0]
+        pi = gibbs_mat(h_s, 1.0)
         expected = float(np.real(np.trace(h_s @ pi)))
         (thermal,) = decoupled_rows(pi)
         assert thermal.u == pytest.approx(expected, abs=1e-10)

@@ -1,12 +1,13 @@
 """Tests for the verification suite itself."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from proctherm import dilation
-from proctherm.scenario import build_model, parse_scenario_dict
+from proctherm.scenario import build_model, parse_scenario, parse_scenario_dict
 from proctherm.simulate import Simulator
 from proctherm.thermo import evaluate_run
 from proctherm.tolerances import DEFAULT, Tolerances
@@ -15,6 +16,8 @@ from proctherm.verify import run_verified, verify_model
 
 from ledger_edits import with_state
 from oracles import random_unitary, shift_matrix
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scenario_dict():
@@ -303,3 +306,52 @@ class TestTolerances:
         with pytest.raises(KeyError):
             Tolerances().replaced(bogus=1.0)
         assert "first_law" in tol.as_dict()
+
+
+def measurement_work_run(prune=1e-14):
+    """The model of ``measurement_work.yaml`` (energetic ancilla, two
+    readouts whose work conventions split per record) and its run."""
+    scenario = parse_scenario(SCENARIO_DIR / "measurement_work.yaml")
+    model = build_model(scenario)
+    return model, run_verified(model, scenario.report_times, prune=prune, max_branches=256)
+
+
+def failed_checks(model, result):
+    checks = verify_model(model, result, rng=np.random.default_rng(0))
+    return {c.name for c in checks if not c.passed}
+
+
+class TestNegativeControls:
+    # each edit of a finished run breaks what one check reads, and the
+    # check fails; every other verdict stays as it was
+    def test_scaled_step_unitary_fails_dilation_unitarity(self):
+        model, result = measurement_work_run()
+        assert failed_checks(model, result) == set()
+        spec = model.steps[1]
+        (prefix, (hw, readout)), = spec.controls.items()
+        scaled = dataclasses.replace(hw, unitary=(1 + 1e-6) * hw.unitary)
+        steps = (model.steps[0], dataclasses.replace(spec, controls={prefix: (scaled, readout)}))
+        # the scaled unitary no longer realizes the declared Kraus operators
+        assert failed_checks(dataclasses.replace(model, steps=steps), result) == {
+            "dilation-unitarity", "dilation-reconstruction"}
+
+    def test_flipped_knowledge_update_work_fails_convention_average(self):
+        # step 1's two conventions agree record by record, at nonzero work
+        model, result = measurement_work_run()
+        assert failed_checks(model, result) == set()
+        first, trace = result.traces
+        assert np.abs(trace.w_meas_alt).min() > 0.01
+        flipped = dataclasses.replace(trace, w_meas_alt=-trace.w_meas_alt)
+        assert failed_checks(model, dataclasses.replace(result, traces=(first, flipped))) == {
+            "work-convention-average"}
+
+    def test_unbooked_pruned_mass_fails_record_probabilities_sum(self):
+        # a threshold of 0.2 drops two of the four final records; the
+        # ensemble identities already fail over the records that are left
+        model, result = measurement_work_run(prune=0.2)
+        assert len(result.final.records) == 2 and result.final.pruned_mass > 0.3
+        before = failed_checks(model, result)
+        assert before == {"work-energy-budget", "entropy-production-forms"}
+        final = dataclasses.replace(result.final, pruned_mass=0.0)
+        assert failed_checks(model, dataclasses.replace(result, final=final)) == before | {
+            "record-probabilities-sum"}
