@@ -11,19 +11,22 @@ unit), storage is dense row-major complex, and the Hermitian
 eigendecomposition is the canonical route for matrix exponentials,
 logarithms and entropies.
 
-:func:`eigh_all` diagonalizes a batch of matrices whose spectra are all
-needed before the next one is used.  A batch of large matrices is split
-between the calling thread and one worker thread, started on the first such
-batch (and again in a forked child); every result is bitwise what ``np.linalg.eigh`` returns, whichever
-thread computes it, so outputs do not depend on the CPU count.
+:func:`eigh_ahead` diagonalizes a batch of matrices ahead of their use.
+A batch of large matrices goes to one worker thread, started on the first
+such batch (and again in a forked child), which works through it front to
+back while the caller goes on; the caller computes any matrix the worker
+has not reached when it asks for it.  Every result is bitwise what
+``np.linalg.eigh`` returns, whichever thread computes it, so outputs do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +42,7 @@ __all__ = [
     "embed_factors",
     "ptrace_factors",
     "expm_herm",
-    "eigh_all",
+    "eigh_ahead",
     "unitary_log_generator",
     "vn_entropy_mat",
     "gibbs_mat",
@@ -124,6 +127,8 @@ def embed_factors(mat: np.ndarray, positions: Sequence[int], dims: Sequence[int]
     # mat (x) 1 by broadcasting; np.kron costs more than this at small sizes
     big = (mat[:, None, :, None] * np.eye(d_rest)[:, None, :]).reshape(d, d)
     cur = list(positions) + rest           # factor order of `big`
+    if cur == list(range(len(dims))):     # already in order, and a fresh array
+        return big
     perm = [cur.index(i) for i in range(len(dims))]
     return reorder_factors(big, [dims[i] for i in cur], perm)
 
@@ -159,64 +164,183 @@ def expm_herm(h: np.ndarray | None, scale: complex = 1.0,
     return (v * np.exp(scale * w)) @ v.conj().T
 
 
-# A batch is split between two threads only when every matrix has at least
-# this dimension.  Median times for one pair of random Hermitian matrices,
-# serial / split, on a shared 2-vCPU Xeon host (NumPy 2.4, OpenBLAS 0.3.31
-# with one thread): d=8 54 / 112 us, d=16 130 / 152 us, d=24 297 / 288 us,
-# d=32 395 / 277 us, d=64 1830 / 999 us.  Below d=32 the hand-off to the
-# worker costs about what the second core saves.
+# A batch is handed to the worker only when every matrix has at least this
+# dimension.  Median times for one pair of random Hermitian matrices,
+# serial / on two threads, on a shared 2-vCPU Xeon host (NumPy 2.4,
+# OpenBLAS 0.3.31 with one thread): d=8 54 / 112 us, d=16 130 / 152 us,
+# d=24 297 / 288 us, d=32 395 / 277 us, d=64 1830 / 999 us.  Below d=32 the
+# hand-off to the worker costs about what the second core saves.
 EIGH_SPLIT_DIM = 32
 
 _EIGH = np.linalg.eigh    # NumPy's own solver, the only one the worker calls
 _worker = None
+# Every claim on a batch's matrices is made under this lock, and records the
+# epoch it was made in.  A forked child starts a new epoch with a new lock:
+# the parent's worker thread is not in the child, so a claim of an earlier
+# epoch holds nothing.
+_lock = threading.Lock()
+_finished = threading.Condition(_lock)
+_epoch = 0
 
 
-def _forget_worker() -> None:
-    # a forked child has no copy of the worker's thread: it starts its own
-    global _worker
+def _after_fork_in_child() -> None:
+    global _worker, _lock, _finished, _epoch
     _worker = None
+    _lock = threading.Lock()
+    _finished = threading.Condition(_lock)
+    _epoch += 1
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    # the lock is held across fork(), so no batch is forked in mid-claim
+    os.register_at_fork(before=lambda: _lock.acquire(),
+                        after_in_parent=lambda: _lock.release(),
+                        after_in_child=_after_fork_in_child)
+
+
+def _quota_cpus(cpu_max: str) -> int | None:
+    """Whole CPUs a cgroup CPU quota allows, at least 1, from the text of a
+    cgroup v2 ``cpu.max`` file ("<quota> <period>" or "max <period>"); a
+    cgroup v1 quota reads as its ``cpu.cfs_quota_us`` and
+    ``cpu.cfs_period_us`` joined by a space.  None when there is no quota
+    ("max", a negative quota, or no text)."""
+    fields = cpu_max.split()
+    if len(fields) != 2 or fields[0] == "max" or int(fields[0]) < 0:
+        return None
+    return max(1, int(fields[0]) // int(fields[1]))
+
+
+def _cgroup_cpu_max() -> str:
+    """The CPU quota of the cgroup mounted at /sys/fs/cgroup (v2, else v1),
+    as :func:`_quota_cpus` reads it; "" when no such file is readable.  In
+    a container that is the container's own cgroup; a quota set on a cgroup
+    below the mount root, or on an ancestor, is not seen."""
+    def read(name):
+        with open("/sys/fs/cgroup/" + name, encoding="ascii") as f:
+            return f.read().strip()
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"],
+                  ["cpu,cpuacct/cpu.cfs_quota_us", "cpu,cpuacct/cpu.cfs_period_us"]):
+        try:
+            return " ".join([read(name) for name in names])
+        except OSError:
+            pass
+    return ""
 
 
 def _cpu_count() -> int:
-    # On one CPU the split gains no time and its thread costs memory: the
+    # On one CPU the worker gains no time and its thread costs memory: the
     # benchmark's ramp workload pinned to one CPU of the host above, 10
-    # pairs of 8 s runs, serial / split, read op_s.median 0.269 / 0.276 s
-    # and peak RSS 67.6 / 69.6 MB.  A CPU quota of a cgroup is not seen.
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    # pairs of 8 s runs, serial / on two threads, read op_s.median 0.269 /
+    # 0.276 s and peak RSS 67.6 / 69.6 MB.  A CPU quota below two CPUs counts
+    # as one, so a throttled process does not contend with its own worker.
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if n >= 2:
+        try:
+            n = min(n, _quota_cpus(_cgroup_cpu_max()) or n)
+        except ValueError:    # text that is not a quota
+            pass
+    return n
 
 
-def eigh_all(mats: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eigenpairs (w, v) of each Hermitian matrix of ``mats``, in order,
-    each bitwise what ``np.linalg.eigh`` returns for it.
+class _Batch:
+    __slots__ = ("items", "back")
+
+    def __init__(self, mats: list[np.ndarray]):
+        self.items = [Eigh(self, m) for m in mats]
+        self.back = len(mats) - 1
+
+    def last_free(self) -> Eigh | None:
+        """The last matrix nobody has claimed; the caller holds ``_lock``."""
+        while self.back >= 0 and not self.items[self.back]._free():
+            self.back -= 1
+        return self.items[self.back] if self.back >= 0 else None
+
+
+class Eigh:
+    """The eigenpairs of one matrix of an :func:`eigh_ahead` batch, as
+    :meth:`result` returns them once they are computed."""
+
+    __slots__ = ("_batch", "_mat", "_claim", "_eig", "_error")
+
+    def __init__(self, batch: _Batch | None, mat: np.ndarray | None, eig=None):
+        self._batch, self._mat, self._claim, self._eig, self._error = batch, mat, None, eig, None
+
+    def _free(self) -> bool:
+        # not computed, and no thread of this epoch computing it
+        return self._mat is not None and self._claim != _epoch
+
+    def _compute(self) -> None:
+        # outside the lock, on a matrix this thread has claimed; the input
+        # and the batch are dropped once the result is in
+        try:
+            eig, error = _EIGH(self._mat), None
+        except Exception as exc:    # raised where the result is asked for
+            eig, error = None, exc
+        except BaseException:       # an interrupt: the matrix is free again
+            with _lock:
+                self._claim = None
+                _finished.notify_all()
+            raise
+        with _lock:
+            self._eig, self._error, self._mat, self._batch = eig, error, None, None
+            _finished.notify_all()
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenpairs (w, v), bitwise what ``np.linalg.eigh`` returns for
+        the matrix; the exception it raised, if it raised one.
+
+        Computed on this thread when nobody has claimed the matrix yet.
+        While the worker computes it, this thread computes the batch's last
+        unclaimed matrix instead, and waits only when none is left."""
+        while True:
+            with _lock:
+                if self._mat is None:
+                    break
+                item = self if self._free() else self._batch.last_free()
+                if item is None:
+                    _finished.wait()
+                    continue
+                item._claim = _epoch
+            item._compute()
+        if self._error is not None:
+            raise self._error
+        return self._eig
+
+
+def _work(batch: _Batch) -> None:
+    # the worker: every matrix of the batch nobody has claimed, front to back
+    for item in batch.items:
+        with _lock:
+            if not item._free():
+                continue
+            item._claim = _epoch
+        item._compute()
+
+
+def eigh_ahead(mats: Iterable[np.ndarray]) -> list[Eigh]:
+    """One :class:`Eigh` handle per Hermitian matrix of ``mats``, in order,
+    each resolving to bitwise what ``np.linalg.eigh`` returns for it.
 
     With at least two matrices of dimension ``EIGH_SPLIT_DIM`` or more and
-    at least two usable CPUs, the caller diagonalizes the even-indexed
-    matrices while one worker thread, created on first use, does the odd
-    ones.  The worker only returns arrays.  When ``np.linalg.eigh`` is not
-    NumPy's own solver (a wrapper put in its place), every matrix is
-    diagonalized by it on the calling thread, in order."""
+    at least two usable CPUs, the batch is handed to one worker thread,
+    created on first use, which diagonalizes the matrices front to back
+    while the caller goes on; :meth:`Eigh.result` takes what the worker
+    has done and computes on the caller what it has not reached.  Otherwise,
+    and whenever ``np.linalg.eigh`` is not NumPy's own solver (a wrapper put
+    in its place), every matrix is diagonalized by ``np.linalg.eigh`` here,
+    on the calling thread, in order."""
     global _worker
     mats = list(mats)
     eigh = np.linalg.eigh
     if (len(mats) < 2 or eigh is not _EIGH
             or min(m.shape[-1] for m in mats) < EIGH_SPLIT_DIM or _cpu_count() < 2):
-        return [eigh(m) for m in mats]
+        return [Eigh(None, None, eigh(m)) for m in mats]
+    batch = _Batch(mats)
     if _worker is None:
         from concurrent.futures import ThreadPoolExecutor
         _worker = ThreadPoolExecutor(1, thread_name_prefix="eigh")
-    odd = _worker.submit(lambda: [_EIGH(m) for m in mats[1::2]])
-    out: list = [None] * len(mats)
-    try:
-        out[0::2] = [_EIGH(m) for m in mats[0::2]]
-    finally:    # the worker is idle again whenever this returns or raises
-        out[1::2] = odd.result()
-    return out
+    _worker.submit(_work, batch)
+    return batch.items
 
 
 def unitary_log_generator(u: np.ndarray) -> np.ndarray:

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .algebra import (
+    Eigh,
     dagger,
-    eigh_all,
+    eigh_ahead,
     embed_factors,
     expm_herm,
     max_norm,
@@ -177,11 +179,15 @@ class InterventionSchedule:
     def instrument_at(self, k: int, prefix: Sequence[str]) -> Instrument:
         return deepest_prefix(self.feedback.get(k, {}), prefix, self.instruments[k])
 
+    @cached_property
+    def _bath_sb(self) -> np.ndarray | None:
+        return None if self.h_bath is None else embed_factors(self.h_bath, [1], self.sb_dims)
+
     def h_sb(self, h_system: np.ndarray) -> np.ndarray:
         """Full system-bath Hamiltonian for a given system term."""
         h = embed_factors(h_system, [0], self.sb_dims)
-        if self.h_bath is not None:
-            h = h + embed_factors(self.h_bath, [1], self.sb_dims)
+        if self._bath_sb is not None:
+            h = h + self._bath_sb
         if self.v_coupling is not None:
             h = h + self.v_coupling
         return h
@@ -205,9 +211,10 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     its propagator over an interval from that spectrum where it applies it.
     Only a split changes the families, so an advance slices each family's
     timeline up to the end of its stretch, the next step the walk reaches
-    (or else the last time), and the first advance of a stretch
-    diagonalizes every segment the stretch meets as one :func:`eigh_all`
-    batch.
+    (or else the last time).  The first advance of a stretch hands every
+    segment the stretch meets to :func:`eigh_ahead` as one batch, and each
+    segment's handle is resolved where its propagator is formed, so the
+    spectra further along are computed while the families evolve.
     """
     dims = schedule.sb_dims
     d = dims[0] * dims[1]
@@ -217,7 +224,7 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     protocol = schedule.protocol
     declared = [*protocol.variants, *(p for table in schedule.feedback.values() for p in table)]
     nodes = {p[:i] for p in [(), *declared] for i in range(len(p) + 1)}
-    spectra: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
+    spectra: dict[Segment, Eigh] = {}
 
     def evolve(families, t_from, t_to):
         end = times[-1]
@@ -227,13 +234,13 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
         missing = dict.fromkeys(seg for family in slices for seg, _, _ in family
                                 if seg not in spectra)
         if missing:
-            spectra.update(zip(missing, eigh_all(schedule.h_sb(seg.h_system) for seg in missing)))
+            spectra.update(zip(missing, eigh_ahead(schedule.h_sb(seg.h_system) for seg in missing)))
         out = []
         for (node, records, keys, mats), family in zip(families, slices):
             for seg, a, b in family:
                 b = min(b, t_to)
                 if before(a, b):
-                    u = expm_herm(None, -1j * (b - a), eig=spectra[seg])
+                    u = expm_herm(None, -1j * (b - a), eig=spectra[seg].result())
                     mats = u @ mats @ dagger(u)
             out.append((node, records, keys, mats))
         return out

@@ -42,10 +42,11 @@ where rows are emitted.
 Only a step changes the groups and their nodes, so :meth:`Simulator.run`
 knows every S B drive value the groups will meet from the start or a
 readout to the next step (after the last step, to the last report time).
-It diagonalizes the ones the model has no spectrum of yet as one
-:func:`~proctherm.algebra.eigh_all` batch before evolving the groups
-(:meth:`AutonomousModel.diagonalize`).  A control window's spectra are
-computed where the window uses them.
+Before evolving the groups it hands the ones the model has no spectrum of
+yet to :func:`~proctherm.algebra.eigh_ahead` as one batch
+(:meth:`AutonomousModel.diagonalize`), whose worker computes them while
+the groups evolve; each is resolved where it is first read.  A control
+window's spectra are computed where the window uses them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import numpy as np
 
 from .algebra import (
     dagger,
-    eigh_all,
+    eigh_ahead,
     embed_factors,
     expect_herm,
     expm_herm,
@@ -431,26 +432,29 @@ class AutonomousModel:
                  window: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs (w, v) of :meth:`_Space.hamiltonian` on ``labels``,
         computed once per (labels, window, drive value); the drive and the
-        window count only on a block that holds S."""
+        window count only on a block that holds S.  A handle that
+        :meth:`diagonalize` stored is resolved here, on first read."""
         if "S" not in labels:
             h_system, window = None, None
         key = self._spectrum_key(labels, h_system, window)
         eig = self._spectra.get(key)
-        if eig is None:
-            h = self.space(labels).hamiltonian(labels, h_system, window)
-            eig = self._spectra[key] = tuple(_frozen(a) for a in np.linalg.eigh(h))
+        if type(eig) is not tuple:    # none yet, or an ahead-of-use handle
+            eig = eig.result() if eig is not None else np.linalg.eigh(
+                self.space(labels).hamiltonian(labels, h_system, window))
+            eig = self._spectra[key] = tuple(_frozen(a) for a in eig)
         return eig
 
     def diagonalize(self, drives: Iterable[np.ndarray]) -> None:
-        """Compute the S B spectra of :meth:`spectrum` at every drive value
-        of ``drives`` that has none yet, as one :func:`eigh_all` batch."""
+        """Hand the S B Hamiltonian of :meth:`spectrum` at every drive value
+        of ``drives`` that has no spectrum yet to :func:`eigh_ahead` as one
+        batch, and store the handles; :meth:`spectrum` resolves each on
+        first read, so the spectra are computed while the groups evolve."""
         labels, missing = ("S", "B"), {}
         for h_system in drives:
             key = self._spectrum_key(labels, h_system)
             if key not in self._spectra and key not in missing:
                 missing[key] = self.space(labels).hamiltonian(labels, h_system)
-        for key, eig in zip(missing, eigh_all(missing.values())):
-            self._spectra[key] = tuple(_frozen(a) for a in eig)
+        self._spectra.update(zip(missing, eigh_ahead(missing.values())))
 
     @cached_property
     def ancilla_terms(self) -> dict[str, np.ndarray]:

@@ -917,6 +917,43 @@ assert "concurrent.futures" not in sys.modules
         assert len(list(tmp_path.iterdir())) == 5
 
 
+class TestSpectraAhead:
+    @pytest.mark.usefixtures("deadline")
+    def test_each_drive_value_is_diagonalized_once_per_route_on_two_threads(
+            self, tmp_path, monkeypatch):
+        # TestThreadCount's count on ramp, with each batch handed to the
+        # worker: one counting solver in place of numpy's and the worker's
+        # sees every drive value once, whichever thread computes it
+        import proctherm.algebra as algebra
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(algebra, "_cgroup_cpu_max", lambda: "")
+        path = ramp_input(tmp_path, monkeypatch)
+        calls = []
+        solver = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a)
+            return solver(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(algebra, "_EIGH", counting)
+
+        def settled():
+            # the calls so far, once the worker has finished its batches
+            if algebra._worker is not None:
+                algebra._worker.submit(lambda: None).result(timeout=60)
+            return len(calls)
+
+        scen = parse_scenario(str(path))
+        model = build_model(scen)
+        setup = settled()
+        result = run_verified(model, scen.report_times, prune=1e-14, max_branches=4096)
+        assert algebra._worker is not None
+        run = settled() - setup
+        equivalence_rows(model, result)
+        assert (setup, run, settled() - setup - run) == (1, 49, 50)
+
+
 # runs each argv of the JSON list argv[1] through cli.main in this process,
 # and prints each one's exit code, stdout and stderr as JSON
 RUN_COMMANDS = """
