@@ -135,16 +135,26 @@ def embed_factors(mat: np.ndarray, positions: Sequence[int], dims: Sequence[int]
 
 @lru_cache(maxsize=1024)
 def _ptrace_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[tuple, int]:
-    """The axis pairs ``ptrace_factors`` traces, in order (last factor
-    first; batch axes not counted), and the dimension it keeps."""
-    k = len(dims)
-    traced = sorted(set(range(k)) - set(keep), reverse=True)
-    return tuple((i, i + k - n) for n, i in enumerate(traced)), math.prod(dims[i] for i in keep)
+    """The axis pairs ``ptrace_factors`` traces, in order (batch axes not
+    counted), and the dimension it keeps.  The largest traced factor goes
+    first, ties to the later one: a trace over a factor of dimension d
+    reads 1/d of its input and leaves 1/d^2, so the largest first reads
+    least.  Each pair is (row axis, column axis) of the array as it stands
+    after the traces before it."""
+    left = list(range(len(dims)))
+    axes = []
+    for i in sorted(set(left) - set(keep), key=lambda i: (dims[i], i), reverse=True):
+        a = left.index(i)
+        axes.append((a, a + len(left)))
+        left.remove(i)
+    return tuple(axes), math.prod(dims[i] for i in keep)
 
 
 def ptrace_factors(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace over all factors not listed in ``keep``; axes before
-    the last two are batch axes, kept as they are."""
+    the last two are batch axes, kept as they are.  The kept factors stay
+    in their order in ``dims``; the traced ones go largest first
+    (:func:`_ptrace_plan`)."""
     dims = tuple(dims)
     axes, d = _ptrace_plan(dims, tuple(keep))
     lead = mat.shape[:-2]

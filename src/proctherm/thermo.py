@@ -49,7 +49,6 @@ from .algebra import (
     expect_herm,
     log_partition,
     logsumexp,
-    ptrace_factors,
     vn_entropy_mat,
 )
 from .simulate import BranchGroup, RunResult, Snapshot
@@ -99,14 +98,27 @@ def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
     with the Daleckii-Krein derivative D ln M[X] = V ((V' X V) o K) V' in
     M's eigenbasis, K from :func:`_log_divided_differences`.  Raises
     :class:`ConventionError` when M's lowest eigenvalue underflows (at or
-    below 1e-300): its logarithm would no longer be H*."""
+    below 1e-300): its logarithm would no longer be H*.
+
+    e^{-beta H_XB} is never formed.  M = sum_k c_k tr_B |v_k><v_k| and M'
+    are one matrix product: v's rows split into (X factors, traced
+    factors), the columns weighted by c = e^{-beta (w - w0)} and by
+    -(w - w0) c, contracted with conj(v) over the traced factors and the
+    eigen-index, 2 d_X D^2 multiply-adds for D = dim H_XB."""
     w, v = eig
     ln_z_bath, e_bath = bath
     w0 = float(w[0])
     boltz = np.exp(-beta * (w - w0))
-    m0 = ptrace_factors((v * boltz) @ v.conj().T, dims, x_pos)
+    k = len(dims)
+    kept = sorted(x_pos)
+    d_x = math.prod(dims[i] for i in kept)
+    # rows (kept factors, traced factors), then the eigen-index
+    v_x = v.reshape(tuple(dims) + (-1,)).transpose(
+        kept + [i for i in range(k) if i not in kept] + [k]).reshape(d_x, -1, len(w))
+    weights = np.stack([boltz, -(w - w0) * boltz])
+    both = (v_x * weights[:, None, None]).reshape(2 * d_x, -1) @ v_x.reshape(d_x, -1).conj().T
+    m0, dm = both[:d_x], both[d_x:]
     m0 = 0.5 * (m0 + m0.conj().T)
-    dm = ptrace_factors((v * (-(w - w0) * boltz)) @ v.conj().T, dims, x_pos)
     wm, vm = np.linalg.eigh(m0)
     if not wm[0] > 1e-300:
         raise ConventionError(

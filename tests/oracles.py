@@ -4,9 +4,11 @@ Everything here is deliberately written along a different numerical route
 than the package itself (index loops, Taylor series, superoperators,
 fine-grained slicing) so agreement is meaningful.  The exception is
 :func:`mean_force`, which runs the package's own mean-force pass for tests
-that need H* as an input.  The work statistics and the relative entropy
-are reference quantities the package does not compute itself: tests hold
-its booked kick work and its entropy production against them.
+that need H* as an input; :func:`mean_force_full_product` is the reference
+that pass is tested against, with M = tr_B e^{-beta H} formed as the full
+product and traced by index loops.  The work statistics and the relative
+entropy are reference quantities the package does not compute itself:
+tests hold its booked kick work and its entropy production against them.
 
 :func:`dense_run` is the isolated black box itself: it evolves system,
 bath and every ancilla as one literal S (x) B (x) A_0 (x) ... state from
@@ -180,6 +182,28 @@ def mean_force_dbeta(h_xb: np.ndarray, dims: Sequence[int], h_bath: np.ndarray,
     ratio, dratio = m / z_b, dm / z_b - m * dz_b / z_b ** 2
     wl, vl = np.linalg.eigh(ratio)
     return (vl * np.log(wl)) @ vl.conj().T / beta ** 2 - dlog_daleckii(ratio, dratio) / beta
+
+
+def mean_force_full_product(h_xb: np.ndarray, dims: Sequence[int], keep: Sequence[int],
+                            beta: float, h_bath: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H*, dH*/dbeta) of the factors ``keep`` of ``h_xb`` on ``dims``, with
+    ``h_bath`` the bare Hamiltonian of the other factors, from the full
+    D x D products.  With w0 = min w and c = e^{-beta (w - w0)}, M is
+    ``ptrace_index`` of V diag(c) V' and M' that of V diag(-(w - w0) c) V';
+    ln M comes from ``np.linalg.eigh`` of M, and dH*/dbeta from
+    beta H* = beta w0 + ln Z_B - ln M by :func:`dlog_daleckii`."""
+    w, v = np.linalg.eigh(np.asarray(h_xb, dtype=complex))
+    w0 = w[0]
+    c = np.exp(-beta * (w - w0))
+    m = ptrace_index((v * c) @ v.conj().T, list(dims), list(keep))
+    dm = ptrace_index((v * (-(w - w0) * c)) @ v.conj().T, list(dims), list(keep))
+    w_b = np.linalg.eigvalsh(h_bath)
+    c_b = np.exp(-beta * (w_b - w_b[0]))
+    ln_z_b, e_b = math.log(np.sum(c_b)) - beta * w_b[0], float(c_b @ w_b / np.sum(c_b))
+    wl, vl = np.linalg.eigh(m)
+    eye = np.eye(len(wl))
+    h_star = (w0 + ln_z_b / beta) * eye - (vl * np.log(wl)) @ vl.conj().T / beta
+    return h_star, ((w0 - e_b) * eye - dlog_daleckii(m, dm) - h_star) / beta
 
 
 def mean_force(h_xb: np.ndarray, dims: Sequence[int], keep: Sequence[int], beta: float,

@@ -94,6 +94,22 @@ class TestPartialTrace:
         np.testing.assert_allclose(out, expected, atol=1e-13)
         assert abs(np.trace(out).real - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("dims, keep", [((2, 32, 2, 2), [0]), ((2, 32, 2, 2), [0, 2, 3]),
+                                            ((3, 2, 5, 2), [0, 2])])
+    def test_stack_matches_index_oracle_when_the_largest_traced_factor_is_not_last(
+            self, dims, keep):
+        rng = np.random.default_rng(24)
+        stack = np.stack([random_density(rng, math.prod(dims)) for _ in range(3)])
+        out = ptrace_factors(stack, dims, keep)
+        for got, rho in zip(out, stack):
+            np.testing.assert_allclose(got, ptrace_index(rho, list(dims), keep), atol=1e-13)
+
+    def test_the_largest_traced_factor_goes_first(self):
+        # tracing the bath of a (2, 32, 2, 2) state first reads 1/32 of it,
+        # tracing the last ancilla first reads half
+        axes, d = algebra._ptrace_plan((2, 32, 2, 2), (0,))
+        assert axes[0] == (1, 5) and d == 2
+
     def test_trace_preserved(self):
         rng = np.random.default_rng(23)
         rho = random_density(rng, 8)

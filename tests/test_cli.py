@@ -845,7 +845,7 @@ class TestThreadCount:
             out = tmp_path / f"threads-{setting}"
             subprocess.run([sys.executable, "-m", "proctherm.cli", "run", "--scenario",
                             str(path), "--mode", "both", "--seed", "7", "--out", str(out)],
-                           env=env, check=True, capture_output=True)
+                           env=env, check=True, capture_output=True, timeout=300)
             bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert sorted(bundles[0]) == ["branches.csv", "ensemble.csv", "report.json"]
         for name in bundles[0]:
@@ -859,12 +859,12 @@ class TestThreadCount:
         script = ("import json, os, proctherm; "
                   f"print(json.dumps([os.environ.get(k) for k in {BLAS_THREADS!r}]))")
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True).stdout
+                             capture_output=True, text=True, timeout=300).stdout
         assert json.loads(out) == ["1", "3", "1"]
 
     def test_bundle_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
         # on one CPU every D = 64 spectrum is computed on the calling thread;
-        # on two, each batch is split with a worker thread
+        # on two, a worker thread computes each batch ahead of use
         path = ramp_input(tmp_path, monkeypatch)
         bundles = []
         for cpus in ({0}, {0, 1}):
@@ -900,8 +900,8 @@ class TestThreadCount:
         assert (setup, run, len(calls) - setup - run) == counts
 
     def test_the_shipped_scenarios_start_no_thread(self, tmp_path):
-        # the worker that takes half of a batch starts only on a batch of
-        # matrices of dimension 32 or more; the shipped scenarios have none
+        # the worker that computes a batch ahead of use starts only on a batch
+        # of matrices of dimension 32 or more; the shipped scenarios have none
         script = f"""
 import contextlib, io, sys, threading
 before = threading.active_count()
@@ -913,7 +913,8 @@ for path, out in {[(str(p), str(tmp_path / p.stem)) for p in SCENARIO_DIR.glob("
 assert threading.active_count() == before == 1, threading.enumerate()
 assert "concurrent.futures" not in sys.modules
 """
-        subprocess.run([sys.executable, "-c", script], env=subprocess_env(), check=True)
+        subprocess.run([sys.executable, "-c", script], env=subprocess_env(), check=True,
+                       timeout=300)
         assert len(list(tmp_path.iterdir())) == 5
 
 

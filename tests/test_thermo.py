@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proctherm.algebra import gibbs_mat, log_partition, max_norm, ptrace_factors
+from proctherm.algebra import embed_factors, gibbs_mat, log_partition, max_norm, ptrace_factors
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
 from proctherm.simulate import AutonomousModel, Simulator
@@ -15,6 +15,7 @@ from proctherm.thermo import ConventionError, ThermoEvaluator, evaluate_run
 from oracles import (
     mean_force,
     mean_force_dbeta,
+    mean_force_full_product,
     random_density,
     random_hermitian,
     richardson_halving,
@@ -74,6 +75,37 @@ class TestMeanForce:
         assert len(joint) == len(drives)
         assert len({a.tobytes() for a in joint}) == len(drives)
         assert len([a for a in inputs if a.shape == (2, 2)]) == len(drives)
+
+    @pytest.mark.parametrize("low", [False, True], ids=["beta-1", "lowest-eigenvalue-below-1e-10"])
+    @pytest.mark.parametrize("dims, keep, beta_low", [((2, 32), [0], 28.0),
+                                                      ((2, 2, 2, 2), [0, 2, 3], 3.5),
+                                                      ((3, 4), [0], 14.0),
+                                                      ((2, 3, 2), [0, 2], 14.0)],
+                             ids=["2x32", "2x2x2x2", "3x4", "2x3x2"])
+    def test_matches_the_full_product_oracle(self, dims, keep, beta_low, low):
+        # kept factors with levels 0, 1, ..., on a random bath; at beta = 1 a
+        # random coupling mixes every level, at beta_low it acts per level of
+        # the kept factors, so both routes resolve M's smallest eigenvalue to
+        # its own relative precision
+        rng = np.random.default_rng(len(dims) + 10 * len(keep))
+        traced = [i for i in range(len(dims)) if i not in keep]
+        d_x, d_b = math.prod(dims[i] for i in keep), math.prod(dims[i] for i in traced)
+        h_b = random_hermitian(rng, d_b)
+        if low:
+            coupling = sum(np.kron(np.diag(np.eye(d_x)[a]), random_hermitian(rng, d_b, scale=0.3))
+                           for a in range(d_x))
+        else:
+            coupling = random_hermitian(rng, d_x * d_b, scale=0.3)
+        h = embed_factors(np.kron(np.diag(np.arange(d_x, dtype=float)), np.eye(d_b))
+                          + np.kron(np.eye(d_x), h_b) + coupling, keep + traced, dims)
+        beta = beta_low if low else 1.0
+        w, v = np.linalg.eigh(h)
+        m = ptrace_factors((v * np.exp(-beta * (w - w[0]))) @ v.conj().T, dims, keep)
+        assert (np.linalg.eigvalsh(m)[0] < 1e-10) == low
+        h_star, dh, _ = mean_force(h, dims, keep, beta, h_b)
+        ref_h_star, ref_dh = mean_force_full_product(h, dims, keep, beta, h_b)
+        np.testing.assert_allclose(h_star, ref_h_star, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dh, ref_dh, rtol=0, atol=1e-12)
 
     def test_decoupled_limit_is_bare(self):
         h_xb, h_s, h_b = self.coupled(0.0)
