@@ -1,5 +1,6 @@
 """Completely positive maps, instruments, and direct evaluation of the
-multi-time process on the system-bath space.
+multi-time process on the system-bath space.  Every CP map acts on the
+system, the first factor of system (x) bath.
 
 An intervention sequence applied at scheduled times, interleaved with
 unitary system-bath evolution, maps to the final unnormalized system state;
@@ -40,13 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CPMap:
-    """Completely positive map in Kraus form, acting on labelled factors."""
+    """Completely positive map in Kraus form on the system."""
 
-    support: tuple[str, ...]
     kraus: tuple[np.ndarray, ...]
 
-    def __init__(self, support: Iterable[str], kraus: Sequence[np.ndarray]):
-        support = tuple(support)
+    def __init__(self, kraus: Sequence[np.ndarray]):
         kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
         if not kraus:
             raise ValueError("a CP map needs at least one Kraus operator")
@@ -54,7 +53,6 @@ class CPMap:
         for k in kraus:
             if k.shape != (d, d):
                 raise ValueError("Kraus operators must be square and equal-sized")
-        object.__setattr__(self, "support", support)
         object.__setattr__(self, "kraus", kraus)
 
     @property
@@ -70,11 +68,10 @@ class CPMap:
         vecs = [k.reshape(-1) for k in self.kraus]
         return sum(np.outer(v, v.conj()) for v in vecs)
 
-    def apply_mat(self, mat: np.ndarray, dims: Sequence[int],
-                  positions: Sequence[int]) -> np.ndarray:
-        """Apply to a matrix on a larger space, or to each matrix of a stack
-        of them; ``positions`` locate the support factors inside ``dims``."""
-        ops = [embed_factors(k, positions, dims) for k in self.kraus]
+    def apply_mat(self, mat: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+        """Apply to a matrix on factors of dimensions ``dims``, the system
+        first, or to each matrix of a stack of them."""
+        ops = [embed_factors(k, [0], dims) for k in self.kraus]
         return sum(k @ mat @ dagger(k) for k in ops)
 
 
@@ -91,9 +88,6 @@ class Instrument:
         labels = [l for l, _ in outcomes]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate outcome labels {labels}")
-        supports = {cp.support for _, cp in outcomes}
-        if len(supports) != 1:
-            raise ValueError("all outcome maps must share one support")
         object.__setattr__(self, "outcomes", outcomes)
         res = self.average().tp_residual()
         if not res <= DEFAULT.kraus_tp:
@@ -101,16 +95,12 @@ class Instrument:
                              f"residual {res:.3e}")
 
     @property
-    def support(self) -> tuple[str, ...]:
-        return self.outcomes[0][1].support
-
-    @property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.outcomes)
 
     def average(self) -> CPMap:
         kraus = tuple(k for _, cp in self.outcomes for k in cp.kraus)
-        return CPMap(self.support, kraus)
+        return CPMap(kraus)
 
     def kraus_count(self) -> int:
         return sum(len(cp.kraus) for _, cp in self.outcomes)
@@ -124,7 +114,10 @@ class InterventionSchedule:
     the prefix refers to the record gathered so far, and the deepest
     declared prefix wins.  All overrides of one step must share the base
     instrument's outcome alphabet.  The attached protocol drives the
-    system Hamiltonian between interventions.  ``sb_dims`` is (d_S, d_B).
+    system Hamiltonian between interventions.  ``sb_dims`` is (d_S, d_B);
+    both routes read the schedule, so each input's size is checked here
+    once: every Kraus operator and drive is d_S x d_S, ``h_bath`` d_B x d_B
+    and ``v_coupling`` (d_S d_B) x (d_S d_B).
     """
 
     sb_dims: tuple[int, int]
@@ -161,6 +154,19 @@ class InterventionSchedule:
                         f"feedback override at step {k} changes the outcome "
                         f"alphabet {instruments[k].labels} -> {inst.labels}")
                 fb.setdefault(k, {})[prefix] = inst
+        d_s, d_b = sb_dims
+        # (input, its matrix, its dimension on each side)
+        shapes = [("h_bath", h_bath, d_b), ("v_coupling", v_coupling, d_s * d_b)]
+        shapes += [(f"drive segment {i} for prefix {list(p)}", seg.h_system, d_s)
+                   for p, segs in {(): protocol.base, **protocol.variants}.items()
+                   for i, seg in enumerate(segs)]
+        shapes += [(f"step {k} outcome {label!r}: Kraus operator", cp.kraus[0], d_s)
+                   for k, inst in [*enumerate(instruments),
+                                   *((k, v) for k, t in fb.items() for v in t.values())]
+                   for label, cp in inst.outcomes]
+        for name, mat, d in shapes:
+            if mat is not None and np.shape(mat) != (d, d):
+                raise ValueError(f"{name} must be {d}x{d}, got shape {np.shape(mat)}")
         object.__setattr__(self, "sb_dims", tuple(sb_dims))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "instruments", instruments)
@@ -261,7 +267,7 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
                 child = deeper if len(node) == len(records[0]) and deeper in nodes else node
                 children.setdefault(child, []).append((
                     child, [record + (label,) for record in records], keys * radix + r,
-                    cp.apply_mat(mats, dims, [("S", "B").index(l) for l in cp.support])))
+                    cp.apply_mat(mats, dims)))
         return [join(node, kids) for node, kids in children.items()]
 
     times = sorted(set(times))

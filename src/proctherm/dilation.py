@@ -1,11 +1,12 @@
 """Synthesis of the autonomous hardware behind channels and instruments.
 
-A channel with m Kraus operators becomes a unitary on system (x) ancilla
-acting on a fixed pure ancilla reference state; an instrument additionally
-gets a projective resolution on the ancilla whose blocks group Kraus
-indices by outcome.  The classical memory is two registers per step: an
-informational one that records the outcome and a degenerate, maximally
-mixed one that dephases it at zero energy cost.
+Channels and instruments act on the system.  A channel with m Kraus
+operators becomes a unitary on system (x) ancilla acting on a fixed pure
+ancilla reference state; an instrument additionally gets a projective
+resolution on the ancilla whose blocks group Kraus indices by outcome.
+The classical memory is two registers per step: an informational one that
+records the outcome and a degenerate, maximally mixed one that dephases it
+at zero energy cost.
 
 Factor order conventions: dilation unitaries act on (system, ancilla);
 the outcome-recording unitary acts on (ancilla, memory); the dephasing
@@ -108,25 +109,14 @@ def dilate_instrument(inst: Instrument, ancilla_dim: int | None = None) -> Dilat
     channel dilation.  Padded ancilla directions are absorbed into the last
     outcome's projector so the resolution stays complete.
     """
-    kraus = []
-    groups: list[tuple[str, list[int]]] = []
-    for label, cp in inst.outcomes:
-        if not cp.kraus:
-            raise ValueError(f"outcome {label!r} has an empty Kraus list")
-        idx = list(range(len(kraus), len(kraus) + len(cp.kraus)))
-        groups.append((label, idx))
-        kraus.extend(cp.kraus)
-    m = len(kraus)
-    d_anc = m if ancilla_dim is None else int(ancilla_dim)
-    base = dilate_channel(CPMap(inst.support, kraus), d_anc)
-    projectors = []
-    for g, (label, idx) in enumerate(groups):
-        if g == len(groups) - 1:
-            idx = idx + list(range(m, d_anc))
-        p = np.zeros((d_anc, d_anc), dtype=complex)
-        for i in idx:
-            p[i, i] = 1.0
-        projectors.append(p)
+    # the outcome that owns each Kraus index
+    owner = [r for r, (_, cp) in enumerate(inst.outcomes) for _ in cp.kraus]
+    d_anc = len(owner) if ancilla_dim is None else int(ancilla_dim)
+    base = dilate_channel(inst.average(), d_anc)
+    owner += owner[-1:] * (d_anc - len(owner))
+    projectors = np.zeros((len(inst.outcomes), d_anc, d_anc), dtype=complex)
+    for i, r in enumerate(owner):
+        projectors[r, i, i] = 1.0
     return DilationResult(base.system_dim, d_anc, base.ancilla_state, base.unitary,
                           tuple(projectors), inst.labels)
 
@@ -218,7 +208,7 @@ def instrument_from_dilation(unitary: np.ndarray, ancilla_state: np.ndarray,
         if not kraus:
             kraus = [np.zeros((system_dim, system_dim), dtype=complex)]
         label = str(r + 1) if labels is None else str(labels[r])
-        outcomes.append((label, CPMap(("S",), kraus)))
+        outcomes.append((label, CPMap(kraus)))
     return Instrument(outcomes)
 
 

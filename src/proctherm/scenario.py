@@ -307,7 +307,7 @@ def _parse_instrument(node, path, names, s_dim) -> Instrument:
             raise ScenarioError(opath, "outcome needs a nonempty 'kraus' list")
         kraus = [_parse_matrix(kn, f"{opath}.kraus[{j}]", names, s_dim)
                  for j, kn in enumerate(kraus_nodes)]
-        outcomes.append((label, CPMap(("S",), kraus)))
+        outcomes.append((label, CPMap(kraus)))
     # the instrument's own message names the completeness residual
     return _checked(path, Instrument, outcomes, context="invalid instrument: ")
 

@@ -60,7 +60,7 @@ def random_instrument(rng, dim, max_kraus=3, labels=None):
     cuts = sorted(rng.choice(np.arange(1, m), size=n_out - 1, replace=False)) \
         if n_out > 1 else []
     bounds = [0] + list(cuts) + [m]
-    outcomes = [(str(labels[i]), CPMap(("S",), kraus[bounds[i]:bounds[i + 1]]))
+    outcomes = [(str(labels[i]), CPMap(kraus[bounds[i]:bounds[i + 1]]))
                 for i in range(n_out)]
     return Instrument(outcomes)
 
@@ -151,8 +151,8 @@ class TestAcceptance:
                                Segment(0.7, 2.0, np.diag([0.0, 1.0]) + 0.4 * SX)]),
             h_bath=np.diag([0.0, spacing]), v_coupling=spacing * np.kron(SX, SX),
             steps=[{"time": 0.4, "instrument": Instrument([
-                ("1", CPMap(("S",), [np.diag([1.0, 0.0])])),
-                ("2", CPMap(("S",), [np.diag([0.0, 1.0])]))])}])
+                ("1", CPMap([np.diag([1.0, 0.0])])),
+                ("2", CPMap([np.diag([0.0, 1.0])]))])}])
         result = Simulator(model).run(report_times=[0.2, 1.0, 2.0])
         runs.append((None, model, result, evaluate_run(result)))
         for _, model, result, ledger in runs:

@@ -24,10 +24,10 @@ from proctherm.tolerances import DEFAULT
 from proctherm.verify import equivalence_rows
 
 N_STEPS = 8
-Z_READ = Instrument([("g", CPMap(("S",), [np.diag([1.0, 0.0])])),
-                     ("e", CPMap(("S",), [np.diag([0.0, 1.0])]))])
-X_READ = Instrument([("+", CPMap(("S",), [0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])])),
-                     ("-", CPMap(("S",), [0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])]))])
+Z_READ = Instrument([("g", CPMap([np.diag([1.0, 0.0])])),
+                     ("e", CPMap([np.diag([0.0, 1.0])]))])
+X_READ = Instrument([("+", CPMap([0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])])),
+                     ("-", CPMap([0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])]))])
 
 
 def probe_model(n_steps):
@@ -159,7 +159,7 @@ def test_partial_traces_and_entropies_per_event_not_per_branch(monkeypatch):
 
 
 # Z and X readouts at once: four outcomes, each with one Kraus operator
-FOUR_READ = Instrument([(label, CPMap(("S",), [np.sqrt(0.5) * k]))
+FOUR_READ = Instrument([(label, CPMap([np.sqrt(0.5) * k]))
                         for label, k in (("0", np.diag([1.0, 0.0])), ("1", np.diag([0.0, 1.0])),
                                          ("+", 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])),
                                          ("-", 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])))])

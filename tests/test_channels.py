@@ -1,7 +1,10 @@
 """Tests for CP maps, instruments, and direct multi-time evaluation."""
 
 import ast
+import io
 import itertools
+import re
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +27,11 @@ SB_DIMS = (2, 2)    # (d_S, d_B) of every schedule here
 
 
 def projective_z():
-    return Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [P1]))])
+    return Instrument([("1", CPMap([P0])), ("2", CPMap([P1]))])
 
 
 def identity_instrument():
-    return Instrument([("1", CPMap(("S",), [np.eye(2)]))])
+    return Instrument([("1", CPMap([np.eye(2)]))])
 
 
 def flat_schedule(times, instruments, sb_dims=SB_DIMS, h_sys=None, h_bath=None, v=None,
@@ -52,17 +55,17 @@ def weight(state):
 
 class TestCPMap:
     def test_trace_preserving_validated(self):
-        assert CPMap(("S",), [P0, P1]).tp_residual() < 1e-15
-        assert CPMap(("S",), [P0]).tp_residual() == pytest.approx(1.0)
+        assert CPMap([P0, P1]).tp_residual() < 1e-15
+        assert CPMap([P0]).tp_residual() == pytest.approx(1.0)
 
     def test_identity_channel(self):
         rho = np.diag([0.3, 0.7]).astype(complex)
-        out = CPMap(("S",), [np.eye(2)]).apply_mat(rho, [2], [0])
+        out = CPMap([np.eye(2)]).apply_mat(rho, [2])
         np.testing.assert_allclose(out, rho)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
 
     def test_born_rule_on_diagonal_state(self):
-        out = CPMap(("S",), [P0]).apply_mat(np.diag([0.3, 0.7]).astype(complex), [2], [0])
+        out = CPMap([P0]).apply_mat(np.diag([0.3, 0.7]).astype(complex), [2])
         weight = np.trace(out).real
         assert weight == pytest.approx(0.3, abs=1e-12)
         np.testing.assert_allclose(out / weight, P0, atol=1e-12)
@@ -72,10 +75,10 @@ class TestCPMap:
         kraus = random_kraus_channel(rng, 2, 3)
         rho = random_density(rng, 2)
         # split into a 2-outcome instrument and compare each branch
-        inst = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        inst = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])
         weights = []
         for label, cp in inst.outcomes:
-            out = cp.apply_mat(rho, [2], [0])
+            out = cp.apply_mat(rho, [2])
             np.testing.assert_allclose(out, apply_via_superoperator(list(cp.kraus), rho),
                                        atol=1e-12)
             weights.append(np.trace(out).real)
@@ -84,14 +87,14 @@ class TestCPMap:
     def test_embedded_application(self):
         rng = np.random.default_rng(8)
         rho = random_density(rng, 4)
-        out = CPMap(("S",), [P0]).apply_mat(rho, [2, 2], [0])
+        out = CPMap([P0]).apply_mat(rho, [2, 2])
         np.testing.assert_allclose(out, np.kron(P0, np.eye(2)) @ rho @ np.kron(P0, np.eye(2)),
                                    atol=1e-13)
 
     def test_complete_positivity_via_choi(self):
         rng = np.random.default_rng(9)
         kraus = random_kraus_channel(rng, 3, 2)
-        assert np.linalg.eigvalsh(CPMap(("S",), kraus).choi())[0] >= -1e-12
+        assert np.linalg.eigvalsh(CPMap(kraus).choi())[0] >= -1e-12
 
 
 class TestInstrument:
@@ -102,7 +105,7 @@ class TestInstrument:
 
     def test_non_tp_average_rejected(self):
         with pytest.raises(ValueError):
-            Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [0.5 * P1]))])
+            Instrument([("1", CPMap([P0])), ("2", CPMap([0.5 * P1]))])
 
     def test_nan_kraus_rejected(self):
         # a NaN residual compares false with any tolerance, so the guard
@@ -110,7 +113,7 @@ class TestInstrument:
         k = P1.copy()
         k[1, 1] = np.nan
         with pytest.raises(ValueError, match="not trace-preserving"):
-            Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [k]))])
+            Instrument([("1", CPMap([P0])), ("2", CPMap([k]))])
 
 
 class TestScheduleValidation:
@@ -124,7 +127,7 @@ class TestScheduleValidation:
                           feedback={0: {("1",): projective_z()}})
 
     def test_feedback_alphabet_checked(self):
-        other = Instrument([("a", CPMap(("S",), [P0])), ("b", CPMap(("S",), [P1]))])
+        other = Instrument([("a", CPMap([P0])), ("b", CPMap([P1]))])
         with pytest.raises(ValueError):
             flat_schedule([0.5, 1.0], [projective_z(), projective_z()],
                           feedback={1: {("1",): other}})
@@ -133,16 +136,13 @@ class TestScheduleValidation:
 # each case reaches exactly one guard; with that guard gone it raises
 # nothing, or something else
 GUARDS = {
-    "cp-map-without-kraus": (lambda: CPMap(("S",), []), "at least one Kraus operator"),
-    "cp-map-unequal-kraus": (lambda: CPMap(("S",), [np.eye(2), np.eye(3)]),
+    "cp-map-without-kraus": (lambda: CPMap([]), "at least one Kraus operator"),
+    "cp-map-unequal-kraus": (lambda: CPMap([np.eye(2), np.eye(3)]),
                              "must be square and equal-sized"),
     "instrument-without-outcomes": (lambda: Instrument([]), "at least one outcome"),
     "instrument-duplicate-labels": (
-        lambda: Instrument([("1", CPMap(("S",), [P0])), ("1", CPMap(("S",), [P1]))]),
+        lambda: Instrument([("1", CPMap([P0])), ("1", CPMap([P1]))]),
         r"duplicate outcome labels \['1', '1'\]"),
-    "instrument-mixed-supports": (
-        lambda: Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("B",), [P1]))]),
-        "all outcome maps must share one support"),
     "schedule-instrument-count": (
         lambda: flat_schedule([0.5, 1.0], [projective_z()]),
         "one instrument per intervention time"),
@@ -158,6 +158,28 @@ GUARDS = {
     "schedule-feedback-unknown-step": (
         lambda: flat_schedule([0.5], [projective_z()], feedback={2: {(): projective_z()}}),
         "feedback references unknown step 2"),
+    "schedule-kraus-size": (
+        lambda: flat_schedule([0.5], [Instrument([("1", CPMap([np.eye(4)]))])]),
+        r"step 0 outcome '1': Kraus operator must be 2x2, got shape \(4, 4\)"),
+    "schedule-feedback-kraus-size": (
+        lambda: flat_schedule([0.5, 1.0], [projective_z(), projective_z()],
+                              feedback={1: {("2",): Instrument([("1", CPMap([np.eye(3)])),
+                                                                ("2", CPMap([0 * np.eye(3)]))])}}),
+        r"step 1 outcome '1': Kraus operator must be 2x2, got shape \(3, 3\)"),
+    "schedule-h-bath-size": (
+        lambda: flat_schedule([0.5], [projective_z()], h_bath=np.eye(3)),
+        r"h_bath must be 2x2, got shape \(3, 3\)"),
+    "schedule-v-coupling-size": (
+        lambda: flat_schedule([0.5], [projective_z()], v=np.eye(2)),
+        r"v_coupling must be 4x4, got shape \(2, 2\)"),
+    "schedule-drive-size": (
+        lambda: flat_schedule([0.5], [projective_z()], h_sys=np.eye(3)),
+        r"drive segment 0 for prefix \[\] must be 2x2, got shape \(3, 3\)"),
+    "schedule-variant-drive-size": (
+        lambda: InterventionSchedule(SB_DIMS, [0.5], [projective_z()], Protocol(
+            [Segment(0.0, 3.0, np.eye(2))],
+            {("1",): [Segment(0.0, 0.5, np.eye(2)), Segment(0.5, 3.0, np.eye(3))]})),
+        r"drive segment 1 for prefix \['1'\] must be 2x2, got shape \(3, 3\)"),
 }
 
 
@@ -204,7 +226,7 @@ class TestProcessEvaluation:
         proto = Protocol([Segment(0.0, 0.8, h0), Segment(0.8, 2.0, h1)])
         k1 = [np.sqrt(0.8) * P0 + np.sqrt(0.2) * P1]
         k2 = [np.sqrt(0.2) * P0 + np.sqrt(0.8) * P1]
-        unsharp = Instrument([("1", CPMap(("S",), k1)), ("2", CPMap(("S",), k2))])
+        unsharp = Instrument([("1", CPMap(k1)), ("2", CPMap(k2))])
         sched = InterventionSchedule(SB_DIMS, [0.5, 1.2], [unsharp, projective_z()], proto,
                                      h_bath=h_b, v_coupling=v)
         rho0 = random_density(rng, 4)
@@ -285,7 +307,7 @@ class TestProcessEvaluation:
         rng = np.random.default_rng(23)
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
+        x_inst = Instrument([("1", CPMap([plus])), ("2", CPMap([minus]))])
         sched = flat_schedule([0.4, 0.9], [projective_z(), projective_z()],
                               feedback={1: {("1",): x_inst}})
         rho0 = random_density(rng, 4)
@@ -308,10 +330,10 @@ class TestProcessEvaluation:
                     ("2", "1"): [Segment(0.0, 2.0, random_hermitian(rng, 2))]}
         proto = Protocol(base, variants)
         kraus = random_kraus_channel(rng, 2, 3)
-        noisy = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        noisy = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
+        x_inst = Instrument([("1", CPMap([plus])), ("2", CPMap([minus]))])
         times = [0.4, 0.8, 1.4]
         instruments = [noisy, projective_z(), noisy]
         feedback = {1: {("1",): x_inst}, 2: {("2", "1"): x_inst, ("1",): projective_z()}}
@@ -372,8 +394,8 @@ class TestMultilinearity:
         rng = np.random.default_rng(31)
         h_sys, h_bath = random_hermitian(rng, 2), random_hermitian(rng, 2)
         v = 0.3 * random_hermitian(rng, 4)
-        ops_a = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
-        ops_b = [CPMap(("S",), random_kraus_channel(rng, 2, 2)) for _ in range(2)]
+        ops_a = [CPMap(random_kraus_channel(rng, 2, 2)) for _ in range(2)]
+        ops_b = [CPMap(random_kraus_channel(rng, 2, 2)) for _ in range(2)]
         sb = random_density(rng, 4)
 
         def run(instruments):
@@ -390,10 +412,10 @@ class TestMultilinearity:
             swapped[k] = only(ops_b[k])
             split = list(plain)
             split[k] = Instrument([
-                ("a", CPMap(("S",), [np.sqrt(alpha) * m for m in ops_a[k].kraus])),
-                ("b", CPMap(("S",), [np.sqrt(1 - alpha) * m for m in ops_b[k].kraus]))])
+                ("a", CPMap([np.sqrt(alpha) * m for m in ops_a[k].kraus])),
+                ("b", CPMap([np.sqrt(1 - alpha) * m for m in ops_b[k].kraus]))])
             mixed = list(plain)
-            mixed[k] = only(CPMap(("S",), [*(np.sqrt(alpha) * m for m in ops_a[k].kraus),
+            mixed[k] = only(CPMap([*(np.sqrt(alpha) * m for m in ops_a[k].kraus),
                                            *(np.sqrt(1 - alpha) * m for m in ops_b[k].kraus)]))
             (run_a,), (run_b,), (run_mixed,) = (run(i).values() for i in (plain, swapped, mixed))
             parts = run(split)
@@ -424,3 +446,18 @@ class TestRouteIndependence:
                 imported |= {a.name.split(".")[1] for a in node.names
                              if a.name.startswith("proctherm.")}
         assert imported == {"algebra", "protocol", "tolerances"}
+
+    def test_direct_route_reads_no_factor_label(self):
+        # an instrument acts on the system, the first of sb_dims: the direct
+        # route places nothing by a label such as "S", "B" or "A0"
+        import proctherm.channels as channels
+        source = Path(channels.__file__).read_text(encoding="utf-8")
+        labels = []
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.STRING:
+                # an f-string is one token here; its constant parts count
+                labels += [(node.value, tok.start[0])
+                           for node in ast.walk(ast.parse(tok.string, mode="eval"))
+                           if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                           and re.fullmatch(r"S|B|A\d+", node.value)]
+        assert labels == []

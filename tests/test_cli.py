@@ -493,7 +493,7 @@ def scale_first_kraus(monkeypatch, factor):
         inst = copy.copy(schedule.instruments[0])
         (label, cp), *rest = inst.outcomes
         object.__setattr__(inst, "outcomes", (
-            (label, CPMap(cp.support, [factor * cp.kraus[0], *cp.kraus[1:]])), *rest))
+            (label, CPMap([factor * cp.kraus[0], *cp.kraus[1:]])), *rest))
         object.__setattr__(schedule, "instruments", (inst, *schedule.instruments[1:]))
         return model
 

@@ -54,8 +54,8 @@ def model_spec():
         # step 0 reads out in the computational basis of A0; its Hamiltonian
         # is not diagonal there, so the readout changes the ancilla energy
         steps=[{"time": 0.4, "h_ancilla": 0.6 * SX + 0.2 * SZ,
-                "instrument": Instrument([("a", CPMap(("S",), [unsharp[0]])),
-                                          ("b", CPMap(("S",), [unsharp[1]]))])},
+                "instrument": Instrument([("a", CPMap([unsharp[0]])),
+                                          ("b", CPMap([unsharp[1]]))])},
                {"time": 1.5, "h_ancilla": H_A1,
                 "collision": {"ancilla_state": gibbs_mat(H_A1, BETA),
                               "unitary": partial_swap,

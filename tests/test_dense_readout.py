@@ -37,10 +37,10 @@ def model_spec():
     unitary[np.ix_(block, block)] = random_unitary(rng, 8)
     projectors = [np.diag(d).astype(complex) for d in
                   ([1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1])]
-    z_read = Instrument([("0", CPMap(("S",), [np.diag([1.0, 0.0])])),
-                         ("1", CPMap(("S",), [np.diag([0.0, 1.0])]))])
-    x_read = Instrument([("0", CPMap(("S",), [0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])])),
-                         ("1", CPMap(("S",), [0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])]))])
+    z_read = Instrument([("0", CPMap([np.diag([1.0, 0.0])])),
+                         ("1", CPMap([np.diag([0.0, 1.0])]))])
+    x_read = Instrument([("0", CPMap([0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])])),
+                         ("1", CPMap([0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])]))])
     return dict(
         s_dim=2, b_dim=2, beta=0.8,
         protocol=Protocol([Segment(0.0, 1.0, H_0), Segment(1.0, 2.0, H_0 + 0.5 * SX)]),

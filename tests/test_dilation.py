@@ -61,12 +61,12 @@ def reconstruction_error(dr, cp_by_outcome):
 
 class TestChannelDilation:
     def test_identity_channel(self):
-        dr = dilate_channel(CPMap(("S",), [np.eye(2)]))
+        dr = dilate_channel(CPMap([np.eye(2)]))
         assert dr.ancilla_dim == 1
         np.testing.assert_allclose(dr.unitary, np.eye(2), atol=1e-14)
 
     def test_qubit_dephasing_channel(self):
-        ch = CPMap(("S",), [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * SZ])
+        ch = CPMap([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * SZ])
         dr = dilate_channel(ch)
         assert dr.ancilla_dim == 2
         assert dr.unitarity_residual() < 1e-10
@@ -74,24 +74,24 @@ class TestChannelDilation:
 
     def test_random_qutrit_channel(self):
         rng = np.random.default_rng(40)
-        ch = CPMap(("S",), random_kraus_channel(rng, 3, 3))
+        ch = CPMap(random_kraus_channel(rng, 3, 3))
         dr = dilate_channel(ch)
         assert dr.unitarity_residual() < 1e-10
         assert reconstruction_error(dr, [ch]) < 1e-10
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError):
-            dilate_channel(CPMap(("S",), [P0]))
+            dilate_channel(CPMap([P0]))
 
     def test_nan_kraus_rejected(self):
         k = P1.copy()
         k[1, 1] = np.nan
         with pytest.raises(ValueError, match="Kraus completeness"):
-            dilate_channel(CPMap(("S",), [P0, k]))
+            dilate_channel(CPMap([P0, k]))
 
     def test_padding_keeps_reconstruction(self):
         rng = np.random.default_rng(41)
-        ch = CPMap(("S",), random_kraus_channel(rng, 2, 2))
+        ch = CPMap(random_kraus_channel(rng, 2, 2))
         dr = dilate_channel(ch, ancilla_dim=4)
         assert dr.ancilla_dim == 4
         assert dr.unitarity_residual() < 1e-10
@@ -100,7 +100,7 @@ class TestChannelDilation:
 
 class TestInstrumentDilation:
     def test_projective_measurement(self):
-        inst = Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [P1]))])
+        inst = Instrument([("1", CPMap([P0])), ("2", CPMap([P1]))])
         dr = dilate_instrument(inst)
         assert dr.ancilla_dim == 2
         assert all(np.linalg.matrix_rank(p) == 1 for p in dr.projectors)
@@ -112,16 +112,16 @@ class TestInstrumentDilation:
     def test_single_outcome_reduces_to_channel(self):
         rng = np.random.default_rng(42)
         kraus = random_kraus_channel(rng, 2, 2)
-        inst = Instrument([("1", CPMap(("S",), kraus))])
+        inst = Instrument([("1", CPMap(kraus))])
         dr = dilate_instrument(inst)
-        drc = dilate_channel(CPMap(("S",), kraus))
+        drc = dilate_channel(CPMap(kraus))
         np.testing.assert_allclose(dr.unitary, drc.unitary, atol=1e-13)
         np.testing.assert_allclose(sum(dr.projectors), np.eye(dr.ancilla_dim), atol=0)
 
     def test_unsharp_measurement_branch_weights(self):
         k1 = np.sqrt(0.8) * P0 + np.sqrt(0.2) * P1
         k2 = np.sqrt(0.2) * P0 + np.sqrt(0.8) * P1
-        inst = Instrument([("1", CPMap(("S",), [k1])), ("2", CPMap(("S",), [k2]))])
+        inst = Instrument([("1", CPMap([k1])), ("2", CPMap([k2]))])
         dr = dilate_instrument(inst)
         rng = np.random.default_rng(43)
         rho = random_density(rng, 2)
@@ -136,9 +136,9 @@ class TestInstrumentDilation:
             m = int(rng.integers(1, 5))
             kraus = random_kraus_channel(rng, d, m)
             cut = int(rng.integers(1, m + 1)) if m > 1 else 1
-            outcomes = [("1", CPMap(("S",), kraus[:cut]))]
+            outcomes = [("1", CPMap(kraus[:cut]))]
             if cut < m:
-                outcomes.append(("2", CPMap(("S",), kraus[cut:])))
+                outcomes.append(("2", CPMap(kraus[cut:])))
             inst = Instrument(outcomes)
             dr = dilate_instrument(inst)
             assert dr.unitarity_residual() < 1e-10
@@ -147,18 +147,27 @@ class TestInstrumentDilation:
     def test_average_over_outcomes_is_channel(self):
         rng = np.random.default_rng(45)
         kraus = random_kraus_channel(rng, 2, 3)
-        inst = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        inst = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])
         dr = dilate_instrument(inst)
         rho = random_density(rng, 2)
         summed = sum(apply_dilated(dr, rho, outcome=r) for r in range(2))
         direct = sum(k @ rho @ dagger(k) for k in kraus)
         np.testing.assert_allclose(summed, direct, atol=1e-12)
 
+    def test_padded_directions_join_the_last_outcome(self):
+        # outcome "1" owns Kraus indices 0 and 1, "2" index 2; the padding
+        # (indices 3 and 4) goes to "2", so the blocks still resolve 1
+        kraus = [np.sqrt(0.5) * np.diag([1.0, 0.0])] * 2 + [np.diag([0.0, 1.0])]
+        inst = Instrument([("1", CPMap(kraus[:2])), ("2", CPMap(kraus[2:]))])
+        dr = dilate_instrument(inst, ancilla_dim=5)
+        np.testing.assert_array_equal(dr.projectors, [np.diag([1, 1, 0, 0, 0]),
+                                                      np.diag([0, 0, 1, 1, 1])])
+
     def test_completion_block_is_irrelevant(self):
         # rotate the completion columns; the reconstruction must not move
         rng = np.random.default_rng(46)
         kraus = random_kraus_channel(rng, 2, 2)
-        inst = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        inst = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])
         dr = dilate_instrument(inst)
         d, m = 2, 2
         cols = [s * m + a for s in range(d) for a in range(1, m)]
@@ -173,7 +182,7 @@ class TestInstrumentDilation:
     def test_probability_conservation(self):
         rng = np.random.default_rng(47)
         kraus = random_kraus_channel(rng, 3, 4)
-        inst = Instrument([("1", CPMap(("S",), kraus[:2])), ("2", CPMap(("S",), kraus[2:]))])
+        inst = Instrument([("1", CPMap(kraus[:2])), ("2", CPMap(kraus[2:]))])
         dr = dilate_instrument(inst)
         for _ in range(5):
             rho = random_density(rng, 3)
@@ -185,8 +194,8 @@ class TestReconstructionError:
     def test_full_basis_reads_coherences(self):
         # complete dephasing and the identity agree on every diagonal input;
         # only the off-diagonal matrix units tell their dilations apart
-        identity = Instrument([("1", CPMap(("S",), [np.eye(2)]))])
-        dephasing = Instrument([("1", CPMap(("S",), [P0, P1]))])
+        identity = Instrument([("1", CPMap([np.eye(2)]))])
+        dephasing = Instrument([("1", CPMap([P0, P1]))])
         dr = dilate_instrument(dephasing)
         assert dilation.reconstruction_error(dr, dephasing) < 1e-12
         assert dilation.reconstruction_error(dr, identity) == pytest.approx(1.0, abs=1e-12)
@@ -194,10 +203,10 @@ class TestReconstructionError:
     def test_agrees_with_spanning_basis_oracle(self):
         rng = np.random.default_rng(56)
         kraus = random_kraus_channel(rng, 3, 4)
-        inst = Instrument([("a", CPMap(("S",), kraus[:1])), ("b", CPMap(("S",), kraus[1:3])),
-                           ("c", CPMap(("S",), kraus[3:]))])
-        wrong = Instrument([("a", CPMap(("S",), kraus[1:2])), ("b", CPMap(("S",), [kraus[0], kraus[2]])),
-                            ("c", CPMap(("S",), kraus[3:]))])
+        inst = Instrument([("a", CPMap(kraus[:1])), ("b", CPMap(kraus[1:3])),
+                           ("c", CPMap(kraus[3:]))])
+        wrong = Instrument([("a", CPMap(kraus[1:2])), ("b", CPMap([kraus[0], kraus[2]])),
+                            ("c", CPMap(kraus[3:]))])
         dr = dilate_instrument(inst)
         for target in (inst, wrong):
             want = reconstruction_error(dr, [cp for _, cp in target.outcomes])
@@ -209,7 +218,7 @@ class TestInstrumentFromDilation:
     def test_round_trip_through_hardware(self):
         rng = np.random.default_rng(48)
         kraus = random_kraus_channel(rng, 2, 3)
-        inst = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        inst = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])
         dr = dilate_instrument(inst)
         back = instrument_from_dilation(dr.unitary, dr.ancilla_state, dr.projectors,
                                         system_dim=2, labels=inst.labels)

@@ -39,7 +39,7 @@ def setup():
     h_anc = np.diag([0.0, 0.6])
     k1 = np.sqrt(0.8) * P0 + np.sqrt(0.2) * P1
     k2 = np.sqrt(0.2) * P0 + np.sqrt(0.8) * P1
-    inst = Instrument([("1", CPMap(("S",), [k1])), ("2", CPMap(("S",), [k2]))])
+    inst = Instrument([("1", CPMap([k1])), ("2", CPMap([k2]))])
     beta = 1.0
     t_step, t_switch, t_end = 0.3, 0.6, 1.0
     model = AutonomousModel.assemble(

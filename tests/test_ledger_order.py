@@ -43,15 +43,15 @@ def diag_root(*weights):
 
 
 def model_spec():
-    three = Instrument([("g", CPMap(("S",), [diag_root(0.5, 0.2)])),
-                        ("e", CPMap(("S",), [diag_root(0.3, 0.3)])),
-                        ("f", CPMap(("S",), [diag_root(0.2, 0.5)]))])
+    three = Instrument([("g", CPMap([diag_root(0.5, 0.2)])),
+                        ("e", CPMap([diag_root(0.3, 0.3)])),
+                        ("f", CPMap([diag_root(0.2, 0.5)]))])
     # "a" has one Kraus operator and a rank-1 readout; "b" has two and
     # keeps its ancilla
-    split = Instrument([("a", CPMap(("S",), [math.sqrt(0.4) * np.eye(2)])),
-                        ("b", CPMap(("S",), [math.sqrt(0.3) * np.eye(2), math.sqrt(0.3) * SZ]))])
-    after_g = Instrument([("a", CPMap(("S",), [P0])), ("b", CPMap(("S",), [P1]))])
-    z_read = Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [P1]))])
+    split = Instrument([("a", CPMap([math.sqrt(0.4) * np.eye(2)])),
+                        ("b", CPMap([math.sqrt(0.3) * np.eye(2), math.sqrt(0.3) * SZ]))])
+    after_g = Instrument([("a", CPMap([P0])), ("b", CPMap([P1]))])
+    z_read = Instrument([("1", CPMap([P0])), ("2", CPMap([P1]))])
     return dict(
         s_dim=2, b_dim=2, beta=1.0,
         protocol=Protocol([Segment(0.0, 1.2, H_0), Segment(1.2, 2.0, H_0 + 0.4 * SX)]),

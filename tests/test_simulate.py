@@ -39,11 +39,11 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def projective_z():
-    return Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [P1]))])
+    return Instrument([("1", CPMap([P0])), ("2", CPMap([P1]))])
 
 
 def identity_instrument():
-    return Instrument([("1", CPMap(("S",), [np.eye(2)]))])
+    return Instrument([("1", CPMap([np.eye(2)]))])
 
 
 def simple_model(steps, *, h_sys=None, h_bath=None, v=None, beta=1.0,
@@ -102,7 +102,7 @@ class TestBasics:
     def test_total_weight_preserved(self):
         rng = np.random.default_rng(60)
         kraus = random_kraus_channel(rng, 2, 3)
-        inst = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        inst = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])
         model = simple_model(
             [{"time": 0.4, "instrument": inst}, {"time": 1.1, "instrument": projective_z()}],
             h_sys=random_hermitian(rng, 2), h_bath=random_hermitian(rng, 2),
@@ -143,7 +143,7 @@ class TestEquivalence:
     def test_driven_qubit_two_steps(self):
         rng = np.random.default_rng(61)
         kraus = random_kraus_channel(rng, 2, 2)
-        unsharp = Instrument([("1", CPMap(("S",), kraus[:1])), ("2", CPMap(("S",), kraus[1:]))])
+        unsharp = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])
         segs = [Segment(0.0, 0.7, np.diag([0.0, 1.0])),
                 Segment(0.7, 2.0, np.diag([0.0, 1.0]) + 0.4 * SX)]
         model = simple_model(
@@ -157,7 +157,7 @@ class TestEquivalence:
         rng = np.random.default_rng(62)
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
+        x_inst = Instrument([("1", CPMap([plus])), ("2", CPMap([minus]))])
         h0 = np.diag([0.0, 1.0])
         h_fb = np.diag([0.0, 1.0]) + 0.6 * SX
         proto = Protocol(
@@ -178,7 +178,7 @@ class TestEquivalence:
         # two parents of step 1 share all but their control hardware
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
+        x_inst = Instrument([("1", CPMap([plus])), ("2", CPMap([minus]))])
         spec = dict(
             s_dim=2, b_dim=2, beta=1.0,
             protocol=Protocol([Segment(0.0, 2.0, np.diag([0.0, 1.0]) + 0.3 * SX)]),
@@ -230,9 +230,9 @@ class TestEquivalence:
                 m = int(rng.integers(1, 4))
                 kraus = random_kraus_channel(rng, 2, m)
                 cut = int(rng.integers(1, m + 1)) if m > 1 else 1
-                outcomes = [("1", CPMap(("S",), kraus[:cut]))]
+                outcomes = [("1", CPMap(kraus[:cut]))]
                 if cut < m:
-                    outcomes.append(("2", CPMap(("S",), kraus[cut:])))
+                    outcomes.append(("2", CPMap(kraus[cut:])))
                 steps.append({"time": float(t), "instrument": Instrument(outcomes)})
             model = simple_model(
                 steps, h_sys=random_hermitian(rng, 2),
@@ -252,9 +252,9 @@ def feedback_model(window=None):
     at t=1.1 whose instrument and drive depend on the first outcome."""
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-    x_inst = Instrument([("1", CPMap(("S",), [plus])), ("2", CPMap(("S",), [minus]))])
-    unsharp = Instrument([("1", CPMap(("S",), [np.sqrt(0.8) * P0 + np.sqrt(0.2) * P1])),
-                          ("2", CPMap(("S",), [np.sqrt(0.2) * P0 + np.sqrt(0.8) * P1]))])
+    x_inst = Instrument([("1", CPMap([plus])), ("2", CPMap([minus]))])
+    unsharp = Instrument([("1", CPMap([np.sqrt(0.8) * P0 + np.sqrt(0.2) * P1])),
+                          ("2", CPMap([np.sqrt(0.2) * P0 + np.sqrt(0.8) * P1]))])
     h0 = np.diag([0.0, 1.0])
     proto = Protocol([Segment(0.0, 2.0, h0)],
                      variants={("2",): [Segment(0.0, 0.8, h0),
@@ -468,7 +468,7 @@ class TestValidationFeatures:
     def test_step_hardware_dephases_into_branch_split(self):
         rng = np.random.default_rng(71)
         kraus = random_kraus_channel(rng, 2, 3)
-        inst = Instrument([("1", CPMap(("S",), kraus[:2])), ("2", CPMap(("S",), kraus[2:]))])
+        inst = Instrument([("1", CPMap(kraus[:2])), ("2", CPMap(kraus[2:]))])
         model = simple_model([{"time": 0.5, "instrument": inst}],
                              h_sys=random_hermitian(rng, 2),
                              h_bath=random_hermitian(rng, 2),
@@ -768,10 +768,31 @@ GUARDS = {
 }
 
 
+# the schedule's size checks (their guards are in test_channels.py),
+# reached through assemble: each input is refused before any run
+SIZES = {
+    "kraus": (lambda: simple_model([{"time": 0.5, "instrument": Instrument(
+        [("1", CPMap([np.eye(4)]))])}]),
+        r"step 0 outcome '1': Kraus operator must be 2x2, got shape \(4, 4\)"),
+    "h-bath": (lambda: simple_model([], h_bath=np.eye(3)),
+               r"h_bath must be 2x2, got shape \(3, 3\)"),
+    "v-coupling": (lambda: simple_model([], v=np.eye(2)),
+                   r"v_coupling must be 4x4, got shape \(2, 2\)"),
+    "drive": (lambda: simple_model([], h_sys=np.eye(3)),
+              r"drive segment 0 for prefix \[\] must be 2x2, got shape \(3, 3\)"),
+}
+
+
 class TestGuards:
     @pytest.mark.parametrize("case", GUARDS)
     def test_guard_rejects(self, case):
         call, message = GUARDS[case]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("case", SIZES)
+    def test_assemble_checks_each_size(self, case):
+        call, message = SIZES[case]
         with pytest.raises(ValueError, match=message):
             call()
 

@@ -32,11 +32,11 @@ MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 
 
 def projective_z():
-    return Instrument([("1", CPMap(("S",), [P0])), ("2", CPMap(("S",), [P1]))])
+    return Instrument([("1", CPMap([P0])), ("2", CPMap([P1]))])
 
 
 def x_readout():
-    return Instrument([("+", CPMap(("S",), [PLUS])), ("-", CPMap(("S",), [MINUS]))])
+    return Instrument([("+", CPMap([PLUS])), ("-", CPMap([MINUS]))])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def strong_coupling_model(*, feedback=True, beta=1.0):
     fb = None
     if feedback:
         # override must share the alphabet of the base instrument
-        z_as_x = Instrument([("+", CPMap(("S",), [P0])), ("-", CPMap(("S",), [P1]))])
+        z_as_x = Instrument([("+", CPMap([P0])), ("-", CPMap([P1]))])
         fb = {1: {("2",): z_as_x}}
     return AutonomousModel.assemble(
         s_dim=2, b_dim=2, beta=beta, protocol=proto,
@@ -515,8 +515,8 @@ class TestTwoPointMeasurement:
         h_mid = h0 + mix
         h1 = np.diag([0.1, 1.0, 2.1])
         proj0 = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-        inst0 = Instrument([(f"E{i}", CPMap(("S",), [p])) for i, p in enumerate(proj0)])
-        inst1 = Instrument([(f"E{i}", CPMap(("S",), [p])) for i, p in enumerate(proj0)])
+        inst0 = Instrument([(f"E{i}", CPMap([p])) for i, p in enumerate(proj0)])
+        inst1 = Instrument([(f"E{i}", CPMap([p])) for i, p in enumerate(proj0)])
         proto = Protocol([Segment(0.0, 0.4, h0), Segment(0.4, 0.8, h_mid),
                           Segment(0.8, 1.2, h1)])
         model = AutonomousModel.assemble(
@@ -551,7 +551,7 @@ class TestTwoPointMeasurement:
     def test_stationary_state_zero_work(self):
         h0 = np.diag([0.0, 0.7, 1.6])
         proj0 = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-        inst = Instrument([(f"E{i}", CPMap(("S",), [p])) for i, p in enumerate(proj0)])
+        inst = Instrument([(f"E{i}", CPMap([p])) for i, p in enumerate(proj0)])
         model = AutonomousModel.assemble(
             s_dim=3, b_dim=1, beta=1.0,
             protocol=Protocol([Segment(0.0, 1.0, h0)]),
