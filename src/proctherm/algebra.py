@@ -75,16 +75,14 @@ def is_hermitian(mat: np.ndarray) -> bool:
     return max_norm(mat - mat.conj().T) <= HERMITIAN
 
 
-def validate_density(mat: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """``mat`` if Hermitian with trace within 1e-9 of ``weight`` in [0, 1]
-    and no eigenvalue below ``-DEFAULT.psd``; ValueError otherwise."""
+def validate_density(mat: np.ndarray) -> np.ndarray:
+    """``mat`` if Hermitian with trace within 1e-9 of 1 and no eigenvalue
+    below ``-DEFAULT.psd``; ValueError otherwise."""
     if not is_hermitian(mat):
         raise ValueError("density operator is not Hermitian")
     tr = float(np.real(np.trace(mat)))
-    if abs(tr - weight) > 1e-9:
-        raise ValueError(f"trace {tr} does not match declared weight {weight}")
-    if not 0.0 <= weight <= 1.0 + 1e-10:
-        raise ValueError(f"weight {weight} outside [0, 1]")
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"trace {tr} does not match declared weight 1.0")
     wmin = float(np.linalg.eigvalsh(mat)[0])
     if wmin < -DEFAULT.psd:
         raise ValueError(f"negative eigenvalue {wmin:.3e} beyond tolerance")
@@ -252,27 +250,15 @@ def _cpu_count() -> int:
     return n
 
 
-class _Batch:
-    __slots__ = ("items", "back")
-
-    def __init__(self, mats: list[np.ndarray]):
-        self.items = [Eigh(self, m) for m in mats]
-        self.back = len(mats) - 1
-
-    def last_free(self) -> Eigh | None:
-        """The last matrix nobody has claimed; the caller holds ``_lock``."""
-        while self.back >= 0 and not self.items[self.back]._free():
-            self.back -= 1
-        return self.items[self.back] if self.back >= 0 else None
-
-
 class Eigh:
     """The eigenpairs of one matrix of an :func:`eigh_ahead` batch, as
-    :meth:`result` returns them once they are computed."""
+    :meth:`result` returns them once they are computed.  A batch is the
+    list of its handles; a computed handle drops its matrix and the list,
+    so a resolved batch is no reference cycle and keeps no input alive."""
 
     __slots__ = ("_batch", "_mat", "_claim", "_eig", "_error")
 
-    def __init__(self, batch: _Batch | None, mat: np.ndarray | None, eig=None):
+    def __init__(self, batch: list[Eigh] | None, mat: np.ndarray | None, eig=None):
         self._batch, self._mat, self._claim, self._eig, self._error = batch, mat, None, eig, None
 
     def _free(self) -> bool:
@@ -306,7 +292,7 @@ class Eigh:
             with _lock:
                 if self._mat is None:
                     break
-                item = self if self._free() else self._batch.last_free()
+                item = next((h for h in [self, *reversed(self._batch)] if h._free()), None)
                 if item is None:
                     _finished.wait()
                     continue
@@ -317,9 +303,9 @@ class Eigh:
         return self._eig
 
 
-def _work(batch: _Batch) -> None:
+def _work(batch: list[Eigh]) -> None:
     # the worker: every matrix of the batch nobody has claimed, front to back
-    for item in batch.items:
+    for item in batch:
         with _lock:
             if not item._free():
                 continue
@@ -332,8 +318,8 @@ def eigh_ahead(mats: Iterable[np.ndarray]) -> list[Eigh]:
     each resolving to bitwise what ``np.linalg.eigh`` returns for it.
 
     With at least two matrices of dimension ``EIGH_SPLIT_DIM`` or more and
-    at least two usable CPUs, the batch is handed to one worker thread,
-    created on first use, which diagonalizes the matrices front to back
+    at least two usable CPUs, the batch (the returned list) goes to one
+    worker thread, made on first use, which diagonalizes it front to back
     while the caller goes on; :meth:`Eigh.result` takes what the worker
     has done and computes on the caller what it has not reached.  Otherwise,
     and whenever ``np.linalg.eigh`` is not NumPy's own solver (a wrapper put
@@ -345,12 +331,13 @@ def eigh_ahead(mats: Iterable[np.ndarray]) -> list[Eigh]:
     if (len(mats) < 2 or eigh is not _EIGH
             or min(m.shape[-1] for m in mats) < EIGH_SPLIT_DIM or _cpu_count() < 2):
         return [Eigh(None, None, eigh(m)) for m in mats]
-    batch = _Batch(mats)
+    batch: list[Eigh] = []
+    batch += [Eigh(batch, m) for m in mats]
     if _worker is None:
         from concurrent.futures import ThreadPoolExecutor
         _worker = ThreadPoolExecutor(1, thread_name_prefix="eigh")
     _worker.submit(_work, batch)
-    return batch.items
+    return batch
 
 
 def unitary_log_generator(u: np.ndarray) -> np.ndarray:

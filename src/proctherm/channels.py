@@ -25,6 +25,7 @@ from .algebra import (
     eigh_ahead,
     embed_factors,
     expm_herm,
+    is_hermitian,
     max_norm,
     ptrace_factors,
 )
@@ -117,7 +118,7 @@ class InterventionSchedule:
     system Hamiltonian between interventions.  ``sb_dims`` is (d_S, d_B);
     both routes read the schedule, so each input's size is checked here
     once: every Kraus operator and drive is d_S x d_S, ``h_bath`` d_B x d_B
-    and ``v_coupling`` (d_S d_B) x (d_S d_B).
+    and ``v_coupling`` (d_S d_B) x (d_S d_B), and the last two are Hermitian.
     """
 
     sb_dims: tuple[int, int]
@@ -155,7 +156,7 @@ class InterventionSchedule:
                         f"alphabet {instruments[k].labels} -> {inst.labels}")
                 fb.setdefault(k, {})[prefix] = inst
         d_s, d_b = sb_dims
-        # (input, its matrix, its dimension on each side)
+        # (input, its matrix, its dimension on each side); Segment checks a drive Hermitian
         shapes = [("h_bath", h_bath, d_b), ("v_coupling", v_coupling, d_s * d_b)]
         shapes += [(f"drive segment {i} for prefix {list(p)}", seg.h_system, d_s)
                    for p, segs in {(): protocol.base, **protocol.variants}.items()
@@ -165,8 +166,12 @@ class InterventionSchedule:
                                    *((k, v) for k, t in fb.items() for v in t.values())]
                    for label, cp in inst.outcomes]
         for name, mat, d in shapes:
-            if mat is not None and np.shape(mat) != (d, d):
+            if mat is None:
+                continue
+            if np.shape(mat) != (d, d):
                 raise ValueError(f"{name} must be {d}x{d}, got shape {np.shape(mat)}")
+            if name in ("h_bath", "v_coupling") and not is_hermitian(np.asarray(mat)):
+                raise ValueError(f"{name} is not Hermitian")
         object.__setattr__(self, "sb_dims", tuple(sb_dims))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "instruments", instruments)

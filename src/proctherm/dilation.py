@@ -43,15 +43,16 @@ class DilationResult:
 
     ``unitary`` acts on system (x) ancilla with the system factor first;
     ``projectors`` (instruments only) resolve the ancilla identity, one
-    orthogonal block per outcome.
+    orthogonal block per outcome.  Both sizes are read off the arrays.
     """
 
-    system_dim: int
-    ancilla_dim: int
     ancilla_state: np.ndarray
     unitary: np.ndarray
     projectors: tuple[np.ndarray, ...] | None = None
     outcome_labels: tuple[str, ...] | None = None
+
+    ancilla_dim = property(lambda self: self.ancilla_state.shape[0])
+    system_dim = property(lambda self: self.unitary.shape[0] // self.ancilla_dim)
 
     def unitarity_residual(self) -> float:
         u = self.unitary
@@ -94,11 +95,10 @@ def dilate_channel(channel: CPMap, ancilla_dim: int | None = None) -> DilationRe
     d_anc = m if ancilla_dim is None else int(ancilla_dim)
     if d_anc < m:
         raise ValueError(f"ancilla of dimension {d_anc} cannot host {m} Kraus terms")
-    d = channel.dim
     u = _stinespring_unitary(channel.kraus, d_anc)
     ref = np.zeros((d_anc, d_anc), dtype=complex)
     ref[0, 0] = 1.0
-    return DilationResult(d, d_anc, ref, u)
+    return DilationResult(ref, u)
 
 
 def dilate_instrument(inst: Instrument, ancilla_dim: int | None = None) -> DilationResult:
@@ -117,8 +117,7 @@ def dilate_instrument(inst: Instrument, ancilla_dim: int | None = None) -> Dilat
     projectors = np.zeros((len(inst.outcomes), d_anc, d_anc), dtype=complex)
     for i, r in enumerate(owner):
         projectors[r, i, i] = 1.0
-    return DilationResult(base.system_dim, d_anc, base.ancilla_state, base.unitary,
-                          tuple(projectors), inst.labels)
+    return DilationResult(base.ancilla_state, base.unitary, tuple(projectors), inst.labels)
 
 
 def apply_dilated(dr: DilationResult, rho_s: np.ndarray,

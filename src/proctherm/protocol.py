@@ -64,6 +64,9 @@ class Segment:
     def __post_init__(self):
         if not before(self.t0, self.t1):
             raise ValueError(f"empty segment [{self.t0}, {self.t1})")
+        shape = np.shape(self.h_system)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"segment Hamiltonian must be square, got shape {shape}")
         if not is_hermitian(np.asarray(self.h_system)):
             raise ValueError("segment Hamiltonian is not Hermitian")
 

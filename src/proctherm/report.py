@@ -144,15 +144,15 @@ def _tokens(values: list) -> list[str]:
 
 @dataclass(eq=False)
 class ReportBundle:
-    """Everything one run produced, ready for serialization."""
+    """Everything one run produced: ``report.json`` holds each field as its key."""
 
-    scenario_name: str
+    scenario: str
     mode: str
     seed: int
-    checksum: str
+    scenario_checksum: str
     tolerances: dict[str, float]
-    branches: _Table
-    ensemble: _Table
+    branch_rows: _Table
+    ensemble_rows: _Table
     equivalence: list[dict[str, Any]] | None = None
     checks: list[dict[str, Any]] | None = None
     pruned_mass: float = 0.0
@@ -160,28 +160,15 @@ class ReportBundle:
     version: str = __version__
 
     def to_json(self) -> str:
-        return dumps({
-            "scenario": self.scenario_name,
-            "mode": self.mode,
-            "seed": self.seed,
-            "scenario_checksum": self.checksum,
-            "version": self.version,
-            "tolerances": self.tolerances,
-            "pruned_mass": self.pruned_mass,
-            "control_caveat": self.control_caveat,
-            "branch_rows": self.branches,
-            "ensemble_rows": self.ensemble,
-            "equivalence": self.equivalence,
-            "checks": self.checks,
-        })
+        return dumps(vars(self))
 
     def write(self, outdir: str | Path) -> list[Path]:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         written = []
         for fname, text in (("report.json", self.to_json()),
-                            ("branches.csv", self.branches.csv()),
-                            ("ensemble.csv", self.ensemble.csv())):
+                            ("branches.csv", self.branch_rows.csv()),
+                            ("ensemble.csv", self.ensemble_rows.csv())):
             path = outdir / fname
             path.write_text(text, encoding="utf-8")
             written.append(path)
@@ -209,9 +196,9 @@ def bundle_from_run(result: RunResult, ledger: ThermoLedger, *, mode: str,
     model = result.model
     caveat = model.has_sb_coupling() and any(s.window_width is None for s in model.steps)
     return ReportBundle(
-        scenario_name=model.name, mode=mode, seed=seed,
-        checksum=checksum, tolerances=tolerances.as_dict(),
-        branches=branches, ensemble=ensemble,
+        scenario=model.name, mode=mode, seed=seed,
+        scenario_checksum=checksum, tolerances=tolerances.as_dict(),
+        branch_rows=branches, ensemble_rows=ensemble,
         equivalence=equivalence, checks=checks,
         pruned_mass=result.final.pruned_mass,
         control_caveat=CONTROL_CAVEAT if caveat else None)

@@ -126,6 +126,7 @@ class _Space:
     the Hamiltonian of each ancilla still in the support, and the coupling
     of step k's control window on S A_k while it is open.  Every
     Hamiltonian the autonomous route reads is a sum of some of them.
+    Energies are read term by term; :meth:`hamiltonian` exists for spectra.
     """
 
     def __init__(self, model: "AutonomousModel", support: tuple[str, ...]):
@@ -135,30 +136,27 @@ class _Space:
         self.pos = {l: i for i, l in enumerate(support)}
         # ancillas in the support that have a Hamiltonian
         self.ancillas = {l: h for l, h in model.ancilla_terms.items() if l in self.pos}
-        self._fixed: dict[tuple, np.ndarray] = {}
+        self._fixed: dict[int | None, np.ndarray] = {}
 
-    def hamiltonian(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
+    def hamiltonian(self, h_system: np.ndarray | None = None,
                     window: int | None = None) -> np.ndarray:
-        """Sum of the terms that act within ``labels``, on those factors in
-        the order given; the drive and step ``window``'s coupling count
-        only when passed.  All but the drive is cached per (labels, window)."""
-        dims = tuple(self.model.dims[l] for l in labels)
-        key = (labels, window)
-        h = self._fixed.get(key)
+        """Sum of the terms on the support, in its factor order: the matrix a
+        spectrum is taken of.  The drive and step ``window``'s coupling
+        count only when passed.  All but the drive is cached per window."""
+        h = self._fixed.get(window)
         if h is None:
             model = self.model
-            terms = [(model.h_bath, ("B",)), (model.v_coupling, ("S", "B"))]
-            terms += [(h_a, (label,)) for label, h_a in self.ancillas.items()]
+            terms = [(model.h_bath, ("B",)), (model.v_coupling, ("S", "B")),
+                     *((h_a, (label,)) for label, h_a in self.ancillas.items())]
             if window is not None:
                 terms.append((model.steps[window].window, ("S", ancilla_label(window))))
-            d = math.prod(dims)
-            h = np.zeros((d, d), dtype=complex)
+            h = np.zeros((math.prod(self.dims),) * 2, dtype=complex)
             for op, on in terms:
-                if op is not None and set(on) <= set(labels):
-                    h = h + embed_factors(op, [labels.index(l) for l in on], dims)
-            h = self._fixed[key] = _frozen(h)
-        if h_system is not None and "S" in labels:
-            h = h + embed_factors(h_system, [labels.index("S")], dims)
+                if op is not None and set(on) <= self.pos.keys():
+                    h = h + embed_factors(op, [self.pos[l] for l in on], self.dims)
+            h = self._fixed[window] = _frozen(h)
+        if h_system is not None and "S" in self.pos:
+            h = h + embed_factors(h_system, [self.pos["S"]], self.dims)
         return h
 
     @cached_property
@@ -166,9 +164,8 @@ class _Space:
         """Each term but the drive, as (dimension of the factors before it,
         its matrix): the S B block (``h_bath`` and ``v_coupling``), then the
         Hamiltonian of each ancilla in the support."""
-        before = {l: math.prod(self.dims[:i]) for i, l in enumerate(self.support)}
-        return [(1, self.model.space(("S", "B")).hamiltonian(("S", "B")))] + [
-            (before[l], h) for l, h in self.ancillas.items()]
+        return [(1, self.model.space(("S", "B")).hamiltonian())] + [
+            (math.prod(self.dims[:self.pos[l]]), h) for l, h in self.ancillas.items()]
 
     def energy(self, states: np.ndarray, h_system: np.ndarray) -> np.ndarray:
         """tr(H rho) per matrix of a stack, H every term on the support plus
@@ -176,6 +173,10 @@ class _Space:
         factors, so no Hamiltonian of the whole support is formed."""
         terms = [(1, h_system)] + self._terms
         return sum(_expect_on(h, states, left) for left, h in terms)[:, 0, 0].real
+
+    def ancilla_energy(self, states: np.ndarray) -> np.ndarray:
+        """tr(H_A rho) per matrix of a stack, H_A the ancilla terms :meth:`energy` reads."""
+        return sum(_expect_on(h, states, left) for left, h in self._terms[1:])[:, 0, 0].real
 
     @cached_property
     def _readout_terms(self) -> tuple[tuple[str, ...], list[tuple[int, np.ndarray]]]:
@@ -278,9 +279,6 @@ class AutonomousModel:
         """
         from .dilation import instrument_from_dilation
 
-        for arg, mat in (("h_bath", h_bath), ("v_coupling", v_coupling)):
-            if mat is not None and not is_hermitian(np.asarray(mat, dtype=complex)):
-                raise ValueError(f"{arg} is not Hermitian")
         dims = {"S": int(s_dim), "B": int(b_dim)}
         if min(dims.values()) < 1:
             raise ValueError(f"factor dimensions must be at least 1, got {dims}")
@@ -329,7 +327,7 @@ class AutonomousModel:
                     raise ValueError(f"step {k}: collision steps take no "
                                      "instrument feedback")
                 _check_projectors(projs, f"step {k}: ")
-                fixed = DilationResult(s_dim, d_anc, anc, u, tuple(projs), labels)
+                fixed = DilationResult(anc, u, tuple(projs), labels)
                 if not fixed.unitarity_residual() <= DEFAULT.dilation_unitary:
                     raise ValueError(f"step {k}: declared control is not unitary")
                 hardware = {(): fixed}
@@ -440,7 +438,7 @@ class AutonomousModel:
         eig = self._spectra.get(key)
         if type(eig) is not tuple:    # none yet, or an ahead-of-use handle
             eig = eig.result() if eig is not None else np.linalg.eigh(
-                self.space(labels).hamiltonian(labels, h_system, window))
+                self.space(labels).hamiltonian(h_system, window))
             eig = self._spectra[key] = tuple(_frozen(a) for a in eig)
         return eig
 
@@ -453,7 +451,7 @@ class AutonomousModel:
         for h_system in drives:
             key = self._spectrum_key(labels, h_system)
             if key not in self._spectra and key not in missing:
-                missing[key] = self.space(labels).hamiltonian(labels, h_system)
+                missing[key] = self.space(labels).hamiltonian(h_system)
         self._spectra.update(zip(missing, eigh_ahead(missing.values())))
 
     @cached_property

@@ -263,7 +263,7 @@ class ThermoEvaluator:
         # factored-out and pending ancillas, then those still in the state
         e_anc = g.e_factored + sum(self._e_anc0[done:])
         if space.ancillas:
-            e_anc = e_anc + expect_herm(space.hamiltonian(sa_labels), rho_sa)
+            e_anc = e_anc + space.ancilla_energy(g.states) / p
         corr = expect_herm(dh, rho_s)
         h_star_tr = expect_herm(h_star, rho_s)
         u = h_star_tr + self.beta * corr + e_anc

@@ -9,6 +9,7 @@ overridable: two numerical floors and the width of one instant.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 HERMITIAN = 1e-12   # max-norm floor on input matrices (Hermiticity, drive variants,
@@ -40,6 +41,9 @@ class Tolerances:
     def __post_init__(self):    # the one rule for the prune threshold; NaN fails it
         if not 0.0 <= self.prune < 1.0:
             raise ValueError(f"the prune threshold must be in [0, 1), got {self.prune!r}")
+        for name, value in vars(self).items():    # a NaN bound fails every check, inf none
+            if not math.isfinite(value):
+                raise ValueError(f"tolerance {name} must be finite, got {value!r}")
 
     def replaced(self, **overrides: float) -> "Tolerances":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}

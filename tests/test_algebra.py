@@ -1,5 +1,6 @@
 """Tests for the array linear algebra over ordered tensor factors."""
 
+import gc
 import math
 import os
 import signal
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -440,6 +442,26 @@ class TestEighAll:
         drain()
         assert sorted(id(a) for a, _ in log) == sorted(id(m) for m in mats)
         assert all(bitwise(h.result(), m) for h, m in zip(got, mats))
+
+    def test_a_resolved_batch_keeps_no_matrix_alive(self, monkeypatch):
+        # with the collector off only reference counts free the matrices,
+        # so a reference cycle through the batch would keep them alive
+        self.two_cpus(monkeypatch)
+        rng = np.random.default_rng(93)
+        mats = [random_hermitian(rng, 64) for _ in range(8)]
+        refs = [weakref.ref(m) for m in mats]
+        gc.disable()
+        try:
+            handles = eigh_ahead(mats)
+            del mats
+            assert algebra._worker is not None    # the batch went to the worker
+            for h in handles[::-1]:
+                h.result()
+            drain()
+            del handles, h
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_the_caller_takes_what_the_worker_has_not_reached(self, monkeypatch):
         # the worker holds the first matrix; the caller computes the rest

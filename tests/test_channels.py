@@ -169,6 +169,9 @@ GUARDS = {
     "schedule-h-bath-size": (
         lambda: flat_schedule([0.5], [projective_z()], h_bath=np.eye(3)),
         r"h_bath must be 2x2, got shape \(3, 3\)"),
+    "schedule-h-bath-hermitian": (
+        lambda: flat_schedule([0.5], [projective_z()], h_bath=np.array([[0, 1], [0, 0.5]])),
+        "h_bath is not Hermitian"),
     "schedule-v-coupling-size": (
         lambda: flat_schedule([0.5], [projective_z()], v=np.eye(2)),
         r"v_coupling must be 4x4, got shape \(2, 2\)"),

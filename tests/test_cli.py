@@ -526,7 +526,10 @@ class TestInputErrors:
     # no longer names the flag
     @pytest.mark.parametrize("override, message", [
         ("prune", "expected k=v, got 'prune'"),
-        ("prune=small", "'small' is not a number")], ids=["no-equals", "not-a-number"])
+        ("prune=small", "'small' is not a number"),
+        ("first_law=nan", "tolerance first_law must be finite, got nan"),
+        ("first_law=inf", "tolerance first_law must be finite, got inf")],
+        ids=["no-equals", "not-a-number", "nan", "inf"])
     def test_malformed_tolerance_override_is_an_input_error(self, capsys, override, message):
         assert run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
                        "--tol-override", override) == 2

@@ -175,7 +175,7 @@ class TestInstrumentDilation:
         rot = random_unitary(rng, len(cols))
         u2[:, cols] = u2[:, cols] @ rot
         from proctherm.dilation import DilationResult
-        dr2 = DilationResult(d, m, dr.ancilla_state, u2, dr.projectors, dr.outcome_labels)
+        dr2 = DilationResult(dr.ancilla_state, u2, dr.projectors, dr.outcome_labels)
         assert dr2.unitarity_residual() < 1e-10
         assert reconstruction_error(dr2, [cp for _, cp in inst.outcomes]) < 1e-9
 

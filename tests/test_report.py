@@ -48,11 +48,12 @@ def bundle_doc(bundle) -> dict:
     """The document ``report.json`` holds, each table as its list of rows."""
     def rows(table):
         return [dict(zip(table.columns, cells)) for cells in zip(*table.values)]
-    return {"scenario": bundle.scenario_name, "mode": bundle.mode, "seed": bundle.seed,
-            "scenario_checksum": bundle.checksum, "version": bundle.version,
+    return {"scenario": bundle.scenario, "mode": bundle.mode, "seed": bundle.seed,
+            "scenario_checksum": bundle.scenario_checksum, "version": bundle.version,
             "tolerances": bundle.tolerances, "pruned_mass": bundle.pruned_mass,
             "control_caveat": bundle.control_caveat,
-            "branch_rows": rows(bundle.branches), "ensemble_rows": rows(bundle.ensemble),
+            "branch_rows": rows(bundle.branch_rows),
+            "ensemble_rows": rows(bundle.ensemble_rows),
             "equivalence": bundle.equivalence, "checks": bundle.checks}
 
 
@@ -79,13 +80,22 @@ def test_shipped_bundles_match_the_oracle(path, tmp_path):
         want_branches = reference_csv(BRANCH_COLUMNS, doc["branch_rows"])
         want_ensemble = reference_csv(ENSEMBLE_COLUMNS, doc["ensemble_rows"])
         assert bundle.to_json() == want_json
-        assert bundle.branches.csv() == want_branches
-        assert bundle.ensemble.csv() == want_ensemble
+        assert bundle.branch_rows.csv() == want_branches
+        assert bundle.ensemble_rows.csv() == want_ensemble
         out = tmp_path / bundle.mode
         bundle.write(out)
         assert (out / "report.json").read_text(encoding="utf-8") == want_json
         assert (out / "branches.csv").read_text(encoding="utf-8") == want_branches
         assert (out / "ensemble.csv").read_text(encoding="utf-8") == want_ensemble
+
+
+def test_report_keys_are_fixed():
+    # the keys are the fields of ReportBundle: renaming a field renames a key
+    for bundle in bundles(SCENARIO_DIR / "measurement_work.yaml"):
+        assert sorted(json.loads(bundle.to_json())) == [
+            "branch_rows", "checks", "control_caveat", "ensemble_rows", "equivalence",
+            "mode", "pruned_mass", "scenario", "scenario_checksum", "seed",
+            "tolerances", "version"]
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

@@ -769,7 +769,8 @@ GUARDS = {
 
 
 # the schedule's size checks (their guards are in test_channels.py),
-# reached through assemble: each input is refused before any run
+# reached through assemble, and the drive's squareness, which its Segment
+# checks: each input is refused, by its name and shape, before any run
 SIZES = {
     "kraus": (lambda: simple_model([{"time": 0.5, "instrument": Instrument(
         [("1", CPMap([np.eye(4)]))])}]),
@@ -780,6 +781,12 @@ SIZES = {
                    r"v_coupling must be 4x4, got shape \(2, 2\)"),
     "drive": (lambda: simple_model([], h_sys=np.eye(3)),
               r"drive segment 0 for prefix \[\] must be 2x2, got shape \(3, 3\)"),
+    "h-bath-not-square": (lambda: simple_model([], h_bath=np.ones((2, 3))),
+                          r"h_bath must be 2x2, got shape \(2, 3\)"),
+    "v-coupling-not-square": (lambda: simple_model([], v=np.ones((4, 3))),
+                              r"v_coupling must be 4x4, got shape \(4, 3\)"),
+    "drive-not-square": (lambda: Segment(0.0, 1.0, np.ones((2, 3))),
+                         r"segment Hamiltonian must be square, got shape \(2, 3\)"),
 }
 
 
