@@ -63,7 +63,8 @@ def _as_complex(mat) -> np.ndarray:
 
 
 def dagger(mat: np.ndarray) -> np.ndarray:
-    return mat.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return mat.conj().swapaxes(-1, -2)
 
 
 def max_norm(mat: np.ndarray) -> float:

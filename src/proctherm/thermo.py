@@ -33,6 +33,10 @@ initial system-bath state they agree identically and are non-negative.
 Ancillas are accounted from the initial time in their declared preparation
 states: before entering the dynamics each contributes constant energy and
 entropy offsets, so nothing jumps when it starts interacting.
+
+A run is evaluated in one pass (:class:`ThermoEvaluator`): each group's
+stack is read once into small reductions, and everything else, H* of every
+drive value included, is computed once for all report times together.
 """
 
 from __future__ import annotations
@@ -41,17 +45,13 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    expect_herm,
-    log_partition,
-    logsumexp,
-    vn_entropy_mat,
-)
-from .simulate import BranchGroup, RunResult, Snapshot
+from .algebra import dagger, expect_herm, log_partition, vn_entropy_mat
+from .simulate import AutonomousModel, BranchGroup, RunResult, Snapshot
 
 __all__ = [
     "BranchThermo",
@@ -75,9 +75,11 @@ class ConventionError(ValueError):
 def _log_divided_differences(lam: np.ndarray) -> np.ndarray:
     """K_ij = (ln l_i - ln l_j) / (l_i - l_j) and K_ii = 1 / l_i for l > 0,
     as f(1 - r) / l_max with r = l_min / l_max and f(y) = -ln(1 - y) / y,
-    f(0) = 1: nothing overflows, and r below the unit roundoff stays finite."""
-    hi = np.maximum.outer(lam, lam)
-    r = np.minimum.outer(lam, lam) / hi
+    f(0) = 1: nothing overflows, and r below the unit roundoff stays finite.
+    For a (K, d) stack of spectra, the (K, d, d) stack of their K."""
+    a, b = lam[..., :, None], lam[..., None, :]
+    hi = np.maximum(a, b)
+    r = np.minimum(a, b) / hi
     return np.divide(-np.log(r), 1.0 - r, out=np.ones_like(r), where=r < 1) / hi
 
 
@@ -88,51 +90,57 @@ def _bath_moments(h_bath: np.ndarray, beta: float) -> tuple[float, float]:
     return log_partition(h_bath, beta), float(boltz @ w / np.sum(boltz))
 
 
-def _mean_force_arrays(eig: tuple[np.ndarray, np.ndarray], dims: Sequence[int],
+def _mean_force_arrays(eigs: Sequence[tuple[np.ndarray, np.ndarray]], dims: Sequence[int],
                        x_pos: Sequence[int], bath: tuple[float, float], beta: float
-                       ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(H*, dH*/dbeta, ln Z*) from the eigenpairs (w, v) of H_XB and the
-    bath's (ln Z_B, <H_B>) at beta, in one pass.  With w0 = min w,
-    M = tr_B e^{-beta (H_XB - w0)} and M' = dM/dbeta, beta H* = -ln M +
-    beta w0 + ln Z_B gives dH*/dbeta = (w0 - <H_B> - D ln M[M'] - H*) / beta,
-    with the Daleckii-Krein derivative D ln M[X] = V ((V' X V) o K) V' in
-    M's eigenbasis, K from :func:`_log_divided_differences`.  Raises
-    :class:`ConventionError` when M's lowest eigenvalue underflows (at or
-    below 1e-300): its logarithm would no longer be H*.
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(H*, dH*/dbeta) as two (K, d_X, d_X) stacks, one matrix per
+    eigenpairs (w, v) of an H_XB in ``eigs``, from the bath's
+    (ln Z_B, <H_B>) at beta.  With w0 = min w, M = tr_B e^{-beta (H_XB - w0)}
+    and M' = dM/dbeta, beta H* = -ln M + beta w0 + ln Z_B gives
+    dH*/dbeta = (w0 - <H_B> - D ln M[M'] - H*) / beta, with the
+    Daleckii-Krein derivative D ln M[X] = V ((V' X V) o K) V' in M's
+    eigenbasis, K from :func:`_log_divided_differences`.  Raises
+    :class:`ConventionError` when the lowest eigenvalue of any M underflows
+    (at or below 1e-300), naming the first such M of ``eigs``: its
+    logarithm would no longer be H*.
 
-    e^{-beta H_XB} is never formed.  M = sum_k c_k tr_B |v_k><v_k| and M'
-    are one matrix product: v's rows split into (X factors, traced
-    factors), the columns weighted by c = e^{-beta (w - w0)} and by
-    -(w - w0) c, contracted with conj(v) over the traced factors and the
-    eigen-index, 2 d_X D^2 multiply-adds for D = dim H_XB."""
-    w, v = eig
+    e^{-beta H_XB} is never formed.  Per spectrum, M = sum_k c_k tr_B
+    |v_k><v_k| and M' are one matrix product: v's rows split into
+    (X factors, traced factors), the columns weighted by
+    c = e^{-beta (w - w0)} and by -(w - w0) c, contracted with conj(v) over
+    the traced factors and the eigen-index, 2 d_X D^2 multiply-adds for
+    D = dim H_XB.  The d_X x d_X rest (the eigh of M, ln M and the
+    derivative) runs once on the stack of every M, so its per-call cost is
+    paid once, not once per spectrum."""
     ln_z_bath, e_bath = bath
-    w0 = float(w[0])
-    boltz = np.exp(-beta * (w - w0))
     k = len(dims)
     kept = sorted(x_pos)
     d_x = math.prod(dims[i] for i in kept)
-    # rows (kept factors, traced factors), then the eigen-index
-    v_x = v.reshape(tuple(dims) + (-1,)).transpose(
-        kept + [i for i in range(k) if i not in kept] + [k]).reshape(d_x, -1, len(w))
-    weights = np.stack([boltz, -(w - w0) * boltz])
-    both = (v_x * weights[:, None, None]).reshape(2 * d_x, -1) @ v_x.reshape(d_x, -1).conj().T
-    m0, dm = both[:d_x], both[d_x:]
-    m0 = 0.5 * (m0 + m0.conj().T)
-    wm, vm = np.linalg.eigh(m0)
-    if not wm[0] > 1e-300:
+    perm = kept + [i for i in range(k) if i not in kept] + [k]
+    w0 = np.array([float(w[0]) for w, _ in eigs])[:, None, None]
+    both = np.empty((len(eigs), 2 * d_x, d_x), dtype=complex)
+    for out, (w, v), low in zip(both, eigs, w0.ravel()):
+        boltz = np.exp(-beta * (w - low))
+        # rows (kept factors, traced factors), then the eigen-index
+        v_x = v.reshape(tuple(dims) + (-1,)).transpose(perm).reshape(d_x, -1, len(w))
+        weights = np.stack([boltz, -(w - low) * boltz])
+        out[...] = (v_x * weights[:, None, None]).reshape(2 * d_x, -1) \
+            @ v_x.reshape(d_x, -1).conj().T
+    m0, dm = both[:, :d_x], both[:, d_x:]
+    wm, vm = np.linalg.eigh(0.5 * (m0 + dagger(m0)))
+    under = np.flatnonzero(~(wm[:, 0] > 1e-300))
+    if under.size:
         raise ConventionError(
             f"Hamiltonian of mean force at beta={beta:g}: the lowest eigenvalue "
-            f"{wm[0]:.3e} of tr_B exp(-beta (H_XB - w0)) underflows, so a "
+            f"{wm[under[0], 0]:.3e} of tr_B exp(-beta (H_XB - w0)) underflows, so a "
             f"level more than ~690/beta above the ground is not resolved")
-    ln_m = (vm * np.log(wm)) @ vm.conj().T
-    eye = np.eye(ln_m.shape[0])
-    h_star = -(ln_m) / beta + (w0 + ln_z_bath / beta) * eye
-    h_star = 0.5 * (h_star + h_star.conj().T)
-    dln_m = vm @ ((vm.conj().T @ dm @ vm) * _log_divided_differences(wm)) @ vm.conj().T
+    vh = dagger(vm)
+    eye = np.eye(d_x)
+    h_star = -((vm * np.log(wm)[:, None, :]) @ vh) / beta + (w0 + ln_z_bath / beta) * eye
+    h_star = 0.5 * (h_star + dagger(h_star))
+    dln_m = vm @ ((vh @ dm @ vm) * _log_divided_differences(wm)) @ vh
     dh = ((w0 - e_bath) * eye - dln_m - h_star) / beta
-    ln_z_star = logsumexp(-beta * w) - ln_z_bath
-    return h_star, 0.5 * (dh + dh.conj().T), ln_z_star
+    return h_star, 0.5 * (dh + dagger(dh))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +213,59 @@ class ThermoLedger:
     ensemble_rows: tuple[EnsembleThermo, ...]
 
 
+class _Reduced(NamedTuple):
+    """What the evaluation reads of one group's stack, unnormalized: its
+    weights, its marginals on S and on S plus its ancillas (the same array
+    when it holds none), the energy of those ancillas per record, and the
+    group's summed bare energy sum_r (tr{H rho_r} + p_r e_factored)."""
+
+    p: np.ndarray
+    rho_s: np.ndarray
+    rho_x: np.ndarray
+    e_anc: np.ndarray
+    e_bare: float
+
+
+def _reduce(model: AutonomousModel, g: BranchGroup) -> _Reduced:
+    """Read one group's stack into the reductions of :class:`_Reduced`,
+    without copying or stacking a state."""
+    space = model.space(g.support)
+    p = g.weights
+    rho_s = space.ptrace(g.states, ["S"])
+    x = tuple(l for l in g.support if l != "B")
+    rho_x = rho_s if x == ("S",) else space.ptrace(g.states, x)
+    e_anc = space.ancilla_energy(g.states) if space.ancillas else np.zeros(len(p))
+    e_bare = float(np.sum(space.energy(g.states, g.h_sys) + p * g.e_factored))
+    return _Reduced(p, rho_s, rho_x, e_anc, e_bare)
+
+
+class _Pass(NamedTuple):
+    """The evaluated run: per snapshot, its branch columns in ledger order
+    (one row per field of :class:`BranchRows` but ``labels``) and its bare
+    energy tr{H rho}; and (u0, s0, E_bare0) of the initial time."""
+
+    columns: dict[Snapshot, np.ndarray]
+    e_bare: dict[Snapshot, float]
+    reference: tuple[float, float, float]
+
+
 class ThermoEvaluator:
-    """Evaluates the thermodynamic functionals over a finished run, one ledger
-    group (one stack) at a time."""
+    """Evaluates the thermodynamic functionals over a finished run in one
+    pass over its initial time and its snapshots.  Stage 1 reads each
+    group's stack once into small reductions (:func:`_reduce`).  Stage 2
+    reads no state, only those reductions and the groups' tallies: H* and
+    dH*/dbeta for every drive value of the run in
+    one call of :func:`_mean_force_arrays`, the entropies in one
+    ``vn_entropy_mat`` call per marginal size, the H* and dH*/dbeta
+    expectations in one array operation, and every branch column of every
+    report time as one array in ledger order.  :meth:`branch_rows` and
+    :meth:`ensemble` read that pass."""
 
     def __init__(self, result: RunResult):
         self.result = result
         self.model = result.model
         self.beta = self.model.beta
         self.bare = self.model.mean_force_bare
-        self._mf_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         # constants of the unentered ancillas, counted from the initial time
         self._e_anc0 = [expect_herm(spec.h_ancilla, spec.ancilla_state)
                         for spec in self.model.steps]
@@ -227,89 +278,91 @@ class ThermoEvaluator:
         # (ln Z_B, <H_B>) at beta, which every mean force reads
         self._bath = _bath_moments(h_b, self.beta)
 
-    # -- mean force ----------------------------------------------------------
-
-    def _mean_force(self, h_sys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H*, exact dH*/dbeta) on the system factor for one drive value,
-        from one pass over the model's own S B spectrum for it."""
-        key = h_sys.tobytes()
-        out = self._mf_cache.get(key)
-        if out is not None:
-            return out
-        model, beta = self.model, self.beta
+    def _mean_forces(self, drives: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(H*, exact dH*/dbeta) on the system factor as two stacks, one
+        matrix per drive value of ``drives``, from the model's own S B
+        spectrum of each."""
+        model = self.model
         if self.bare or not model.has_sb_coupling():
             # decoupled (or declared weak-coupling): H* is the bare term
-            out = (np.asarray(h_sys, dtype=complex), np.zeros_like(h_sys, dtype=complex))
-        else:
-            out = _mean_force_arrays(model.spectrum(("S", "B"), h_sys),
-                                     model.space(("S", "B")).dims, [0], self._bath,
-                                     beta)[:2]
-        self._mf_cache[key] = out
-        return out
+            h_star = np.array(drives, dtype=complex)
+            return h_star, np.zeros_like(h_star)
+        return _mean_force_arrays([model.spectrum(("S", "B"), h) for h in drives],
+                                  model.space(("S", "B")).dims, [0], self._bath, self.beta)
+
+    @cached_property
+    def _pass(self) -> _Pass:
+        beta, snaps = self.beta, (self.result.initial, *self.result.snapshots)
+        groups = [g for snap in snaps for g in snap.ledger.groups]
+        # stage 1: each stack read once
+        red = [_reduce(self.model, g) for g in groups]
+        # stage 2: the reductions of every group of every snapshot at once
+        sizes = [len(g.records) for g in groups]
+        ends = np.cumsum(sizes)
+        p = np.concatenate([x.p for x in red])
+        # the pending ancillas' constants after each number of finished steps
+        e_pend, s_pend = ([sum(c[k:]) for k in range(len(c) + 1)]
+                          for c in (self._e_anc0, self._s_anc0))
+        done = np.repeat([snap.ledger.steps_done for snap in snaps for _ in snap.ledger.groups],
+                         sizes)
+        # H* and dH*/dbeta per distinct drive value, as (Re, Im) rows per record
+        drives = {g.h_sys.tobytes(): g.h_sys for g in groups}
+        slot = {key: i for i, key in enumerate(drives)}
+        ops = np.stack(self._mean_forces(list(drives.values())), axis=1)
+        ops = ops.reshape(len(ops), 2, -1).view(float)[
+            np.repeat([slot[g.h_sys.tobytes()] for g in groups], sizes)]
+        rho_s = np.concatenate([x.rho_s for x in red]) / p[:, None, None]
+        # tr{H* rho_S} and tr{dH*/dbeta rho_S}, read as expect_herm reads them
+        h_star_tr, corr = np.einsum("rk,rjk->jr", rho_s.reshape(len(p), -1).view(float), ops)
+        # von Neumann entropy of the S-plus-ancillas marginals, one call per size
+        s_vn = np.empty(len(p))
+        for m in sorted({x.rho_x.shape[-1] for x in red}):
+            at = [i for i, x in enumerate(red) if x.rho_x.shape[-1] == m]
+            rows = np.concatenate([np.arange(ends[i] - sizes[i], ends[i]) for i in at])
+            s_vn[rows] = vn_entropy_mat(np.concatenate([red[i].rho_x for i in at])
+                                        / p[rows, None, None])
+        s_vn += np.array(s_pend)[done]
+        # factored-out and pending ancillas, then those still in the state
+        e_anc = (np.concatenate([g.e_factored for g in groups]) + np.array(e_pend)[done]
+                 + np.concatenate([x.e_anc for x in red]) / p)
+        u = h_star_tr + beta * corr + e_anc
+        log_p = np.log(np.where(p > 0, p, 1.0))
+        columns = np.stack([p, u, u - u[0]] + [
+            np.concatenate([getattr(g, name) for g in groups])
+            for name in ("w_sys", "w_ctrl", "w_meas", "w_meas_alt")] + [
+            -log_p + s_vn + beta ** 2 * corr, h_star_tr + e_anc + (log_p - s_vn) / beta])
+        # every snapshot's rows in ledger order, by one index array
+        starts = np.cumsum([0] + [len(snap.ledger.order) for snap in snaps])
+        columns = columns[:, np.concatenate([start + snap.ledger.order
+                                             for start, snap in zip(starts, snaps)])]
+        e_bare, reduced = {}, iter(red)
+        for snap in snaps:
+            total = tw = 0.0
+            for x in islice(reduced, len(snap.ledger.groups)):
+                total += x.e_bare
+                tw += float(np.sum(x.p))
+            e_bare[snap] = total + tw * e_pend[snap.ledger.steps_done]
+        # the initial time's single record, whose -ln p counts as 0
+        reference = (float(u[0]), float(s_vn[0] + beta ** 2 * corr[0]), e_bare[snaps[0]])
+        return _Pass({snap: columns[:, a:b] for snap, a, b in zip(snaps, starts, starts[1:])},
+                     e_bare, reference)
 
     # -- branch rows ---------------------------------------------------------
 
-    def _pieces(self, snap: Snapshot, g: BranchGroup):
-        """(p, u, s_vn_plus_pending, corr, e_bare_anc, h_star_tr) for the
-        records of one group, each as a length-N array."""
-        space = self.model.space(g.support)
-        p = g.weights
-        done = snap.ledger.steps_done    # the ancillas of the later steps are pending
-        rho_s = space.ptrace(g.states, ["S"]) / p[:, None, None]
-        sa_labels = tuple(l for l in g.support if l != "B")
-        rho_sa = rho_s if sa_labels == ("S",) else \
-            space.ptrace(g.states, sa_labels) / p[:, None, None]
-        h_star, dh = self._mean_force(g.h_sys)
-        # factored-out and pending ancillas, then those still in the state
-        e_anc = g.e_factored + sum(self._e_anc0[done:])
-        if space.ancillas:
-            e_anc = e_anc + space.ancilla_energy(g.states) / p
-        corr = expect_herm(dh, rho_s)
-        h_star_tr = expect_herm(h_star, rho_s)
-        u = h_star_tr + self.beta * corr + e_anc
-        s_vn = vn_entropy_mat(rho_sa) + sum(self._s_anc0[done:])
-        return p, u, s_vn, corr, e_anc, h_star_tr
-
-    @cached_property
-    def _reference(self) -> tuple[float, float, float]:
-        """(u0, s0, E_bare0) at the initial time, of its single branch (-ln p = 0)."""
-        snap = self.result.initial
-        (g,) = snap.ledger.groups
-        _, u, s_vn, corr, _, _ = (float(x[0]) for x in self._pieces(snap, g))
-        return u, s_vn + self.beta ** 2 * corr, self._bare_energy(snap)
-
-    def _bare_energy(self, snap: Snapshot) -> float:
-        """tr{H rho} of the inclusive state (system, bath, ancillas)."""
-        total = tw = 0.0
-        for g in snap.ledger.groups:
-            e = self.model.space(g.support).energy(g.states, g.h_sys)
-            total += float(np.sum(e + g.weights * g.e_factored))
-            tw += float(np.sum(g.weights))
-        return total + tw * sum(self._e_anc0[snap.ledger.steps_done:])
-
     def branch_rows(self, snap: Snapshot) -> BranchRows:
-        """The rows of the records of ``snap`` of positive weight, in ledger
-        order."""
-        u0 = self._reference[0]
-        ledger = snap.ledger
-        columns = [[] for _ in fields(BranchRows)[1:]]
-        for g in ledger.groups:
-            p, u, s_vn, corr, e_anc, h_star_tr = self._pieces(snap, g)
-            log_p = np.array([math.log(x) if x > 0 else 0.0 for x in p.tolist()])
-            for column, x in zip(columns, (p, u, u - u0, g.w_sys, g.w_ctrl, g.w_meas,
-                                           g.w_meas_alt, -log_p + s_vn + self.beta ** 2 * corr,
-                                           h_star_tr + e_anc + (log_p - s_vn) / self.beta)):
-                column.append(x)
-        columns = [ledger.in_order(column) for column in columns]
+        """The rows of the records of ``snap`` (the run's initial time or
+        one of its snapshots) of positive weight, in ledger order."""
+        columns = self._pass.columns[snap]
         kept = columns[0] > 0
-        return BranchRows(list(compress(ledger.records, kept.tolist())), *(c[kept] for c in columns))
+        return BranchRows(list(compress(snap.ledger.records, kept.tolist())),
+                          *columns[:, kept])
 
     # -- ensemble ------------------------------------------------------------
 
     def ensemble(self, snap: Snapshot, rows: BranchRows) -> EnsembleThermo:
         """Ensemble aggregates of ``snap`` from its branch rows, as returned
         by :meth:`branch_rows` for the same snapshot, summed in row order."""
-        u0, s0, e0 = self._reference
+        u0, s0, e0 = self._pass.reference
         tw = sum(rows.p.tolist(), 0.0)
         u, s, f, w, w_alt = (sum((rows.p * x).tolist(), 0.0)
                              for x in (rows.u, rows.s, rows.f, rows.w, rows.w_alt))
@@ -317,7 +370,7 @@ class ThermoEvaluator:
         ds = s - tw * s0
         q = du - w
         sigma_fl = ds - self.beta * q
-        e_bare = self._bare_energy(snap)
+        e_bare = self._pass.e_bare[snap]
         sigma_re = None
         if rows and self.model.gibbs_initial and not self.bare:
             sigma_re = self._sigma_relent(e_bare, f)

@@ -207,14 +207,15 @@ def mean_force_full_product(h_xb: np.ndarray, dims: Sequence[int], keep: Sequenc
 
 
 def mean_force(h_xb: np.ndarray, dims: Sequence[int], keep: Sequence[int], beta: float,
-               h_bath: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """(H*, dH*/dbeta, ln Z*) of the factors ``keep`` of ``h_xb`` on ``dims``,
+               h_bath: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(H*, dH*/dbeta) of the factors ``keep`` of ``h_xb`` on ``dims``,
     ``h_bath`` the bare Hamiltonian of the other factors (zero if omitted),
-    from the package's own mean-force pass."""
+    from the package's own mean-force pass on a stack of one spectrum."""
     d_bath = math.prod(dims) // math.prod(dims[i] for i in keep)
     h_bath = np.zeros((d_bath, d_bath)) if h_bath is None else h_bath
-    return _mean_force_arrays(np.linalg.eigh(np.asarray(h_xb, dtype=complex)), dims, keep,
-                              _bath_moments(h_bath, beta), beta)
+    h_star, dh = _mean_force_arrays([np.linalg.eigh(np.asarray(h_xb, dtype=complex))], dims,
+                                    keep, _bath_moments(h_bath, beta), beta)
+    return h_star[0], dh[0]
 
 
 def relative_entropy_mat(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -121,8 +121,10 @@ def test_partial_traces_and_entropies_per_event_not_per_branch(monkeypatch):
     # the branches of one step, interval or report share their hardware and
     # drive, so they are traced and diagonalized as one stack: each event
     # makes the same number of partial traces and entropies whether it
-    # holds 2 or 2**6 branches (the mean force's own traces, once per drive
-    # value, are bound in thermo and not counted)
+    # holds 2 or 2**6 branches.  The evaluation is one pass, run by the
+    # first branch_rows call: it traces each report's stack, and the initial
+    # one, the same number of times, and takes every entropy in one call per
+    # marginal size
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -144,18 +146,23 @@ def test_partial_traces_and_entropies_per_event_not_per_branch(monkeypatch):
 
     monkeypatch.setattr(simulate, "ptrace_factors", counted("ptrace", simulate.ptrace_factors))
     monkeypatch.setattr(thermo, "vn_entropy_mat", counted("entropy", thermo.vn_entropy_mat))
+    snapshots = {}    # n -> report times plus the initial time
     for n in (4, 6):
         with monkeypatch.context() as m:
             for cls, event in ((Simulator, "run_step"), (Simulator, "advance"),
                                (ThermoEvaluator, "branch_rows")):
                 m.setattr(cls, event, per_event(n, event, getattr(cls, event)))
-            evaluate_run(Simulator(probe_model(n)).run(report_times=report_times(n)))
+            result = Simulator(probe_model(n)).run(report_times=report_times(n))
+            evaluate_run(result)
+        snapshots[n] = len(result.snapshots) + 1
     assert len(set(per_call[4, "run_step"] + per_call[6, "run_step"])) == 1
     # one advance crosses the drive switch
     assert set(per_call[4, "advance"]) == set(per_call[6, "advance"])
-    # the first report also evaluates the initial reference
-    assert per_call[4, "branch_rows"][0] == per_call[6, "branch_rows"][0]
-    assert len(set(per_call[4, "branch_rows"][1:] + per_call[6, "branch_rows"][1:])) == 1
+    (ptraces_4, entropies_4), *rest_4 = per_call[4, "branch_rows"]
+    (ptraces_6, entropies_6), *rest_6 = per_call[6, "branch_rows"]
+    assert ptraces_4 > 0 and ptraces_4 / snapshots[4] == ptraces_6 / snapshots[6]
+    assert entropies_4 == entropies_6 == 1
+    assert set(rest_4 + rest_6) == {(0, 0)}
 
 
 # Z and X readouts at once: four outcomes, each with one Kraus operator

@@ -127,7 +127,7 @@ class TestThermodynamicReduction:
                 + embed_factors(h_b, [1], [2, 2, 2, 2])
                 + embed_factors(v, [0, 1], [2, 2, 2, 2])
                 + embed_factors(h_anc, [2], [2, 2, 2, 2]))
-        h_star, dh, _ = mean_force(h_xb, [2, 2, 2, 2], [0, 2, 3], model.beta, h_b)
+        h_star, dh = mean_force(h_xb, [2, 2, 2, 2], [0, 2, 3], model.beta, h_b)
         rho_x = ptrace_factors(rho, dims, [0, 2, 3])
         u_literal = float(np.real(np.trace((h_star + model.beta * dh) @ rho_x)))
         s_literal = vn_entropy_mat(rho_x) + model.beta ** 2 * float(

@@ -10,7 +10,13 @@ from proctherm.algebra import embed_factors, gibbs_mat, log_partition, max_norm,
 from proctherm.channels import CPMap, Instrument
 from proctherm.protocol import Protocol, Segment
 from proctherm.simulate import AutonomousModel, Simulator
-from proctherm.thermo import ConventionError, ThermoEvaluator, evaluate_run
+from proctherm.thermo import (
+    ConventionError,
+    ThermoEvaluator,
+    _bath_moments,
+    _mean_force_arrays,
+    evaluate_run,
+)
 
 from oracles import (
     mean_force,
@@ -52,10 +58,11 @@ class TestMeanForce:
 
     def test_joint_hamiltonian_diagonalized_once_per_drive_value(self, monkeypatch):
         # H_SB depends on the drive alone: the Gibbs start, the propagators
-        # of its segments, and H*, its beta-derivative and ln Z* all share
-        # one eigh of it across the assembly, the run and its evaluation;
-        # the mean force then diagonalizes one d_S x d_S matrix, M = tr_B
-        # exp(-beta H_SB) up to a scalar, per drive value
+        # of its segments, and H* and its beta-derivative all share one eigh
+        # of it across the assembly, the run and its evaluation; the mean
+        # force then diagonalizes one d_S x d_S matrix, M = tr_B
+        # exp(-beta H_SB) up to a scalar, per drive value, counted inside
+        # the stacks it diagonalizes them in
         rng = np.random.default_rng(12)
         drives = [np.diag([0.0, 1.0]) + c * SX for c in (0.0, 0.2, 0.5)]
         proto = Protocol([Segment(0.5 * i, 0.5 * (i + 1), h) for i, h in enumerate(drives)])
@@ -74,7 +81,9 @@ class TestMeanForce:
         joint = [a for a in inputs if a.shape == (6, 6)]
         assert len(joint) == len(drives)
         assert len({a.tobytes() for a in joint}) == len(drives)
-        assert len([a for a in inputs if a.shape == (2, 2)]) == len(drives)
+        m = [mat for a in inputs if a.shape[-2:] == (2, 2) for mat in a.reshape(-1, 2, 2)]
+        assert len(m) == len(drives)
+        assert len({mat.tobytes() for mat in m}) == len(drives)
 
     @pytest.mark.parametrize("low", [False, True], ids=["beta-1", "lowest-eigenvalue-below-1e-10"])
     @pytest.mark.parametrize("dims, keep, beta_low", [((2, 32), [0], 28.0),
@@ -102,14 +111,29 @@ class TestMeanForce:
         w, v = np.linalg.eigh(h)
         m = ptrace_factors((v * np.exp(-beta * (w - w[0]))) @ v.conj().T, dims, keep)
         assert (np.linalg.eigvalsh(m)[0] < 1e-10) == low
-        h_star, dh, _ = mean_force(h, dims, keep, beta, h_b)
+        h_star, dh = mean_force(h, dims, keep, beta, h_b)
         ref_h_star, ref_dh = mean_force_full_product(h, dims, keep, beta, h_b)
         np.testing.assert_allclose(h_star, ref_h_star, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dh, ref_dh, rtol=0, atol=1e-12)
 
+    def test_a_stack_of_spectra_gives_each_its_own_mean_force(self):
+        # the d_S x d_S tail runs once on the stack of every drive value's
+        # M: matrix i of each result is spectrum i's, whatever its neighbours
+        rng = np.random.default_rng(36)
+        beta, h_b = 0.9, random_hermitian(rng, 3)
+        hs = [np.kron(random_hermitian(rng, 2), np.eye(3)) + np.kron(np.eye(2), h_b)
+              + random_hermitian(rng, 6, scale=0.4) for _ in range(4)]
+        h_star, dh = _mean_force_arrays([np.linalg.eigh(h) for h in hs], (2, 3), [0],
+                                        _bath_moments(h_b, beta), beta)
+        assert h_star.shape == dh.shape == (4, 2, 2)
+        for h, h_star_i, dh_i in zip(hs, h_star, dh):
+            ref_h_star, ref_dh = mean_force_full_product(h, (2, 3), [0], beta, h_b)
+            np.testing.assert_allclose(h_star_i, ref_h_star, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dh_i, ref_dh, rtol=0, atol=1e-12)
+
     def test_decoupled_limit_is_bare(self):
         h_xb, h_s, h_b = self.coupled(0.0)
-        h_star, dh, _ = mean_force(h_xb, [2, 2], [0], 1.3, h_b)
+        h_star, dh = mean_force(h_xb, [2, 2], [0], 1.3, h_b)
         np.testing.assert_allclose(h_star, h_s, atol=1e-11)
         assert max_norm(dh) < 1e-8
 
@@ -125,14 +149,15 @@ class TestMeanForce:
         # tr_B of the joint thermal state equals exp(-beta H*)/Z*
         beta = 1.0
         h_xb, _, h_b = self.coupled(0.5, beta)
-        h_star, _, ln_z_star = mean_force(h_xb, [2, 2], [0], beta, h_b)
+        h_star, _ = mean_force(h_xb, [2, 2], [0], beta, h_b)
         pi_xb = gibbs_mat(h_xb, beta)
         reduced = ptrace_factors(pi_xb, [2, 2], [0])
         model_side = gibbs_mat(h_star, beta)
         np.testing.assert_allclose(reduced, model_side, atol=1e-10)
-        # and the partition normalization Z* = Z_XB / Z_B
-        z_ratio = math.exp(log_partition(h_xb, beta) - log_partition(h_b, beta))
-        assert math.exp(ln_z_star) == pytest.approx(z_ratio, rel=1e-9)
+        # and the partition normalization Z* = Z_XB / Z_B, of H* itself: the
+        # Gibbs state above cannot see a constant shift of H*, this can
+        assert log_partition(h_star, beta) == pytest.approx(
+            log_partition(h_xb, beta) - log_partition(h_b, beta), rel=1e-9)
 
     def test_beta_derivative_matches_perturbation_oracle(self):
         beta = 1.0
@@ -658,7 +683,9 @@ class TestStandaloneOps:
         rho_s_unc = sum(space.ptrace(br.state, ["S"])
                         for br in snap.ledger.branches.values())
         (group,) = snap.ledger.groups
-        h_star, dh = ev._mean_force(group.h_sys)
+        h_sb = (np.kron(group.h_sys, np.eye(2)) + np.kron(np.eye(2), model.h_bath)
+                + model.v_coupling)
+        h_star, dh = mean_force(h_sb, [2, 2], [0], model.beta, model.h_bath)
         u_unc = float(np.real(np.trace((h_star + model.beta * dh) @ rho_s_unc)))
         # degenerate measurement ancillas add nothing here
         assert u_sum == pytest.approx(u_unc, abs=1e-9)
