@@ -30,7 +30,7 @@ from .algebra import (
     ptrace_factors,
 )
 from .protocol import Protocol, Segment, before, deepest_prefix
-from .tolerances import DEFAULT
+from .tolerances import KRAUS_TP
 
 __all__ = [
     "CPMap",
@@ -64,11 +64,6 @@ class CPMap:
         """|| sum_i K_i' K_i - 1 ||, zero for a trace-preserving map."""
         return max_norm(sum(dagger(k) @ k for k in self.kraus) - np.eye(self.dim))
 
-    def choi(self) -> np.ndarray:
-        """Choi matrix sum_i |K_i>><<K_i| (row-major vectorization)."""
-        vecs = [k.reshape(-1) for k in self.kraus]
-        return sum(np.outer(v, v.conj()) for v in vecs)
-
     def apply_mat(self, mat: np.ndarray, dims: Sequence[int]) -> np.ndarray:
         """Apply to a matrix on factors of dimensions ``dims``, the system
         first, or to each matrix of a stack of them."""
@@ -91,7 +86,7 @@ class Instrument:
             raise ValueError(f"duplicate outcome labels {labels}")
         object.__setattr__(self, "outcomes", outcomes)
         res = self.average().tp_residual()
-        if not res <= DEFAULT.kraus_tp:
+        if not res <= KRAUS_TP:
             raise ValueError(f"instrument is not trace-preserving on average: "
                              f"residual {res:.3e}")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import dagger, max_norm, ptrace_factors
 from .channels import CPMap, Instrument
-from .tolerances import DEFAULT, EIG_FLOOR, HERMITIAN
+from .tolerances import DEFAULT, EIG_FLOOR, HERMITIAN, KRAUS_TP
 
 __all__ = [
     "DilationResult",
@@ -44,6 +44,9 @@ class DilationResult:
     ``unitary`` acts on system (x) ancilla with the system factor first;
     ``projectors`` (instruments only) resolve the ancilla identity, one
     orthogonal block per outcome.  Both sizes are read off the arrays.
+    Construction refuses a ``unitary`` whose :meth:`unitarity_residual`
+    exceeds ``DEFAULT.dilation_unitary``, so every synthesized or declared
+    dilation is unitary; the bound ignores ``--tol-override``.
     """
 
     ancilla_state: np.ndarray
@@ -53,6 +56,11 @@ class DilationResult:
 
     ancilla_dim = property(lambda self: self.ancilla_state.shape[0])
     system_dim = property(lambda self: self.unitary.shape[0] // self.ancilla_dim)
+
+    def __post_init__(self):
+        res = self.unitarity_residual()
+        if not res <= DEFAULT.dilation_unitary:    # NaN fails it
+            raise ValueError(f"not unitary: residual {res:.3e}")
 
     def unitarity_residual(self) -> float:
         u = self.unitary
@@ -74,7 +82,7 @@ def _stinespring_unitary(kraus: Sequence[np.ndarray], d_anc: int) -> np.ndarray:
         # row index (s, a) = s*d_anc + a
         isometry[i::d_anc, :] = k
     res = max_norm(dagger(isometry) @ isometry - np.eye(d))
-    if not res <= DEFAULT.kraus_tp:
+    if not res <= KRAUS_TP:
         raise ValueError(f"Kraus completeness violated: residual {res:.3e}")
     u = np.zeros((big, big), dtype=complex)
     u[:, 0::d_anc] = isometry          # columns hit by |psi> (x) |0>

@@ -327,9 +327,10 @@ class AutonomousModel:
                     raise ValueError(f"step {k}: collision steps take no "
                                      "instrument feedback")
                 _check_projectors(projs, f"step {k}: ")
-                fixed = DilationResult(anc, u, tuple(projs), labels)
-                if not fixed.unitarity_residual() <= DEFAULT.dilation_unitary:
-                    raise ValueError(f"step {k}: declared control is not unitary")
+                try:
+                    fixed = DilationResult(anc, u, tuple(projs), labels)
+                except ValueError as exc:
+                    raise ValueError(f"step {k}: declared control is {exc}") from None
                 hardware = {(): fixed}
                 instruments.append(instrument_from_dilation(
                     u, anc, projs, s_dim, labels=labels))

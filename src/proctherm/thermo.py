@@ -52,6 +52,7 @@ import numpy as np
 
 from .algebra import dagger, expect_herm, log_partition, vn_entropy_mat
 from .simulate import AutonomousModel, BranchGroup, RunResult, Snapshot
+from .tolerances import EIG_FLOOR
 
 __all__ = [
     "BranchThermo",
@@ -270,7 +271,6 @@ class ThermoEvaluator:
         self._e_anc0 = [expect_herm(spec.h_ancilla, spec.ancilla_state)
                         for spec in self.model.steps]
         self._s_anc0 = [vn_entropy_mat(spec.ancilla_state) for spec in self.model.steps]
-        self._s_tot0 = vn_entropy_mat(self.model.sb_init) + sum(self._s_anc0)
         h_b = self.model.h_bath
         if h_b is None:
             d_b = self.model.dims["B"]
@@ -380,6 +380,18 @@ class ThermoEvaluator:
             w_budget=w_budget, q=q, s=s, ds=ds, f=f,
             sigma_first_law=sigma_fl, sigma_rel_ent=sigma_re,
             pruned_mass=snap.ledger.pruned_mass)
+
+    @cached_property
+    def _s_tot0(self) -> float:
+        """Entropy of the initial total state: the Gibbs S B start, from the
+        weights of the model's own spectrum it was built from (dropped below
+        ``EIG_FLOOR``, as :func:`vn_entropy_mat` drops eigenvalues), plus
+        the unentered ancillas."""
+        w, _ = self.model.spectrum(("S", "B"), self.model.protocol.base[0].h_system)
+        p = np.exp(-self.beta * (w - w[0]))
+        p = p / float(np.sum(p))
+        p = p[p > EIG_FLOOR]
+        return float(-np.sum(p * np.log(p))) + sum(self._s_anc0)
 
     def _sigma_relent(self, e_xb: float, f: float) -> float:
         """Entropy production as a difference of relative entropies.

@@ -2,8 +2,11 @@
 
 Every check in the package reads its tolerance from one :class:`Tolerances`
 instance so that the CLI can override individual values uniformly.  The
-three constants below are fixed, not check tolerances, and are not
-overridable: two numerical floors and the width of one instant.
+four constants below are fixed, not check tolerances, and are not
+overridable: the two input guards, the eigenvalue floor of the entropies
+and the width of one instant.  Assembly refuses a dilation whose
+``dilation_unitary`` residual exceeds :data:`DEFAULT`'s, whatever the run
+overrides.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 HERMITIAN = 1e-12   # max-norm floor on input matrices (Hermiticity, drive variants,
                     # projectors resolving the ancilla identity in orthogonal blocks)
+KRAUS_TP = 1e-10    # bound on || sum K'K - 1 || of an accepted instrument
 EIG_FLOOR = 1e-14   # eigenvalues below this count as zero in entropies
 TIME_EPS = 1e-12    # times at most this far apart are one instant (see protocol)
 
@@ -24,11 +28,8 @@ class Tolerances:
 
     psd: float = 1e-10                # admissible negative eigenvalue magnitude
     trace: float = 1e-12              # trace preservation (partial trace, dephasing map)
-    kraus_tp: float = 1e-10           # || sum K'K - 1 ||
-    choi_psd: float = 1e-10           # complete positivity, Choi eigenvalue floor
-    dilation_unitary: float = 1e-10   # || U'U - 1 || for synthesized unitaries
+    dilation_unitary: float = 1e-10   # || U'U - 1 ||; the default bounds construction
     dilation_reconstruction: float = 1e-9
-    dephasing_cost: float = 1e-12     # energy cost of the memory dephasing unitary
     equivalence_state: float = 1e-9   # autonomous vs direct conditional states
     equivalence_prob: float = 1e-10   # outcome-record probabilities
     prob_total: float = 1e-10         # sum of branch weights vs 1

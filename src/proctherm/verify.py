@@ -1,14 +1,14 @@
 """Verification suites: every identity the package asserts, as a pass/fail
 table over one scenario run.
 
-Checks cover probability normalization, complete positivity, dilation
-unitarity and reconstruction, the dephasing of every readout register into
-the branch split and its zero energy cost, the autonomous/direct dynamical
-equivalence, the first law at branch and ensemble level backed by an
-independent global energy budget, both entropy-production forms, and the
-average agreement of the two measurement-work conventions.  The
-``first-law`` row is an identity today (``q`` is defined as ``du - w``, per
-branch and per ensemble); ``work-energy-budget`` is the one that can fail.
+Checks cover dilation reconstruction, the dephasing of every readout
+register into the branch split, probability normalization, branch
+positivity, the autonomous/direct dynamical equivalence, an independent
+global energy budget, the average agreement of the two measurement-work
+conventions and both entropy-production forms.  Every row can fail on an
+input the package accepts.  What no accepted input can violate is refused
+at construction instead: an instrument that is not trace preserving
+(``Instrument``) and a dilation that is not unitary (``DilationResult``).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import max_norm, ptrace_factors
+from .algebra import ptrace_factors
 from .channels import evaluate_process_tensor
-from .dilation import dephasing_error, dephasing_unitary, reconstruction_error
+from .dilation import dephasing_error, reconstruction_error
 from .report import record_string
 from .simulate import AutonomousModel, RunResult, Simulator
 from .thermo import ThermoLedger, evaluate_run
@@ -117,42 +117,22 @@ def verify_model(model: AutonomousModel, result: RunResult,
                  ledger: ThermoLedger | None = None,
                  tol: Tolerances = DEFAULT,
                  rng: np.random.Generator | None = None) -> list[CheckResult]:
-    """Run every check suite over a finished run."""
-    rng = rng or np.random.default_rng(0)
+    """Run every check suite over a finished run.  No check draws a random
+    number: ``rng`` is accepted and unused, because the benchmark harness
+    (``perfbench``) passes one."""
     ledger = ledger if ledger is not None else evaluate_run(result)
     checks: list[CheckResult] = []
 
-    # --- every instrument a record can meet: complete positivity and trace
-    # preservation, its dilation's unitarity and reconstruction, and the
-    # dephasing of its readout register into the branch split
-    tp, cp, unitary, rec, deph = [], [], [], [], []
+    # --- every instrument a record can meet: its dilation's reconstruction
+    # and the dephasing of its readout register into the branch split
+    rec, deph = [], []
     for k, spec in enumerate(model.steps):
         for prefix, (hw, _) in spec.controls.items():
-            inst = model.schedule.instrument_at(k, prefix)
-            tp.append(inst.average().tp_residual())
-            cp += [-float(np.linalg.eigvalsh(m.choi())[0]) for _, m in inst.outcomes]
-            unitary += [hw.unitarity_residual(),
-                        max_norm(sum(hw.projectors) - np.eye(hw.ancilla_dim))]
-            rec.append(reconstruction_error(hw, inst))
+            rec.append(reconstruction_error(hw, model.schedule.instrument_at(k, prefix)))
             deph.append(dephasing_error(hw))
-    checks.append(_check("kraus-trace-preserving", _worst(tp), tol.kraus_tp))
-    checks.append(_check("complete-positivity", _worst(cp), tol.choi_psd))
-    checks.append(_check("dilation-unitarity", _worst(unitary), tol.dilation_unitary))
     checks.append(_check("dilation-reconstruction", _worst(rec),
                          tol.dilation_reconstruction))
     checks.append(_check("dephasing-placement", _worst(deph), tol.trace))
-
-    # --- memory: dephasing costs no energy on any state, any register size,
-    # i.e. it commutes with a non-degenerate register next to a degenerate
-    # dephaser (a multiple of the identity alone would pass any unitary)
-    cost = []
-    dims = sorted({len(model.schedule.alphabet(k)) for k in range(model.n_steps)}) or [2]
-    for d in dims:
-        u = dephasing_unitary(d)
-        h_m = np.diag(np.cumsum(rng.uniform(0.1, 1.0, d)))
-        h = np.kron(h_m, np.eye(d)) + np.kron(np.eye(d), rng.uniform() * np.eye(d))
-        cost.append(max_norm(u @ h - h @ u))
-    checks.append(_check("dephasing-zero-cost", _worst(cost), tol.dephasing_cost))
 
     # --- probability bookkeeping
     p_err = abs(result.final.total_weight() + result.final.pruned_mass - 1.0)
@@ -166,17 +146,12 @@ def verify_model(model: AutonomousModel, result: RunResult,
     # --- dynamical equivalence (instantaneous controls only)
     checks += equivalence_checks(model, result, tol)[1]
 
-    # --- first law, per branch and ensemble, plus the energy budget
-    first_law = [q - (rows.du - w) for rows in ledger.branch_rows.values()
-                 for q, w in ((rows.q, rows.w), (rows.q_alt, rows.w_alt))]
-    first_law.append(np.array([row.q - (row.du - row.w) for row in ledger.ensemble_rows]))
+    # --- the work booked against an independent global energy budget
     budget = _worst(abs(row.w - row.w_budget) for row in ledger.ensemble_rows)
     # both ensemble identities close only over all records
     pruned = result.final.pruned_mass
     pruned_note = (f"pruned mass {pruned:.3e} is missing from the ensemble"
                    if pruned > 0 else "")
-    checks.append(_check("first-law", _worst(np.abs(np.concatenate(first_law))),
-                         tol.first_law))
     checks.append(_check("work-energy-budget", budget, tol.first_law, pruned_note))
 
     # --- measurement-work conventions agree on average

@@ -113,6 +113,14 @@ def superoperator(kraus: list[np.ndarray]) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in kraus)
 
 
+def choi(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|) of the map with these Kraus
+    operators, input leg first."""
+    d = kraus[0].shape[0]
+    return sum(np.kron(e, sum(k @ e @ k.conj().T for k in kraus))
+               for e in np.eye(d * d).reshape(d * d, d, d))
+
+
 def apply_via_superoperator(kraus: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     return (superoperator(kraus) @ rho.reshape(-1)).reshape(d, d)

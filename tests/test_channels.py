@@ -19,7 +19,8 @@ from proctherm.channels import (
 )
 from proctherm.protocol import Protocol, Segment
 
-from oracles import apply_via_superoperator, random_density, random_hermitian, random_kraus_channel
+from oracles import (apply_via_superoperator, choi, random_density, random_hermitian,
+                     random_kraus_channel)
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -94,7 +95,7 @@ class TestCPMap:
     def test_complete_positivity_via_choi(self):
         rng = np.random.default_rng(9)
         kraus = random_kraus_channel(rng, 3, 2)
-        assert np.linalg.eigvalsh(CPMap(kraus).choi())[0] >= -1e-12
+        assert np.linalg.eigvalsh(choi(CPMap(kraus).kraus))[0] >= -1e-12
 
 
 class TestInstrument:

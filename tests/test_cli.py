@@ -25,6 +25,7 @@ from proctherm.tolerances import Tolerances
 from proctherm.verify import equivalence_rows, run_verified
 
 from ledger_edits import with_state
+from test_verify import ROWS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -40,7 +41,7 @@ class TestVerifyCommand:
             assert run_cli("verify", "--scenario", str(path)) == 0, path.name
             out = capsys.readouterr().out
             assert "FAIL" not in out
-            assert "first-law" in out
+            assert [line.split()[0] for line in out.splitlines()] == ROWS
 
     def test_corrupted_kraus_fails_with_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -111,28 +112,30 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_subtly_corrupted_kraus_caught_by_checks(self, tmp_path, capsys):
-        # a Kraus defect below the parser's tolerance still fails the check
-        # suite once the trace-preservation tolerance is tightened
-        eps = 2e-11
-        k0 = (1 + eps) * 1.0
+        # a Kraus defect below the fixed Kraus bound is accepted, and the
+        # check suite sees the weight it adds once the probability tolerance
+        # is tightened; the clean instrument passes at that tolerance
         bad = tmp_path / "subtle.yaml"
-        bad.write_text(
-            "name: subtle\nbeta: 1.0\nsystem: {dim: 2}\n"
-            "system_hamiltonian: {diag: [0.0, 1.0]}\n"
-            "time: {start: 0.0, end: 1.0}\n"
-            "report_times: [1.0]\n"
-            "steps:\n"
-            "  - time: 0.5\n"
-            "    instrument:\n"
-            "      outcomes:\n"
-            f"        - {{label: '1', kraus: [[[{k0!r}, 0.0], [0.0, 0.0]]]}}\n"
-            "        - {label: '2', kraus: [[[0.0, 0.0], [0.0, 1.0]]]}\n")
-        assert run_cli("verify", "--scenario", str(bad)) == 0
-        capsys.readouterr()
-        code = run_cli("verify", "--scenario", str(bad),
-                       "--tol-override", "kraus_tp=1e-12")
-        assert code == 1
-        assert "kraus-trace-preserving" in capsys.readouterr().out
+        for eps, code in ((0.0, 0), (2e-11, 1)):
+            k0 = (1 + eps) * 1.0
+            bad.write_text(
+                "name: subtle\nbeta: 1.0\nsystem: {dim: 2}\n"
+                "system_hamiltonian: {diag: [0.0, 1.0]}\n"
+                "time: {start: 0.0, end: 1.0}\n"
+                "report_times: [1.0]\n"
+                "steps:\n"
+                "  - time: 0.5\n"
+                "    instrument:\n"
+                "      outcomes:\n"
+                f"        - {{label: '1', kraus: [[[{k0!r}, 0.0], [0.0, 0.0]]]}}\n"
+                "        - {label: '2', kraus: [[[0.0, 0.0], [0.0, 1.0]]]}\n")
+            assert run_cli("verify", "--scenario", str(bad)) == 0
+            capsys.readouterr()
+            assert run_cli("verify", "--scenario", str(bad),
+                           "--tol-override", "prob_total=1e-11") == code
+            failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                      if "FAIL" in line]
+            assert failed == ["record-probabilities-sum"] * code
 
 
 def verify_outputs(outdir, *overrides):
@@ -161,10 +164,26 @@ class TestToleranceFields:
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
     def test_extreme_override_changes_a_verdict_or_a_number(
             self, name, tmp_path, capsys, default_verify_outputs):
+        if name == "dilation_unitary":
+            # no verify row reads it: construction refuses a dilation above
+            # the default, and `dilate` judges the step against the override
+            argv = ["dilate", "--scenario", str(SCENARIO_DIR / "measurement_work.yaml"),
+                    "--out", str(tmp_path)]
+            assert run_cli(*argv) == 0
+            assert run_cli(*argv, "--tol-override", "dilation_unitary=-1") == 1
+            return
         got = verify_outputs(tmp_path, f"{name}={self.EXTREME.get(name, '-1')}")
         assert got != default_verify_outputs
 
-    @pytest.mark.parametrize("name", ["hermitian", "unitary", "eig_floor", "time_eps"])
+    @pytest.mark.parametrize("name", ["choi_psd", "dephasing_cost"])
+    def test_deleted_tolerances_are_unknown(self, name, capsys):
+        code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
+                       "--tol-override", f"{name}=1e-6")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: \"unknown tolerance name(s): ['{name}']\"\n"
+
+    @pytest.mark.parametrize("name", ["hermitian", "unitary", "eig_floor", "time_eps",
+                                      "kraus_tp"])
     def test_fixed_floors_are_not_tolerances(self, name, capsys):
         code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
                        "--tol-override", f"{name}=-1")

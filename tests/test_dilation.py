@@ -14,6 +14,7 @@ from proctherm.dilation import (
     measurement_unitary,
 )
 from proctherm.algebra import dagger, max_norm, ptrace_factors
+from proctherm.tolerances import KRAUS_TP
 
 from oracles import random_density, random_kraus_channel, random_unitary, shift_matrix
 
@@ -96,6 +97,34 @@ class TestChannelDilation:
         assert dr.ancilla_dim == 4
         assert dr.unitarity_residual() < 1e-10
         assert reconstruction_error(dr, [ch]) < 1e-10
+
+
+class TestConstructionGuards:
+    def test_kraus_residual_just_under_the_bound_is_dilated(self):
+        # the unitarity guard never refuses what the Kraus guard accepts:
+        # the completed unitary carries the Kraus residual and no more
+        eps = (1 - 1e-4) * KRAUS_TP
+        inst = Instrument([("1", CPMap([np.sqrt(1 + eps) * P0])), ("2", CPMap([P1]))])
+        assert inst.average().tp_residual() == pytest.approx(eps, rel=1e-5)
+        for d_anc in (None, 3):
+            dr = dilate_instrument(inst, d_anc)
+            assert dr.unitarity_residual() == pytest.approx(eps, rel=1e-5)
+            assert reconstruction_error(dr, [cp for _, cp in inst.outcomes]) < 1e-12
+        with pytest.raises(ValueError, match="not trace-preserving"):
+            Instrument([("1", CPMap([np.sqrt(1 + 2 * KRAUS_TP) * P0])), ("2", CPMap([P1]))])
+
+    def test_range_columns_as_the_completion_fail_at_construction(self, monkeypatch):
+        # a completion that repeats the isometry's range instead of spanning
+        # its complement leaves U'U off the identity
+        def range_columns(isometry):
+            u, _, _ = np.linalg.svd(isometry, full_matrices=True)
+            return u[:, :isometry.shape[0] - isometry.shape[1]]
+
+        channel = CPMap([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * SZ])
+        assert dilate_channel(channel).unitarity_residual() < 1e-15
+        monkeypatch.setattr(dilation, "_completion", range_columns)
+        with pytest.raises(ValueError, match="not unitary"):
+            dilate_channel(channel)
 
 
 class TestInstrumentDilation:
@@ -298,14 +327,17 @@ class TestDephasing:
 
     def test_commutes_with_degenerate_energies(self):
         # non-degenerate register, degenerate dephaser: the dephaser commutes
-        # exactly, an arbitrary unitary does not
+        # exactly at every register size, an arbitrary unitary does not
+        # (on one level every unitary is a phase and commutes)
         rng = np.random.default_rng(54)
-        for d in (2, 3, 4):
-            h = register_hamiltonian(np.diag(np.cumsum(rng.uniform(0.1, 1.0, d))), 1.3)
+        for d in range(1, 9):
+            h = register_hamiltonian(np.diag(np.cumsum(rng.uniform(0.1, 1.0, d))),
+                                     rng.uniform())
             u = dephasing_unitary(d)
             assert max_norm(u @ h - h @ u) == 0.0
-            v = random_unitary(rng, d * d)
-            assert max_norm(v @ h - h @ v) > 0.1
+            if d > 1:
+                v = random_unitary(rng, d * d)
+                assert max_norm(v @ h - h @ v) > 0.1
 
     def test_non_degenerate_dephaser_costs_energy(self):
         # negative control: with split dephaser levels the unitary no longer

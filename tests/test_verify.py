@@ -54,21 +54,19 @@ MEMORY_DEFECTS = {
 }
 
 
+# every row verify_model emits, in order
+ROWS = ["dilation-reconstruction", "dephasing-placement", "record-probabilities-sum",
+        "branch-positivity", "equivalence-states", "equivalence-probabilities",
+        "work-energy-budget", "work-convention-average", "second-law-positivity",
+        "entropy-production-forms"]
+
+
 class TestVerifySuite:
     def test_all_checks_pass_and_are_named(self):
         model = build_model(parse_scenario_dict(scenario_dict()))
         result = run_verified(model, [0.7, 1.5], prune=1e-14, max_branches=256)
         checks = verify_model(model, result, rng=np.random.default_rng(0))
-        names = {c.name for c in checks}
-        for expected in ("kraus-trace-preserving", "complete-positivity",
-                         "dilation-unitarity", "dilation-reconstruction",
-                         "dephasing-placement", "dephasing-zero-cost",
-                         "record-probabilities-sum", "branch-positivity",
-                         "equivalence-states", "equivalence-probabilities",
-                         "first-law", "work-energy-budget",
-                         "work-convention-average", "second-law-positivity",
-                         "entropy-production-forms"):
-            assert expected in names
+        assert [c.name for c in checks] == ROWS
         assert all(c.passed for c in checks)
         for c in checks:
             row = c.row()
@@ -77,7 +75,8 @@ class TestVerifySuite:
     def test_impossible_tolerance_yields_failure(self):
         model = build_model(parse_scenario_dict(scenario_dict()))
         result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
-        tight = DEFAULT.replaced(prob_total=0.0, sigma_forms=0.0)
+        # every check value is >= 0, so no value meets a negative tolerance
+        tight = DEFAULT.replaced(prob_total=-1.0, sigma_forms=-1.0)
         checks = verify_model(model, result, tol=tight,
                               rng=np.random.default_rng(0))
         failed = {c.name for c in checks if not c.passed}
@@ -120,19 +119,6 @@ class TestVerifySuite:
         for c in skipped.values():
             assert c.value == 0.0 and c.note.startswith("skipped:")
         assert all(c.passed for c in checks)
-
-    def test_register_mixing_dephaser_fails_zero_cost(self, monkeypatch):
-        # a unitary that mixes the register records does not commute with
-        # the register energies, so the check must flag it
-        def mixing_unitary(d):
-            return random_unitary(np.random.default_rng(d), d * d)
-
-        model = build_model(parse_scenario_dict(scenario_dict()))
-        result = run_verified(model, [1.5], prune=1e-14, max_branches=256)
-        monkeypatch.setattr(verify, "dephasing_unitary", mixing_unitary)
-        checks = verify_model(model, result, rng=np.random.default_rng(0))
-        failed = {c.name for c in checks if not c.passed}
-        assert failed == {"dephasing-zero-cost"}
 
     @pytest.mark.parametrize("defect", sorted(MEMORY_DEFECTS))
     def test_memory_defect_fails_dephasing_placement(self, defect, monkeypatch):
@@ -211,8 +197,8 @@ class TestCorruptedBranch:
                           "equivalence-states", "equivalence-probabilities"}
         assert all(np.isnan(checks[n].value) for n in failed)
 
+    # each case is named by its table; only the ensemble rows feed a check
     @pytest.mark.parametrize("table, field, failing", [
-        ("branch", "du", {"first-law"}),
         ("ensemble", "w_budget", {"work-energy-budget"}),
         ("ensemble", "sigma_first_law", {"second-law-positivity",
                                          "entropy-production-forms"}),
@@ -221,16 +207,9 @@ class TestCorruptedBranch:
         model = build_model(parse_scenario_dict(scenario_dict()))
         result = run_verified(model, [0.7, 1.5], prune=1e-14, max_branches=256)
         ledger = evaluate_run(result)
-        if table == "branch":
-            t, rows = list(ledger.branch_rows.items())[-1]
-            column = getattr(rows, field).copy()
-            column[-1] = np.nan
-            rows = dataclasses.replace(rows, **{field: column})
-            ledger = dataclasses.replace(ledger, branch_rows={**ledger.branch_rows, t: rows})
-        else:
-            rows = ledger.ensemble_rows
-            ledger = dataclasses.replace(ledger, ensemble_rows=(
-                *rows[:-1], dataclasses.replace(rows[-1], **{field: np.nan})))
+        rows = ledger.ensemble_rows
+        ledger = dataclasses.replace(ledger, ensemble_rows=(
+            *rows[:-1], dataclasses.replace(rows[-1], **{field: np.nan})))
         checks = {c.name: c for c in verify_model(model, result, ledger,
                                                   rng=np.random.default_rng(0))}
         assert {n for n, c in checks.items() if not c.passed} == failing
@@ -321,19 +300,123 @@ def failed_checks(model, result):
     return {c.name for c in checks if not c.passed}
 
 
+def edit_final(result, edits):
+    """``result`` with each record's final state replaced by its function
+    of it, in the final ledger and in the last snapshot that holds it."""
+    ledger = result.final
+    for labels, edit in edits.items():
+        ledger = with_state(ledger, labels, edit(ledger.branches[labels].state))
+    last = dataclasses.replace(result.snapshots[-1], ledger=ledger)
+    return dataclasses.replace(result, snapshots=(*result.snapshots[:-1], last), final=ledger)
+
+
+def edit_last_ensemble_row(ledger, **fields):
+    *rows, last = ledger.ensemble_rows
+    return dataclasses.replace(ledger, ensemble_rows=(
+        *rows, dataclasses.replace(last, **{k: f(last) for k, f in fields.items()})))
+
+
+def other_kraus(model, result, ledger, monkeypatch):
+    # U (V (x) 1) is unitary and realizes K_i V, not the declared K_i
+    spec = model.steps[0]
+    (prefix, (hw, readout)), = spec.controls.items()
+    v = random_unitary(np.random.default_rng(5), hw.system_dim)
+    moved = dataclasses.replace(hw, unitary=hw.unitary @ np.kron(v, np.eye(hw.ancilla_dim)))
+    steps = (dataclasses.replace(spec, controls={prefix: (moved, readout)}), *model.steps[1:])
+    return dataclasses.replace(model, steps=steps), result, ledger
+
+
+def dephasing_skipped(model, result, ledger, monkeypatch):
+    monkeypatch.setattr(dilation, *MEMORY_DEFECTS["dephasing-skipped"])
+    return model, result, ledger
+
+
+def unlost_pruned_mass(model, result, ledger, monkeypatch):
+    final = dataclasses.replace(result.final, pruned_mass=1e-6)
+    return model, dataclasses.replace(result, final=final), ledger
+
+
+def bath_traceless_shift(model, result, ledger, monkeypatch):
+    # rho + p (1_S (x) Z_B): same trace and rho_S, a negative eigenvalue
+    def shift(rho):
+        return rho + np.trace(rho).real * np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    return model, edit_final(result, {("up", "+"): shift}), ledger
+
+
+def system_rotated(model, result, ledger, monkeypatch):
+    x = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    return model, edit_final(result, {("up", "+"): lambda rho: x @ rho @ x}), ledger
+
+
+def weight_moved(model, result, ledger, monkeypatch):
+    # 5e-10 of weight from one record to another: each state keeps its
+    # shape and stays within the state tolerance, the total stays 1
+    def scaled(delta):
+        return lambda rho: rho * (1 + delta / np.trace(rho).real)
+    return model, edit_final(result, {("up", "+"): scaled(5e-10),
+                                      ("down", "-"): scaled(-5e-10)}), ledger
+
+
+def budget_moved(model, result, ledger, monkeypatch):
+    return model, result, edit_last_ensemble_row(ledger, w_budget=lambda r: r.w_budget + 1e-6)
+
+
+def flipped_knowledge_update_work(model, result, ledger, monkeypatch):
+    first, trace = result.traces
+    flipped = dataclasses.replace(trace, w_meas_alt=-trace.w_meas_alt)
+    return model, dataclasses.replace(result, traces=(first, flipped)), ledger
+
+
+def both_sigma_forms_negative(model, result, ledger, monkeypatch):
+    return model, result, edit_last_ensemble_row(
+        ledger, sigma_first_law=lambda r: -1e-6, sigma_rel_ent=lambda r: -1e-6)
+
+
+def sigma_rel_ent_moved(model, result, ledger, monkeypatch):
+    return model, result, edit_last_ensemble_row(
+        ledger, sigma_rel_ent=lambda r: r.sigma_rel_ent + 1e-6)
+
+
+# each row of verify, in order, and an edit of the measurement_work.yaml
+# run (or of the code) that fails that row and no other
+ROW_CONTROLS = {
+    "dilation-reconstruction": other_kraus,
+    "dephasing-placement": dephasing_skipped,
+    "record-probabilities-sum": unlost_pruned_mass,
+    "branch-positivity": bath_traceless_shift,
+    "equivalence-states": system_rotated,
+    "equivalence-probabilities": weight_moved,
+    "work-energy-budget": budget_moved,
+    "work-convention-average": flipped_knowledge_update_work,
+    "second-law-positivity": both_sigma_forms_negative,
+    "entropy-production-forms": sigma_rel_ent_moved,
+}
+
+
+class TestRowControls:
+    def test_every_row_has_a_control(self):
+        model, result = measurement_work_run()
+        assert list(ROW_CONTROLS) == [c.name for c in verify_model(model, result)] == ROWS
+
+    @pytest.mark.parametrize("row", list(ROW_CONTROLS))
+    def test_control_fails_its_row_alone(self, row, monkeypatch):
+        model, result = measurement_work_run()
+        ledger = evaluate_run(result)
+        assert {c.name for c in verify_model(model, result, ledger) if not c.passed} == set()
+        checks = verify_model(*ROW_CONTROLS[row](model, result, ledger, monkeypatch))
+        assert {c.name for c in checks if not c.passed} == {row}
+
+
 class TestNegativeControls:
     # each edit of a finished run breaks what one check reads, and the
     # check fails; every other verdict stays as it was
     def test_scaled_step_unitary_fails_dilation_unitarity(self):
+        # a non-unitary dilation cannot be built, so no run carries one
         model, result = measurement_work_run()
         assert failed_checks(model, result) == set()
-        spec = model.steps[1]
-        (prefix, (hw, readout)), = spec.controls.items()
-        scaled = dataclasses.replace(hw, unitary=(1 + 1e-6) * hw.unitary)
-        steps = (model.steps[0], dataclasses.replace(spec, controls={prefix: (scaled, readout)}))
-        # the scaled unitary no longer realizes the declared Kraus operators
-        assert failed_checks(dataclasses.replace(model, steps=steps), result) == {
-            "dilation-unitarity", "dilation-reconstruction"}
+        (hw, _), = model.steps[1].controls.values()
+        with pytest.raises(ValueError, match="not unitary"):
+            dataclasses.replace(hw, unitary=(1 + 1e-6) * hw.unitary)
 
     def test_flipped_knowledge_update_work_fails_convention_average(self):
         # step 1's two conventions agree record by record, at nonzero work
