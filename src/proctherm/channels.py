@@ -20,9 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    Eigh,
     dagger,
-    eigh_ahead,
     embed_factors,
     expm_herm,
     is_hermitian,
@@ -213,14 +211,9 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     times the step's alphabet size plus outcome position; children that
     share a node form one family.  A report (after any intervention at its
     time) sorts by key, which is ``itertools.product`` order of the
-    alphabets.  Each segment's H_SB is diagonalized once; a family forms
-    its propagator over an interval from that spectrum where it applies it.
-    Only a split changes the families, so an advance slices each family's
-    timeline up to the end of its stretch, the next step the walk reaches
-    (or else the last time).  The first advance of a stretch hands every
-    segment the stretch meets to :func:`eigh_ahead` as one batch, and each
-    segment's handle is resolved where its propagator is formed, so the
-    spectra further along are computed while the families evolve.
+    alphabets.  Each segment's H_SB is diagonalized once, where a family
+    first evolves under it, on the calling thread; a family forms its
+    propagator over an interval from that spectrum where it applies it.
     """
     dims = schedule.sb_dims
     d = dims[0] * dims[1]
@@ -230,24 +223,16 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     protocol = schedule.protocol
     declared = [*protocol.variants, *(p for table in schedule.feedback.values() for p in table)]
     nodes = {p[:i] for p in [(), *declared] for i in range(len(p) + 1)}
-    spectra: dict[Segment, Eigh] = {}
+    spectra: dict[Segment, tuple[np.ndarray, np.ndarray]] = {}
 
     def evolve(families, t_from, t_to):
-        end = times[-1]
-        if k < schedule.n_steps and not before(end, schedule.times[k]):
-            end = schedule.times[k]
-        slices = [list(protocol.iter_segments(t_from, end, node)) for node, *_ in families]
-        missing = dict.fromkeys(seg for family in slices for seg, _, _ in family
-                                if seg not in spectra)
-        if missing:
-            spectra.update(zip(missing, eigh_ahead(schedule.h_sb(seg.h_system) for seg in missing)))
         out = []
-        for (node, records, keys, mats), family in zip(families, slices):
-            for seg, a, b in family:
-                b = min(b, t_to)
-                if before(a, b):
-                    u = expm_herm(None, -1j * (b - a), eig=spectra[seg].result())
-                    mats = u @ mats @ dagger(u)
+        for node, records, keys, mats in families:
+            for seg, a, b in protocol.iter_segments(t_from, t_to, node):
+                if seg not in spectra:
+                    spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
+                u = expm_herm(None, -1j * (b - a), eig=spectra[seg])
+                mats = u @ mats @ dagger(u)
             out.append((node, records, keys, mats))
         return out
 

@@ -15,6 +15,7 @@ comparisons of two times in either route.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, TypeVar
@@ -131,7 +132,15 @@ class Protocol:
         if math.isnan(t_from + t_to) or before(t_from, self.t_start) or before(self.t_end, t_to):
             raise ValueError(f"interval ({t_from}, {t_to}) not covered by the "
                              f"protocol range [{self.t_start}, {self.t_end}]")
-        for seg in self.timeline(prefix):
+        # a slice (a, b) with before(a, b) has a segment with before(t_from,
+        # seg.t1) and before(seg.t0, t_to); along a timeline both ends
+        # increase, so the scan starts at the first segment of the first
+        # kind, found by bisection, and stops at the first not of the second
+        timeline = self.timeline(prefix)
+        first = bisect.bisect_right(timeline, t_from, key=lambda seg: seg.t1 - TIME_EPS)
+        for seg in timeline[first:]:
+            if not before(seg.t0, t_to):
+                break
             a, b = max(seg.t0, t_from), min(seg.t1, t_to)
             if before(a, b):
                 yield seg, a, b

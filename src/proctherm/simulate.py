@@ -39,14 +39,9 @@ Hamiltonian of a whole support is embedded per call.  Ledger order
 (parent-major, then label order) lives only in one index array, applied
 where rows are emitted.
 
-Only a step changes the groups and their nodes, so :meth:`Simulator.run`
-knows every S B drive value the groups will meet from the start or a
-readout to the next step (after the last step, to the last report time).
-Before evolving the groups it hands the ones the model has no spectrum of
-yet to :func:`~proctherm.algebra.eigh_ahead` as one batch
-(:meth:`AutonomousModel.diagonalize`), whose worker computes them while
-the groups evolve; each is resolved where it is first read.  A control
-window's spectra are computed where the window uses them.
+Each S B drive value is diagonalized once, where the groups first evolve
+under it (:meth:`AutonomousModel.spectrum`), on the calling thread; a
+control window's spectra are computed where the window uses them.
 """
 
 from __future__ import annotations
@@ -55,13 +50,12 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import (
     dagger,
-    eigh_ahead,
     embed_factors,
     expect_herm,
     expm_herm,
@@ -422,38 +416,19 @@ class AutonomousModel:
             self._spaces[support] = _Space(self, support)
         return self._spaces[support]
 
-    @staticmethod
-    def _spectrum_key(labels: tuple[str, ...], h_system: np.ndarray | None,
-                      window: int | None = None) -> tuple:
-        return labels, window, None if h_system is None else h_system.tobytes()
-
     def spectrum(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
                  window: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs (w, v) of :meth:`_Space.hamiltonian` on ``labels``,
         computed once per (labels, window, drive value); the drive and the
-        window count only on a block that holds S.  A handle that
-        :meth:`diagonalize` stored is resolved here, on first read."""
+        window count only on a block that holds S."""
         if "S" not in labels:
             h_system, window = None, None
-        key = self._spectrum_key(labels, h_system, window)
+        key = labels, window, None if h_system is None else h_system.tobytes()
         eig = self._spectra.get(key)
-        if type(eig) is not tuple:    # none yet, or an ahead-of-use handle
-            eig = eig.result() if eig is not None else np.linalg.eigh(
-                self.space(labels).hamiltonian(h_system, window))
-            eig = self._spectra[key] = tuple(_frozen(a) for a in eig)
+        if eig is None:
+            eig = self._spectra[key] = tuple(_frozen(a) for a in np.linalg.eigh(
+                self.space(labels).hamiltonian(h_system, window)))
         return eig
-
-    def diagonalize(self, drives: Iterable[np.ndarray]) -> None:
-        """Hand the S B Hamiltonian of :meth:`spectrum` at every drive value
-        of ``drives`` that has no spectrum yet to :func:`eigh_ahead` as one
-        batch, and store the handles; :meth:`spectrum` resolves each on
-        first read, so the spectra are computed while the groups evolve."""
-        labels, missing = ("S", "B"), {}
-        for h_system in drives:
-            key = self._spectrum_key(labels, h_system)
-            if key not in self._spectra and key not in missing:
-                missing[key] = self.space(labels).hamiltonian(h_system)
-        self._spectra.update(zip(missing, eigh_ahead(missing.values())))
 
     @cached_property
     def ancilla_terms(self) -> dict[str, np.ndarray]:
@@ -908,16 +883,6 @@ class Simulator:
         traces: list[StepTrace] = []
         k = 0
 
-        def diagonalize_stretch():
-            # every S B drive value the groups meet from now to the next step
-            # (after the last step, to the last report time): only a step
-            # changes the groups and their nodes
-            end = model.steps[k].time if k < model.n_steps else max(times, default=ledger.time)
-            if before(ledger.time, end):
-                model.diagonalize(
-                    seg.h_system for node in dict.fromkeys(g.node for g in ledger.groups)
-                    for seg, _, _ in model.protocol.iter_segments(ledger.time, end, node))
-
         def steps_until(t):
             nonlocal ledger, k
             while k < model.n_steps and not before(t, model.steps[k].time):
@@ -925,9 +890,7 @@ class Simulator:
                 ledger, tr = self.run_step(ledger, k)
                 traces.append(tr)
                 k += 1
-                diagonalize_stretch()
 
-        diagonalize_stretch()
         for t in times:
             steps_until(t)
             if before(t, ledger.time):

@@ -49,7 +49,7 @@ class Tolerances:
     def replaced(self, **overrides: float) -> "Tolerances":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
         if unknown:
-            raise KeyError(f"unknown tolerance name(s): {sorted(unknown)}")
+            raise ValueError(f"unknown tolerance name(s): {', '.join(sorted(unknown))}")
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> dict[str, float]:

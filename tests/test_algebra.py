@@ -1,21 +1,12 @@
 """Tests for the array linear algebra over ordered tensor factors."""
 
-import gc
 import math
-import os
-import signal
-import sys
-import threading
-import time
-import types
-import weakref
 
 import numpy as np
 import pytest
 
 import proctherm.algebra as algebra
 from proctherm.algebra import (
-    eigh_ahead,
     embed_factors,
     expm_herm,
     gibbs_mat,
@@ -290,322 +281,6 @@ class TestGibbs:
         np.testing.assert_allclose(gibbs_mat(low, 1.0), gibbs_mat(h, 1.0), atol=1e-12)
         assert log_partition(low, 1.0) == pytest.approx(log_partition(h, 1.0) + 800.0,
                                                         rel=1e-12)
-
-
-# every wait in these tests is bounded, and the ``deadline`` fixture bounds
-# each whole test, so a deadlock fails a test instead of stalling the suite
-WAIT_S = 60
-NUMPY_EIGH = np.linalg.eigh    # the reference, whatever a test puts in its place
-
-
-def bitwise(eig, mat):
-    w, v = eig
-    w0, v0 = NUMPY_EIGH(mat)
-    return w.tobytes() == w0.tobytes() and v.tobytes() == v0.tobytes()
-
-
-def drain():
-    """Return once the worker has finished every batch handed to it."""
-    algebra._worker.submit(lambda: None).result(timeout=WAIT_S)
-
-
-@pytest.mark.usefixtures("deadline")
-class TestEighAll:
-    """Every handle of an :func:`eigh_ahead` batch resolves to bitwise what
-    ``np.linalg.eigh`` gives matrix by matrix, whichever thread computes it,
-    and each matrix is diagonalized once."""
-
-    @staticmethod
-    def two_cpus(monkeypatch):
-        # the worker is used whatever the host's CPU count and quota
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(algebra, "_cgroup_cpu_max", lambda: "")
-
-    @staticmethod
-    def solver(monkeypatch, gate=None, entered=None):
-        """Put a recording solver in place of the worker's and numpy's (so a
-        batch still goes to the worker), and return its log of (matrix,
-        thread) pairs.  With ``gate``, the worker's first call sets
-        ``entered`` and then holds until the gate opens (at most WAIT_S)."""
-        log = []
-
-        def recording(a):
-            worker = threading.current_thread().name.startswith("eigh")
-            if gate is not None and worker and not any(w for _, w in log):
-                log.append((a, worker))
-                entered.set()
-                gate.wait(WAIT_S)
-            else:
-                log.append((a, worker))
-            if np.isnan(a).any():
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return NUMPY_EIGH(a)
-
-        monkeypatch.setattr(algebra, "_EIGH", recording)
-        monkeypatch.setattr(algebra.np.linalg, "eigh", recording)
-        return log
-
-    @staticmethod
-    def held_worker(monkeypatch, mats):
-        """A batch of ``mats`` whose first matrix the worker holds, its log,
-        and the gate that frees it."""
-        gate, entered = threading.Event(), threading.Event()
-        log = TestEighAll.solver(monkeypatch, gate, entered)
-        handles = eigh_ahead(mats)
-        assert entered.wait(WAIT_S), "the worker never took the batch"
-        return handles, log, gate
-
-    @pytest.mark.parametrize("count", [2, 3, 8])
-    def test_split_batch_is_bitwise_serial_eigh(self, monkeypatch, count):
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(81)
-        mats = [random_hermitian(rng, 64) for _ in range(count)]
-        got = eigh_ahead(mats)
-        assert algebra._worker is not None    # the batch went to the worker
-        assert len(got) == count
-        assert all(bitwise(h.result(), m) for h, m in zip(got, mats))
-
-    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
-    def test_out_of_order_resolution_is_bitwise_serial_eigh(self, monkeypatch, order):
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(85)
-        mats = [random_hermitian(rng, 64) for _ in range(9)]
-        got = eigh_ahead(mats)
-        idx = range(8, -1, -1) if order == "reversed" else rng.permutation(9)
-        assert all(bitwise(got[i].result(), mats[i]) for i in idx)
-        assert all(bitwise(h.result(), m) for h, m in zip(got, mats))    # twice
-
-    @pytest.mark.parametrize("dims", [[64], [8] * 6, [64, 64, 8], []])
-    def test_unsplit_batch_is_serial_eigh(self, monkeypatch, dims):
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(82)
-        mats = [random_hermitian(rng, d) for d in dims]
-        for m, h in zip(mats, eigh_ahead(mats), strict=True):
-            assert bitwise(h.result(), m)
-
-    def test_a_cpu_quota_below_two_keeps_the_batch_on_the_caller(self, monkeypatch):
-        self.two_cpus(monkeypatch)
-        monkeypatch.setattr(algebra, "_cgroup_cpu_max", lambda: "150000 100000")
-        monkeypatch.setattr(algebra, "_worker", None)
-        rng = np.random.default_rng(86)
-        mats = [random_hermitian(rng, 64) for _ in range(4)]
-        got = eigh_ahead(mats)
-        assert algebra._worker is None
-        assert all(bitwise(h.result(), m) for h, m in zip(got, mats))
-
-    @pytest.mark.parametrize("text, cpus", [("", None), ("max 100000", None),
-                                            ("-1 100000", None), ("50000 100000", 1),
-                                            ("250000 100000", 2), ("150000 100000", 1)])
-    def test_quota_text_reads_as_whole_cpus(self, text, cpus):
-        # cgroup v2 cpu.max, or v1 cfs_quota_us and cfs_period_us joined
-        assert algebra._quota_cpus(text) == cpus
-
-    @pytest.mark.parametrize("rebind", ["numpy", "module alias"])
-    def test_a_rebound_solver_sees_every_call_on_the_calling_thread_in_order(
-            self, monkeypatch, rebind):
-        # a tracer that wraps the solver nests spans by call order, so it
-        # must see the whole batch on one thread, at submission; the
-        # benchmark's tracer gives the module its own ``np`` alias, a patch
-        # rebinds numpy's
-        self.two_cpus(monkeypatch)
-        seen = []
-        solver = np.linalg.eigh
-
-        def recording(a, *args, **kwargs):
-            seen.append((threading.get_ident(), a))
-            return solver(a, *args, **kwargs)
-
-        if rebind == "numpy":
-            monkeypatch.setattr(algebra.np.linalg, "eigh", recording)
-        else:
-            linalg = types.SimpleNamespace(**{**vars(np.linalg), "eigh": recording})
-            alias = types.SimpleNamespace(**{**vars(np), "linalg": linalg})
-            monkeypatch.setattr(algebra, "np", alias)
-        rng = np.random.default_rng(83)
-        mats = [random_hermitian(rng, 64) for _ in range(6)]
-        got = eigh_ahead(mats)
-        assert [ident for ident, _ in seen] == [threading.get_ident()] * len(mats)
-        assert all(a is m for (_, a), m in zip(seen, mats, strict=True))
-        for m, h in zip(mats, got):
-            assert h.result()[0].tobytes() == solver(m)[0].tobytes()
-        assert len(seen) == len(mats)
-
-    @pytest.mark.parametrize("order", ["in order", "reversed"])
-    def test_each_matrix_is_diagonalized_once_across_both_threads(self, monkeypatch, order):
-        self.two_cpus(monkeypatch)
-        log = self.solver(monkeypatch)
-        rng = np.random.default_rng(87)
-        mats = [random_hermitian(rng, 64) for _ in range(12)]
-        got = eigh_ahead(mats)
-        for h in (got if order == "in order" else got[::-1]):
-            h.result()
-        drain()
-        assert sorted(id(a) for a, _ in log) == sorted(id(m) for m in mats)
-        assert all(bitwise(h.result(), m) for h, m in zip(got, mats))
-
-    def test_a_resolved_batch_keeps_no_matrix_alive(self, monkeypatch):
-        # with the collector off only reference counts free the matrices,
-        # so a reference cycle through the batch would keep them alive
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(93)
-        mats = [random_hermitian(rng, 64) for _ in range(8)]
-        refs = [weakref.ref(m) for m in mats]
-        gc.disable()
-        try:
-            handles = eigh_ahead(mats)
-            del mats
-            assert algebra._worker is not None    # the batch went to the worker
-            for h in handles[::-1]:
-                h.result()
-            drain()
-            del handles, h
-            assert [r() for r in refs] == [None] * len(refs)
-        finally:
-            gc.enable()
-
-    def test_the_caller_takes_what_the_worker_has_not_reached(self, monkeypatch):
-        # the worker holds the first matrix; the caller computes the rest
-        # as it asks for them, without waiting
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(88)
-        mats = [random_hermitian(rng, 64) for _ in range(5)]
-        handles, log, gate = self.held_worker(monkeypatch, mats)
-        try:
-            assert all(bitwise(h.result(), m) for h, m in zip(handles[1:], mats[1:]))
-            assert not gate.is_set()
-        finally:
-            gate.set()
-        assert bitwise(handles[0].result(), mats[0])
-        assert [(id(a), w) for a, w in log] == [(id(mats[0]), True)] + [
-            (id(m), False) for m in mats[1:]]
-
-    def test_the_caller_steals_from_the_back_while_the_worker_holds_its_matrix(
-            self, monkeypatch):
-        # asked for the matrix the worker holds, the caller computes the
-        # last unclaimed one, and so on to the front; only then does it wait
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(89)
-        mats = [random_hermitian(rng, 64) for _ in range(5)]
-        handles, log, gate = self.held_worker(monkeypatch, mats)
-        own = algebra._EIGH
-
-        def opening(a):    # the caller's last steal frees the worker
-            out = own(a)
-            if a is mats[1]:
-                gate.set()
-            return out
-
-        monkeypatch.setattr(algebra, "_EIGH", opening)
-        try:
-            assert bitwise(handles[0].result(), mats[0])
-        finally:
-            gate.set()
-        assert [(id(a), w) for a, w in log] == [(id(mats[0]), True)] + [
-            (id(m), False) for m in mats[:0:-1]]
-        assert all(bitwise(h.result(), m) for h, m in zip(handles, mats))
-
-    def test_callers_on_many_threads_compute_each_matrix_once(self, monkeypatch):
-        # four callers and the worker share each batch, switching threads as
-        # often as the interpreter allows: a lost claim shows as a matrix
-        # computed twice, and a lost wake-up as a caller still waiting
-        self.two_cpus(monkeypatch)
-        log = self.solver(monkeypatch)
-        rng = np.random.default_rng(92)
-        batches = [[random_hermitian(rng, 32) for _ in range(6)] for _ in range(10)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for mats in batches:
-                handles, done = eigh_ahead(mats), []
-
-                def resolve(order):    # appends nothing if it raises or hangs
-                    done.append(all(bitwise(handles[i].result(), mats[i]) for i in order))
-
-                threads = [threading.Thread(target=resolve, args=(rng.permutation(6),))
-                           for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(WAIT_S)
-                assert done == [True] * len(threads)
-        finally:
-            sys.setswitchinterval(interval)
-        drain()
-        assert sorted(id(a) for a, _ in log) == sorted(id(m) for b in batches for m in b)
-
-    @pytest.mark.parametrize("drained", [True, False])
-    def test_a_failed_matrix_raises_where_it_is_resolved(self, monkeypatch, drained):
-        self.two_cpus(monkeypatch)
-        self.solver(monkeypatch)
-        rng = np.random.default_rng(90)
-        mats = [random_hermitian(rng, 64) for _ in range(4)]
-        mats[2] = np.full((64, 64), np.nan, dtype=complex)
-        got = eigh_ahead(mats)
-        if drained:    # every matrix computed by the worker
-            drain()
-        for i in (3, 2, 1, 0):
-            if i == 2:
-                with pytest.raises(np.linalg.LinAlgError):
-                    got[i].result()
-            else:
-                assert bitwise(got[i].result(), mats[i])
-        with pytest.raises(np.linalg.LinAlgError):    # again, on every ask
-            got[2].result()
-        again = eigh_ahead(mats[:2])    # the next batch still works
-        assert all(bitwise(h.result(), m) for h, m in zip(again, mats))
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform has no fork")
-    def test_a_child_forked_after_a_split_batch_splits_its_own(self, monkeypatch):
-        # the child inherits the worker but not its thread; a batch handed
-        # to that worker would never be taken up
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(84)
-        mats = [random_hermitian(rng, 64) for _ in range(4)]
-        for h in eigh_ahead(mats):
-            h.result()
-        assert algebra._worker is not None
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                got = eigh_ahead(mats)
-                status = int(algebra._worker is None or not all(
-                    bitwise(h.result(), m) for h, m in zip(got, mats, strict=True)))
-            finally:
-                os._exit(status)
-        self.wait_for(pid, "the child's batch")
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform has no fork")
-    def test_a_child_forked_while_the_worker_holds_a_matrix_computes_it(self, monkeypatch):
-        # in the child, no thread will finish the matrix the parent's worker
-        # holds: the child computes it rather than wait on it
-        self.two_cpus(monkeypatch)
-        rng = np.random.default_rng(91)
-        mats = [random_hermitian(rng, 64) for _ in range(4)]
-        handles, _, gate = self.held_worker(monkeypatch, mats)
-        try:
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    status = int(not bitwise(handles[0].result(), mats[0]))
-                finally:
-                    os._exit(status)
-            self.wait_for(pid, "the held matrix")
-        finally:
-            gate.set()
-        assert all(bitwise(h.result(), m) for h, m in zip(handles, mats))
-
-    @staticmethod
-    def wait_for(pid, what):
-        deadline = time.monotonic() + WAIT_S
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail(f"{what} did not resolve in the child within {WAIT_S} s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestRoundTrips:

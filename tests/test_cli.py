@@ -180,7 +180,8 @@ class TestToleranceFields:
         code = run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
                        "--tol-override", f"{name}=1e-6")
         assert code == 2
-        assert capsys.readouterr().err == f"error: \"unknown tolerance name(s): ['{name}']\"\n"
+        assert capsys.readouterr().err == \
+            f"error: --tol-override: unknown tolerance name(s): {name}\n"
 
     @pytest.mark.parametrize("name", ["hermitian", "unitary", "eig_floor", "time_eps",
                                       "kraus_tp"])
@@ -547,8 +548,9 @@ class TestInputErrors:
         ("prune", "expected k=v, got 'prune'"),
         ("prune=small", "'small' is not a number"),
         ("first_law=nan", "tolerance first_law must be finite, got nan"),
-        ("first_law=inf", "tolerance first_law must be finite, got inf")],
-        ids=["no-equals", "not-a-number", "nan", "inf"])
+        ("first_law=inf", "tolerance first_law must be finite, got inf"),
+        ("kraus_tp=1", "unknown tolerance name(s): kraus_tp")],
+        ids=["no-equals", "not-a-number", "nan", "inf", "unknown-name"])
     def test_malformed_tolerance_override_is_an_input_error(self, capsys, override, message):
         assert run_cli("verify", "--scenario", str(SCENARIO_DIR / "equilibrium.yaml"),
                        "--tol-override", override) == 2
@@ -884,22 +886,6 @@ class TestThreadCount:
                              capture_output=True, text=True, timeout=300).stdout
         assert json.loads(out) == ["1", "3", "1"]
 
-    def test_bundle_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
-        # on one CPU every D = 64 spectrum is computed on the calling thread;
-        # on two, a worker thread computes each batch ahead of use
-        path = ramp_input(tmp_path, monkeypatch)
-        bundles = []
-        for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
-                                raising=False)
-            out = tmp_path / f"cpus-{len(cpus)}"
-            assert run_cli("run", "--scenario", str(path), "--mode", "both", "--seed", "7",
-                           "--out", str(out)) == 0
-            bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert sorted(bundles[0]) == ["branches.csv", "ensemble.csv", "report.json"]
-        for name in bundles[0]:
-            assert bundles[0][name] == bundles[1][name], name
-
     @pytest.mark.parametrize("name, counts", [("ramp", (1, 49, 50)),
                                               ("driven_feedback", (1, 2, 4))])
     def test_each_drive_value_is_diagonalized_once_per_route(self, tmp_path, monkeypatch,
@@ -921,14 +907,15 @@ class TestThreadCount:
         equivalence_rows(model, result)
         assert (setup, run, len(calls) - setup - run) == counts
 
-    def test_the_shipped_scenarios_start_no_thread(self, tmp_path):
-        # the worker that computes a batch ahead of use starts only on a batch
-        # of matrices of dimension 32 or more; the shipped scenarios have none
+    def test_no_run_starts_a_thread(self, tmp_path, monkeypatch):
+        # every spectrum is computed on the calling thread, on the shipped
+        # scenarios and on perfbench's ramp input (a D = 64 system-bath space)
+        paths = [*SCENARIO_DIR.glob("*.yaml"), ramp_input(tmp_path, monkeypatch)]
         script = f"""
 import contextlib, io, sys, threading
 before = threading.active_count()
 from proctherm.cli import main
-for path, out in {[(str(p), str(tmp_path / p.stem)) for p in SCENARIO_DIR.glob("*.yaml")]!r}:
+for path, out in {[(str(p), str(tmp_path / "out" / p.stem)) for p in paths]!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["verify", "--scenario", path]) == 0
         assert main(["run", "--scenario", path, "--mode", "both", "--out", out]) == 0
@@ -937,44 +924,7 @@ assert "concurrent.futures" not in sys.modules
 """
         subprocess.run([sys.executable, "-c", script], env=subprocess_env(), check=True,
                        timeout=300)
-        assert len(list(tmp_path.iterdir())) == 5
-
-
-class TestSpectraAhead:
-    @pytest.mark.usefixtures("deadline")
-    def test_each_drive_value_is_diagonalized_once_per_route_on_two_threads(
-            self, tmp_path, monkeypatch):
-        # TestThreadCount's count on ramp, with each batch handed to the
-        # worker: one counting solver in place of numpy's and the worker's
-        # sees every drive value once, whichever thread computes it
-        import proctherm.algebra as algebra
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(algebra, "_cgroup_cpu_max", lambda: "")
-        path = ramp_input(tmp_path, monkeypatch)
-        calls = []
-        solver = np.linalg.eigh
-
-        def counting(a):
-            calls.append(a)
-            return solver(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        monkeypatch.setattr(algebra, "_EIGH", counting)
-
-        def settled():
-            # the calls so far, once the worker has finished its batches
-            if algebra._worker is not None:
-                algebra._worker.submit(lambda: None).result(timeout=60)
-            return len(calls)
-
-        scen = parse_scenario(str(path))
-        model = build_model(scen)
-        setup = settled()
-        result = run_verified(model, scen.report_times, prune=1e-14, max_branches=4096)
-        assert algebra._worker is not None
-        run = settled() - setup
-        equivalence_rows(model, result)
-        assert (setup, run, settled() - setup - run) == (1, 49, 50)
+        assert len(list((tmp_path / "out").iterdir())) == len(paths) == 6
 
 
 # runs each argv of the JSON list argv[1] through cli.main in this process,

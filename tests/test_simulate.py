@@ -15,7 +15,7 @@ import pytest
 from proctherm.algebra import max_norm, ptrace_factors
 from proctherm.channels import CPMap, Instrument, evaluate_process_tensor
 from proctherm.dilation import dephasing_error
-from proctherm.protocol import Protocol, Segment
+from proctherm.protocol import Protocol, Segment, before
 from proctherm import simulate
 from proctherm.scenario import build_model, parse_scenario
 from proctherm.simulate import AutonomousModel, Simulator, ancilla_label
@@ -415,6 +415,34 @@ class TestSameInstant:
         assert len(list(proto.iter_segments(0.3, 0.3 + 2 * TIME_EPS))) == 1
         assert proto.segment_at(1.0 - TIME_EPS / 2) is proto.base[1]
         assert proto.segment_at(1.0 - 2 * TIME_EPS) is proto.base[0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segments_are_those_of_a_scan_of_the_whole_timeline(self, seed):
+        # interval ends at, and within two instants of, every switch of a base
+        # timeline and of a variant; each segment starts up to one instant
+        # off its predecessor's end
+        rng = np.random.default_rng(seed)
+
+        def timeline(n):
+            ends = np.cumsum(rng.uniform(0.05, 0.5, n))
+            ends = 3.0 * ends / ends[-1]
+            starts = [0.0, *(ends[:-1] + rng.uniform(-0.9, 0.9, n - 1) * TIME_EPS)]
+            return [Segment(float(a), float(b), SX * i)
+                    for i, (a, b) in enumerate(zip(starts, ends))]
+
+        proto = Protocol(timeline(12), {("1",): timeline(9)})
+        for prefix in [(), ("1",)]:
+            segments = proto.timeline(prefix)
+            switches = [s.t0 for s in segments] + [s.t1 for s in segments]
+            times = sorted({t for t in [*(c + k * TIME_EPS for c in switches
+                                          for k in (-2, -1, -0.5, 0, 0.5, 1, 2)),
+                                        *rng.uniform(0.0, 3.0, 8)]
+                            if not before(t, proto.t_start) and not before(proto.t_end, t)})
+            for i, t_from in enumerate(times):
+                for t_to in times[i:]:
+                    scan = [(seg, max(seg.t0, t_from), min(seg.t1, t_to)) for seg in segments]
+                    want = [(seg, a, b) for seg, a, b in scan if before(a, b)]
+                    assert list(proto.iter_segments(t_from, t_to, prefix)) == want
 
     def test_steps_segments_and_windows_span_more_than_one_instant(self):
         with pytest.raises(ValueError, match="empty segment"):

@@ -282,8 +282,8 @@ class TestTolerances:
     def test_replace_and_reject(self):
         tol = Tolerances().replaced(first_law=1e-6)
         assert tol.first_law == 1e-6
-        with pytest.raises(KeyError):
-            Tolerances().replaced(bogus=1.0)
+        with pytest.raises(ValueError, match=r"^unknown tolerance name\(s\): bogus, zz$"):
+            Tolerances().replaced(zz=1.0, bogus=1.0)
         assert "first_law" in tol.as_dict()
 
 
