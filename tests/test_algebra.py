@@ -1,11 +1,15 @@
 """Tests for the array linear algebra over ordered tensor factors."""
 
 import math
+import threading
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import proctherm.algebra as algebra
+import proctherm.simulate as simulate
 from proctherm.algebra import (
     embed_factors,
     expm_herm,
@@ -17,6 +21,7 @@ from proctherm.algebra import (
     unitary_log_generator,
     vn_entropy_mat,
 )
+from proctherm.scenario import build_model, parse_scenario
 
 from oracles import (
     kron_index,
@@ -281,6 +286,119 @@ class TestGibbs:
         np.testing.assert_allclose(gibbs_mat(low, 1.0), gibbs_mat(h, 1.0), atol=1e-12)
         assert log_partition(low, 1.0) == pytest.approx(log_partition(h, 1.0) + 800.0,
                                                         rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spectra: np.linalg.eigh's, on the calling thread, where first read
+# ---------------------------------------------------------------------------
+
+NUMPY_EIGH = np.linalg.eigh    # the reference, whatever a test puts in its place
+SB = ("S", "B")
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "driven_feedback.yaml"
+
+
+def bitwise(eig, mat):
+    w, v = eig
+    w0, v0 = NUMPY_EIGH(mat)
+    return w.tobytes() == w0.tobytes() and v.tobytes() == v0.tobytes()
+
+
+class TestEighAll:
+    """Every spectrum is bitwise what ``np.linalg.eigh`` gives matrix by
+    matrix, computed on the calling thread where it is first read; a model
+    keeps each drive value's S B spectrum once it has one, and nothing for a
+    drive value whose spectrum failed."""
+
+    @staticmethod
+    def model_and_drives(seed, count):
+        """A built model and ``count`` random drive values for its system."""
+        model = build_model(parse_scenario(str(SCENARIO)))
+        rng = np.random.default_rng(seed)
+        d_s = model.space(SB).dims[0]
+        return model, [random_hermitian(rng, d_s) for _ in range(count)]
+
+    @staticmethod
+    def solver(monkeypatch, fails=None):
+        """Put a recording solver in place of numpy's and return its log of
+        matrices; it raises on a matrix equal to ``fails``."""
+        log = []
+
+        def recording(a):
+            log.append(a)
+            if fails is not None and np.array_equal(a, fails):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return NUMPY_EIGH(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        return log
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_out_of_order_resolution_is_bitwise_serial_eigh(self, monkeypatch, order):
+        model, drives = self.model_and_drives(85, 9)
+        mats = [model.space(SB).hamiltonian(h) for h in drives]
+        log = self.solver(monkeypatch)
+        idx = range(8, -1, -1) if order == "reversed" \
+            else np.random.default_rng(85).permutation(9)
+        got = {i: model.spectrum(SB, drives[i]) for i in idx}
+        assert all(bitwise(got[i], mats[i]) for i in idx)
+        assert [a.tobytes() for a in log] == [mats[i].tobytes() for i in idx]
+        # twice, in drive order: each read after the first is the kept spectrum
+        assert all(model.spectrum(SB, h) is got[i] for i, h in enumerate(drives))
+        assert len(log) == len(drives)
+
+    @pytest.mark.parametrize("rebind", ["numpy", "module alias"])
+    def test_a_rebound_solver_sees_every_call_on_the_calling_thread_in_order(
+            self, monkeypatch, rebind):
+        # a tracer that wraps the solver nests spans by call order, so it
+        # must see every call on the caller's thread, as it is made; the
+        # benchmark's tracer gives each module its own ``np`` alias, a patch
+        # rebinds numpy's
+        model, drives = self.model_and_drives(83, 3)
+        rng = np.random.default_rng(83)
+        mats = [random_hermitian(rng, 64) for _ in range(2)]
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append((threading.get_ident(), a))
+            return NUMPY_EIGH(a, *args, **kwargs)
+
+        if rebind == "numpy":
+            monkeypatch.setattr(np.linalg, "eigh", recording)
+        else:
+            linalg = types.SimpleNamespace(**{**vars(np.linalg), "eigh": recording})
+            alias = types.SimpleNamespace(**{**vars(np), "linalg": linalg})
+            for mod in (algebra, simulate):
+                monkeypatch.setattr(mod, "np", alias)
+        eigs = [model.spectrum(SB, h) for h in drives]
+        rho, u = gibbs_mat(mats[0], 1.0), expm_herm(mats[1], -1j)
+        assert [ident for ident, _ in seen] == [threading.get_ident()] * 5
+        want = [model.space(SB).hamiltonian(h) for h in drives]
+        assert [a.tobytes() for _, a in seen[:3]] == [m.tobytes() for m in want]
+        assert seen[3][1] is mats[0] and seen[4][1] is mats[1]
+        assert all(bitwise(e, m) for e, m in zip(eigs, want))
+        assert rho.tobytes() == gibbs_mat(None, 1.0, eig=NUMPY_EIGH(mats[0])).tobytes()
+        assert u.tobytes() == expm_herm(None, -1j, eig=NUMPY_EIGH(mats[1])).tobytes()
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_a_failed_matrix_raises_where_it_is_resolved(self, monkeypatch, cached):
+        # the failure surfaces at the read of the failing drive value, on
+        # every read, and the model's other spectra are untouched by it
+        model, drives = self.model_and_drives(90, 4)
+        mats = [model.space(SB).hamiltonian(h) for h in drives]
+        log = self.solver(monkeypatch, fails=mats[2])
+        if cached:    # every other spectrum already kept
+            for i in (0, 1, 3):
+                model.spectrum(SB, drives[i])
+        for i in (3, 2, 1, 0):
+            if i == 2:
+                with pytest.raises(np.linalg.LinAlgError):
+                    model.spectrum(SB, drives[i])
+            else:
+                assert bitwise(model.spectrum(SB, drives[i]), mats[i])
+        with pytest.raises(np.linalg.LinAlgError):    # again, on every read
+            model.spectrum(SB, drives[2])
+        counts = [sum(np.array_equal(a, m) for a in log) for m in mats]
+        assert counts == [1, 1, 2, 1]
 
 
 class TestRoundTrips:

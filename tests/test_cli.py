@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -907,15 +908,41 @@ class TestThreadCount:
         equivalence_rows(model, result)
         assert (setup, run, len(calls) - setup - run) == counts
 
-    def test_no_run_starts_a_thread(self, tmp_path, monkeypatch):
-        # every spectrum is computed on the calling thread, on the shipped
-        # scenarios and on perfbench's ramp input (a D = 64 system-bath space)
-        paths = [*SCENARIO_DIR.glob("*.yaml"), ramp_input(tmp_path, monkeypatch)]
+    def test_bundle_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # every spectrum is computed on the calling thread, so a process held
+        # to one CPU writes the bytes of one free to use all it may
+        path = ramp_input(tmp_path, monkeypatch)
+        usable = sorted(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
+        script = """
+import os, sys
+cpus = set(map(int, sys.argv[1].split(",")))
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, cpus)
+    assert os.sched_getaffinity(0) == cpus
+from proctherm.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+        bundles = []
+        for cpus in (usable[:1], usable):
+            out = tmp_path / f"cpus-{len(cpus)}"
+            subprocess.run([sys.executable, "-c", script, ",".join(map(str, cpus)),
+                            "run", "--scenario", str(path), "--mode", "both", "--seed", "7",
+                            "--out", str(out)],
+                           env=subprocess_env(), check=True, capture_output=True, timeout=300)
+            bundles.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(bundles[0]) == ["branches.csv", "ensemble.csv", "report.json"]
+        for name in bundles[0]:
+            assert bundles[0][name] == bundles[1][name], name
+
+    @staticmethod
+    def assert_no_thread_started(paths, out_dir):
+        """``verify`` and ``run --mode both`` on each of ``paths``, in one
+        fresh process, leave it with only its main thread."""
         script = f"""
 import contextlib, io, sys, threading
 before = threading.active_count()
 from proctherm.cli import main
-for path, out in {[(str(p), str(tmp_path / "out" / p.stem)) for p in paths]!r}:
+for path, out in {[(str(p), str(out_dir / p.stem)) for p in paths]!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["verify", "--scenario", path]) == 0
         assert main(["run", "--scenario", path, "--mode", "both", "--out", out]) == 0
@@ -924,7 +951,61 @@ assert "concurrent.futures" not in sys.modules
 """
         subprocess.run([sys.executable, "-c", script], env=subprocess_env(), check=True,
                        timeout=300)
-        assert len(list((tmp_path / "out").iterdir())) == len(paths) == 6
+        assert len(list(out_dir.iterdir())) == len(paths)
+
+    def test_the_shipped_scenarios_start_no_thread(self, tmp_path):
+        # every spectrum is computed on the calling thread
+        paths = sorted(SCENARIO_DIR.glob("*.yaml"))
+        assert len(paths) == 5
+        self.assert_no_thread_started(paths, tmp_path / "out")
+
+    def test_the_d64_ramp_input_starts_no_thread(self, tmp_path, monkeypatch):
+        # perfbench's ramp input, whose D = 64 system-bath spectra are the
+        # largest any workload diagonalizes
+        self.assert_no_thread_started([ramp_input(tmp_path, monkeypatch)], tmp_path / "out")
+
+
+class TestSpectraAhead:
+    def test_each_drive_value_is_diagonalized_once_per_route_on_two_threads(
+            self, tmp_path, monkeypatch):
+        # TestThreadCount's count on ramp, with two callers at once, each on
+        # its own model: each thread's solver calls are its own, and each
+        # sees every drive value once per route, in the same order
+        path = ramp_input(tmp_path, monkeypatch)
+        calls = []
+        solver = np.linalg.eigh
+
+        def counting(a):
+            calls.append((threading.get_ident(), a))
+            return solver(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        scen = parse_scenario(str(path))
+        seen = {}
+
+        def own():
+            me = threading.get_ident()
+            return [a for ident, a in calls if ident == me]
+
+        def route(k):    # records nothing if it raises
+            model = build_model(scen)
+            setup = len(own())
+            result = run_verified(model, scen.report_times, prune=1e-14, max_branches=4096)
+            run = len(own()) - setup
+            equivalence_rows(model, result)
+            mats = own()
+            seen[k] = (setup, run, len(mats) - setup - run), [a.tobytes() for a in mats]
+
+        threads = [threading.Thread(target=route, args=(k,), daemon=True) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(seen) == [0, 1]
+        assert seen[0][0] == seen[1][0] == (1, 49, 50)
+        assert seen[0][1] == seen[1][1]
+        assert len(calls) == 2 * 100
 
 
 # runs each argv of the JSON list argv[1] through cli.main in this process,
