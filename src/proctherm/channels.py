@@ -28,7 +28,7 @@ from .algebra import (
     ptrace_factors,
 )
 from .protocol import Protocol, Segment, before, deepest_prefix
-from .tolerances import KRAUS_TP
+from .tolerances import HERMITIAN, KRAUS_TP
 
 __all__ = [
     "CPMap",
@@ -109,9 +109,11 @@ class InterventionSchedule:
     declared prefix wins.  All overrides of one step must share the base
     instrument's outcome alphabet.  The attached protocol drives the
     system Hamiltonian between interventions.  ``sb_dims`` is (d_S, d_B);
-    both routes read the schedule, so each input's size is checked here
-    once: every Kraus operator and drive is d_S x d_S, ``h_bath`` d_B x d_B
-    and ``v_coupling`` (d_S d_B) x (d_S d_B), and the last two are Hermitian.
+    both routes read the schedule, so its rules are checked here once: each
+    Kraus operator and drive is d_S x d_S, ``h_bath`` d_B x d_B, ``v_coupling``
+    (d_S d_B) x (d_S d_B), the last two Hermitian; the times lie in the
+    protocol range; a feedback or variant prefix spells labels its steps
+    record; and a variant drives as its parent until its prefix is resolved.
     """
 
     sb_dims: tuple[int, int]
@@ -165,6 +167,25 @@ class InterventionSchedule:
                 raise ValueError(f"{name} must be {d}x{d}, got shape {np.shape(mat)}")
             if name in ("h_bath", "v_coupling") and not is_hermitian(np.asarray(mat)):
                 raise ValueError(f"{name} is not Hermitian")
+        if times and (before(times[0], protocol.t_start) or before(protocol.t_end, times[-1])):
+            raise ValueError("an intervention is scheduled outside the protocol range")
+        # a prefix spells outcomes its steps record (a feedback prefix's length is bounded above)
+        for prefix in [*(p for table in fb.values() for p in table), *protocol.variants]:
+            if len(prefix) > len(times):
+                raise ValueError(f"protocol variant {prefix} is longer than the "
+                                 "intervention schedule")
+            for j, label in enumerate(prefix):
+                if label not in instruments[j].labels:
+                    raise ValueError(f"prefix {list(prefix)}: step {j} records one of "
+                                     f"{list(instruments[j].labels)}, not {label!r}")
+        # a variant timeline may only deviate once its prefix is resolved
+        for prefix in protocol.variants:
+            resolved = times[len(prefix) - 1]
+            for seg, a, b in protocol.iter_segments(protocol.t_start, resolved, prefix):
+                for bseg, ba, _ in protocol.iter_segments(a, b, prefix[:-1]):
+                    if max_norm(seg.h_system - bseg.h_system) > HERMITIAN:
+                        raise ValueError(f"protocol variant {prefix} changes the drive at "
+                                         f"t={ba}, before its prefix is resolved at t={resolved}")
         object.__setattr__(self, "sb_dims", tuple(sb_dims))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "instruments", instruments)

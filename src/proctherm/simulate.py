@@ -47,6 +47,7 @@ control window's spectra are computed where the window uses them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -69,7 +70,7 @@ from .algebra import (
 from .channels import Instrument, InterventionSchedule
 from .dilation import DilationResult, _check_projectors, dilate_instrument
 from .protocol import Segment, before, deepest_prefix, same_instant
-from .tolerances import DEFAULT, HERMITIAN
+from .tolerances import DEFAULT
 
 __all__ = [
     "AutonomousModel",
@@ -102,10 +103,9 @@ class StepSpec:
     base) to the step's control hardware under that prefix, together with
     its :class:`_Readout`.
     A finite-width control switches the coupling ``window`` = log(U)/width
-    on S A_k on at ``time`` and off ``window_width`` later.
+    on S A_k on at the step's time and off ``window_width`` later.
     """
 
-    time: float
     ancilla_state: np.ndarray
     h_ancilla: np.ndarray
     window_width: float | None
@@ -222,36 +222,38 @@ class _Space:
 class AutonomousModel:
     """Inclusive model: factor dimensions, Hamiltonian terms, schedule, hardware.
 
-    ``sb_init`` is the read-only (d_S d_B, d_S d_B) initial state on S B;
-    passed as None, it is the Gibbs state of H_SB at the first drive value,
-    built from the model's own spectrum, and ``gibbs_initial`` says so.
+    ``declared_init`` is the read-only start on S B, or None (``gibbs_initial``)
+    for the Gibbs state of H_SB at the first drive value, which ``sb_init``,
+    the start both routes read, then holds, built from the model's spectrum.
     """
 
     dims: Mapping[str, int]    # read-only, factor label -> dimension: S, B, A0, A1, ...
     schedule: InterventionSchedule
     steps: tuple[StepSpec, ...]
     beta: float
-    sb_init: np.ndarray | None
+    declared_init: np.ndarray | None
     mean_force_bare: bool = False
     name: str = "model"
-    gibbs_initial: bool = field(init=False)
+    sb_init: np.ndarray = field(init=False)
     nodes: frozenset = field(init=False)    # every prefix of a declared prefix
 
     def __post_init__(self):
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"inverse temperature must be positive and finite, got {self.beta}")
         declared = [p for spec in self.steps for p in spec.controls]
         object.__setattr__(self, "nodes", frozenset(
             p[:i] for p in [(), *declared, *self.protocol.variants] for i in range(len(p) + 1)))
         object.__setattr__(self, "_spaces", {})
         object.__setattr__(self, "_spectra", {})
-        object.__setattr__(self, "gibbs_initial", self.sb_init is None)
-        if self.gibbs_initial:
-            # the Gibbs state of H_SB at the first drive value, from the
-            # model's own spectrum of it
-            if self.beta <= 0:
-                raise ValueError(f"inverse temperature must be positive, got {self.beta}")
-            rho = gibbs_mat(None, self.beta,
-                            eig=self.spectrum(("S", "B"), self.protocol.base[0].h_system))
-            object.__setattr__(self, "sb_init", _frozen(rho))
+        rho = self.declared_init
+        if rho is None:    # the Gibbs state of H_SB at the first drive value
+            rho = _frozen(gibbs_mat(None, self.beta, eig=self.spectrum(
+                ("S", "B"), self.protocol.base[0].h_system)))
+        object.__setattr__(self, "sb_init", rho)
+
+    @property
+    def gibbs_initial(self) -> bool:
+        return self.declared_init is None
 
     # -- assembly -----------------------------------------------------------
 
@@ -273,17 +275,17 @@ class AutonomousModel:
         """
         from .dilation import instrument_from_dilation
 
+        if not all(isinstance(d, numbers.Integral) for d in (s_dim, b_dim)):
+            raise ValueError(f"factor dimensions must be integers, got S={s_dim!r}, B={b_dim!r}")
         dims = {"S": int(s_dim), "B": int(b_dim)}
         if min(dims.values()) < 1:
             raise ValueError(f"factor dimensions must be at least 1, got {dims}")
         specs: list[StepSpec] = []
         instruments: list[Instrument] = []
-        times: list[float] = []
+        times = [float(st["time"]) for st in steps]
         feedback = dict(feedback or {})
         readouts: dict[tuple, _Readout] = {}
         for k, st in enumerate(steps):
-            t_k = float(st["time"])
-            times.append(t_k)
             window = st.get("window")
             if "instrument" in st:
                 inst: Instrument = st["instrument"]
@@ -350,46 +352,22 @@ class AutonomousModel:
             v_window = None
             if window is not None:
                 window = float(window)
-                t1 = t_k + window
-                if not before(t_k, t1):
+                t1 = times[k] + window
+                if not before(times[k], t1):
                     raise ValueError(f"step {k}: control window is not longer than "
                                      "one instant")
                 if not before(t1, protocol.t_end):
                     raise ValueError(f"step {k}: control window must end before the "
                                      "protocol does")
-                if k + 1 < len(steps) and before(float(steps[k + 1]["time"]), t1):
+                if k + 1 < len(steps) and before(times[k + 1], t1):
                     raise ValueError(f"step {k}: control window overlaps the next step")
                 v_window = unitary_log_generator(hardware[()].unitary) / window
-            specs.append(StepSpec(t_k, hardware[()].ancilla_state, h_anc,
-                                  window, v_window, controls))
+            specs.append(StepSpec(hardware[()].ancilla_state, h_anc, window, v_window, controls))
             dims[ancilla_label(k)] = d_anc
 
         schedule = InterventionSchedule((dims["S"], dims["B"]), times, instruments, protocol,
                                         feedback=feedback, h_bath=h_bath,
                                         v_coupling=v_coupling)
-        if times and (before(times[0], protocol.t_start) or before(protocol.t_end, times[-1])):
-            raise ValueError("an intervention is scheduled outside the protocol range")
-        # a prefix spells outcomes its steps can record (the schedule has
-        # already bounded the length of a feedback prefix)
-        for prefix in [*(p for table in schedule.feedback.values() for p in table),
-                       *protocol.variants]:
-            if len(prefix) > len(times):
-                raise ValueError(f"protocol variant {prefix} is longer than the "
-                                 "intervention schedule")
-            for j, label in enumerate(prefix):
-                if label not in schedule.alphabet(j):
-                    raise ValueError(f"prefix {list(prefix)}: step {j} records one of "
-                                     f"{list(schedule.alphabet(j))}, not {label!r}")
-        # a variant timeline may only deviate once its prefix is resolved
-        for prefix in protocol.variants:
-            resolved = times[len(prefix) - 1]
-            for seg, a, b in protocol.iter_segments(protocol.t_start, resolved, prefix):
-                for bseg, ba, bb in protocol.iter_segments(a, b, prefix[:-1]):
-                    if max_norm(seg.h_system - bseg.h_system) > HERMITIAN:
-                        raise ValueError(
-                            f"protocol variant {prefix} changes the drive at "
-                            f"t={ba}, before its prefix is resolved at t={resolved}")
-
         rho0 = None
         if sb_init is not None:
             d = dims["S"] * dims["B"]
@@ -700,7 +678,7 @@ class Simulator:
     def __init__(self, model: AutonomousModel, prune: float = DEFAULT.prune,
                  max_branches: int = 4096):
         self.model = model
-        self.prune = float(prune)
+        self.prune = DEFAULT.replaced(prune=float(prune)).prune    # the one prune rule
         self.max_branches = int(max_branches)
 
     # -- evolution ----------------------------------------------------------
@@ -768,15 +746,15 @@ class Simulator:
 
     def run_step(self, ledger: BranchLedger, k: int) -> tuple[BranchLedger, StepTrace]:
         model = self.model
-        spec = model.steps[k]
+        spec, t_k = model.steps[k], model.schedule.times[k]
         if ledger.steps_done != k:
             raise ValueError(f"ledger has completed {ledger.steps_done} steps, "
                              f"cannot run step {k}")
-        if not same_instant(ledger.time, spec.time):
-            raise ValueError(f"step {k} is scheduled at t={spec.time}, "
+        if not same_instant(ledger.time, t_k):
+            raise ValueError(f"step {k} is scheduled at t={t_k}, "
                              f"ledger is at t={ledger.time}")
         anc = ancilla_label(k)
-        t_meas = spec.time if spec.window_width is None else spec.time + spec.window_width
+        t_meas = t_k if spec.window_width is None else t_k + spec.window_width
         labels = spec.controls[()][0].outcome_labels    # every prefix's hardware has them
         n_out = len(labels)
         outcome = np.arange(n_out)[:, None]
@@ -801,7 +779,7 @@ class Simulator:
                 on = expect_herm(spec.window, space.ptrace(prepped, ["S", anc]))
                 window = self._evolve(replace(g, support=space.support, states=prepped,
                                               w_ctrl=g.w_ctrl + on / weights),
-                                      spec.time, t_meas, weights, k)
+                                      t_k, t_meas, weights, k)
                 ctrl = window.states
                 w_sys, h_sys = self._switch(window.w_sys, window.h_sys, model.protocol.segment_at(
                     t_meas, g.node), space, ctrl, weights)
@@ -885,8 +863,8 @@ class Simulator:
 
         def steps_until(t):
             nonlocal ledger, k
-            while k < model.n_steps and not before(t, model.steps[k].time):
-                ledger = self.advance(ledger, model.steps[k].time)
+            while k < model.n_steps and not before(t, model.schedule.times[k]):
+                ledger = self.advance(ledger, model.schedule.times[k])
                 ledger, tr = self.run_step(ledger, k)
                 traces.append(tr)
                 k += 1

@@ -43,6 +43,16 @@ def flat_schedule(times, instruments, sb_dims=SB_DIMS, h_sys=None, h_bath=None, 
                                 feedback=feedback, h_bath=h_bath, v_coupling=v)
 
 
+def variant_schedule(variants, t_switch=None):
+    """One projective step at t = 0.5 on d_S = 2, d_B = 1, the drive zero on
+    [0, 2] and ``variants`` each holding it until ``t_switch``, then X."""
+    zero = np.zeros((2, 2))
+    timeline = [Segment(0.0, 2.0, zero)] if t_switch is None else [
+        Segment(0.0, t_switch, zero), Segment(t_switch, 2.0, np.array([[0, 1], [1, 0]]))]
+    return InterventionSchedule((2, 1), [0.5], [projective_z()], Protocol(
+        [Segment(0.0, 2.0, zero)], {prefix: timeline for prefix in variants}))
+
+
 def states_by_record(report):
     """One report time's ``(records, states)`` as {record: state matrix}."""
     records, states = report
@@ -184,6 +194,24 @@ GUARDS = {
             [Segment(0.0, 3.0, np.eye(2))],
             {("1",): [Segment(0.0, 0.5, np.eye(2)), Segment(0.5, 3.0, np.eye(3))]})),
         r"drive segment 1 for prefix \['1'\] must be 2x2, got shape \(3, 3\)"),
+    # the rules on times and prefixes hold for a schedule built without assemble
+    "schedule-step-outside-protocol": (
+        lambda: flat_schedule([3.0], [projective_z()], sb_dims=(2, 1), t_span=(0.0, 2.0)),
+        "an intervention is scheduled outside the protocol range"),
+    "schedule-feedback-prefix-misspelled": (
+        lambda: flat_schedule([0.5, 1.0], [projective_z(), projective_z()], sb_dims=(2, 1),
+                              t_span=(0.0, 2.0), feedback={1: {("3",): projective_z()}}),
+        r"prefix \['3'\]: step 0 records one of \['1', '2'\], not '3'"),
+    "schedule-variant-prefix-misspelled": (
+        lambda: variant_schedule([("3",)]),
+        r"prefix \['3'\]: step 0 records one of \['1', '2'\], not '3'"),
+    "schedule-variant-longer-than-schedule": (
+        lambda: variant_schedule([("1", "1")]),
+        r"protocol variant \('1', '1'\) is longer than the intervention schedule"),
+    "schedule-variant-deviates-before-its-prefix-resolves": (
+        lambda: variant_schedule([("1",)], t_switch=0.3),
+        r"protocol variant \('1',\) changes the drive at t=0.3, before its prefix is "
+        r"resolved at t=0.5"),
 }
 
 
@@ -331,7 +359,7 @@ class TestProcessEvaluation:
         v = 0.25 * np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
         base = [Segment(0.0, 1.0, h0), Segment(1.0, 2.0, h0 + 0.3 * np.diag([1.0, -1.0]))]
         variants = {("1",): [Segment(0.0, 0.7, h0), Segment(0.7, 2.0, random_hermitian(rng, 2))],
-                    ("2", "1"): [Segment(0.0, 2.0, random_hermitian(rng, 2))]}
+                    ("2", "1"): [Segment(0.0, 0.8, h0), Segment(0.8, 2.0, random_hermitian(rng, 2))]}
         proto = Protocol(base, variants)
         kraus = random_kraus_channel(rng, 2, 3)
         noisy = Instrument([("1", CPMap(kraus[:1])), ("2", CPMap(kraus[1:]))])

@@ -97,8 +97,8 @@ def test_step_trace_rows_follow_the_parents_in_ledger_order(runs):
     model = runs.result.model
     sim = Simulator(model)
     ledger, interleaved = runs.result.initial.ledger, False
-    for k, spec in enumerate(model.steps):
-        ledger = sim.advance(ledger, spec.time)
+    for k in range(model.n_steps):
+        ledger = sim.advance(ledger, model.schedule.times[k])
         interleaved |= bool((ledger.order != np.arange(len(ledger.order))).any())
         after, trace = sim.run_step(ledger, k)
         assert trace.parents == ledger.records

@@ -5,6 +5,7 @@ state produced by the unitary inclusive model must match the direct
 intervention-sequence evaluation, record by record.
 """
 
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -793,6 +794,23 @@ GUARDS = {
     "sb-init-negative-eigenvalue": (
         lambda: simple_model([], sb_init=np.diag([1.5, -0.5, 0.0, 0.0])),
         "negative eigenvalue -5.000e-01 beyond tolerance"),
+    # beta is checked for a declared start too, not only for a Gibbs one
+    **{f"matrix-start-beta-{name}": (
+        lambda beta=beta: simple_model([], beta=beta, sb_init=np.eye(4) / 4),
+        "inverse temperature must be positive")
+       for name, beta in [("zero", 0.0), ("negative", -1.0), ("nan", math.nan),
+                          ("inf", math.inf)]},
+    # the one rule for the prune threshold, that of Tolerances
+    **{f"simulator-prune-{name}": (
+        lambda prune=prune: Simulator(simple_model([]), prune=prune),
+        r"the prune threshold must be in \[0, 1\)")
+       for name, prune in [("nan", math.nan), ("one", 1.0), ("two", 2.0), ("negative", -1.0)]},
+    "system-dim-fractional": (
+        lambda: AutonomousModel.assemble(s_dim=2.5, beta=1.0,
+                                         protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))])),
+        r"factor dimensions must be integers, got S=2.5, B=1"),
+    "bath-dim-fractional": (lambda: simple_model([], b_dim=1.9),
+                            r"factor dimensions must be integers, got S=2, B=1.9"),
 }
 
 
@@ -830,6 +848,32 @@ class TestGuards:
         call, message = SIZES[case]
         with pytest.raises(ValueError, match=message):
             call()
+
+
+class TestDeclaredStart:
+    def test_replace_rebuilds_a_gibbs_start_at_its_beta(self):
+        def model(beta):
+            rng = np.random.default_rng(12)
+            return simple_model([{"time": 0.5, "instrument": projective_z()}], beta=beta,
+                                h_sys=random_hermitian(rng, 2), h_bath=np.diag([0.0, 0.7]),
+                                v=0.3 * random_hermitian(rng, 4))
+        cold = model(1.0)
+        hot = dataclasses.replace(cold, beta=2.0)
+        assert hot.gibbs_initial and hot.declared_init is None
+        np.testing.assert_array_equal(hot.sb_init, model(2.0).sb_init)
+        assert max_norm(hot.sb_init - cold.sb_init) > 1e-3
+
+    def test_replace_keeps_a_declared_start(self):
+        model = simple_model([], sb_init=np.eye(4) / 4)
+        copy = dataclasses.replace(model, beta=2.0)
+        assert not copy.gibbs_initial
+        assert copy.sb_init is copy.declared_init is model.sb_init
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        model = AutonomousModel.assemble(s_dim=np.int64(2), b_dim=np.int32(3), beta=1.0,
+                                         protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))]))
+        assert model.schedule.sb_dims == (2, 3)
+        assert all(type(d) is int for d in model.dims.values())
 
 
 class TestDeclaredReadout:

@@ -108,6 +108,17 @@ class TestVerifySuite:
             assert c.passed and c.value == 0.0
             assert c.note == "skipped: non-thermal initial system-bath state voids the guarantee"
 
+    def test_a_replaced_model_is_verified_as_the_model(self):
+        # dataclasses.replace keeps the declared start, so a copy of a Gibbs
+        # start still runs both second-law rows
+        model, result = measurement_work_run()
+        copy = dataclasses.replace(model)
+        assert copy.gibbs_initial
+        copy_result = run_verified(copy, [s.time for s in result.snapshots], prune=1e-14,
+                                   max_branches=256)
+        assert ([c.row() for c in verify_model(copy, copy_result)]
+                == [c.row() for c in verify_model(model, result)])
+
     def test_window_scenario_skips_equivalence(self):
         data = scenario_dict()
         data["steps"][0]["window"] = {"width": 0.05}
