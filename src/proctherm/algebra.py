@@ -11,8 +11,11 @@ unit), storage is dense row-major complex, and the Hermitian
 eigendecomposition is the canonical route for matrix exponentials,
 logarithms and entropies.
 
-Each caller diagonalizes a matrix with ``np.linalg.eigh`` where it first
-needs the spectrum, on the calling thread; nothing here starts a thread.
+A function that takes ``eig`` uses a spectrum its caller already has; a
+model's Hamiltonian spectra come from its schedule's memo
+(:meth:`proctherm.channels.InterventionSchedule.eigh`), which calls
+``np.linalg.eigh`` once per distinct matrix, where a route first needs
+it.  Every call is made on the calling thread; nothing here starts one.
 """
 
 from __future__ import annotations

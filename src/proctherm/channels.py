@@ -12,6 +12,7 @@ shares every prefix; the autonomous reconstruction lives in
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,6 +115,9 @@ class InterventionSchedule:
     (d_S d_B) x (d_S d_B), the last two Hermitian; the times lie in the
     protocol range; a feedback or variant prefix spells labels its steps
     record; and a variant drives as its parent until its prefix is resolved.
+
+    The schedule is the one object both routes read, so it keeps their
+    Hermitian spectra (:meth:`eigh`), each under a digest of its matrix's bytes.
     """
 
     sb_dims: tuple[int, int]
@@ -132,6 +136,8 @@ class InterventionSchedule:
         instruments = tuple(instruments)
         if len(times) != len(instruments):
             raise ValueError("one instrument per intervention time")
+        if not all(map(math.isfinite, times)):
+            raise ValueError(f"intervention times must be finite: {times}")
         if not all(before(a, b) for a, b in zip(times, times[1:])):
             raise ValueError(f"intervention times must strictly increase: {times}")
         fb: dict[int, dict[tuple[str, ...], Instrument]] = {}
@@ -193,6 +199,7 @@ class InterventionSchedule:
         object.__setattr__(self, "feedback", fb)
         object.__setattr__(self, "h_bath", None if h_bath is None else np.asarray(h_bath, dtype=complex))
         object.__setattr__(self, "v_coupling", None if v_coupling is None else np.asarray(v_coupling, dtype=complex))
+        object.__setattr__(self, "_spectra", {})
 
     @property
     def n_steps(self) -> int:
@@ -205,17 +212,47 @@ class InterventionSchedule:
         return deepest_prefix(self.feedback.get(k, {}), prefix, self.instruments[k])
 
     @cached_property
-    def _bath_sb(self) -> np.ndarray | None:
-        return None if self.h_bath is None else embed_factors(self.h_bath, [1], self.sb_dims)
-
-    def h_sb(self, h_system: np.ndarray) -> np.ndarray:
-        """Full system-bath Hamiltonian for a given system term."""
-        h = embed_factors(h_system, [0], self.sb_dims)
-        if self._bath_sb is not None:
-            h = h + self._bath_sb
+    def _fixed_sb(self) -> np.ndarray:
+        """Every term of H_SB but the drive: zeros, then ``h_bath`` on the
+        bath, then ``v_coupling``, summed in that order."""
+        d = self.sb_dims[0] * self.sb_dims[1]
+        h = np.zeros((d, d), dtype=complex)
+        if self.h_bath is not None:
+            h = h + embed_factors(self.h_bath, [1], self.sb_dims)
         if self.v_coupling is not None:
             h = h + self.v_coupling
         return h
+
+    def h_sb(self, h_system: np.ndarray) -> np.ndarray:
+        """Full system-bath Hamiltonian for a given system term.  Its terms
+        are summed in the order the autonomous route sums them (zeros, then
+        the bath, the coupling and the drive), so the two routes' matrices
+        for one drive value are equal to the bit and :meth:`eigh` shares
+        their spectrum."""
+        return self._fixed_sb + embed_factors(h_system, [0], self.sb_dims)
+
+    def eigh(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (w, v) of the Hermitian ``mat``, read-only and bitwise
+        ``np.linalg.eigh``'s, computed once per schedule for each matrix.
+
+        A spectrum is kept under its matrix's shape, dtype and the SHA-256
+        digest of its bytes, never under a drive value or a segment.  So a
+        route reads a kept spectrum only for a matrix it assembled itself,
+        byte for byte equal to one already diagonalized (barring a SHA-256
+        collision), and receives what its own call would have returned; a
+        matrix that differs in any bit is diagonalized anew.  The digest
+        stands in for the bytes so that a run does not keep a copy of every
+        matrix.  A failed call keeps nothing.
+        """
+        mat = np.ascontiguousarray(mat)
+        key = mat.shape, mat.dtype.str, hashlib.sha256(mat).digest()
+        eig = self._spectra.get(key)
+        if eig is None:
+            eig = tuple(np.linalg.eigh(mat))
+            for a in eig:
+                a.setflags(write=False)
+            self._spectra[key] = eig
+        return eig
 
 
 def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
@@ -232,9 +269,10 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
     times the step's alphabet size plus outcome position; children that
     share a node form one family.  A report (after any intervention at its
     time) sorts by key, which is ``itertools.product`` order of the
-    alphabets.  Each segment's H_SB is diagonalized once, where a family
-    first evolves under it, on the calling thread; a family forms its
-    propagator over an interval from that spectrum where it applies it.
+    alphabets.  Each segment's H_SB spectrum is read once, from the
+    schedule's :meth:`~InterventionSchedule.eigh`, where a family first
+    evolves under it, on the calling thread; a family forms its propagator
+    over an interval from that spectrum where it applies it.
     """
     dims = schedule.sb_dims
     d = dims[0] * dims[1]
@@ -251,7 +289,7 @@ def _walk(schedule: InterventionSchedule, sb_init: np.ndarray,
         for node, records, keys, mats in families:
             for seg, a, b in protocol.iter_segments(t_from, t_to, node):
                 if seg not in spectra:
-                    spectra[seg] = np.linalg.eigh(schedule.h_sb(seg.h_system))
+                    spectra[seg] = schedule.eigh(schedule.h_sb(seg.h_system))
                 u = expm_herm(None, -1j * (b - a), eig=spectra[seg])
                 mats = u @ mats @ dagger(u)
             out.append((node, records, keys, mats))

@@ -39,9 +39,13 @@ Hamiltonian of a whole support is embedded per call.  Ledger order
 (parent-major, then label order) lives only in one index array, applied
 where rows are emitted.
 
-Each S B drive value is diagonalized once, where the groups first evolve
-under it (:meth:`AutonomousModel.spectrum`), on the calling thread; a
-control window's spectra are computed where the window uses them.
+Each S B drive value's spectrum is read once, where the groups first
+evolve under it (:meth:`AutonomousModel.spectrum`), on the calling thread;
+a control window's spectra are read where the window uses them.  Every
+spectrum comes from the schedule's memo (:meth:`InterventionSchedule.eigh`),
+which keys each on a digest of its matrix's bytes.  The direct route sums
+H_SB in the order :meth:`_Space.hamiltonian` does, so it reads a spectrum
+this route computed exactly where it assembles the same matrix to the bit.
 """
 
 from __future__ import annotations
@@ -222,9 +226,10 @@ class _Space:
 class AutonomousModel:
     """Inclusive model: factor dimensions, Hamiltonian terms, schedule, hardware.
 
-    ``declared_init`` is the read-only start on S B, or None (``gibbs_initial``)
-    for the Gibbs state of H_SB at the first drive value, which ``sb_init``,
-    the start both routes read, then holds, built from the model's spectrum.
+    ``declared_init`` is the start on S B, a density matrix checked and
+    kept read-only here, or None (``gibbs_initial``) for the Gibbs state of
+    H_SB at the first drive value, which ``sb_init``, the start both routes
+    read, then holds, built from the model's spectrum.
     """
 
     dims: Mapping[str, int]    # read-only, factor label -> dimension: S, B, A0, A1, ...
@@ -249,6 +254,17 @@ class AutonomousModel:
         if rho is None:    # the Gibbs state of H_SB at the first drive value
             rho = _frozen(gibbs_mat(None, self.beta, eig=self.spectrum(
                 ("S", "B"), self.protocol.base[0].h_system)))
+        else:
+            d = self.dims["S"] * self.dims["B"]
+            if np.shape(rho) != (d, d):
+                raise ValueError(f"sb_init must be {d}x{d} (system (x) bath), "
+                                 f"got shape {np.shape(rho)}")
+            # a read-only array that owns its data is kept; anything else is copied
+            if not (isinstance(rho, np.ndarray) and rho.dtype == complex
+                    and rho.base is None and not rho.flags.writeable):
+                rho = np.array(rho, dtype=complex)
+            rho = _frozen(validate_density(rho))
+            object.__setattr__(self, "declared_init", rho)
         object.__setattr__(self, "sb_init", rho)
 
     @property
@@ -368,15 +384,7 @@ class AutonomousModel:
         schedule = InterventionSchedule((dims["S"], dims["B"]), times, instruments, protocol,
                                         feedback=feedback, h_bath=h_bath,
                                         v_coupling=v_coupling)
-        rho0 = None
-        if sb_init is not None:
-            d = dims["S"] * dims["B"]
-            rho0 = np.array(sb_init, dtype=complex)
-            if rho0.shape != (d, d):
-                raise ValueError(f"sb_init must be {d}x{d} (system (x) bath), "
-                                 f"got shape {rho0.shape}")
-            rho0 = _frozen(validate_density(rho0))
-        return cls(MappingProxyType(dims), schedule, tuple(specs), float(beta), rho0,
+        return cls(MappingProxyType(dims), schedule, tuple(specs), float(beta), sb_init,
                    mean_force_bare=mean_force_bare, name=name)
 
     # -- geometry -----------------------------------------------------------
@@ -397,15 +405,18 @@ class AutonomousModel:
     def spectrum(self, labels: tuple[str, ...], h_system: np.ndarray | None = None,
                  window: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs (w, v) of :meth:`_Space.hamiltonian` on ``labels``,
-        computed once per (labels, window, drive value); the drive and the
-        window count only on a block that holds S."""
+        read-only, looked up once per (labels, window, drive value); the
+        drive and the window count only on a block that holds S.  On a miss
+        the matrix is assembled here and its spectrum read from the
+        schedule's memo (:meth:`InterventionSchedule.eigh`), which computes
+        it unless the bytes of that very matrix were diagonalized before."""
         if "S" not in labels:
             h_system, window = None, None
         key = labels, window, None if h_system is None else h_system.tobytes()
         eig = self._spectra.get(key)
         if eig is None:
-            eig = self._spectra[key] = tuple(_frozen(a) for a in np.linalg.eigh(
-                self.space(labels).hamiltonian(h_system, window)))
+            eig = self._spectra[key] = self.schedule.eigh(
+                self.space(labels).hamiltonian(h_system, window))
         return eig
 
     @cached_property

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import proctherm.algebra as algebra
-import proctherm.simulate as simulate
+import proctherm.channels as channels
 from proctherm.algebra import (
     embed_factors,
     expm_herm,
@@ -352,7 +352,8 @@ class TestEighAll:
         # a tracer that wraps the solver nests spans by call order, so it
         # must see every call on the caller's thread, as it is made; the
         # benchmark's tracer gives each module its own ``np`` alias, a patch
-        # rebinds numpy's
+        # rebinds numpy's.  A model's spectra are computed by its schedule's
+        # memo, in channels
         model, drives = self.model_and_drives(83, 3)
         rng = np.random.default_rng(83)
         mats = [random_hermitian(rng, 64) for _ in range(2)]
@@ -367,7 +368,7 @@ class TestEighAll:
         else:
             linalg = types.SimpleNamespace(**{**vars(np.linalg), "eigh": recording})
             alias = types.SimpleNamespace(**{**vars(np), "linalg": linalg})
-            for mod in (algebra, simulate):
+            for mod in (algebra, channels):
                 monkeypatch.setattr(mod, "np", alias)
         eigs = [model.spectrum(SB, h) for h in drives]
         rho, u = gibbs_mat(mats[0], 1.0), expm_herm(mats[1], -1j)

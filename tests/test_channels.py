@@ -194,7 +194,12 @@ GUARDS = {
             [Segment(0.0, 3.0, np.eye(2))],
             {("1",): [Segment(0.0, 0.5, np.eye(2)), Segment(0.5, 3.0, np.eye(3))]})),
         r"drive segment 1 for prefix \['1'\] must be 2x2, got shape \(3, 3\)"),
-    # the rules on times and prefixes hold for a schedule built without assemble
+    # the rules on times and prefixes hold for a schedule built without assemble;
+    # a NaN time compares false both ways, so it is refused before them
+    "schedule-step-time-nan": (
+        lambda: flat_schedule([float("nan")], [projective_z()], sb_dims=(2, 1),
+                              t_span=(0.0, 2.0)),
+        r"intervention times must be finite: \(nan,\)"),
     "schedule-step-outside-protocol": (
         lambda: flat_schedule([3.0], [projective_z()], sb_dims=(2, 1), t_span=(0.0, 2.0)),
         "an intervention is scheduled outside the protocol range"),
@@ -456,6 +461,47 @@ class TestMultilinearity:
             np.testing.assert_allclose(parts[labels[0]], alpha * run_a, atol=1e-12)
             np.testing.assert_allclose(parts[labels[1]], (1 - alpha) * run_b, atol=1e-12)
             np.testing.assert_allclose(sum(parts.values()), run_mixed, atol=1e-12)
+
+
+class TestSpectrumMemo:
+    """A schedule keeps one spectrum per matrix, under its shape, dtype and a
+    digest of its bytes: bitwise ``np.linalg.eigh`` of that matrix, read-only."""
+
+    def test_each_distinct_matrix_gets_its_own_entry(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        h = random_hermitian(rng, 4)
+        h[1, 0] = h[0, 1] = 0.0
+        ulp = h.copy()      # one ulp apart in one entry
+        ulp[2, 2] = np.nextafter(h[2, 2].real, np.inf)
+        flip = h.copy()     # -0.0 for 0.0, in the triangle eigh reads
+        flip[1, 0] = complex(-0.0, 0.0)
+        stack = h.reshape(4, 2, 2)    # the same bytes as four 2x2 matrices
+        mats = [h, ulp, flip, stack]
+        assert h.tobytes() == stack.tobytes() != flip.tobytes()
+        solver, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or solver(a))
+        sched = flat_schedule([], [])
+        eigs = [sched.eigh(m) for m in mats]
+        assert [a.tobytes() for a in calls] == [m.tobytes() for m in mats]
+        assert [c.shape for c in calls] == [m.shape for m in mats]
+        assert sorted(map(id, sched._spectra.values())) == sorted(map(id, eigs))
+        for mat, eig in zip(mats, eigs):
+            assert [a.tobytes() for a in eig] == [a.tobytes() for a in solver(mat)]
+            assert not any(a.flags.writeable for a in eig)
+        # a second read of any of them is the kept spectrum, and no call
+        assert all(sched.eigh(m.copy()) is e for m, e in zip(mats, eigs))
+        assert len(calls) == 4
+
+    def test_a_failed_matrix_keeps_nothing(self, monkeypatch):
+        sched = flat_schedule([], [])
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            sched.eigh(np.eye(4))
+        assert sched._spectra == {}
 
 
 class TestRouteIndependence:

@@ -887,14 +887,15 @@ class TestThreadCount:
                              capture_output=True, text=True, timeout=300).stdout
         assert json.loads(out) == ["1", "3", "1"]
 
-    @pytest.mark.parametrize("name, counts", [("ramp", (1, 49, 50)),
-                                              ("driven_feedback", (1, 2, 4))])
+    @pytest.mark.parametrize("name, counts", [("ramp", (1, 49, 0)),
+                                              ("driven_feedback", (1, 2, 0))])
     def test_each_drive_value_is_diagonalized_once_per_route(self, tmp_path, monkeypatch,
                                                              name, counts):
         # set-up diagonalizes the first drive value for the Gibbs state; run
-        # and the direct route each diagonalize every drive value they
-        # visit, once, and no other: on ramp both visit 50 of its 60, the
-        # first already known to run
+        # diagonalizes every other drive value it visits, once, and no
+        # other: on ramp it visits 50 of its 60.  The direct route assembles
+        # each H_SB byte for byte as run did, so the model's schedule holds
+        # every spectrum it reads
         path = ramp_input(tmp_path, monkeypatch) if name == "ramp" \
             else SCENARIO_DIR / f"{name}.yaml"
         calls = []
@@ -970,7 +971,8 @@ class TestSpectraAhead:
             self, tmp_path, monkeypatch):
         # TestThreadCount's count on ramp, with two callers at once, each on
         # its own model: each thread's solver calls are its own, and each
-        # sees every drive value once per route, in the same order
+        # sees every drive value once, in the same order, since a model's
+        # spectra are kept by its own schedule
         path = ramp_input(tmp_path, monkeypatch)
         calls = []
         solver = np.linalg.eigh
@@ -1003,9 +1005,9 @@ class TestSpectraAhead:
             t.join(60)
         assert not any(t.is_alive() for t in threads)
         assert sorted(seen) == [0, 1]
-        assert seen[0][0] == seen[1][0] == (1, 49, 50)
+        assert seen[0][0] == seen[1][0] == (1, 49, 0)
         assert seen[0][1] == seen[1][1]
-        assert len(calls) == 2 * 100
+        assert len(calls) == 2 * 50
 
 
 # runs each argv of the JSON list argv[1] through cli.main in this process,

@@ -445,6 +445,26 @@ class TestLoader:
                 _typed(yaml.load(text, Loader=base)), path.name
 
 
+class TestRouteAlignment:
+    def test_both_routes_assemble_each_h_sb_to_the_bit(self, tmp_path):
+        # the direct route's H_SB and the autonomous route's S B Hamiltonian
+        # are written apart but summed in one order, so the schedule's memo
+        # of spectra, keyed on their bytes, serves both; every drive value
+        # of every timeline, variants included
+        variants = 0
+        for path in sorted(SCENARIO_DIR.glob("*.yaml")) + _perfbench_inputs(tmp_path):
+            model = build_model(parse_scenario(str(path)))
+            protocol = model.protocol
+            variants += len(protocol.variants)
+            for segments in (protocol.base, *protocol.variants.values()):
+                for seg in segments:
+                    direct = model.schedule.h_sb(seg.h_system)
+                    autonomous = model.space(("S", "B")).hamiltonian(seg.h_system)
+                    assert (direct.shape, direct.dtype) == (autonomous.shape, autonomous.dtype)
+                    assert direct.tobytes() == autonomous.tobytes(), path.name
+        assert variants > 0
+
+
 RELAXATION = SCENARIO_DIR / "relaxation_two_level.yaml"
 COUPLING_ROW = "  - [0.0, 0.0, 0.05, 0.0]"
 PAST_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

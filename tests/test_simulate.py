@@ -782,6 +782,9 @@ GUARDS = {
     "run-step-off-time": (
         lambda: _on_ledger_at(0.3, lambda sim, ledger: sim.run_step(ledger, 0)),
         r"step 0 is scheduled at t=0.5, ledger is at t=0.3"),
+    "step-time-nan": (
+        lambda: simple_model([{"time": float("nan"), "instrument": projective_z()}]),
+        r"intervention times must be finite: \(nan,\)"),
     "sb-init-system-only": (
         lambda: simple_model([], sb_init=np.eye(2) / 2),
         r"sb_init must be 4x4 \(system \(x\) bath\), got shape \(2, 2\)"),
@@ -869,6 +872,28 @@ class TestDeclaredStart:
         assert not copy.gibbs_initial
         assert copy.sb_init is copy.declared_init is model.sb_init
 
+    def test_replace_checks_a_declared_start(self):
+        # the model checks its start, so a copy cannot carry one assemble refuses
+        model = simple_model([], sb_init=np.eye(4) / 4)
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e\\+00"):
+            dataclasses.replace(model, declared_init=np.diag([2.0, -1.0, 0, 0]))
+        with pytest.raises(ValueError, match=r"sb_init must be 4x4 \(system \(x\) bath\), "
+                                             r"got shape \(2, 2\)"):
+            dataclasses.replace(model, declared_init=np.eye(2) / 2)
+
+    def test_the_start_is_read_only_on_every_path(self):
+        # a Gibbs start, one declared to assemble and one given to replace;
+        # the caller's array is copied, not frozen in its hands
+        declared = np.eye(4, dtype=complex) / 4
+        gibbs = simple_model([])
+        models = [gibbs, simple_model([], sb_init=declared),
+                  dataclasses.replace(gibbs, declared_init=declared)]
+        assert [m.gibbs_initial for m in models] == [True, False, False]
+        assert not any(m.sb_init.flags.writeable for m in models)
+        assert declared.flags.writeable and all(m.sb_init is not declared for m in models)
+        declared[0, 0] = 1.0
+        assert [m.sb_init[0, 0] for m in models[1:]] == [0.25, 0.25]
+
     def test_numpy_integer_dimensions_are_accepted(self):
         model = AutonomousModel.assemble(s_dim=np.int64(2), b_dim=np.int32(3), beta=1.0,
                                          protocol=Protocol([Segment(0.0, 1.0, np.zeros((2, 2)))]))
@@ -901,3 +926,18 @@ class TestDeclaredReadout:
         rows = equivalence_rows(model, result)
         assert len(rows) == 2
         assert max(max(r["state_dev"], r["prob_dev"]) for r in rows) < 1e-12
+
+
+class TestSpectrumScope:
+    def test_two_models_of_one_scenario_share_no_spectrum(self):
+        # each model's schedule keeps its own spectra: the same matrices,
+        # each diagonalized once per model
+        scenario = parse_scenario(Path(__file__).resolve().parent.parent
+                                  / "scenarios" / "driven_feedback.yaml")
+        models = [build_model(scenario) for _ in range(2)]
+        for model in models:
+            equivalence_rows(model, Simulator(model).run(report_times=scenario.report_times))
+        first, second = (m.schedule._spectra for m in models)
+        assert first is not second and len(first) >= 3
+        assert first.keys() == second.keys()
+        assert all(a is not b for key in first for a, b in zip(first[key], second[key]))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from proctherm import dilation
+from proctherm.channels import InterventionSchedule
 from proctherm.scenario import build_model, parse_scenario, parse_scenario_dict
-from proctherm.simulate import Simulator
+from proctherm.simulate import Simulator, _Space
 from proctherm.thermo import evaluate_run
 from proctherm.tolerances import DEFAULT, Tolerances
 from proctherm import verify
@@ -449,3 +450,38 @@ class TestNegativeControls:
         final = dataclasses.replace(result.final, pruned_mass=0.0)
         assert failed_checks(model, dataclasses.replace(result, final=final)) == before | {
             "record-probabilities-sum"}
+
+
+def _perturbed_h_sb(monkeypatch, route, scale):
+    """Add ``scale`` times V to one route's system-bath Hamiltonian: the
+    direct route's ``h_sb`` or the autonomous route's S B block."""
+    if route == "direct":
+        h_sb = InterventionSchedule.h_sb
+        monkeypatch.setattr(InterventionSchedule, "h_sb",
+                            lambda self, h: h_sb(self, h) + scale * self.v_coupling)
+    else:
+        hamiltonian = _Space.hamiltonian
+
+        def perturbed(self, h_system=None, window=None):
+            h = hamiltonian(self, h_system, window)
+            return h + scale * self.model.v_coupling if self.support == ("S", "B") else h
+
+        monkeypatch.setattr(_Space, "hamiltonian", perturbed)
+
+
+class TestRouteIndependence:
+    # the schedule shares a spectrum between the routes only for matrices
+    # equal to the bit, so an edit of either route's H_SB still shows
+    @pytest.mark.parametrize("route", ["direct", "autonomous"])
+    @pytest.mark.parametrize("scale", [-1.0, 1e-3], ids=["without-v", "v-scaled"])
+    def test_a_perturbed_h_sb_fails_equivalence_states(self, monkeypatch, route, scale):
+        scenario = parse_scenario(SCENARIO_DIR / "driven_feedback.yaml")
+
+        def failed():
+            model = build_model(scenario)
+            result = run_verified(model, scenario.report_times, prune=1e-14, max_branches=256)
+            return {c.name for c in verify.equivalence_checks(model, result)[1] if not c.passed}
+
+        assert failed() == set()
+        _perturbed_h_sb(monkeypatch, route, scale)
+        assert "equivalence-states" in failed()
